@@ -8,7 +8,8 @@ CRITPATH_BASELINE_DIR ?= crates/bench/baselines-critpath
 
 .PHONY: all check fmt clippy test tables tables-quick serve scaling netgen \
         bench bench-micro bench-wallclock baseline critpath baseline-critpath \
-        metrics-demo trace-demo racecheck parkernel clean
+        metrics-demo trace-demo racecheck parkernel hostbench hostbench-test \
+        clean
 
 all: check test
 
@@ -118,6 +119,18 @@ parkernel:
 	cargo run -p vopp-bench --release --bin tables -- all serve scaling netgen --quick --jobs 4 --metrics target/park-seq
 	cargo run -p vopp-bench --release --bin metrics_diff -- $(BASELINE_DIR) target/park-metrics
 	diff -r --exclude=BENCH_wallclock.json target/park-metrics target/park-seq
+
+# The host-performance benchmark (benchmark/README.md, BENCHMARK.json): the
+# five-workload suite pinned to one CPU, about 4 min; arguments pass
+# through, e.g. `make hostbench ARGS="--workload is64 --seconds 12 --trace 0"`.
+# Host time is reported, never gated.
+hostbench:
+	bash benchmark/run.sh $(ARGS)
+
+# The benchmark crate's own tests (a stand-alone workspace the root
+# `cargo test --workspace` does not see).
+hostbench-test:
+	cd benchmark && cargo test --offline
 
 # The dynamic-checker suite (docs/CORRECTNESS.md): clean applications
 # across all five protocol×style cells must report zero violations, the

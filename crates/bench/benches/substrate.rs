@@ -4,7 +4,7 @@ use std::any::Any;
 use std::sync::Arc;
 
 use vopp_bench::harness::{black_box, Runner};
-use vopp_page::{Diff, DiffRun, PageBuf, PagePool, SharedHeap, VTime, PAGE_WORDS};
+use vopp_page::{Diff, DiffRun, IntegratedPage, PageBuf, PagePool, SharedHeap, VTime, PAGE_WORDS};
 use vopp_sim::{DeliveryClass, NetModel, Payload, RouteRequest, Sim, SimDuration, SimTime};
 use vopp_simnet::{EthernetModel, NetConfig};
 
@@ -87,6 +87,48 @@ fn bench_diff(r: &mut Runner) {
     r.bench("diff_merge_full_page", || {
         black_box(&d_dense).merge(black_box(&d_full))
     });
+}
+
+/// Grant-time diff integration at a view home: the integrated diff for a
+/// requester that missed 1 / 8 / 63 releases, read off the incremental
+/// [`IntegratedPage`] state vs folded with `Diff::merge` over the missed
+/// releases (what the home did per grant before it kept that state). Each
+/// release rewrites a 64-word window overlapping its neighbours'.
+fn bench_integration(r: &mut Runner) {
+    const RELEASES: u32 = 63;
+    let releases: Vec<Arc<Diff>> = (0..RELEASES)
+        .map(|i| {
+            Arc::new(Diff::from_runs(vec![DiffRun {
+                word_off: i * 16 % 960,
+                words: (0..64).map(|k| i * 64 + k).collect(),
+            }]))
+        })
+        .collect();
+    let mut page = IntegratedPage::default();
+    for (i, d) in releases.iter().enumerate() {
+        page.absorb(i as u32 + 1, Arc::clone(d));
+    }
+    for missed in [1u32, 8, 63] {
+        let have = RELEASES - missed;
+        let inc = r.bench(&format!("grant_integrate_{missed}_missed"), || {
+            black_box(&page).newer_than(black_box(have))
+        });
+        let fold = r.bench(
+            &format!("grant_integrate_{missed}_missed_merge_fold"),
+            || {
+                let missed = &black_box(&releases)[have as usize..];
+                missed[1..]
+                    .iter()
+                    .fold(Diff::clone(&missed[0]), |acc, d| acc.merge(d))
+            },
+        );
+        if let (Some(i), Some(f)) = (inc, fold) {
+            println!(
+                "    -> incremental state is {:.1}x the merge fold ({missed} missed)",
+                f.as_nanos() as f64 / i.as_nanos().max(1) as f64
+            );
+        }
+    }
 }
 
 /// Page recycling vs. fresh heap allocation per twin.
@@ -354,6 +396,7 @@ fn bench_payload(r: &mut Runner) {
 fn main() {
     let mut r = Runner::from_args();
     bench_diff(&mut r);
+    bench_integration(&mut r);
     bench_pool(&mut r);
     bench_vtime(&mut r);
     bench_heap(&mut r);

@@ -9,7 +9,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use vopp_page::{Diff, PageId, VTime};
+use vopp_page::{Diff, IntegratedPage, PageId, VTime};
 use vopp_sim::sync::Mutex;
 use vopp_sim::{Handler, ProcId, SvcCtx};
 use vopp_simnet::reply;
@@ -60,6 +60,11 @@ pub struct ViewWaiter {
 }
 
 /// State of one view at its home.
+///
+/// What a grant must carry is kept current as releases arrive, so serving a
+/// requester never walks the view's release history: `VC_d` and ScC grants
+/// slice `records`; `VC_sd` and `VC_rdma` grants read `integrated`, whose
+/// size is fixed by the view's page count, not by how often it was released.
 #[derive(Debug, Clone, Default)]
 pub struct ViewHome {
     /// Current exclusive holder.
@@ -70,16 +75,39 @@ pub struct ViewHome {
     pub queue: VecDeque<ViewWaiter>,
     /// Number of write releases so far (the view's version).
     pub version: u32,
-    /// Release history (`VC_d` grants send the slice a requester missed).
-    /// Records are immutable once appended and `Arc`-shared with grants.
+    /// `VC_d` / ScC: release history (grants send the slice a requester
+    /// missed). Records are immutable once appended and `Arc`-shared with
+    /// grants. Empty under the update protocols, which never read it.
     pub records: Vec<Arc<ViewRecord>>,
-    /// `VC_sd`: per page, the version-tagged diffs of each release, shared
-    /// with the releaser's diff store. At grant time the diffs a requester
-    /// is missing are merged into a single integrated diff per page (the
-    /// CCGrid'05 "single diff" piggy-backed on the grant).
-    pub integrated: BTreeMap<PageId, Vec<(u32, Arc<Diff>)>>,
+    /// `VC_sd` / `VC_rdma`: per page, every release's diff overlaid in
+    /// version order as it arrived. A grant reads off one integrated diff
+    /// per stale page (the CCGrid'05 "single diff") in O(page), however
+    /// many releases the requester missed.
+    pub integrated: BTreeMap<PageId, IntegratedPage>,
     /// Last version assigned to each releaser (idempotent release acks).
     pub last_write_release: BTreeMap<ProcId, u32>,
+}
+
+impl ViewHome {
+    /// Fold the diffs of release `version` into the integration state.
+    fn absorb(&mut self, version: u32, diffs: &[(PageId, Arc<Diff>)]) {
+        for (p, d) in diffs {
+            self.integrated
+                .entry(*p)
+                .or_default()
+                .absorb(version, Arc::clone(d));
+        }
+    }
+
+    /// One integrated diff per page released after version `have`, in page
+    /// order. A page only one such release touched shares that release's
+    /// diff with the releaser's diff store — the common case pays no copy.
+    fn integrated_since(&self, have: u32) -> Vec<(PageId, Arc<Diff>)> {
+        self.integrated
+            .iter()
+            .filter_map(|(p, page)| Some((*p, page.newer_than(have)?)))
+            .collect()
+    }
 }
 
 /// True when `VOPP_TRACE` is set: protocol events are logged to stderr.
@@ -121,40 +149,46 @@ pub fn make_handler(node: Arc<Mutex<NodeState>>) -> Handler {
     Box::new(move |svc, pkt| {
         let tag = pkt.tag;
         let src = pkt.src;
-        let req = pkt.expect::<Req>();
+        // The sender's `RpcClient` keeps the payload for retransmission, so
+        // the request is shared: borrow it and copy only what a home stores.
+        let req = pkt.expect_arc::<Req>();
         let mut n = node.lock();
         if trace_enabled() {
             trace_req(svc.now(), n.me, src, &req);
         }
-        handle(&mut n, svc, src, tag, req);
+        handle(&mut n, svc, src, tag, &req);
     })
 }
 
-fn handle(n: &mut NodeState, svc: &mut SvcCtx<'_>, src: ProcId, tag: u64, req: Req) {
+fn handle(n: &mut NodeState, svc: &mut SvcCtx<'_>, src: ProcId, tag: u64, req: &Req) {
     match req {
         Req::LockAcquire { lock, vt } => {
-            let mut h = n.locks.remove(&lock).unwrap_or_default();
+            let mut h = n.locks.remove(lock).unwrap_or_default();
             if h.holder == Some(src) {
                 // Duplicate of a request we already granted.
-                send_lock_grant(n, svc, src, tag, &vt);
+                send_lock_grant(n, svc, src, tag, vt);
             } else if h.holder.is_none() && h.queue.is_empty() {
                 h.holder = Some(src);
-                send_lock_grant(n, svc, src, tag, &vt);
+                send_lock_grant(n, svc, src, tag, vt);
             } else if let Some(w) = h.queue.iter_mut().find(|w| w.proc == src) {
                 w.tag = tag;
-                w.vt = vt;
+                w.vt.clone_from(vt);
             } else {
-                h.queue.push_back(LockWaiter { proc: src, tag, vt });
+                h.queue.push_back(LockWaiter {
+                    proc: src,
+                    tag,
+                    vt: vt.clone(),
+                });
             }
-            n.locks.insert(lock, h);
+            n.locks.insert(*lock, h);
         }
 
         Req::LockRelease { lock, records } => {
             if let Some(maxl) = records.iter().map(|r| r.lamport).max() {
                 n.lamport_sync(maxl);
             }
-            n.merge_logged(&records);
-            let mut h = n.locks.remove(&lock).unwrap_or_default();
+            n.merge_logged(records);
+            let mut h = n.locks.remove(lock).unwrap_or_default();
             if h.holder == Some(src) {
                 h.holder = None;
                 if let Some(w) = h.queue.pop_front() {
@@ -163,7 +197,7 @@ fn handle(n: &mut NodeState, svc: &mut SvcCtx<'_>, src: ProcId, tag: u64, req: R
                 }
             }
             // Duplicate releases (holder already moved on) are just acked.
-            n.locks.insert(lock, h);
+            n.locks.insert(*lock, h);
             let ack = Resp::Ack;
             reply(svc, src, ack.wire_bytes(), tag, Arc::new(ack));
         }
@@ -176,14 +210,14 @@ fn handle(n: &mut NodeState, svc: &mut SvcCtx<'_>, src: ProcId, tag: u64, req: R
             if let Some(maxl) = records.iter().map(|r| r.lamport).max() {
                 n.lamport_sync(maxl);
             }
-            n.merge_logged(&records);
-            if episode < n.barrier.episodes_done {
+            n.merge_logged(records);
+            if *episode < n.barrier.episodes_done {
                 // The release for this episode was lost: regenerate it.
-                send_barrier_release(n, svc, src, tag, &vt);
+                send_barrier_release(n, svc, src, tag, vt);
                 return;
             }
-            debug_assert_eq!(episode, n.barrier.episodes_done, "barrier episode skew");
-            n.barrier.arrived.insert(src, (tag, vt));
+            debug_assert_eq!(*episode, n.barrier.episodes_done, "barrier episode skew");
+            n.barrier.arrived.insert(src, (tag, vt.clone()));
             if n.barrier.arrived.len() == n.n {
                 let arrived = std::mem::take(&mut n.barrier.arrived);
                 n.barrier.episodes_done += 1;
@@ -193,7 +227,7 @@ fn handle(n: &mut NodeState, svc: &mut SvcCtx<'_>, src: ProcId, tag: u64, req: R
             }
         }
 
-        Req::ViewAcquire { view, mode, have } => {
+        &Req::ViewAcquire { view, mode, have } => {
             let mut h = n.views.remove(&view).unwrap_or_default();
             let already = match mode {
                 AccessMode::Write => h.writer == Some(src),
@@ -233,6 +267,7 @@ fn handle(n: &mut NodeState, svc: &mut SvcCtx<'_>, src: ProcId, tag: u64, req: R
             pages,
             diffs,
         } => {
+            let (view, lamport) = (*view, *lamport);
             n.lamport_sync(lamport);
             let mut h = n.views.remove(&view).unwrap_or_default();
             if h.writer == Some(src) {
@@ -242,18 +277,14 @@ fn handle(n: &mut NodeState, svc: &mut SvcCtx<'_>, src: ProcId, tag: u64, req: R
                 } else {
                     h.version += 1;
                     let v = h.version;
-                    h.records.push(Arc::new(ViewRecord {
-                        version: v,
-                        id: interval.expect("write release with pages but no interval id"),
-                        lamport,
-                        pages,
-                    }));
                     match n.protocol {
-                        Protocol::VcSd => {
-                            for (p, d) in diffs {
-                                h.integrated.entry(p).or_default().push((v, d));
-                            }
-                        }
+                        Protocol::VcD | Protocol::ScC => h.records.push(Arc::new(ViewRecord {
+                            version: v,
+                            id: interval.expect("write release with pages but no interval id"),
+                            lamport,
+                            pages: pages.clone(),
+                        })),
+                        Protocol::VcSd => h.absorb(v, diffs),
                         Protocol::VcRdma => {
                             // The diffs travelled out-of-band: a one-sided
                             // write deposited them in this node's preposted
@@ -264,11 +295,11 @@ fn handle(n: &mut NodeState, svc: &mut SvcCtx<'_>, src: ProcId, tag: u64, req: R
                             let data = svc
                                 .take_one_sided(src, crate::msg::rdma_release_tag(view))
                                 .expect("VC_rdma release data must precede the release request");
-                            for (p, d) in data.expect::<Vec<(PageId, Arc<Diff>)>>() {
-                                h.integrated.entry(p).or_default().push((v, d));
-                            }
+                            h.absorb(v, &data.expect_arc::<Vec<(PageId, Arc<Diff>)>>());
                         }
-                        _ => {}
+                        Protocol::LrcD | Protocol::Hlrc => {
+                            unreachable!("views/scopes are not a homeless/home-based LRC feature")
+                        }
                     }
                     v
                 };
@@ -285,7 +316,7 @@ fn handle(n: &mut NodeState, svc: &mut SvcCtx<'_>, src: ProcId, tag: u64, req: R
             n.views.insert(view, h);
         }
 
-        Req::ViewRelease {
+        &Req::ViewRelease {
             view,
             mode: AccessMode::Read,
             ..
@@ -301,7 +332,7 @@ fn handle(n: &mut NodeState, svc: &mut SvcCtx<'_>, src: ProcId, tag: u64, req: R
         }
 
         Req::DiffReq { page, intervals } => {
-            let items = n.serve_diffs(page, &intervals);
+            let items = n.serve_diffs(*page, intervals);
             let resp = Resp::DiffResp { items };
             reply(svc, src, resp.wire_bytes(), tag, Arc::new(resp));
         }
@@ -314,15 +345,15 @@ fn handle(n: &mut NodeState, svc: &mut SvcCtx<'_>, src: ProcId, tag: u64, req: R
             // programs).
             debug_assert_eq!(n.protocol, Protocol::Hlrc);
             for (page, diff) in items {
-                debug_assert_eq!(n.page_home(page), n.me, "flush sent to wrong home");
-                n.mem.apply_diff_with_twin(page, diff.as_ref());
+                debug_assert_eq!(n.page_home(*page), n.me, "flush sent to wrong home");
+                n.mem.apply_diff_with_twin(*page, diff.as_ref());
                 n.stats.diffs_applied += 1;
             }
             let ack = Resp::Ack;
             reply(svc, src, ack.wire_bytes(), tag, Arc::new(ack));
         }
 
-        Req::PageReq { page } => {
+        &Req::PageReq { page } => {
             // Serve the full current content if this node still holds a
             // valid copy; otherwise the requester falls back to diffs.
             // (For view pages the copy is provably valid while the
@@ -437,30 +468,7 @@ fn send_view_grant(
             Vec::new(),
         ),
         Protocol::VcSd | Protocol::VcRdma => {
-            let integrated: Vec<(PageId, Arc<Diff>)> = h
-                .integrated
-                .iter()
-                .filter(|(_, vs)| vs.last().is_some_and(|(v, _)| *v > have))
-                .map(|(p, vs)| {
-                    // Diff integration: merge every release the requester
-                    // missed into one diff, newest last (last writer wins).
-                    // A single missed release is shared as-is — the common
-                    // case pays no copy at all.
-                    let mut missed = vs.iter().filter(|(v, _)| *v > have).map(|(_, d)| d);
-                    let first = missed.next().expect("filter guarantees a missed release");
-                    match missed.next() {
-                        None => (*p, Arc::clone(first)),
-                        Some(second) => {
-                            let mut merged = first.as_ref().clone();
-                            merged.merge_from(second);
-                            for d in missed {
-                                merged.merge_from(d);
-                            }
-                            (*p, Arc::new(merged))
-                        }
-                    }
-                })
-                .collect();
+            let integrated = h.integrated_since(have);
             if n.protocol == Protocol::VcRdma {
                 one_sided = integrated;
                 (Vec::new(), Vec::new())
@@ -498,4 +506,40 @@ fn send_view_grant(
         bytes: bytes as u64 + data_bytes,
     });
     reply(svc, dst, bytes, tag, Arc::new(resp));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vopp_page::DiffRun;
+
+    fn diff(word_off: u32, words: Vec<u32>) -> Arc<Diff> {
+        Arc::new(Diff::from_runs(vec![DiffRun { word_off, words }]))
+    }
+
+    #[test]
+    fn single_missed_release_is_shared_with_the_releaser() {
+        let mut h = ViewHome::default();
+        let (r1, r2, r3) = (diff(0, vec![1, 1]), diff(1, vec![2, 2]), diff(8, vec![3]));
+        h.absorb(1, &[(4, Arc::clone(&r1)), (5, Arc::clone(&r1))]);
+        h.absorb(2, &[(4, Arc::clone(&r2))]);
+        h.absorb(3, &[(4, Arc::clone(&r3))]);
+
+        // Up to date: nothing to send.
+        assert!(h.integrated_since(3).is_empty());
+        // Missed one release: the releaser's own allocation, not a copy.
+        let one = h.integrated_since(2);
+        assert_eq!(one.len(), 1);
+        assert!(Arc::ptr_eq(&one[0].1, &r3));
+        // Missed two on page 4, none on page 5: one fresh integrated diff.
+        let two = h.integrated_since(1);
+        assert_eq!(two.len(), 1);
+        assert_eq!(*two[0].1, r2.merge(&r3));
+        // Missed everything (a crashed node re-acquiring from version 0):
+        // page 5 saw a single release in all that time and is still shared.
+        let all = h.integrated_since(0);
+        assert_eq!(all.iter().map(|(p, _)| *p).collect::<Vec<_>>(), [4, 5]);
+        assert_eq!(*all[0].1, r1.merge(&r2).merge(&r3));
+        assert!(Arc::ptr_eq(&all[1].1, &r1));
+    }
 }

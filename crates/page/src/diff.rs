@@ -4,10 +4,11 @@
 //! (the copy snapshotted at the first write of an interval), encoded as
 //! maximal runs of consecutive modified words — the TreadMarks encoding.
 //!
-//! `VC_sd`'s *diff integration* (Huang et al., CCGrid'05) is implemented by
+//! `VC_sd`'s *diff integration* (Huang et al., CCGrid'05) is defined by
 //! [`Diff::merge`]: any number of diffs against the same page collapse into a
 //! single diff bounded by the page size, with later writes overriding earlier
-//! ones.
+//! ones. View homes compute the same diff incrementally through
+//! [`IntegratedPage`](crate::IntegratedPage).
 
 use crate::page::{
     PageBuf, CHUNK_WORDS, PAGE_QUARTERS, PAGE_WORDS, QUARTER_BYTES, SUPER_BYTES, WORD_SIZE,
@@ -33,7 +34,7 @@ impl DiffRun {
 /// non-adjacent maximal runs.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Diff {
-    runs: Vec<DiffRun>,
+    pub(crate) runs: Vec<DiffRun>,
 }
 
 /// Wire-format overhead per diff (page id + run count), in bytes.
@@ -199,22 +200,6 @@ impl Diff {
         merge_runs(&self.runs, &newer.runs, &mut runs);
         Diff { runs }
     }
-
-    /// In-place variant of [`Diff::merge`]. When `self` is empty this reuses
-    /// `self`'s existing run storage via `clone_from` instead of a fresh
-    /// allocation per run.
-    pub fn merge_from(&mut self, newer: &Diff) {
-        if newer.is_empty() {
-            return;
-        }
-        if self.is_empty() {
-            self.runs.clone_from(&newer.runs);
-            return;
-        }
-        let older = std::mem::take(&mut self.runs);
-        self.runs.reserve(older.len() + newer.runs.len());
-        merge_runs(&older, &newer.runs, &mut self.runs);
-    }
 }
 
 /// Two-pointer run merge: overlay the newer runs `b` on the older runs `a`,
@@ -378,15 +363,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn merge_from_empty_is_clone() {
-        let twin = PageBuf::zeroed();
-        let b = Diff::create(&twin, &page_with(&[(1, 2)]));
-        let mut acc = Diff::empty();
-        acc.merge_from(&b);
-        assert_eq!(acc, b);
-    }
-
     /// The original word-by-word diff kernel, retained as the oracle for the
     /// randomized equivalence suite below.
     fn scalar_create(twin: &PageBuf, current: &PageBuf) -> Diff {
@@ -497,9 +473,6 @@ mod tests {
             let two_ptr = a.merge(&b);
             let overlay = overlay_merge(&a, &b);
             assert_eq!(two_ptr, overlay, "trial {trial} density {density}");
-            let mut in_place = a.clone();
-            in_place.merge_from(&b);
-            assert_eq!(in_place, overlay, "merge_from trial {trial}");
         }
     }
 
@@ -570,17 +543,6 @@ mod tests {
         }]);
         assert_eq!(a.merge(&last), overlay_merge(&a, &last));
         assert_eq!(last.merge(&a), overlay_merge(&last, &a));
-    }
-
-    #[test]
-    fn merge_from_reuses_storage_when_empty() {
-        let twin = PageBuf::zeroed();
-        let b = Diff::create(&twin, &page_with(&[(1, 2), (50, 3)]));
-        let mut acc = Diff::empty();
-        acc.merge_from(&b);
-        assert_eq!(acc, b);
-        acc.merge_from(&Diff::empty());
-        assert_eq!(acc, b);
     }
 
     #[test]

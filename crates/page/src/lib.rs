@@ -9,7 +9,10 @@
 //!   state machine and twin snapshots (the simulation stand-in for
 //!   `mprotect` + SIGSEGV write trapping).
 //! * [`Diff`] — word-granularity run-length diffs, with the *diff
-//!   integration* merge used by the optimal `VC_sd` protocol.
+//!   integration* merge that defines the optimal `VC_sd` protocol's grants.
+//! * [`IntegratedPage`] — a view home's per-page integration state: absorbs
+//!   versioned diffs as they are released and yields the integrated diff of
+//!   everything newer than a given version in O(page).
 //! * [`VTime`] — vector timestamps over intervals.
 //! * [`IntervalRecord`] / [`WriteNotice`] — the consistency metadata
 //!   exchanged at synchronization points.
@@ -17,6 +20,7 @@
 
 mod diff;
 mod heap;
+mod integrate;
 mod interval;
 mod mem;
 mod page;
@@ -24,6 +28,7 @@ mod vtime;
 
 pub use diff::{Diff, DiffRun, DIFF_HEADER_BYTES, RUN_HEADER_BYTES};
 pub use heap::SharedHeap;
+pub use integrate::IntegratedPage;
 pub use interval::{IntervalId, IntervalRecord, WriteNotice, NOTICE_WIRE_BYTES};
 pub use mem::{NodeMemory, PagePool, PageState};
 pub use page::{

@@ -4,8 +4,11 @@
 //! property-testing framework so the suite runs without external
 //! dependencies; failures print the seed for replay.
 
+use std::sync::Arc;
+
 use vopp_page::{
-    pages_spanned, Diff, NodeMemory, PageBuf, SharedHeap, VTime, PAGE_SIZE, PAGE_WORDS,
+    pages_spanned, Diff, DiffRun, IntegratedPage, NodeMemory, PageBuf, SharedHeap, VTime,
+    PAGE_SIZE, PAGE_WORDS,
 };
 
 /// SplitMix64: tiny deterministic PRNG, seeded per case.
@@ -129,6 +132,92 @@ fn diff_merge_bounded() {
             "seed {seed}"
         );
     }
+}
+
+/// One release's diff of a page, in the shapes view programs produce:
+/// scattered words, a few short runs (which overlap and abut across
+/// releases, because they cluster), every 8th word, the whole page, or a
+/// page that was dirtied but ended up unchanged (an empty diff).
+fn release_diff(rng: &mut Rng) -> Diff {
+    let mut runs = Vec::new();
+    match rng.range(0, 6) {
+        0 => {}
+        1 => runs.push((0, PAGE_WORDS)),
+        2 => runs.extend((0..PAGE_WORDS).step_by(8).map(|w| (w, 1))),
+        3 => {
+            let mut w = rng.range(0, 64);
+            while w < PAGE_WORDS {
+                runs.push((w, 1));
+                w += rng.range(2, 200);
+            }
+        }
+        _ => {
+            // Short runs packed into a 64-word window.
+            let mut w = 256 + rng.range(0, 16);
+            for _ in 0..rng.range(1, 6) {
+                let len = rng.range(1, 9);
+                runs.push((w, len));
+                w += len + rng.range(1, 4);
+            }
+        }
+    }
+    Diff::from_runs(
+        runs.into_iter()
+            .map(|(off, len)| DiffRun {
+                word_off: off as u32,
+                words: (0..len).map(|_| rng.next_u32()).collect(),
+            })
+            .collect(),
+    )
+}
+
+/// The incremental kernel against its definition: for every `have`, the
+/// diff of everything newer equals the left fold of `Diff::merge` over the
+/// releases above `have` — from `have = 0` (a crashed node re-acquiring) to
+/// `have = version` (nothing to send) — is canonical, and a single missed
+/// release is handed out shared.
+#[test]
+fn integrated_page_equals_merge_fold() {
+    for seed in 0..CASES {
+        let mut rng = Rng(seed);
+        let mut page = IntegratedPage::default();
+        // (version, diff) of the releases that touched this page; the view's
+        // other releases (other pages only) leave gaps in the versions.
+        let mut releases: Vec<(u32, Arc<Diff>)> = Vec::new();
+        let last_version = rng.range(1, 24) as u32;
+        for version in 1..=last_version {
+            if rng.range(0, 3) > 0 {
+                let d = Arc::new(release_diff(&mut rng));
+                page.absorb(version, Arc::clone(&d));
+                releases.push((version, d));
+            }
+        }
+        assert_eq!(page.version(), releases.last().map_or(0, |(v, _)| *v));
+        for have in 0..=last_version {
+            let missed: Vec<&Arc<Diff>> = releases
+                .iter()
+                .filter(|(v, _)| *v > have)
+                .map(|(_, d)| d)
+                .collect();
+            let got = page.newer_than(have);
+            let Some(first) = missed.first() else {
+                assert!(got.is_none(), "seed {seed} have {have}");
+                continue;
+            };
+            let got = got.unwrap_or_else(|| panic!("seed {seed} have {have}: no diff"));
+            let fold = missed[1..]
+                .iter()
+                .fold(Diff::clone(first), |acc, d| acc.merge(d));
+            assert_eq!(*got, fold, "seed {seed} have {have}");
+            // Sorted, non-adjacent, in-bounds: from_runs panics otherwise.
+            let _ = Diff::from_runs(got.runs().to_vec());
+            if missed.len() == 1 {
+                assert!(Arc::ptr_eq(&got, first), "seed {seed} have {have}");
+            }
+        }
+    }
+    // A page no release ever wrote has nothing for anyone.
+    assert!(IntegratedPage::default().newer_than(0).is_none());
 }
 
 /// Wire-size accounting matches the encoding exactly: header + one
