@@ -6,7 +6,7 @@ BASELINE_DIR ?= crates/bench/baselines
 CRITPATH_DIR ?= target/bench-critpath
 CRITPATH_BASELINE_DIR ?= crates/bench/baselines-critpath
 
-.PHONY: all check fmt clippy test tables tables-quick serve scaling netgen \
+.PHONY: all check fmt clippy test test-all tables tables-quick serve scaling netgen \
         bench bench-micro bench-wallclock baseline critpath baseline-critpath \
         metrics-demo trace-demo racecheck parkernel hostbench hostbench-test \
         clean
@@ -24,6 +24,12 @@ clippy:
 test:
 	cargo build --release
 	cargo test -q
+
+# `cargo test -q` above is the root package only (tier-1). This is the
+# whole workspace in release (about 480 tests, a few minutes), including
+# the kernel hand-off and stress suites in crates/sim/tests.
+test-all:
+	cargo test --release --workspace -q
 
 tables:
 	cargo run -p vopp-bench --release --bin tables -- all

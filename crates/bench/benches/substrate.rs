@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the memory and network substrates.
 
 use std::any::Any;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use vopp_bench::harness::{black_box, Runner};
@@ -211,11 +212,78 @@ fn lockstep_run(direct: bool) -> (u64, u64) {
     (out.handoff.direct, out.handoff.via_controller)
 }
 
-/// Kernel wake-up path: the same 8-process lockstep workload with the
-/// direct-handoff fast path on vs off (every wake-up through the
-/// controller thread). The measured delta is pure scheduling overhead —
-/// virtual-time results are identical by construction.
+/// One process advancing its clock in `slices` compute slices: every
+/// resume is popped by the process that scheduled it, so after the start-up
+/// wake the run never leaves its thread. Returns the wake-up count.
+fn selfwake_run(slices: u32) -> u64 {
+    let sim = Sim::new(1, Box::new(EthernetModel::new(1, NetConfig::lossless())));
+    let out = sim.run(move |ctx| {
+        for _ in 0..slices {
+            ctx.compute(SimDuration::from_micros(10));
+        }
+    });
+    assert_eq!(out.handoff.self_wakes, u64::from(slices));
+    out.handoff.total()
+}
+
+/// Two processes bouncing one datagram `trips` times: every wake-up is a
+/// real hand-off between two OS threads. Returns the wake-up count.
+fn pingpong_run(trips: u32) -> u64 {
+    let sim = Sim::new(2, Box::new(EthernetModel::new(2, NetConfig::lossless())));
+    let out = sim.run(move |ctx| {
+        let peer = 1 - ctx.me();
+        for _ in 0..trips {
+            if ctx.me() == 0 {
+                ctx.send(peer, 64, DeliveryClass::App, 0, Arc::new(0u8));
+                let _ = ctx.recv();
+            } else {
+                let _ = ctx.recv();
+                ctx.send(peer, 64, DeliveryClass::App, 0, Arc::new(0u8));
+            }
+        }
+    });
+    out.handoff.total()
+}
+
+/// The OS floor under every kernel hand-off: two threads passing an atomic
+/// token back and forth with `park`/`unpark`, nothing else. One trip is two
+/// hand-offs.
+fn bare_park_pingpong(trips: u32) {
+    let tokens = [AtomicBool::new(false), AtomicBool::new(false)];
+    let take = |t: &AtomicBool| {
+        while !t.swap(false, Ordering::Acquire) {
+            std::thread::park();
+        }
+    };
+    let main = std::thread::current();
+    std::thread::scope(|s| {
+        let peer = s.spawn(|| {
+            for _ in 0..trips {
+                take(&tokens[1]);
+                tokens[0].store(true, Ordering::Release);
+                main.unpark();
+            }
+        });
+        for _ in 0..trips {
+            tokens[1].store(true, Ordering::Release);
+            peer.thread().unpark();
+            take(&tokens[0]);
+        }
+    });
+}
+
+/// Kernel wake-up path. The 8-process lockstep workload with the
+/// direct-handoff fast path on vs off (every wake-up through the controller
+/// thread): the measured delta is pure scheduling overhead — virtual-time
+/// results are identical by construction. Then the cost of one wake-up on
+/// the three shapes a run is made of (lockstep ring, self-wake, two-thread
+/// ping-pong), each as a ratio to a bare `park`/`unpark` ping-pong timed in
+/// this same binary — the floor the baton hand-off sits on, and the number
+/// a user-level scheduler (ROADMAP 2b) has to beat. Run lengths include the
+/// thread spawns; they are chosen long enough to drown them.
 fn bench_kernel(r: &mut Runner) {
+    const SELF_SLICES: u32 = 10_000;
+    const TRIPS: u32 = 2_000;
     let (direct, via_ctl) = lockstep_run(true);
     println!("    -> lockstep handoff counters: {direct} direct, {via_ctl} via controller");
     let on = r.bench("kernel_lockstep_handoff_on", || {
@@ -229,6 +297,34 @@ fn bench_kernel(r: &mut Runner) {
             "    -> direct handoff runs the lockstep cluster in {:.2}x the time of the controller path",
             on.as_nanos() as f64 / off.as_nanos().max(1) as f64
         );
+    }
+    let selfwake = r.bench("kernel_selfwake", || black_box(selfwake_run(SELF_SLICES)));
+    let pingpong = r.bench("kernel_pingpong", || black_box(pingpong_run(TRIPS)));
+    let floor = r
+        .bench("kernel_floor_park_unpark", || bare_park_pingpong(TRIPS))
+        .map(|d| d.as_nanos() as f64 / f64::from(2 * TRIPS));
+    if let Some(floor) = floor {
+        println!("    -> bare park/unpark floor: {floor:.0} ns per hand-off");
+    }
+    // The wake-up counts are deterministic; one extra run of each shape
+    // that was benched reads them off the kernel's own counters.
+    for (name, ran) in [
+        ("lockstep", on.map(|d| (d, direct + via_ctl))),
+        (
+            "self-wake",
+            selfwake.map(|d| (d, selfwake_run(SELF_SLICES))),
+        ),
+        ("ping-pong", pingpong.map(|d| (d, pingpong_run(TRIPS)))),
+    ] {
+        let Some((run, wakes)) = ran else { continue };
+        let per_wake = run.as_nanos() as f64 / wakes as f64;
+        match floor {
+            Some(floor) => println!(
+                "    -> {name}: {per_wake:.0} ns per wake-up, {:.2}x the bare floor",
+                per_wake / floor
+            ),
+            None => println!("    -> {name}: {per_wake:.0} ns per wake-up"),
+        }
     }
 }
 

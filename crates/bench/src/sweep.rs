@@ -53,8 +53,9 @@ use crate::tables::{self, Scale};
 /// kernel's dispatch economics: the events-per-window density histogram,
 /// the inline/parallel/serial window split (and inline share), spin-hit vs
 /// park-wake doorbell counts, and the commit's routing vs record-append
-/// nanosecond split.
-pub const WALLCLOCK_SCHEMA: &str = "vopp-bench-wallclock/4";
+/// nanosecond split. `/5` adds `handoff.self_wakes`: the direct wake-ups
+/// where the draining process woke itself (no OS wake at all).
+pub const WALLCLOCK_SCHEMA: &str = "vopp-bench-wallclock/5";
 
 /// Application of a sweep cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -815,6 +816,9 @@ pub fn wallclock_document(cache: &RunCache, stages: &[crate::hostprof::StageStat
             obj(vec![
                 ("direct", num(handoff.direct)),
                 ("via_controller", num(handoff.via_controller)),
+                // Subset of `direct`: the drain woke the draining process
+                // itself, which costs no OS wake and no context switch.
+                ("self_wakes", num(handoff.self_wakes)),
                 (
                     "direct_share",
                     if handoff.total() > 0 {

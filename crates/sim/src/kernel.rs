@@ -28,6 +28,20 @@
 //! [`HandoffStats`] (per run) and in process-wide totals ([`handoff_totals`])
 //! for wall-clock reporting.
 //!
+//! ## The OS-level hand-off
+//!
+//! Passing control between two OS threads costs what the OS charges for one
+//! wake and one sleep, and nothing on top. Each process thread parks on its
+//! own [`Baton`] (an atomic token plus `std::thread::park`/`unpark`). The
+//! scheduler lock only covers the *decision* — `wake_now` marks the next
+//! process runnable — and is released before the baton is handed over, so
+//! the woken thread never runs into a held mutex; it re-locks uncontended,
+//! because one thread of a group runs at a time. When a draining process
+//! pops its own resume or delivery it simply keeps running: no syscall, no
+//! context switch ([`HandoffStats::self_wakes`]). Only the event-loop threads
+//! (controller, group runners) still park on a condition variable, and they
+//! too are notified after the lock is released.
+//!
 //! ## The parallel kernel
 //!
 //! With [`Sim::set_workers`]` > 1` and a network model that exports a
@@ -46,7 +60,8 @@
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
 
 use vopp_trace::{CausalProfiler, CtxKind, EventKind, Tracer, NO_CTX};
 
@@ -70,6 +85,11 @@ pub struct HandoffStats {
     pub direct: u64,
     /// Wake-ups that went through the controller thread.
     pub via_controller: u64,
+    /// Of `direct`, the wake-ups where the draining process popped its *own*
+    /// resume or delivery: it just keeps running — no OS wake, no context
+    /// switch. Counted inside `direct`, so [`HandoffStats::total`] is
+    /// unaffected.
+    pub self_wakes: u64,
 }
 
 impl HandoffStats {
@@ -82,6 +102,7 @@ impl HandoffStats {
 /// Process-wide handoff totals, accumulated across every finished run.
 static TOTAL_DIRECT: AtomicU64 = AtomicU64::new(0);
 static TOTAL_VIA_CTL: AtomicU64 = AtomicU64::new(0);
+static TOTAL_SELF_WAKES: AtomicU64 = AtomicU64::new(0);
 /// Process-wide default for [`Sim::set_direct_handoff`].
 static DIRECT_HANDOFF_DEFAULT: AtomicBool = AtomicBool::new(true);
 /// Process-wide default for [`Sim::set_workers`].
@@ -146,6 +167,7 @@ pub fn handoff_totals() -> HandoffStats {
     HandoffStats {
         direct: TOTAL_DIRECT.load(Ordering::Relaxed),
         via_controller: TOTAL_VIA_CTL.load(Ordering::Relaxed),
+        self_wakes: TOTAL_SELF_WAKES.load(Ordering::Relaxed),
     }
 }
 
@@ -678,13 +700,55 @@ pub(crate) struct WinSync {
     pub(crate) svc_panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
 
-/// Shared kernel state: the per-group schedulers plus the condition
-/// variables used for the event-loop/process handoffs.
+/// One process thread's wake token. Whoever marks process `p` runnable
+/// (`Sched::running = Some(p)`, under the group's scheduler lock) hands `p`
+/// its baton *after releasing that lock*, so `p` never wakes into a held
+/// mutex; `p` parks on its own baton with the lock released and re-locks —
+/// uncontended, one thread of a group runs at a time — once it is handed
+/// back. The token is sticky: a hand that lands before the wait makes the
+/// wait return at once, so no wake-up can be lost between the waker's unlock
+/// and the wakee's park.
+#[derive(Default)]
+pub(crate) struct Baton {
+    /// Set by [`Baton::hand`], consumed by [`Baton::wait`]. The flag
+    /// publishes no data of its own — scheduler state is only ever read
+    /// under the group mutex, after the wait returns — so Release/Acquire
+    /// merely orders the hand-off after the waker's unlock.
+    go: AtomicBool,
+    /// The process's OS thread, registered by [`Sim::run`] right after the
+    /// spawn and before the first event is popped.
+    thread: OnceLock<Thread>,
+}
+
+impl Baton {
+    /// Hand the baton to its process. Must be called with no scheduler lock
+    /// held.
+    fn hand(&self) {
+        self.go.store(true, Ordering::Release);
+        self.thread
+            .get()
+            .expect("process threads are registered before the first event pops")
+            .unpark();
+    }
+
+    /// Park the calling process thread (the baton's owner) until the baton
+    /// is handed to it. `park` may return spuriously or on a stale token;
+    /// only the flag ends the wait.
+    fn wait(&self) {
+        while !self.go.swap(false, Ordering::Acquire) {
+            std::thread::park();
+        }
+    }
+}
+
+/// Shared kernel state: the per-group schedulers, the condition variable
+/// each group's event-loop thread parks on, and the per-process batons the
+/// process threads park on.
 pub(crate) struct Shared {
     pub(crate) groups: Vec<Group>,
     /// Group index of each process.
     pub(crate) group_of: Vec<usize>,
-    pub(crate) proc_cv: Vec<Condvar>,
+    batons: Vec<Baton>,
     pub(crate) nprocs: usize,
     pub(crate) win: WinSync,
     /// Service handlers, shared so whichever thread pops a `Svc` delivery —
@@ -720,48 +784,66 @@ impl Shared {
     /// blocked state it wants. If a queued event wakes a process, control
     /// transfers directly; the group's event loop is only notified when the
     /// drain cannot continue (empty window, shutdown, or handoff disabled).
+    ///
+    /// The OS-level hand-off sits at the futex floor: the drain only *marks*
+    /// the next process runnable; if that process is the caller itself it
+    /// simply keeps running (no syscall, no context switch); otherwise the
+    /// caller releases the scheduler lock **first**, then hands the next
+    /// thread its [`Baton`] (one `futex_wake`) and parks on its own (one
+    /// `futex_wait`) — the woken thread never runs into a held mutex.
     pub(crate) fn yield_and_wait<'a>(&'a self, me: ProcId, s: &mut MutexGuard<'a, Sched>) {
         debug_assert_eq!(s.running, Some(me));
         s.running = None;
-        if !self.try_handoff(me, s) {
-            self.group(me).ctl_cv.notify_one();
+        self.try_handoff(me, s);
+        let next = s.running;
+        if next == Some(me) {
+            s.handoff.self_wakes += 1;
+            return;
         }
-        while s.running != Some(me) {
-            if s.shutdown {
-                // Unblock so the run can report the real error.
-                panic!("simulation shut down while proc {me} was blocked");
+        let grp = self.group(me);
+        grp.sched.unlocked(s, || {
+            match next {
+                Some(p) => self.batons[p].hand(),
+                // The event loop re-checks its parking condition under the
+                // lock, so notifying after the unlock cannot lose the wake.
+                None => grp.ctl_cv.notify_one(),
             }
-            self.proc_cv[me].wait(s);
+            self.batons[me].wait();
+        });
+        if s.running != Some(me) {
+            // Only `shutdown_all` hands a baton without marking its process
+            // runnable. Unblock so the run can report the real error.
+            debug_assert!(s.shutdown, "proc {me} handed the baton without a wake");
+            panic!("simulation shut down while proc {me} was blocked");
         }
         debug_assert_eq!(s.pi(me).phase, Phase::Running);
     }
 
     /// Drain the group's event queue — in exactly the order the event loop
     /// would, advancing virtual time and running service handlers the same
-    /// way — until an event wakes a process. Returns `true` if a process was
-    /// woken (the event loop stays parked), `false` if it must take over:
-    /// the window is exhausted, handoff is disabled, or the run is shutting
-    /// down.
+    /// way — until an event wakes a process, which leaves `Sched::running`
+    /// set (the event loop stays parked). `running` stays `None` if the event
+    /// loop must take over: the window is exhausted, handoff is disabled, or
+    /// the run is shutting down.
     ///
     /// Advancing `now` and running handlers from a process thread is safe:
     /// event execution is serialized per group by `Sched::draining` (set
     /// here, checked by the event loop's parking loop), and the event loop
     /// only reads scheduler state after reacquiring the lock.
-    fn try_handoff<'a>(&'a self, me: ProcId, s: &mut MutexGuard<'a, Sched>) -> bool {
+    fn try_handoff<'a>(&'a self, me: ProcId, s: &mut MutexGuard<'a, Sched>) {
         if !s.direct_handoff || s.panicked || s.shutdown {
-            return false;
+            return;
         }
         s.draining = true;
-        let woke = self.drain(me, s);
+        self.drain(me, s);
         s.draining = false;
-        woke
     }
 
     /// The loop body of [`Shared::try_handoff`]; `Sched::draining` is set.
-    fn drain<'a>(&'a self, me: ProcId, s: &mut MutexGuard<'a, Sched>) -> bool {
+    fn drain<'a>(&'a self, me: ProcId, s: &mut MutexGuard<'a, Sched>) {
         loop {
             let Some(entry) = s.pop_due() else {
-                return false;
+                return;
             };
             debug_assert!(entry.at >= s.now, "event queue went backwards");
             s.now = entry.at;
@@ -771,7 +853,7 @@ impl Shared {
                     Phase::Startup | Phase::BlockedResume => {
                         self.wake_now(s, p, entry.at, NO_CTX);
                         s.handoff.direct += 1;
-                        return true;
+                        return;
                     }
                     Phase::Finished => {}
                     ref ph => unreachable!("resume for proc {p} in phase {ph:?}"),
@@ -801,7 +883,7 @@ impl Shared {
                                 std::panic::resume_unwind(e);
                             }
                             if s.panicked || s.shutdown {
-                                return false;
+                                return;
                             }
                         }
                         DeliveryClass::App => {
@@ -810,7 +892,7 @@ impl Shared {
                             if matches!(s.pi(dst).phase, Phase::WaitRecv { .. }) {
                                 self.wake_now(s, dst, entry.at, cause);
                                 s.handoff.direct += 1;
-                                return true;
+                                return;
                             }
                         }
                         // One-sided write: lands in the preposted buffer with
@@ -830,7 +912,7 @@ impl Shared {
                         s.pi_mut(dst).timed_out = true;
                         self.wake_now(s, dst, entry.at, NO_CTX);
                         s.handoff.direct += 1;
-                        return true;
+                        return;
                     }
                     // Otherwise the timer is stale (the wait already ended).
                 }
@@ -869,9 +951,11 @@ impl Shared {
         r
     }
 
-    /// Mark process `p` runnable at virtual time `t` and notify its thread.
-    /// Shared by the event loops and the direct-handoff path; every clock
-    /// advance and its compute/blocked classification happens here.
+    /// Mark process `p` runnable at virtual time `t`. Shared by the event
+    /// loops and the direct-handoff path; every clock advance and its
+    /// compute/blocked classification happens here. The caller hands `p` its
+    /// [`Baton`] once it has released the scheduler lock (unless `p` is the
+    /// caller itself).
     /// `pkt_cause` is the delivered packet's causal stamp on receive wakes
     /// ([`NO_CTX`] for self-caused resumes and timer expiries).
     pub(crate) fn wake_now(
@@ -913,7 +997,6 @@ impl Shared {
         pi.clock = pi.clock.max(t);
         pi.phase = Phase::Running;
         s.running = Some(p);
-        self.proc_cv[p].notify_one();
     }
 
     /// Hand control to process `p` at virtual time `t` and park this
@@ -922,6 +1005,7 @@ impl Shared {
     /// event queue and chain wake-ups among themselves (direct handoff); the
     /// `draining` check keeps this loop parked even if the condvar wakes
     /// spuriously while a drain has the lock released for a service handler.
+    /// The baton is handed with the lock released, like every process wake.
     pub(crate) fn wake_and_park<'a>(
         &'a self,
         gi: usize,
@@ -932,8 +1016,10 @@ impl Shared {
     ) {
         self.wake_now(s, p, t, pkt_cause);
         s.handoff.via_controller += 1;
+        let grp = &self.groups[gi];
+        grp.sched.unlocked(s, || self.batons[p].hand());
         while (s.running.is_some() || s.draining) && !s.panicked {
-            self.groups[gi].ctl_cv.wait(s);
+            grp.ctl_cv.wait(s);
         }
     }
 
@@ -947,8 +1033,8 @@ impl Shared {
             drop(s);
             grp.ctl_cv.notify_all();
         }
-        for cv in &self.proc_cv {
-            cv.notify_all();
+        for b in &self.batons {
+            b.hand();
         }
     }
 }
@@ -1141,7 +1227,7 @@ impl Sim {
         let shared = Shared {
             groups,
             group_of,
-            proc_cv: (0..nprocs).map(|_| Condvar::new()).collect(),
+            batons: (0..nprocs).map(|_| Baton::default()).collect(),
             nprocs,
             win: WinSync {
                 pending: AtomicUsize::new(0),
@@ -1183,15 +1269,11 @@ impl Sim {
                             vopp_trace::set_thread_record_sink(Some(cell.clone()));
                             vopp_trace::set_thread_causal_sink(Some(cell));
                         }
-                        // Wait for the first resume.
-                        {
-                            let mut s = shared.lock_proc(p);
-                            while s.running != Some(p) {
-                                if s.shutdown {
-                                    return None;
-                                }
-                                shared.proc_cv[p].wait(&mut s);
-                            }
+                        // Wait for the first resume; a baton handed without
+                        // one is the shutdown of a run that never got to `p`.
+                        shared.batons[p].wait();
+                        if shared.lock_proc(p).running != Some(p) {
+                            return None;
                         }
                         let r =
                             catch_unwind(AssertUnwindSafe(|| body(AppCtx::new(shared, p, nprocs))));
@@ -1210,8 +1292,10 @@ impl Sim {
                         if s.running == Some(p) {
                             s.running = None;
                         }
-                        shared.group(p).ctl_cv.notify_all();
+                        // Notify with the lock released: the event loop
+                        // re-checks its parking condition under the lock.
                         drop(s);
+                        shared.group(p).ctl_cv.notify_all();
                         match r {
                             Ok(v) => Some(v),
                             Err(e) if first_panic => std::panic::resume_unwind(e),
@@ -1220,6 +1304,12 @@ impl Sim {
                     })
                 })
                 .collect();
+            for (baton, j) in shared.batons.iter().zip(&joins) {
+                baton
+                    .thread
+                    .set(j.thread().clone())
+                    .expect("one registration per process");
+            }
 
             let handler_panic = match &plan {
                 None => Self::controller(shared),
@@ -1252,6 +1342,7 @@ impl Sim {
             proc_times.extend(s.procs.iter().map(|pi| pi.times));
             handoff.direct += s.handoff.direct;
             handoff.via_controller += s.handoff.via_controller;
+            handoff.self_wakes += s.handoff.self_wakes;
             if let Some(g) = s.global.take() {
                 net = Some(g.net);
             }
@@ -1262,6 +1353,7 @@ impl Sim {
         let end_time = proc_end.iter().copied().max().unwrap_or(SimTime::ZERO);
         TOTAL_DIRECT.fetch_add(handoff.direct, Ordering::Relaxed);
         TOTAL_VIA_CTL.fetch_add(handoff.via_controller, Ordering::Relaxed);
+        TOTAL_SELF_WAKES.fetch_add(handoff.self_wakes, Ordering::Relaxed);
         add_window_totals(&win_stats);
         RunOutcome {
             results: results

@@ -363,3 +363,142 @@ fn proc_times_classify_every_nanosecond() {
     assert_eq!(out.proc_times[1].compute_ns, 2_000_000);
     assert_eq!(out.proc_times[1].blocked_ns, 0);
 }
+
+// ---- The baton hand-off (per-process park/unpark, wake after unlock) ----
+//
+// Every test below runs under the three scheduling regimes that share the
+// hand-off code: direct handoff (the default), every wake through the
+// controller (`set_direct_handoff(false)`), and the windowed parallel kernel
+// whose group runners park and wake exactly like the controller.
+
+/// `(direct_handoff, workers)`.
+const REGIMES: [(bool, usize); 3] = [(true, 1), (false, 1), (true, 4)];
+
+fn sim_in(regime: (bool, usize), nprocs: usize) -> Sim {
+    let mut sim = Sim::new(nprocs, Box::new(PerfectNet::new(LAT)));
+    sim.set_direct_handoff(regime.0);
+    sim.set_workers(regime.1);
+    sim
+}
+
+/// Run `sim` to its panic and return the payload's message.
+fn panic_message<F>(sim: Sim, body: F) -> String
+where
+    F: Fn(vopp_sim::AppCtx<'_>) + Send + Sync,
+{
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run(body)))
+        .err()
+        .expect("the run must panic");
+    match err.downcast::<String>() {
+        Ok(s) => *s,
+        Err(e) => (*e.downcast::<&'static str>().expect("string payload")).to_string(),
+    }
+}
+
+#[test]
+fn a_lone_process_wakes_itself_without_an_os_handoff() {
+    const SLICES: u64 = 10_000;
+    for regime in REGIMES {
+        let out = sim_in(regime, 1).run(|ctx| {
+            for _ in 0..SLICES {
+                ctx.compute(SimDuration::from_micros(3));
+            }
+            ctx.now()
+        });
+        assert_eq!(out.results[0], SimTime(SLICES * 3_000), "{regime:?}");
+        // With direct handoff every resume is popped by the process that
+        // scheduled it and only the start-up wake needs the controller.
+        let want = if regime.0 {
+            (SLICES, SLICES, 1)
+        } else {
+            (0, 0, SLICES + 1)
+        };
+        let h = out.handoff;
+        assert_eq!(
+            (h.direct, h.self_wakes, h.via_controller),
+            want,
+            "{regime:?}"
+        );
+    }
+}
+
+#[test]
+fn ping_pong_hammer_loses_no_wake() {
+    // Every hand-off is a real two-thread baton exchange, not a self-wake: a
+    // lost or duplicated wake hangs the run or trips a clock.
+    const TRIPS: u64 = 200_000;
+    for regime in REGIMES {
+        let out = sim_in(regime, 2).run(|ctx| {
+            let peer = 1 - ctx.me();
+            for i in 0..TRIPS {
+                if ctx.me() == 0 {
+                    ctx.send(peer, 8, DeliveryClass::App, i, Arc::new(()));
+                    ctx.recv();
+                } else {
+                    ctx.recv();
+                    ctx.send(peer, 8, DeliveryClass::App, i, Arc::new(()));
+                }
+            }
+        });
+        assert_eq!(out.proc_end[0], SimTime(2 * TRIPS * LAT.0), "{regime:?}");
+        assert_eq!(
+            out.proc_end[1],
+            SimTime((2 * TRIPS - 1) * LAT.0),
+            "{regime:?}"
+        );
+        // Two start-up wakes plus one per delivery, however they were routed.
+        assert_eq!(out.handoff.total(), 2 + 2 * TRIPS, "{regime:?}");
+        // Only proc 1's very first `recv` can pop its own delivery.
+        assert!(out.handoff.self_wakes <= 1, "{regime:?}");
+    }
+}
+
+#[test]
+fn lockstep_hammer_loses_no_wake() {
+    // Eight processes resume at the same instant every slice, so the baton
+    // goes round the whole ring once per microsecond of virtual time.
+    const SLICES: u64 = 50_000;
+    for regime in REGIMES {
+        let out = sim_in(regime, 8).run(|ctx| {
+            for _ in 0..SLICES {
+                ctx.compute(SimDuration::from_micros(1));
+            }
+        });
+        assert!(
+            out.proc_end.iter().all(|&t| t == SimTime(SLICES * 1_000)),
+            "{regime:?}"
+        );
+        assert_eq!(out.handoff.total(), 8 + 8 * SLICES, "{regime:?}");
+    }
+}
+
+#[test]
+fn deadlock_with_64_parked_threads_unwinds_every_one() {
+    // Half the processes time out and finish; the other half wait forever.
+    // Returning from `run` at all proves every thread was handed its baton
+    // and joined (the threads are scoped).
+    for regime in REGIMES {
+        let msg = panic_message(sim_in(regime, 64), |ctx| {
+            if ctx.me() % 2 == 0 {
+                ctx.recv();
+            } else {
+                assert!(ctx.recv_timeout(SimDuration::from_millis(1)).is_none());
+            }
+        });
+        assert!(msg.contains("deadlocked"), "{regime:?}: {msg}");
+    }
+}
+
+#[test]
+fn a_panic_among_63_parked_threads_keeps_its_payload() {
+    for regime in REGIMES {
+        let msg = panic_message(sim_in(regime, 64), |ctx| {
+            if ctx.me() == 37 {
+                ctx.compute(SimDuration::from_millis(1));
+                panic!("boom from 37");
+            }
+            ctx.recv();
+        });
+        assert_eq!(msg, "boom from 37", "{regime:?}");
+    }
+}

@@ -1,0 +1,73 @@
+//! Tier-1 tripwire for the kernel's process hand-off: a view-based run is a
+//! stream of short blocking operations, each one a wake-up the scheduler
+//! routes either process→process or through the controller. The *number*
+//! of wake-ups of each kind is a pure function of the event order, so a
+//! kernel change that reorders, drops or duplicates a wake-up moves these
+//! counts even when the virtual-time results happen to survive — and fails
+//! here, in the root package, not only in the workspace suite or the
+//! benchmark.
+
+use vopp_repro::dsm::{run_cluster, ClusterConfig, Layout, Protocol};
+use vopp_repro::sim::handoff_totals;
+
+const NODES: usize = 16;
+const ROUNDS: usize = 24;
+const WORDS: usize = 256;
+
+/// The only test in this binary: `handoff_totals` is process-wide, and a
+/// second simulation running on a parallel test thread would be counted in.
+#[test]
+fn acquire_release_loop_keeps_its_wake_up_counts() {
+    let mut l = Layout::new();
+    let (view, addr) = l.add_view(4 * WORDS);
+    let mut cfg = ClusterConfig::new(NODES, Protocol::VcSd);
+    // One datagram in fifty is lost: retransmission timers and duplicate
+    // requests are part of the wake-up stream.
+    cfg.net.base_drop_prob = 0.02;
+    cfg.net.seed = 11;
+    cfg.sim_workers = 1;
+    let before = handoff_totals();
+    let out = run_cluster(&cfg, l.freeze(), move |ctx| {
+        let me = ctx.me();
+        for round in 0..ROUNDS {
+            ctx.acquire_view(view);
+            ctx.update_u32(addr + 4 * (1 + (7 * me + round) % (WORDS - 1)), |x| x + 1);
+            ctx.update_u32(addr, |x| x + 1);
+            ctx.release_view(view);
+            ctx.compute_ns((1_000 * (me + 1) + 50 * round) as f64);
+        }
+        ctx.barrier();
+        ctx.acquire_rview(view);
+        let total = ctx.read_u32(addr);
+        ctx.release_rview(view);
+        total
+    });
+    let after = handoff_totals();
+    assert!(out
+        .results
+        .iter()
+        .all(|&total| total == (NODES * ROUNDS) as u32));
+    assert!(out.stats.rexmits() > 0, "2 % loss must retransmit");
+    // Virtual time, datagrams, wire bytes and the direct / via-controller
+    // split as measured at the commit before the per-process baton replaced
+    // the per-process condvar; `self_wakes` (a subset of `direct`) did not
+    // exist then and is pinned as first counted.
+    assert_eq!(
+        (
+            out.stats.time.nanos(),
+            out.stats.net.msgs,
+            out.stats.net.bytes
+        ),
+        (14_061_453_450u64, 1_740u64, 181_014u64),
+        "virtual time, datagrams or wire bytes moved"
+    );
+    assert_eq!(
+        (
+            after.direct - before.direct,
+            after.via_controller - before.via_controller,
+            after.self_wakes - before.self_wakes
+        ),
+        (2_145u64, 16u64, 1_459u64),
+        "the number or routing of wake-ups moved"
+    );
+}
