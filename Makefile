@@ -110,8 +110,12 @@ bench-micro:
 
 # A Perfetto-ready trace of IS on 4 nodes (quick scale): load the
 # *.perfetto.json files from $(TRACE_DIR) in https://ui.perfetto.dev
+# The exporters write JSON by hand (vopp_trace::json::Writer), so every
+# document is also read back by a parser that shares no code with it.
 trace-demo:
-	cargo run -p vopp-bench --release --bin tables -- table1 --quick --trace $(TRACE_DIR)
+	cargo run -p vopp-bench --release --bin tables -- table1 --quick --critpath --trace $(TRACE_DIR)
+	python3 -c 'import json,sys; [json.load(open(p)) for p in sys.argv[1:]]' \
+		$(TRACE_DIR)/*.events.json $(TRACE_DIR)/*.perfetto.json
 	@echo "Perfetto files in $(TRACE_DIR):"
 	@ls $(TRACE_DIR)
 

@@ -4,10 +4,18 @@ use std::any::Any;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+#[path = "../../metrics/tests/support/critpath_oracle.rs"]
+mod critpath_oracle;
+#[path = "../../trace/tests/support/mod.rs"]
+mod trace_support;
+
+use trace_support::{gen, oracle};
 use vopp_bench::harness::{black_box, Runner};
+use vopp_metrics::{critpath_to_chrome_json, CritPath, CritSeg, SegCat};
 use vopp_page::{Diff, DiffRun, IntegratedPage, PageBuf, PagePool, SharedHeap, VTime, PAGE_WORDS};
 use vopp_sim::{DeliveryClass, NetModel, Payload, RouteRequest, Sim, SimDuration, SimTime};
 use vopp_simnet::{EthernetModel, NetConfig};
+use vopp_trace::{to_chrome_json, OpKind};
 
 /// The pre-chunking `Diff::create`, replicated verbatim from the seed: a
 /// word-by-word scan growing each run's vector by push. Kept as the
@@ -489,6 +497,70 @@ fn bench_payload(r: &mut Runner) {
     }
 }
 
+/// Report one exporter row: nanoseconds per record and output rate.
+fn export_row(r: &mut Runner, name: &str, records: usize, mut export: impl FnMut() -> String) {
+    let bytes = export().len();
+    if let Some(d) = r.bench(name, &mut export) {
+        println!(
+            "    -> {:.0} ns per record, {:.0} MB/s ({:.1} MB)",
+            d.as_nanos() as f64 / records as f64,
+            bytes as f64 / 1e6 / d.as_secs_f64(),
+            bytes as f64 / 1e6
+        );
+    }
+}
+
+/// The three trace exporters on a fixed seeded input, each beside the tree
+/// builder it replaced (`*_tree_ref`: one `Value` per record, the document
+/// assembled, printed, dropped — what every export cost before).
+fn bench_trace_export(r: &mut Runner) {
+    const RECORDS: usize = 100_000;
+    let trace = gen::trace(14, RECORDS);
+    export_row(r, "trace_export_events", RECORDS, || trace.to_json());
+    export_row(r, "trace_export_events_tree_ref", RECORDS, || {
+        oracle::trace_to_json(&trace)
+    });
+    export_row(r, "trace_export_perfetto", RECORDS, || {
+        to_chrome_json(&trace)
+    });
+    export_row(r, "trace_export_perfetto_tree_ref", RECORDS, || {
+        oracle::to_chrome_json(&trace)
+    });
+
+    let mut rng = gen::Rng(14);
+    let mut t = 0;
+    let segs: Vec<CritSeg> = (0..RECORDS)
+        .map(|_| {
+            let len = 1 + rng.below(40_000);
+            let cat = [SegCat::Cpu, SegCat::Net, SegCat::Timeout][rng.below(3) as usize];
+            let seg = CritSeg {
+                node: rng.below(16) as usize,
+                lo_ns: t,
+                hi_ns: t + len,
+                cat,
+                op: [OpKind::Other, OpKind::Barrier, OpKind::Data][rng.below(3) as usize],
+                obj: rng.below(64),
+                app_ns: len / 2,
+                overhead_ns: len - len / 2,
+                diff_ns: len / 8,
+            };
+            t += len;
+            seg
+        })
+        .collect();
+    let path = CritPath {
+        makespan_ns: t,
+        end_node: 0,
+        segs,
+    };
+    export_row(r, "critpath_export", RECORDS, || {
+        critpath_to_chrome_json(&path)
+    });
+    export_row(r, "critpath_export_tree_ref", RECORDS, || {
+        oracle::print_pretty(&critpath_oracle::critpath_to_chrome_value(&path))
+    });
+}
+
 fn main() {
     let mut r = Runner::from_args();
     bench_diff(&mut r);
@@ -501,4 +573,5 @@ fn main() {
     bench_parkernel(&mut r);
     bench_parkernel_density(&mut r);
     bench_payload(&mut r);
+    bench_trace_export(&mut r);
 }

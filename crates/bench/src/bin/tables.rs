@@ -235,6 +235,7 @@ fn main() {
         cache: None,
         faults,
         critpath,
+        trace_evictions: Default::default(),
     };
     type TableFn = fn(&Scale) -> Table;
     let table_fns: Vec<(&str, TableFn)> = vec![
@@ -334,9 +335,38 @@ fn main() {
     if let Some(rss) = peak_rss_bytes() {
         eprintln!("[host: peak RSS {:.1} MiB]", rss as f64 / (1024.0 * 1024.0));
     }
+    report_trace_evictions(&scale);
     if racecheck {
         run_racecheck_suite();
     }
+}
+
+/// The closing line of a traced run: every cell whose trace ring wrapped
+/// (truncated exports, conformance check skipped), or that none did. The
+/// per-cell notices scroll away in a sweep; this one stays on screen.
+fn report_trace_evictions(scale: &Scale) {
+    let Some(dir) = &scale.trace_dir else { return };
+    let mut evicted = std::mem::take(
+        &mut *scale
+            .trace_evictions
+            .lock()
+            .expect("trace eviction list lock"),
+    );
+    if evicted.is_empty() {
+        eprintln!("[trace: every ring complete in {}]", dir.display());
+        return;
+    }
+    // Sweep workers finish in any order.
+    evicted.sort();
+    let cells: Vec<String> = evicted
+        .iter()
+        .map(|(stem, lost)| format!("{stem} ({lost} events lost)"))
+        .collect();
+    eprintln!(
+        "[trace: WARNING: {} cell(s) evicted events, exports truncated and unchecked: {}]",
+        cells.len(),
+        cells.join(", ")
+    );
 }
 
 /// Run the dynamic-checker suite and exit nonzero on any count mismatch.

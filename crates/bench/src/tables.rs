@@ -4,8 +4,10 @@
 //! reference before reporting statistics — a table is only produced from
 //! verified executions.
 
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 use vopp_apps::gauss::{gauss_reference, run_gauss, GaussParams, GaussVariant};
 use vopp_apps::is::{is_reference, run_is, IsParams, IsVariant};
@@ -14,7 +16,7 @@ use vopp_apps::sor::{run_sor, sor_reference, SorParams, SorVariant};
 use vopp_core::{ClusterConfig, FaultPlan, NetConfig, Phase, Protocol, RunStats};
 use vopp_serve::{build_schedule, run_serve, serve_reference, ServeParams, ServeVariant};
 use vopp_sim::{SimDuration, SimTime};
-use vopp_trace::{check, report, to_chrome_json, CheckConfig, Tracer};
+use vopp_trace::{check, report, write_chrome_json_to, CheckConfig, Tracer};
 
 use vopp_simnet::NetGen;
 
@@ -70,6 +72,23 @@ pub struct Scale {
     /// track. Profiling is pure observation — every other artifact stays
     /// byte-identical.
     pub critpath: bool,
+    /// `(file stem, events lost)` of every traced run whose ring wrapped, in
+    /// completion order. Such a run's exports miss their prefix and its
+    /// conformance check is skipped, so whoever drives the runs reports the
+    /// list when they are done (`tables --trace` prints it last).
+    pub trace_evictions: Arc<Mutex<Vec<(String, u64)>>>,
+}
+
+/// Create `path` and stream a document into it through `write`; panics with
+/// the path on any I/O error, like every other artifact write of a run.
+fn write_file(path: &Path, write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>) {
+    File::create(path)
+        .map(BufWriter::new)
+        .and_then(|mut out| {
+            write(&mut out)?;
+            out.flush()
+        })
+        .unwrap_or_else(|e| panic!("failed to write {}: {e}", path.display()));
 }
 
 impl Scale {
@@ -201,14 +220,14 @@ impl Scale {
         let dir = self.trace_dir.as_ref().expect("tracer implies trace_dir");
         let trace = tr.take();
         let stem = self.stem(app, variant, proto, np);
-        let w = |suffix: &str, content: String| {
-            let path = dir.join(format!("{stem}.{suffix}"));
-            std::fs::write(&path, content)
-                .unwrap_or_else(|e| panic!("failed to write {}: {e}", path.display()));
-        };
-        w("events.json", trace.to_json());
-        w("perfetto.json", to_chrome_json(&trace));
-        w("report.txt", report(&trace, 10));
+        let path = |suffix: &str| dir.join(format!("{stem}.{suffix}"));
+        write_file(&path("events.json"), |out| trace.write_json_to(out));
+        write_file(&path("perfetto.json"), |out| {
+            write_chrome_json_to(&trace, out)
+        });
+        write_file(&path("report.txt"), |out| {
+            out.write_all(report(&trace, 10).as_bytes())
+        });
         if trace.evicted == 0 {
             let violations = check(&trace, &check_config_for(proto));
             assert!(
@@ -228,8 +247,13 @@ impl Scale {
                 "[trace] {stem}: ring evicted {} events, checker skipped",
                 trace.evicted
             );
+            self.trace_evictions
+                .lock()
+                .expect("trace eviction list lock")
+                .push((stem, trace.evicted));
         }
     }
+
     /// When both tracing and profiling are on, export the run's critical
     /// path as its own Perfetto track (`<stem>.critpath.perfetto.json`).
     /// A separate file keeps the existing `perfetto.json` stream
@@ -245,9 +269,9 @@ impl Scale {
         if let (Some(dir), Some(cp)) = (self.trace_dir.as_ref(), stats.crit.as_deref()) {
             std::fs::create_dir_all(dir).expect("failed to create trace directory");
             let stem = self.stem(app, variant, proto, np);
-            let path = dir.join(format!("{stem}.critpath.perfetto.json"));
-            std::fs::write(&path, vopp_metrics::critpath_to_chrome_json(cp))
-                .unwrap_or_else(|e| panic!("failed to write {}: {e}", path.display()));
+            write_file(&dir.join(format!("{stem}.critpath.perfetto.json")), |out| {
+                vopp_metrics::write_critpath_chrome_json_to(cp, out)
+            });
         }
     }
 
@@ -1533,4 +1557,46 @@ pub fn all_tables(scale: &Scale) -> Vec<Table> {
         table8(scale),
         table9(scale),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vopp_trace::{EventKind, Trace};
+
+    /// A run whose ring wrapped still writes its (truncated) artifacts as
+    /// re-parsable documents, skips the checker, and lands on the list the
+    /// harness reports when the sweep is over.
+    #[test]
+    fn a_wrapped_ring_is_written_and_reported() {
+        let dir = std::env::temp_dir().join(format!("vopp-evicted-{}", std::process::id()));
+        let scale = Scale {
+            trace_dir: Some(dir.clone()),
+            ..Scale::quick()
+        };
+        std::fs::create_dir_all(&dir).expect("temp trace dir");
+        let tracer = Arc::new(Tracer::new(4));
+        for i in 0..10 {
+            // A release with no acquire: the checker would object, had the
+            // trace been complete.
+            let kind = EventKind::ReleaseDone {
+                view: i,
+                write: true,
+            };
+            tracer.record(1_000 * i, 0, kind);
+        }
+        scale.finish_trace(Some(tracer), "is", "vopp", Protocol::VcSd, 4);
+        let stem = "is_vopp_vc_sd_4p";
+        assert_eq!(
+            *scale.trace_evictions.lock().unwrap(),
+            vec![(stem.to_string(), 6)]
+        );
+        let text = std::fs::read_to_string(dir.join(format!("{stem}.events.json"))).unwrap();
+        let trace = Trace::from_json(&text).expect("re-parsable");
+        assert_eq!((trace.events.len(), trace.evicted), (4, 6));
+        for suffix in ["perfetto.json", "report.txt"] {
+            assert!(dir.join(format!("{stem}.{suffix}")).exists(), "{suffix}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

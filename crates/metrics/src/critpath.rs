@@ -30,7 +30,9 @@
 //! `T / (T - X_on_path)` — a true *ceiling*, not an estimate of the
 //! realized gain (other paths can become critical first).
 
-use vopp_trace::json::{self, Value};
+use std::io;
+
+use vopp_trace::json::{IoSink, Sink, Writer};
 use vopp_trace::{CausalLog, CtxKind, OpKind, NO_CTX};
 
 /// How a critical-path segment spent its time.
@@ -338,8 +340,8 @@ pub fn extract(log: &CausalLog, proc_end_ns: &[u64]) -> CritPath {
 }
 
 /// Convert ns to the microsecond floats Chrome trace events use.
-fn us(t_ns: u64) -> Value {
-    Value::Num(t_ns as f64 / 1000.0)
+fn us(t_ns: u64) -> f64 {
+    t_ns as f64 / 1000.0
 }
 
 /// Export the critical path as a Chrome-trace JSON document with one
@@ -347,64 +349,77 @@ fn us(t_ns: u64) -> Value {
 /// Perfetto timeline shows which node carries the path at every instant.
 /// Deterministic: virtual time only, insertion order fixed by the path.
 pub fn critpath_to_chrome_json(cp: &CritPath) -> String {
-    let mut out: Vec<Value> = Vec::new();
-    out.push(json::obj(vec![
-        ("ph", json::str("M")),
-        ("pid", json::num(0)),
-        ("tid", json::num(0)),
-        ("name", json::str("process_name")),
-        (
-            "args",
-            json::obj(vec![("name", json::str("critical path"))]),
-        ),
-    ]));
+    let mut s = String::new();
+    write_chrome_json(cp, &mut Writer::pretty(&mut s));
+    s
+}
+
+/// [`critpath_to_chrome_json`] written to `out` segment by segment. Hand in
+/// a `BufWriter` for a file.
+pub fn write_critpath_chrome_json_to(cp: &CritPath, out: &mut impl io::Write) -> io::Result<()> {
+    let mut sink = IoSink::new(out);
+    write_chrome_json(cp, &mut Writer::pretty(&mut sink));
+    sink.finish()
+}
+
+fn write_chrome_json<S: Sink>(cp: &CritPath, w: &mut Writer<'_, S>) {
+    // Metadata event naming process 0 (`process_name`) or one of its threads.
+    fn meta<S: Sink>(w: &mut Writer<'_, S>, tid: u64, what: &str, name: std::fmt::Arguments<'_>) {
+        w.begin_obj();
+        w.field_str("ph", "M");
+        w.field_u64("pid", 0);
+        w.field_u64("tid", tid);
+        w.field_str("name", what);
+        w.key("args");
+        w.begin_obj();
+        w.field_fmt("name", name);
+        w.end_obj();
+        w.end_obj();
+    }
+
+    w.begin_obj();
+    w.field_str("displayTimeUnit", "ns");
+    w.key("traceEvents");
+    w.begin_arr();
+    meta(w, 0, "process_name", format_args!("critical path"));
     let mut named: Vec<usize> = cp.segs.iter().map(|s| s.node).collect();
     named.sort_unstable();
     named.dedup();
     for node in named {
-        out.push(json::obj(vec![
-            ("ph", json::str("M")),
-            ("pid", json::num(0)),
-            ("tid", json::num(node as u64)),
-            ("name", json::str("thread_name")),
-            (
-                "args",
-                json::obj(vec![("name", json::str(&format!("node {node}")))]),
-            ),
-        ]));
+        meta(w, node as u64, "thread_name", format_args!("node {node}"));
     }
     for s in &cp.segs {
         if s.len_ns() == 0 {
             continue;
         }
-        let name = format!("{}:{}", s.cat.label(), s.op.label());
-        let mut args = vec![("obj", json::num(s.obj))];
+        w.begin_obj();
+        w.field_str("ph", "X");
+        w.field_u64("pid", 0);
+        w.field_u64("tid", s.node as u64);
+        w.field_str("cat", s.cat.label());
+        w.field_fmt("name", format_args!("{}:{}", s.cat.label(), s.op.label()));
+        w.field_f64("ts", us(s.lo_ns));
+        w.field_f64("dur", us(s.len_ns()));
+        w.key("args");
+        w.begin_obj();
+        w.field_u64("obj", s.obj);
         if s.cat == SegCat::Cpu {
-            args.push(("app_ns", json::num(s.app_ns)));
-            args.push(("overhead_ns", json::num(s.overhead_ns)));
-            args.push(("diff_ns", json::num(s.diff_ns)));
+            w.field_u64("app_ns", s.app_ns);
+            w.field_u64("overhead_ns", s.overhead_ns);
+            w.field_u64("diff_ns", s.diff_ns);
         }
-        out.push(json::obj(vec![
-            ("ph", json::str("X")),
-            ("pid", json::num(0)),
-            ("tid", json::num(s.node as u64)),
-            ("cat", json::str(s.cat.label())),
-            ("name", json::str(&name)),
-            ("ts", us(s.lo_ns)),
-            ("dur", us(s.len_ns())),
-            ("args", json::obj(args)),
-        ]));
+        w.end_obj();
+        w.end_obj();
     }
-    json::obj(vec![
-        ("displayTimeUnit", json::str("ns")),
-        ("traceEvents", Value::Arr(out)),
-    ])
-    .to_json_pretty()
+    w.end_arr();
+    w.end_obj();
+    w.end_document();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vopp_trace::json::Value;
     use vopp_trace::{CausalProfiler, OpSpan};
 
     fn span(lo: u64, hi: u64, op: OpKind, obj: u64) -> OpSpan {

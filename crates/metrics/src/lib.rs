@@ -27,7 +27,9 @@ pub mod hist;
 pub mod phase;
 pub mod registry;
 
-pub use critpath::{critpath_to_chrome_json, extract, CritPath, CritSeg, SegCat};
+pub use critpath::{
+    critpath_to_chrome_json, extract, write_critpath_chrome_json_to, CritPath, CritSeg, SegCat,
+};
 pub use hist::{Histogram, Summary};
 pub use phase::{Breakdown, Phase};
 pub use registry::Registry;

@@ -3,11 +3,11 @@
 //! Events deliberately use raw `u64` nanosecond timestamps and plain `usize`
 //! node ids rather than `vopp-sim`'s newtypes: the simulator depends on this
 //! crate (not the other way around), so the trace vocabulary must stand
-//! alone. Each variant maps 1:1 to a JSON object via [`Event::to_value`] /
+//! alone. Each variant maps 1:1 to a JSON object via [`Event::write_json`] /
 //! [`Event::from_value`]; the conformance checker and the Perfetto exporter
 //! both consume the in-memory form.
 
-use crate::json::{self, Value};
+use crate::json::{Sink, Value, Writer};
 
 /// A simulated process id (mirrors `vopp_sim::ProcId` without the dependency).
 pub type NodeId = usize;
@@ -272,13 +272,12 @@ impl EventKind {
 }
 
 impl Event {
-    /// Serialize to the canonical JSON object form.
-    pub fn to_value(&self) -> Value {
-        let mut pairs = vec![
-            ("t", json::num(self.t)),
-            ("node", json::num(self.node as u64)),
-            ("kind", json::str(self.kind.name())),
-        ];
+    /// Write the canonical JSON object form.
+    pub fn write_json<S: Sink>(&self, w: &mut Writer<'_, S>) {
+        w.begin_obj();
+        w.field_u64("t", self.t);
+        w.field_u64("node", self.node as u64);
+        w.field_str("kind", self.kind.name());
         match &self.kind {
             EventKind::ProcStart | EventKind::ProcExit => {}
             EventKind::NetSend {
@@ -287,44 +286,44 @@ impl Event {
                 tag,
                 svc,
             } => {
-                pairs.push(("dst", json::num(*dst as u64)));
-                pairs.push(("wire_bytes", json::num(*wire_bytes)));
-                pairs.push(("tag", json::num(*tag)));
-                pairs.push(("svc", Value::Bool(*svc)));
+                w.field_u64("dst", *dst as u64);
+                w.field_u64("wire_bytes", *wire_bytes);
+                w.field_u64("tag", *tag);
+                w.field_bool("svc", *svc);
             }
             EventKind::NetRecv {
                 src,
                 wire_bytes,
                 tag,
             } => {
-                pairs.push(("src", json::num(*src as u64)));
-                pairs.push(("wire_bytes", json::num(*wire_bytes)));
-                pairs.push(("tag", json::num(*tag)));
+                w.field_u64("src", *src as u64);
+                w.field_u64("wire_bytes", *wire_bytes);
+                w.field_u64("tag", *tag);
             }
             EventKind::NetDrop {
                 dst,
                 wire_bytes,
                 overflow,
             } => {
-                pairs.push(("dst", json::num(*dst as u64)));
-                pairs.push(("wire_bytes", json::num(*wire_bytes)));
-                pairs.push(("overflow", Value::Bool(*overflow)));
+                w.field_u64("dst", *dst as u64);
+                w.field_u64("wire_bytes", *wire_bytes);
+                w.field_bool("overflow", *overflow);
             }
             EventKind::Rexmit { dst, tag } => {
-                pairs.push(("dst", json::num(*dst as u64)));
-                pairs.push(("tag", json::num(*tag)));
+                w.field_u64("dst", *dst as u64);
+                w.field_u64("tag", *tag);
             }
             EventKind::PageFault { page, write } => {
-                pairs.push(("page", json::num(*page)));
-                pairs.push(("write", Value::Bool(*write)));
+                w.field_u64("page", *page);
+                w.field_bool("write", *write);
             }
             EventKind::DiffRequest { page, to } => {
-                pairs.push(("page", json::num(*page)));
-                pairs.push(("to", json::num(*to as u64)));
+                w.field_u64("page", *page);
+                w.field_u64("to", *to as u64);
             }
             EventKind::DiffApply { page, bytes } => {
-                pairs.push(("page", json::num(*page)));
-                pairs.push(("bytes", json::num(*bytes)));
+                w.field_u64("page", *page);
+                w.field_u64("bytes", *bytes);
             }
             EventKind::WriteNoticeApply {
                 owner,
@@ -332,14 +331,14 @@ impl Event {
                 scope,
                 pages,
             } => {
-                pairs.push(("owner", json::num(*owner as u64)));
-                pairs.push(("seq", json::num(*seq)));
-                pairs.push(("scope", json::num(*scope)));
-                pairs.push(("pages", json::num(*pages)));
+                w.field_u64("owner", *owner as u64);
+                w.field_u64("seq", *seq);
+                w.field_u64("scope", *scope);
+                w.field_u64("pages", *pages);
             }
             EventKind::AcquireStart { view, write } => {
-                pairs.push(("view", json::num(*view)));
-                pairs.push(("write", Value::Bool(*write)));
+                w.field_u64("view", *view);
+                w.field_bool("write", *write);
             }
             EventKind::AcquireEnd {
                 view,
@@ -347,14 +346,14 @@ impl Event {
                 version,
                 bytes,
             } => {
-                pairs.push(("view", json::num(*view)));
-                pairs.push(("write", Value::Bool(*write)));
-                pairs.push(("version", json::num(*version)));
-                pairs.push(("bytes", json::num(*bytes)));
+                w.field_u64("view", *view);
+                w.field_bool("write", *write);
+                w.field_u64("version", *version);
+                w.field_u64("bytes", *bytes);
             }
             EventKind::ReleaseDone { view, write } => {
-                pairs.push(("view", json::num(*view)));
-                pairs.push(("write", Value::Bool(*write)));
+                w.field_u64("view", *view);
+                w.field_bool("write", *write);
             }
             EventKind::ViewGrantSent {
                 view,
@@ -362,36 +361,36 @@ impl Event {
                 version,
                 bytes,
             } => {
-                pairs.push(("view", json::num(*view)));
-                pairs.push(("to", json::num(*to as u64)));
-                pairs.push(("version", json::num(*version)));
-                pairs.push(("bytes", json::num(*bytes)));
+                w.field_u64("view", *view);
+                w.field_u64("to", *to as u64);
+                w.field_u64("version", *version);
+                w.field_u64("bytes", *bytes);
             }
             EventKind::BarrierEnter { id, epoch } => {
-                pairs.push(("id", json::num(*id)));
-                pairs.push(("epoch", json::num(*epoch)));
+                w.field_u64("id", *id);
+                w.field_u64("epoch", *epoch);
             }
             EventKind::BarrierExit { id, epoch, notices } => {
-                pairs.push(("id", json::num(*id)));
-                pairs.push(("epoch", json::num(*epoch)));
-                pairs.push(("notices", json::num(*notices)));
+                w.field_u64("id", *id);
+                w.field_u64("epoch", *epoch);
+                w.field_u64("notices", *notices);
             }
             EventKind::LockAcquireStart { lock }
             | EventKind::LockAcquireEnd { lock }
             | EventKind::LockRelease { lock } => {
-                pairs.push(("lock", json::num(*lock)));
+                w.field_u64("lock", *lock);
             }
             EventKind::NodeCrash { pages } => {
-                pairs.push(("pages", json::num(*pages)));
+                w.field_u64("pages", *pages);
             }
             EventKind::ServeRequest {
                 shard,
                 write,
                 latency_ns,
             } => {
-                pairs.push(("shard", json::num(*shard)));
-                pairs.push(("write", Value::Bool(*write)));
-                pairs.push(("latency_ns", json::num(*latency_ns)));
+                w.field_u64("shard", *shard);
+                w.field_bool("write", *write);
+                w.field_u64("latency_ns", *latency_ns);
             }
             EventKind::RaceDetected {
                 page,
@@ -400,11 +399,11 @@ impl Event {
                 end,
                 write,
             } => {
-                pairs.push(("page", json::num(*page)));
-                pairs.push(("other", json::num(*other as u64)));
-                pairs.push(("start", json::num(*start)));
-                pairs.push(("end", json::num(*end)));
-                pairs.push(("write", Value::Bool(*write)));
+                w.field_u64("page", *page);
+                w.field_u64("other", *other as u64);
+                w.field_u64("start", *start);
+                w.field_u64("end", *end);
+                w.field_bool("write", *write);
             }
             EventKind::DisciplineViolation {
                 rule,
@@ -413,17 +412,17 @@ impl Event {
                 end,
                 write,
             } => {
-                pairs.push(("rule", json::str(rule)));
-                pairs.push(("page", json::num(*page)));
-                pairs.push(("start", json::num(*start)));
-                pairs.push(("end", json::num(*end)));
-                pairs.push(("write", Value::Bool(*write)));
+                w.field_str("rule", rule);
+                w.field_u64("page", *page);
+                w.field_u64("start", *start);
+                w.field_u64("end", *end);
+                w.field_bool("write", *write);
             }
             EventKind::SpanBegin { name } | EventKind::SpanEnd { name } => {
-                pairs.push(("name", json::str(name)));
+                w.field_str("name", name);
             }
         }
-        json::obj(pairs)
+        w.end_obj();
     }
 
     /// Deserialize from the canonical JSON object form.
@@ -758,7 +757,8 @@ mod tests {
     #[test]
     fn every_variant_round_trips_through_json() {
         for ev in sample_events() {
-            let text = ev.to_value().to_json();
+            let mut text = String::new();
+            ev.write_json(&mut Writer::compact(&mut text));
             let back = Event::from_value(&Value::parse(&text).unwrap()).unwrap();
             assert_eq!(back, ev, "round-trip mismatch for {}", ev.kind.name());
         }

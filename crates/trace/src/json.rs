@@ -1,4 +1,4 @@
-//! Minimal JSON tree, writer, and parser.
+//! Minimal JSON tree, streaming writer, and parser.
 //!
 //! The workspace builds in a network-less environment, so it cannot pull in
 //! `serde_json`; this module is the single JSON implementation shared by the
@@ -6,18 +6,31 @@
 //! `tables --json` output. Objects preserve insertion order so that exports
 //! are byte-stable across runs — the determinism guard in `vopp-bench`
 //! compares serialized traces verbatim.
+//!
+//! Every document is produced by one [`Writer`], which appends tokens to a
+//! [`Sink`] as they are announced. The large exports (event stream,
+//! Perfetto, critical path) drive it straight from their records; the small
+//! artifacts build a [`Value`] tree first and [`Value::write`] walks it into
+//! the same writer, so layout, number and string formatting have one source.
 
 use std::fmt;
+use std::io;
 
 /// A parsed or under-construction JSON value.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality is JSON's: there is one number type, so `Int(2) == Num(2.0)`
+/// (an integral float prints as `2` and reads back as `Int(2)`).
+#[derive(Debug, Clone)]
 pub enum Value {
     /// `null`
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number. Values up to 2^53 round-trip exactly; simulated
-    /// times (ns) and sequence numbers stay far below that.
+    /// A non-negative integer, exact over the whole `u64` range (RPC tags
+    /// set bit 63). [`num`] builds it and the parser yields it for every
+    /// integer token that fits.
+    Int(u64),
+    /// Any other JSON number: fractions, negatives, exponents.
     Num(f64),
     /// A string.
     Str(String),
@@ -25,6 +38,24 @@ pub enum Value {
     Arr(Vec<Value>),
     /// An object; insertion-ordered, duplicate keys are not merged.
     Obj(Vec<(String, Value)>),
+}
+
+impl PartialEq for Value {
+    fn eq(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Null, Value::Null) => true,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Num(a), Value::Num(b)) => a == b,
+            (Value::Int(a), n @ Value::Num(_)) | (n @ Value::Num(_), Value::Int(a)) => {
+                n.as_u64() == Some(*a)
+            }
+            (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::Arr(a), Value::Arr(b)) => a == b,
+            (Value::Obj(a), Value::Obj(b)) => a == b,
+            _ => false,
+        }
+    }
 }
 
 impl Value {
@@ -36,9 +67,10 @@ impl Value {
         }
     }
 
-    /// The value as a finite `f64`, if it is a number.
+    /// The value as an `f64`, if it is a number (integers above 2^53 round).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Value::Int(n) => Some(*n as f64),
             Value::Num(n) => Some(*n),
             _ => None,
         }
@@ -47,7 +79,8 @@ impl Value {
     /// The value as a `u64`, if it is a non-negative integral number.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9.007_199_254_740_992e15 => {
+            Value::Int(n) => Some(*n),
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT_F64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -83,91 +116,46 @@ impl Value {
         }
     }
 
-    /// Serialize without whitespace.
-    pub fn write(&self, out: &mut String) {
+    /// Announce this tree to a [`Writer`], which decides the layout.
+    pub fn write<S: Sink>(&self, w: &mut Writer<'_, S>) {
         match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(true) => out.push_str("true"),
-            Value::Bool(false) => out.push_str("false"),
-            Value::Num(n) => write_number(*n, out),
-            Value::Str(s) => write_string(s, out),
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::Int(n) => w.u64(*n),
+            Value::Num(n) => w.f64(*n),
+            Value::Str(s) => w.str(s),
             Value::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.write(out);
+                w.begin_arr();
+                for v in items {
+                    v.write(w);
                 }
-                out.push(']');
+                w.end_arr();
             }
             Value::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_string(k, out);
-                    out.push(':');
-                    v.write(out);
+                w.begin_obj();
+                for (k, v) in pairs {
+                    w.key(k);
+                    v.write(w);
                 }
-                out.push('}');
+                w.end_obj();
             }
-        }
-    }
-
-    /// Serialize with two-space indentation (for human-facing output).
-    pub fn write_pretty(&self, out: &mut String, indent: usize) {
-        let pad = |out: &mut String, n: usize| {
-            for _ in 0..n {
-                out.push_str("  ");
-            }
-        };
-        match self {
-            Value::Arr(items) if !items.is_empty() => {
-                out.push_str("[\n");
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    pad(out, indent + 1);
-                    v.write_pretty(out, indent + 1);
-                }
-                out.push('\n');
-                pad(out, indent);
-                out.push(']');
-            }
-            Value::Obj(pairs) if !pairs.is_empty() => {
-                out.push_str("{\n");
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    pad(out, indent + 1);
-                    write_string(k, out);
-                    out.push_str(": ");
-                    v.write_pretty(out, indent + 1);
-                }
-                out.push('\n');
-                pad(out, indent);
-                out.push('}');
-            }
-            _ => self.write(out),
         }
     }
 
     /// Compact serialization as a fresh `String`.
     pub fn to_json(&self) -> String {
         let mut s = String::new();
-        self.write(&mut s);
+        self.write(&mut Writer::compact(&mut s));
         s
     }
 
-    /// Pretty serialization as a fresh `String`.
+    /// Serialization with two-space indentation and a trailing newline (for
+    /// human-facing output) as a fresh `String`.
     pub fn to_json_pretty(&self) -> String {
         let mut s = String::new();
-        self.write_pretty(&mut s, 0);
-        s.push('\n');
+        let mut w = Writer::pretty(&mut s);
+        self.write(&mut w);
+        w.end_document();
         s
     }
 
@@ -193,9 +181,9 @@ pub fn obj(pairs: Vec<(&str, Value)>) -> Value {
     Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-/// Shorthand for a number value.
+/// Shorthand for an exact integer value.
 pub fn num(n: u64) -> Value {
-    Value::Num(n as f64)
+    Value::Int(n)
 }
 
 /// Shorthand for a string value.
@@ -203,35 +191,307 @@ pub fn str(s: &str) -> Value {
     Value::Str(s.to_string())
 }
 
-fn write_number(n: f64, out: &mut String) {
-    use fmt::Write;
-    if n.fract() == 0.0 && n.abs() <= 9.007_199_254_740_992e15 {
-        let _ = write!(out, "{}", n as i64);
-    } else if n.is_finite() {
-        let _ = write!(out, "{n}");
-    } else {
-        // JSON has no NaN/Inf; the tracer never produces them.
-        out.push_str("null");
+/// Largest magnitude below which every integer is an exact `f64` (2^53).
+const MAX_EXACT_F64: f64 = 9.007_199_254_740_992e15;
+
+/// Containers a [`Writer`] can have open at once: one bit of `nonempty` each.
+const MAX_DEPTH: usize = 64;
+
+/// Where a [`Writer`] appends its output.
+pub trait Sink {
+    /// Append `s`.
+    fn put(&mut self, s: &str);
+}
+
+impl Sink for String {
+    #[inline]
+    fn put(&mut self, s: &str) {
+        self.push_str(s);
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
-    use fmt::Write;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// A [`Sink`] over any [`io::Write`]. The first I/O error is kept and
+/// everything after it discarded, so the emitting code stays free of error
+/// plumbing; [`IoSink::finish`] reports it.
+pub struct IoSink<W: io::Write> {
+    out: W,
+    err: Option<io::Error>,
+}
+
+impl<W: io::Write> IoSink<W> {
+    /// Wrap `out`. Small writes go to it as they are: hand in a
+    /// `BufWriter` when `out` is a file or a socket.
+    pub fn new(out: W) -> Self {
+        IoSink { out, err: None }
+    }
+
+    /// The first error any write met, if one did. Does not flush.
+    pub fn finish(self) -> io::Result<()> {
+        self.err.map_or(Ok(()), Err)
+    }
+}
+
+impl<W: io::Write> Sink for IoSink<W> {
+    #[inline]
+    fn put(&mut self, s: &str) {
+        if self.err.is_none() {
+            self.err = self.out.write_all(s.as_bytes()).err();
         }
     }
-    out.push('"');
+}
+
+/// Streaming JSON writer: the caller announces tokens in document order and
+/// the writer places separators, indentation and escapes. Nothing is
+/// buffered and nothing allocated, so a document's cost is its bytes.
+///
+/// Two layouts: [`Writer::compact`] has no whitespace; [`Writer::pretty`]
+/// puts each member on its own line behind two spaces per level and keeps
+/// empty containers as `[]` / `{}`. Calls must nest properly (one value per
+/// key, every `begin_*` closed); the writer does not check.
+pub struct Writer<'a, S: Sink> {
+    out: &'a mut S,
+    pretty: bool,
+    /// Open containers.
+    depth: usize,
+    /// Bit `d`: the container open at depth `d` already holds a member.
+    nonempty: u64,
+    /// A key was just written; the next value belongs to it.
+    after_key: bool,
+}
+
+impl<'a, S: Sink> Writer<'a, S> {
+    /// A writer of the whitespace-free layout.
+    pub fn compact(out: &'a mut S) -> Self {
+        Writer {
+            out,
+            pretty: false,
+            depth: 0,
+            nonempty: 0,
+            after_key: false,
+        }
+    }
+
+    /// A writer of the indented layout.
+    pub fn pretty(out: &'a mut S) -> Self {
+        Writer {
+            pretty: true,
+            ..Writer::compact(out)
+        }
+    }
+
+    fn newline(&mut self) {
+        // A line break and two spaces per open container (up to
+        // `MAX_DEPTH` of them), in one piece.
+        const BREAK: &str = concat!(
+            "\n                                                                ",
+            "                                                                "
+        );
+        self.out.put(&BREAK[..1 + 2 * self.depth]);
+    }
+
+    /// Separate the token about to be written from what precedes it.
+    fn before_token(&mut self) {
+        if std::mem::take(&mut self.after_key) || self.depth == 0 {
+            return;
+        }
+        let bit = 1u64 << self.depth;
+        if self.nonempty & bit != 0 {
+            self.out.put(",");
+        }
+        self.nonempty |= bit;
+        if self.pretty {
+            self.newline();
+        }
+    }
+
+    fn open(&mut self, bracket: &str) {
+        self.before_token();
+        self.out.put(bracket);
+        self.depth += 1;
+        assert!(self.depth < MAX_DEPTH, "JSON nested deeper than tracked");
+        self.nonempty &= !(1u64 << self.depth);
+    }
+
+    fn close(&mut self, bracket: &str) {
+        let had_members = self.nonempty & (1u64 << self.depth) != 0;
+        self.depth -= 1;
+        if self.pretty && had_members {
+            self.newline();
+        }
+        self.out.put(bracket);
+    }
+
+    /// Open an object; follow with `key` + value pairs and [`Writer::end_obj`].
+    pub fn begin_obj(&mut self) {
+        self.open("{");
+    }
+
+    /// Close the innermost object.
+    pub fn end_obj(&mut self) {
+        self.close("}");
+    }
+
+    /// Open an array; follow with values and [`Writer::end_arr`].
+    pub fn begin_arr(&mut self) {
+        self.open("[");
+    }
+
+    /// Close the innermost array.
+    pub fn end_arr(&mut self) {
+        self.close("]");
+    }
+
+    /// The key of the next object member.
+    pub fn key(&mut self, k: &str) {
+        self.before_token();
+        self.out.put("\"");
+        put_escaped(self.out, k);
+        self.out.put(if self.pretty { "\": " } else { "\":" });
+        self.after_key = true;
+    }
+
+    /// `null`.
+    pub fn null(&mut self) {
+        self.before_token();
+        self.out.put("null");
+    }
+
+    /// `true` / `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.before_token();
+        self.out.put(if b { "true" } else { "false" });
+    }
+
+    /// An integer, every digit exact.
+    pub fn u64(&mut self, n: u64) {
+        self.before_token();
+        put_u64(self.out, n);
+    }
+
+    /// A float. Integral values up to 2^53 print as integers, the rest in
+    /// Rust's shortest round-trip form; JSON has no NaN/Inf, so those (which
+    /// the tracer never produces) become `null`.
+    pub fn f64(&mut self, n: f64) {
+        self.before_token();
+        if n.fract() == 0.0 && n.abs() <= MAX_EXACT_F64 {
+            let i = n as i64;
+            if i < 0 {
+                self.out.put("-");
+            }
+            put_u64(self.out, i.unsigned_abs());
+        } else if n.is_finite() {
+            let _ = fmt::write(&mut Escaped(self.out), format_args!("{n}"));
+        } else {
+            self.out.put("null");
+        }
+    }
+
+    /// A string.
+    pub fn str(&mut self, s: &str) {
+        self.before_token();
+        self.out.put("\"");
+        put_escaped(self.out, s);
+        self.out.put("\"");
+    }
+
+    /// A string given as format arguments, escaped piece by piece without an
+    /// intermediate `String`: `w.str_fmt(format_args!("node {n}"))`.
+    pub fn str_fmt(&mut self, args: fmt::Arguments<'_>) {
+        self.before_token();
+        self.out.put("\"");
+        // `Escaped::write_str` cannot fail, so only a `Display` impl that
+        // reports an error of its own could; none of ours does.
+        let _ = fmt::write(&mut Escaped(self.out), args);
+        self.out.put("\"");
+    }
+
+    /// `key` followed by an integer.
+    pub fn field_u64(&mut self, key: &str, n: u64) {
+        self.key(key);
+        self.u64(n);
+    }
+
+    /// `key` followed by a float.
+    pub fn field_f64(&mut self, key: &str, n: f64) {
+        self.key(key);
+        self.f64(n);
+    }
+
+    /// `key` followed by a boolean.
+    pub fn field_bool(&mut self, key: &str, b: bool) {
+        self.key(key);
+        self.bool(b);
+    }
+
+    /// `key` followed by a string.
+    pub fn field_str(&mut self, key: &str, s: &str) {
+        self.key(key);
+        self.str(s);
+    }
+
+    /// `key` followed by a string given as format arguments.
+    pub fn field_fmt(&mut self, key: &str, args: fmt::Arguments<'_>) {
+        self.key(key);
+        self.str_fmt(args);
+    }
+
+    /// The newline that ends a pretty document.
+    pub fn end_document(&mut self) {
+        self.out.put("\n");
+    }
+}
+
+fn put_u64(out: &mut impl Sink, mut n: u64) {
+    // u64::MAX has 20 digits.
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.put(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+}
+
+/// Append `s` with JSON string escapes, copying each run between two
+/// characters that need one in a single piece.
+fn put_escaped(out: &mut impl Sink, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run_start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        // Multi-byte UTF-8 is all >= 0x80, so `i` is a char boundary.
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.put(&s[run_start..i]);
+        run_start = i + 1;
+        match b {
+            b'"' => out.put("\\\""),
+            b'\\' => out.put("\\\\"),
+            b'\n' => out.put("\\n"),
+            b'\r' => out.put("\\r"),
+            b'\t' => out.put("\\t"),
+            _ => {
+                let hex = [HEX[(b >> 4) as usize], HEX[(b & 0xf) as usize]];
+                out.put("\\u00");
+                out.put(std::str::from_utf8(&hex).expect("ASCII hex digits"));
+            }
+        }
+    }
+    out.put(&s[run_start..]);
+}
+
+/// `fmt::Write` over a sink that escapes what passes through it.
+struct Escaped<'a, S: Sink>(&'a mut S);
+
+impl<S: Sink> fmt::Write for Escaped<'_, S> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        put_escaped(self.0, s);
+        Ok(())
+    }
 }
 
 /// Error from [`Value::parse`], with a byte offset into the input.
@@ -441,6 +701,11 @@ impl Parser<'_> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
+        // An all-digit token that fits is kept exact: `u64::from_str` turns
+        // down '-', a fraction, an exponent and anything past u64::MAX.
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Value::Int(n));
+        }
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| self.err("invalid number"))
@@ -487,13 +752,98 @@ mod tests {
 
     #[test]
     fn numbers_round_trip() {
-        for n in [0u64, 1, 42, 1_000_000_000_000, 9_007_199_254_740_992] {
+        // Every u64 is exact, the RPC tags (bit 63 set) included.
+        for n in [
+            0u64,
+            1,
+            42,
+            1_000_000_000_000,
+            (1 << 53) + 1,
+            1 << 63 | 5,
+            u64::MAX,
+        ] {
             let text = num(n).to_json();
+            assert_eq!(text, n.to_string());
+            assert_eq!(Value::parse(&text).unwrap(), Value::Int(n));
             assert_eq!(Value::parse(&text).unwrap().as_u64(), Some(n));
         }
         let v = Value::parse("-1.5e3").unwrap();
         assert_eq!(v.as_f64(), Some(-1500.0));
         assert_eq!(v.as_u64(), None);
+        // Integer tokens that do not fit u64 stay floats.
+        assert_eq!(
+            Value::parse("18446744073709551616").unwrap(),
+            Value::Num(18_446_744_073_709_551_616.0)
+        );
+        assert_eq!(Value::parse("-7").unwrap(), Value::Num(-7.0));
+        // An integral float prints as an integer and reads back as one.
+        assert_eq!(Value::Num(2.0).to_json(), "2");
+        assert_eq!(Value::Num(-0.0).to_json(), "0");
+        assert_eq!(Value::Num(-3.0).to_json(), "-3");
+        assert_eq!(Value::parse("2").unwrap().as_f64(), Some(2.0));
+        assert_eq!(Value::parse("2").unwrap(), Value::Num(2.0));
+        assert_ne!(Value::parse("2").unwrap(), Value::Num(2.5));
+        assert_ne!(num(u64::MAX), Value::Num(u64::MAX as f64));
+        assert_eq!(Value::Num(0.1 + 0.2).to_json(), "0.30000000000000004");
+        assert_eq!(Value::Num(f64::NAN).to_json(), "null");
+    }
+
+    #[test]
+    fn both_layouts_are_pinned() {
+        let v = obj(vec![
+            ("a", num(1)),
+            ("empty", Value::Arr(vec![])),
+            ("o", obj(vec![("none", obj(vec![])), ("s", str("x\"y"))])),
+            ("l", Value::Arr(vec![Value::Null, Value::Arr(vec![num(2)])])),
+        ]);
+        assert_eq!(
+            v.to_json(),
+            r#"{"a":1,"empty":[],"o":{"none":{},"s":"x\"y"},"l":[null,[2]]}"#
+        );
+        let pretty = r#"{
+  "a": 1,
+  "empty": [],
+  "o": {
+    "none": {},
+    "s": "x\"y"
+  },
+  "l": [
+    null,
+    [
+      2
+    ]
+  ]
+}
+"#;
+        assert_eq!(v.to_json_pretty(), pretty);
+    }
+
+    #[test]
+    fn writer_streams_without_a_tree() {
+        let mut s = String::new();
+        let mut w = Writer::compact(&mut s);
+        w.begin_obj();
+        w.field_u64("n", u64::MAX);
+        w.field_f64("us", 1.5);
+        w.field_bool("ok", true);
+        w.key("name");
+        w.str_fmt(format_args!("v{} \"{}\"", 3, "q\n"));
+        w.key("items");
+        w.begin_arr();
+        w.null();
+        w.str("é\u{1}");
+        w.end_arr();
+        w.end_obj();
+        assert_eq!(
+            s,
+            r#"{"n":18446744073709551615,"us":1.5,"ok":true,"name":"v3 \"q\n\"","items":[null,"é\u0001"]}"#
+        );
+
+        let mut bytes = Vec::new();
+        let mut sink = IoSink::new(&mut bytes);
+        Writer::compact(&mut sink).str("a\\b");
+        sink.finish().expect("Vec write");
+        assert_eq!(bytes, br#""a\\b""#);
     }
 
     #[test]

@@ -33,6 +33,6 @@ pub use causal::{
 };
 pub use check::{check, CheckConfig, Violation};
 pub use event::{Event, EventKind, NodeId};
-pub use perfetto::to_chrome_json;
+pub use perfetto::{to_chrome_json, write_chrome_json_to};
 pub use report::report;
 pub use tracer::{set_thread_record_sink, RecordSink, Trace, Tracer, DEFAULT_CAPACITY};

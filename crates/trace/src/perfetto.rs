@@ -11,15 +11,17 @@
 //! microseconds — wall time never appears, so exports are deterministic.
 
 use std::collections::HashMap;
+use std::fmt;
+use std::io;
 
 use crate::event::{EventKind, NodeId};
-use crate::json::{self, Value};
+use crate::json::{IoSink, Sink, Writer};
 use crate::tracer::Trace;
 
-/// Convert nanoseconds of virtual time to the microsecond floats Chrome
-/// trace events use. Sub-microsecond precision is preserved as fractions.
-fn us(t_ns: u64) -> Value {
-    Value::Num(t_ns as f64 / 1000.0)
+/// Nanoseconds of virtual time as the microsecond floats Chrome trace
+/// events use. Sub-microsecond precision is preserved as fractions.
+fn us(t_ns: u64) -> f64 {
+    t_ns as f64 / 1000.0
 }
 
 fn mode(write: bool) -> &'static str {
@@ -30,81 +32,122 @@ fn mode(write: bool) -> &'static str {
     }
 }
 
-struct Emitter {
-    out: Vec<Value>,
+/// One `args` member of a trace event: an integer or a formatted string.
+enum Arg<'a> {
+    U(u64),
+    F(fmt::Arguments<'a>),
 }
 
-impl Emitter {
-    fn meta(&mut self, pid: NodeId, name: &str, value: Value) {
-        self.out.push(json::obj(vec![
-            ("ph", json::str("M")),
-            ("pid", json::num(pid as u64)),
-            ("tid", json::num(0)),
-            ("name", json::str(name)),
-            ("args", json::obj(vec![("name", value)])),
-        ]));
+/// Writes trace events into the open `traceEvents` array, one per call, in
+/// call order.
+struct Emitter<'w, 'a, S: Sink> {
+    w: &'w mut Writer<'a, S>,
+}
+
+impl<S: Sink> Emitter<'_, '_, S> {
+    fn head(&mut self, ph: &str, pid: NodeId) {
+        self.w.begin_obj();
+        self.w.field_str("ph", ph);
+        if ph == "i" {
+            self.w.field_str("s", "t");
+        }
+        self.w.field_u64("pid", pid as u64);
+        self.w.field_u64("tid", 0);
+    }
+
+    fn args(&mut self, args: &[(&str, Arg<'_>)]) {
+        self.w.key("args");
+        self.w.begin_obj();
+        for (key, arg) in args {
+            match arg {
+                Arg::U(n) => self.w.field_u64(key, *n),
+                Arg::F(text) => self.w.field_fmt(key, *text),
+            }
+        }
+        self.w.end_obj();
+    }
+
+    fn meta(&mut self, pid: NodeId, name: &str, value: Arg<'_>) {
+        self.head("M", pid);
+        self.w.field_str("name", name);
+        self.args(&[("name", value)]);
+        self.w.end_obj();
     }
 
     fn slice(
         &mut self,
         pid: NodeId,
         cat: &str,
-        name: &str,
+        name: fmt::Arguments<'_>,
         start_ns: u64,
         end_ns: u64,
-        args: Vec<(&str, Value)>,
+        args: &[(&str, Arg<'_>)],
     ) {
-        self.out.push(json::obj(vec![
-            ("ph", json::str("X")),
-            ("pid", json::num(pid as u64)),
-            ("tid", json::num(0)),
-            ("cat", json::str(cat)),
-            ("name", json::str(name)),
-            ("ts", us(start_ns)),
-            ("dur", us(end_ns.saturating_sub(start_ns))),
-            ("args", json::obj(args)),
-        ]));
+        self.head("X", pid);
+        self.w.field_str("cat", cat);
+        self.w.field_fmt("name", name);
+        self.w.field_f64("ts", us(start_ns));
+        self.w.field_f64("dur", us(end_ns.saturating_sub(start_ns)));
+        self.args(args);
+        self.w.end_obj();
     }
 
-    fn instant(&mut self, pid: NodeId, cat: &str, name: &str, t_ns: u64, args: Vec<(&str, Value)>) {
-        self.out.push(json::obj(vec![
-            ("ph", json::str("i")),
-            ("s", json::str("t")),
-            ("pid", json::num(pid as u64)),
-            ("tid", json::num(0)),
-            ("cat", json::str(cat)),
-            ("name", json::str(name)),
-            ("ts", us(t_ns)),
-            ("args", json::obj(args)),
-        ]));
+    fn instant(
+        &mut self,
+        pid: NodeId,
+        cat: &str,
+        name: fmt::Arguments<'_>,
+        t_ns: u64,
+        args: &[(&str, Arg<'_>)],
+    ) {
+        self.head("i", pid);
+        self.w.field_str("cat", cat);
+        self.w.field_fmt("name", name);
+        self.w.field_f64("ts", us(t_ns));
+        self.args(args);
+        self.w.end_obj();
     }
 
     fn flow(&mut self, ph: &str, pid: NodeId, id: u64, t_ns: u64) {
-        let mut pairs = vec![
-            ("ph", json::str(ph)),
-            ("pid", json::num(pid as u64)),
-            ("tid", json::num(0)),
-            ("cat", json::str("grant-flow")),
-            ("name", json::str("view grant")),
-            ("id", json::num(id)),
-            ("ts", us(t_ns)),
-        ];
+        self.head(ph, pid);
+        self.w.field_str("cat", "grant-flow");
+        self.w.field_str("name", "view grant");
+        self.w.field_u64("id", id);
+        self.w.field_f64("ts", us(t_ns));
         if ph == "f" {
             // Bind the arrow head to the enclosing (acquire) slice.
-            pairs.push(("bp", json::str("e")));
+            self.w.field_str("bp", "e");
         }
-        self.out.push(json::obj(pairs));
+        self.w.end_obj();
     }
 }
 
 /// Render a trace as a Chrome-trace JSON document.
 pub fn to_chrome_json(trace: &Trace) -> String {
-    let mut em = Emitter { out: Vec::new() };
+    let mut s = String::new();
+    write_chrome_json(trace, &mut Writer::compact(&mut s));
+    s
+}
+
+/// [`to_chrome_json`] written to `out` event by event: the document is
+/// never held in memory. Hand in a `BufWriter` for a file.
+pub fn write_chrome_json_to(trace: &Trace, out: &mut impl io::Write) -> io::Result<()> {
+    let mut sink = IoSink::new(out);
+    write_chrome_json(trace, &mut Writer::compact(&mut sink));
+    sink.finish()
+}
+
+fn write_chrome_json<S: Sink>(trace: &Trace, w: &mut Writer<'_, S>) {
+    w.begin_obj();
+    w.field_str("displayTimeUnit", "ns");
+    w.key("traceEvents");
+    w.begin_arr();
+    let mut em = Emitter { w };
 
     for node in 0..trace.node_count() {
-        em.meta(node, "process_name", json::str(&format!("node {node}")));
-        em.meta(node, "process_sort_index", json::num(node as u64));
-        em.meta(node, "thread_name", json::str("protocol"));
+        em.meta(node, "process_name", Arg::F(format_args!("node {node}")));
+        em.meta(node, "process_sort_index", Arg::U(node as u64));
+        em.meta(node, "thread_name", Arg::F(format_args!("protocol")));
     }
 
     // Open-interval state, keyed so that pops always match the most recent
@@ -116,7 +159,7 @@ pub fn to_chrome_json(trace: &Trace) -> String {
     let mut holds: HashMap<(NodeId, u64, bool), Vec<Hold>> = HashMap::new();
     let mut barriers: HashMap<(NodeId, u64), Vec<(u64, u64)>> = HashMap::new();
     let mut locks: HashMap<(NodeId, u64), Vec<u64>> = HashMap::new();
-    let mut spans: HashMap<(NodeId, String), Vec<u64>> = HashMap::new();
+    let mut spans: HashMap<(NodeId, &str), Vec<u64>> = HashMap::new();
     // Grants not yet matched to the requester's acquire completion:
     // (view, version, requester) → flow ids, in grant order.
     let mut pending_grants: HashMap<(u64, u64, NodeId), Vec<u64>> = HashMap::new();
@@ -138,13 +181,13 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                     em.slice(
                         n,
                         "acquire",
-                        &format!("acquire v{view} ({})", mode(*write)),
+                        format_args!("acquire v{view} ({})", mode(*write)),
                         start,
                         ev.t,
-                        vec![
-                            ("view", json::num(*view)),
-                            ("version", json::num(*version)),
-                            ("grant_bytes", json::num(*bytes)),
+                        &[
+                            ("view", Arg::U(*view)),
+                            ("version", Arg::U(*version)),
+                            ("grant_bytes", Arg::U(*bytes)),
                         ],
                     );
                     if let Some(flow_id) = pending_grants
@@ -166,13 +209,13 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                     em.slice(
                         n,
                         "view",
-                        &format!("hold v{view} ({})", mode(*write)),
+                        format_args!("hold v{view} ({})", mode(*write)),
                         start,
                         ev.t,
-                        vec![
-                            ("view", json::num(*view)),
-                            ("version", json::num(version)),
-                            ("grant_bytes", json::num(bytes)),
+                        &[
+                            ("view", Arg::U(*view)),
+                            ("version", Arg::U(version)),
+                            ("grant_bytes", Arg::U(bytes)),
                         ],
                     );
                 }
@@ -194,13 +237,13 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                 em.slice(
                     n,
                     "grant",
-                    &format!("grant v{view}→{to}"),
+                    format_args!("grant v{view}→{to}"),
                     ev.t,
                     ev.t + 1_000,
-                    vec![
-                        ("view", json::num(*view)),
-                        ("version", json::num(*version)),
-                        ("bytes", json::num(*bytes)),
+                    &[
+                        ("view", Arg::U(*view)),
+                        ("version", Arg::U(*version)),
+                        ("bytes", Arg::U(*bytes)),
                     ],
                 );
                 em.flow("s", n, flow_id, ev.t);
@@ -213,13 +256,10 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                     em.slice(
                         n,
                         "barrier",
-                        &format!("barrier {id}"),
+                        format_args!("barrier {id}"),
                         start,
                         ev.t,
-                        vec![
-                            ("epoch", json::num(*epoch)),
-                            ("notices", json::num(*notices)),
-                        ],
+                        &[("epoch", Arg::U(*epoch)), ("notices", Arg::U(*notices))],
                     );
                 }
             }
@@ -231,37 +271,37 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                     em.slice(
                         n,
                         "lock",
-                        &format!("lock {lock}"),
+                        format_args!("lock {lock}"),
                         start,
                         ev.t,
-                        vec![("lock", json::num(*lock))],
+                        &[("lock", Arg::U(*lock))],
                     );
                 }
             }
             EventKind::SpanBegin { name } => {
-                spans.entry((n, name.clone())).or_default().push(ev.t);
+                spans.entry((n, name)).or_default().push(ev.t);
             }
             EventKind::SpanEnd { name } => {
-                if let Some(start) = spans.entry((n, name.clone())).or_default().pop() {
-                    em.slice(n, "app", name, start, ev.t, vec![]);
+                if let Some(start) = spans.entry((n, name)).or_default().pop() {
+                    em.slice(n, "app", format_args!("{name}"), start, ev.t, &[]);
                 }
             }
             EventKind::PageFault { page, write } => {
                 em.instant(
                     n,
                     "fault",
-                    &format!("fault p{page} ({})", mode(*write)),
+                    format_args!("fault p{page} ({})", mode(*write)),
                     ev.t,
-                    vec![("page", json::num(*page))],
+                    &[("page", Arg::U(*page))],
                 );
             }
             EventKind::DiffRequest { page, to } => {
                 em.instant(
                     n,
                     "diff",
-                    &format!("diff req p{page}"),
+                    format_args!("diff req p{page}"),
                     ev.t,
-                    vec![("page", json::num(*page)), ("to", json::num(*to as u64))],
+                    &[("page", Arg::U(*page)), ("to", Arg::U(*to as u64))],
                 );
             }
             EventKind::NetDrop {
@@ -272,11 +312,11 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                 em.instant(
                     n,
                     "net",
-                    if *overflow { "drop (overflow)" } else { "drop" },
+                    format_args!("{}", if *overflow { "drop (overflow)" } else { "drop" }),
                     ev.t,
-                    vec![
-                        ("dst", json::num(*dst as u64)),
-                        ("wire_bytes", json::num(*wire_bytes)),
+                    &[
+                        ("dst", Arg::U(*dst as u64)),
+                        ("wire_bytes", Arg::U(*wire_bytes)),
                     ],
                 );
             }
@@ -284,9 +324,9 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                 em.instant(
                     n,
                     "net",
-                    "rexmit",
+                    format_args!("rexmit"),
                     ev.t,
-                    vec![("dst", json::num(*dst as u64)), ("tag", json::num(*tag))],
+                    &[("dst", Arg::U(*dst as u64)), ("tag", Arg::U(*tag))],
                 );
             }
             EventKind::RaceDetected {
@@ -299,13 +339,13 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                 em.instant(
                     n,
                     "racecheck",
-                    &format!("race p{page} vs n{other} ({})", mode(*write)),
+                    format_args!("race p{page} vs n{other} ({})", mode(*write)),
                     ev.t,
-                    vec![
-                        ("page", json::num(*page)),
-                        ("other", json::num(*other as u64)),
-                        ("start", json::num(*start)),
-                        ("end", json::num(*end)),
+                    &[
+                        ("page", Arg::U(*page)),
+                        ("other", Arg::U(*other as u64)),
+                        ("start", Arg::U(*start)),
+                        ("end", Arg::U(*end)),
                     ],
                 );
             }
@@ -313,9 +353,9 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                 em.instant(
                     n,
                     "fault",
-                    &format!("crash ({pages} pages lost)"),
+                    format_args!("crash ({pages} pages lost)"),
                     ev.t,
-                    vec![("pages", json::num(*pages))],
+                    &[("pages", Arg::U(*pages))],
                 );
             }
             EventKind::ServeRequest {
@@ -326,11 +366,11 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                 em.instant(
                     n,
                     "serve",
-                    &format!("{} s{shard}", if *write { "put" } else { "get" }),
+                    format_args!("{} s{shard}", if *write { "put" } else { "get" }),
                     ev.t,
-                    vec![
-                        ("shard", json::num(*shard)),
-                        ("latency_ns", json::num(*latency_ns)),
+                    &[
+                        ("shard", Arg::U(*shard)),
+                        ("latency_ns", Arg::U(*latency_ns)),
                     ],
                 );
             }
@@ -344,13 +384,13 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                 em.instant(
                     n,
                     "racecheck",
-                    &format!("{rule} p{page} ({})", mode(*write)),
+                    format_args!("{rule} p{page} ({})", mode(*write)),
                     ev.t,
-                    vec![
-                        ("rule", json::str(rule)),
-                        ("page", json::num(*page)),
-                        ("start", json::num(*start)),
-                        ("end", json::num(*end)),
+                    &[
+                        ("rule", Arg::F(format_args!("{rule}"))),
+                        ("page", Arg::U(*page)),
+                        ("start", Arg::U(*start)),
+                        ("end", Arg::U(*end)),
                     ],
                 );
             }
@@ -366,17 +406,15 @@ pub fn to_chrome_json(trace: &Trace) -> String {
         }
     }
 
-    json::obj(vec![
-        ("displayTimeUnit", json::str("ns")),
-        ("traceEvents", Value::Arr(em.out)),
-    ])
-    .to_json()
+    w.end_arr();
+    w.end_obj();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::Event;
+    use crate::json::Value;
 
     fn e(t: u64, node: NodeId, kind: EventKind) -> Event {
         Event { t, node, kind }

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::event::{Event, EventKind, NodeId};
-use crate::json::Value;
+use crate::json::{IoSink, Sink, Value, Writer};
 
 /// A thread-local interceptor for [`Tracer::record`].
 ///
@@ -159,14 +159,31 @@ pub struct Trace {
 impl Trace {
     /// Serialize to the canonical JSON document (compact, byte-stable).
     pub fn to_json(&self) -> String {
-        let v = crate::json::obj(vec![
-            ("evicted", crate::json::num(self.evicted)),
-            (
-                "events",
-                Value::Arr(self.events.iter().map(Event::to_value).collect()),
-            ),
-        ]);
-        v.to_json()
+        // Sized for the common event (about 85 bytes), so the buffer of a
+        // large trace grows at most once.
+        let mut s = String::with_capacity(32 + 96 * self.events.len());
+        self.write_json(&mut Writer::compact(&mut s));
+        s
+    }
+
+    /// [`Trace::to_json`] written to `out` event by event: the document is
+    /// never held in memory. Hand in a `BufWriter` for a file.
+    pub fn write_json_to(&self, out: &mut impl std::io::Write) -> std::io::Result<()> {
+        let mut sink = IoSink::new(out);
+        self.write_json(&mut Writer::compact(&mut sink));
+        sink.finish()
+    }
+
+    fn write_json<S: Sink>(&self, w: &mut Writer<'_, S>) {
+        w.begin_obj();
+        w.field_u64("evicted", self.evicted);
+        w.key("events");
+        w.begin_arr();
+        for ev in &self.events {
+            ev.write_json(w);
+        }
+        w.end_arr();
+        w.end_obj();
     }
 
     /// Parse a document produced by [`Trace::to_json`].
