@@ -25,20 +25,8 @@
 //! byte-identical for any worker count — cells are independent
 //! deterministic simulations consumed in sequential order.
 //!
-//! `--sim-workers N|auto` (or `VOPP_SIM_WORKERS=...`; default: 1)
-//! additionally parallelizes *inside* each simulation: the kernel executes
-//! conservative-lookahead windows of causally independent events on N
-//! threads and merges them in virtual-time order (see `docs/PERFORMANCE.md`
-//! §7). `auto` sizes the pool from the host and engages it only while the
-//! rolling events-per-window density clears a measured crossover threshold,
-//! so sparse paper-scale runs never pay dispatch costs. Composes with
-//! `--jobs`; every artifact stays byte-identical for any combination. Runs
-//! on networks without a lookahead bound (or below the 1 us floor, e.g. the
-//! zero-latency what-if) fall back to sequential with a one-time notice.
-//!
-//! The `scaling` table (64/128-node scale-out cells, the regime where
-//! `--sim-workers` pays) is opt-in like `ext` and `serve`: request it by
-//! name (`tables scaling`).
+//! The `scaling` table (64/128-node scale-out cells) is opt-in like `ext`
+//! and `serve`: request it by name (`tables scaling`).
 //!
 //! The `netgen` table (IS/Gauss/SOR/NN across network generations under
 //! LRC_d, VC_sd and VC_rdma, see `docs/NETWORK.md`) is opt-in the same
@@ -77,6 +65,9 @@
 //! any mismatch. May be used alone (`tables --racecheck`) without
 //! generating tables. Checking never perturbs the table sweep: all other
 //! artifacts stay byte-identical with or without this flag.
+//!
+//! Anything else — a flag or a table name not listed above — is refused
+//! with the usage text and exit code 2.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -97,99 +88,114 @@ use vopp_trace::json::Value;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-fn jobs_from(args: &[String]) -> usize {
-    let parse = |s: &str, what: &str| match s.parse::<usize>() {
-        Ok(n) if n >= 1 => n,
-        _ => {
-            eprintln!("{what} must be a positive integer, got {s:?}");
-            std::process::exit(2);
-        }
-    };
-    if let Some(i) = args.iter().position(|a| a == "--jobs") {
-        match args.get(i + 1) {
-            Some(n) if !n.starts_with("--") => return parse(n, "--jobs"),
-            _ => {
-                eprintln!("--jobs requires a positive integer argument");
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Ok(n) = std::env::var("VOPP_JOBS") {
-        return parse(&n, "VOPP_JOBS");
-    }
-    std::thread::available_parallelism().map_or(1, usize::from)
+const USAGE: &str = "usage: tables [--quick] [--json] [--jobs N] [--trace DIR] \
+     [--metrics DIR] [--cache DIR] [--faults PLAN] [--critpath] [--racecheck] \
+     (all | table1 .. table9 | ext | serve | scaling | netgen)*";
+
+type TableFn = fn(&Scale) -> Table;
+
+/// Every table by the name it is requested with, in print order.
+const TABLES: [(&str, TableFn); 13] = [
+    ("table1", tables::table1),
+    ("table2", tables::table2),
+    ("table3", tables::table3),
+    ("table4", tables::table4),
+    ("table5", tables::table5),
+    ("table6", tables::table6),
+    ("table7", tables::table7),
+    ("table8", tables::table8),
+    ("table9", tables::table9),
+    ("ext", tables::table_ext),
+    ("serve", tables::table_serve),
+    ("scaling", tables::table_scaling),
+    ("netgen", tables::table_netgen),
+];
+
+/// Tables that `all` leaves out: they run only when named.
+const OPT_IN: [&str; 4] = ["ext", "serve", "scaling", "netgen"];
+
+/// The command line, checked: every flag is one the usage text lists and
+/// every positional names a table.
+#[derive(Default)]
+struct Cli {
+    quick: bool,
+    json: bool,
+    critpath: bool,
+    racecheck: bool,
+    jobs: Option<usize>,
+    trace_dir: Option<PathBuf>,
+    metrics_dir: Option<PathBuf>,
+    cache_dir: Option<PathBuf>,
+    faults: FaultPlan,
+    wanted: Vec<String>,
 }
 
-fn sim_workers_from(args: &[String]) -> usize {
-    let parse = |s: &str, what: &str| {
-        if s == "auto" {
-            return vopp_sim::SIM_WORKERS_AUTO;
-        }
-        match s.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("{what} must be a positive integer or \"auto\", got {s:?}");
-                std::process::exit(2);
+fn parse_jobs(s: &str, what: &str) -> Result<usize, String> {
+    match s.parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("{what} must be a positive integer, got {s:?}")),
+    }
+}
+
+fn parse_cli(args: &[String]) -> Result<Cli, String> {
+    let mut cli = Cli::default();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut operand = |what: &str| match it.next() {
+            Some(v) if !v.starts_with("--") => Ok(v.as_str()),
+            _ => Err(format!("{arg} requires {what}")),
+        };
+        match arg.as_str() {
+            "--quick" => cli.quick = true,
+            "--json" => cli.json = true,
+            "--critpath" => cli.critpath = true,
+            "--racecheck" => cli.racecheck = true,
+            "--jobs" => cli.jobs = Some(parse_jobs(operand("a positive integer")?, "--jobs")?),
+            "--trace" => cli.trace_dir = Some(PathBuf::from(operand("a directory")?)),
+            "--metrics" => cli.metrics_dir = Some(PathBuf::from(operand("a directory")?)),
+            "--cache" => cli.cache_dir = Some(PathBuf::from(operand("a directory")?)),
+            "--faults" => {
+                cli.faults = FaultPlan::parse(operand("a fault plan (e.g. loss=0.02@7)")?)
+                    .map_err(|e| format!("--faults: {e}"))?;
             }
-        }
-    };
-    if let Some(i) = args.iter().position(|a| a == "--sim-workers") {
-        match args.get(i + 1) {
-            Some(n) if !n.starts_with("--") => return parse(n, "--sim-workers"),
-            _ => {
-                eprintln!("--sim-workers requires a positive integer or \"auto\"");
-                std::process::exit(2);
+            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
+            name if name == "all" || TABLES.iter().any(|(t, _)| *t == name) => {
+                cli.wanted.push(name.to_string());
             }
+            name => return Err(format!("unknown table {name:?}")),
         }
     }
-    if let Ok(n) = std::env::var("VOPP_SIM_WORKERS") {
-        return parse(&n, "VOPP_SIM_WORKERS");
+    if cli.wanted.is_empty() && !cli.racecheck {
+        return Err("no table named".to_string());
     }
-    1
+    Ok(cli)
+}
+
+/// Refuse the command line: the reason, the usage text, exit code 2.
+fn usage_exit(reason: &str) -> ! {
+    eprintln!("tables: {reason}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let racecheck = args.iter().any(|a| a == "--racecheck");
-    let critpath = args.iter().any(|a| a == "--critpath");
-    let jobs = jobs_from(&args);
-    // Intra-run parallel kernel width for every simulation this process
-    // runs. Composes freely with --jobs: --jobs parallelizes across cells,
-    // --sim-workers inside each one; artifacts are byte-identical for any
-    // combination. The race-checker suite always forces its own runs
-    // sequential (see `vopp_dsm::ClusterConfig::sim_workers`).
-    vopp_sim::set_sim_workers_default(sim_workers_from(&args));
-    let dir_flag = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .map(|i| match args.get(i + 1) {
-                Some(dir) if !dir.starts_with("--") => PathBuf::from(dir),
-                _ => {
-                    eprintln!("{flag} requires a directory argument");
-                    std::process::exit(2);
-                }
-            })
-    };
-    let trace_dir = dir_flag("--trace");
-    let metrics_dir = dir_flag("--metrics");
-    let mut cache_dir = dir_flag("--cache");
-    let faults = match args.iter().position(|a| a == "--faults") {
-        None => FaultPlan::default(),
-        Some(i) => match args.get(i + 1) {
-            Some(spec) if !spec.starts_with("--") => match FaultPlan::parse(spec) {
-                Ok(plan) => plan,
-                Err(e) => {
-                    eprintln!("--faults: {e}");
-                    std::process::exit(2);
-                }
-            },
-            _ => {
-                eprintln!("--faults requires a fault-plan argument (e.g. loss=0.02@7)");
-                std::process::exit(2);
-            }
-        },
+    let Cli {
+        quick,
+        json,
+        critpath,
+        racecheck,
+        jobs,
+        trace_dir,
+        metrics_dir,
+        mut cache_dir,
+        faults,
+        wanted,
+    } = parse_cli(&args).unwrap_or_else(|e| usage_exit(&e));
+    let jobs = match (jobs, std::env::var("VOPP_JOBS")) {
+        (Some(n), _) => n,
+        (None, Ok(v)) => parse_jobs(&v, "VOPP_JOBS").unwrap_or_else(|e| usage_exit(&e)),
+        (None, Err(_)) => std::thread::available_parallelism().map_or(1, usize::from),
     };
     if cache_dir.is_some() && trace_dir.is_some() {
         eprintln!("[cache: disabled — --trace requires simulating every cell]");
@@ -199,29 +205,7 @@ fn main() {
         eprintln!("[cache: disabled — --critpath requires simulating every cell]");
         cache_dir = None;
     }
-    let wanted: Vec<&str> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            // Skip flags and the --trace/--metrics/--jobs/--cache/--faults
-            // operands.
-            !a.starts_with("--")
-                && !matches!(args.get(i.wrapping_sub(1)),
-                    Some(prev) if prev == "--trace" || prev == "--metrics"
-                        || prev == "--jobs" || prev == "--cache"
-                        || prev == "--faults" || prev == "--sim-workers")
-        })
-        .map(|(_, s)| s.as_str())
-        .collect();
-    if wanted.is_empty() && !racecheck {
-        eprintln!(
-            "usage: tables [--quick] [--json] [--jobs N] [--sim-workers N|auto] [--trace DIR] \
-             [--metrics DIR] [--cache DIR] [--faults PLAN] [--critpath] [--racecheck] \
-             (all | table1 .. table9 | ext | serve | scaling | netgen)*"
-        );
-        std::process::exit(2);
-    }
-    if racecheck && wanted.is_empty() {
+    if wanted.is_empty() {
         run_racecheck_suite();
         return;
     }
@@ -237,27 +221,10 @@ fn main() {
         critpath,
         trace_evictions: Default::default(),
     };
-    type TableFn = fn(&Scale) -> Table;
-    let table_fns: Vec<(&str, TableFn)> = vec![
-        ("table1", tables::table1),
-        ("table2", tables::table2),
-        ("table3", tables::table3),
-        ("table4", tables::table4),
-        ("table5", tables::table5),
-        ("table6", tables::table6),
-        ("table7", tables::table7),
-        ("table8", tables::table8),
-        ("table9", tables::table9),
-        ("ext", tables::table_ext),
-        ("serve", tables::table_serve),
-        ("scaling", tables::table_scaling),
-        ("netgen", tables::table_netgen),
-    ];
-    let run_all = wanted.contains(&"all");
-    let opt_in = ["ext", "serve", "scaling", "netgen"];
-    let selected: Vec<(&str, TableFn)> = table_fns
+    let run_all = wanted.iter().any(|w| w == "all");
+    let selected: Vec<(&str, TableFn)> = TABLES
         .into_iter()
-        .filter(|(name, _)| (run_all && !opt_in.contains(name)) || wanted.contains(name))
+        .filter(|(name, _)| (run_all && !OPT_IN.contains(name)) || wanted.iter().any(|w| w == name))
         .collect();
 
     // Precompute every selected cell on the worker pool; the table

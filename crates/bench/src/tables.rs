@@ -52,7 +52,7 @@ pub struct Scale {
     /// fails the gate).
     pub net_override: Option<NetConfig>,
     /// Run on a named network generation instead of the default (the
-    /// paper's 100 Mbps testbed). Set per-cell by [`execute_cell`] from
+    /// paper's 100 Mbps testbed). Set per-cell by `execute_cell` from
     /// [`CellSpec::netgen`]; takes precedence over `net_override` and
     /// folds its label into trace/critpath file stems so netgen artifacts
     /// never collide with the paper tables'.
@@ -1371,9 +1371,8 @@ fn scaling_run(
 
 /// Scale-out table (not in the paper): IS, Gauss and SOR at 64 and 128
 /// nodes on the paper's baseline (LRC_d), home-based LRC and the headline
-/// VOPP protocol (VC_sd). This is the regime ROADMAP item 2 targets —
-/// and the one where conservative-lookahead windows are dense enough for
-/// `--sim-workers` to pay off (docs/PERFORMANCE.md §7).
+/// VOPP protocol (VC_sd): the heaviest cells of the quick sweep, and the
+/// rig for host-performance work on the kernel (ROADMAP item 2).
 pub fn table_scaling(scale: &Scale) -> Table {
     scale.begin_table("scaling");
     let procs = scale.scaling_procs();

@@ -57,18 +57,6 @@ pub struct ClusterConfig {
     ///
     /// [`RunStats::crit`]: crate::RunStats::crit
     pub profiler: Option<Arc<vopp_trace::CausalProfiler>>,
-    /// Intra-run parallel kernel width: how many event-loop workers the
-    /// simulation kernel may use for this run (`0`, the default, inherits
-    /// the process-wide setting, see [`vopp_sim::set_sim_workers_default`];
-    /// [`vopp_sim::SIM_WORKERS_AUTO`] sizes the pool from the host and
-    /// engages it adaptively by event density).
-    /// Any value produces byte-identical results, statistics, traces, and
-    /// critical paths — the kernel only parallelizes causally independent
-    /// windows and merges them in virtual-time order. Ignored (forced to 1)
-    /// when a race checker is attached: the checker observes accesses in
-    /// wall-clock callback order, which only the sequential kernel keeps
-    /// deterministic.
-    pub sim_workers: usize,
 }
 
 impl ClusterConfig {
@@ -85,7 +73,6 @@ impl ClusterConfig {
             racecheck: None,
             faults: FaultPlan::none(),
             profiler: None,
-            sim_workers: 0,
         }
     }
 
@@ -148,14 +135,6 @@ where
     }
     let net_stats = model.stats_handle();
     let mut sim = Sim::new(n, Box::new(model));
-    if cfg.sim_workers > 0 {
-        sim.set_workers(cfg.sim_workers);
-    }
-    if cfg.racecheck.is_some() {
-        // The checker sees accesses in callback (wall-clock) order; only the
-        // sequential kernel makes that order a pure function of the seed.
-        sim.set_workers(1);
-    }
     if let Some(tr) = &cfg.tracer {
         sim.set_tracer(tr.clone());
     }

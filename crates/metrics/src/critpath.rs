@@ -20,7 +20,7 @@
 //! Every step moves the time cursor to exactly where the next record ends,
 //! so the segments telescope: their lengths sum to the makespan *exactly*
 //! (debug-asserted). Blame refinement joins each segment against the DSM
-//! layer's [`OpSpan`] annotations by interval containment, yielding the
+//! layer's [`vopp_trace::OpSpan`] annotations by interval containment, yielding the
 //! `(node, category, protocol-op, object)` tuple per nanosecond.
 //!
 //! What-if estimators follow from the path by an exchange argument: if all

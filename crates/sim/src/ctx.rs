@@ -49,7 +49,7 @@ impl<'a> AppCtx<'a> {
 
     /// Current virtual time on this process's clock.
     pub fn now(&self) -> SimTime {
-        self.shared.lock_proc(self.me).pi(self.me).clock
+        self.shared.sched.lock().procs[self.me].clock
     }
 
     /// Spend `d` of virtual CPU time. Service packets arriving during the
@@ -58,10 +58,10 @@ impl<'a> AppCtx<'a> {
         if d == SimDuration::ZERO {
             return;
         }
-        let mut s = self.shared.lock_proc(self.me);
-        let at = s.pi(self.me).clock + d;
+        let mut s = self.shared.sched.lock();
+        let at = s.procs[self.me].clock + d;
         s.push_event(at, Event::Resume(self.me));
-        s.pi_mut(self.me).phase = Phase::BlockedResume;
+        s.procs[self.me].phase = Phase::BlockedResume;
         self.shared.yield_and_wait(self.me, &mut s);
     }
 
@@ -82,8 +82,8 @@ impl<'a> AppCtx<'a> {
         tag: u64,
         payload: Payload,
     ) {
-        let mut s = self.shared.lock_proc(self.me);
-        let now = s.pi(self.me).clock;
+        let mut s = self.shared.sched.lock();
+        let now = s.procs[self.me].clock;
         let mut pkt = Packet::new(self.me, wire_bytes, class, tag, payload);
         if let Some(p) = &s.profiler {
             pkt.cause = p.cur_ctx();
@@ -102,19 +102,18 @@ impl<'a> AppCtx<'a> {
     /// without CPU involvement and are only observed by an explicit
     /// [`AppCtx::poll_one_sided`].
     pub fn recv_filter(&self, want: impl Fn(&Packet) -> bool) -> Packet {
-        let mut s = self.shared.lock_proc(self.me);
+        let mut s = self.shared.sched.lock();
         loop {
-            if let Some(pos) = s
-                .pi(self.me)
+            if let Some(pos) = s.procs[self.me]
                 .mailbox
                 .iter()
                 .position(|p| p.class != DeliveryClass::OneSided && want(p))
             {
-                let pkt = s.pi_mut(self.me).mailbox.remove(pos).unwrap();
-                shrink_if_drained(&mut s.pi_mut(self.me).mailbox);
+                let pkt = s.procs[self.me].mailbox.remove(pos).unwrap();
+                shrink_if_drained(&mut s.procs[self.me].mailbox);
                 return pkt;
             }
-            s.pi_mut(self.me).phase = Phase::WaitRecv { deadline: None };
+            s.procs[self.me].phase = Phase::WaitRecv { deadline: None };
             self.shared.yield_and_wait(self.me, &mut s);
         }
     }
@@ -126,20 +125,19 @@ impl<'a> AppCtx<'a> {
         d: SimDuration,
         want: impl Fn(&Packet) -> bool,
     ) -> Option<Packet> {
-        let mut s = self.shared.lock_proc(self.me);
-        let deadline = s.pi(self.me).clock + d;
-        let token = s.pi(self.me).next_token;
-        s.pi_mut(self.me).next_token += 1;
+        let mut s = self.shared.sched.lock();
+        let deadline = s.procs[self.me].clock + d;
+        let token = s.procs[self.me].next_token;
+        s.procs[self.me].next_token += 1;
         let mut timer_armed = false;
         loop {
-            if let Some(pos) = s
-                .pi(self.me)
+            if let Some(pos) = s.procs[self.me]
                 .mailbox
                 .iter()
                 .position(|p| p.class != DeliveryClass::OneSided && want(p))
             {
-                let pkt = s.pi_mut(self.me).mailbox.remove(pos).unwrap();
-                shrink_if_drained(&mut s.pi_mut(self.me).mailbox);
+                let pkt = s.procs[self.me].mailbox.remove(pos).unwrap();
+                shrink_if_drained(&mut s.procs[self.me].mailbox);
                 return Some(pkt);
             }
             if !timer_armed {
@@ -152,12 +150,12 @@ impl<'a> AppCtx<'a> {
                 );
                 timer_armed = true;
             }
-            s.pi_mut(self.me).timed_out = false;
-            s.pi_mut(self.me).phase = Phase::WaitRecv {
+            s.procs[self.me].timed_out = false;
+            s.procs[self.me].phase = Phase::WaitRecv {
                 deadline: Some(token),
             };
             self.shared.yield_and_wait(self.me, &mut s);
-            if s.pi(self.me).timed_out {
+            if s.procs[self.me].timed_out {
                 return None;
             }
         }
@@ -170,7 +168,7 @@ impl<'a> AppCtx<'a> {
 
     /// Number of packets currently queued in this process's mailbox.
     pub fn mailbox_len(&self) -> usize {
-        self.shared.lock_proc(self.me).pi(self.me).mailbox.len()
+        self.shared.sched.lock().procs[self.me].mailbox.len()
     }
 
     /// Take the earliest one-sided write from `src` with tag `tag` out of
@@ -179,14 +177,13 @@ impl<'a> AppCtx<'a> {
     /// for — callers know data is present from protocol ordering (a
     /// same-link control message sent after the write arrives after it).
     pub fn poll_one_sided(&self, src: ProcId, tag: u64) -> Option<Packet> {
-        let mut s = self.shared.lock_proc(self.me);
-        let pos = s
-            .pi(self.me)
+        let mut s = self.shared.sched.lock();
+        let pos = s.procs[self.me]
             .mailbox
             .iter()
             .position(|p| p.class == DeliveryClass::OneSided && p.src == src && p.tag == tag)?;
-        let pkt = s.pi_mut(self.me).mailbox.remove(pos).unwrap();
-        shrink_if_drained(&mut s.pi_mut(self.me).mailbox);
+        let pkt = s.procs[self.me].mailbox.remove(pos).unwrap();
+        shrink_if_drained(&mut s.procs[self.me].mailbox);
         Some(pkt)
     }
 
@@ -194,8 +191,8 @@ impl<'a> AppCtx<'a> {
     /// were discarded. Used to drop stale duplicate replies after a
     /// retransmitted request was answered twice.
     pub fn purge_filter(&self, unwanted: impl Fn(&Packet) -> bool) -> usize {
-        let mut s = self.shared.lock_proc(self.me);
-        let mb = &mut s.pi_mut(self.me).mailbox;
+        let mut s = self.shared.sched.lock();
+        let mb = &mut s.procs[self.me].mailbox;
         let before = mb.len();
         mb.retain(|p| !unwanted(p));
         let purged = before - mb.len();
@@ -207,7 +204,7 @@ impl<'a> AppCtx<'a> {
     /// (the DSM runtime) use it to annotate the timeline with protocol
     /// operations; `None` means critical-path recording is off.
     pub fn causal_profiler(&self) -> Option<std::sync::Arc<vopp_trace::CausalProfiler>> {
-        self.shared.lock_proc(self.me).profiler.clone()
+        self.shared.sched.lock().profiler.clone()
     }
 
     /// Whether an enabled tracer is installed. Layers that need to compute
@@ -222,7 +219,7 @@ impl<'a> AppCtx<'a> {
     pub fn trace(&self, kind: vopp_trace::EventKind) {
         if let Some(tr) = &self.shared.tracer {
             if tr.is_enabled() {
-                let now = self.shared.lock_proc(self.me).pi(self.me).clock;
+                let now = self.shared.sched.lock().procs[self.me].clock;
                 tr.record(now.0, self.me, kind);
             }
         }
@@ -272,7 +269,7 @@ impl<'a> SvcCtx<'a> {
         tag: u64,
         payload: Payload,
     ) {
-        let mut s = self.shared.lock_proc(self.me);
+        let mut s = self.shared.sched.lock();
         let mut pkt = Packet::new(self.me, wire_bytes, class, tag, payload);
         if let Some(p) = &s.profiler {
             pkt.cause = p.cur_ctx();
@@ -286,13 +283,12 @@ impl<'a> SvcCtx<'a> {
     /// message sent *after* a same-link one-sided write finds the write
     /// already present (FIFO link ordering).
     pub fn take_one_sided(&mut self, src: ProcId, tag: u64) -> Option<Packet> {
-        let mut s = self.shared.lock_proc(self.me);
-        let pos = s
-            .pi(self.me)
+        let mut s = self.shared.sched.lock();
+        let pos = s.procs[self.me]
             .mailbox
             .iter()
             .position(|p| p.class == DeliveryClass::OneSided && p.src == src && p.tag == tag)?;
-        s.pi_mut(self.me).mailbox.remove(pos)
+        s.procs[self.me].mailbox.remove(pos)
     }
 
     /// Record a trace event at the handled packet's arrival time.

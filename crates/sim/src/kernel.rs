@@ -1,12 +1,11 @@
-//! The discrete-event scheduler: a sequential core plus an optional
-//! conservative-lookahead parallel kernel.
+//! The discrete-event scheduler.
 //!
-//! Every simulated process is backed by an OS thread, but **within one node
-//! group exactly one thread runs at any instant**: an event-loop thread pops
-//! events in `(time, seq)` order and hands control to the corresponding
-//! process thread, then waits for it to block again. This gives
-//! straight-line imperative process code (no hand-written state machines)
-//! while keeping execution fully deterministic.
+//! Every simulated process is backed by an OS thread, but **exactly one
+//! thread runs at any instant**: a controller thread pops events in
+//! `(time, seq)` order and hands control to the corresponding process
+//! thread, then waits for it to block again. This gives straight-line
+//! imperative process code (no hand-written state machines) while keeping
+//! execution fully deterministic.
 //!
 //! Service-class packets are dispatched to a per-process handler *at their
 //! arrival time*, even while the destination's application thread is in the
@@ -36,30 +35,15 @@
 //! scheduler lock only covers the *decision* — `wake_now` marks the next
 //! process runnable — and is released before the baton is handed over, so
 //! the woken thread never runs into a held mutex; it re-locks uncontended,
-//! because one thread of a group runs at a time. When a draining process
-//! pops its own resume or delivery it simply keeps running: no syscall, no
-//! context switch ([`HandoffStats::self_wakes`]). Only the event-loop threads
-//! (controller, group runners) still park on a condition variable, and they
-//! too are notified after the lock is released.
-//!
-//! ## The parallel kernel
-//!
-//! With [`Sim::set_workers`]` > 1` and a network model that exports a
-//! [`NetModel::lookahead`] bound, the run is partitioned into node groups
-//! executed window-by-window in the Chandy–Misra–Bryant style: all events in
-//! `[T, T + lookahead)` are causally independent across groups (any packet
-//! sent inside the window arrives at or after its end), so each group can
-//! execute its slice of the window concurrently. Groups record side effects
-//! into per-group logs which a serial *commit* replays in exact global
-//! `(time, seq)` order — routing every send through the shared network
-//! model, appending to the trace ring, and growing the causal log precisely
-//! as the sequential kernel would have. Every artifact (traces, causal
-//! records, network statistics, RNG-driven drops) is therefore byte-identical
-//! at any worker count; see `window.rs` for the mechanism.
+//! because one thread runs at a time. When a draining process pops its own
+//! resume or delivery it simply keeps running: no syscall, no context switch
+//! ([`HandoffStats::self_wakes`]). Only the controller still parks on a
+//! condition variable, and it too is notified after the lock is released.
 
+use std::any::Any;
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
 
@@ -70,7 +54,6 @@ use crate::net::{NetModel, RouteRequest};
 use crate::packet::{DeliveryClass, Packet};
 use crate::sync::{Condvar, Mutex, MutexGuard};
 use crate::time::{SimDuration, SimTime};
-use crate::window::{self, Action, Doorbell, GroupCell, PushedEv};
 use crate::ProcId;
 
 /// A service-request handler: invoked by the kernel when a [`DeliveryClass::Svc`]
@@ -105,62 +88,6 @@ static TOTAL_VIA_CTL: AtomicU64 = AtomicU64::new(0);
 static TOTAL_SELF_WAKES: AtomicU64 = AtomicU64::new(0);
 /// Process-wide default for [`Sim::set_direct_handoff`].
 static DIRECT_HANDOFF_DEFAULT: AtomicBool = AtomicBool::new(true);
-/// Process-wide default for [`Sim::set_workers`].
-static SIM_WORKERS_DEFAULT: AtomicUsize = AtomicUsize::new(1);
-
-/// Sentinel worker count selecting the event-density-adaptive kernel
-/// (`--sim-workers auto`): the group count is resolved from the host's
-/// available parallelism and the coordinator engages the worker pool only
-/// for windows dense enough to amortize dispatch, tracked by a rolling
-/// events-per-window estimate against [`auto_engage_threshold`]. Sparse
-/// stretches run on the coordinator thread alone, so auto never pays
-/// worker wake-ups where parallelism cannot win.
-pub const SIM_WORKERS_AUTO: usize = usize::MAX;
-
-/// Default events-per-window engage threshold for `auto` mode. Deliberately
-/// conservative: the `parkernel_density` sweep in
-/// `crates/bench/benches/substrate.rs` measures the host's actual crossover
-/// (the lowest density where a 4-worker pool beats sequential) and prints it
-/// next to this default — on hosts where no crossover exists (a single
-/// hardware thread resolves `auto` to sequential before the threshold is
-/// ever consulted) the sweep says so instead. Misjudging high only costs the
-/// parallel win on moderately dense windows; misjudging low pays dispatch
-/// overhead on every sparse window, so the default errs high.
-pub const AUTO_ENGAGE_DEFAULT: u64 = 96;
-
-/// Process-wide engage threshold for `auto` mode, in events per window.
-static AUTO_ENGAGE_THRESHOLD: AtomicU64 = AtomicU64::new(AUTO_ENGAGE_DEFAULT);
-
-/// Set the events-per-window threshold above which `auto` mode dispatches
-/// windows to the worker pool (clamped to at least 1). Exposed for tests
-/// and calibration; the default is [`AUTO_ENGAGE_DEFAULT`].
-pub fn set_auto_engage_threshold(events_per_window: u64) {
-    AUTO_ENGAGE_THRESHOLD.store(events_per_window.max(1), Ordering::Relaxed);
-}
-
-/// The current `auto`-mode engage threshold (events per window).
-pub fn auto_engage_threshold() -> u64 {
-    AUTO_ENGAGE_THRESHOLD.load(Ordering::Relaxed).max(1)
-}
-
-/// Process-wide override for the group count `auto` resolves to
-/// (0 = derive from the host's available parallelism).
-static AUTO_WORKERS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Pin the group count [`SIM_WORKERS_AUTO`] resolves to instead of deriving
-/// it from the host's available parallelism (0 restores host-derived sizing;
-/// larger values are clamped to the same cap as host-derived widths). Any
-/// value yields byte-identical results — this only exists so tests and
-/// calibration runs can exercise the adaptive kernel's engage/disengage
-/// machinery on hosts whose parallelism would resolve `auto` to sequential.
-pub fn set_auto_workers_override(workers: usize) {
-    AUTO_WORKERS_OVERRIDE.store(workers, Ordering::Relaxed);
-}
-
-/// The current `auto`-width override (0 = host-derived).
-pub fn auto_workers_override() -> usize {
-    AUTO_WORKERS_OVERRIDE.load(Ordering::Relaxed)
-}
 
 /// Handoff totals accumulated by every run finished in this process so far.
 pub fn handoff_totals() -> HandoffStats {
@@ -183,158 +110,21 @@ pub fn direct_handoff_default() -> bool {
     DIRECT_HANDOFF_DEFAULT.load(Ordering::Relaxed)
 }
 
-/// Set the process-wide default worker count for new [`Sim`]s (clamped to at
-/// least 1; [`SIM_WORKERS_AUTO`] selects the adaptive kernel). Runs built
-/// afterwards use it unless overridden per run with [`Sim::set_workers`].
-/// Wired to `--sim-workers` / `VOPP_SIM_WORKERS` by the bench CLI.
-pub fn set_sim_workers_default(workers: usize) {
-    let w = if workers == SIM_WORKERS_AUTO {
-        workers
-    } else {
-        workers.max(1)
-    };
-    SIM_WORKERS_DEFAULT.store(w, Ordering::Relaxed);
-}
-
-/// The current process-wide simulation worker-count default
-/// ([`SIM_WORKERS_AUTO`] when the adaptive kernel is selected).
-pub fn sim_workers_default() -> usize {
-    SIM_WORKERS_DEFAULT.load(Ordering::Relaxed).max(1)
-}
-
-/// Number of events-per-window histogram buckets in [`WindowStats::density`]:
-/// bucket `i < 7` counts windows holding `2^i ..= 2^(i+1)-1` events, the
-/// last bucket counts windows of 128 events or more.
-pub const DENSITY_BUCKETS: usize = 8;
-
-/// Intra-run parallel-kernel counters for one run. Wall-clock bookkeeping
-/// only — never part of the virtual-time results.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WindowStats {
-    /// Conservative-lookahead windows executed (0 on sequential runs).
-    pub windows: u64,
-    /// Windows whose events all targeted one group, executed inline on the
-    /// coordinator without logging (the sequential fast path).
-    pub inline_windows: u64,
-    /// Windows executed by two or more groups concurrently.
-    pub parallel_windows: u64,
-    /// Multi-group windows the adaptive kernel ran serially on the
-    /// coordinator thread because the rolling density estimate sat below
-    /// the engage threshold (still deferred + committed; no dispatch).
-    pub serial_windows: u64,
-    /// Events drained into windows.
-    pub window_events: u64,
-    /// Wall time spent executing windows, including coordinator idle while
-    /// the slowest group finishes (the barrier cost).
-    pub exec_ns: u64,
-    /// Wall time spent in the serial commit replay that merges group logs.
-    pub merge_ns: u64,
-    /// Share of `merge_ns` replaying order-sensitive effects (network
-    /// routing, seq assignment, backlog bookkeeping).
-    pub commit_route_ns: u64,
-    /// Share of `merge_ns` bulk-appending trace/causal records from the
-    /// per-group record logs.
-    pub commit_append_ns: u64,
-    /// Window dispatches a worker observed while still spinning (cheap).
-    pub spin_hits: u64,
-    /// Window dispatches a worker observed only after parking (an OS wake).
-    pub park_wakes: u64,
-    /// Events-per-window histogram; see [`DENSITY_BUCKETS`].
-    pub density: [u64; DENSITY_BUCKETS],
-    /// Runs that requested workers but fell back to sequential (no lookahead
-    /// bound, or one below the floor).
-    pub fallback_runs: u64,
-}
-
-impl WindowStats {
-    /// The histogram bucket a window with `events` events lands in.
-    pub fn density_bucket(events: u64) -> usize {
-        (63 - (events.max(1).leading_zeros() as usize).min(63)).min(DENSITY_BUCKETS - 1)
-    }
-}
-
-static TOTAL_WINDOWS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_INLINE_WINDOWS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_PAR_WINDOWS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_SERIAL_WINDOWS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_WINDOW_EVENTS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_EXEC_NS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_MERGE_NS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_ROUTE_NS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_APPEND_NS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_SPIN_HITS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_PARK_WAKES: AtomicU64 = AtomicU64::new(0);
-static TOTAL_DENSITY: [AtomicU64; DENSITY_BUCKETS] = [const { AtomicU64::new(0) }; DENSITY_BUCKETS];
-static TOTAL_FALLBACK_RUNS: AtomicU64 = AtomicU64::new(0);
-
-/// Parallel-kernel totals accumulated by every run finished in this process.
-pub fn window_totals() -> WindowStats {
-    WindowStats {
-        windows: TOTAL_WINDOWS.load(Ordering::Relaxed),
-        inline_windows: TOTAL_INLINE_WINDOWS.load(Ordering::Relaxed),
-        parallel_windows: TOTAL_PAR_WINDOWS.load(Ordering::Relaxed),
-        serial_windows: TOTAL_SERIAL_WINDOWS.load(Ordering::Relaxed),
-        window_events: TOTAL_WINDOW_EVENTS.load(Ordering::Relaxed),
-        exec_ns: TOTAL_EXEC_NS.load(Ordering::Relaxed),
-        merge_ns: TOTAL_MERGE_NS.load(Ordering::Relaxed),
-        commit_route_ns: TOTAL_ROUTE_NS.load(Ordering::Relaxed),
-        commit_append_ns: TOTAL_APPEND_NS.load(Ordering::Relaxed),
-        spin_hits: TOTAL_SPIN_HITS.load(Ordering::Relaxed),
-        park_wakes: TOTAL_PARK_WAKES.load(Ordering::Relaxed),
-        density: std::array::from_fn(|i| TOTAL_DENSITY[i].load(Ordering::Relaxed)),
-        fallback_runs: TOTAL_FALLBACK_RUNS.load(Ordering::Relaxed),
-    }
-}
-
-fn add_window_totals(w: &WindowStats) {
-    TOTAL_WINDOWS.fetch_add(w.windows, Ordering::Relaxed);
-    TOTAL_INLINE_WINDOWS.fetch_add(w.inline_windows, Ordering::Relaxed);
-    TOTAL_PAR_WINDOWS.fetch_add(w.parallel_windows, Ordering::Relaxed);
-    TOTAL_SERIAL_WINDOWS.fetch_add(w.serial_windows, Ordering::Relaxed);
-    TOTAL_WINDOW_EVENTS.fetch_add(w.window_events, Ordering::Relaxed);
-    TOTAL_EXEC_NS.fetch_add(w.exec_ns, Ordering::Relaxed);
-    TOTAL_MERGE_NS.fetch_add(w.merge_ns, Ordering::Relaxed);
-    TOTAL_ROUTE_NS.fetch_add(w.commit_route_ns, Ordering::Relaxed);
-    TOTAL_APPEND_NS.fetch_add(w.commit_append_ns, Ordering::Relaxed);
-    TOTAL_SPIN_HITS.fetch_add(w.spin_hits, Ordering::Relaxed);
-    TOTAL_PARK_WAKES.fetch_add(w.park_wakes, Ordering::Relaxed);
-    for (total, n) in TOTAL_DENSITY.iter().zip(w.density) {
-        total.fetch_add(n, Ordering::Relaxed);
-    }
-    TOTAL_FALLBACK_RUNS.fetch_add(w.fallback_runs, Ordering::Relaxed);
-}
-
 pub(crate) enum Event {
     Resume(ProcId),
     Deliver { dst: ProcId, pkt: Packet },
     Timer { dst: ProcId, token: u64 },
 }
 
-impl Event {
-    /// The process an event is executed on behalf of (used to bucket events
-    /// into node groups).
-    pub(crate) fn target(&self) -> ProcId {
-        match self {
-            Event::Resume(p) => *p,
-            Event::Deliver { dst, .. } => *dst,
-            Event::Timer { dst, .. } => *dst,
-        }
-    }
-}
-
-pub(crate) struct QEntry {
-    pub(crate) at: SimTime,
-    /// Orders global-seq entries (tier 0) before window-local provisional
-    /// entries (tier 1) at equal times. Always 0 on the sequential path, so
-    /// ordering degenerates to the classic `(time, seq)`.
-    pub(crate) tier: u8,
-    pub(crate) seq: u64,
-    pub(crate) ev: Event,
+struct QEntry {
+    at: SimTime,
+    seq: u64,
+    ev: Event,
 }
 
 impl PartialEq for QEntry {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.tier == other.tier && self.seq == other.seq
+        self.at == other.at && self.seq == other.seq
     }
 }
 impl Eq for QEntry {}
@@ -346,7 +136,7 @@ impl PartialOrd for QEntry {
 impl Ord for QEntry {
     // Reversed: BinaryHeap is a max-heap and we want the earliest event first.
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.at, other.tier, other.seq).cmp(&(self.at, self.tier, self.seq))
+        (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
 
@@ -399,224 +189,45 @@ pub struct ProcTimes {
     pub blocked_ns: u64,
 }
 
-/// How a group's scheduler treats side effects right now.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Mode {
-    /// The group owns the shared [`GlobalState`]: sends route immediately,
-    /// traces and causal records go to the shared sinks, event seqs are
-    /// global. The sequential run and single-active-group windows.
-    Inline,
-    /// Two or more groups execute concurrently: side effects append to the
-    /// group's [`Action`] log for the serial commit; in-window events get
-    /// window-local provisional seqs (tier 1).
-    Deferred,
-}
-
-/// State that must be touched in exact global event order: the event-seq
-/// counter, the cross-window future event heap, the network model (RNG and
+/// The scheduler: the one event heap and everything that must be touched in
+/// exact event order — the event-seq counter, the network model (RNG and
 /// link occupancy), and the per-destination delivery backlog the model reads
-/// for overflow decisions. On sequential runs it lives inside the single
-/// group's scheduler; on parallel runs the coordinator holds it between
-/// windows and lends it to the group of a single-active-group window.
-pub(crate) struct GlobalState {
-    pub(crate) seq: u64,
-    pub(crate) future: BinaryHeap<QEntry>,
-    pub(crate) pending_bytes: Vec<usize>,
-    pub(crate) net: Box<dyn NetModel>,
-}
-
-impl GlobalState {
-    /// Push with the next global seq (tier 0).
-    pub(crate) fn push_future(&mut self, at: SimTime, ev: Event) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.future.push(QEntry {
-            at,
-            tier: 0,
-            seq,
-            ev,
-        });
-    }
-}
-
-/// One node group's scheduler. A sequential run is exactly one group with no
-/// window bound and the [`GlobalState`] permanently resident.
+/// for overflow decisions.
 pub(crate) struct Sched {
-    pub(crate) now: SimTime,
+    now: SimTime,
     queue: BinaryHeap<QEntry>,
-    /// This group's processes, indexed by `proc - lo`.
+    seq: u64,
+    /// Wire bytes scheduled for delivery at each process but not yet handed
+    /// over ([`RouteRequest::pending_bytes_at_dst`]).
+    pending_bytes: Vec<usize>,
+    net: Box<dyn NetModel>,
     pub(crate) procs: Vec<ProcInfo>,
-    pub(crate) lo: ProcId,
-    pub(crate) running: Option<ProcId>,
-    pub(crate) live: usize,
-    pub(crate) shutdown: bool,
-    pub(crate) panicked: bool,
+    running: Option<ProcId>,
+    live: usize,
+    shutdown: bool,
+    panicked: bool,
     direct_handoff: bool,
     /// A process thread is inside `try_handoff` — possibly with the lock
-    /// released while it runs a service handler. The event-loop thread must
-    /// stay parked until the drain finishes, even on a spurious condvar wake.
+    /// released while it runs a service handler. The controller must stay
+    /// parked until the drain finishes, even on a spurious condvar wake.
     draining: bool,
-    pub(crate) handoff: HandoffStats,
-    pub(crate) mode: Mode,
-    /// Exclusive upper bound of the current window; `None` = unbounded
-    /// (sequential run).
-    pub(crate) t_end: Option<SimTime>,
-    /// Window-local seq counter for tier-1 entries (deferred mode).
-    local_seq: u64,
-    /// The model's exact self-delivery latency (deferred-mode loopbacks are
-    /// predicted locally and re-verified at commit). Unused sequentially.
-    loopback: SimDuration,
-    pub(crate) global: Option<GlobalState>,
-    /// The group's side-effect log + provisional causal-id state; the same
-    /// `Arc` is installed as the thread-local sink on the group's threads.
-    pub(crate) cell: Arc<GroupCell>,
-    pub(crate) tracer: Option<Arc<Tracer>>,
+    handoff: HandoffStats,
+    tracer: Option<Arc<Tracer>>,
     /// Causal-edge recorder for the critical-path profiler; pure
     /// observation — `None` costs one pointer test per wake/send.
     pub(crate) profiler: Option<Arc<CausalProfiler>>,
 }
 
 impl Sched {
-    #[inline]
-    pub(crate) fn pi(&self, p: ProcId) -> &ProcInfo {
-        &self.procs[p - self.lo]
-    }
-
-    #[inline]
-    pub(crate) fn pi_mut(&mut self, p: ProcId) -> &mut ProcInfo {
-        &mut self.procs[p - self.lo]
-    }
-
-    #[inline]
-    fn owns(&self, p: ProcId) -> bool {
-        p >= self.lo && p < self.lo + self.procs.len()
-    }
-
-    #[inline]
-    fn in_window(&self, at: SimTime) -> bool {
-        self.t_end.is_none_or(|te| at < te)
-    }
-
-    /// Coordinator-side: arm a window on this group, seeding its queue with
-    /// the bucketed events (already carrying their global seqs).
-    pub(crate) fn open_window(&mut self, mode: Mode, t_end: SimTime, bucket: &mut Vec<QEntry>) {
-        debug_assert!(self.queue.is_empty(), "window opened over a live queue");
-        self.mode = mode;
-        self.t_end = Some(t_end);
-        self.local_seq = 0;
-        for e in bucket.drain(..) {
-            self.queue.push(e);
-        }
-    }
-
-    /// Coordinator-side: drop the window bounds once the group has parked.
-    pub(crate) fn close_window(&mut self) {
-        self.mode = Mode::Inline;
-        self.t_end = None;
-    }
-
-    /// Whether the group's queue is exhausted (window complete).
-    pub(crate) fn window_drained(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Pop the earliest event if it falls inside the current window.
-    pub(crate) fn pop_due(&mut self) -> Option<QEntry> {
-        if let (Some(te), Some(head)) = (self.t_end, self.queue.peek()) {
-            if head.at >= te {
-                return None;
-            }
-        }
-        self.queue.pop()
-    }
-
-    /// Log the start of an event execution so the commit replay can align
-    /// the group's action log with the global event order.
-    pub(crate) fn note_begin(&self, entry: &QEntry) {
-        if self.mode == Mode::Deferred {
-            self.cell.begin_event(entry.at);
-        }
-    }
-
-    /// Deliver-event bookkeeping: the destination's backlog shrinks.
-    /// One-sided deliveries never enter the backlog (preposted buffers, not
-    /// the receive queue), so callers skip this for them.
-    pub(crate) fn note_deliver_pop(&mut self, dst: ProcId, wire_bytes: usize) {
-        match self.mode {
-            Mode::Inline => {
-                let g = self
-                    .global
-                    .as_mut()
-                    .expect("inline group owns global state");
-                g.pending_bytes[dst] -= wire_bytes;
-            }
-            Mode::Deferred => self.cell.push(Action::DeliverPop { dst, wire_bytes }),
-        }
-    }
-
     pub(crate) fn push_event(&mut self, at: SimTime, ev: Event) {
         debug_assert!(
             at >= self.now,
             "event scheduled in the past: {at} < now {}",
             self.now
         );
-        match self.mode {
-            Mode::Inline => {
-                let in_win = self.in_window(at);
-                debug_assert!(
-                    !in_win || self.owns(ev.target()),
-                    "in-window event targets a foreign group"
-                );
-                let g = self
-                    .global
-                    .as_mut()
-                    .expect("inline group owns global state");
-                let seq = g.seq;
-                g.seq += 1;
-                let e = QEntry {
-                    at,
-                    tier: 0,
-                    seq,
-                    ev,
-                };
-                if in_win {
-                    self.queue.push(e);
-                } else {
-                    g.future.push(e);
-                }
-            }
-            Mode::Deferred => {
-                match &ev {
-                    Event::Resume(p) => self.cell.push(Action::Push {
-                        at,
-                        ev: PushedEv::Resume(*p),
-                    }),
-                    Event::Timer { dst, token } => self.cell.push(Action::Push {
-                        at,
-                        ev: PushedEv::Timer {
-                            dst: *dst,
-                            token: *token,
-                        },
-                    }),
-                    // In-window loopback deliveries: `submit_send` already
-                    // logged the send; the commit re-routes it.
-                    Event::Deliver { .. } => {}
-                }
-                if self.in_window(at) {
-                    debug_assert!(self.owns(ev.target()));
-                    let seq = self.local_seq;
-                    self.local_seq += 1;
-                    self.queue.push(QEntry {
-                        at,
-                        tier: 1,
-                        seq,
-                        ev,
-                    });
-                }
-                // Out-of-window events exist only in the log; the commit
-                // assigns their global seq and pushes them to the future.
-            }
-        }
+        let seq = self.seq;
+        self.seq += 1;
+        self.queue.push(QEntry { at, seq, ev });
     }
 
     /// Route a packet through the network model and schedule its delivery.
@@ -633,86 +244,39 @@ impl Sched {
                 },
             );
         }
-        match self.mode {
-            Mode::Inline => {
-                let g = self
-                    .global
-                    .as_mut()
-                    .expect("inline group owns global state");
-                let one_sided = pkt.class == DeliveryClass::OneSided;
-                let req = RouteRequest {
-                    now,
-                    src: pkt.src,
-                    dst,
-                    wire_bytes: pkt.wire_bytes,
-                    pending_bytes_at_dst: g.pending_bytes[dst],
-                    reliable: one_sided,
-                };
-                if let Some(at) = g.net.route(req) {
-                    // One-sided writes land in preposted buffers, not the
-                    // receive queue, so they add no overflow occupancy.
-                    if !one_sided {
-                        g.pending_bytes[dst] += pkt.wire_bytes;
-                    }
-                    self.push_event(at.max(now), Event::Deliver { dst, pkt });
-                }
+        let one_sided = pkt.class == DeliveryClass::OneSided;
+        let req = RouteRequest {
+            now,
+            src: pkt.src,
+            dst,
+            wire_bytes: pkt.wire_bytes,
+            pending_bytes_at_dst: self.pending_bytes[dst],
+            reliable: one_sided,
+        };
+        if let Some(at) = self.net.route(req) {
+            // One-sided writes land in preposted buffers, not the receive
+            // queue, so they add no overflow occupancy.
+            if !one_sided {
+                self.pending_bytes[dst] += pkt.wire_bytes;
             }
-            Mode::Deferred => {
-                // Routing reads global state (RNG, link occupancy, backlog)
-                // and must run in exact global send order: defer it to the
-                // commit. Only a loopback is predictable locally — it is
-                // exact, lossless, and touches no shared routing state
-                // (the `loopback_latency` contract) — and only a loopback
-                // can land inside the window (cross-node deliveries are
-                // bounded below by the lookahead, the window length).
-                let loopback = pkt.src == dst;
-                self.cell.log_send(now, dst, pkt.clone());
-                if loopback {
-                    let at = now + self.loopback;
-                    if self.in_window(at) {
-                        self.push_event(at, Event::Deliver { dst, pkt });
-                    }
-                }
-            }
+            self.push_event(at.max(now), Event::Deliver { dst, pkt });
         }
     }
 }
 
-/// One node group: its scheduler, the condvar its event-loop thread (the
-/// controller sequentially, the group runner in parallel mode) parks on
-/// *during* a window, the lock-free dispatch slot its runner watches
-/// *between* windows, and the side-effect cell shared with the thread-local
-/// sinks.
-pub(crate) struct Group {
-    pub(crate) sched: Mutex<Sched>,
-    pub(crate) ctl_cv: Condvar,
-    pub(crate) cell: Arc<GroupCell>,
-    pub(crate) bell: Doorbell,
-}
-
-/// Parallel-window completion barrier: dispatched-but-unfinished group
-/// count, decremented lock-free by finishing runners; the last one unparks
-/// the coordinator.
-pub(crate) struct WinSync {
-    pub(crate) pending: AtomicUsize,
-    /// First service-handler panic raised on a runner thread; rethrown by
-    /// the coordinator once every window participant has parked.
-    pub(crate) svc_panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
-
 /// One process thread's wake token. Whoever marks process `p` runnable
-/// (`Sched::running = Some(p)`, under the group's scheduler lock) hands `p`
-/// its baton *after releasing that lock*, so `p` never wakes into a held
-/// mutex; `p` parks on its own baton with the lock released and re-locks —
-/// uncontended, one thread of a group runs at a time — once it is handed
-/// back. The token is sticky: a hand that lands before the wait makes the
-/// wait return at once, so no wake-up can be lost between the waker's unlock
-/// and the wakee's park.
+/// (`Sched::running = Some(p)`, under the scheduler lock) hands `p` its
+/// baton *after releasing that lock*, so `p` never wakes into a held mutex;
+/// `p` parks on its own baton with the lock released and re-locks —
+/// uncontended, one thread runs at a time — once it is handed back. The
+/// token is sticky: a hand that lands before the wait makes the wait return
+/// at once, so no wake-up can be lost between the waker's unlock and the
+/// wakee's park.
 #[derive(Default)]
 pub(crate) struct Baton {
     /// Set by [`Baton::hand`], consumed by [`Baton::wait`]. The flag
     /// publishes no data of its own — scheduler state is only ever read
-    /// under the group mutex, after the wait returns — so Release/Acquire
+    /// under the scheduler mutex, after the wait returns — so Release/Acquire
     /// merely orders the hand-off after the waker's unlock.
     go: AtomicBool,
     /// The process's OS thread, registered by [`Sim::run`] right after the
@@ -741,49 +305,45 @@ impl Baton {
     }
 }
 
-/// Shared kernel state: the per-group schedulers, the condition variable
-/// each group's event-loop thread parks on, and the per-process batons the
-/// process threads park on.
+/// A service handler's panic payload, carried to whoever re-raises it.
+type Panic = Box<dyn Any + Send>;
+
+/// What executing one event asks of the thread that popped it.
+enum Step {
+    /// The event woke this process ([`Shared::wake_now`] has marked it
+    /// runnable); the caller hands it the baton.
+    Woke(ProcId),
+    /// A service handler ran, with the scheduler lock released meanwhile;
+    /// `Err` is its panic payload.
+    Handler(Result<(), Panic>),
+    /// Nothing to wake: a stale timer, a resume of a finished process, a
+    /// delivery nobody was blocked on.
+    Nothing,
+}
+
+/// Shared kernel state: the scheduler, the condition variable the controller
+/// parks on, and the per-process batons the process threads park on.
 pub(crate) struct Shared {
-    pub(crate) groups: Vec<Group>,
-    /// Group index of each process.
-    pub(crate) group_of: Vec<usize>,
+    pub(crate) sched: Mutex<Sched>,
+    ctl_cv: Condvar,
     batons: Vec<Baton>,
     pub(crate) nprocs: usize,
-    pub(crate) win: WinSync,
     /// Service handlers, shared so whichever thread pops a `Svc` delivery —
-    /// the event loop or a draining process thread — can run it. A handler is
+    /// the controller or a draining process thread — can run it. A handler is
     /// taken out of its slot for the duration of the call; event execution is
-    /// serialized per group (`running`/`draining`) and a process belongs to
-    /// exactly one group, so the slot is never contended.
+    /// serialized (`running`/`draining`), so the slot is never contended.
     handlers: Mutex<Vec<Option<Handler>>>,
     /// Same tracer as `Sched::tracer`, duplicated outside the mutex so the
-    /// disabled path is a pointer test without taking a scheduler lock.
+    /// disabled path is a pointer test without taking the scheduler lock.
     pub(crate) tracer: Option<Arc<Tracer>>,
 }
 
 impl Shared {
-    #[inline]
-    pub(crate) fn group_ix(&self, p: ProcId) -> usize {
-        self.group_of[p]
-    }
-
-    #[inline]
-    pub(crate) fn group(&self, p: ProcId) -> &Group {
-        &self.groups[self.group_of[p]]
-    }
-
-    /// Lock the scheduler of the group owning process `p`.
-    #[inline]
-    pub(crate) fn lock_proc(&self, p: ProcId) -> MutexGuard<'_, Sched> {
-        self.group(p).sched.lock()
-    }
-
     /// Called from a process thread: yield control and wait until it is
     /// handed back. The caller must already have set its own phase to the
     /// blocked state it wants. If a queued event wakes a process, control
-    /// transfers directly; the group's event loop is only notified when the
-    /// drain cannot continue (empty window, shutdown, or handoff disabled).
+    /// transfers directly; the controller is only notified when the drain
+    /// cannot continue (empty queue, shutdown, or handoff disabled).
     ///
     /// The OS-level hand-off sits at the futex floor: the drain only *marks*
     /// the next process runnable; if that process is the caller itself it
@@ -794,19 +354,18 @@ impl Shared {
     pub(crate) fn yield_and_wait<'a>(&'a self, me: ProcId, s: &mut MutexGuard<'a, Sched>) {
         debug_assert_eq!(s.running, Some(me));
         s.running = None;
-        self.try_handoff(me, s);
+        self.try_handoff(s);
         let next = s.running;
         if next == Some(me) {
             s.handoff.self_wakes += 1;
             return;
         }
-        let grp = self.group(me);
-        grp.sched.unlocked(s, || {
+        self.sched.unlocked(s, || {
             match next {
                 Some(p) => self.batons[p].hand(),
-                // The event loop re-checks its parking condition under the
+                // The controller re-checks its parking condition under the
                 // lock, so notifying after the unlock cannot lose the wake.
-                None => grp.ctl_cv.notify_one(),
+                None => self.ctl_cv.notify_one(),
             }
             self.batons[me].wait();
         });
@@ -816,131 +375,128 @@ impl Shared {
             debug_assert!(s.shutdown, "proc {me} handed the baton without a wake");
             panic!("simulation shut down while proc {me} was blocked");
         }
-        debug_assert_eq!(s.pi(me).phase, Phase::Running);
+        debug_assert_eq!(s.procs[me].phase, Phase::Running);
     }
 
-    /// Drain the group's event queue — in exactly the order the event loop
-    /// would, advancing virtual time and running service handlers the same
-    /// way — until an event wakes a process, which leaves `Sched::running`
-    /// set (the event loop stays parked). `running` stays `None` if the event
-    /// loop must take over: the window is exhausted, handoff is disabled, or
-    /// the run is shutting down.
+    /// Drain the event queue — in exactly the order the controller would,
+    /// advancing virtual time and running service handlers the same way —
+    /// until an event wakes a process, which leaves `Sched::running` set (the
+    /// controller stays parked). `running` stays `None` if the controller
+    /// must take over: the queue is empty, handoff is disabled, or the run is
+    /// shutting down.
     ///
     /// Advancing `now` and running handlers from a process thread is safe:
-    /// event execution is serialized per group by `Sched::draining` (set
-    /// here, checked by the event loop's parking loop), and the event loop
-    /// only reads scheduler state after reacquiring the lock.
-    fn try_handoff<'a>(&'a self, me: ProcId, s: &mut MutexGuard<'a, Sched>) {
+    /// event execution is serialized by `Sched::draining` (set here, checked
+    /// by the controller's parking loop), and the controller only reads
+    /// scheduler state after reacquiring the lock.
+    fn try_handoff<'a>(&'a self, s: &mut MutexGuard<'a, Sched>) {
         if !s.direct_handoff || s.panicked || s.shutdown {
             return;
         }
         s.draining = true;
-        self.drain(me, s);
+        while let Some(step) = self.step(s) {
+            match step {
+                Step::Woke(_) => {
+                    s.handoff.direct += 1;
+                    break;
+                }
+                // Propagate on this thread: the process-exit path records it
+                // as the first panic and the run shuts down.
+                Step::Handler(Err(e)) => std::panic::resume_unwind(e),
+                Step::Handler(Ok(())) if s.panicked || s.shutdown => break,
+                Step::Handler(Ok(())) | Step::Nothing => {}
+            }
+        }
         s.draining = false;
     }
 
-    /// The loop body of [`Shared::try_handoff`]; `Sched::draining` is set.
-    fn drain<'a>(&'a self, me: ProcId, s: &mut MutexGuard<'a, Sched>) {
-        loop {
-            let Some(entry) = s.pop_due() else {
-                return;
-            };
-            debug_assert!(entry.at >= s.now, "event queue went backwards");
-            s.now = entry.at;
-            s.note_begin(&entry);
-            match entry.ev {
-                Event::Resume(p) => match s.pi(p).phase {
-                    Phase::Startup | Phase::BlockedResume => {
-                        self.wake_now(s, p, entry.at, NO_CTX);
-                        s.handoff.direct += 1;
-                        return;
-                    }
-                    Phase::Finished => {}
-                    ref ph => unreachable!("resume for proc {p} in phase {ph:?}"),
-                },
-                Event::Deliver { dst, mut pkt } => {
-                    if pkt.class != DeliveryClass::OneSided {
-                        s.note_deliver_pop(dst, pkt.wire_bytes);
-                    }
-                    pkt.arrived = entry.at;
-                    if let Some(tr) = &s.tracer {
-                        tr.record(
-                            entry.at.0,
-                            dst,
-                            EventKind::NetRecv {
-                                src: pkt.src,
-                                wire_bytes: pkt.wire_bytes as u64,
-                                tag: pkt.tag,
-                            },
-                        );
-                    }
-                    match pkt.class {
-                        DeliveryClass::Svc => {
-                            if let Err(e) = self.dispatch_svc(me, s, dst, pkt, entry.at) {
-                                // Propagate on this thread: the process-exit
-                                // path records it as the first panic and the
-                                // run shuts down.
-                                std::panic::resume_unwind(e);
-                            }
-                            if s.panicked || s.shutdown {
-                                return;
-                            }
-                        }
-                        DeliveryClass::App => {
-                            let cause = pkt.cause;
-                            s.pi_mut(dst).mailbox.push_back(pkt);
-                            if matches!(s.pi(dst).phase, Phase::WaitRecv { .. }) {
-                                self.wake_now(s, dst, entry.at, cause);
-                                s.handoff.direct += 1;
-                                return;
-                            }
-                        }
-                        // One-sided write: lands in the preposted buffer with
-                        // no remote CPU involvement — no handler dispatch, no
-                        // wake of a blocked receiver.
-                        DeliveryClass::OneSided => {
-                            s.pi_mut(dst).mailbox.push_back(pkt);
-                        }
-                    }
+    /// Pop the earliest event and execute it: the one body the controller
+    /// and a draining process thread share, so the two cannot disagree on
+    /// event order, trace order or a clock advance. `None` means the queue
+    /// is empty.
+    fn step<'a>(&'a self, s: &mut MutexGuard<'a, Sched>) -> Option<Step> {
+        let QEntry { at, ev, .. } = s.queue.pop()?;
+        debug_assert!(at >= s.now, "event queue went backwards");
+        s.now = at;
+        let (dst, cause) = match ev {
+            Event::Resume(p) => match s.procs[p].phase {
+                Phase::Startup | Phase::BlockedResume => (p, NO_CTX),
+                Phase::Finished => return Some(Step::Nothing),
+                ref ph => unreachable!("resume for proc {p} in phase {ph:?}"),
+            },
+            Event::Deliver { dst, mut pkt } => {
+                // One-sided deliveries never entered the backlog (preposted
+                // buffers, not the receive queue).
+                if pkt.class != DeliveryClass::OneSided {
+                    s.pending_bytes[dst] -= pkt.wire_bytes;
                 }
-                Event::Timer { dst, token } => {
-                    if s.pi(dst).phase
-                        == (Phase::WaitRecv {
-                            deadline: Some(token),
-                        })
-                    {
-                        s.pi_mut(dst).timed_out = true;
-                        self.wake_now(s, dst, entry.at, NO_CTX);
-                        s.handoff.direct += 1;
-                        return;
+                pkt.arrived = at;
+                if let Some(tr) = &s.tracer {
+                    tr.record(
+                        at.0,
+                        dst,
+                        EventKind::NetRecv {
+                            src: pkt.src,
+                            wire_bytes: pkt.wire_bytes as u64,
+                            tag: pkt.tag,
+                        },
+                    );
+                }
+                match pkt.class {
+                    DeliveryClass::Svc => {
+                        return Some(Step::Handler(self.dispatch_svc(s, dst, pkt, at)));
                     }
-                    // Otherwise the timer is stale (the wait already ended).
+                    DeliveryClass::App => {
+                        let cause = pkt.cause;
+                        s.procs[dst].mailbox.push_back(pkt);
+                        if !matches!(s.procs[dst].phase, Phase::WaitRecv { .. }) {
+                            return Some(Step::Nothing);
+                        }
+                        (dst, cause)
+                    }
+                    // One-sided write: lands in the preposted buffer with no
+                    // remote CPU involvement — no handler dispatch, no wake
+                    // of a blocked receiver.
+                    DeliveryClass::OneSided => {
+                        s.procs[dst].mailbox.push_back(pkt);
+                        return Some(Step::Nothing);
+                    }
                 }
             }
-        }
+            Event::Timer { dst, token } => {
+                let armed = Phase::WaitRecv {
+                    deadline: Some(token),
+                };
+                if s.procs[dst].phase != armed {
+                    // The timer is stale (the wait already ended).
+                    return Some(Step::Nothing);
+                }
+                s.procs[dst].timed_out = true;
+                (dst, NO_CTX)
+            }
+        };
+        self.wake_now(s, dst, at, cause);
+        Some(Step::Woke(dst))
     }
 
     /// Run the `Svc` handler for `dst`, releasing the scheduler lock for the
     /// duration of the call (handlers re-enter the scheduler through
     /// [`SvcCtx`]) and re-acquiring it before returning. Returns the
-    /// handler's panic payload, if any. `locked` is any process of the group
-    /// whose scheduler `s` guards (the handler's own group).
-    pub(crate) fn dispatch_svc<'a>(
+    /// handler's panic payload, if any.
+    fn dispatch_svc<'a>(
         &'a self,
-        locked: ProcId,
         s: &mut MutexGuard<'a, Sched>,
         dst: ProcId,
         pkt: Packet,
         at: SimTime,
-    ) -> Result<(), Box<dyn std::any::Any + Send>> {
-        debug_assert_eq!(self.group_ix(locked), self.group_ix(dst));
+    ) -> Result<(), Panic> {
         if let Some(prof) = &s.profiler {
             prof.record_svc(dst, at.0, pkt.cause);
         }
         let mut h = self.handlers.lock()[dst]
             .take()
             .unwrap_or_else(|| panic!("no Svc handler on proc {dst}"));
-        let r = self.group(dst).sched.unlocked(s, || {
+        let r = self.sched.unlocked(s, || {
             let mut ctx = SvcCtx::new(self, dst, at);
             catch_unwind(AssertUnwindSafe(|| h(&mut ctx, pkt)))
         });
@@ -951,28 +507,21 @@ impl Shared {
         r
     }
 
-    /// Mark process `p` runnable at virtual time `t`. Shared by the event
-    /// loops and the direct-handoff path; every clock advance and its
-    /// compute/blocked classification happens here. The caller hands `p` its
-    /// [`Baton`] once it has released the scheduler lock (unless `p` is the
-    /// caller itself).
+    /// Mark process `p` runnable at virtual time `t`. Every clock advance
+    /// and its compute/blocked classification happens here. The caller hands
+    /// `p` its [`Baton`] once it has released the scheduler lock (unless `p`
+    /// is the caller itself).
     /// `pkt_cause` is the delivered packet's causal stamp on receive wakes
     /// ([`NO_CTX`] for self-caused resumes and timer expiries).
-    pub(crate) fn wake_now(
-        &self,
-        s: &mut MutexGuard<'_, Sched>,
-        p: ProcId,
-        t: SimTime,
-        pkt_cause: u64,
-    ) {
+    fn wake_now(&self, s: &mut MutexGuard<'_, Sched>, p: ProcId, t: SimTime, pkt_cause: u64) {
         debug_assert!(s.running.is_none());
-        if s.pi(p).phase == Phase::Startup {
+        if s.procs[p].phase == Phase::Startup {
             if let Some(tr) = &s.tracer {
                 tr.record(t.0, p, EventKind::ProcStart);
             }
         }
         if let Some(prof) = &s.profiler {
-            let pi = s.pi(p);
+            let pi = &s.procs[p];
             let kind = match pi.phase {
                 Phase::Startup => Some(CtxKind::Start),
                 Phase::BlockedResume => Some(CtxKind::Compute),
@@ -987,7 +536,7 @@ impl Shared {
                 prof.record_wake(p, pi.clock.0, pi.clock.max(t).0, kind, pkt_cause);
             }
         }
-        let pi = s.pi_mut(p);
+        let pi = &mut s.procs[p];
         let adv = t.0.saturating_sub(pi.clock.0);
         match pi.phase {
             Phase::BlockedResume => pi.times.compute_ns += adv,
@@ -999,40 +548,53 @@ impl Shared {
         s.running = Some(p);
     }
 
-    /// Hand control to process `p` at virtual time `t` and park this
-    /// event-loop thread until it is needed again. Must be called with the
-    /// group's scheduler locked. While parked, blocking processes drain the
-    /// event queue and chain wake-ups among themselves (direct handoff); the
-    /// `draining` check keeps this loop parked even if the condvar wakes
-    /// spuriously while a drain has the lock released for a service handler.
-    /// The baton is handed with the lock released, like every process wake.
-    pub(crate) fn wake_and_park<'a>(
-        &'a self,
-        gi: usize,
-        s: &mut MutexGuard<'a, Sched>,
-        p: ProcId,
-        t: SimTime,
-        pkt_cause: u64,
-    ) {
-        self.wake_now(s, p, t, pkt_cause);
-        s.handoff.via_controller += 1;
-        let grp = &self.groups[gi];
-        grp.sched.unlocked(s, || self.batons[p].hand());
-        while (s.running.is_some() || s.draining) && !s.panicked {
-            grp.ctl_cv.wait(s);
+    /// The controller: runs on the caller's thread until every process
+    /// finished, a process panicked, or a deadlock is detected. Returns a
+    /// panic payload if a service handler panicked on this thread. With
+    /// direct handoff on, process threads drain the queue themselves and
+    /// this loop mostly stays parked — it only pops events itself at
+    /// startup, when handoff is disabled, and to detect termination or
+    /// deadlock.
+    fn controller(&self) -> Option<Panic> {
+        let mut handler_panic = None;
+        let mut s = self.sched.lock();
+        while !s.panicked && s.live > 0 {
+            match self.step(&mut s) {
+                Some(Step::Woke(p)) => {
+                    s.handoff.via_controller += 1;
+                    // The baton is handed with the lock released, like every
+                    // process wake. While parked here, blocking processes
+                    // drain the queue and chain wake-ups among themselves;
+                    // the `draining` check keeps this loop parked even if
+                    // the condvar wakes spuriously while a drain has the
+                    // lock released for a service handler.
+                    self.sched.unlocked(&mut s, || self.batons[p].hand());
+                    while (s.running.is_some() || s.draining) && !s.panicked {
+                        self.ctl_cv.wait(&mut s);
+                    }
+                }
+                Some(Step::Handler(Ok(())) | Step::Nothing) => {}
+                Some(Step::Handler(Err(e))) => {
+                    handler_panic = Some(e);
+                    break;
+                }
+                // Live processes and no pending events: deadlock.
+                None => break,
+            }
         }
+        // Whatever ended the loop must not strand the process threads still
+        // blocked: release them so the scope can join.
+        let stranded = s.live > 0;
+        drop(s);
+        if stranded {
+            self.shutdown_all();
+        }
+        handler_panic
     }
 
-    /// Release every blocked process thread in every group so the scope can
-    /// join them. (Parallel-mode group runners are halted separately through
-    /// their dispatch slots; see [`Doorbell::halt`].)
-    pub(crate) fn shutdown_all(&self) {
-        for grp in &self.groups {
-            let mut s = grp.sched.lock();
-            s.shutdown = true;
-            drop(s);
-            grp.ctl_cv.notify_all();
-        }
+    /// Release every blocked process thread so the scope can join them.
+    fn shutdown_all(&self) {
+        self.sched.lock().shutdown = true;
         for b in &self.batons {
             b.hand();
         }
@@ -1052,10 +614,6 @@ pub struct RunOutcome<R> {
     /// Direct vs controller-mediated wake-up counts (wall-clock bookkeeping;
     /// not part of the virtual-time results).
     pub handoff: HandoffStats,
-    /// Parallel-kernel window counters (zero on sequential runs).
-    pub windows: WindowStats,
-    /// Node groups the run actually executed with (1 = sequential).
-    pub sim_workers: usize,
     /// The network model, returned so callers can read its statistics.
     pub net: Box<dyn NetModel>,
 }
@@ -1084,7 +642,6 @@ pub struct Sim {
     tracer: Option<Arc<Tracer>>,
     profiler: Option<Arc<CausalProfiler>>,
     direct_handoff: bool,
-    workers: usize,
 }
 
 impl Sim {
@@ -1098,7 +655,6 @@ impl Sim {
             tracer: None,
             profiler: None,
             direct_handoff: direct_handoff_default(),
-            workers: sim_workers_default(),
         }
     }
 
@@ -1107,24 +663,6 @@ impl Sim {
     /// results are identical either way; only wall-clock differs.
     pub fn set_direct_handoff(&mut self, on: bool) {
         self.direct_handoff = on;
-    }
-
-    /// Set the number of node groups executed concurrently by the
-    /// conservative-lookahead parallel kernel (defaults to the process-wide
-    /// setting, normally 1 = sequential; [`SIM_WORKERS_AUTO`] selects the
-    /// event-density-adaptive kernel). Requires a network model with a
-    /// [`NetModel::lookahead`] bound at or above
-    /// [`crate::MIN_PARALLEL_LOOKAHEAD`] and an exact
-    /// [`NetModel::loopback_latency`]; otherwise the run falls back to
-    /// sequential execution with a one-time notice. Every artifact — traces,
-    /// causal logs, network statistics, results — is byte-identical at any
-    /// worker count, in auto mode included.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = if workers == SIM_WORKERS_AUTO {
-            workers
-        } else {
-            workers.max(1)
-        };
     }
 
     /// Install an event tracer. Kernel-level send/receive and process
@@ -1161,123 +699,50 @@ impl Sim {
         F: Fn(AppCtx<'_>) -> R + Send + Sync,
     {
         let nprocs = self.nprocs;
-        let plan = window::decide_plan(self.workers, nprocs, self.net.as_ref());
-        let mut win_stats = WindowStats::default();
-        // A run counts as a fallback only when parallelism was genuinely
-        // requested and denied (no lookahead bound, floor, ...). Auto mode
-        // resolving to one worker on a single-core host is a choice, not a
-        // fallback.
-        if plan.is_none() && window::resolve_workers(self.workers) > 1 {
-            win_stats.fallback_runs = 1;
-        }
-        let ngroups = plan.as_ref().map_or(1, |p| p.groups);
-        let loopback = plan.as_ref().map_or(SimDuration::ZERO, |p| p.loopback);
-
-        // Contiguous, near-even node ranges per group.
-        let mut group_of = vec![0usize; nprocs];
-        let mut bounds = Vec::with_capacity(ngroups + 1);
-        bounds.push(0usize);
-        for gi in 0..ngroups {
-            let hi = (nprocs * (gi + 1)).div_ceil(ngroups);
-            group_of[bounds[gi]..hi].fill(gi);
-            bounds.push(hi);
-        }
-
-        let mut global = GlobalState {
+        let mut sched = Sched {
+            now: SimTime::ZERO,
+            queue: BinaryHeap::new(),
             seq: 0,
-            future: BinaryHeap::new(),
             pending_bytes: vec![0; nprocs],
             net: self.net,
+            procs: (0..nprocs).map(|_| ProcInfo::new()).collect(),
+            running: None,
+            live: nprocs,
+            shutdown: false,
+            panicked: false,
+            direct_handoff: self.direct_handoff,
+            draining: false,
+            handoff: HandoffStats::default(),
+            tracer: self.tracer.clone(),
+            profiler: self.profiler,
         };
-
-        let groups: Vec<Group> = (0..ngroups)
-            .map(|gi| {
-                let cell = Arc::new(GroupCell::new());
-                Group {
-                    sched: Mutex::new(Sched {
-                        now: SimTime::ZERO,
-                        queue: BinaryHeap::new(),
-                        procs: (bounds[gi]..bounds[gi + 1])
-                            .map(|_| ProcInfo::new())
-                            .collect(),
-                        lo: bounds[gi],
-                        running: None,
-                        live: bounds[gi + 1] - bounds[gi],
-                        shutdown: false,
-                        panicked: false,
-                        direct_handoff: self.direct_handoff,
-                        draining: false,
-                        handoff: HandoffStats::default(),
-                        mode: Mode::Inline,
-                        t_end: None,
-                        local_seq: 0,
-                        loopback,
-                        global: None,
-                        cell: cell.clone(),
-                        tracer: self.tracer.clone(),
-                        profiler: self.profiler.clone(),
-                    }),
-                    ctl_cv: Condvar::new(),
-                    cell,
-                    bell: Doorbell::new(),
-                }
-            })
-            .collect();
-
+        for p in 0..nprocs {
+            sched.push_event(SimTime::ZERO, Event::Resume(p));
+        }
         let shared = Shared {
-            groups,
-            group_of,
+            sched: Mutex::new(sched),
+            ctl_cv: Condvar::new(),
             batons: (0..nprocs).map(|_| Baton::default()).collect(),
             nprocs,
-            win: WinSync {
-                pending: AtomicUsize::new(0),
-                svc_panic: Mutex::new(None),
-            },
             handlers: Mutex::new(self.handlers),
             tracer: self.tracer,
         };
 
-        if plan.is_none() {
-            // Sequential: the single group owns the global state for the
-            // whole run and its queue is unbounded — exactly the classic
-            // one-heap scheduler.
-            let mut s = shared.groups[0].sched.lock();
-            s.global = Some(global);
-            for p in 0..nprocs {
-                s.push_event(SimTime::ZERO, Event::Resume(p));
-            }
-        } else {
-            for p in 0..nprocs {
-                global.push_future(SimTime::ZERO, Event::Resume(p));
-            }
-            // Parked in group 0 until the coordinator takes over; keeps the
-            // borrow checker happy about the conditional move above.
-            shared.groups[0].sched.lock().global = Some(global);
-        }
-
-        let par = plan.is_some();
-        let shared = &shared;
         let body = &body;
         let mut results: Vec<Option<R>> = std::thread::scope(|scope| {
+            let shared = &shared;
             let joins: Vec<_> = (0..nprocs)
                 .map(|p| {
                     scope.spawn(move || {
-                        if par {
-                            // Side effects produced while this thread runs a
-                            // deferred window are captured into the group log.
-                            let cell = shared.group(p).cell.clone();
-                            vopp_trace::set_thread_record_sink(Some(cell.clone()));
-                            vopp_trace::set_thread_causal_sink(Some(cell));
-                        }
                         // Wait for the first resume; a baton handed without
                         // one is the shutdown of a run that never got to `p`.
                         shared.batons[p].wait();
-                        if shared.lock_proc(p).running != Some(p) {
+                        if shared.sched.lock().running != Some(p) {
                             return None;
                         }
                         let r =
                             catch_unwind(AssertUnwindSafe(|| body(AppCtx::new(shared, p, nprocs))));
-                        let mut s = shared.lock_proc(p);
+                        let mut s = shared.sched.lock();
                         // Only the *first* panic is the real error; panics
                         // raised to unblock threads during shutdown are noise.
                         let first_panic = r.is_err() && !s.shutdown && !s.panicked;
@@ -1285,17 +750,17 @@ impl Sim {
                             s.panicked = true;
                         }
                         if let Some(tr) = &s.tracer {
-                            tr.record(s.pi(p).clock.0, p, EventKind::ProcExit);
+                            tr.record(s.procs[p].clock.0, p, EventKind::ProcExit);
                         }
-                        s.pi_mut(p).phase = Phase::Finished;
+                        s.procs[p].phase = Phase::Finished;
                         s.live -= 1;
                         if s.running == Some(p) {
                             s.running = None;
                         }
-                        // Notify with the lock released: the event loop
+                        // Notify with the lock released: the controller
                         // re-checks its parking condition under the lock.
                         drop(s);
-                        shared.group(p).ctl_cv.notify_all();
+                        shared.ctl_cv.notify_one();
                         match r {
                             Ok(v) => Some(v),
                             Err(e) if first_panic => std::panic::resume_unwind(e),
@@ -1311,10 +776,7 @@ impl Sim {
                     .expect("one registration per process");
             }
 
-            let handler_panic = match &plan {
-                None => Self::controller(shared),
-                Some(plan) => window::coordinate(shared, scope, plan, &mut win_stats),
-            };
+            let handler_panic = shared.controller();
 
             let results: Vec<Option<R>> = joins
                 .into_iter()
@@ -1330,31 +792,15 @@ impl Sim {
             results
         });
 
-        let mut proc_end: Vec<SimTime> = Vec::with_capacity(nprocs);
-        let mut proc_times: Vec<ProcTimes> = Vec::with_capacity(nprocs);
-        let mut handoff = HandoffStats::default();
-        let mut was_shutdown = false;
-        let mut net = None;
-        for grp in &shared.groups {
-            let mut s = grp.sched.lock();
-            was_shutdown |= s.shutdown;
-            proc_end.extend(s.procs.iter().map(|pi| pi.clock));
-            proc_times.extend(s.procs.iter().map(|pi| pi.times));
-            handoff.direct += s.handoff.direct;
-            handoff.via_controller += s.handoff.via_controller;
-            handoff.self_wakes += s.handoff.self_wakes;
-            if let Some(g) = s.global.take() {
-                net = Some(g.net);
-            }
-        }
-        if was_shutdown {
+        let s = shared.sched.into_inner();
+        if s.shutdown {
             panic!("simulation deadlocked: all processes blocked with no pending events");
         }
+        let proc_end: Vec<SimTime> = s.procs.iter().map(|pi| pi.clock).collect();
         let end_time = proc_end.iter().copied().max().unwrap_or(SimTime::ZERO);
-        TOTAL_DIRECT.fetch_add(handoff.direct, Ordering::Relaxed);
-        TOTAL_VIA_CTL.fetch_add(handoff.via_controller, Ordering::Relaxed);
-        TOTAL_SELF_WAKES.fetch_add(handoff.self_wakes, Ordering::Relaxed);
-        add_window_totals(&win_stats);
+        TOTAL_DIRECT.fetch_add(s.handoff.direct, Ordering::Relaxed);
+        TOTAL_VIA_CTL.fetch_add(s.handoff.via_controller, Ordering::Relaxed);
+        TOTAL_SELF_WAKES.fetch_add(s.handoff.self_wakes, Ordering::Relaxed);
         RunOutcome {
             results: results
                 .iter_mut()
@@ -1362,99 +808,9 @@ impl Sim {
                 .collect(),
             end_time,
             proc_end,
-            proc_times,
-            handoff,
-            windows: win_stats,
-            sim_workers: ngroups,
-            net: net.expect("global state survives the run"),
-        }
-    }
-
-    /// Sequential event loop: runs on the caller's thread over the single
-    /// unbounded group until every process finished, a process panicked, or
-    /// a deadlock is detected. Returns a panic payload if a service handler
-    /// panicked on this thread. With direct handoff on, process threads
-    /// drain the queue themselves and this loop mostly stays parked in
-    /// `wake_and_park` — it only pops events itself at startup, when handoff
-    /// is disabled, and to detect termination or deadlock.
-    fn controller(shared: &Shared) -> Option<Box<dyn std::any::Any + Send>> {
-        let grp = &shared.groups[0];
-        loop {
-            let mut s = grp.sched.lock();
-            if s.panicked {
-                drop(s);
-                shared.shutdown_all();
-                return None;
-            }
-            if s.live == 0 {
-                return None;
-            }
-            let Some(entry) = s.pop_due() else {
-                drop(s);
-                shared.shutdown_all();
-                return None;
-            };
-            debug_assert!(entry.at >= s.now, "event queue went backwards");
-            s.now = entry.at;
-            match entry.ev {
-                Event::Resume(p) => match s.pi(p).phase {
-                    Phase::Startup | Phase::BlockedResume => {
-                        shared.wake_and_park(0, &mut s, p, entry.at, NO_CTX);
-                    }
-                    Phase::Finished => {}
-                    ref ph => unreachable!("resume for proc {p} in phase {ph:?}"),
-                },
-                Event::Deliver { dst, mut pkt } => {
-                    if pkt.class != DeliveryClass::OneSided {
-                        s.note_deliver_pop(dst, pkt.wire_bytes);
-                    }
-                    pkt.arrived = entry.at;
-                    if let Some(tr) = &s.tracer {
-                        tr.record(
-                            entry.at.0,
-                            dst,
-                            EventKind::NetRecv {
-                                src: pkt.src,
-                                wire_bytes: pkt.wire_bytes as u64,
-                                tag: pkt.tag,
-                            },
-                        );
-                    }
-                    match pkt.class {
-                        DeliveryClass::Svc => {
-                            // A handler panic must not strand the blocked
-                            // process threads: release them, then re-panic.
-                            if let Err(e) = shared.dispatch_svc(dst, &mut s, dst, pkt, entry.at) {
-                                drop(s);
-                                shared.shutdown_all();
-                                return Some(e);
-                            }
-                        }
-                        DeliveryClass::App => {
-                            let cause = pkt.cause;
-                            s.pi_mut(dst).mailbox.push_back(pkt);
-                            if matches!(s.pi(dst).phase, Phase::WaitRecv { .. }) {
-                                shared.wake_and_park(0, &mut s, dst, entry.at, cause);
-                            }
-                        }
-                        // One-sided write: no handler dispatch, no wake.
-                        DeliveryClass::OneSided => {
-                            s.pi_mut(dst).mailbox.push_back(pkt);
-                        }
-                    }
-                }
-                Event::Timer { dst, token } => {
-                    if s.pi(dst).phase
-                        == (Phase::WaitRecv {
-                            deadline: Some(token),
-                        })
-                    {
-                        s.pi_mut(dst).timed_out = true;
-                        shared.wake_and_park(0, &mut s, dst, entry.at, NO_CTX);
-                    }
-                    // Otherwise the timer is stale (the wait already ended).
-                }
-            }
+            proc_times: s.procs.iter().map(|pi| pi.times).collect(),
+            handoff: s.handoff,
+            net: s.net,
         }
     }
 }

@@ -148,22 +148,6 @@ impl Packet {
     }
 }
 
-impl Clone for Packet {
-    /// Cheap: the payload is `Arc`-shared, not copied. Used by the parallel
-    /// kernel to log deferred sends for the commit replay.
-    fn clone(&self) -> Packet {
-        Packet {
-            src: self.src,
-            wire_bytes: self.wire_bytes,
-            class: self.class,
-            tag: self.tag,
-            arrived: self.arrived,
-            cause: self.cause,
-            payload: self.payload.clone(),
-        }
-    }
-}
-
 impl fmt::Debug for Packet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Packet")

@@ -4,7 +4,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use vopp_sim::{run_simple, DeliveryClass, PerfectNet, Sim, SimDuration, SimTime};
+use vopp_sim::{
+    run_simple, CausalProfiler, DeliveryClass, NetModel, PerfectNet, RouteRequest, Sim,
+    SimDuration, SimTime, Tracer,
+};
 
 const LAT: SimDuration = SimDuration(50_000); // 50us
 
@@ -366,18 +369,16 @@ fn proc_times_classify_every_nanosecond() {
 
 // ---- The baton hand-off (per-process park/unpark, wake after unlock) ----
 //
-// Every test below runs under the three scheduling regimes that share the
-// hand-off code: direct handoff (the default), every wake through the
-// controller (`set_direct_handoff(false)`), and the windowed parallel kernel
-// whose group runners park and wake exactly like the controller.
+// Every test below runs under the two scheduling regimes that share the
+// hand-off code: direct handoff (the default) and every wake through the
+// controller (`set_direct_handoff(false)`).
 
-/// `(direct_handoff, workers)`.
-const REGIMES: [(bool, usize); 3] = [(true, 1), (false, 1), (true, 4)];
+/// Direct handoff on, then off.
+const REGIMES: [bool; 2] = [true, false];
 
-fn sim_in(regime: (bool, usize), nprocs: usize) -> Sim {
+fn sim_in(direct_handoff: bool, nprocs: usize) -> Sim {
     let mut sim = Sim::new(nprocs, Box::new(PerfectNet::new(LAT)));
-    sim.set_direct_handoff(regime.0);
-    sim.set_workers(regime.1);
+    sim.set_direct_handoff(direct_handoff);
     sim
 }
 
@@ -398,17 +399,21 @@ where
 #[test]
 fn a_lone_process_wakes_itself_without_an_os_handoff() {
     const SLICES: u64 = 10_000;
-    for regime in REGIMES {
-        let out = sim_in(regime, 1).run(|ctx| {
+    for direct in REGIMES {
+        let out = sim_in(direct, 1).run(|ctx| {
             for _ in 0..SLICES {
                 ctx.compute(SimDuration::from_micros(3));
             }
             ctx.now()
         });
-        assert_eq!(out.results[0], SimTime(SLICES * 3_000), "{regime:?}");
+        assert_eq!(
+            out.results[0],
+            SimTime(SLICES * 3_000),
+            "direct handoff {direct}"
+        );
         // With direct handoff every resume is popped by the process that
         // scheduled it and only the start-up wake needs the controller.
-        let want = if regime.0 {
+        let want = if direct {
             (SLICES, SLICES, 1)
         } else {
             (0, 0, SLICES + 1)
@@ -417,7 +422,7 @@ fn a_lone_process_wakes_itself_without_an_os_handoff() {
         assert_eq!(
             (h.direct, h.self_wakes, h.via_controller),
             want,
-            "{regime:?}"
+            "direct handoff {direct}"
         );
     }
 }
@@ -427,8 +432,8 @@ fn ping_pong_hammer_loses_no_wake() {
     // Every hand-off is a real two-thread baton exchange, not a self-wake: a
     // lost or duplicated wake hangs the run or trips a clock.
     const TRIPS: u64 = 200_000;
-    for regime in REGIMES {
-        let out = sim_in(regime, 2).run(|ctx| {
+    for direct in REGIMES {
+        let out = sim_in(direct, 2).run(|ctx| {
             let peer = 1 - ctx.me();
             for i in 0..TRIPS {
                 if ctx.me() == 0 {
@@ -440,16 +445,24 @@ fn ping_pong_hammer_loses_no_wake() {
                 }
             }
         });
-        assert_eq!(out.proc_end[0], SimTime(2 * TRIPS * LAT.0), "{regime:?}");
+        assert_eq!(
+            out.proc_end[0],
+            SimTime(2 * TRIPS * LAT.0),
+            "direct handoff {direct}"
+        );
         assert_eq!(
             out.proc_end[1],
             SimTime((2 * TRIPS - 1) * LAT.0),
-            "{regime:?}"
+            "direct handoff {direct}"
         );
         // Two start-up wakes plus one per delivery, however they were routed.
-        assert_eq!(out.handoff.total(), 2 + 2 * TRIPS, "{regime:?}");
+        assert_eq!(
+            out.handoff.total(),
+            2 + 2 * TRIPS,
+            "direct handoff {direct}"
+        );
         // Only proc 1's very first `recv` can pop its own delivery.
-        assert!(out.handoff.self_wakes <= 1, "{regime:?}");
+        assert!(out.handoff.self_wakes <= 1, "direct handoff {direct}");
     }
 }
 
@@ -458,17 +471,21 @@ fn lockstep_hammer_loses_no_wake() {
     // Eight processes resume at the same instant every slice, so the baton
     // goes round the whole ring once per microsecond of virtual time.
     const SLICES: u64 = 50_000;
-    for regime in REGIMES {
-        let out = sim_in(regime, 8).run(|ctx| {
+    for direct in REGIMES {
+        let out = sim_in(direct, 8).run(|ctx| {
             for _ in 0..SLICES {
                 ctx.compute(SimDuration::from_micros(1));
             }
         });
         assert!(
             out.proc_end.iter().all(|&t| t == SimTime(SLICES * 1_000)),
-            "{regime:?}"
+            "direct handoff {direct}"
         );
-        assert_eq!(out.handoff.total(), 8 + 8 * SLICES, "{regime:?}");
+        assert_eq!(
+            out.handoff.total(),
+            8 + 8 * SLICES,
+            "direct handoff {direct}"
+        );
     }
 }
 
@@ -477,28 +494,160 @@ fn deadlock_with_64_parked_threads_unwinds_every_one() {
     // Half the processes time out and finish; the other half wait forever.
     // Returning from `run` at all proves every thread was handed its baton
     // and joined (the threads are scoped).
-    for regime in REGIMES {
-        let msg = panic_message(sim_in(regime, 64), |ctx| {
+    for direct in REGIMES {
+        let msg = panic_message(sim_in(direct, 64), |ctx| {
             if ctx.me() % 2 == 0 {
                 ctx.recv();
             } else {
                 assert!(ctx.recv_timeout(SimDuration::from_millis(1)).is_none());
             }
         });
-        assert!(msg.contains("deadlocked"), "{regime:?}: {msg}");
+        assert!(msg.contains("deadlocked"), "direct handoff {direct}: {msg}");
     }
 }
 
 #[test]
 fn a_panic_among_63_parked_threads_keeps_its_payload() {
-    for regime in REGIMES {
-        let msg = panic_message(sim_in(regime, 64), |ctx| {
+    for direct in REGIMES {
+        let msg = panic_message(sim_in(direct, 64), |ctx| {
             if ctx.me() == 37 {
                 ctx.compute(SimDuration::from_millis(1));
                 panic!("boom from 37");
             }
             ctx.recv();
         });
-        assert_eq!(msg, "boom from 37", "{regime:?}");
+        assert_eq!(msg, "boom from 37", "direct handoff {direct}");
     }
+}
+
+// ---- Direct handoff is invisible under an order-sensitive network ----
+
+/// A deterministic model whose delivery times depend on *route call order*
+/// (`sent` feeds a jitter term) and on the destination's delivery backlog:
+/// two schedulers agree on its output only if they route every send in the
+/// same order with the same backlog counts.
+struct JitterNet {
+    sent: u64,
+    bytes: u64,
+}
+
+impl NetModel for JitterNet {
+    fn route(&mut self, req: RouteRequest) -> Option<SimTime> {
+        if req.src == req.dst {
+            return Some(req.now + SimDuration::from_micros(5));
+        }
+        self.sent += 1;
+        self.bytes += req.wire_bytes as u64;
+        let jitter = (self.sent * 1_771 + req.pending_bytes_at_dst as u64 * 13) % 7_000;
+        Some(req.now + SimDuration::from_micros(50) + SimDuration::from_nanos(jitter))
+    }
+
+    fn sent_count(&self) -> u64 {
+        self.sent
+    }
+
+    fn sent_bytes(&self) -> u64 {
+        self.bytes
+    }
+}
+
+/// Everything a scheduler must reproduce bit for bit.
+struct Artifacts {
+    results: Vec<u64>,
+    proc_end: Vec<SimTime>,
+    proc_times: String,
+    trace_json: String,
+    causal: String,
+    net: (u64, u64),
+}
+
+/// Request/reply over service handlers with loopback self-sends, futile
+/// timeouts (live + stale timers), and order-sensitive network timing, on
+/// eight processes.
+fn jitter_run(direct_handoff: bool) -> Artifacts {
+    const N: usize = 8;
+    let mut sim = Sim::new(N, Box::new(JitterNet { sent: 0, bytes: 0 }));
+    sim.set_direct_handoff(direct_handoff);
+    for p in 0..N {
+        sim.set_handler(
+            p,
+            Box::new(|ctx, pkt| {
+                let (_, i): (usize, u64) = pkt.peek::<(usize, u64)>().copied().unwrap();
+                ctx.send(
+                    pkt.src,
+                    128,
+                    DeliveryClass::App,
+                    500_000 + i,
+                    Arc::new(i * 2),
+                );
+            }),
+        );
+    }
+    let tracer = Arc::new(Tracer::new(1 << 20));
+    let profiler = Arc::new(CausalProfiler::new(N));
+    sim.set_tracer(tracer.clone());
+    sim.set_profiler(profiler.clone());
+    let out = sim.run(|ctx| {
+        let p = ctx.me();
+        let mut sum = 0u64;
+        for i in 0..40u64 {
+            ctx.compute(SimDuration::from_nanos(
+                (p as u64 * 7_919 + i * 104_729) % 50_000,
+            ));
+            if i % 4 == 0 {
+                ctx.send(p, 64, DeliveryClass::App, 1_000_000 + i, Arc::new(i));
+            }
+            let dst = (p + 1 + (i as usize % 5)) % N;
+            ctx.send(
+                dst,
+                256 + i as usize * 3,
+                DeliveryClass::Svc,
+                i,
+                Arc::new((p, i)),
+            );
+            if i % 7 == 0 {
+                // Futile wait: the timer always wins, and earlier armed
+                // timers go stale.
+                assert!(ctx
+                    .recv_filter_timeout(SimDuration::from_micros(5), |pk| pk.tag == u64::MAX)
+                    .is_none());
+            }
+            let reply = ctx
+                .recv_filter_timeout(SimDuration::from_secs(1), |pk| {
+                    pk.tag == 500_000 + i && pk.src == dst
+                })
+                .expect("svc reply");
+            sum = sum
+                .wrapping_mul(31)
+                .wrapping_add(reply.arrived.nanos() ^ reply.expect::<u64>());
+            if i % 4 == 0 {
+                let lb = ctx.recv_filter(|pk| pk.tag == 1_000_000 + i);
+                sum = sum.wrapping_mul(31).wrapping_add(lb.arrived.nanos());
+            }
+        }
+        sum
+    });
+    let log = profiler.take();
+    Artifacts {
+        results: out.results,
+        proc_end: out.proc_end,
+        proc_times: format!("{:?}", out.proc_times),
+        trace_json: tracer.take().to_json(),
+        causal: format!("{:?}|{:?}|{:?}", log.records, log.last_wake, log.spans),
+        net: (out.net.sent_count(), out.net.sent_bytes()),
+    }
+}
+
+#[test]
+fn direct_handoff_on_and_off_agree_under_an_order_sensitive_net() {
+    let on = jitter_run(true);
+    assert!(on.trace_json.len() > 1_000, "the run must have traced");
+    assert!(on.net.0 > 0, "the run must have routed");
+    let off = jitter_run(false);
+    assert_eq!(on.results, off.results);
+    assert_eq!(on.proc_end, off.proc_end);
+    assert_eq!(on.proc_times, off.proc_times);
+    assert_eq!(on.net, off.net);
+    assert!(on.trace_json == off.trace_json, "trace JSON differs");
+    assert!(on.causal == off.causal, "causal log differs");
 }

@@ -60,7 +60,7 @@ impl RpcClient {
     }
 
     /// An endpoint whose retransmission timeout matches the network it runs
-    /// over ([`NetConfig::rexmit_timeout`]): exactly the historical 1 s on
+    /// over ([`crate::NetConfig::rexmit_timeout`]): exactly the historical 1 s on
     /// the paper's testbed, milliseconds on modern generations — a loss on
     /// an RDMA-class fabric must not stall the protocol six orders of
     /// magnitude past the round trip.

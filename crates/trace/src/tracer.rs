@@ -5,40 +5,11 @@
 //! pointer test per potential event); a present-but-disabled tracer costs one
 //! relaxed atomic load, which the overhead bench in `vopp-bench` guards.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 use crate::event::{Event, EventKind, NodeId};
 use crate::json::{IoSink, Sink, Value, Writer};
-
-/// A thread-local interceptor for [`Tracer::record`].
-///
-/// A parallel simulation kernel executes several node groups concurrently
-/// and must not interleave their records in the shared ring in wall-clock
-/// order (the ring's recording order is a deterministic artifact). Worker
-/// threads install a sink; while one is installed, `record` offers each
-/// event to it *after* the enabled check. A sink that returns `true` has
-/// captured the event (typically into a per-group log replayed into the
-/// ring later, in virtual-time order); `false` falls through to the ring,
-/// which is how an exclusive (sequential-equivalent) window records
-/// directly with zero divergence from the sequential kernel.
-pub trait RecordSink: Send + Sync {
-    /// Offer one event. Return `true` to consume it, `false` to let it
-    /// fall through to the shared ring.
-    fn record(&self, t: u64, node: NodeId, kind: &EventKind) -> bool;
-}
-
-thread_local! {
-    static RECORD_SINK: RefCell<Option<Arc<dyn RecordSink>>> = const { RefCell::new(None) };
-}
-
-/// Install (or clear, with `None`) this thread's [`RecordSink`]. Only the
-/// parallel kernel's worker threads use this; everything else records
-/// straight into the ring.
-pub fn set_thread_record_sink(sink: Option<Arc<dyn RecordSink>>) {
-    RECORD_SINK.with(|s| *s.borrow_mut() = sink);
-}
 
 /// Default ring capacity: enough for every quick-scale table run without
 /// wrapping, while bounding memory for full-scale runs (~64 MB worst case).
@@ -95,13 +66,6 @@ impl Tracer {
     #[inline]
     pub fn record(&self, t: u64, node: NodeId, kind: EventKind) {
         if !self.is_enabled() {
-            return;
-        }
-        let consumed = RECORD_SINK.with(|s| match &*s.borrow() {
-            Some(sink) => sink.record(t, node, &kind),
-            None => false,
-        });
-        if consumed {
             return;
         }
         let mut ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);

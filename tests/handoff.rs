@@ -25,7 +25,6 @@ fn acquire_release_loop_keeps_its_wake_up_counts() {
     // requests are part of the wake-up stream.
     cfg.net.base_drop_prob = 0.02;
     cfg.net.seed = 11;
-    cfg.sim_workers = 1;
     let before = handoff_totals();
     let out = run_cluster(&cfg, l.freeze(), move |ctx| {
         let me = ctx.me();
