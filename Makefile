@@ -25,9 +25,9 @@ test:
 	cargo build --release
 	cargo test -q
 
-# `cargo test -q` above is the root package only (tier-1). This is the
-# whole workspace in release (about 480 tests, a few minutes), including
-# the kernel hand-off and stress suites in crates/sim/tests.
+# `cargo test -q` above is the whole workspace in debug (tier-1; the root
+# manifest's `default-members`). This is the same suite in release (about
+# 480 tests), which the lost-wake hammers in crates/sim/tests are sized for.
 test-all:
 	cargo test --release --workspace -q
 

@@ -250,6 +250,8 @@ fn run_is_vopp(cfg: &ClusterConfig, p: &IsParams, lb: bool) -> AppOutcome<u64> {
         let nk = (ke - ks) as u64;
         let cnt = p.local_counts(me, np);
         let mut cks = 0u64;
+        // One buffer for every view access: no chunk is longer than this.
+        let mut buf = vec![0u32; p.bmax.div_ceil(p.chunks)];
         for rep in 0..p.reps {
             ctx.int_ops(5 * nk);
             // Add local counts into every chunk. Each processor walks the
@@ -262,13 +264,13 @@ fn run_is_vopp(cfg: &ClusterConfig, p: &IsParams, lb: bool) -> AppOutcome<u64> {
                 let c = (start + k * stride) % p.chunks;
                 let (bs, be) = share(p.bmax, c, p.chunks);
                 let cv = &chunk_views[c];
+                let buf = &mut buf[..be - bs];
                 ctx.with_view(cv, |r| {
-                    let mut buf = vec![0u32; be - bs];
-                    r.read_into(ctx, 0, &mut buf);
+                    r.read_into(ctx, 0, buf);
                     for (v, b) in buf.iter_mut().zip(bs..be) {
                         *v += cnt[b];
                     }
-                    r.write_all(ctx, &buf);
+                    r.write_all(ctx, buf);
                 });
                 ctx.int_ops((be - bs) as u64);
             }
@@ -283,10 +285,10 @@ fn run_is_vopp(cfg: &ClusterConfig, p: &IsParams, lb: bool) -> AppOutcome<u64> {
                     if lo >= hi {
                         continue;
                     }
+                    let buf = &mut buf[..hi - lo];
                     ctx.with_rview(cv, |r| {
-                        let mut buf = vec![0u32; hi - lo];
-                        r.read_into(ctx, lo - cs, &mut buf);
-                        for v in &buf {
+                        r.read_into(ctx, lo - cs, buf);
+                        for v in buf.iter() {
                             cks = cks.wrapping_add(*v as u64);
                         }
                     });
@@ -300,10 +302,10 @@ fn run_is_vopp(cfg: &ClusterConfig, p: &IsParams, lb: bool) -> AppOutcome<u64> {
         let mut hist = vec![0u64; p.bmax];
         for (c, cv) in chunk_views.iter().enumerate() {
             let (cs, ce) = share(p.bmax, c, p.chunks);
+            let buf = &mut buf[..ce - cs];
             ctx.with_rview(cv, |r| {
-                let mut buf = vec![0u32; ce - cs];
-                r.read_into(ctx, 0, &mut buf);
-                for (b, v) in (cs..ce).zip(&buf) {
+                r.read_into(ctx, 0, buf);
+                for (b, v) in (cs..ce).zip(buf.iter()) {
                     hist[b] = *v as u64;
                 }
             });

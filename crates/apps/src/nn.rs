@@ -15,8 +15,6 @@
 //! * **MPI**: gradients are `allreduce`d and every rank updates its own
 //!   replica — the paper's MPICH baseline for Table 9.
 
-use std::sync::Arc;
-
 use vopp_core::prelude::*;
 use vopp_mpi::{run_mpi, MpiConfig};
 
@@ -91,20 +89,6 @@ impl NnParams {
             .collect()
     }
 
-    /// Input vector of sample `s`.
-    pub fn sample_x(&self, s: usize) -> Vec<f64> {
-        (0..self.n_in)
-            .map(|k| unit_f64(self.seed ^ 0x22, (s * self.n_in + k) as u64))
-            .collect()
-    }
-
-    /// Target vector of sample `s`.
-    pub fn sample_y(&self, s: usize) -> Vec<f64> {
-        (0..self.n_out)
-            .map(|k| unit_f64(self.seed ^ 0x33, (s * self.n_out + k) as u64))
-            .collect()
-    }
-
     /// Approximate flops of one sample's forward+backward pass.
     pub fn flops_per_sample(&self) -> u64 {
         (4 * (self.n_in * self.n_hidden + self.n_hidden * self.n_out)) as u64
@@ -116,61 +100,6 @@ fn sigmoid(z: f64) -> f64 {
     1.0 / (1.0 + (-z).exp())
 }
 
-/// Forward + backward for one sample: adds this sample's gradient into
-/// `grad` (laid out like the weights) and returns its squared-error loss.
-/// Shared by every variant so the arithmetic is identical.
-pub fn backprop(p: &NnParams, w: &[f64], x: &[f64], y: &[f64], grad: &mut [f64]) -> f64 {
-    let (ni, nh, no) = (p.n_in, p.n_hidden, p.n_out);
-    let (w1, w2) = w.split_at(p.w1_len());
-    // Forward.
-    let mut h = vec![0.0; nh];
-    for j in 0..nh {
-        let mut z = w1[ni * nh + j]; // bias
-        for (i, xi) in x.iter().enumerate() {
-            z += w1[i * nh + j] * xi;
-        }
-        h[j] = sigmoid(z);
-    }
-    let mut o = vec![0.0; no];
-    for k in 0..no {
-        let mut z = w2[nh * no + k]; // bias
-        for (j, hj) in h.iter().enumerate() {
-            z += w2[j * no + k] * hj;
-        }
-        o[k] = sigmoid(z);
-    }
-    // Backward.
-    let mut delta_o = vec![0.0; no];
-    let mut loss = 0.0;
-    for k in 0..no {
-        let err = o[k] - y[k];
-        loss += 0.5 * err * err;
-        delta_o[k] = err * o[k] * (1.0 - o[k]);
-    }
-    let (g1, g2) = grad.split_at_mut(p.w1_len());
-    let mut delta_h = vec![0.0; nh];
-    for j in 0..nh {
-        let mut s = 0.0;
-        for k in 0..no {
-            s += w2[j * no + k] * delta_o[k];
-            g2[j * no + k] += h[j] * delta_o[k];
-        }
-        delta_h[j] = s * h[j] * (1.0 - h[j]);
-    }
-    for k in 0..no {
-        g2[nh * no + k] += delta_o[k];
-    }
-    for (i, xi) in x.iter().enumerate() {
-        for j in 0..nh {
-            g1[i * nh + j] += xi * delta_h[j];
-        }
-    }
-    for j in 0..nh {
-        g1[ni * nh + j] += delta_h[j];
-    }
-    loss
-}
-
 /// Quantization grid for shard gradients: rounding each component to a
 /// multiple of 2^-32 makes cross-shard summation *exactly* associative and
 /// commutative (sums of < 2^20-magnitude multiples of 2^-32 are exact in
@@ -178,32 +107,122 @@ pub fn backprop(p: &NnParams, w: &[f64], x: &[f64], y: &[f64], grad: &mut [f64])
 /// tree — produces bit-identical training.
 pub const GRAD_QUANTUM: f64 = 4_294_967_296.0; // 2^32
 
-/// Gradient + loss over a shard of samples. The returned gradient is
-/// quantized (see [`GRAD_QUANTUM`]).
-pub fn shard_gradient(p: &NnParams, w: &[f64], ss: usize, se: usize) -> (Vec<f64>, f64) {
-    let mut grad = vec![0.0; p.w_len()];
-    let mut loss = 0.0;
-    for s in ss..se {
-        let x = p.sample_x(s);
-        let y = p.sample_y(s);
-        loss += backprop(p, w, &x, &y, &mut grad);
+/// `out[j] = sigmoid(bias[j] + Σ input[i] * w[i][j])`, summed in ascending
+/// `i`. `w` is row-major with the biases as its last row, so the walk is
+/// unit-stride, and each unit still starts from its bias: every `f64`
+/// equals the unit-at-a-time textbook loop's (`tests::backprop`).
+fn layer(w: &[f64], input: &[f64], out: &mut [f64]) {
+    out.copy_from_slice(&w[input.len() * out.len()..]);
+    for (row, xi) in w.chunks_exact(out.len()).zip(input) {
+        for (oj, wij) in out.iter_mut().zip(row) {
+            *oj += wij * xi;
+        }
     }
-    for g in &mut grad {
-        *g = (*g * GRAD_QUANTUM).round() / GRAD_QUANTUM;
-    }
-    (grad, loss)
+    out.iter_mut().for_each(|oj| *oj = sigmoid(*oj));
 }
 
-/// Loss over a shard without touching gradients (final evaluation).
-pub fn shard_loss(p: &NnParams, w: &[f64], ss: usize, se: usize) -> f64 {
-    let mut grad = vec![0.0; p.w_len()];
-    let mut loss = 0.0;
-    for s in ss..se {
-        let x = p.sample_x(s);
-        let y = p.sample_y(s);
-        loss += backprop(p, w, &x, &y, &mut grad);
+/// `g[i][j] += input[i] * delta[j]`. The last row of `g` belongs to the
+/// biases, whose input is the constant 1 (`1.0 * d == d` exactly).
+fn accumulate(g: &mut [f64], input: &[f64], delta: &[f64]) {
+    let inputs = input.iter().chain(&[1.0]);
+    for (row, xi) in g.chunks_exact_mut(delta.len()).zip(inputs) {
+        for (gij, dj) in row.iter_mut().zip(delta) {
+            *gij += xi * dj;
+        }
     }
-    loss
+}
+
+/// One processor's shard of the training set with the scratch its passes
+/// reuse: samples are generated once and an epoch allocates nothing. Shared
+/// by every variant so the arithmetic is identical.
+pub struct Shard {
+    p: NnParams,
+    /// Inputs, `n_in` per sample.
+    x: Vec<f64>,
+    /// Targets, `n_out` per sample.
+    y: Vec<f64>,
+    h: Vec<f64>,
+    o: Vec<f64>,
+    delta_h: Vec<f64>,
+    delta_o: Vec<f64>,
+    grad: Vec<f64>,
+}
+
+impl Shard {
+    /// Samples `[ss, se)` of `p`'s training set (a [`share`] of it).
+    pub fn new(p: &NnParams, (ss, se): (usize, usize)) -> Shard {
+        let gen = |salt: u64, width: usize| -> Vec<f64> {
+            (ss * width..se * width)
+                .map(|i| unit_f64(p.seed ^ salt, i as u64))
+                .collect()
+        };
+        Shard {
+            p: p.clone(),
+            x: gen(0x22, p.n_in),
+            y: gen(0x33, p.n_out),
+            h: vec![0.0; p.n_hidden],
+            o: vec![0.0; p.n_out],
+            delta_h: vec![0.0; p.n_hidden],
+            delta_o: vec![0.0; p.n_out],
+            grad: vec![0.0; p.w_len()],
+        }
+    }
+
+    fn samples(&self) -> usize {
+        self.y.len() / self.p.n_out
+    }
+
+    /// Forward pass of sample `s` into `h` and `o`.
+    fn forward(&mut self, w: &[f64], s: usize) {
+        let (w1, w2) = w.split_at(self.p.w1_len());
+        layer(w1, &self.x[s * self.p.n_in..][..self.p.n_in], &mut self.h);
+        layer(w2, &self.h, &mut self.o);
+    }
+
+    /// Forward + backward for sample `s`: adds its gradient into `grad`.
+    fn backprop(&mut self, w: &[f64], s: usize) {
+        self.forward(w, s);
+        let y = &self.y[s * self.p.n_out..][..self.p.n_out];
+        for ((dk, ok), yk) in self.delta_o.iter_mut().zip(&self.o).zip(y) {
+            *dk = (ok - yk) * ok * (1.0 - ok);
+        }
+        let w2 = w[self.p.w1_len()..].chunks_exact(self.p.n_out);
+        for ((dj, hj), row) in self.delta_h.iter_mut().zip(&self.h).zip(w2) {
+            let sum = row
+                .iter()
+                .zip(&self.delta_o)
+                .fold(0.0, |s, (wjk, dk)| s + wjk * dk);
+            *dj = sum * hj * (1.0 - hj);
+        }
+        let (g1, g2) = self.grad.split_at_mut(self.p.w1_len());
+        accumulate(g1, &self.x[s * self.p.n_in..][..self.p.n_in], &self.delta_h);
+        accumulate(g2, &self.h, &self.delta_o);
+    }
+
+    /// Gradient over the shard at weights `w`, laid out like the weights and
+    /// quantized (see [`GRAD_QUANTUM`]).
+    pub fn gradient(&mut self, w: &[f64]) -> &[f64] {
+        self.grad.fill(0.0);
+        for s in 0..self.samples() {
+            self.backprop(w, s);
+        }
+        for g in &mut self.grad {
+            *g = (*g * GRAD_QUANTUM).round() / GRAD_QUANTUM;
+        }
+        &self.grad
+    }
+
+    /// Squared-error loss over the shard at weights `w`, forward only.
+    pub fn loss(&mut self, w: &[f64]) -> f64 {
+        let mut loss = 0.0;
+        for s in 0..self.samples() {
+            self.forward(w, s);
+            let y = &self.y[s * self.p.n_out..][..self.p.n_out];
+            let errs = self.o.iter().zip(y).map(|(ok, yk)| ok - yk);
+            loss += errs.fold(0.0, |l, err| l + 0.5 * err * err);
+        }
+        loss
+    }
 }
 
 /// Sequential reference for `np` processors: final training loss after
@@ -212,13 +231,15 @@ pub fn shard_loss(p: &NnParams, w: &[f64], ss: usize, se: usize) -> f64 {
 /// parallel results are **bit-identical** to this reference regardless of
 /// accumulation order.
 pub fn nn_reference(p: &NnParams, np: usize) -> f64 {
+    let mut shards: Vec<Shard> = (0..np)
+        .map(|q| Shard::new(p, share(p.samples, q, np)))
+        .collect();
     let mut w = p.init_weights();
+    let mut total = vec![0.0; p.w_len()];
     for _ in 0..p.epochs {
-        let mut total = vec![0.0; p.w_len()];
-        for q in 0..np {
-            let (ss, se) = share(p.samples, q, np);
-            let (grad, _) = shard_gradient(p, &w, ss, se);
-            for (t, g) in total.iter_mut().zip(&grad) {
+        total.fill(0.0);
+        for shard in &mut shards {
+            for (t, g) in total.iter_mut().zip(shard.gradient(&w)) {
                 *t += g;
             }
         }
@@ -226,12 +247,7 @@ pub fn nn_reference(p: &NnParams, np: usize) -> f64 {
             *wi -= p.lr * gi;
         }
     }
-    let mut loss = 0.0;
-    for q in 0..np {
-        let (ss, se) = share(p.samples, q, np);
-        loss += shard_loss(p, &w, ss, se);
-    }
-    loss
+    shards.iter_mut().map(|shard| shard.loss(&w)).sum()
 }
 
 /// Which program variant to run.
@@ -271,6 +287,7 @@ fn run_nn_traditional(cfg: &ClusterConfig, p: &NnParams) -> AppOutcome<f64> {
     let out = run_cluster(cfg, layout, move |ctx| {
         let me = ctx.me();
         let (ss, se) = share(p.samples, me, np);
+        let mut shard = Shard::new(&p, (ss, se));
         // Proc 0 publishes the initial weights.
         if me == 0 {
             weights.write_all(ctx, &p.init_weights());
@@ -279,11 +296,11 @@ fn run_nn_traditional(cfg: &ClusterConfig, p: &NnParams) -> AppOutcome<f64> {
         let mut w = vec![0.0; p.w_len()];
         for _ in 0..p.epochs {
             weights.read_into(ctx, 0, &mut w);
-            let (grad, _) = shard_gradient(&p, &w, ss, se);
+            let grad = shard.gradient(&w);
             ctx.flops(p.flops_per_sample() * (se - ss) as u64);
             // "The errors of the weights are gathered from each processor":
             // every processor deposits its gradient in its own slot.
-            slots.write_at(ctx, me * p.w_len(), &grad);
+            slots.write_at(ctx, me * p.w_len(), grad);
             ctx.barrier();
             if me == 0 {
                 let mut total = vec![0.0; p.w_len()];
@@ -303,7 +320,7 @@ fn run_nn_traditional(cfg: &ClusterConfig, p: &NnParams) -> AppOutcome<f64> {
             ctx.barrier();
         }
         weights.read_into(ctx, 0, &mut w);
-        let loss = shard_loss(&p, &w, ss, se);
+        let loss = shard.loss(&w);
         ctx.flops(p.flops_per_sample() * (se - ss) as u64);
         loss
     });
@@ -328,6 +345,7 @@ fn run_nn_vopp(cfg: &ClusterConfig, p: &NnParams) -> AppOutcome<f64> {
     let out = run_cluster(cfg, layout, move |ctx| {
         let me = ctx.me();
         let (ss, se) = share(p.samples, me, np);
+        let mut shard = Shard::new(&p, (ss, se));
         if me == 0 {
             let w0 = p.init_weights();
             ctx.with_view(&wv1, |r| r.write_all(ctx, &w0[..p.w1_len()]));
@@ -340,10 +358,10 @@ fn run_nn_vopp(cfg: &ClusterConfig, p: &NnParams) -> AppOutcome<f64> {
             let (head, tail) = w.split_at_mut(p.w1_len());
             ctx.with_rview(&wv1, |r| r.read_into(ctx, 0, head));
             ctx.with_rview(&wv2, |r| r.read_into(ctx, 0, tail));
-            let (grad, _) = shard_gradient(&p, &w, ss, se);
+            let grad = shard.gradient(&w);
             ctx.flops(p.flops_per_sample() * (se - ss) as u64);
             // Publish my gradient through my own view.
-            ctx.with_view(&dv[me], |r| r.write_all(ctx, &grad));
+            ctx.with_view(&dv[me], |r| r.write_all(ctx, grad));
             ctx.barrier();
             if me == 0 {
                 // Gather the gradients and update the weights.
@@ -367,7 +385,7 @@ fn run_nn_vopp(cfg: &ClusterConfig, p: &NnParams) -> AppOutcome<f64> {
         let (head, tail) = w.split_at_mut(p.w1_len());
         ctx.with_rview(&wv1, |r| r.read_into(ctx, 0, head));
         ctx.with_rview(&wv2, |r| r.read_into(ctx, 0, tail));
-        let loss = shard_loss(&p, &w, ss, se);
+        let loss = shard.loss(&w);
         ctx.flops(p.flops_per_sample() * (se - ss) as u64);
         loss
     });
@@ -388,9 +406,10 @@ fn run_nn_mpi(cfg: &ClusterConfig, p: &NnParams) -> AppOutcome<f64> {
     let out = run_mpi(&mcfg, move |c| {
         let me = c.me();
         let (ss, se) = share(p.samples, me, np);
+        let mut shard = Shard::new(&p, (ss, se));
         let mut w = p.init_weights();
         for _ in 0..p.epochs {
-            let (grad, _) = shard_gradient(&p, &w, ss, se);
+            let grad = shard.gradient(&w).to_vec();
             c.flops(p.flops_per_sample() * (se - ss) as u64);
             let total = c.allreduce_sum_f64(grad);
             for (wi, gi) in w.iter_mut().zip(&total) {
@@ -398,7 +417,7 @@ fn run_nn_mpi(cfg: &ClusterConfig, p: &NnParams) -> AppOutcome<f64> {
             }
             c.flops(p.w_len() as u64);
         }
-        let loss = shard_loss(&p, &w, ss, se);
+        let loss = shard.loss(&w);
         c.flops(p.flops_per_sample() * (se - ss) as u64);
         loss
     });
@@ -417,7 +436,11 @@ fn run_nn_mpi(cfg: &ClusterConfig, p: &NnParams) -> AppOutcome<f64> {
             time: out.time,
             nprocs: np,
             nodes,
-            net: vopp_simnet_stats(out.msgs, out.bytes),
+            net: vopp_simnet::NetStats {
+                msgs: out.msgs,
+                bytes: out.bytes,
+                ..Default::default()
+            },
             node_breakdowns: out.breakdowns,
             node_end: out.proc_end,
             crit: None,
@@ -425,26 +448,184 @@ fn run_nn_mpi(cfg: &ClusterConfig, p: &NnParams) -> AppOutcome<f64> {
     }
 }
 
-fn vopp_simnet_stats(msgs: u64, bytes: u64) -> vopp_simnet::NetStats {
-    vopp_simnet::NetStats {
-        msgs,
-        bytes,
-        ..Default::default()
-    }
-}
-
-/// Relative difference helper for loss comparisons (gradient addition order
-/// differs between schedules, so equality is only approximate).
-pub fn rel_diff(a: f64, b: f64) -> f64 {
-    (a - b).abs() / a.abs().max(b.abs()).max(1e-12)
-}
-
-/// Arc wrapper used by benches that share one `NnParams` across threads.
-pub type SharedNnParams = Arc<NnParams>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::bounded;
+
+    fn sample_x(p: &NnParams, s: usize) -> Vec<f64> {
+        (0..p.n_in)
+            .map(|k| unit_f64(p.seed ^ 0x22, (s * p.n_in + k) as u64))
+            .collect()
+    }
+
+    fn sample_y(p: &NnParams, s: usize) -> Vec<f64> {
+        (0..p.n_out)
+            .map(|k| unit_f64(p.seed ^ 0x33, (s * p.n_out + k) as u64))
+            .collect()
+    }
+
+    /// The definition [`Shard`] must equal bit for bit: textbook forward +
+    /// backward for one sample, one unit at a time. Adds the sample's
+    /// gradient into `grad` and returns its squared-error loss.
+    fn backprop(p: &NnParams, w: &[f64], x: &[f64], y: &[f64], grad: &mut [f64]) -> f64 {
+        let (ni, nh, no) = (p.n_in, p.n_hidden, p.n_out);
+        let (w1, w2) = w.split_at(p.w1_len());
+        // Forward.
+        let mut h = vec![0.0; nh];
+        for j in 0..nh {
+            let mut z = w1[ni * nh + j]; // bias
+            for (i, xi) in x.iter().enumerate() {
+                z += w1[i * nh + j] * xi;
+            }
+            h[j] = sigmoid(z);
+        }
+        let mut o = vec![0.0; no];
+        for k in 0..no {
+            let mut z = w2[nh * no + k]; // bias
+            for (j, hj) in h.iter().enumerate() {
+                z += w2[j * no + k] * hj;
+            }
+            o[k] = sigmoid(z);
+        }
+        // Backward.
+        let mut delta_o = vec![0.0; no];
+        let mut loss = 0.0;
+        for k in 0..no {
+            let err = o[k] - y[k];
+            loss += 0.5 * err * err;
+            delta_o[k] = err * o[k] * (1.0 - o[k]);
+        }
+        let (g1, g2) = grad.split_at_mut(p.w1_len());
+        let mut delta_h = vec![0.0; nh];
+        for j in 0..nh {
+            let mut s = 0.0;
+            for k in 0..no {
+                s += w2[j * no + k] * delta_o[k];
+                g2[j * no + k] += h[j] * delta_o[k];
+            }
+            delta_h[j] = s * h[j] * (1.0 - h[j]);
+        }
+        for k in 0..no {
+            g2[nh * no + k] += delta_o[k];
+        }
+        for (i, xi) in x.iter().enumerate() {
+            for j in 0..nh {
+                g1[i * nh + j] += xi * delta_h[j];
+            }
+        }
+        for j in 0..nh {
+            g1[ni * nh + j] += delta_h[j];
+        }
+        loss
+    }
+
+    /// Unquantized gradient and loss of samples `[ss, se)` by [`backprop`].
+    fn textbook_shard(p: &NnParams, w: &[f64], ss: usize, se: usize) -> (Vec<f64>, f64) {
+        let mut grad = vec![0.0; p.w_len()];
+        let mut loss = 0.0;
+        for s in ss..se {
+            loss += backprop(p, w, &sample_x(p, s), &sample_y(p, s), &mut grad);
+        }
+        (grad, loss)
+    }
+
+    /// [`nn_reference`] as it was written over [`backprop`].
+    fn textbook_reference(p: &NnParams, np: usize) -> f64 {
+        let mut w = p.init_weights();
+        for _ in 0..p.epochs {
+            let mut total = vec![0.0; p.w_len()];
+            for q in 0..np {
+                let (ss, se) = share(p.samples, q, np);
+                let (grad, _) = textbook_shard(p, &w, ss, se);
+                for (t, g) in total.iter_mut().zip(&grad) {
+                    *t += (g * GRAD_QUANTUM).round() / GRAD_QUANTUM;
+                }
+            }
+            for (wi, gi) in w.iter_mut().zip(&total) {
+                *wi -= p.lr * gi;
+            }
+        }
+        let mut loss = 0.0;
+        for q in 0..np {
+            let (ss, se) = share(p.samples, q, np);
+            loss += textbook_shard(p, &w, ss, se).1;
+        }
+        loss
+    }
+
+    #[test]
+    fn shard_equals_textbook_backprop_bit_for_bit() {
+        // Fixed awkward shapes (one input; widths that are not multiples of
+        // the vector width), then seeded random ones. 53 samples split
+        // unevenly over 3, 4 and 16 shards.
+        let mut shapes = vec![(1, 1, 1), (1, 5, 3), (7, 13, 5), (16, 64, 8), (3, 4, 9)];
+        for i in 0..12u64 {
+            shapes.push((
+                1 + bounded(0x5EED, 3 * i, 20),
+                1 + bounded(0x5EED, 3 * i + 1, 70),
+                1 + bounded(0x5EED, 3 * i + 2, 11),
+            ));
+        }
+        for (case, (n_in, n_hidden, n_out)) in shapes.into_iter().enumerate() {
+            let p = NnParams {
+                n_in,
+                n_hidden,
+                n_out,
+                samples: 53,
+                epochs: 1,
+                lr: 0.05,
+                seed: 0xA7 + case as u64,
+            };
+            // Weights well outside the initial range, both signs.
+            let w: Vec<f64> = (0..p.w_len())
+                .map(|i| (unit_f64(p.seed ^ 0x77, i as u64) - 0.5) * 6.0)
+                .collect();
+            for np in [1, 3, 4, 16] {
+                for q in 0..np {
+                    let (ss, se) = share(p.samples, q, np);
+                    let (grad, loss) = textbook_shard(&p, &w, ss, se);
+                    let mut shard = Shard::new(&p, (ss, se));
+                    assert_eq!(shard.samples(), se - ss);
+                    for s in 0..se - ss {
+                        shard.backprop(&w, s);
+                    }
+                    for (i, (a, b)) in shard.grad.iter().zip(&grad).enumerate() {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{p:?} np={np} q={q} grad[{i}]");
+                    }
+                    assert_eq!(
+                        shard.loss(&w).to_bits(),
+                        loss.to_bits(),
+                        "{p:?} np={np} q={q}"
+                    );
+                    // The public pass starts from zero and quantizes.
+                    for (a, b) in shard.gradient(&w).iter().zip(&grad) {
+                        let quantized = (b * GRAD_QUANTUM).round() / GRAD_QUANTUM;
+                        assert_eq!(a.to_bits(), quantized.to_bits());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reference_equals_textbook_reference() {
+        let quick = NnParams::quick();
+        // The `paper16` benchmark size.
+        let paper16 = NnParams {
+            epochs: 16,
+            ..NnParams::bench()
+        };
+        for (p, nps) in [(&quick, &[1, 3, 4, 16][..]), (&paper16, &[16][..])] {
+            for &np in nps {
+                assert_eq!(
+                    nn_reference(p, np).to_bits(),
+                    textbook_reference(p, np).to_bits(),
+                    "{p:?} np={np}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn reference_loss_decreases() {
@@ -500,9 +681,8 @@ mod tests {
         // order, so schedules cannot diverge.
         let p = NnParams::quick();
         let w = p.init_weights();
-        let (g1, _) = shard_gradient(&p, &w, 0, 32);
-        let (g2, _) = shard_gradient(&p, &w, 32, 64);
-        for (a, b) in g1.iter().zip(&g2) {
+        let (mut s1, mut s2) = (Shard::new(&p, (0, 32)), Shard::new(&p, (32, 64)));
+        for (a, b) in s1.gradient(&w).iter().zip(s2.gradient(&w)) {
             assert_eq!(a + b, b + a);
             // Exactly representable: adding and subtracting round-trips.
             assert_eq!((a + b) - b, *a);

@@ -105,9 +105,7 @@ pub fn sor_reference(p: &SorParams) -> f64 {
         for i in 1..p.rows - 1 {
             let (up, rest) = cur[(i - 1) * c..].split_at(c);
             let (mid, down) = rest.split_at(c);
-            let mut out = vec![0.0; c];
-            relax_row(up, mid, &down[..c], &mut out);
-            next[i * c..(i + 1) * c].copy_from_slice(&out);
+            relax_row(up, mid, &down[..c], &mut next[i * c..(i + 1) * c]);
         }
         std::mem::swap(&mut cur, &mut next);
     }
@@ -170,9 +168,7 @@ fn relax_block(
             &blk[(li + 1) * c..(li + 2) * c]
         };
         let mid = &blk[li * c..(li + 1) * c];
-        let mut out = vec![0.0; c];
-        relax_row(up, mid, down, &mut out);
-        next[out_range].copy_from_slice(&out);
+        relax_row(up, mid, down, &mut next[out_range]);
     }
 }
 
@@ -317,12 +313,12 @@ mod tests {
         for _ in 0..p.iters {
             let c = p.cols;
             for i in 1..p.rows - 1 {
-                let up = cur[(i - 1) * c..i * c].to_vec();
-                let mid = cur[i * c..(i + 1) * c].to_vec();
-                let down = cur[(i + 1) * c..(i + 2) * c].to_vec();
-                let mut out = vec![0.0; c];
-                relax_row(&up, &mid, &down, &mut out);
-                next[i * c..(i + 1) * c].copy_from_slice(&out);
+                relax_row(
+                    &cur[(i - 1) * c..i * c],
+                    &cur[i * c..(i + 1) * c],
+                    &cur[(i + 1) * c..(i + 2) * c],
+                    &mut next[i * c..(i + 1) * c],
+                );
             }
             std::mem::swap(&mut cur, &mut next);
         }

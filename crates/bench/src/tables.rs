@@ -4,10 +4,11 @@
 //! reference before reporting statistics — a table is only produced from
 //! verified executions.
 
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use vopp_apps::gauss::{gauss_reference, run_gauss, GaussParams, GaussVariant};
 use vopp_apps::is::{is_reference, run_is, IsParams, IsVariant};
@@ -545,6 +546,27 @@ fn critpath_rows(t: &mut Table, crits: &[Option<&vopp_metrics::CritPath>]) {
 }
 
 // -------------------------------------------------------------------
+// Sequential oracles
+// -------------------------------------------------------------------
+
+/// The result bits of the sequential oracle named `key` (application,
+/// parameters and whatever else the reference depends on), computed once per
+/// process: the cells of a sweep share a handful of distinct oracles, and an
+/// oracle costs as much as the simulation it checks. Under `--jobs N` a
+/// second thread asking for a key in flight waits for the first.
+fn oracle(key: String, compute: impl FnOnce() -> u64) -> u64 {
+    static ORACLES: Mutex<BTreeMap<String, Arc<OnceLock<u64>>>> = Mutex::new(BTreeMap::new());
+    let slot = Arc::clone(
+        ORACLES
+            .lock()
+            .expect("nothing panics while holding the oracle map")
+            .entry(key)
+            .or_default(),
+    );
+    *slot.get_or_init(compute)
+}
+
+// -------------------------------------------------------------------
 // IS (Tables 1-3)
 // -------------------------------------------------------------------
 
@@ -559,7 +581,8 @@ fn is_exec(
     let tracer = scale.attach_tracer(&mut config);
     let out = run_is(&config, p, variant);
     let lb = variant == IsVariant::VoppLb;
-    assert_eq!(out.value, is_reference(p, np, lb), "IS result mismatch");
+    let want = oracle(format!("is/{p:?}/{np}/{lb}"), || is_reference(p, np, lb));
+    assert_eq!(out.value, want, "IS result mismatch");
     scale.finish_trace(tracer, "is", variant_label(variant), proto, np);
     scale.finish_critpath(&out.stats, "is", variant_label(variant), proto, np);
     out.stats
@@ -781,7 +804,10 @@ fn gauss_exec(
     let mut config = scale.cfg(np, proto);
     let tracer = scale.attach_tracer(&mut config);
     let out = run_gauss(&config, p, variant);
-    assert_eq!(out.value, gauss_reference(p, np), "Gauss result mismatch");
+    let want = oracle(format!("gauss/{p:?}/{np}"), || {
+        gauss_reference(p, np).to_bits()
+    });
+    assert_eq!(out.value, f64::from_bits(want), "Gauss result mismatch");
     scale.finish_trace(tracer, "gauss", variant_label(variant), proto, np);
     scale.finish_critpath(&out.stats, "gauss", variant_label(variant), proto, np);
     out.stats
@@ -874,7 +900,8 @@ fn sor_exec(
     let mut config = scale.cfg(np, proto);
     let tracer = scale.attach_tracer(&mut config);
     let out = run_sor(&config, p, variant);
-    assert_eq!(out.value, sor_reference(p), "SOR result mismatch");
+    let want = oracle(format!("sor/{p:?}"), || sor_reference(p).to_bits());
+    assert_eq!(out.value, f64::from_bits(want), "SOR result mismatch");
     scale.finish_trace(tracer, "sor", variant_label(variant), proto, np);
     scale.finish_critpath(&out.stats, "sor", variant_label(variant), proto, np);
     out.stats
@@ -967,7 +994,8 @@ fn nn_exec(
     let mut config = scale.cfg(np, proto);
     let tracer = scale.attach_tracer(&mut config);
     let out = run_nn(&config, p, variant);
-    assert_eq!(out.value, nn_reference(p, np), "NN result mismatch");
+    let want = oracle(format!("nn/{p:?}/{np}"), || nn_reference(p, np).to_bits());
+    assert_eq!(out.value, f64::from_bits(want), "NN result mismatch");
     scale.finish_trace(tracer, "nn", variant_label(variant), proto, np);
     scale.finish_critpath(&out.stats, "nn", variant_label(variant), proto, np);
     out.stats
@@ -1562,6 +1590,29 @@ pub fn all_tables(scale: &Scale) -> Vec<Table> {
 mod tests {
     use super::*;
     use vopp_trace::{EventKind, Trace};
+
+    #[test]
+    fn an_oracle_is_computed_once_per_key_across_threads() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let calls = AtomicU64::new(0);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                let (calls, start) = (&calls, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for key in ["test-oracle/a", "test-oracle/bb"] {
+                        let got = oracle(key.to_string(), || {
+                            calls.fetch_add(1, Ordering::SeqCst);
+                            key.len() as u64
+                        });
+                        assert_eq!(got, key.len() as u64);
+                    }
+                });
+            }
+        });
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
+    }
 
     /// A run whose ring wrapped still writes its (truncated) artifacts as
     /// re-parsable documents, skips the checker, and lands on the list the

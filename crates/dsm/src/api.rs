@@ -12,11 +12,13 @@
 //! panic with a diagnostic — programming errors, not recoverable states.
 
 use std::cell::{Cell, RefCell};
+use std::ops::Range;
 use std::sync::Arc;
 
 use vopp_metrics::Phase;
 use vopp_page::{
-    offset_in_page, page_of, pages_spanned, Addr, IntervalId, PageId, PageState, VTime, PAGE_SIZE,
+    offset_in_page, page_of, pages_spanned, Addr, IntervalId, NodeMemory, PageId, PageState, VTime,
+    PAGE_SIZE,
 };
 use vopp_racecheck::{DisciplineRule, Mode as RcMode, RaceChecker, Violation};
 use vopp_sim::sync::Mutex;
@@ -1576,84 +1578,76 @@ impl<'a> DsmCtx<'a> {
         self.auto_release(auto);
     }
 
-    /// Bulk read of `f64`s (8-aligned base).
-    pub fn read_f64s(&self, addr: Addr, out: &mut [f64]) {
-        let auto = self.auto_acquire(addr, out.len() * 8, false);
-        self.rc_access(addr, out.len() * 8, false);
-        debug_assert_eq!(addr % 8, 0);
-        self.copy_cost(out.len() as u64 * 8);
-        for p in pages_spanned(addr, out.len() * 8) {
-            self.ensure_readable(p);
-        }
-        {
-            let n = self.node.lock();
-            for (i, o) in out.iter_mut().enumerate() {
-                let a = addr + i * 8;
-                let off = offset_in_page(a);
-                *o = f64::from_le_bytes(n.mem.page(page_of(a))[off..off + 8].try_into().unwrap());
+    /// What the bulk accessors share, for `count` `W`-byte elements at
+    /// `addr`: bracket, check and charge the whole access, make every page
+    /// accessible, then under one lock hand `copy` each page with the bytes
+    /// and the elements of the run inside it.
+    fn bulk<const W: usize>(
+        &self,
+        addr: Addr,
+        count: usize,
+        write: bool,
+        mut copy: impl FnMut(&mut NodeMemory, PageId, Range<usize>, Range<usize>),
+    ) {
+        let auto = self.auto_acquire(addr, count * W, write);
+        self.rc_access(addr, count * W, write);
+        debug_assert_eq!(addr % W, 0);
+        self.copy_cost((count * W) as u64);
+        for p in pages_spanned(addr, count * W) {
+            match write {
+                true => self.ensure_writable(p),
+                false => self.ensure_readable(p),
             }
         }
+        let mut n = self.node.lock();
+        let mut done = 0;
+        while done < count {
+            let a = addr + done * W;
+            let off = offset_in_page(a);
+            // Rounded up: an element straddling the page end (a misaligned
+            // base) fails `copy`'s slice bound instead of stalling here.
+            let run = (PAGE_SIZE - off).div_ceil(W).min(count - done);
+            copy(&mut n.mem, page_of(a), off..off + run * W, done..done + run);
+            done += run;
+        }
+        drop(n);
         self.auto_release(auto);
+    }
+
+    /// Bulk read of `f64`s (8-aligned base).
+    pub fn read_f64s(&self, addr: Addr, out: &mut [f64]) {
+        self.bulk::<8>(addr, out.len(), false, |mem, p, bytes, elems| {
+            let src = mem.page(p)[bytes].chunks_exact(8);
+            for (o, b) in out[elems].iter_mut().zip(src) {
+                *o = f64::from_le_bytes(b.try_into().unwrap());
+            }
+        });
     }
 
     /// Bulk write of `f64`s (8-aligned base).
     pub fn write_f64s(&self, addr: Addr, data: &[f64]) {
-        let auto = self.auto_acquire(addr, data.len() * 8, true);
-        self.rc_access(addr, data.len() * 8, true);
-        debug_assert_eq!(addr % 8, 0);
-        self.copy_cost(data.len() as u64 * 8);
-        for p in pages_spanned(addr, data.len() * 8) {
-            self.ensure_writable(p);
-        }
-        {
-            let mut n = self.node.lock();
-            for (i, v) in data.iter().enumerate() {
-                let a = addr + i * 8;
-                let off = offset_in_page(a);
-                n.mem.page_mut(page_of(a))[off..off + 8].copy_from_slice(&v.to_le_bytes());
+        self.bulk::<8>(addr, data.len(), true, |mem, p, bytes, elems| {
+            for (b, v) in mem.page_mut(p)[bytes].chunks_exact_mut(8).zip(&data[elems]) {
+                b.copy_from_slice(&v.to_le_bytes());
             }
-        }
-        self.auto_release(auto);
+        });
     }
 
     /// Bulk read of `u32`s (4-aligned base).
     pub fn read_u32s(&self, addr: Addr, out: &mut [u32]) {
-        let auto = self.auto_acquire(addr, out.len() * 4, false);
-        self.rc_access(addr, out.len() * 4, false);
-        debug_assert_eq!(addr % 4, 0);
-        self.copy_cost(out.len() as u64 * 4);
-        for p in pages_spanned(addr, out.len() * 4) {
-            self.ensure_readable(p);
-        }
-        {
-            let n = self.node.lock();
-            for (i, o) in out.iter_mut().enumerate() {
-                let a = addr + i * 4;
-                *o = n.mem.page(page_of(a)).word(offset_in_page(a) / 4);
+        self.bulk::<4>(addr, out.len(), false, |mem, p, bytes, elems| {
+            let src = mem.page(p)[bytes].chunks_exact(4);
+            for (o, b) in out[elems].iter_mut().zip(src) {
+                *o = u32::from_le_bytes(b.try_into().unwrap());
             }
-        }
-        self.auto_release(auto);
+        });
     }
 
     /// Bulk write of `u32`s (4-aligned base).
     pub fn write_u32s(&self, addr: Addr, data: &[u32]) {
-        let auto = self.auto_acquire(addr, data.len() * 4, true);
-        self.rc_access(addr, data.len() * 4, true);
-        debug_assert_eq!(addr % 4, 0);
-        self.copy_cost(data.len() as u64 * 4);
-        for p in pages_spanned(addr, data.len() * 4) {
-            self.ensure_writable(p);
-        }
-        {
-            let mut n = self.node.lock();
-            for (i, v) in data.iter().enumerate() {
-                let a = addr + i * 4;
-                n.mem
-                    .page_mut(page_of(a))
-                    .set_word(offset_in_page(a) / 4, *v);
-            }
-        }
-        self.auto_release(auto);
+        self.bulk::<4>(addr, data.len(), true, |mem, p, bytes, elems| {
+            mem.page_mut(p).set_words(bytes.start / 4, &data[elems]);
+        });
     }
 
     /// Fold the transport's retransmission count and round-trip histogram
