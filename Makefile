@@ -6,20 +6,24 @@ BASELINE_DIR ?= crates/bench/baselines
 CRITPATH_DIR ?= target/bench-critpath
 CRITPATH_BASELINE_DIR ?= crates/bench/baselines-critpath
 
-.PHONY: all check fmt clippy test test-all tables tables-quick serve scaling netgen \
+.PHONY: all check fmt clippy doc test test-all tables tables-quick serve scaling netgen \
         bench bench-micro bench-wallclock baseline critpath baseline-critpath \
         metrics-demo trace-demo racecheck hostbench hostbench-test \
         clean
 
 all: check test
 
-check: fmt clippy
+check: fmt clippy doc
 
 fmt:
 	cargo fmt --all --check
 
 clippy:
-	cargo clippy --workspace --all-targets
+	cargo clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc warnings (stale intra-doc links included) fail the check.
+doc:
+	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 test:
 	cargo build --release

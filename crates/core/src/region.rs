@@ -63,10 +63,11 @@ impl Region<f64> {
         out
     }
 
-    /// Read a sub-range `[off, off+out.len())`.
+    /// Read a sub-range `[off, off+out.len())`. An empty range may start at
+    /// `len`, so the address is not taken through `at`.
     pub fn read_into(&self, ctx: &DsmCtx<'_>, off: usize, out: &mut [f64]) {
         debug_assert!(off + out.len() <= self.len);
-        ctx.read_f64s(self.at(off), out);
+        ctx.read_f64s(self.addr + off * 8, out);
     }
 
     /// Write the whole region (length must match).
@@ -78,7 +79,7 @@ impl Region<f64> {
     /// Write a sub-range starting at `off`.
     pub fn write_at(&self, ctx: &DsmCtx<'_>, off: usize, data: &[f64]) {
         debug_assert!(off + data.len() <= self.len);
-        ctx.write_f64s(self.at(off), data);
+        ctx.write_f64s(self.addr + off * 8, data);
     }
 }
 
@@ -114,7 +115,7 @@ impl Region<u32> {
     /// Read a sub-range.
     pub fn read_into(&self, ctx: &DsmCtx<'_>, off: usize, out: &mut [u32]) {
         debug_assert!(off + out.len() <= self.len);
-        ctx.read_u32s(self.at(off), out);
+        ctx.read_u32s(self.addr + off * 4, out);
     }
 
     /// Write the whole region.
@@ -126,7 +127,7 @@ impl Region<u32> {
     /// Write a sub-range starting at `off`.
     pub fn write_at(&self, ctx: &DsmCtx<'_>, off: usize, data: &[u32]) {
         debug_assert!(off + data.len() <= self.len);
-        ctx.write_u32s(self.at(off), data);
+        ctx.write_u32s(self.addr + off * 4, data);
     }
 }
 

@@ -154,3 +154,34 @@ fn per_view_stats_surface_in_outcome() {
     assert_eq!(vs[&cold.view].acquires, 1);
     assert!(vs[&hot.view].wait_ns > 0);
 }
+
+/// Zero-length sub-ranges are legal anywhere in `0..=len`, including at the
+/// region's end and on an empty region (a node whose row share is empty).
+#[test]
+fn region_empty_ranges_at_the_end_and_on_empty_regions() {
+    let mut world = WorldBuilder::new();
+    let f = world.alloc_f64(16);
+    let u = world.alloc_u32(16);
+    // The heap allocates no empty regions, but descriptors are plain data.
+    let (mut ef, mut eu) = (f, u);
+    (ef.len, eu.len) = (0, 0);
+    let out = run_cluster(
+        &ClusterConfig::lossless(1, Protocol::LrcD),
+        world.build(),
+        move |ctx| {
+            f.write_at(ctx, f.len(), &[]);
+            f.read_into(ctx, f.len(), &mut []);
+            u.write_at(ctx, u.len(), &[]);
+            u.read_into(ctx, u.len(), &mut []);
+            ef.write_at(ctx, 0, &[]);
+            ef.read_into(ctx, 0, &mut []);
+            eu.write_at(ctx, 0, &[]);
+            eu.read_into(ctx, 0, &mut []);
+            ef.write_all(ctx, &[]);
+            eu.write_all(ctx, &[]);
+            (ef.read_vec(ctx).len(), eu.read_vec(ctx).len())
+        },
+    );
+    assert_eq!(out.results[0], (0, 0));
+    assert_eq!(out.stats.nodes.page_faults, 0);
+}

@@ -12,13 +12,14 @@
 //! panic with a diagnostic — programming errors, not recoverable states.
 
 use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 
 use vopp_metrics::Phase;
 use vopp_page::{
-    offset_in_page, page_of, pages_spanned, Addr, IntervalId, NodeMemory, PageId, PageState, VTime,
-    PAGE_SIZE,
+    offset_in_page, page_of, pages_spanned, Addr, Diff, IntervalId, NodeMemory, PageId, PageState,
+    VTime, PAGE_SIZE,
 };
 use vopp_racecheck::{DisciplineRule, Mode as RcMode, RaceChecker, Violation};
 use vopp_sim::sync::Mutex;
@@ -29,7 +30,16 @@ use vopp_trace::{CausalProfiler, OpKind, OpSpan};
 use crate::cost::{CostModel, CpuDebt};
 use crate::layout::{Layout, ViewId};
 use crate::msg::{AccessMode, Req, Resp};
-use crate::node::{NodeState, Protocol};
+use crate::node::{NodeState, PageDiffs, Protocol};
+
+/// How an access through [`DsmCtx::bulk`] touches shared memory.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Access {
+    Read,
+    Write,
+    /// A read-modify-write: a write that copies its bytes twice.
+    Update,
+}
 
 /// The application-side handle to one DSM node.
 pub struct DsmCtx<'a> {
@@ -275,51 +285,84 @@ impl<'a> DsmCtx<'a> {
         waited
     }
 
-    /// Close the current write interval. Under HLRC the diffs are flushed
-    /// eagerly to their pages' home nodes (and acknowledged) *before* any
-    /// synchronization message is sent — the flush-before-sync invariant
-    /// that keeps home copies current when invalidated readers fetch them.
-    fn close_interval(&self) -> usize {
-        let diffs = {
-            let mut n = self.node.lock();
-            let (_, diffs) = n.end_interval_with_diffs();
-            diffs
+    /// One blocking round trip: send `req` to `to`, wait for the reply and
+    /// charge the wait to `wait` (`obj` names what was waited for, as in
+    /// [`DsmCtx::charge_wait`]). `timeout` replaces the transport's
+    /// retransmission timeout for this call.
+    fn call(
+        &self,
+        to: ProcId,
+        req: Req,
+        wait: Phase,
+        obj: u64,
+        timeout: Option<SimDuration>,
+    ) -> Resp {
+        let bytes = req.wire_bytes();
+        let since = self.sim.now();
+        let pkt = match timeout {
+            None => self.rpc.borrow_mut().call(&self.sim, to, bytes, req),
+            Some(t) => self
+                .rpc
+                .borrow_mut()
+                .call_with_timeout(&self.sim, to, bytes, req, t),
         };
-        let ndiffs = diffs.len();
-        if self.protocol == Protocol::Hlrc && !diffs.is_empty() {
-            let np = self.nprocs();
-            let me = self.me();
-            let mut groups: std::collections::BTreeMap<ProcId, Vec<_>> =
-                std::collections::BTreeMap::new();
-            for (p, d) in diffs {
-                groups.entry(p % np).or_default().push((p, d));
-            }
+        self.charge_wait(wait, obj, since);
+        pkt.expect::<Resp>()
+    }
+
+    /// [`DsmCtx::call`] to several nodes at once: every request is sent
+    /// before the first reply is awaited, and the whole wait is charged once.
+    fn call_all(
+        &self,
+        reqs: impl Iterator<Item = (ProcId, Req)>,
+        wait: Phase,
+        obj: u64,
+    ) -> impl Iterator<Item = Resp> {
+        let calls: Vec<(ProcId, usize, Req)> = reqs
+            .map(|(to, req)| {
+                let bytes = req.wire_bytes();
+                (to, bytes, req)
+            })
+            .collect();
+        let since = self.sim.now();
+        let replies = self.rpc.borrow_mut().call_all(&self.sim, &calls);
+        self.charge_wait(wait, obj, since);
+        replies.into_iter().map(|pkt| pkt.expect::<Resp>())
+    }
+
+    /// Close the current write interval: seal it (logging its record under
+    /// the traditional protocols), then charge diff creation and flush.
+    /// Under HLRC the diffs are then flushed eagerly to their pages' home
+    /// nodes (and acknowledged) *before* any synchronization message is
+    /// sent — the flush-before-sync invariant that keeps home copies current
+    /// when invalidated readers fetch them. Returns the interval's id,
+    /// lamport time and diffs, or `None` if nothing was written.
+    fn close_interval(&self) -> Option<(IntervalId, u64, PageDiffs)> {
+        let (id, lamport, diffs) = {
+            let mut n = self.node.lock();
+            let (id, diffs) = n.seal_interval()?;
+            (id, n.lamport, diffs)
+        };
+        self.debt
+            .add_overhead_diff(self.cost.diff_create * diffs.len() as u64);
+        self.flush();
+        if self.protocol == Protocol::Hlrc {
+            let (np, me) = (self.nprocs(), self.me());
+            let mut groups: BTreeMap<ProcId, Vec<_>> = BTreeMap::new();
             // The home's own pages are already current locally.
-            groups.remove(&me);
+            for (p, d) in diffs.iter().filter(|(p, _)| p % np != me) {
+                groups.entry(p % np).or_default().push((*p, Arc::clone(d)));
+            }
             if !groups.is_empty() {
-                if ndiffs > 0 {
-                    self.debt
-                        .add_overhead_diff(self.cost.diff_create * ndiffs as u64);
-                }
-                self.flush();
-                let calls: Vec<(ProcId, usize, Req)> = groups
+                let flushes = groups
                     .into_iter()
-                    .map(|(home, items)| {
-                        let req = Req::HomeFlush { items };
-                        let bytes = req.wire_bytes();
-                        (home, bytes, req)
-                    })
-                    .collect();
-                let t_rpc = self.sim.now();
-                let replies = self.rpc.borrow_mut().call_all(&self.sim, &calls);
-                self.charge_wait(Phase::SendWait, 0, t_rpc);
-                for pkt in replies {
-                    assert!(matches!(pkt.expect::<Resp>(), Resp::Ack));
+                    .map(|(home, items)| (home, Req::HomeFlush { items }));
+                for resp in self.call_all(flushes, Phase::SendWait, 0) {
+                    assert!(matches!(resp, Resp::Ack));
                 }
-                return 0; // diff-creation cost already charged
             }
         }
-        ndiffs
+        Some((id, lamport, diffs))
     }
 
     // ---------------------------------------------------------------
@@ -340,12 +383,7 @@ impl<'a> DsmCtx<'a> {
             rc.barrier_enter(self.me(), episode);
         }
         let (records, vt) = if self.protocol.is_lrc_family() {
-            let ndiffs = self.close_interval();
-            if ndiffs > 0 {
-                self.debt
-                    .add_overhead_diff(self.cost.diff_create * ndiffs as u64);
-                self.flush();
-            }
+            self.close_interval();
             let mut n = self.node.lock();
             (n.delta_for_home(0), n.logged_vt.clone())
         } else {
@@ -369,15 +407,8 @@ impl<'a> DsmCtx<'a> {
             records,
             vt,
         };
-        let bytes = req.wire_bytes();
-        let t_rpc = self.sim.now();
-        let resp = self
-            .rpc
-            .borrow_mut()
-            .call_with_timeout(&self.sim, 0, bytes, req, self.barrier_timeout)
-            .expect::<Resp>();
-        self.charge_wait(Phase::BarrierWait, 0, t_rpc);
-        match resp {
+        let timeout = Some(self.barrier_timeout);
+        match self.call(0, req, Phase::BarrierWait, 0, timeout) {
             Resp::BarrierRelease {
                 records,
                 vt,
@@ -463,26 +494,13 @@ impl<'a> DsmCtx<'a> {
         self.flush();
         let t0 = self.sim.now();
         self.trace(EventKind::LockAcquireStart { lock: lock as u64 });
-        let ndiffs = self.close_interval();
-        if ndiffs > 0 {
-            self.debt
-                .add_overhead_diff(self.cost.diff_create * ndiffs as u64);
-            self.flush();
-        }
+        self.close_interval();
         let (home, vt) = {
             let n = self.node.lock();
             (n.lock_home(lock), n.logged_vt.clone())
         };
         let req = Req::LockAcquire { lock, vt };
-        let bytes = req.wire_bytes();
-        let t_rpc = self.sim.now();
-        let resp = self
-            .rpc
-            .borrow_mut()
-            .call(&self.sim, home, bytes, req)
-            .expect::<Resp>();
-        self.charge_wait(Phase::AcquireWait, lock as u64, t_rpc);
-        match resp {
+        match self.call(home, req, Phase::AcquireWait, lock as u64, None) {
             Resp::LockGrant {
                 records,
                 vt,
@@ -516,12 +534,7 @@ impl<'a> DsmCtx<'a> {
             return self.scc_lock_release(lock);
         }
         self.flush();
-        let ndiffs = self.close_interval();
-        if ndiffs > 0 {
-            self.debt
-                .add_overhead_diff(self.cost.diff_create * ndiffs as u64);
-            self.flush();
-        }
+        self.close_interval();
         if let Some(rc) = self.rc_hb() {
             // Publish this node's ordering before the release message: the
             // home may grant the lock to a remote acquirer while this
@@ -534,14 +547,7 @@ impl<'a> DsmCtx<'a> {
             (home, n.delta_for_home(home))
         };
         let req = Req::LockRelease { lock, records };
-        let bytes = req.wire_bytes();
-        let t_rpc = self.sim.now();
-        let resp = self
-            .rpc
-            .borrow_mut()
-            .call(&self.sim, home, bytes, req)
-            .expect::<Resp>();
-        self.charge_wait(Phase::SendWait, lock as u64, t_rpc);
+        let resp = self.call(home, req, Phase::SendWait, lock as u64, None);
         assert!(matches!(resp, Resp::Ack), "lock_release expects Ack");
         self.trace(EventKind::LockRelease { lock: lock as u64 });
     }
@@ -558,12 +564,7 @@ impl<'a> DsmCtx<'a> {
         self.flush();
         let t0 = self.sim.now();
         self.trace(EventKind::LockAcquireStart { lock: lock as u64 });
-        let ndiffs = self.close_interval();
-        if ndiffs > 0 {
-            self.debt
-                .add_overhead_diff(self.cost.diff_create * ndiffs as u64);
-            self.flush();
-        }
+        self.close_interval();
         let (home, have) = {
             let n = self.node.lock();
             (
@@ -576,15 +577,7 @@ impl<'a> DsmCtx<'a> {
             mode: AccessMode::Write,
             have,
         };
-        let bytes = req.wire_bytes();
-        let t_rpc = self.sim.now();
-        let resp = self
-            .rpc
-            .borrow_mut()
-            .call(&self.sim, home, bytes, req)
-            .expect::<Resp>();
-        self.charge_wait(Phase::AcquireWait, lock as u64, t_rpc);
-        match resp {
+        match self.call(home, req, Phase::AcquireWait, lock as u64, None) {
             Resp::ViewGrant {
                 records,
                 version,
@@ -627,24 +620,20 @@ impl<'a> DsmCtx<'a> {
             // As in `lock_release`: publish ordering before the message.
             rc.lock_released(self.me(), lock);
         }
-        let (home, interval, lamport, pages, ndiffs) = {
+        let sealed = self.close_interval();
+        let (home, interval, lamport, pages) = {
             let mut n = self.node.lock();
-            let (rec, ndiffs) = n.end_interval();
             let home = n.lock_home(lock);
-            match rec {
-                Some(r) => {
+            match sealed {
+                Some((id, lamport, diffs)) => {
                     // This node's own release is already enforced locally.
-                    n.scoped_applied.insert(r.id);
-                    (home, Some(r.id), r.lamport, r.pages.clone(), ndiffs)
+                    n.scoped_applied.insert(id);
+                    let pages = diffs.iter().map(|(p, _)| *p).collect();
+                    (home, Some(id), lamport, pages)
                 }
-                None => (home, None, n.lamport, Vec::new(), 0),
+                None => (home, None, n.lamport, Vec::new()),
             }
         };
-        if ndiffs > 0 {
-            self.debt
-                .add_overhead_diff(self.cost.diff_create * ndiffs as u64);
-            self.flush();
-        }
         let req = Req::ViewRelease {
             view: lock,
             mode: AccessMode::Write,
@@ -653,15 +642,7 @@ impl<'a> DsmCtx<'a> {
             pages,
             diffs: Vec::new(),
         };
-        let bytes = req.wire_bytes();
-        let t_rpc = self.sim.now();
-        let resp = self
-            .rpc
-            .borrow_mut()
-            .call(&self.sim, home, bytes, req)
-            .expect::<Resp>();
-        self.charge_wait(Phase::SendWait, lock as u64, t_rpc);
-        match resp {
+        match self.call(home, req, Phase::SendWait, lock as u64, None) {
             Resp::ReleaseAck { version } => {
                 let mut n = self.node.lock();
                 let la = n.lock_applied.entry(lock).or_insert(0);
@@ -741,16 +722,8 @@ impl<'a> DsmCtx<'a> {
             mode,
             have,
         };
-        let bytes = req.wire_bytes();
-        // `t0` already marks the rpc start: nothing between it and the call
-        // advances the clock.
-        let resp = self
-            .rpc
-            .borrow_mut()
-            .call(&self.sim, home, bytes, req)
-            .expect::<Resp>();
-        self.charge_wait(Phase::AcquireWait, v as u64, t0);
-        match resp {
+        // `call` times the wait from now, which is still `t0`.
+        match self.call(home, req, Phase::AcquireWait, v as u64, None) {
             Resp::ViewGrant {
                 records,
                 diffs,
@@ -765,7 +738,7 @@ impl<'a> DsmCtx<'a> {
                     // therefore means the home had nothing to send, not
                     // that the data is still in flight.
                     let polled = match self.sim.poll_one_sided(home, tag) {
-                        Some(pkt) => pkt.expect::<Vec<(PageId, Arc<vopp_page::Diff>)>>(),
+                        Some(pkt) => pkt.expect::<Vec<(PageId, Arc<Diff>)>>(),
                         None => Vec::new(),
                     };
                     // A retransmitted acquire can leave a byte-identical
@@ -842,7 +815,7 @@ impl<'a> DsmCtx<'a> {
     pub fn release_view(&self, v: ViewId) {
         assert!(self.protocol.is_vc());
         self.flush();
-        let (home, interval, lamport, pages, diffs, ndiffs) = {
+        let home = {
             let mut n = self.node.lock();
             assert_eq!(
                 n.held_write,
@@ -872,28 +845,23 @@ impl<'a> DsmCtx<'a> {
                     );
                 }
             }
-            let (closed, ndiffs) = n.end_interval_vc();
             n.held_write = None;
-            let home = n.view_home(v);
-            match closed {
-                Some((id, lamport, pages, diffs)) => {
-                    // VC_sd ships the diffs inline with the release; VC_rdma
-                    // deposits them at the home by one-sided write below.
-                    let sd = if matches!(self.protocol, Protocol::VcSd | Protocol::VcRdma) {
-                        diffs
-                    } else {
-                        Vec::new()
-                    };
-                    (home, Some(id), lamport, pages, sd, ndiffs)
-                }
-                None => (home, None, n.lamport, Vec::new(), Vec::new(), 0),
-            }
+            n.view_home(v)
         };
-        if ndiffs > 0 {
-            self.debt
-                .add_overhead_diff(self.cost.diff_create * ndiffs as u64);
-            self.flush();
-        }
+        let (interval, lamport, pages, diffs) = match self.close_interval() {
+            Some((id, lamport, diffs)) => {
+                let pages = diffs.iter().map(|(p, _)| *p).collect();
+                // VC_sd ships the diffs inline with the release; VC_rdma
+                // deposits them at the home by one-sided write below.
+                let sd = if matches!(self.protocol, Protocol::VcSd | Protocol::VcRdma) {
+                    diffs
+                } else {
+                    Vec::new()
+                };
+                (Some(id), lamport, pages, sd)
+            }
+            None => (None, self.node.lock().lamport, Vec::new(), Vec::new()),
+        };
         let diffs = if self.protocol == Protocol::VcRdma {
             if !diffs.is_empty() {
                 // One-sided deposit ahead of the (slim) release request:
@@ -921,15 +889,7 @@ impl<'a> DsmCtx<'a> {
             pages,
             diffs,
         };
-        let bytes = req.wire_bytes();
-        let t_rpc = self.sim.now();
-        let resp = self
-            .rpc
-            .borrow_mut()
-            .call(&self.sim, home, bytes, req)
-            .expect::<Resp>();
-        self.charge_wait(Phase::SendWait, v as u64, t_rpc);
-        match resp {
+        match self.call(home, req, Phase::SendWait, v as u64, None) {
             Resp::ReleaseAck { version } => {
                 let mut n = self.node.lock();
                 let bumped = version > n.view_applied[v as usize];
@@ -978,14 +938,7 @@ impl<'a> DsmCtx<'a> {
             pages: Vec::new(),
             diffs: Vec::new(),
         };
-        let bytes = req.wire_bytes();
-        let t_rpc = self.sim.now();
-        let resp = self
-            .rpc
-            .borrow_mut()
-            .call(&self.sim, home, bytes, req)
-            .expect::<Resp>();
-        self.charge_wait(Phase::SendWait, v as u64, t_rpc);
+        let resp = self.call(home, req, Phase::SendWait, v as u64, None);
         assert!(matches!(resp, Resp::Ack));
         self.trace(EventKind::ReleaseDone {
             view: v as u64,
@@ -1253,6 +1206,13 @@ impl<'a> DsmCtx<'a> {
             self.node.lock().mem.validate(p);
             return;
         }
+        // HLRC always fetches the current page from its home (one round
+        // trip; the home is kept current by eager flushes).
+        if self.protocol == Protocol::Hlrc {
+            let home = p % self.nprocs();
+            assert!(self.fetch_page(p, home), "HLRC home {home} lost page {p}");
+            return;
+        }
         // Whole-page fetch (TreadMarks' "get whole page" escape hatch):
         // when the accumulated per-interval diffs would exceed one page
         // transfer, ask a node whose copy is known complete instead.
@@ -1272,43 +1232,6 @@ impl<'a> DsmCtx<'a> {
             o.len()
         };
         let is_view_page = self.layout.view_of_page(p).is_some();
-        // HLRC always fetches the current page from its home (one round
-        // trip; the home is kept current by eager flushes).
-        if self.protocol == Protocol::Hlrc {
-            let home = p % self.nprocs();
-            let req = Req::PageReq { page: p };
-            let bytes = req.wire_bytes();
-            {
-                let mut n = self.node.lock();
-                n.stats.diff_requests += 1;
-            }
-            self.trace(EventKind::DiffRequest {
-                page: p as u64,
-                to: home,
-            });
-            let t_rpc = self.sim.now();
-            let pkt = self.rpc.borrow_mut().call(&self.sim, home, bytes, req);
-            self.charge_wait(Phase::DataWait, p as u64, t_rpc);
-            match pkt.expect::<Resp>() {
-                Resp::PageResp {
-                    content: Some(content),
-                } => {
-                    let mut n = self.node.lock();
-                    n.mem.install_page(p, &content);
-                    n.mem.release_page(content);
-                    n.mem.validate(p);
-                    n.stats.diffs_applied += 1;
-                    self.debt.add_overhead_diff(self.cost.diff_apply);
-                    drop(n);
-                    self.trace(EventKind::DiffApply {
-                        page: p as u64,
-                        bytes: PAGE_SIZE as u64,
-                    });
-                    return;
-                }
-                other => panic!("HLRC home fetch got unexpected reply {other:?}"),
-            }
-        }
         // The most recent writer can be this node itself after a crash (its
         // own releases come back in the `have == 0` recovery grant); a
         // node's post-crash copy is exactly what was lost, so the escape
@@ -1321,49 +1244,8 @@ impl<'a> DsmCtx<'a> {
                     && distinct_owners == 1
                     && fetches.len() >= 4
                     && self.node.lock().page_sole_writer(p, fetches[0].id.owner)));
-        if whole_page {
-            let last = fetches.last().unwrap();
-            let req = Req::PageReq { page: p };
-            let bytes = req.wire_bytes();
-            {
-                let mut n = self.node.lock();
-                n.stats.diff_requests += 1;
-            }
-            self.trace(EventKind::DiffRequest {
-                page: p as u64,
-                to: last.id.owner,
-            });
-            let t_rpc = self.sim.now();
-            let pkt = self
-                .rpc
-                .borrow_mut()
-                .call(&self.sim, last.id.owner, bytes, req);
-            self.charge_wait(Phase::DataWait, p as u64, t_rpc);
-            match pkt.expect::<Resp>() {
-                Resp::PageResp {
-                    content: Some(content),
-                } => {
-                    let mut n = self.node.lock();
-                    n.mem.install_page(p, &content);
-                    n.mem.release_page(content);
-                    n.mem.validate(p);
-                    n.stats.diffs_applied += 1;
-                    self.debt.add_overhead_diff(self.cost.diff_apply);
-                    drop(n);
-                    self.trace(EventKind::DiffApply {
-                        page: p as u64,
-                        bytes: PAGE_SIZE as u64,
-                    });
-                    return;
-                }
-                Resp::PageResp { content: None } => {
-                    // LRC homes drop copies under memory pressure; under
-                    // crash faults even a view page's last writer may have
-                    // lost its copy. Diffs live in the durable store, so
-                    // fall through to per-interval diff fetches either way.
-                }
-                other => panic!("PageReq got unexpected reply {other:?}"),
-            }
+        if whole_page && self.fetch_page(p, fetches.last().unwrap().id.owner) {
+            return;
         }
         // Group per writer, preserving order.
         let mut per_owner: Vec<(ProcId, Vec<IntervalId>)> = Vec::new();
@@ -1373,32 +1255,21 @@ impl<'a> DsmCtx<'a> {
                 None => per_owner.push((f.id.owner, vec![f.id])),
             }
         }
-        let calls: Vec<(ProcId, usize, Req)> = per_owner
-            .into_iter()
-            .map(|(owner, intervals)| {
-                let req = Req::DiffReq { page: p, intervals };
-                let bytes = req.wire_bytes();
-                (owner, bytes, req)
-            })
-            .collect();
-        {
-            let mut n = self.node.lock();
-            n.stats.diff_requests += calls.len() as u64;
-        }
+        self.node.lock().stats.diff_requests += per_owner.len() as u64;
         if self.tracing() {
-            for (owner, _, _) in &calls {
+            for (owner, _) in &per_owner {
                 self.trace(EventKind::DiffRequest {
                     page: p as u64,
                     to: *owner,
                 });
             }
         }
-        let t_rpc = self.sim.now();
-        let replies = self.rpc.borrow_mut().call_all(&self.sim, &calls);
-        self.charge_wait(Phase::DataWait, p as u64, t_rpc);
+        let reqs = per_owner
+            .into_iter()
+            .map(|(owner, intervals)| (owner, Req::DiffReq { page: p, intervals }));
         let mut items = Vec::new();
-        for pkt in replies {
-            match pkt.expect::<Resp>() {
+        for resp in self.call_all(reqs, Phase::DataWait, p as u64) {
+            match resp {
                 Resp::DiffResp { items: it } => items.extend(it),
                 other => panic!("DiffReq got unexpected reply {other:?}"),
             }
@@ -1421,6 +1292,41 @@ impl<'a> DsmCtx<'a> {
         }
         self.debt
             .add_overhead_diff(self.cost.diff_apply * items.len() as u64);
+    }
+
+    /// Fetch page `p` whole from `from` — the HLRC home, or a node whose
+    /// copy the escape hatch proved complete — and install it. Returns false
+    /// if `from` holds no valid copy: LRC nodes drop copies under memory
+    /// pressure, and under crash faults even a view page's last writer may
+    /// have lost its copy. Diffs live in the durable store, so the caller
+    /// falls back to per-interval diff fetches.
+    fn fetch_page(&self, p: PageId, from: ProcId) -> bool {
+        self.node.lock().stats.diff_requests += 1;
+        self.trace(EventKind::DiffRequest {
+            page: p as u64,
+            to: from,
+        });
+        let req = Req::PageReq { page: p };
+        match self.call(from, req, Phase::DataWait, p as u64, None) {
+            Resp::PageResp {
+                content: Some(content),
+            } => {
+                let mut n = self.node.lock();
+                n.mem.install_page(p, &content);
+                n.mem.release_page(content);
+                n.mem.validate(p);
+                n.stats.diffs_applied += 1;
+                self.debt.add_overhead_diff(self.cost.diff_apply);
+                drop(n);
+                self.trace(EventKind::DiffApply {
+                    page: p as u64,
+                    bytes: PAGE_SIZE as u64,
+                });
+                true
+            }
+            Resp::PageResp { content: None } => false,
+            other => panic!("PageReq got unexpected reply {other:?}"),
+        }
     }
 
     fn ensure_readable(&self, p: PageId) {
@@ -1459,126 +1365,41 @@ impl<'a> DsmCtx<'a> {
         }
     }
 
-    /// Read `out.len()` bytes of shared memory starting at `addr`.
-    pub fn read_bytes(&self, addr: Addr, out: &mut [u8]) {
-        let auto = self.auto_acquire(addr, out.len(), false);
-        self.rc_access(addr, out.len(), false);
-        self.copy_cost(out.len() as u64);
-        let mut i = 0;
-        while i < out.len() {
-            let a = addr + i;
-            let p = page_of(a);
-            let off = offset_in_page(a);
-            let chunk = (PAGE_SIZE - off).min(out.len() - i);
-            self.ensure_readable(p);
-            let n = self.node.lock();
-            out[i..i + chunk].copy_from_slice(&n.mem.page(p)[off..off + chunk]);
-            i += chunk;
-        }
-        self.auto_release(auto);
-    }
-
-    /// Write `data` into shared memory at `addr`.
-    pub fn write_bytes(&self, addr: Addr, data: &[u8]) {
-        let auto = self.auto_acquire(addr, data.len(), true);
-        self.rc_access(addr, data.len(), true);
-        self.copy_cost(data.len() as u64);
-        let mut i = 0;
-        while i < data.len() {
-            let a = addr + i;
-            let p = page_of(a);
-            let off = offset_in_page(a);
-            let chunk = (PAGE_SIZE - off).min(data.len() - i);
-            self.ensure_writable(p);
-            let mut n = self.node.lock();
-            n.mem.page_mut(p)[off..off + chunk].copy_from_slice(&data[i..i + chunk]);
-            i += chunk;
-        }
-        self.auto_release(auto);
-    }
-
     /// Read one `u32` (4-aligned).
     pub fn read_u32(&self, addr: Addr) -> u32 {
-        let auto = self.auto_acquire(addr, 4, false);
-        self.rc_access(addr, 4, false);
-        debug_assert_eq!(addr % 4, 0);
-        self.copy_cost(4);
-        let p = page_of(addr);
-        self.ensure_readable(p);
-        let r = {
-            let n = self.node.lock();
-            n.mem.page(p).word(offset_in_page(addr) / 4)
-        };
-        self.auto_release(auto);
-        r
+        let mut v = [0];
+        self.read_u32s(addr, &mut v);
+        v[0]
     }
 
     /// Write one `u32` (4-aligned).
     pub fn write_u32(&self, addr: Addr, v: u32) {
-        let auto = self.auto_acquire(addr, 4, true);
-        self.rc_access(addr, 4, true);
-        debug_assert_eq!(addr % 4, 0);
-        self.copy_cost(4);
-        let p = page_of(addr);
-        self.ensure_writable(p);
-        {
-            let mut n = self.node.lock();
-            n.mem.page_mut(p).set_word(offset_in_page(addr) / 4, v);
-        }
-        self.auto_release(auto);
+        self.write_u32s(addr, &[v]);
     }
 
-    /// Read-modify-write one `u32` in place.
+    /// Read-modify-write one `u32` in place, under one lock.
     pub fn update_u32(&self, addr: Addr, f: impl FnOnce(u32) -> u32) {
-        let auto = self.auto_acquire(addr, 4, true);
-        self.rc_access(addr, 4, true);
-        debug_assert_eq!(addr % 4, 0);
-        self.copy_cost(8);
-        let p = page_of(addr);
-        self.ensure_writable(p);
-        {
-            let mut n = self.node.lock();
-            let w = offset_in_page(addr) / 4;
-            let old = n.mem.page(p).word(w);
-            n.mem.page_mut(p).set_word(w, f(old));
-        }
-        self.auto_release(auto);
+        let mut f = Some(f);
+        self.bulk::<4>(addr, 1, Access::Update, |mem, p, bytes, _| {
+            let w = bytes.start / 4;
+            let new = f.take().expect("a one-element run")(mem.page(p).word(w));
+            mem.page_mut(p).set_word(w, new);
+        });
     }
 
     /// Read one `f64` (8-aligned).
     pub fn read_f64(&self, addr: Addr) -> f64 {
-        let auto = self.auto_acquire(addr, 8, false);
-        self.rc_access(addr, 8, false);
-        debug_assert_eq!(addr % 8, 0);
-        self.copy_cost(8);
-        let p = page_of(addr);
-        self.ensure_readable(p);
-        let r = {
-            let n = self.node.lock();
-            let off = offset_in_page(addr);
-            f64::from_le_bytes(n.mem.page(p)[off..off + 8].try_into().unwrap())
-        };
-        self.auto_release(auto);
-        r
+        let mut v = [0.0];
+        self.read_f64s(addr, &mut v);
+        v[0]
     }
 
     /// Write one `f64` (8-aligned).
     pub fn write_f64(&self, addr: Addr, v: f64) {
-        let auto = self.auto_acquire(addr, 8, true);
-        self.rc_access(addr, 8, true);
-        debug_assert_eq!(addr % 8, 0);
-        self.copy_cost(8);
-        let p = page_of(addr);
-        self.ensure_writable(p);
-        {
-            let mut n = self.node.lock();
-            let off = offset_in_page(addr);
-            n.mem.page_mut(p)[off..off + 8].copy_from_slice(&v.to_le_bytes());
-        }
-        self.auto_release(auto);
+        self.write_f64s(addr, &[v]);
     }
 
-    /// What the bulk accessors share, for `count` `W`-byte elements at
+    /// The one path every accessor takes, for `count` `W`-byte elements at
     /// `addr`: bracket, check and charge the whole access, make every page
     /// accessible, then under one lock hand `copy` each page with the bytes
     /// and the elements of the run inside it.
@@ -1586,14 +1407,21 @@ impl<'a> DsmCtx<'a> {
         &self,
         addr: Addr,
         count: usize,
-        write: bool,
+        access: Access,
         mut copy: impl FnMut(&mut NodeMemory, PageId, Range<usize>, Range<usize>),
     ) {
-        let auto = self.auto_acquire(addr, count * W, write);
-        self.rc_access(addr, count * W, write);
+        let (len, write) = (count * W, access != Access::Read);
+        let auto = self.auto_acquire(addr, len, write);
+        self.rc_access(addr, len, write);
         debug_assert_eq!(addr % W, 0);
-        self.copy_cost((count * W) as u64);
-        for p in pages_spanned(addr, count * W) {
+        // A read-modify-write copies its bytes out and back.
+        let copied = if access == Access::Update {
+            2 * len
+        } else {
+            len
+        };
+        self.copy_cost(copied as u64);
+        for p in pages_spanned(addr, len) {
             match write {
                 true => self.ensure_writable(p),
                 false => self.ensure_readable(p),
@@ -1616,7 +1444,7 @@ impl<'a> DsmCtx<'a> {
 
     /// Bulk read of `f64`s (8-aligned base).
     pub fn read_f64s(&self, addr: Addr, out: &mut [f64]) {
-        self.bulk::<8>(addr, out.len(), false, |mem, p, bytes, elems| {
+        self.bulk::<8>(addr, out.len(), Access::Read, |mem, p, bytes, elems| {
             let src = mem.page(p)[bytes].chunks_exact(8);
             for (o, b) in out[elems].iter_mut().zip(src) {
                 *o = f64::from_le_bytes(b.try_into().unwrap());
@@ -1626,7 +1454,7 @@ impl<'a> DsmCtx<'a> {
 
     /// Bulk write of `f64`s (8-aligned base).
     pub fn write_f64s(&self, addr: Addr, data: &[f64]) {
-        self.bulk::<8>(addr, data.len(), true, |mem, p, bytes, elems| {
+        self.bulk::<8>(addr, data.len(), Access::Write, |mem, p, bytes, elems| {
             for (b, v) in mem.page_mut(p)[bytes].chunks_exact_mut(8).zip(&data[elems]) {
                 b.copy_from_slice(&v.to_le_bytes());
             }
@@ -1635,7 +1463,7 @@ impl<'a> DsmCtx<'a> {
 
     /// Bulk read of `u32`s (4-aligned base).
     pub fn read_u32s(&self, addr: Addr, out: &mut [u32]) {
-        self.bulk::<4>(addr, out.len(), false, |mem, p, bytes, elems| {
+        self.bulk::<4>(addr, out.len(), Access::Read, |mem, p, bytes, elems| {
             let src = mem.page(p)[bytes].chunks_exact(4);
             for (o, b) in out[elems].iter_mut().zip(src) {
                 *o = u32::from_le_bytes(b.try_into().unwrap());
@@ -1645,7 +1473,7 @@ impl<'a> DsmCtx<'a> {
 
     /// Bulk write of `u32`s (4-aligned base).
     pub fn write_u32s(&self, addr: Addr, data: &[u32]) {
-        self.bulk::<4>(addr, data.len(), true, |mem, p, bytes, elems| {
+        self.bulk::<4>(addr, data.len(), Access::Write, |mem, p, bytes, elems| {
             mem.page_mut(p).set_words(bytes.start / 4, &data[elems]);
         });
     }

@@ -110,40 +110,6 @@ impl ViewHome {
     }
 }
 
-/// True when `VOPP_TRACE` is set: protocol events are logged to stderr.
-pub fn trace_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("VOPP_TRACE").is_some())
-}
-
-fn trace_req(now: vopp_sim::SimTime, me: ProcId, src: ProcId, req: &Req) {
-    let what = match req {
-        Req::LockAcquire { lock, .. } => format!("lock-acquire {lock}"),
-        Req::LockRelease { lock, records } => {
-            format!("lock-release {lock} (+{} records)", records.len())
-        }
-        Req::BarrierArrive {
-            episode, records, ..
-        } => {
-            format!("barrier-arrive #{episode} (+{} records)", records.len())
-        }
-        Req::ViewAcquire { view, mode, have } => {
-            format!("view-acquire {view} {mode:?} have={have}")
-        }
-        Req::ViewRelease {
-            view, mode, pages, ..
-        } => {
-            format!("view-release {view} {mode:?} ({} pages)", pages.len())
-        }
-        Req::DiffReq { page, intervals } => {
-            format!("diff-req page {page} ({} intervals)", intervals.len())
-        }
-        Req::PageReq { page } => format!("page-req {page}"),
-        Req::HomeFlush { items } => format!("home-flush ({} pages)", items.len()),
-    };
-    eprintln!("[vopp {now}] node {me} <- {src}: {what}");
-}
-
 /// Build the service handler for one node.
 pub fn make_handler(node: Arc<Mutex<NodeState>>) -> Handler {
     Box::new(move |svc, pkt| {
@@ -152,11 +118,7 @@ pub fn make_handler(node: Arc<Mutex<NodeState>>) -> Handler {
         // The sender's `RpcClient` keeps the payload for retransmission, so
         // the request is shared: borrow it and copy only what a home stores.
         let req = pkt.expect_arc::<Req>();
-        let mut n = node.lock();
-        if trace_enabled() {
-            trace_req(svc.now(), n.me, src, &req);
-        }
-        handle(&mut n, svc, src, tag, &req);
+        handle(&mut node.lock(), svc, src, tag, &req);
     })
 }
 
@@ -198,8 +160,7 @@ fn handle(n: &mut NodeState, svc: &mut SvcCtx<'_>, src: ProcId, tag: u64, req: &
             }
             // Duplicate releases (holder already moved on) are just acked.
             n.locks.insert(*lock, h);
-            let ack = Resp::Ack;
-            reply(svc, src, ack.wire_bytes(), tag, Arc::new(ack));
+            respond(svc, src, tag, Resp::Ack);
         }
 
         Req::BarrierArrive {
@@ -304,14 +265,12 @@ fn handle(n: &mut NodeState, svc: &mut SvcCtx<'_>, src: ProcId, tag: u64, req: &
                     v
                 };
                 h.last_write_release.insert(src, version);
-                let ack = Resp::ReleaseAck { version };
-                reply(svc, src, ack.wire_bytes(), tag, Arc::new(ack));
+                respond(svc, src, tag, Resp::ReleaseAck { version });
                 grant_next(n, &mut h, svc, view);
             } else {
                 // Duplicate release after the original was processed.
                 let version = h.last_write_release.get(&src).copied().unwrap_or(h.version);
-                let ack = Resp::ReleaseAck { version };
-                reply(svc, src, ack.wire_bytes(), tag, Arc::new(ack));
+                respond(svc, src, tag, Resp::ReleaseAck { version });
             }
             n.views.insert(view, h);
         }
@@ -323,8 +282,7 @@ fn handle(n: &mut NodeState, svc: &mut SvcCtx<'_>, src: ProcId, tag: u64, req: &
         } => {
             let mut h = n.views.remove(&view).unwrap_or_default();
             h.readers.remove(&src);
-            let ack = Resp::Ack;
-            reply(svc, src, ack.wire_bytes(), tag, Arc::new(ack));
+            respond(svc, src, tag, Resp::Ack);
             if h.readers.is_empty() && h.writer.is_none() {
                 grant_next(n, &mut h, svc, view);
             }
@@ -333,8 +291,7 @@ fn handle(n: &mut NodeState, svc: &mut SvcCtx<'_>, src: ProcId, tag: u64, req: &
 
         Req::DiffReq { page, intervals } => {
             let items = n.serve_diffs(*page, intervals);
-            let resp = Resp::DiffResp { items };
-            reply(svc, src, resp.wire_bytes(), tag, Arc::new(resp));
+            respond(svc, src, tag, Resp::DiffResp { items });
         }
 
         Req::HomeFlush { items } => {
@@ -349,8 +306,7 @@ fn handle(n: &mut NodeState, svc: &mut SvcCtx<'_>, src: ProcId, tag: u64, req: &
                 n.mem.apply_diff_with_twin(*page, diff.as_ref());
                 n.stats.diffs_applied += 1;
             }
-            let ack = Resp::Ack;
-            reply(svc, src, ack.wire_bytes(), tag, Arc::new(ack));
+            respond(svc, src, tag, Resp::Ack);
         }
 
         &Req::PageReq { page } => {
@@ -364,10 +320,14 @@ fn handle(n: &mut NodeState, svc: &mut SvcCtx<'_>, src: ProcId, tag: u64, req: &
             } else {
                 Some(n.mem.clone_page(page))
             };
-            let resp = Resp::PageResp { content };
-            reply(svc, src, resp.wire_bytes(), tag, Arc::new(resp));
+            respond(svc, src, tag, Resp::PageResp { content });
         }
     }
+}
+
+/// Answer the request `tag` from `dst` with `resp`.
+fn respond(svc: &mut SvcCtx<'_>, dst: ProcId, tag: u64, resp: Resp) {
+    reply(svc, dst, resp.wire_bytes(), tag, Arc::new(resp));
 }
 
 fn admit(h: &mut ViewHome, proc: ProcId, mode: AccessMode) {
@@ -410,7 +370,7 @@ fn send_lock_grant(n: &NodeState, svc: &mut SvcCtx<'_>, dst: ProcId, tag: u64, r
         vt: n.logged_vt.clone(),
         lamport: n.lamport,
     };
-    reply(svc, dst, resp.wire_bytes(), tag, Arc::new(resp));
+    respond(svc, dst, tag, resp);
 }
 
 fn send_barrier_release(
@@ -434,7 +394,7 @@ fn send_barrier_release(
             lamport: n.lamport,
         }
     };
-    reply(svc, dst, resp.wire_bytes(), tag, Arc::new(resp));
+    respond(svc, dst, tag, resp);
 }
 
 fn send_view_grant(
@@ -498,14 +458,13 @@ fn send_view_grant(
         version: h.version,
         lamport: n.lamport,
     };
-    let bytes = resp.wire_bytes();
     svc.trace(vopp_sim::EventKind::ViewGrantSent {
         view: view as u64,
         to: dst,
         version: h.version as u64,
-        bytes: bytes as u64 + data_bytes,
+        bytes: resp.wire_bytes() as u64 + data_bytes,
     });
-    reply(svc, dst, bytes, tag, Arc::new(resp));
+    respond(svc, dst, tag, resp);
 }
 
 #[cfg(test)]

@@ -1,6 +1,8 @@
 #![warn(missing_docs)]
 
-//! # vopp-dsm — the three DSM systems of the paper
+//! # vopp-dsm — the paper's three DSM systems and three extensions
+//!
+//! The paper's systems:
 //!
 //! * **LRC_d** — diff-based Lazy Release Consistency (TreadMarks-style):
 //!   twins, word-granularity diffs, write notices with vector timestamps, an
@@ -11,6 +13,15 @@
 //! * **VC_sd** — the optimal VC implementation (CCGrid'05): a single
 //!   integrated diff per page, piggy-backed on the view-grant message — an
 //!   update protocol with zero fault-time diff requests.
+//!
+//! Extensions, selected through the same [`Protocol`] enum:
+//!
+//! * **HLRC** — home-based LRC: diffs are flushed to each page's home at
+//!   interval end, and a fault fetches the whole page from its home.
+//! * **ScC** — Scope Consistency (the paper's related work): a lock grant
+//!   enforces only the updates made under that lock's scope.
+//! * **VC_rdma** — VC_sd on one-sided RDMA verbs: view data moves by
+//!   one-sided writes, with no diff application on the acquirer's CPU.
 //!
 //! The crate provides the per-node protocol engine ([`NodeState`]), the
 //! manager roles ([`homes`]), the application-facing context ([`DsmCtx`])

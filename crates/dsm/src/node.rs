@@ -17,7 +17,8 @@ use crate::homes::{BarrierHome, LockHome, ViewHome};
 use crate::layout::{Layout, ViewId};
 use crate::stats::NodeStats;
 
-/// Which DSM implementation a run uses (the paper's three systems).
+/// Which DSM implementation a run uses: the paper's three systems plus
+/// three extensions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Protocol {
     /// Diff-based Lazy Release Consistency: the TreadMarks protocol.
@@ -82,6 +83,10 @@ impl std::fmt::Display for Protocol {
         f.write_str(self.label())
     }
 }
+
+/// The diffs of one sealed interval in page order, shared by `Arc` with the
+/// creator's diff store.
+pub(crate) type PageDiffs = Vec<(PageId, Arc<Diff>)>;
 
 /// A diff retained by its creator, served on [`crate::msg::Req::DiffReq`].
 /// The diff is immutable once stored and shared by `Arc` with every reply
@@ -234,32 +239,23 @@ impl NodeState {
         p % self.n
     }
 
-    /// Close the current write interval: extract diffs, log the record,
-    /// retain the diffs for serving. Returns the new record (if any page was
-    /// dirty) and the number of diffs created (for CPU accounting).
-    pub fn end_interval(&mut self) -> (Option<Arc<IntervalRecord>>, usize) {
-        let (rec, diffs) = self.end_interval_with_diffs();
-        let n = diffs.len();
-        (rec, n)
-    }
-
-    /// Like [`NodeState::end_interval`] but also hands back the diffs, for
-    /// protocols that ship them eagerly (HLRC home flushes). The diffs are
-    /// shared with the diff store, not copied.
-    #[allow(clippy::type_complexity)]
-    pub fn end_interval_with_diffs(
-        &mut self,
-    ) -> (Option<Arc<IntervalRecord>>, Vec<(PageId, Arc<Diff>)>) {
-        let diffs: Vec<(PageId, Arc<Diff>)> = self
+    /// Seal the current write interval: extract the diff of every dirty
+    /// page, stamp the interval with this node's next sequence number and
+    /// lamport time, and retain the diffs for serving. Under the traditional
+    /// protocols the interval's record also enters the LRC log; a view
+    /// release keeps its history at the view home instead, so it builds no
+    /// record. Returns the interval id and its diffs in page order (shared
+    /// with the diff store, not copied), or `None` if nothing was written.
+    pub(crate) fn seal_interval(&mut self) -> Option<(IntervalId, PageDiffs)> {
+        let diffs: PageDiffs = self
             .mem
             .end_interval()
             .into_iter()
             .map(|(p, d)| (p, Arc::new(d)))
             .collect();
         if diffs.is_empty() {
-            return (None, Vec::new());
+            return None;
         }
-        let ndiffs = diffs.len();
         let seq = self.logged_vt.bump(self.me);
         self.applied_vt.set(self.me, seq);
         self.lamport += 1;
@@ -267,7 +263,6 @@ impl NodeState {
             owner: self.me,
             seq,
         };
-        let pages: Vec<PageId> = diffs.iter().map(|(p, _)| *p).collect();
         for (p, diff) in &diffs {
             self.diff_store.entry(*p).or_default().push(StoredDiff {
                 id,
@@ -275,58 +270,17 @@ impl NodeState {
                 diff: Arc::clone(diff),
             });
         }
-        self.stats.diffs_created += ndiffs as u64;
-        let rec = Arc::new(IntervalRecord {
-            id,
-            vt: self.logged_vt.clone(),
-            lamport: self.lamport,
-            pages,
-        });
-        self.logged.insert((self.me, seq), Arc::clone(&rec));
-        (Some(rec), diffs)
-    }
-
-    /// Close the current write interval for a VOPP view release: like
-    /// [`NodeState::end_interval`] but the record is *not* entered into the
-    /// LRC log — view history lives at the view home, keyed by version, and
-    /// must not leak into barrier/lock consistency traffic.
-    ///
-    /// Returns `(interval id, lamport, dirty pages, diffs)` and the diff
-    /// count for CPU accounting.
-    #[allow(clippy::type_complexity)]
-    pub fn end_interval_vc(
-        &mut self,
-    ) -> (
-        Option<(IntervalId, u64, Vec<PageId>, Vec<(PageId, Arc<Diff>)>)>,
-        usize,
-    ) {
-        let diffs: Vec<(PageId, Arc<Diff>)> = self
-            .mem
-            .end_interval()
-            .into_iter()
-            .map(|(p, d)| (p, Arc::new(d)))
-            .collect();
-        if diffs.is_empty() {
-            return (None, 0);
-        }
-        let ndiffs = diffs.len();
-        let seq = self.logged_vt.bump(self.me);
-        self.applied_vt.set(self.me, seq);
-        self.lamport += 1;
-        let id = IntervalId {
-            owner: self.me,
-            seq,
-        };
-        let pages: Vec<PageId> = diffs.iter().map(|(p, _)| *p).collect();
-        for (p, diff) in &diffs {
-            self.diff_store.entry(*p).or_default().push(StoredDiff {
+        self.stats.diffs_created += diffs.len() as u64;
+        if self.protocol.is_lrc_family() {
+            let rec = IntervalRecord {
                 id,
+                vt: self.logged_vt.clone(),
                 lamport: self.lamport,
-                diff: Arc::clone(diff),
-            });
+                pages: diffs.iter().map(|(p, _)| *p).collect(),
+            };
+            self.logged.insert((self.me, seq), Arc::new(rec));
         }
-        self.stats.diffs_created += ndiffs as u64;
-        (Some((id, self.lamport, pages, diffs)), ndiffs)
+        Some((id, diffs))
     }
 
     /// Records this node possesses that `vt` does not cover. The returned
@@ -584,10 +538,20 @@ impl NodeState {
 mod tests {
     use super::*;
 
-    fn mk(me: ProcId, n: usize) -> NodeState {
+    fn mk_as(me: ProcId, n: usize, protocol: Protocol) -> NodeState {
         let mut l = Layout::new();
         let _ = l.alloc(4 * vopp_page::PAGE_SIZE, 1);
-        NodeState::new(me, n, Protocol::LrcD, CostModel::default(), l.freeze(), 128)
+        NodeState::new(me, n, protocol, CostModel::default(), l.freeze(), 128)
+    }
+
+    fn mk(me: ProcId, n: usize) -> NodeState {
+        mk_as(me, n, Protocol::LrcD)
+    }
+
+    /// Seal `n`'s write interval and return the record it logged.
+    fn seal(n: &mut NodeState) -> Arc<IntervalRecord> {
+        let (id, _) = n.seal_interval().expect("a dirty page");
+        Arc::clone(&n.logged[&(id.owner, id.seq)])
     }
 
     #[test]
@@ -595,19 +559,29 @@ mod tests {
         let mut a = mk(0, 2);
         a.mem.note_write(1);
         a.mem.page_mut(1).set_word(0, 5);
-        let (rec, nd) = a.end_interval();
-        let rec = rec.unwrap();
-        assert_eq!(nd, 1);
-        assert_eq!(rec.id, IntervalId { owner: 0, seq: 1 });
-        assert_eq!(rec.pages, vec![1]);
+        let (id, diffs) = a.seal_interval().unwrap();
+        assert_eq!(diffs.len(), 1);
+        assert_eq!(id, IntervalId { owner: 0, seq: 1 });
+        assert_eq!(a.logged[&(0, 1)].pages, vec![1]);
         assert_eq!(a.logged_vt.get(0), 1);
         assert_eq!(a.applied_vt.get(0), 1);
         assert!(a.diff_store.contains_key(&1));
         // Empty interval produces nothing.
-        let (rec2, nd2) = a.end_interval();
-        assert!(rec2.is_none());
-        assert_eq!(nd2, 0);
+        assert!(a.seal_interval().is_none());
         assert_eq!(a.logged_vt.get(0), 1);
+    }
+
+    #[test]
+    fn view_release_seal_stores_diffs_but_logs_no_record() {
+        let mut a = mk_as(0, 2, Protocol::VcSd);
+        a.mem.note_write(2);
+        a.mem.page_mut(2).set_word(0, 5);
+        let (id, diffs) = a.seal_interval().unwrap();
+        assert_eq!(id, IntervalId { owner: 0, seq: 1 });
+        assert_eq!(diffs.iter().map(|(p, _)| *p).collect::<Vec<_>>(), [2]);
+        assert!(a.logged.is_empty());
+        assert_eq!(a.lamport, 1);
+        assert!(a.diff_store.contains_key(&2));
     }
 
     #[test]
@@ -616,8 +590,7 @@ mod tests {
         let mut b = mk(1, 2);
         b.mem.note_write(2);
         b.mem.page_mut(2).set_word(3, 9);
-        let (rec, _) = b.end_interval();
-        let rec = rec.unwrap();
+        let rec = seal(&mut b);
 
         a.absorb_lrc_grant(std::slice::from_ref(&rec), &rec.vt, rec.lamport);
         assert_eq!(a.mem.state(2), PageState::Invalid);
@@ -637,14 +610,14 @@ mod tests {
         let mut a = mk(0, 2);
         a.mem.note_write(0);
         a.mem.page_mut(0).set_word(0, 1);
-        a.end_interval();
+        seal(&mut a);
         let d1 = a.delta_for_home(1);
         assert_eq!(d1.len(), 1);
         let d2 = a.delta_for_home(1);
         assert!(d2.is_empty(), "same records must not be re-sent");
         a.mem.note_write(0);
         a.mem.page_mut(0).set_word(0, 2);
-        a.end_interval();
+        seal(&mut a);
         let d3 = a.delta_for_home(1);
         assert_eq!(d3.len(), 1);
         assert_eq!(d3[0].id.seq, 2);
@@ -656,8 +629,7 @@ mod tests {
         let mut b = mk(1, 2);
         b.mem.note_write(2);
         b.mem.page_mut(2).set_word(0, 1);
-        let (rec, _) = b.end_interval();
-        let rec = rec.unwrap();
+        let rec = seal(&mut b);
         a.absorb_lrc_grant(std::slice::from_ref(&rec), &rec.vt, rec.lamport);
         let first = a.take_pending(2);
         assert_eq!(first.len(), 1);
