@@ -6,8 +6,8 @@ BASELINE_DIR ?= crates/bench/baselines
 CRITPATH_DIR ?= target/bench-critpath
 CRITPATH_BASELINE_DIR ?= crates/bench/baselines-critpath
 
-.PHONY: all check fmt clippy doc test test-all tables tables-quick serve scaling netgen \
-        bench bench-micro bench-wallclock baseline critpath baseline-critpath \
+.PHONY: all check fmt clippy doc test test-all tables tables-quick tables-check serve scaling \
+        netgen bench bench-micro baseline critpath baseline-critpath \
         metrics-demo trace-demo racecheck hostbench hostbench-test \
         clean
 
@@ -41,6 +41,11 @@ tables:
 tables-quick:
 	cargo run -p vopp-bench --release --bin tables -- all --quick
 
+# The paper-scale tables must reproduce docs/regenerated_tables.txt byte for
+# byte (about 30 s on 2 cores; peak RSS about 1.6 GiB at --jobs 2).
+tables-check:
+	cargo run -p vopp-bench --release --bin tables -- all --jobs 4 | diff docs/regenerated_tables.txt -
+
 # The serving workload (docs/SERVING.md): open-loop sharded KV store
 # across the protocol matrix, two offered loads, and loss/slowdown/crash
 # fault scenarios. Opt-in like `ext`; not part of `all`.
@@ -70,18 +75,9 @@ bench:
 	cargo run -p vopp-bench --release --bin tables -- all serve scaling netgen --quick --metrics $(METRICS_DIR)
 	cargo run -p vopp-bench --release --bin metrics_diff -- $(BASELINE_DIR) $(METRICS_DIR)
 
-# Full quick sweep on every core, reporting real time per cell. Wall-clock
-# is machine-dependent and never gated; see docs/PERFORMANCE.md.
-bench-wallclock:
-	cargo run -p vopp-bench --release --bin tables -- all serve scaling netgen --quick --metrics $(METRICS_DIR)
-	@echo "Wall-clock artifact:"
-	@cat $(METRICS_DIR)/BENCH_wallclock.json
-
-# Refresh the committed baselines after an intentional perf change. The
-# machine-dependent wall-clock artifact is never committed as a baseline.
+# Refresh the committed baselines after an intentional perf change.
 baseline:
 	cargo run -p vopp-bench --release --bin tables -- all serve scaling netgen --quick --metrics $(BASELINE_DIR)
-	rm -f $(BASELINE_DIR)/BENCH_wallclock.json
 
 # Critical-path profile of the full quick sweep (docs/OBSERVABILITY.md):
 # every table gains CP blame rows and what-if ceilings, the sweep writes

@@ -17,13 +17,13 @@
 //!
 //! `--metrics <dir>` records every verified run and writes one
 //! `BENCH_<app>.json` per application into `<dir>` — the machine-readable
-//! artifacts consumed by the `metrics_diff` regression gate — plus
-//! `BENCH_wallclock.json` (real time per cell; reported, never gated).
+//! artifacts consumed by the `metrics_diff` regression gate. Host cost
+//! (wall-clock, RSS, allocations per cell) is measured by `benchmark/`.
 //!
-//! `--jobs N` (or `VOPP_JOBS=N`; default: available parallelism) sizes the
-//! worker pool that precomputes the sweep's cells. Every artifact is
-//! byte-identical for any worker count — cells are independent
-//! deterministic simulations consumed in sequential order.
+//! `--jobs N` (default: available parallelism) sizes the worker pool that
+//! precomputes the sweep's cells. Every artifact is byte-identical for any
+//! worker count — cells are independent deterministic simulations consumed
+//! in sequential order.
 //!
 //! The `scaling` table (64/128-node scale-out cells) is opt-in like `ext`
 //! and `serve`: request it by name (`tables scaling`).
@@ -73,46 +73,22 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use vopp_bench::hostprof::{peak_rss_bytes, CountingAlloc, StageStats, StageTimer};
+use vopp_bench::hostprof::{peak_rss_bytes, CountingAlloc};
 use vopp_bench::sweep::{
-    cells_for, context_hash, dedup_cells, run_sweep_cached, write_wallclock, DiskCache,
+    cells_for, context_hash, dedup_cells, run_sweep_cached, DiskCache, OPT_IN, TABLES,
 };
-use vopp_bench::tables;
 use vopp_bench::{MetricsSink, Scale, Table};
 use vopp_core::FaultPlan;
 use vopp_trace::json::Value;
 
-/// Count every allocation the table run makes; the per-stage deltas land
-/// in `BENCH_wallclock.json`. Library users and tests don't pay for this —
-/// only this binary installs the counting allocator.
+/// Count every allocation the table run makes. Library users and tests
+/// don't pay for this — only this binary installs the counting allocator.
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
 const USAGE: &str = "usage: tables [--quick] [--json] [--jobs N] [--trace DIR] \
      [--metrics DIR] [--cache DIR] [--faults PLAN] [--critpath] [--racecheck] \
      (all | table1 .. table9 | ext | serve | scaling | netgen)*";
-
-type TableFn = fn(&Scale) -> Table;
-
-/// Every table by the name it is requested with, in print order.
-const TABLES: [(&str, TableFn); 13] = [
-    ("table1", tables::table1),
-    ("table2", tables::table2),
-    ("table3", tables::table3),
-    ("table4", tables::table4),
-    ("table5", tables::table5),
-    ("table6", tables::table6),
-    ("table7", tables::table7),
-    ("table8", tables::table8),
-    ("table9", tables::table9),
-    ("ext", tables::table_ext),
-    ("serve", tables::table_serve),
-    ("scaling", tables::table_scaling),
-    ("netgen", tables::table_netgen),
-];
-
-/// Tables that `all` leaves out: they run only when named.
-const OPT_IN: [&str; 4] = ["ext", "serve", "scaling", "netgen"];
 
 /// The command line, checked: every flag is one the usage text lists and
 /// every positional names a table.
@@ -130,10 +106,10 @@ struct Cli {
     wanted: Vec<String>,
 }
 
-fn parse_jobs(s: &str, what: &str) -> Result<usize, String> {
+fn parse_jobs(s: &str) -> Result<usize, String> {
     match s.parse::<usize>() {
         Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!("{what} must be a positive integer, got {s:?}")),
+        _ => Err(format!("--jobs must be a positive integer, got {s:?}")),
     }
 }
 
@@ -150,7 +126,7 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             "--json" => cli.json = true,
             "--critpath" => cli.critpath = true,
             "--racecheck" => cli.racecheck = true,
-            "--jobs" => cli.jobs = Some(parse_jobs(operand("a positive integer")?, "--jobs")?),
+            "--jobs" => cli.jobs = Some(parse_jobs(operand("a positive integer")?)?),
             "--trace" => cli.trace_dir = Some(PathBuf::from(operand("a directory")?)),
             "--metrics" => cli.metrics_dir = Some(PathBuf::from(operand("a directory")?)),
             "--cache" => cli.cache_dir = Some(PathBuf::from(operand("a directory")?)),
@@ -192,11 +168,7 @@ fn main() {
         faults,
         wanted,
     } = parse_cli(&args).unwrap_or_else(|e| usage_exit(&e));
-    let jobs = match (jobs, std::env::var("VOPP_JOBS")) {
-        (Some(n), _) => n,
-        (None, Ok(v)) => parse_jobs(&v, "VOPP_JOBS").unwrap_or_else(|e| usage_exit(&e)),
-        (None, Err(_)) => std::thread::available_parallelism().map_or(1, usize::from),
-    };
+    let jobs = jobs.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from));
     if cache_dir.is_some() && trace_dir.is_some() {
         eprintln!("[cache: disabled — --trace requires simulating every cell]");
         cache_dir = None;
@@ -215,14 +187,13 @@ fn main() {
         trace_dir,
         metrics: sink.clone(),
         net_override: None,
-        netgen: None,
         cache: None,
         faults,
         critpath,
         trace_evictions: Default::default(),
     };
     let run_all = wanted.iter().any(|w| w == "all");
-    let selected: Vec<(&str, TableFn)> = TABLES
+    let selected: Vec<_> = TABLES
         .into_iter()
         .filter(|(name, _)| (run_all && !OPT_IN.contains(name)) || wanted.iter().any(|w| w == name))
         .collect();
@@ -230,23 +201,16 @@ fn main() {
     // Precompute every selected cell on the worker pool; the table
     // functions below consume the cache in their original sequential
     // order, so all artifacts stay byte-identical for any --jobs value.
-    // Each stage's wall-clock and allocation delta lands in
-    // `BENCH_wallclock.json`.
-    let mut stages: Vec<StageStats> = Vec::new();
-    let stage = StageTimer::start("enumerate");
     let specs = dedup_cells(
         &selected
             .iter()
             .flat_map(|(name, _)| cells_for(name, &scale))
             .collect::<Vec<_>>(),
     );
-    stages.push(stage.finish());
-    let stage = StageTimer::start("simulate");
     let mut disk = cache_dir
         .as_ref()
         .map(|dir| DiskCache::open(dir, context_hash(&scale)));
     let cache = Arc::new(run_sweep_cached(&scale, &specs, jobs, disk.as_mut()));
-    stages.push(stage.finish());
     eprintln!(
         "[sweep: {} cells on {} worker(s) in {:.1?}]",
         cache.len(),
@@ -259,9 +223,8 @@ fn main() {
             cache.warm_cells, cache.simulated_cells
         );
     }
-    scale.cache = Some(cache.clone());
+    scale.cache = Some(cache);
 
-    let stage = StageTimer::start("render");
     let mut produced = Vec::new();
     for (name, f) in &selected {
         let t0 = Instant::now();
@@ -289,14 +252,6 @@ fn main() {
                 eprintln!("failed to write metrics into {}: {e}", dir.display());
                 std::process::exit(1);
             }
-        }
-    }
-    stages.push(stage.finish());
-    // Written last so the artifact covers every stage of the run.
-    if let Some(dir) = &metrics_dir {
-        if let Err(e) = write_wallclock(&cache, &stages, dir) {
-            eprintln!("failed to write BENCH_wallclock.json: {e}");
-            std::process::exit(1);
         }
     }
     if let Some(rss) = peak_rss_bytes() {

@@ -3,7 +3,8 @@
 //!
 //! Everything here observes the host, never the simulation: peak RSS and
 //! allocation counters have no connection to virtual time, so they are
-//! reported (in `BENCH_wallclock.json`) but never gated by `metrics_diff`.
+//! reported (the `tables` binary's `[host: ...]` line, and per rep by the
+//! `benchmark/` suite) but never gated by `metrics_diff`.
 //!
 //! * [`CountingAlloc`] — a `GlobalAlloc` wrapper counting allocations and
 //!   allocated bytes (cumulative, relaxed atomics; a few ns per malloc).
@@ -11,8 +12,6 @@
 //!   pay nothing.
 //! * [`peak_rss_bytes`] — the process's high-water resident set, read from
 //!   `/proc/self/status` (`VmHWM`) on Linux; `None` elsewhere.
-//! * [`StageStats`] / [`StageTimer`] — wall-clock and allocation deltas per
-//!   sweep stage (enumerate / simulate / render).
 
 // The one place in the crate allowed to write `unsafe`: implementing the
 // (unsafe-by-design) GlobalAlloc trait as a pure pass-through to System.
@@ -20,7 +19,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
@@ -68,66 +66,9 @@ pub fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// Wall-clock and allocation cost of one sweep stage.
-#[derive(Debug, Clone)]
-pub struct StageStats {
-    /// Stage name (`enumerate`, `simulate`, `render`).
-    pub name: &'static str,
-    /// Wall-clock spent in the stage, in nanoseconds.
-    pub wall_ns: u64,
-    /// Allocations performed during the stage (0 without [`CountingAlloc`]).
-    pub allocs: u64,
-    /// Bytes allocated during the stage (0 without [`CountingAlloc`]).
-    pub alloc_bytes: u64,
-}
-
-/// Measures one stage: construct at stage start, [`StageTimer::finish`] at
-/// stage end.
-pub struct StageTimer {
-    name: &'static str,
-    start: Instant,
-    allocs0: u64,
-    bytes0: u64,
-}
-
-impl StageTimer {
-    /// Start timing a stage.
-    pub fn start(name: &'static str) -> StageTimer {
-        let (allocs0, bytes0) = alloc_totals();
-        StageTimer {
-            name,
-            start: Instant::now(),
-            allocs0,
-            bytes0,
-        }
-    }
-
-    /// Stop timing and report the stage's deltas.
-    pub fn finish(self) -> StageStats {
-        let (allocs, bytes) = alloc_totals();
-        StageStats {
-            name: self.name,
-            wall_ns: self.start.elapsed().as_nanos() as u64,
-            allocs: allocs - self.allocs0,
-            alloc_bytes: bytes - self.bytes0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stage_timer_reports_monotone_deltas() {
-        let t = StageTimer::start("test");
-        let s = t.finish();
-        assert_eq!(s.name, "test");
-        // Without the global allocator installed the counters stay zero;
-        // with it they only grow. Either way the deltas are non-negative
-        // (u64 subtraction would have panicked in debug on regression).
-        let _ = (s.allocs, s.alloc_bytes, s.wall_ns);
-    }
 
     #[test]
     fn peak_rss_is_plausible_when_present() {

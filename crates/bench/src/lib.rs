@@ -20,7 +20,7 @@ pub mod sweep;
 pub mod table;
 pub mod tables;
 
-pub use hostprof::{alloc_totals, peak_rss_bytes, CountingAlloc, StageStats, StageTimer};
+pub use hostprof::{alloc_totals, peak_rss_bytes, CountingAlloc};
 pub use metrics::MetricsSink;
 pub use racecheck::{run_racecheck, RacecheckOutcome};
 pub use sweep::{

@@ -528,11 +528,7 @@ pub fn compare_dirs(baseline_dir: &Path, candidate_dir: &Path) -> (usize, Vec<St
         Ok(rd) => rd
             .filter_map(|e| e.ok())
             .map(|e| e.file_name().to_string_lossy().into_owned())
-            // BENCH_wallclock.json reports machine-dependent real time;
-            // it is never byte-gated.
-            .filter(|n| {
-                n.starts_with("BENCH_") && n.ends_with(".json") && n != "BENCH_wallclock.json"
-            })
+            .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
             .collect(),
         Err(e) => {
             return (

@@ -8,13 +8,9 @@
 //! [`Scale`] so the table functions consume precomputed results *in their
 //! original sequential order*. Tables, `BENCH_<app>.json` metrics and trace
 //! artifacts therefore come out byte-identical for any worker count — only
-//! wall-clock changes.
-//!
-//! Wall-clock itself is reported (never gated): each cell is timed with
-//! [`std::time::Instant`] outside the virtual-time world and
-//! [`write_wallclock`] emits a `BENCH_wallclock.json` artifact
-//! (schema [`WALLCLOCK_SCHEMA`]) with per-cell and total wall-clock plus the
-//! estimated speedup over a sequential (`--jobs 1`) run.
+//! wall-clock changes. [`TABLES`] registers every table by name; a table's
+//! cells are stated once, in [`cells_for`], and its render function
+//! consumes exactly that list.
 //!
 //! ## Persistent sweep cache
 //!
@@ -38,21 +34,12 @@ use std::time::Instant;
 
 use vopp_core::{Protocol, RunStats};
 use vopp_dsm::CostModel;
-use vopp_sim::handoff_totals;
 use vopp_simnet::NetGen;
 use vopp_trace::json::{num, obj, str, Value};
 
 use crate::persist;
+use crate::table::Table;
 use crate::tables::{self, Scale};
-
-/// Schema tag of the `BENCH_wallclock.json` artifact. `/2` adds the
-/// `host` section (peak RSS, allocation counters) and the per-stage
-/// (`enumerate`/`simulate`/`render`) timing array. `/3`–`/4` carried a
-/// `sim` section of windowed-kernel counters. `/5` adds
-/// `handoff.self_wakes`: the direct wake-ups where the draining process
-/// woke itself (no OS wake at all). `/6` drops the `sim` section together
-/// with the windowed kernel it described.
-pub const WALLCLOCK_SCHEMA: &str = "vopp-bench-wallclock/6";
 
 /// Application of a sweep cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -302,11 +289,6 @@ impl RunCache {
     pub fn is_empty(&self) -> bool {
         self.runs.is_empty()
     }
-
-    /// Sum of per-cell wall-clock — the estimated `--jobs 1` sweep time.
-    pub fn cells_wall_ns(&self) -> u64 {
-        self.runs.values().map(|r| r.wall_ns).sum()
-    }
 }
 
 fn cell(app: CellApp, variant: CellVariant, proto: Protocol, np: usize) -> CellSpec {
@@ -363,9 +345,35 @@ pub const NETGEN_PROTOS: [(Protocol, CellVariant); 3] = [
     (Protocol::VcRdma, CellVariant::Vopp),
 ];
 
-/// The cells one table renders, in its sequential run order. Mirrors the
-/// table functions in [`crate::tables`] exactly (cell-equivalence is
-/// asserted by `tests/parallel_sweep.rs` byte-comparing artifacts).
+/// A table's render function.
+type TableFn = fn(&Scale) -> Table;
+
+/// Every table by the name it is requested with, in print order, with the
+/// function that renders it. The `tables` binary accepts exactly these
+/// names (plus `all`), and [`cells_for`] states the cells of each.
+pub const TABLES: [(&str, TableFn); 13] = [
+    ("table1", tables::table1),
+    ("table2", tables::table2),
+    ("table3", tables::table3),
+    ("table4", tables::table4),
+    ("table5", tables::table5),
+    ("table6", tables::table6),
+    ("table7", tables::table7),
+    ("table8", tables::table8),
+    ("table9", tables::table9),
+    ("ext", tables::table_ext),
+    ("serve", tables::table_serve),
+    ("scaling", tables::table_scaling),
+    ("netgen", tables::table_netgen),
+];
+
+/// Tables of [`TABLES`] that `all` leaves out: they run only when named.
+pub const OPT_IN: [&str; 4] = ["ext", "serve", "scaling", "netgen"];
+
+/// The cells table `table` (a [`TABLES`] name) renders, in its sequential
+/// run order: the one place a table's cells are written. The table's render
+/// function asks for this list and consumes it in order, and the sweep
+/// precomputes it.
 pub fn cells_for(table: &str, scale: &Scale) -> Vec<CellSpec> {
     use CellApp::{Gauss, Is, Nn, Sor};
     use CellVariant::{Mpi, Traditional, Vopp, VoppLb};
@@ -468,8 +476,8 @@ pub fn cells_for(table: &str, scale: &Scale) -> Vec<CellSpec> {
             cells.push(serve_cell(Vopp, VcSd, np, Base, Crash));
         }
         "scaling" => {
-            // Column-major over app x nodes, protocols innermost — the
-            // exact order `table_scaling` consumes them.
+            // Column-major over app x nodes, protocols innermost with the
+            // headline VOPP protocol last.
             for app in [Is, Gauss, Sor] {
                 for &n in &scale.scaling_procs() {
                     cells.push(cell(app, Traditional, LrcD, n));
@@ -479,11 +487,10 @@ pub fn cells_for(table: &str, scale: &Scale) -> Vec<CellSpec> {
             }
         }
         "netgen" => {
-            // App-major, generations next, protocols innermost — the exact
-            // order `table_netgen` consumes them. Every cell (including
-            // eth100m, which equals the default config bit-for-bit) carries
-            // its generation in the key, so the family never aliases the
-            // paper tables' cells in the sweep cache.
+            // App-major, generations next, protocols innermost. Every cell
+            // (including eth100m, which equals the default config
+            // bit-for-bit) carries its generation in the key, so the family
+            // never aliases the paper tables' cells in the sweep cache.
             for app in [Is, Gauss, Sor, Nn] {
                 for gen in NETGEN_GENS {
                     for (proto, variant) in NETGEN_PROTOS {
@@ -539,7 +546,7 @@ pub fn context_hash(scale: &Scale) -> u64 {
 /// invalidates every entry at once (the stale file is simply overwritten by
 /// the next [`DiskCache::save`]). Cell entries store the lossless
 /// [`crate::persist`] encoding of [`RunStats`] plus the original simulate
-/// wall-clock, so replayed cells report how much real time they saved.
+/// wall-clock (`wall_ns`, part of the file format).
 #[derive(Debug)]
 pub struct DiskCache {
     path: PathBuf,
@@ -672,8 +679,7 @@ pub fn run_sweep(scale: &Scale, specs: &[CellSpec], jobs: usize) -> RunCache {
 }
 
 /// [`run_sweep`] backed by a persistent [`DiskCache`]: warm cells are
-/// replayed from disk without simulating (their stored `wall_ns` still
-/// reports the original simulate cost), cold cells go through the worker
+/// replayed from disk without simulating, cold cells go through the worker
 /// pool as usual and are written back. The cache is saved once at the end
 /// of the sweep (atomic rename), and only when something new was simulated.
 /// Which cells were warm cannot influence any downstream artifact: both
@@ -749,132 +755,6 @@ pub fn run_sweep_cached(
         warm_cells,
         simulated_cells: cold.len(),
     }
-}
-
-/// The `BENCH_wallclock.json` document for a finished sweep, including
-/// host-side self-profiling: peak RSS, cumulative allocation counters
-/// (live only when the binary installs [`crate::hostprof::CountingAlloc`])
-/// and per-stage wall-clock/allocation deltas. Wall-clock and memory are
-/// machine-dependent by nature: this artifact is reported and uploaded,
-/// never byte-compared by the regression gate (which `metrics_diff`
-/// enforces by skipping it).
-pub fn wallclock_document(cache: &RunCache, stages: &[crate::hostprof::StageStats]) -> Value {
-    let cells_ns = cache.cells_wall_ns();
-    let (allocs, alloc_bytes) = crate::hostprof::alloc_totals();
-    let peak_rss = crate::hostprof::peak_rss_bytes().map_or(Value::Null, num);
-    let speedup = if cache.total_wall_ns > 0 {
-        Value::Num(cells_ns as f64 / cache.total_wall_ns as f64)
-    } else {
-        Value::Null
-    };
-    let handoff = handoff_totals();
-    obj(vec![
-        ("schema", str(WALLCLOCK_SCHEMA)),
-        ("jobs", num(cache.jobs as u64)),
-        // Host-side resource accounting (never gated): the process's
-        // high-water RSS (`null` off Linux) and cumulative allocation
-        // counters, zero unless the binary installed the counting
-        // allocator.
-        (
-            "host",
-            obj(vec![
-                ("peak_rss_bytes", peak_rss),
-                ("allocs", num(allocs)),
-                ("alloc_bytes", num(alloc_bytes)),
-            ]),
-        ),
-        // Per-stage cost of the whole table run (enumerate cells, simulate
-        // the sweep, render tables/artifacts). Empty when the caller did
-        // not time stages.
-        (
-            "stages",
-            Value::Arr(
-                stages
-                    .iter()
-                    .map(|s| {
-                        obj(vec![
-                            ("name", str(s.name)),
-                            ("wall_ns", num(s.wall_ns)),
-                            ("wall_ms", Value::Num(s.wall_ns as f64 / 1e6)),
-                            ("allocs", num(s.allocs)),
-                            ("alloc_bytes", num(s.alloc_bytes)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        // Process-wide kernel scheduling counters: how many same-instant
-        // wake-ups the direct-handoff path served without a controller
-        // round-trip. Machine/schedule-independent for a given sweep, but
-        // reported here (not in the gated artifacts) alongside wall-clock.
-        (
-            "handoff",
-            obj(vec![
-                ("direct", num(handoff.direct)),
-                ("via_controller", num(handoff.via_controller)),
-                // Subset of `direct`: the drain woke the draining process
-                // itself, which costs no OS wake and no context switch.
-                ("self_wakes", num(handoff.self_wakes)),
-                (
-                    "direct_share",
-                    if handoff.total() > 0 {
-                        Value::Num(handoff.direct as f64 / handoff.total() as f64)
-                    } else {
-                        Value::Null
-                    },
-                ),
-            ]),
-        ),
-        // Persistent-cache effect on this sweep: cells replayed from disk
-        // vs. actually simulated.
-        (
-            "cache",
-            obj(vec![
-                ("warm_cells", num(cache.warm_cells as u64)),
-                ("simulated_cells", num(cache.simulated_cells as u64)),
-            ]),
-        ),
-        (
-            "cells",
-            Value::Arr(
-                cache
-                    .runs
-                    .iter()
-                    .map(|(key, run)| {
-                        obj(vec![
-                            ("cell", str(key)),
-                            ("wall_ns", num(run.wall_ns)),
-                            ("wall_ms", Value::Num(run.wall_ns as f64 / 1e6)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "total",
-            obj(vec![
-                ("wall_ns", num(cache.total_wall_ns)),
-                ("wall_secs", Value::Num(cache.total_wall_ns as f64 / 1e9)),
-                // Estimated sequential sweep time: the sum of per-cell
-                // wall-clock (what `--jobs 1` would spend simulating).
-                ("cells_wall_ns", num(cells_ns)),
-                ("speedup_vs_jobs1", speedup),
-            ]),
-        ),
-    ])
-}
-
-/// Write `BENCH_wallclock.json` into `dir` (created if needed).
-pub fn write_wallclock(
-    cache: &RunCache,
-    stages: &[crate::hostprof::StageStats],
-    dir: &Path,
-) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    std::fs::write(
-        dir.join("BENCH_wallclock.json"),
-        wallclock_document(cache, stages).to_json_pretty(),
-    )
 }
 
 #[cfg(test)]
@@ -962,6 +842,52 @@ mod tests {
         assert!(netgen.iter().all(|c| c.netgen.is_some()));
     }
 
+    /// Every table's cell list, pinned at both scales: the count and the
+    /// FNV-1a of the ordered, comma-joined keys. A reordered, swapped or
+    /// missing cell moves the hash even when the count stays put.
+    #[test]
+    fn every_table_cell_list_is_pinned() {
+        const QUICK: [(&str, usize, u64); 13] = [
+            ("table1", 3, 0xb4b76e068d11487a),
+            ("table2", 2, 0xb1fa14df78105e80),
+            ("table3", 7, 0xadfe4ffb480a0dc2),
+            ("table4", 3, 0xb35b1730bf5961b5),
+            ("table5", 5, 0xb76c02ec756fc2d9),
+            ("table6", 3, 0x938358c6ae504c04),
+            ("table7", 5, 0x545e81eeaaac5564),
+            ("table8", 3, 0xe7ebb2b0e8d4f362),
+            ("table9", 7, 0x54ffb88b2c595a46),
+            ("ext", 8, 0xa1f0d34bac0a23c7),
+            ("serve", 13, 0x54a4fe9880d980e5),
+            ("scaling", 18, 0x8c2224d94ed2e64e),
+            ("netgen", 36, 0x90e66b640b266ad6),
+        ];
+        const FULL: [(&str, usize, u64); 13] = [
+            ("table1", 3, 0x71efdbb929cfa12d),
+            ("table2", 2, 0xdf0fe2159274696e),
+            ("table3", 19, 0x6f93445fa3e27ca8),
+            ("table4", 3, 0x6367fb09f1245514),
+            ("table5", 13, 0x22613b6cadd68b8f),
+            ("table6", 3, 0x704cc1ff874eeb85),
+            ("table7", 13, 0xf2d62b6ec0ba7f8a),
+            ("table8", 3, 0xe45dcb0e72276085),
+            ("table9", 19, 0x7d200c32ac0fb580),
+            ("ext", 8, 0xb6462f9993e91e45),
+            ("serve", 13, 0x3ab304694febd2b8),
+            ("scaling", 18, 0x8c2224d94ed2e64e),
+            ("netgen", 36, 0x6903b6442a1a8b66),
+        ];
+        for (scale, pins) in [(Scale::quick(), QUICK), (Scale::full(), FULL)] {
+            assert_eq!(pins.map(|(name, ..)| name), TABLES.map(|(name, _)| name));
+            for (name, count, hash) in pins {
+                let cells = cells_for(name, &scale);
+                let keys: Vec<String> = cells.iter().map(CellSpec::key).collect();
+                let got = (cells.len(), persist::fnv1a(keys.join(",").as_bytes()));
+                assert_eq!(got, (count, hash), "{name} (quick: {})", scale.quick);
+            }
+        }
+    }
+
     /// The sweep cache can never serve a cell across network generations:
     /// the generation is part of the cell key, and the scale-level override
     /// is part of the context hash.
@@ -998,44 +924,8 @@ mod tests {
             let run = cache.get(&spec.key()).expect("cell precomputed");
             assert!(run.stats.time.nanos() > 0);
         }
-        let stages = [crate::hostprof::StageStats {
-            name: "simulate",
-            wall_ns: 123,
-            allocs: 0,
-            alloc_bytes: 0,
-        }];
-        let doc = wallclock_document(&cache, &stages);
-        assert_eq!(
-            doc.get("schema").and_then(Value::as_str),
-            Some("vopp-bench-wallclock/6")
-        );
-        assert_eq!(
-            doc.get("cells").and_then(Value::as_arr).map(<[_]>::len),
-            Some(3)
-        );
-        // Host accounting is always present; counters may be zero (no
-        // counting allocator in tests), RSS may be null off Linux.
-        let host = doc.get("host").expect("host section");
-        assert!(host.get("allocs").and_then(Value::as_u64).is_some());
-        assert!(host.get("alloc_bytes").and_then(Value::as_u64).is_some());
-        assert!(host.get("peak_rss_bytes").is_some());
-        let staged = doc.get("stages").and_then(Value::as_arr).expect("stages");
-        assert_eq!(staged.len(), 1);
-        assert_eq!(
-            staged[0].get("name").and_then(Value::as_str),
-            Some("simulate")
-        );
-        assert_eq!(staged[0].get("wall_ns").and_then(Value::as_u64), Some(123));
         // No disk cache: every cell simulated.
-        let cache_doc = doc.get("cache").expect("cache section");
-        assert_eq!(cache_doc.get("warm_cells").and_then(Value::as_u64), Some(0));
-        assert_eq!(
-            cache_doc.get("simulated_cells").and_then(Value::as_u64),
-            Some(3)
-        );
-        assert!(doc.get("handoff").is_some());
-        // `/6` dropped the `sim` section with the windowed kernel.
-        assert!(doc.get("sim").is_none());
+        assert_eq!((cache.warm_cells, cache.simulated_cells), (0, 3));
     }
 
     /// Fresh scratch directory under the target-adjacent temp dir; unique

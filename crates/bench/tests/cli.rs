@@ -4,10 +4,11 @@
 
 use std::process::{Command, Output};
 
+use vopp_bench::sweep::TABLES;
+
 fn tables(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_tables"))
         .args(args)
-        .env_remove("VOPP_JOBS")
         .output()
         .expect("spawn tables")
 }
@@ -22,6 +23,8 @@ fn bad_command_lines_exit_2_with_the_usage_text() {
         &["table1", "--quick", "--jobs", "0"],
         &["table1", "--quick", "--jobs"],
         &["--quick"],
+        // A slowdown by NaN would multiply every cost of the node by NaN.
+        &["table1", "--quick", "--faults", "slow=1xNaN"],
     ] {
         let out = tables(args);
         let err = String::from_utf8_lossy(&out.stderr);
@@ -36,4 +39,22 @@ fn a_known_table_runs() {
     let out = tables(&["table1", "--quick"]);
     assert!(out.status.success(), "{:?}", out);
     assert!(String::from_utf8_lossy(&out.stdout).contains("Table 1"));
+}
+
+/// The binary accepts exactly the registry's table names, plus `all`: a
+/// registered name gets past the table check to the (bad) `--jobs 0`, an
+/// unregistered one stops at it.
+#[test]
+fn the_binary_accepts_exactly_the_registered_tables() {
+    let refused = |name: &str| {
+        let out = tables(&[name, "--jobs", "0"]);
+        assert_eq!(out.status.code(), Some(2), "{name}");
+        String::from_utf8_lossy(&out.stderr).contains("unknown table")
+    };
+    for name in TABLES.iter().map(|(name, _)| *name).chain(["all"]) {
+        assert!(!refused(name), "{name} is registered but refused");
+    }
+    for name in ["table10", "table0", "Table1", "scale", "claims"] {
+        assert!(refused(name), "{name} is not registered but accepted");
+    }
 }

@@ -16,8 +16,7 @@ use vopp_bench::{tables, MetricsSink, Scale};
 
 /// Render the quick netgen sweep with `jobs` pool workers, mirroring
 /// `tables netgen --quick --trace ... --metrics ...`. Returns the table
-/// text plus every metrics/trace artifact, keyed by relative name
-/// (wall-clock excluded — machine-dependent by design).
+/// text plus every metrics/trace artifact, keyed by relative name.
 fn netgen_artifacts(jobs: usize, base: &Path) -> (String, BTreeMap<String, String>) {
     let traces = base.join("traces");
     let metrics = base.join("metrics");
@@ -38,9 +37,6 @@ fn netgen_artifacts(jobs: usize, base: &Path) -> (String, BTreeMap<String, Strin
         for entry in std::fs::read_dir(dir).expect("read artifact dir") {
             let entry = entry.expect("artifact entry");
             let name = entry.file_name().to_string_lossy().into_owned();
-            if name == "BENCH_wallclock.json" {
-                continue;
-            }
             files.insert(
                 format!("{tag}/{name}"),
                 std::fs::read_to_string(entry.path()).expect("read artifact"),

@@ -1,18 +1,16 @@
 //! The parallel sweep runner must be invisible in every artifact: running
 //! the full quick sweep with 4 workers produces byte-identical table text,
 //! `BENCH_<app>.json` metrics, and trace files to a 1-worker run. Only
-//! wall-clock (reported in `BENCH_wallclock.json`, never gated) may differ.
+//! wall-clock may differ.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
 use vopp_bench::sweep::{
-    cells_for, context_hash, dedup_cells, run_sweep, run_sweep_cached, write_wallclock, DiskCache,
-    WALLCLOCK_SCHEMA,
+    cells_for, context_hash, dedup_cells, run_sweep, run_sweep_cached, DiskCache,
 };
 use vopp_bench::{all_tables, MetricsSink, Scale};
-use vopp_trace::json::Value;
 
 const ALL_TABLES: [&str; 9] = [
     "table1", "table2", "table3", "table4", "table5", "table6", "table7", "table8", "table9",
@@ -40,7 +38,6 @@ fn sweep_artifacts(jobs: usize, base: &Path) -> (String, BTreeMap<String, String
     );
     let cache = run_sweep(&scale, &specs, jobs);
     assert_eq!(cache.jobs, jobs.min(specs.len()));
-    write_wallclock(&cache, &[], &metrics).expect("write wallclock artifact");
     scale.cache = Some(Arc::new(cache));
     let text = all_tables(&scale)
         .iter()
@@ -53,11 +50,6 @@ fn sweep_artifacts(jobs: usize, base: &Path) -> (String, BTreeMap<String, String
         for entry in std::fs::read_dir(dir).expect("read artifact dir") {
             let entry = entry.expect("artifact entry");
             let name = entry.file_name().to_string_lossy().into_owned();
-            // Wall-clock is machine-dependent by design — excluded from
-            // the byte comparison, schema-checked separately below.
-            if name == "BENCH_wallclock.json" {
-                continue;
-            }
             files.insert(
                 format!("{tag}/{name}"),
                 std::fs::read_to_string(entry.path()).expect("read artifact"),
@@ -89,22 +81,6 @@ fn four_workers_match_one_worker_byte_for_byte() {
     );
     for (name, body) in &f1 {
         assert_eq!(body, &f4[name], "{name} differs between --jobs 1 and 4");
-    }
-
-    // The wall-clock artifact exists in both runs and carries its schema,
-    // one timing entry per unique cell, and a positive total.
-    for dir in ["j1", "j4"] {
-        let path = base.join(dir).join("metrics/BENCH_wallclock.json");
-        let doc = Value::parse(&std::fs::read_to_string(&path).expect("read wallclock"))
-            .expect("wallclock is JSON");
-        assert_eq!(
-            doc.get("schema").and_then(Value::as_str),
-            Some(WALLCLOCK_SCHEMA)
-        );
-        let cells = doc.get("cells").and_then(Value::as_arr).expect("cells");
-        assert!(!cells.is_empty());
-        let total = doc.get("total").expect("total section");
-        assert!(total.get("wall_ns").and_then(Value::as_u64).unwrap() > 0);
     }
     std::fs::remove_dir_all(&base).ok();
 }

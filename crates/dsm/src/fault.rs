@@ -212,6 +212,9 @@ impl FaultPlan {
                     let factor: f64 = factor
                         .parse()
                         .map_err(|_| format!("bad slow factor {factor:?}"))?;
+                    if !factor.is_finite() {
+                        return Err(format!("slow factor {factor} is not finite"));
+                    }
                     if factor < 1.0 {
                         return Err(format!("slow factor {factor} below 1.0"));
                     }
@@ -266,7 +269,8 @@ fn parse_ns(s: &str) -> Result<u64, String> {
     let n: u64 = digits
         .parse()
         .map_err(|_| format!("bad duration {s:?} (want e.g. 40ms, 250us, 2s)"))?;
-    Ok(n * mult)
+    n.checked_mul(mult)
+        .ok_or_else(|| format!("duration {s:?} overflows 64-bit nanoseconds"))
 }
 
 #[cfg(test)]
@@ -354,7 +358,11 @@ mod tests {
             "loss=2.0@1",
             "slow=1",
             "slow=1x0.5",
+            "slow=1xNaN",
+            "slow=1xinf",
+            "slow=1x1e309",
             "crash=1@10ms",
+            "crash=0@20000000000s+1s",
             "crash=x@10ms+1ms",
             "flood=9",
         ] {
