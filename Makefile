@@ -42,7 +42,9 @@ tables-quick:
 	cargo run -p vopp-bench --release --bin tables -- all --quick
 
 # The paper-scale tables must reproduce docs/regenerated_tables.txt byte for
-# byte (about 30 s on 2 cores; peak RSS about 1.6 GiB at --jobs 2).
+# byte (about a minute on 2 cores). Peak RSS is set by the multi-node LRC_d
+# Gauss cells' diff stores: about 1.5 GiB at --jobs 4, and about 1 GiB at
+# --jobs 2 with one malloc arena (MALLOC_ARENA_MAX=1).
 tables-check:
 	cargo run -p vopp-bench --release --bin tables -- all --jobs 4 | diff docs/regenerated_tables.txt -
 

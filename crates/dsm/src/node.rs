@@ -9,7 +9,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use vopp_page::{Diff, IntervalId, IntervalRecord, NodeMemory, PageId, PageState, VTime};
+use vopp_page::{
+    Diff, IntervalId, IntervalRecord, NodeMemory, PageId, PageState, SharedPagePool, VTime,
+};
 use vopp_sim::ProcId;
 
 use crate::cost::CostModel;
@@ -110,6 +112,11 @@ pub struct PendingFetch {
     pub lamport: u64,
 }
 
+/// [`NodeState::page_writers`] entry of a page nobody has written.
+pub const NO_WRITER: u32 = u32::MAX;
+/// [`NodeState::page_writers`] entry of a page with two or more writers.
+pub const MANY_WRITERS: u32 = u32::MAX - 1;
+
 /// All protocol state of one node.
 pub struct NodeState {
     /// This node's processor id.
@@ -141,13 +148,15 @@ pub struct NodeState {
     pub home_sent_vt: BTreeMap<ProcId, VTime>,
     /// Per-page invalidations awaiting a fault-time fetch.
     pub pending: BTreeMap<PageId, Vec<PendingFetch>>,
-    /// Per-page bitmask of every writer this node has ever learned of
-    /// (logged interval records plus its own writes). Monotone knowledge:
-    /// gates the whole-page fetch escape hatch, which is only sound when
-    /// the page's entire write history has a single owner — the pending
-    /// list alone can miss concurrent writers on false-shared pages.
-    pub page_writers: Vec<u64>,
-    /// Diffs created locally, served to faulting peers.
+    /// Per page, every writer this node has ever learned of (logged
+    /// interval records plus its own writes), exact at any cluster size:
+    /// [`NO_WRITER`], one owner's id, or [`MANY_WRITERS`]. Monotone
+    /// knowledge: gates the whole-page fetch escape hatch, which is only
+    /// sound when the page's entire write history has a single owner — the
+    /// pending list alone can miss concurrent writers on false-shared pages.
+    pub page_writers: Vec<u32>,
+    /// Diffs created locally, served to faulting peers. Left empty on a
+    /// one-node LRC-family cluster, where no peer can ever request one.
     pub diff_store: BTreeMap<PageId, Vec<StoredDiff>>,
 
     // ---- VOPP state ----
@@ -179,31 +188,33 @@ pub struct NodeState {
 }
 
 impl NodeState {
-    /// Fresh state for processor `me` of `n`. `pool_cap` bounds the node's
-    /// page-recycling free list (see [`ClusterConfig::page_pool_cap`]).
-    ///
-    /// [`ClusterConfig::page_pool_cap`]: crate::runtime::ClusterConfig::page_pool_cap
+    /// Fresh state for processor `me` of `n`, recycling page buffers
+    /// through `pool` (shared by every node of the cluster).
     pub fn new(
         me: ProcId,
         n: usize,
         protocol: Protocol,
         cost: CostModel,
         layout: Arc<Layout>,
-        pool_cap: usize,
+        pool: SharedPagePool,
     ) -> NodeState {
+        assert!(
+            n < MANY_WRITERS as usize,
+            "{n} nodes overflow page-writer ids"
+        );
         NodeState {
             me,
             n,
             protocol,
             cost,
-            mem: NodeMemory::with_pool_capacity(layout.npages(), pool_cap),
+            mem: NodeMemory::with_pool(layout.npages(), pool),
             logged: BTreeMap::new(),
             logged_vt: VTime::zero(n),
             applied_vt: VTime::zero(n),
             lamport: 0,
             home_sent_vt: BTreeMap::new(),
             pending: BTreeMap::new(),
-            page_writers: vec![0; layout.npages()],
+            page_writers: vec![NO_WRITER; layout.npages()],
             diff_store: BTreeMap::new(),
             view_applied: vec![0; layout.nviews()],
             held_write: None,
@@ -263,12 +274,16 @@ impl NodeState {
             owner: self.me,
             seq,
         };
-        for (p, diff) in &diffs {
-            self.diff_store.entry(*p).or_default().push(StoredDiff {
-                id,
-                lamport: self.lamport,
-                diff: Arc::clone(diff),
-            });
+        // A lone LRC-family node has no peer to serve. VC protocols keep
+        // theirs: a crashed node re-fetches its own diffs from it.
+        if self.n > 1 || !self.protocol.is_lrc_family() {
+            for (p, diff) in &diffs {
+                self.diff_store.entry(*p).or_default().push(StoredDiff {
+                    id,
+                    lamport: self.lamport,
+                    diff: Arc::clone(diff),
+                });
+            }
         }
         self.stats.diffs_created += diffs.len() as u64;
         if self.protocol.is_lrc_family() {
@@ -342,18 +357,19 @@ impl NodeState {
 
     /// Record that `owner` has written `page` at some point.
     pub fn note_page_writer(&mut self, page: PageId, owner: ProcId) {
-        self.page_writers[page] |= match u32::try_from(owner) {
-            Ok(o) if o < 64 => 1 << o,
-            // Beyond the bitmask width: pessimize to "many writers", which
-            // only disables an optimization.
-            _ => u64::MAX,
-        };
+        let w = &mut self.page_writers[page];
+        let owner = owner as u32;
+        if *w == NO_WRITER {
+            *w = owner;
+        } else if *w != owner {
+            *w = MANY_WRITERS;
+        }
     }
 
     /// Whether `owner` is the only writer ever known for `page` — the
     /// soundness condition of the LRC whole-page fetch escape hatch.
     pub fn page_sole_writer(&self, page: PageId, owner: ProcId) -> bool {
-        matches!(u32::try_from(owner), Ok(o) if o < 64 && self.page_writers[page] == 1 << o)
+        self.page_writers[page] == owner as u32
     }
 
     /// Lamport receive rule.
@@ -541,7 +557,11 @@ mod tests {
     fn mk_as(me: ProcId, n: usize, protocol: Protocol) -> NodeState {
         let mut l = Layout::new();
         let _ = l.alloc(4 * vopp_page::PAGE_SIZE, 1);
-        NodeState::new(me, n, protocol, CostModel::default(), l.freeze(), 128)
+        NodeState::new(me, n, protocol, CostModel::default(), l.freeze(), pool())
+    }
+
+    fn pool() -> SharedPagePool {
+        vopp_page::PagePool::shared_for(4)
     }
 
     fn mk(me: ProcId, n: usize) -> NodeState {
@@ -569,6 +589,41 @@ mod tests {
         // Empty interval produces nothing.
         assert!(a.seal_interval().is_none());
         assert_eq!(a.logged_vt.get(0), 1);
+    }
+
+    #[test]
+    fn sole_writer_is_exact_past_64_nodes() {
+        let mut a = mk(0, 128);
+        assert!(!a.page_sole_writer(1, 100), "no writer yet");
+        a.note_page_writer(1, 100);
+        a.note_page_writer(1, 100);
+        assert!(a.page_sole_writer(1, 100));
+        assert!(!a.page_sole_writer(1, 36));
+        a.note_page_writer(1, 127);
+        assert!(!a.page_sole_writer(1, 100));
+        assert!(!a.page_sole_writer(1, 127));
+        // Node 0 is an owner like any other, not the empty set.
+        a.note_page_writer(2, 0);
+        assert!(a.page_sole_writer(2, 0));
+    }
+
+    #[test]
+    fn lone_lrc_node_keeps_no_diff_store() {
+        for protocol in [Protocol::LrcD, Protocol::Hlrc, Protocol::ScC] {
+            let mut a = mk_as(0, 1, protocol);
+            a.mem.note_write(1);
+            a.mem.page_mut(1).set_word(0, 5);
+            let (_, diffs) = a.seal_interval().unwrap();
+            assert_eq!(diffs.len(), 1, "{protocol}: the diff is still created");
+            assert_eq!(a.stats.diffs_created, 1);
+            assert!(a.diff_store.is_empty(), "{protocol}: no peer to serve");
+        }
+        // A lone VC node keeps its store: crash recovery reads it.
+        let mut v = mk_as(0, 1, Protocol::VcD);
+        v.mem.note_write(1);
+        v.mem.page_mut(1).set_word(0, 5);
+        v.seal_interval().unwrap();
+        assert!(v.diff_store.contains_key(&1));
     }
 
     #[test]
@@ -675,7 +730,14 @@ mod tests {
         let _ = l.add_view(8); // view 0: round-robin home
         let _ = l.add_view_homed(8, Some(3)); // view 1: explicit home
         let _ = l.add_view(8); // view 2
-        let a = NodeState::new(0, 4, Protocol::VcSd, CostModel::default(), l.freeze(), 128);
+        let a = NodeState::new(
+            0,
+            4,
+            Protocol::VcSd,
+            CostModel::default(),
+            l.freeze(),
+            pool(),
+        );
         assert_eq!(a.view_home(0), 0);
         assert_eq!(a.view_home(1), 3);
         assert_eq!(a.view_home(2), 2);

@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use vopp_page::PagePool;
 use vopp_racecheck::RaceChecker;
 use vopp_sim::sync::Mutex;
 use vopp_sim::{Sim, SimDuration, Tracer};
@@ -34,11 +35,6 @@ pub struct ClusterConfig {
     /// network, protocol). `None` (the default) records nothing and adds
     /// no per-event work beyond a pointer test.
     pub tracer: Option<Arc<Tracer>>,
-    /// Per-node page-recycling pool capacity: the maximum number of free
-    /// 4 KiB buffers each node retains for twin creation and page rebuilds.
-    /// Purely a wall-clock/footprint knob — pool hits and misses never
-    /// touch virtual time, so any value produces identical results.
-    pub page_pool_cap: usize,
     /// Dynamic correctness checker shared by every node of the run (see
     /// `vopp-racecheck`). `None` (the default) checks nothing and adds no
     /// per-access work beyond a pointer test; attaching a checker never
@@ -69,7 +65,6 @@ impl ClusterConfig {
             cost: CostModel::default(),
             barrier_timeout: SimDuration::from_secs(2),
             tracer: None,
-            page_pool_cap: vopp_page::PagePool::CAP,
             racecheck: None,
             faults: FaultPlan::none(),
             profiler: None,
@@ -142,6 +137,9 @@ where
         sim.set_profiler(prof.clone());
     }
 
+    // One page-recycling pool for every node, sized from the layout. Pool
+    // hits and misses never touch virtual time.
+    let pool = PagePool::shared_for(layout.npages());
     let nodes: Vec<Arc<Mutex<NodeState>>> = (0..n)
         .map(|p| {
             Arc::new(Mutex::new(NodeState::new(
@@ -150,7 +148,7 @@ where
                 cfg.protocol,
                 cfg.faults.cost_for(p, &cfg.cost),
                 layout.clone(),
-                cfg.page_pool_cap,
+                pool.clone(),
             )))
         })
         .collect();

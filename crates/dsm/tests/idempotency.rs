@@ -26,8 +26,8 @@ fn drive<R: Send>(
         2,
         protocol,
         CostModel::default(),
-        layout,
-        vopp_page::PagePool::CAP,
+        layout.clone(),
+        vopp_page::PagePool::shared_for(layout.npages()),
     )));
     let mut sim = Sim::new(2, Box::new(PerfectNet::new(SimDuration::from_micros(10))));
     sim.set_handler(0, make_handler(node0));

@@ -686,3 +686,33 @@ impl CloneForTest for Layout {
         l.freeze()
     }
 }
+
+/// A lone LRC-family node keeps no diff store (no peer can request a
+/// diff), but it still creates and counts every diff and pays its virtual
+/// cost: time and `diffs_created` are the values recorded while the store
+/// was still kept.
+#[test]
+fn lone_lrc_node_still_creates_and_charges_every_diff() {
+    for protocol in [Protocol::LrcD, Protocol::Hlrc, Protocol::ScC] {
+        let mut l = Layout::new();
+        let base = l.alloc(8 * vopp_page::PAGE_SIZE, 4);
+        let out = run_cluster(&ClusterConfig::lossless(1, protocol), l.freeze(), |ctx| {
+            for round in 0..5u32 {
+                ctx.lock_acquire(0);
+                for page in 0..8 {
+                    let a = base + page * vopp_page::PAGE_SIZE + 4 * round as usize;
+                    ctx.write_u32(a, round + 1);
+                }
+                ctx.lock_release(0);
+                ctx.barrier();
+            }
+            ctx.read_u32(base + 16)
+        });
+        assert_eq!(out.results, vec![5], "{protocol}");
+        assert_eq!(
+            (out.stats.time.nanos(), out.stats.nodes.diffs_created),
+            (2_260_492, 40),
+            "{protocol}"
+        );
+    }
+}

@@ -30,7 +30,7 @@ pub use diff::{Diff, DiffRun, DIFF_HEADER_BYTES, RUN_HEADER_BYTES};
 pub use heap::SharedHeap;
 pub use integrate::IntegratedPage;
 pub use interval::{IntervalId, IntervalRecord, WriteNotice, NOTICE_WIRE_BYTES};
-pub use mem::{NodeMemory, PagePool, PageState};
+pub use mem::{NodeMemory, PagePool, PageState, SharedPagePool};
 pub use page::{
     offset_in_page, page_base, page_of, pages_spanned, Addr, PageBuf, PageId, CHUNK_WORDS,
     PAGE_CHUNKS, PAGE_QUARTERS, PAGE_SIZE, PAGE_SUPERS, PAGE_WORDS, QUARTER_BYTES, SUPER_BYTES,

@@ -11,6 +11,7 @@
 //! reconstructs the current content exactly.
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::diff::Diff;
 use crate::page::{PageBuf, PageId};
@@ -32,6 +33,8 @@ pub enum PageState {
 ///
 /// The list is bounded: releases beyond the pool's capacity (default
 /// [`PagePool::CAP`], configurable per pool) simply drop the page.
+/// [`PagePool::shared_for`] builds the one pool every node of a cluster
+/// shares.
 pub struct PagePool {
     free: Vec<Box<PageBuf>>,
     cap: usize,
@@ -64,6 +67,18 @@ impl PagePool {
             hits: 0,
             misses: 0,
         }
+    }
+
+    /// A pool for every memory of an address space of `npages` pages to
+    /// share, retaining at most `max(npages, CAP)` free buffers. Sharing is
+    /// what bounds a cluster's idle buffers: one free list per cluster
+    /// instead of one per node, and large enough that a barrier's burst of
+    /// twins across the whole address space recycles instead of reaching
+    /// the allocator.
+    pub fn shared_for(npages: usize) -> SharedPagePool {
+        Arc::new(Mutex::new(PagePool::with_capacity(
+            npages.max(PagePool::CAP),
+        )))
     }
 
     /// Maximum number of buffers this pool retains.
@@ -124,31 +139,34 @@ impl PagePool {
     }
 }
 
+/// A [`PagePool`] shared by several [`NodeMemory`]s: a buffer one node
+/// releases serves another node's next twin.
+pub type SharedPagePool = Arc<Mutex<PagePool>>;
+
 /// One node's copy of the shared memory.
 pub struct NodeMemory {
     pages: Vec<Option<Box<PageBuf>>>,
     state: Vec<PageState>,
     twins: BTreeMap<PageId, Box<PageBuf>>,
-    pool: PagePool,
+    pool: SharedPagePool,
     diff_scratch: Vec<u32>,
 }
 
 impl NodeMemory {
     /// Memory of `npages` pages, all valid and zero-filled (pages are
-    /// materialized lazily on first touch). Uses the default page-pool
-    /// capacity; see [`NodeMemory::with_pool_capacity`].
+    /// materialized lazily on first touch), with a pool of its own.
     pub fn new(npages: usize) -> NodeMemory {
-        NodeMemory::with_pool_capacity(npages, PagePool::CAP)
+        NodeMemory::with_pool(npages, PagePool::shared_for(npages))
     }
 
-    /// [`NodeMemory::new`] with an explicit page-pool capacity, bounding
-    /// this node's recycled-buffer footprint at `pool_cap * 4 KiB`.
-    pub fn with_pool_capacity(npages: usize, pool_cap: usize) -> NodeMemory {
+    /// [`NodeMemory::new`] recycling buffers through `pool`, which other
+    /// memories may share.
+    pub fn with_pool(npages: usize, pool: SharedPagePool) -> NodeMemory {
         NodeMemory {
             pages: (0..npages).map(|_| None).collect(),
             state: vec![PageState::Valid; npages],
             twins: BTreeMap::new(),
-            pool: PagePool::with_capacity(pool_cap),
+            pool,
             diff_scratch: Vec::new(),
         }
     }
@@ -197,7 +215,7 @@ impl NodeMemory {
         debug_assert!(!self.twins.contains_key(&p));
         let had = match self.pages[p].take() {
             Some(buf) => {
-                self.pool.release(buf);
+                lock(&self.pool).release(buf);
                 true
             }
             None => false,
@@ -227,9 +245,10 @@ impl NodeMemory {
         match self.state[p] {
             PageState::Dirty => {}
             PageState::Valid => {
+                let mut pool = lock(&self.pool);
                 let twin = match &self.pages[p] {
-                    Some(b) => self.pool.acquire_copy(b),
-                    None => self.pool.acquire_zeroed(),
+                    Some(b) => pool.acquire_copy(b),
+                    None => pool.acquire_zeroed(),
                 };
                 self.twins.insert(p, twin);
                 self.state[p] = PageState::Dirty;
@@ -248,6 +267,7 @@ impl NodeMemory {
     /// Diffs may be empty if a page was rewritten with identical values.
     pub fn end_interval(&mut self) -> Vec<(PageId, Diff)> {
         let twins = std::mem::take(&mut self.twins);
+        let mut pool = lock(&self.pool);
         self.diff_scratch.clear();
         let mut out = Vec::with_capacity(twins.len());
         for (p, twin) in twins {
@@ -260,7 +280,7 @@ impl NodeMemory {
                 Diff::create_with_scratch(&twin, cur, &mut self.diff_scratch),
             ));
             self.state[p] = PageState::Valid;
-            self.pool.release(twin);
+            pool.release(twin);
         }
         out
     }
@@ -276,7 +296,7 @@ impl NodeMemory {
                 cur.copy_from_slice(&twin[..]);
             }
             self.state[p] = PageState::Valid;
-            self.pool.release(twin);
+            lock(&self.pool).release(twin);
         }
     }
 
@@ -298,9 +318,10 @@ impl NodeMemory {
     /// Pool-backed copy of the current content of `p` (whole-page replies
     /// and barrier-time rebuilds go through here to recycle buffers).
     pub fn clone_page(&mut self, p: PageId) -> Box<PageBuf> {
+        let mut pool = lock(&self.pool);
         match &self.pages[p] {
-            Some(b) => self.pool.acquire_copy(b),
-            None => self.pool.acquire_zeroed(),
+            Some(b) => pool.acquire_copy(b),
+            None => pool.acquire_zeroed(),
         }
     }
 
@@ -310,14 +331,15 @@ impl NodeMemory {
         self.page_mut(p).copy_from_slice(&content[..]);
     }
 
-    /// Return a no-longer-needed page buffer to this node's free list.
+    /// Return a no-longer-needed page buffer to the pool.
     pub fn release_page(&mut self, page: Box<PageBuf>) {
-        self.pool.release(page);
+        lock(&self.pool).release(page);
     }
 
-    /// This node's page pool (for diagnostics and benchmarks).
-    pub fn pool(&self) -> &PagePool {
-        &self.pool
+    /// The page pool this memory recycles through, locked (for diagnostics
+    /// and benchmarks; other memories may share it).
+    pub fn pool(&self) -> MutexGuard<'_, PagePool> {
+        lock(&self.pool)
     }
 
     /// Bytes resident in materialized pages and twins (for diagnostics).
@@ -325,6 +347,12 @@ impl NodeMemory {
         let pages = self.pages.iter().filter(|p| p.is_some()).count();
         (pages + self.twins.len()) * crate::page::PAGE_SIZE
     }
+}
+
+/// Lock a shared pool. A pool holds no invariant a panic can break, so a
+/// poisoned lock is simply taken over.
+fn lock(pool: &SharedPagePool) -> MutexGuard<'_, PagePool> {
+    pool.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A process-wide zero page, so reads of never-touched pages need no
@@ -447,9 +475,39 @@ mod tests {
         // Releases beyond the configured capacity drop the page.
         assert_eq!(pool.len(), 2);
         assert_eq!(PagePool::new().capacity(), PagePool::CAP);
-        // NodeMemory plumbs the capacity through to its pool.
-        let m = NodeMemory::with_pool_capacity(1, 7);
-        assert_eq!(m.pool().capacity(), 7);
+        // A shared pool holds a whole address space, never less than CAP.
+        assert_eq!(lock(&PagePool::shared_for(1)).capacity(), PagePool::CAP);
+        assert_eq!(lock(&PagePool::shared_for(1536)).capacity(), 1536);
+        assert_eq!(NodeMemory::new(7).pool().capacity(), PagePool::CAP);
+    }
+
+    #[test]
+    fn memories_sharing_a_pool_recycle_each_others_twins() {
+        let pool = PagePool::shared_for(2);
+        let mut a = NodeMemory::with_pool(2, pool.clone());
+        let mut b = NodeMemory::with_pool(2, pool.clone());
+        a.note_write(0);
+        a.page_mut(0).set_word(0, 1);
+        a.end_interval();
+        assert_eq!(lock(&pool).len(), 1);
+        // b's twin is the buffer a released: a hit, not an allocation.
+        b.note_write(1);
+        b.page_mut(1).set_word(0, 2);
+        assert_eq!(lock(&pool).stats(), (1, 1));
+        let diffs = b.end_interval();
+        assert_eq!(diffs[0].1.runs()[0].words, vec![2]);
+        // And back: a's next twin is the one b released.
+        a.note_write(0);
+        assert_eq!(lock(&pool).stats(), (2, 1));
+        a.end_interval();
+        // Releases beyond the shared capacity drop the page.
+        let cap = lock(&pool).capacity();
+        for _ in 0..cap + 5 {
+            a.release_page(PageBuf::zeroed());
+            b.release_page(PageBuf::zeroed());
+            assert!(lock(&pool).len() <= cap);
+        }
+        assert_eq!(a.pool().len(), cap);
     }
 
     #[test]

@@ -60,7 +60,7 @@ impl<'a> AppCtx<'a> {
         }
         let mut s = self.shared.sched.lock();
         let at = s.procs[self.me].clock + d;
-        s.push_event(at, Event::Resume(self.me));
+        s.push_event(at, Event::Resume(self.me as u32));
         s.procs[self.me].phase = Phase::BlockedResume;
         self.shared.yield_and_wait(self.me, &mut s);
     }
@@ -113,13 +113,14 @@ impl<'a> AppCtx<'a> {
                 shrink_if_drained(&mut s.procs[self.me].mailbox);
                 return pkt;
             }
-            s.procs[self.me].phase = Phase::WaitRecv { deadline: None };
+            s.procs[self.me].phase = Phase::WaitRecv;
             self.shared.yield_and_wait(self.me, &mut s);
         }
     }
 
     /// Like [`AppCtx::recv_filter`] with a timeout. Returns `None` if the
-    /// deadline passes first.
+    /// deadline passes first. A packet that arrives in time cancels the
+    /// timeout, so it never lingers in the event queue.
     pub fn recv_filter_timeout(
         &self,
         d: SimDuration,
@@ -127,9 +128,6 @@ impl<'a> AppCtx<'a> {
     ) -> Option<Packet> {
         let mut s = self.shared.sched.lock();
         let deadline = s.procs[self.me].clock + d;
-        let token = s.procs[self.me].next_token;
-        s.procs[self.me].next_token += 1;
-        let mut timer_armed = false;
         loop {
             if let Some(pos) = s.procs[self.me]
                 .mailbox
@@ -138,22 +136,14 @@ impl<'a> AppCtx<'a> {
             {
                 let pkt = s.procs[self.me].mailbox.remove(pos).unwrap();
                 shrink_if_drained(&mut s.procs[self.me].mailbox);
+                s.cancel_timer(self.me);
                 return Some(pkt);
             }
-            if !timer_armed {
-                s.push_event(
-                    deadline,
-                    Event::Timer {
-                        dst: self.me,
-                        token,
-                    },
-                );
-                timer_armed = true;
+            if s.procs[self.me].timer.is_none() {
+                s.arm_timer(self.me, deadline);
             }
             s.procs[self.me].timed_out = false;
-            s.procs[self.me].phase = Phase::WaitRecv {
-                deadline: Some(token),
-            };
+            s.procs[self.me].phase = Phase::WaitRecv;
             self.shared.yield_and_wait(self.me, &mut s);
             if s.procs[self.me].timed_out {
                 return None;
@@ -297,5 +287,51 @@ impl<'a> SvcCtx<'a> {
         if let Some(tr) = &self.shared.tracer {
             tr.record(self.now.0, self.me, kind);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use super::*;
+    use crate::kernel::run_simple;
+
+    impl AppCtx<'_> {
+        /// Events queued in the kernel, timers included.
+        fn queue_len(&self) -> usize {
+            self.shared.sched.lock().queue_len()
+        }
+    }
+
+    /// Receives answered before their deadline leave no timer behind: the
+    /// queue tracks live events, not the number of round trips so far.
+    #[test]
+    fn answered_receives_leave_no_timers_queued() {
+        const NPROCS: usize = 3;
+        const ROUNDS: usize = 10_000;
+        let out = run_simple(NPROCS, SimDuration::from_micros(1), |ctx| {
+            let mut peak = 0;
+            if ctx.me() == 0 {
+                for _ in 0..(NPROCS - 1) * ROUNDS {
+                    let req = ctx.recv();
+                    ctx.send(req.src, 64, DeliveryClass::App, req.tag, Arc::new(()));
+                    peak = peak.max(ctx.queue_len());
+                }
+            } else {
+                for i in 0..ROUNDS as u64 {
+                    ctx.send(0, 64, DeliveryClass::App, i, Arc::new(()));
+                    let reply = ctx.recv_timeout(SimDuration::from_secs(1));
+                    assert_eq!(reply.expect("answered before the deadline").tag, i);
+                    peak = peak.max(ctx.queue_len());
+                }
+            }
+            peak
+        });
+        let peak = out.results.into_iter().max().unwrap();
+        assert!(
+            peak <= 4 * NPROCS,
+            "queue peaked at {peak} events for {NPROCS} processes"
+        );
     }
 }

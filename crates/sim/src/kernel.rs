@@ -110,10 +110,21 @@ pub fn direct_handoff_default() -> bool {
     DIRECT_HANDOFF_DEFAULT.load(Ordering::Relaxed)
 }
 
+/// A queued event. Process ids are stored as `u32` and an in-flight packet
+/// lives in [`Sched::in_flight`], not in the heap, so a [`QEntry`] stays at
+/// 32 bytes however large a [`Packet`] grows.
 pub(crate) enum Event {
-    Resume(ProcId),
-    Deliver { dst: ProcId, pkt: Packet },
-    Timer { dst: ProcId, token: u64 },
+    Resume(u32),
+    /// Delivery of the packet parked in `in_flight[slot]`.
+    Deliver {
+        dst: u32,
+        slot: u32,
+    },
+    /// A receive timeout; live while `ProcInfo::timer` holds this entry's
+    /// `seq`.
+    Timer {
+        dst: u32,
+    },
 }
 
 struct QEntry {
@@ -121,6 +132,8 @@ struct QEntry {
     seq: u64,
     ev: Event,
 }
+
+const _: () = assert!(size_of::<QEntry>() <= 32);
 
 impl PartialEq for QEntry {
     fn eq(&self, other: &Self) -> bool {
@@ -148,8 +161,9 @@ pub(crate) enum Phase {
     Running,
     /// Blocked until its scheduled `Resume` event fires (compute/sleep).
     BlockedResume,
-    /// Blocked in `recv`; `deadline` is the live timeout token, if any.
-    WaitRecv { deadline: Option<u64> },
+    /// Blocked in `recv`, possibly with a timeout armed
+    /// ([`ProcInfo::timer`]).
+    WaitRecv,
     /// Process body returned.
     Finished,
 }
@@ -158,7 +172,9 @@ pub(crate) struct ProcInfo {
     pub(crate) phase: Phase,
     pub(crate) clock: SimTime,
     pub(crate) mailbox: VecDeque<Packet>,
-    pub(crate) next_token: u64,
+    /// `seq` of this process's armed receive timeout, while it can still
+    /// fire. Cleared when the timer fires or its receive ends with a packet.
+    pub(crate) timer: Option<u64>,
     pub(crate) timed_out: bool,
     pub(crate) times: ProcTimes,
 }
@@ -169,7 +185,7 @@ impl ProcInfo {
             phase: Phase::Startup,
             clock: SimTime::ZERO,
             mailbox: VecDeque::new(),
-            next_token: 0,
+            timer: None,
             timed_out: false,
             times: ProcTimes::default(),
         }
@@ -193,10 +209,21 @@ pub struct ProcTimes {
 /// exact event order — the event-seq counter, the network model (RNG and
 /// link occupancy), and the per-destination delivery backlog the model reads
 /// for overflow decisions.
+///
+/// The heap holds live events only, up to a bounded number of cancelled
+/// timers: a receive that ends with a packet cancels its timeout, and once
+/// cancelled timers outnumber live entries they are swept out in place.
+/// Every remaining entry keeps its `(time, seq)`, so pop order is unchanged.
 pub(crate) struct Sched {
     now: SimTime,
     queue: BinaryHeap<QEntry>,
     seq: u64,
+    /// Cancelled timers still in `queue`.
+    dead_timers: usize,
+    /// Packets between send and delivery, indexed by `Event::Deliver::slot`.
+    in_flight: Vec<Option<Packet>>,
+    /// Vacant `in_flight` slots.
+    free_slots: Vec<u32>,
     /// Wire bytes scheduled for delivery at each process but not yet handed
     /// over ([`RouteRequest::pending_bytes_at_dst`]).
     pending_bytes: Vec<usize>,
@@ -219,7 +246,14 @@ pub(crate) struct Sched {
 }
 
 impl Sched {
-    pub(crate) fn push_event(&mut self, at: SimTime, ev: Event) {
+    /// Events currently queued, timers included.
+    #[cfg(test)]
+    pub(crate) fn queue_len(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// Queue `ev` at `at`; returns the event's `seq`.
+    pub(crate) fn push_event(&mut self, at: SimTime, ev: Event) -> u64 {
         debug_assert!(
             at >= self.now,
             "event scheduled in the past: {at} < now {}",
@@ -228,6 +262,34 @@ impl Sched {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(QEntry { at, seq, ev });
+        seq
+    }
+
+    /// Arm process `p`'s receive timeout to fire at `at`.
+    pub(crate) fn arm_timer(&mut self, p: ProcId, at: SimTime) {
+        debug_assert!(self.procs[p].timer.is_none(), "proc {p} armed two timers");
+        let seq = self.push_event(at, Event::Timer { dst: p as u32 });
+        self.procs[p].timer = Some(seq);
+    }
+
+    /// Disarm process `p`'s receive timeout, if one is armed. The entry
+    /// stays queued until it pops or the next sweep, which runs once
+    /// cancelled timers outnumber live entries: the heap never holds more
+    /// than twice its live events, and the sweep is amortized O(1) per
+    /// cancel.
+    pub(crate) fn cancel_timer(&mut self, p: ProcId) {
+        if self.procs[p].timer.take().is_none() {
+            return;
+        }
+        self.dead_timers += 1;
+        if 2 * self.dead_timers > self.queue.len() {
+            let procs = &self.procs;
+            self.queue.retain(|e| match e.ev {
+                Event::Timer { dst } => procs[dst as usize].timer == Some(e.seq),
+                _ => true,
+            });
+            self.dead_timers = 0;
+        }
     }
 
     /// Route a packet through the network model and schedule its delivery.
@@ -259,7 +321,19 @@ impl Sched {
             if !one_sided {
                 self.pending_bytes[dst] += pkt.wire_bytes;
             }
-            self.push_event(at.max(now), Event::Deliver { dst, pkt });
+            let slot = match self.free_slots.pop() {
+                Some(slot) => {
+                    self.in_flight[slot as usize] = Some(pkt);
+                    slot
+                }
+                None => {
+                    self.in_flight.push(Some(pkt));
+                    u32::try_from(self.in_flight.len() - 1)
+                        .expect("fewer than 2^32 packets in flight")
+                }
+            };
+            let dst = dst as u32;
+            self.push_event(at.max(now), Event::Deliver { dst, slot });
         }
     }
 }
@@ -316,7 +390,7 @@ enum Step {
     /// A service handler ran, with the scheduler lock released meanwhile;
     /// `Err` is its panic payload.
     Handler(Result<(), Panic>),
-    /// Nothing to wake: a stale timer, a resume of a finished process, a
+    /// Nothing to wake: a cancelled timer, a resume of a finished process, a
     /// delivery nobody was blocked on.
     Nothing,
 }
@@ -415,16 +489,21 @@ impl Shared {
     /// event order, trace order or a clock advance. `None` means the queue
     /// is empty.
     fn step<'a>(&'a self, s: &mut MutexGuard<'a, Sched>) -> Option<Step> {
-        let QEntry { at, ev, .. } = s.queue.pop()?;
+        let QEntry { at, seq, ev } = s.queue.pop()?;
         debug_assert!(at >= s.now, "event queue went backwards");
         s.now = at;
         let (dst, cause) = match ev {
-            Event::Resume(p) => match s.procs[p].phase {
-                Phase::Startup | Phase::BlockedResume => (p, NO_CTX),
+            Event::Resume(p) => match s.procs[p as usize].phase {
+                Phase::Startup | Phase::BlockedResume => (p as usize, NO_CTX),
                 Phase::Finished => return Some(Step::Nothing),
                 ref ph => unreachable!("resume for proc {p} in phase {ph:?}"),
             },
-            Event::Deliver { dst, mut pkt } => {
+            Event::Deliver { dst, slot } => {
+                let dst = dst as usize;
+                let mut pkt = s.in_flight[slot as usize]
+                    .take()
+                    .expect("a queued delivery owns its slot");
+                s.free_slots.push(slot);
                 // One-sided deliveries never entered the backlog (preposted
                 // buffers, not the receive queue).
                 if pkt.class != DeliveryClass::OneSided {
@@ -449,7 +528,7 @@ impl Shared {
                     DeliveryClass::App => {
                         let cause = pkt.cause;
                         s.procs[dst].mailbox.push_back(pkt);
-                        if !matches!(s.procs[dst].phase, Phase::WaitRecv { .. }) {
+                        if s.procs[dst].phase != Phase::WaitRecv {
                             return Some(Step::Nothing);
                         }
                         (dst, cause)
@@ -463,14 +542,15 @@ impl Shared {
                     }
                 }
             }
-            Event::Timer { dst, token } => {
-                let armed = Phase::WaitRecv {
-                    deadline: Some(token),
-                };
-                if s.procs[dst].phase != armed {
-                    // The timer is stale (the wait already ended).
+            Event::Timer { dst } => {
+                let dst = dst as usize;
+                if s.procs[dst].timer != Some(seq) {
+                    // Cancelled: its receive already ended with a packet.
+                    s.dead_timers -= 1;
                     return Some(Step::Nothing);
                 }
+                debug_assert_eq!(s.procs[dst].phase, Phase::WaitRecv);
+                s.procs[dst].timer = None;
                 s.procs[dst].timed_out = true;
                 (dst, NO_CTX)
             }
@@ -525,7 +605,7 @@ impl Shared {
             let kind = match pi.phase {
                 Phase::Startup => Some(CtxKind::Start),
                 Phase::BlockedResume => Some(CtxKind::Compute),
-                Phase::WaitRecv { .. } => Some(if pi.timed_out {
+                Phase::WaitRecv => Some(if pi.timed_out {
                     CtxKind::Timeout
                 } else {
                     CtxKind::Wait
@@ -540,7 +620,7 @@ impl Shared {
         let adv = t.0.saturating_sub(pi.clock.0);
         match pi.phase {
             Phase::BlockedResume => pi.times.compute_ns += adv,
-            Phase::WaitRecv { .. } => pi.times.blocked_ns += adv,
+            Phase::WaitRecv => pi.times.blocked_ns += adv,
             Phase::Startup | Phase::Running | Phase::Finished => {}
         }
         pi.clock = pi.clock.max(t);
@@ -648,6 +728,7 @@ impl Sim {
     /// A simulation with `nprocs` processes over the given network model.
     pub fn new(nprocs: usize, net: Box<dyn NetModel>) -> Sim {
         assert!(nprocs > 0, "need at least one process");
+        assert!(u32::try_from(nprocs).is_ok(), "events hold u32 process ids");
         Sim {
             nprocs,
             net,
@@ -703,6 +784,9 @@ impl Sim {
             now: SimTime::ZERO,
             queue: BinaryHeap::new(),
             seq: 0,
+            dead_timers: 0,
+            in_flight: Vec::new(),
+            free_slots: Vec::new(),
             pending_bytes: vec![0; nprocs],
             net: self.net,
             procs: (0..nprocs).map(|_| ProcInfo::new()).collect(),
@@ -717,7 +801,7 @@ impl Sim {
             profiler: self.profiler,
         };
         for p in 0..nprocs {
-            sched.push_event(SimTime::ZERO, Event::Resume(p));
+            sched.push_event(SimTime::ZERO, Event::Resume(p as u32));
         }
         let shared = Shared {
             sched: Mutex::new(sched),

@@ -1,0 +1,68 @@
+//! A lossy 16-node RPC run whose retransmission timers do fire, pinned
+//! word for word: virtual end time, wire traffic, retransmissions and the
+//! kernel's hand-off counts. Any change to how the kernel queues, cancels
+//! or pops timers and deliveries must leave every one of these unchanged.
+
+use std::sync::Arc;
+
+use vopp_sim::{HandoffStats, Sim, SimDuration};
+use vopp_simnet::{reply, EthernetModel, NetConfig, RpcClient};
+
+const NODES: usize = 16;
+const CALLS: u64 = 40;
+
+#[test]
+fn lossy_sixteen_node_rpc_is_pinned() {
+    let cfg = NetConfig {
+        base_drop_prob: 0.05,
+        ..NetConfig::default()
+    };
+    let model = EthernetModel::new(NODES, cfg);
+    let net = model.stats_handle();
+    let mut sim = Sim::new(NODES, Box::new(model));
+    for p in 0..NODES {
+        sim.set_handler(
+            p,
+            Box::new(|svc, pkt| {
+                let (tag, src) = (pkt.tag, pkt.src);
+                let v = pkt.expect::<u64>();
+                reply(svc, src, 96, tag, Arc::new(v * 2));
+            }),
+        );
+    }
+    let out = sim.run(|ctx| {
+        let me = ctx.me() as u64;
+        let mut rpc = RpcClient::new();
+        for i in 0..CALLS {
+            let dst = (ctx.me() + 1 + i as usize % (NODES - 1)) % NODES;
+            let got = rpc.call(&ctx, dst, 80, me * 1000 + i).expect::<u64>();
+            assert_eq!(got, (me * 1000 + i) * 2);
+            if i % 8 == 7 {
+                // A fan-out burst: three peers answer concurrently.
+                let calls: Vec<_> = (1..=3)
+                    .map(|k| ((ctx.me() + k * 5) % NODES, 80, i))
+                    .collect();
+                for pkt in rpc.call_all(&ctx, &calls) {
+                    assert_eq!(pkt.expect::<u64>(), i * 2);
+                }
+            }
+            ctx.compute(SimDuration::from_micros(50 + me * 3));
+        }
+        rpc.rexmits
+    });
+    let rexmits: u64 = out.results.iter().sum();
+    let stats = *net.lock();
+    assert!(rexmits > 0, "the run must exercise retransmission timers");
+    assert_eq!(
+        (out.end_time.nanos(), stats.msgs, stats.bytes, rexmits),
+        (9_009_397_960, 1894, 166_240, 94)
+    );
+    assert_eq!(
+        out.handoff,
+        HandoffStats {
+            direct: 1614,
+            via_controller: 16,
+            self_wakes: 307,
+        }
+    );
+}
