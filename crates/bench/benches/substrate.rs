@@ -12,16 +12,17 @@ mod trace_support;
 use trace_support::{gen, oracle};
 use vopp_bench::harness::{black_box, Runner};
 use vopp_metrics::{critpath_to_chrome_json, CritPath, CritSeg, SegCat};
-use vopp_page::{Diff, DiffRun, IntegratedPage, PageBuf, PagePool, SharedHeap, VTime, PAGE_WORDS};
+use vopp_page::{Diff, IntegratedPage, PageBuf, PagePool, SharedHeap, VTime, PAGE_WORDS};
 use vopp_sim::{DeliveryClass, NetModel, Payload, RouteRequest, Sim, SimDuration, SimTime};
 use vopp_simnet::{EthernetModel, NetConfig};
 use vopp_trace::{to_chrome_json, OpKind};
 
-/// The pre-chunking `Diff::create`, replicated verbatim from the seed: a
-/// word-by-word scan growing each run's vector by push. Kept as the
-/// measured reference the chunked kernel is compared against (run-for-run
-/// equivalence itself is asserted by the randomized suite in `vopp-page`).
-fn scalar_create_runs(twin: &PageBuf, current: &PageBuf) -> Vec<DiffRun> {
+/// The pre-chunking `Diff::create`, replicated from the seed: a
+/// word-by-word scan growing each run's vector by push, one `(word_off,
+/// words)` pair per run. Kept as the measured reference the chunked kernel
+/// is compared against (run-for-run equivalence itself is asserted by the
+/// randomized suite in `vopp-page`).
+fn scalar_create_runs(twin: &PageBuf, current: &PageBuf) -> Vec<(u32, Vec<u32>)> {
     let mut runs = Vec::new();
     let mut w = 0;
     while w < PAGE_WORDS {
@@ -32,10 +33,7 @@ fn scalar_create_runs(twin: &PageBuf, current: &PageBuf) -> Vec<DiffRun> {
                 words.push(current.word(w));
                 w += 1;
             }
-            runs.push(DiffRun {
-                word_off: start as u32,
-                words,
-            });
+            runs.push((start as u32, words));
         } else {
             w += 1;
         }
@@ -105,17 +103,15 @@ fn bench_diff(r: &mut Runner) {
 /// release rewrites a 64-word window overlapping its neighbours'.
 fn bench_integration(r: &mut Runner) {
     const RELEASES: u32 = 63;
-    let releases: Vec<Arc<Diff>> = (0..RELEASES)
+    let releases: Vec<Diff> = (0..RELEASES)
         .map(|i| {
-            Arc::new(Diff::from_runs(vec![DiffRun {
-                word_off: i * 16 % 960,
-                words: (0..64).map(|k| i * 64 + k).collect(),
-            }]))
+            let words: Vec<u32> = (0..64).map(|k| i * 64 + k).collect();
+            Diff::from_runs([(i * 16 % 960, &words[..])])
         })
         .collect();
     let mut page = IntegratedPage::default();
     for (i, d) in releases.iter().enumerate() {
-        page.absorb(i as u32 + 1, Arc::clone(d));
+        page.absorb(i as u32 + 1, d.clone());
     }
     for missed in [1u32, 8, 63] {
         let have = RELEASES - missed;

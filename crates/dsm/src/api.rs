@@ -30,7 +30,7 @@ use vopp_trace::{CausalProfiler, OpKind, OpSpan};
 use crate::cost::{CostModel, CpuDebt};
 use crate::layout::{Layout, ViewId};
 use crate::msg::{AccessMode, Req, Resp};
-use crate::node::{NodeState, PageDiffs, Protocol};
+use crate::node::{NodeState, PageDiffs, PendingFetch, Protocol};
 
 /// How an access through [`DsmCtx::bulk`] touches shared memory.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -58,6 +58,19 @@ pub struct DsmCtx<'a> {
     /// pay one pointer test. When set, every flush and blocking wait also
     /// records an [`OpSpan`] annotation for critical-path blame.
     causal: Option<Arc<CausalProfiler>>,
+    /// Buffers the fault path reuses from fault to fault.
+    fault_scratch: RefCell<FaultScratch>,
+}
+
+/// The fault path's reused buffers (see [`DsmCtx::fault`]).
+#[derive(Default)]
+struct FaultScratch {
+    /// The faulted page's pending fetches, in application order.
+    fetches: Vec<PendingFetch>,
+    /// Their writers, in order of first fetch.
+    owners: Vec<ProcId>,
+    /// The fetched diffs with their application-order keys.
+    items: Vec<(IntervalId, u64, Diff)>,
 }
 
 impl<'a> DsmCtx<'a> {
@@ -86,6 +99,7 @@ impl<'a> DsmCtx<'a> {
             auto_views: Cell::new(false),
             rc,
             causal,
+            fault_scratch: RefCell::default(),
         }
     }
 
@@ -351,7 +365,7 @@ impl<'a> DsmCtx<'a> {
             let mut groups: BTreeMap<ProcId, Vec<_>> = BTreeMap::new();
             // The home's own pages are already current locally.
             for (p, d) in diffs.iter().filter(|(p, _)| p % np != me) {
-                groups.entry(p % np).or_default().push((*p, Arc::clone(d)));
+                groups.entry(p % np).or_default().push((*p, d.clone()));
             }
             if !groups.is_empty() {
                 let flushes = groups
@@ -738,7 +752,7 @@ impl<'a> DsmCtx<'a> {
                     // therefore means the home had nothing to send, not
                     // that the data is still in flight.
                     let polled = match self.sim.poll_one_sided(home, tag) {
-                        Some(pkt) => pkt.expect::<Vec<(PageId, Arc<Diff>)>>(),
+                        Some(pkt) => pkt.expect::<Vec<(PageId, Diff)>>(),
                         None => Vec::new(),
                     };
                     // A retransmitted acquire can leave a byte-identical
@@ -1196,11 +1210,17 @@ impl<'a> DsmCtx<'a> {
             page: p as u64,
             write,
         });
-        let fetches = {
+        let mut scratch = self.fault_scratch.borrow_mut();
+        let FaultScratch {
+            fetches,
+            owners,
+            items,
+        } = &mut *scratch;
+        {
             let mut n = self.node.lock();
             n.stats.page_faults += 1;
-            n.take_pending(p)
-        };
+            n.take_pending(p, fetches);
+        }
         if fetches.is_empty() {
             // Invalid page with no recorded writer: nothing to fetch.
             self.node.lock().mem.validate(p);
@@ -1225,12 +1245,14 @@ impl<'a> DsmCtx<'a> {
         //     other writers' updates this node already applied, silently
         //     regressing their words — so the hatch additionally consults
         //     the page's full writer-history bitmask.
-        let distinct_owners = {
-            let mut o: Vec<_> = fetches.iter().map(|f| f.id.owner).collect();
-            o.sort_unstable();
-            o.dedup();
-            o.len()
-        };
+        // The writers, in order of first fetch.
+        owners.clear();
+        for f in fetches.iter() {
+            if !owners.contains(&f.id.owner) {
+                owners.push(f.id.owner);
+            }
+        }
+        let distinct_owners = owners.len();
         let is_view_page = self.layout.view_of_page(p).is_some();
         // The most recent writer can be this node itself after a crash (its
         // own releases come back in the `have == 0` recovery grant); a
@@ -1247,43 +1269,42 @@ impl<'a> DsmCtx<'a> {
         if whole_page && self.fetch_page(p, fetches.last().unwrap().id.owner) {
             return;
         }
-        // Group per writer, preserving order.
-        let mut per_owner: Vec<(ProcId, Vec<IntervalId>)> = Vec::new();
-        for f in &fetches {
-            match per_owner.iter_mut().find(|(o, _)| *o == f.id.owner) {
-                Some((_, ids)) => ids.push(f.id),
-                None => per_owner.push((f.id.owner, vec![f.id])),
-            }
-        }
-        self.node.lock().stats.diff_requests += per_owner.len() as u64;
+        // One request per writer, its intervals in application order.
+        self.node.lock().stats.diff_requests += owners.len() as u64;
         if self.tracing() {
-            for (owner, _) in &per_owner {
+            for &owner in owners.iter() {
                 self.trace(EventKind::DiffRequest {
                     page: p as u64,
-                    to: *owner,
+                    to: owner,
                 });
             }
         }
-        let reqs = per_owner
-            .into_iter()
-            .map(|(owner, intervals)| (owner, Req::DiffReq { page: p, intervals }));
-        let mut items = Vec::new();
+        let reqs = owners.iter().map(|&owner| {
+            let intervals = fetches
+                .iter()
+                .filter(|f| f.id.owner == owner)
+                .map(|f| f.id)
+                .collect();
+            (owner, Req::DiffReq { page: p, intervals })
+        });
+        items.clear();
         for resp in self.call_all(reqs, Phase::DataWait, p as u64) {
             match resp {
                 Resp::DiffResp { items: it } => items.extend(it),
                 other => panic!("DiffReq got unexpected reply {other:?}"),
             }
         }
-        items.sort_by_key(|(id, lam, _)| (*lam, id.owner, id.seq));
+        // Each interval is fetched once, so the keys are unique.
+        items.sort_unstable_by_key(|(id, lam, _)| (*lam, id.owner, id.seq));
         let mut n = self.node.lock();
-        for (_, _, diff) in &items {
-            n.mem.apply_diff(p, diff.as_ref());
+        for (_, _, diff) in items.iter() {
+            n.mem.apply_diff(p, diff);
             n.stats.diffs_applied += 1;
         }
         n.mem.validate(p);
         drop(n);
         if self.tracing() {
-            for (_, _, diff) in &items {
+            for (_, _, diff) in items.iter() {
                 self.trace(EventKind::DiffApply {
                     page: p as u64,
                     bytes: diff.wire_bytes() as u64,

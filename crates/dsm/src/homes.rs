@@ -90,19 +90,19 @@ pub struct ViewHome {
 
 impl ViewHome {
     /// Fold the diffs of release `version` into the integration state.
-    fn absorb(&mut self, version: u32, diffs: &[(PageId, Arc<Diff>)]) {
+    fn absorb(&mut self, version: u32, diffs: &[(PageId, Diff)]) {
         for (p, d) in diffs {
             self.integrated
                 .entry(*p)
                 .or_default()
-                .absorb(version, Arc::clone(d));
+                .absorb(version, d.clone());
         }
     }
 
     /// One integrated diff per page released after version `have`, in page
     /// order. A page only one such release touched shares that release's
     /// diff with the releaser's diff store — the common case pays no copy.
-    fn integrated_since(&self, have: u32) -> Vec<(PageId, Arc<Diff>)> {
+    fn integrated_since(&self, have: u32) -> Vec<(PageId, Diff)> {
         self.integrated
             .iter()
             .filter_map(|(p, page)| Some((*p, page.newer_than(have)?)))
@@ -256,7 +256,7 @@ fn handle(n: &mut NodeState, svc: &mut SvcCtx<'_>, src: ProcId, tag: u64, req: &
                             let data = svc
                                 .take_one_sided(src, crate::msg::rdma_release_tag(view))
                                 .expect("VC_rdma release data must precede the release request");
-                            h.absorb(v, &data.expect_arc::<Vec<(PageId, Arc<Diff>)>>());
+                            h.absorb(v, &data.expect_arc::<Vec<(PageId, Diff)>>());
                         }
                         Protocol::LrcD | Protocol::Hlrc => {
                             unreachable!("views/scopes are not a homeless/home-based LRC feature")
@@ -303,7 +303,7 @@ fn handle(n: &mut NodeState, svc: &mut SvcCtx<'_>, src: ProcId, tag: u64, req: &
             debug_assert_eq!(n.protocol, Protocol::Hlrc);
             for (page, diff) in items {
                 debug_assert_eq!(n.page_home(*page), n.me, "flush sent to wrong home");
-                n.mem.apply_diff_with_twin(*page, diff.as_ref());
+                n.mem.apply_diff_with_twin(*page, diff);
                 n.stats.diffs_applied += 1;
             }
             respond(svc, src, tag, Resp::Ack);
@@ -409,7 +409,7 @@ fn send_view_grant(
     // VC_rdma moves the integrated diffs by a one-sided write into the
     // requester's preposted buffer, issued ahead of the control reply so
     // link FIFO lands the data first. The grant reply itself stays slim.
-    let mut one_sided: Vec<(PageId, Arc<Diff>)> = Vec::new();
+    let mut one_sided: Vec<(PageId, Diff)> = Vec::new();
     let (records, diffs) = match n.protocol {
         // ScC scoped grants look exactly like VC_d view grants: release
         // records newer than the requester's version, diffs on fault.
@@ -470,35 +470,33 @@ fn send_view_grant(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vopp_page::DiffRun;
-
-    fn diff(word_off: u32, words: Vec<u32>) -> Arc<Diff> {
-        Arc::new(Diff::from_runs(vec![DiffRun { word_off, words }]))
+    fn diff(word_off: u32, words: Vec<u32>) -> Diff {
+        Diff::from_runs([(word_off, &words[..])])
     }
 
     #[test]
     fn single_missed_release_is_shared_with_the_releaser() {
         let mut h = ViewHome::default();
         let (r1, r2, r3) = (diff(0, vec![1, 1]), diff(1, vec![2, 2]), diff(8, vec![3]));
-        h.absorb(1, &[(4, Arc::clone(&r1)), (5, Arc::clone(&r1))]);
-        h.absorb(2, &[(4, Arc::clone(&r2))]);
-        h.absorb(3, &[(4, Arc::clone(&r3))]);
+        h.absorb(1, &[(4, r1.clone()), (5, r1.clone())]);
+        h.absorb(2, &[(4, r2.clone())]);
+        h.absorb(3, &[(4, r3.clone())]);
 
         // Up to date: nothing to send.
         assert!(h.integrated_since(3).is_empty());
         // Missed one release: the releaser's own allocation, not a copy.
         let one = h.integrated_since(2);
         assert_eq!(one.len(), 1);
-        assert!(Arc::ptr_eq(&one[0].1, &r3));
+        assert!(one[0].1.shares_buffer(&r3));
         // Missed two on page 4, none on page 5: one fresh integrated diff.
         let two = h.integrated_since(1);
         assert_eq!(two.len(), 1);
-        assert_eq!(*two[0].1, r2.merge(&r3));
+        assert_eq!(two[0].1, r2.merge(&r3));
         // Missed everything (a crashed node re-acquiring from version 0):
         // page 5 saw a single release in all that time and is still shared.
         let all = h.integrated_since(0);
         assert_eq!(all.iter().map(|(p, _)| *p).collect::<Vec<_>>(), [4, 5]);
-        assert_eq!(*all[0].1, r1.merge(&r2).merge(&r3));
-        assert!(Arc::ptr_eq(&all[1].1, &r1));
+        assert_eq!(all[0].1, r1.merge(&r2).merge(&r3));
+        assert!(all[1].1.shares_buffer(&r1));
     }
 }

@@ -97,7 +97,7 @@ pub enum Req {
         pages: Vec<PageId>,
         /// The diffs themselves (`VC_sd` only), shared with the releaser's
         /// diff store.
-        diffs: Vec<(PageId, Arc<Diff>)>,
+        diffs: Vec<(PageId, Diff)>,
     },
     /// Fetch the diffs of specific intervals of one page from their creator
     /// (the invalidate-protocol fault path).
@@ -120,7 +120,7 @@ pub enum Req {
     /// applies them immediately so its copies stay current.
     HomeFlush {
         /// `(page, diff)` pairs for pages homed at the destination.
-        items: Vec<(PageId, Arc<Diff>)>,
+        items: Vec<(PageId, Diff)>,
     },
 }
 
@@ -182,7 +182,7 @@ pub enum Resp {
         /// Integrated diffs per stale page (`VC_sd`). A single missed
         /// release is shared as-is; multiple releases merge into one fresh
         /// integrated diff.
-        diffs: Vec<(PageId, Arc<Diff>)>,
+        diffs: Vec<(PageId, Diff)>,
         /// The view's current version.
         version: u32,
         /// Home's happens-before scalar.
@@ -198,7 +198,7 @@ pub enum Resp {
     DiffResp {
         /// `(interval, lamport, diff)` triples, application-ordered by the
         /// requester. Diffs are shared with the serving node's diff store.
-        items: Vec<(IntervalId, u64, Arc<Diff>)>,
+        items: Vec<(IntervalId, u64, Diff)>,
     },
     /// Full page content (answers [`Req::PageReq`]); `None` when the
     /// server no longer holds a valid copy and the requester must fall
@@ -254,7 +254,7 @@ pub fn rdma_release_tag(view: ViewId) -> u64 {
 
 /// Wire size of a one-sided diff deposit (`VC_rdma`): one RDMA write
 /// carrying each page's id and diff, plus the transport header.
-pub fn one_sided_diffs_wire_bytes(diffs: &[(PageId, Arc<Diff>)]) -> usize {
+pub fn one_sided_diffs_wire_bytes(diffs: &[(PageId, Diff)]) -> usize {
     HEADER_BYTES + diffs.iter().map(|(_, d)| 4 + d.wire_bytes()).sum::<usize>()
 }
 
@@ -293,7 +293,7 @@ mod tests {
         let d = Diff::create(&PageBuf::zeroed(), &p);
         let grant = Resp::ViewGrant {
             records: vec![],
-            diffs: vec![(0, Arc::new(d.clone()))],
+            diffs: vec![(0, d.clone())],
             version: 1,
             lamport: 1,
         };
@@ -304,7 +304,7 @@ mod tests {
             interval: None,
             lamport: 0,
             pages: vec![0, 1],
-            diffs: vec![(0, Arc::new(d.clone()))],
+            diffs: vec![(0, d.clone())],
         };
         assert_eq!(rel.wire_bytes(), HEADER_BYTES + 21 + 8 + d.wire_bytes());
     }

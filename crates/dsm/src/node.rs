@@ -86,13 +86,13 @@ impl std::fmt::Display for Protocol {
     }
 }
 
-/// The diffs of one sealed interval in page order, shared by `Arc` with the
-/// creator's diff store.
-pub(crate) type PageDiffs = Vec<(PageId, Arc<Diff>)>;
+/// The diffs of one sealed interval in page order, sharing their buffers
+/// with the creator's diff store.
+pub(crate) type PageDiffs = Vec<(PageId, Diff)>;
 
 /// A diff retained by its creator, served on [`crate::msg::Req::DiffReq`].
-/// The diff is immutable once stored and shared by `Arc` with every reply
-/// that serves it, instead of deep-copied per request.
+/// The diff is immutable once stored and shares its buffer with every reply
+/// that serves it, instead of being deep-copied per request.
 #[derive(Debug, Clone)]
 pub struct StoredDiff {
     /// Interval the diff belongs to.
@@ -100,7 +100,7 @@ pub struct StoredDiff {
     /// Happens-before scalar for application ordering.
     pub lamport: u64,
     /// The modifications themselves.
-    pub diff: Arc<Diff>,
+    pub diff: Diff,
 }
 
 /// An invalidation waiting to be resolved by a fault-time diff fetch.
@@ -133,10 +133,12 @@ pub struct NodeState {
     pub mem: NodeMemory,
 
     // ---- interval / knowledge tracking (LRC, also ids for VC) ----
-    /// Every interval record this node possesses, keyed `(owner, seq)`.
-    /// Per-owner prefix-closed. Records are immutable once logged and shared
-    /// by `Arc` across the log, grants and releases.
-    pub logged: BTreeMap<(ProcId, u32), Arc<IntervalRecord>>,
+    /// Every interval record this node possesses: `logged[owner][seq - 1]`.
+    /// Per-owner prefix-closed — a node only ever receives the records
+    /// above what the sender knows it has — so each owner's records are a
+    /// gap-free prefix of its intervals. Records are immutable once logged
+    /// and shared by `Arc` across the log, grants and releases.
+    pub logged: Vec<Vec<Arc<IntervalRecord>>>,
     /// Per-owner count of records possessed.
     pub logged_vt: VTime,
     /// Per-owner count of intervals whose effects are enforced on `mem`
@@ -146,8 +148,10 @@ pub struct NodeState {
     pub lamport: u64,
     /// Lower bound of each home's `logged_vt`, to size release deltas.
     pub home_sent_vt: BTreeMap<ProcId, VTime>,
-    /// Per-page invalidations awaiting a fault-time fetch.
-    pub pending: BTreeMap<PageId, Vec<PendingFetch>>,
+    /// Per page, the invalidations awaiting a fault-time fetch. Each list
+    /// keeps its capacity when drained, so steady-state invalidation
+    /// allocates nothing.
+    pub pending: Vec<Vec<PendingFetch>>,
     /// Per page, every writer this node has ever learned of (logged
     /// interval records plus its own writes), exact at any cluster size:
     /// [`NO_WRITER`], one owner's id, or [`MANY_WRITERS`]. Monotone
@@ -155,8 +159,10 @@ pub struct NodeState {
     /// sound when the page's entire write history has a single owner — the
     /// pending list alone can miss concurrent writers on false-shared pages.
     pub page_writers: Vec<u32>,
-    /// Diffs created locally, served to faulting peers. Left empty on a
-    /// one-node LRC-family cluster, where no peer can ever request one.
+    /// Diffs created locally, served to faulting peers: per page in
+    /// ascending `seq` order, because they are pushed as intervals seal.
+    /// Left empty on a one-node LRC-family cluster, where no peer can ever
+    /// request one.
     pub diff_store: BTreeMap<PageId, Vec<StoredDiff>>,
 
     // ---- VOPP state ----
@@ -208,12 +214,12 @@ impl NodeState {
             protocol,
             cost,
             mem: NodeMemory::with_pool(layout.npages(), pool),
-            logged: BTreeMap::new(),
+            logged: vec![Vec::new(); n],
             logged_vt: VTime::zero(n),
             applied_vt: VTime::zero(n),
             lamport: 0,
             home_sent_vt: BTreeMap::new(),
-            pending: BTreeMap::new(),
+            pending: vec![Vec::new(); layout.npages()],
             page_writers: vec![NO_WRITER; layout.npages()],
             diff_store: BTreeMap::new(),
             view_applied: vec![0; layout.nviews()],
@@ -258,12 +264,7 @@ impl NodeState {
     /// record. Returns the interval id and its diffs in page order (shared
     /// with the diff store, not copied), or `None` if nothing was written.
     pub(crate) fn seal_interval(&mut self) -> Option<(IntervalId, PageDiffs)> {
-        let diffs: PageDiffs = self
-            .mem
-            .end_interval()
-            .into_iter()
-            .map(|(p, d)| (p, Arc::new(d)))
-            .collect();
+        let diffs: PageDiffs = self.mem.end_interval();
         if diffs.is_empty() {
             return None;
         }
@@ -281,7 +282,7 @@ impl NodeState {
                 self.diff_store.entry(*p).or_default().push(StoredDiff {
                     id,
                     lamport: self.lamport,
-                    diff: Arc::clone(diff),
+                    diff: diff.clone(),
                 });
             }
         }
@@ -293,7 +294,7 @@ impl NodeState {
                 lamport: self.lamport,
                 pages: diffs.iter().map(|(p, _)| *p).collect(),
             };
-            self.logged.insert((self.me, seq), Arc::new(rec));
+            self.logged[self.me].push(Arc::new(rec));
         }
         Some((id, diffs))
     }
@@ -301,14 +302,14 @@ impl NodeState {
     /// Records this node possesses that `vt` does not cover. The returned
     /// records are `Arc`-shared with the log (no deep copies).
     pub fn delta_since(&self, vt: &VTime) -> Vec<Arc<IntervalRecord>> {
-        let mut out = Vec::new();
-        for owner in 0..self.n {
+        let missing = |owner: ProcId| {
             let have = if vt.is_empty() { 0 } else { vt.get(owner) };
-            let lo = (owner, have + 1);
-            let hi = (owner, u32::MAX);
-            for rec in self.logged.range(lo..=hi).map(|(_, r)| r) {
-                out.push(Arc::clone(rec));
-            }
+            self.logged[owner].get(have as usize..).unwrap_or_default()
+        };
+        let len = (0..self.n).map(|o| missing(o).len()).sum();
+        let mut out = Vec::with_capacity(len);
+        for owner in 0..self.n {
+            out.extend(missing(owner).iter().cloned());
         }
         out
     }
@@ -340,15 +341,24 @@ impl NodeState {
     }
 
     /// Merge received interval records into the passive log (no effect on
-    /// memory until this node's own next acquire applies them).
+    /// memory until this node's own next acquire applies them). Records
+    /// already logged are skipped; a new record must extend its owner's
+    /// prefix by exactly one.
     pub fn merge_logged(&mut self, records: &[Arc<IntervalRecord>]) {
         for r in records {
-            let key = (r.id.owner, r.id.seq);
-            let seq = r.id.seq;
-            self.logged.entry(key).or_insert_with(|| Arc::clone(r));
-            if self.logged_vt.get(r.id.owner) < seq {
-                self.logged_vt.set(r.id.owner, seq);
+            let (owner, seq) = (r.id.owner, r.id.seq);
+            let log = &mut self.logged[owner];
+            if seq as usize <= log.len() {
+                continue;
             }
+            assert_eq!(
+                seq as usize,
+                log.len() + 1,
+                "node {} log of {owner} is not prefix-closed",
+                self.me
+            );
+            log.push(Arc::clone(r));
+            self.logged_vt.set(owner, seq);
             for &page in &r.pages {
                 self.note_page_writer(page, r.id.owner);
             }
@@ -393,9 +403,8 @@ impl NodeState {
             let from = self.applied_vt.get(owner) + 1;
             let to = vt.get(owner);
             for seq in from..=to {
-                let rec = self
-                    .logged
-                    .get(&(owner, seq))
+                let rec = self.logged[owner]
+                    .get(seq as usize - 1)
                     .map(Arc::clone)
                     .unwrap_or_else(|| panic!("node {} missing record ({owner},{seq})", self.me));
                 for &page in &rec.pages {
@@ -414,7 +423,7 @@ impl NodeState {
                         continue;
                     }
                     self.mem.invalidate(page);
-                    self.pending.entry(page).or_default().push(PendingFetch {
+                    self.pending[page].push(PendingFetch {
                         id: rec.id,
                         lamport: rec.lamport,
                     });
@@ -432,7 +441,7 @@ impl NodeState {
         &mut self,
         view: ViewId,
         records: &[Arc<crate::msg::ViewRecord>],
-        diffs: &[(PageId, Arc<Diff>)],
+        diffs: &[(PageId, Diff)],
         version: u32,
         lamport: u64,
     ) {
@@ -447,7 +456,7 @@ impl NodeState {
             for &page in &r.pages {
                 debug_assert_ne!(self.mem.state(page), PageState::Dirty);
                 self.mem.invalidate(page);
-                self.pending.entry(page).or_default().push(PendingFetch {
+                self.pending[page].push(PendingFetch {
                     id: r.id,
                     lamport: r.lamport,
                 });
@@ -488,7 +497,7 @@ impl NodeState {
                 // Invalidations queued for these pages refer to content the
                 // crash just destroyed; the `have == 0` re-acquire restores
                 // everything, so stale fetch plans must not survive.
-                self.pending.remove(&page);
+                self.pending[page].clear();
                 if self.mem.crash_page(page) {
                     dropped += 1;
                 }
@@ -509,7 +518,7 @@ impl NodeState {
             for &page in &r.pages {
                 debug_assert_ne!(self.mem.state(page), PageState::Dirty);
                 self.mem.invalidate(page);
-                self.pending.entry(page).or_default().push(PendingFetch {
+                self.pending[page].push(PendingFetch {
                     id: r.id,
                     lamport: r.lamport,
                 });
@@ -518,13 +527,14 @@ impl NodeState {
     }
 
     /// Serve a diff request: look up the stored diffs of `page` for the
-    /// requested intervals. Idempotent (pure read); the reply shares the
-    /// stored diffs by `Arc` instead of copying them.
+    /// requested intervals, by binary search on `seq`. Idempotent (pure
+    /// read); the reply shares the stored diffs' buffers instead of copying
+    /// them.
     pub fn serve_diffs(
         &self,
         page: PageId,
         intervals: &[IntervalId],
-    ) -> Vec<(IntervalId, u64, Arc<Diff>)> {
+    ) -> Vec<(IntervalId, u64, Diff)> {
         let Some(store) = self.diff_store.get(&page) else {
             panic!("node {} has no diffs for page {page}", self.me)
         };
@@ -532,21 +542,26 @@ impl NodeState {
             .iter()
             .map(|id| {
                 let sd = store
-                    .iter()
-                    .find(|sd| sd.id == *id)
+                    .binary_search_by_key(&id.seq, |sd| sd.id.seq)
+                    .ok()
+                    .map(|i| &store[i])
+                    .filter(|sd| sd.id == *id)
                     .unwrap_or_else(|| panic!("node {} missing diff {id:?} page {page}", self.me));
-                (sd.id, sd.lamport, Arc::clone(&sd.diff))
+                (sd.id, sd.lamport, sd.diff.clone())
             })
             .collect()
     }
 
-    /// Take (and clear) the pending fetches of a faulted page, deduplicated
-    /// and in application order.
-    pub fn take_pending(&mut self, page: PageId) -> Vec<PendingFetch> {
-        let mut v = self.pending.remove(&page).unwrap_or_default();
-        v.sort_by_key(|f| (f.lamport, f.id.owner, f.id.seq));
-        v.dedup_by_key(|f| f.id);
-        v
+    /// Move the pending fetches of a faulted page into `out` (replacing its
+    /// contents), deduplicated and in application order. Both lists keep
+    /// their capacity.
+    pub fn take_pending(&mut self, page: PageId, out: &mut Vec<PendingFetch>) {
+        out.clear();
+        out.append(&mut self.pending[page]);
+        // Keys are unique up to duplicate entries of one interval, which
+        // are identical, so an unstable sort orders exactly as a stable one.
+        out.sort_unstable_by_key(|f| (f.lamport, f.id.owner, f.id.seq));
+        out.dedup_by_key(|f| f.id);
     }
 }
 
@@ -571,7 +586,14 @@ mod tests {
     /// Seal `n`'s write interval and return the record it logged.
     fn seal(n: &mut NodeState) -> Arc<IntervalRecord> {
         let (id, _) = n.seal_interval().expect("a dirty page");
-        Arc::clone(&n.logged[&(id.owner, id.seq)])
+        Arc::clone(&n.logged[id.owner][id.seq as usize - 1])
+    }
+
+    /// The pending fetches of `page`, drained.
+    fn take(n: &mut NodeState, page: PageId) -> Vec<PendingFetch> {
+        let mut out = Vec::new();
+        n.take_pending(page, &mut out);
+        out
     }
 
     #[test]
@@ -582,7 +604,7 @@ mod tests {
         let (id, diffs) = a.seal_interval().unwrap();
         assert_eq!(diffs.len(), 1);
         assert_eq!(id, IntervalId { owner: 0, seq: 1 });
-        assert_eq!(a.logged[&(0, 1)].pages, vec![1]);
+        assert_eq!(a.logged[0][0].pages, vec![1]);
         assert_eq!(a.logged_vt.get(0), 1);
         assert_eq!(a.applied_vt.get(0), 1);
         assert!(a.diff_store.contains_key(&1));
@@ -634,7 +656,7 @@ mod tests {
         let (id, diffs) = a.seal_interval().unwrap();
         assert_eq!(id, IntervalId { owner: 0, seq: 1 });
         assert_eq!(diffs.iter().map(|(p, _)| *p).collect::<Vec<_>>(), [2]);
-        assert!(a.logged.is_empty());
+        assert!(a.logged.iter().all(Vec::is_empty));
         assert_eq!(a.lamport, 1);
         assert!(a.diff_store.contains_key(&2));
     }
@@ -650,12 +672,12 @@ mod tests {
         a.absorb_lrc_grant(std::slice::from_ref(&rec), &rec.vt, rec.lamport);
         assert_eq!(a.mem.state(2), PageState::Invalid);
         assert_eq!(a.applied_vt.get(1), 1);
-        let pend = a.take_pending(2);
+        let pend = take(&mut a, 2);
         assert_eq!(pend.len(), 1);
         assert_eq!(pend[0].id, rec.id);
         // Fetch from b and apply.
         let items = b.serve_diffs(2, &[rec.id]);
-        a.mem.apply_diff(2, items[0].2.as_ref());
+        a.mem.apply_diff(2, &items[0].2);
         a.mem.validate(2);
         assert_eq!(a.mem.page(2).word(3), 9);
     }
@@ -686,11 +708,11 @@ mod tests {
         b.mem.page_mut(2).set_word(0, 1);
         let rec = seal(&mut b);
         a.absorb_lrc_grant(std::slice::from_ref(&rec), &rec.vt, rec.lamport);
-        let first = a.take_pending(2);
+        let first = take(&mut a, 2);
         assert_eq!(first.len(), 1);
         // Duplicate grant: already-applied intervals add no pending work.
         a.absorb_lrc_grant(std::slice::from_ref(&rec), &rec.vt, rec.lamport);
-        assert!(a.take_pending(2).is_empty());
+        assert!(take(&mut a, 2).is_empty());
     }
 
     #[test]
@@ -700,13 +722,10 @@ mod tests {
             id: IntervalId { owner, seq },
             lamport: lam,
         };
-        a.pending
-            .entry(7)
-            .or_default()
-            .extend([f(2, 1, 10), f(1, 1, 3), f(2, 1, 10), f(3, 2, 7)]);
-        let got = a.take_pending(7);
+        a.pending[3].extend([f(2, 1, 10), f(1, 1, 3), f(2, 1, 10), f(3, 2, 7)]);
+        let got = take(&mut a, 3);
         assert_eq!(got, vec![f(1, 1, 3), f(3, 2, 7), f(2, 1, 10)]);
-        assert!(a.take_pending(7).is_empty());
+        assert!(take(&mut a, 3).is_empty());
     }
 
     #[test]
@@ -722,6 +741,85 @@ mod tests {
         assert_eq!(a.logged_vt.get(1), 1);
         a.merge_logged(&[rec]);
         assert_eq!(a.logged_vt.get(1), 1);
+    }
+
+    #[test]
+    fn serve_diffs_finds_any_subset_of_a_long_history() {
+        let mut a = mk(0, 2);
+        for i in 0..1000 {
+            a.mem.note_write(1);
+            a.mem.page_mut(1).set_word(i % 7, i as u32 + 1);
+            a.seal_interval().unwrap();
+        }
+        // Every third interval, requested out of order.
+        let ids: Vec<IntervalId> = (0..1000)
+            .map(|k| k * 617 % 1000 + 1)
+            .filter(|seq| seq % 3 == 0)
+            .map(|seq| IntervalId { owner: 0, seq })
+            .collect();
+        let store = &a.diff_store[&1];
+        let linear: Vec<_> = ids
+            .iter()
+            .map(|id| {
+                let sd = store.iter().find(|sd| sd.id == *id).unwrap();
+                (sd.id, sd.lamport, sd.diff.clone())
+            })
+            .collect();
+        assert_eq!(a.serve_diffs(1, &ids), linear);
+        assert_eq!(linear.len(), 333);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 0 missing diff")]
+    fn serve_diffs_panics_on_an_unknown_interval() {
+        let mut a = mk(0, 2);
+        a.mem.note_write(1);
+        a.mem.page_mut(1).set_word(0, 1);
+        a.seal_interval().unwrap();
+        a.serve_diffs(1, &[IntervalId { owner: 0, seq: 2 }]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not prefix-closed")]
+    fn merge_logged_rejects_a_gap_in_an_owners_log() {
+        let mut a = mk(0, 2);
+        let rec = |seq| {
+            Arc::new(IntervalRecord {
+                id: IntervalId { owner: 1, seq },
+                vt: VTime::zero(2),
+                lamport: 5,
+                pages: vec![0],
+            })
+        };
+        a.merge_logged(&[rec(1)]);
+        a.merge_logged(&[rec(3)]);
+    }
+
+    #[test]
+    fn delta_since_slices_each_owners_log() {
+        let mut a = mk(0, 3);
+        let rec = |owner, seq| {
+            Arc::new(IntervalRecord {
+                id: IntervalId { owner, seq },
+                vt: VTime::zero(3),
+                lamport: 1,
+                pages: vec![0],
+            })
+        };
+        a.merge_logged(&[rec(1, 1), rec(1, 2), rec(1, 3), rec(2, 1)]);
+        let mut vt = VTime::zero(3);
+        vt.set(1, 1);
+        // A peer that knows more of owner 2 than this node gets nothing.
+        vt.set(2, 5);
+        let ids: Vec<_> = a.delta_since(&vt).iter().map(|r| r.id).collect();
+        assert_eq!(
+            ids,
+            [
+                IntervalId { owner: 1, seq: 2 },
+                IntervalId { owner: 1, seq: 3 }
+            ]
+        );
+        assert_eq!(a.delta_since(&VTime::zero(0)).len(), 4);
     }
 
     #[test]

@@ -4,43 +4,60 @@
 //! (the copy snapshotted at the first write of an interval), encoded as
 //! maximal runs of consecutive modified words — the TreadMarks encoding.
 //!
+//! In memory a diff is that encoding, in one immutable block shared by
+//! every holder (the creator's diff store, each message that carries it, a
+//! view home's integration state):
+//!
+//! ```text
+//! [run count] [off | len << 16] [len words] [off | len << 16] [len words] ...
+//! ```
+//!
+//! Each run header is one 32-bit word holding the run's first word index
+//! and its length, so the block is the wire encoding less the page id:
+//! [`DIFF_HEADER_BYTES`] covers the page id and the count word,
+//! [`RUN_HEADER_BYTES`] a header word. A diff costs one allocation, made
+//! at exact size once its runs are known; the empty diff costs none.
+//!
 //! `VC_sd`'s *diff integration* (Huang et al., CCGrid'05) is defined by
 //! [`Diff::merge`]: any number of diffs against the same page collapse into a
 //! single diff bounded by the page size, with later writes overriding earlier
 //! ones. View homes compute the same diff incrementally through
 //! [`IntegratedPage`](crate::IntegratedPage).
 
+use std::sync::Arc;
+
 use crate::page::{
     PageBuf, CHUNK_WORDS, PAGE_QUARTERS, PAGE_WORDS, QUARTER_BYTES, SUPER_BYTES, WORD_SIZE,
 };
 
-/// One maximal run of consecutive modified words.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DiffRun {
-    /// Word index of the first modified word.
-    pub word_off: u32,
-    /// The new little-endian word values.
-    pub words: Vec<u32>,
-}
-
-impl DiffRun {
-    /// One past the last modified word index.
-    pub fn end(&self) -> u32 {
-        self.word_off + self.words.len() as u32
-    }
-}
-
 /// A set of modifications to a single page: sorted, non-overlapping,
-/// non-adjacent maximal runs.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// non-adjacent maximal runs. Cloning shares the encoding (see the module
+/// docs) instead of copying it.
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct Diff {
-    pub(crate) runs: Vec<DiffRun>,
+    /// The encoding; `None` for the empty diff.
+    buf: Option<Arc<[u32]>>,
 }
 
 /// Wire-format overhead per diff (page id + run count), in bytes.
 pub const DIFF_HEADER_BYTES: usize = 8;
 /// Wire-format overhead per run (offset + length), in bytes.
 pub const RUN_HEADER_BYTES: usize = 4;
+
+/// Bit position of the length in a run header; the offset sits below it.
+const LEN_SHIFT: u32 = 16;
+/// Mask of the offset in a run header.
+const OFF_MASK: u32 = (1 << LEN_SHIFT) - 1;
+/// Longest encoding of one page's diff: the count word, at most
+/// `PAGE_WORDS` words and one header per run, of which there are at most
+/// `PAGE_WORDS / 2` (runs are separated by an unchanged word).
+pub(crate) const ENCODED_MAX: usize = 1 + PAGE_WORDS + PAGE_WORDS / 2;
+
+impl std::fmt::Debug for Diff {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.runs()).finish()
+    }
+}
 
 impl Diff {
     /// An empty diff.
@@ -50,27 +67,31 @@ impl Diff {
 
     /// True if no words are modified.
     pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+        self.buf.is_none()
     }
 
     /// Number of modified words.
     pub fn word_count(&self) -> usize {
-        self.runs.iter().map(|r| r.words.len()).sum()
+        self.buf.as_ref().map_or(0, |b| b.len() - 1 - b[0] as usize)
     }
 
-    /// The runs, in ascending word order.
-    pub fn runs(&self) -> &[DiffRun] {
-        &self.runs
+    /// The runs as `(word_off, words)`, in ascending word order.
+    pub fn runs(&self) -> impl ExactSizeIterator<Item = (u32, &[u32])> + Clone + '_ {
+        let (left, rest) = match &self.buf {
+            Some(b) => (b[0] as usize, &b[1..]),
+            None => (0, &[][..]),
+        };
+        Runs { rest, left }
     }
 
     /// Bytes this diff would occupy on the wire.
     pub fn wire_bytes(&self) -> usize {
-        DIFF_HEADER_BYTES
-            + self
-                .runs
-                .iter()
-                .map(|r| RUN_HEADER_BYTES + r.words.len() * WORD_SIZE)
-                .sum::<usize>()
+        DIFF_HEADER_BYTES + self.buf.as_ref().map_or(0, |b| (b.len() - 1) * WORD_SIZE)
+    }
+
+    /// Whether `self` and `other` are handles on one and the same buffer.
+    pub fn shares_buffer(&self, other: &Diff) -> bool {
+        matches!((&self.buf, &other.buf), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
     }
 
     /// Compare `current` against its `twin` and record every changed word.
@@ -79,48 +100,41 @@ impl Diff {
     /// `memcmp`-class slice compare, dirty superblocks are scanned 16 bytes
     /// at a time (one `u128` compare per chunk), and only dirty chunks fall
     /// back to word granularity. Runs remain maximal across every boundary
-    /// because a run is extended whenever its end meets the next modified
-    /// word, and a clean block implies the run already closed.
+    /// because the encoder extends a run whenever its end meets the next
+    /// modified word. The encoding is built on the stack, then allocated
+    /// once.
     pub fn create(twin: &PageBuf, current: &PageBuf) -> Diff {
-        let mut scratch = Vec::new();
-        Diff::create_with_scratch(twin, current, &mut scratch)
+        let mut buf = [0; ENCODED_MAX];
+        Diff::create_into(twin, current, &mut buf)
     }
 
-    /// [`Diff::create`] with an external word-accumulation arena: the words
-    /// of the run being scanned collect in `scratch` (retaining its capacity
-    /// across calls), and each finished run is allocated once at exact size.
-    /// [`NodeMemory`](crate::NodeMemory) passes a per-node scratch that is
-    /// reset every interval.
+    /// [`Diff::create`] encoding into a reusable `scratch` instead of the
+    /// stack: `scratch` grows once to the longest encoding and keeps its
+    /// capacity across calls. [`NodeMemory`](crate::NodeMemory) passes a
+    /// per-node scratch.
     pub fn create_with_scratch(twin: &PageBuf, current: &PageBuf, scratch: &mut Vec<u32>) -> Diff {
-        scratch.clear();
-        let mut runs: Vec<DiffRun> = Vec::new();
-        let mut open: Option<u32> = None; // word_off of the run in `scratch`
-        fn close(runs: &mut Vec<DiffRun>, open: &mut Option<u32>, scratch: &mut Vec<u32>) {
-            if let Some(off) = open.take() {
-                runs.push(DiffRun {
-                    word_off: off,
-                    words: scratch.as_slice().to_vec(),
-                });
-                scratch.clear();
-            }
+        if scratch.len() < ENCODED_MAX {
+            scratch.resize(ENCODED_MAX, 0);
         }
+        Diff::create_into(twin, current, scratch)
+    }
+
+    fn create_into(twin: &PageBuf, current: &PageBuf, out: &mut [u32]) -> Diff {
+        let mut enc = Encoder::new(out);
         const SUPER_CHUNKS: usize = SUPER_BYTES / (CHUNK_WORDS * WORD_SIZE);
         const QUARTER_SUPERS: usize = QUARTER_BYTES / SUPER_BYTES;
         for q in 0..PAGE_QUARTERS {
             if twin.quarter(q) == current.quarter(q) {
-                close(&mut runs, &mut open, scratch);
                 continue;
             }
             for s in q * QUARTER_SUPERS..(q + 1) * QUARTER_SUPERS {
                 if twin.superblock(s) == current.superblock(s) {
-                    close(&mut runs, &mut open, scratch);
                     continue;
                 }
                 for c in s * SUPER_CHUNKS..(s + 1) * SUPER_CHUNKS {
                     let t = twin.chunk128(c);
                     let cu = current.chunk128(c);
                     if t == cu {
-                        close(&mut runs, &mut open, scratch);
                         continue;
                     }
                     // Word `i` of a little-endian chunk occupies bits
@@ -129,7 +143,7 @@ impl Diff {
                     // writes, the dense/full-page case) extend the open
                     // run four words at a time without per-word branches.
                     let x = t ^ cu;
-                    let base = c * CHUNK_WORDS;
+                    let base = (c * CHUNK_WORDS) as u32;
                     let words = [
                         cu as u32,
                         (cu >> 32) as u32,
@@ -141,40 +155,36 @@ impl Diff {
                         && ((x >> 64) as u32) != 0
                         && ((x >> 96) as u32) != 0
                     {
-                        if open.is_none() {
-                            open = Some(base as u32);
-                        }
-                        scratch.extend_from_slice(&words);
+                        enc.push(base, &words);
                         continue;
                     }
-                    for (i, &v) in words.iter().enumerate() {
-                        if (x >> (32 * i)) as u32 == 0 {
-                            close(&mut runs, &mut open, scratch);
-                        } else {
-                            if open.is_none() {
-                                open = Some((base + i) as u32);
-                            }
-                            scratch.push(v);
+                    for (i, v) in words.iter().enumerate() {
+                        if (x >> (32 * i)) as u32 != 0 {
+                            enc.push(base + i as u32, std::slice::from_ref(v));
                         }
                     }
                 }
             }
         }
-        close(&mut runs, &mut open, scratch);
-        Diff { runs }
+        enc.finish()
     }
 
-    /// Build a diff from raw runs (used by tests and protocol decoding).
-    /// Panics if the runs are not sorted, non-overlapping and in-bounds.
-    pub fn from_runs(runs: Vec<DiffRun>) -> Diff {
-        let mut prev_end = 0u32;
-        for (i, r) in runs.iter().enumerate() {
-            assert!(!r.words.is_empty(), "empty run");
-            assert!(i == 0 || r.word_off > prev_end, "unsorted or adjacent runs");
-            assert!(r.end() as usize <= PAGE_WORDS, "run out of bounds");
-            prev_end = r.end();
+    /// Build a diff from `(word_off, words)` runs (used by tests and
+    /// protocol decoding). Panics if the runs are not sorted,
+    /// non-overlapping, non-adjacent and in-bounds.
+    pub fn from_runs<'r>(runs: impl IntoIterator<Item = (u32, &'r [u32])>) -> Diff {
+        let mut buf = [0; ENCODED_MAX];
+        let mut enc = Encoder::new(&mut buf);
+        for (i, (off, words)) in runs.into_iter().enumerate() {
+            assert!(!words.is_empty(), "empty run");
+            assert!(i == 0 || off > enc.end, "unsorted or adjacent runs");
+            assert!(
+                off as usize + words.len() <= PAGE_WORDS,
+                "run out of bounds"
+            );
+            enc.push(off, words);
         }
-        Diff { runs }
+        enc.finish()
     }
 
     /// Write the modified words into `page`.
@@ -182,86 +192,137 @@ impl Diff {
     /// Each run is stored through [`PageBuf::set_words`] — a single
     /// bounds-checked block copy — instead of a per-word loop.
     pub fn apply(&self, page: &mut PageBuf) {
-        for r in &self.runs {
-            debug_assert!(
-                r.end() as usize <= PAGE_WORDS,
-                "diff run out of bounds: off={} len={}",
-                r.word_off,
-                r.words.len()
-            );
-            page.set_words(r.word_off as usize, &r.words);
+        for (off, words) in self.runs() {
+            page.set_words(off as usize, words);
         }
     }
 
     /// Diff integration: overlay `newer` on top of `self`, producing a single
     /// diff equivalent to applying `self` then `newer`.
+    ///
+    /// Two-pointer run merge: walks both run lists once instead of
+    /// materializing a page-sized overlay. Newer words win on overlap; an
+    /// older run straddling a newer one keeps its head and its tail.
     pub fn merge(&self, newer: &Diff) -> Diff {
-        let mut runs = Vec::with_capacity(self.runs.len() + newer.runs.len());
-        merge_runs(&self.runs, &newer.runs, &mut runs);
-        Diff { runs }
+        let mut buf = [0; ENCODED_MAX];
+        let mut enc = Encoder::new(&mut buf);
+        let mut older = self.runs();
+        // The part of the current older run not yet emitted or overwritten.
+        let mut pending = older.next();
+        for (off, words) in newer.runs() {
+            let end = off + words.len() as u32;
+            while let Some((a_off, a_words)) = pending {
+                if a_off >= end {
+                    break;
+                }
+                let a_end = a_off + a_words.len() as u32;
+                if a_off < off {
+                    enc.push(a_off, &a_words[..(a_end.min(off) - a_off) as usize]);
+                }
+                if a_end > end {
+                    pending = Some((end, &a_words[(end - a_off) as usize..]));
+                    break;
+                }
+                pending = older.next();
+            }
+            enc.push(off, words);
+        }
+        while let Some((a_off, a_words)) = pending {
+            enc.push(a_off, a_words);
+            pending = older.next();
+        }
+        enc.finish()
     }
 }
 
-/// Two-pointer run merge: overlay the newer runs `b` on the older runs `a`,
-/// appending sorted maximal runs to `out`. Newer words win on overlap. Walks
-/// both run lists once instead of materializing a page-sized overlay.
-fn merge_runs(a: &[DiffRun], b: &[DiffRun], out: &mut Vec<DiffRun>) {
-    // Append `words` at `off`, coalescing with the previous run if adjacent.
-    fn push(out: &mut Vec<DiffRun>, off: u32, words: &[u32]) {
+/// Iterator over an encoding's runs.
+#[derive(Clone)]
+struct Runs<'a> {
+    /// The encoding after the count word, from the next run header on.
+    rest: &'a [u32],
+    /// Runs not yet yielded.
+    left: usize,
+}
+
+impl<'a> Iterator for Runs<'a> {
+    type Item = (u32, &'a [u32]);
+
+    fn next(&mut self) -> Option<(u32, &'a [u32])> {
+        let (&header, tail) = self.rest.split_first()?;
+        let (words, rest) = tail.split_at((header >> LEN_SHIFT) as usize);
+        self.rest = rest;
+        self.left -= 1;
+        Some((header & OFF_MASK, words))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Runs<'_> {}
+
+/// Builds one diff's encoding in a caller-provided buffer of at least
+/// [`ENCODED_MAX`] words, merging a pushed run into the previous one when
+/// they meet, so pushes in ascending order always yield maximal runs.
+pub(crate) struct Encoder<'a> {
+    out: &'a mut [u32],
+    /// Words written so far, the count word included.
+    len: usize,
+    runs: u32,
+    /// Index of the last run's header.
+    header: usize,
+    /// One past the last run's final word (`u32::MAX` before the first).
+    end: u32,
+}
+
+impl<'a> Encoder<'a> {
+    pub(crate) fn new(out: &'a mut [u32]) -> Encoder<'a> {
+        assert!(out.len() >= ENCODED_MAX, "diff encoder buffer too short");
+        Encoder {
+            out,
+            len: 1,
+            runs: 0,
+            header: 0,
+            end: u32::MAX,
+        }
+    }
+
+    /// Append `words` at word `off`, which must not lie below the end of
+    /// the previous push.
+    #[inline]
+    pub(crate) fn push(&mut self, off: u32, words: &[u32]) {
         if words.is_empty() {
             return;
         }
-        match out.last_mut() {
-            Some(r) if r.end() == off => r.words.extend_from_slice(words),
-            _ => out.push(DiffRun {
-                word_off: off,
-                words: words.to_vec(),
-            }),
+        debug_assert!(
+            self.runs == 0 || off >= self.end,
+            "diff runs pushed out of order"
+        );
+        let n = words.len();
+        if off == self.end {
+            self.out[self.header] += (n as u32) << LEN_SHIFT;
+        } else {
+            self.header = self.len;
+            self.out[self.len] = off | (n as u32) << LEN_SHIFT;
+            self.len += 1;
+            self.runs += 1;
+        }
+        self.out[self.len..self.len + n].copy_from_slice(words);
+        self.len += n;
+        self.end = off + n as u32;
+    }
+
+    /// The finished diff: one exact-size allocation, none when empty.
+    pub(crate) fn finish(self) -> Diff {
+        if self.runs == 0 {
+            return Diff::empty();
+        }
+        self.out[0] = self.runs;
+        Diff {
+            buf: Some(Arc::from(&self.out[..self.len])),
         }
     }
-    // Emit the a-words below `limit`, advancing the (run index, words consumed)
-    // cursor. An a-run straddling `limit` is split and its tail kept pending.
-    fn copy_a(out: &mut Vec<DiffRun>, a: &[DiffRun], ai: &mut usize, done: &mut usize, limit: u32) {
-        while *ai < a.len() {
-            let ar = &a[*ai];
-            let start = ar.word_off + *done as u32;
-            if start >= limit {
-                return;
-            }
-            let stop = ar.end().min(limit);
-            push(out, start, &ar.words[*done..(stop - ar.word_off) as usize]);
-            if stop == ar.end() {
-                *ai += 1;
-                *done = 0;
-            } else {
-                *done = (stop - ar.word_off) as usize;
-                return;
-            }
-        }
-    }
-    // Advance the a-cursor past words below `limit` without emitting them
-    // (they are overwritten by a newer run).
-    fn skip_a(a: &[DiffRun], ai: &mut usize, done: &mut usize, limit: u32) {
-        while *ai < a.len() {
-            let ar = &a[*ai];
-            if ar.end() <= limit {
-                *ai += 1;
-                *done = 0;
-            } else {
-                if ar.word_off + (*done as u32) < limit {
-                    *done = (limit - ar.word_off) as usize;
-                }
-                return;
-            }
-        }
-    }
-    let (mut ai, mut done) = (0usize, 0usize);
-    for br in b {
-        copy_a(out, a, &mut ai, &mut done, br.word_off);
-        skip_a(a, &mut ai, &mut done, br.end());
-        push(out, br.word_off, &br.words);
-    }
-    copy_a(out, a, &mut ai, &mut done, PAGE_WORDS as u32);
 }
 
 #[cfg(test)]
@@ -301,10 +362,9 @@ mod tests {
         let twin = PageBuf::zeroed();
         let cur = page_with(&[(3, 1), (4, 2), (5, 3), (9, 4)]);
         let d = Diff::create(&twin, &cur);
+        let runs: Vec<_> = d.runs().collect();
+        assert_eq!(runs, [(3, &[1, 2, 3][..]), (9, &[4][..])]);
         assert_eq!(d.runs().len(), 2);
-        assert_eq!(d.runs()[0].word_off, 3);
-        assert_eq!(d.runs()[0].words, vec![1, 2, 3]);
-        assert_eq!(d.runs()[1].word_off, 9);
         assert_eq!(d.word_count(), 4);
     }
 
@@ -363,9 +423,30 @@ mod tests {
         );
     }
 
+    /// A diff as a plain run list: `(word_off, words)` per run, ascending.
+    type RunList = Vec<(u32, Vec<u32>)>;
+
+    fn run_list(d: &Diff) -> RunList {
+        d.runs().map(|(off, words)| (off, words.to_vec())).collect()
+    }
+
+    /// `d` equals the reference run list run for run, and its O(1) sizes
+    /// agree with the list's.
+    fn assert_matches(d: &Diff, reference: &RunList, what: &str) {
+        assert_eq!(run_list(d), *reference, "{what}: runs");
+        let words: usize = reference.iter().map(|(_, w)| w.len()).sum();
+        assert_eq!(d.word_count(), words, "{what}: word_count");
+        assert_eq!(d.is_empty(), reference.is_empty(), "{what}: is_empty");
+        assert_eq!(
+            d.wire_bytes(),
+            DIFF_HEADER_BYTES + reference.len() * RUN_HEADER_BYTES + words * WORD_SIZE,
+            "{what}: wire_bytes"
+        );
+    }
+
     /// The original word-by-word diff kernel, retained as the oracle for the
     /// randomized equivalence suite below.
-    fn scalar_create(twin: &PageBuf, current: &PageBuf) -> Diff {
+    fn scalar_create(twin: &PageBuf, current: &PageBuf) -> RunList {
         let mut runs = Vec::new();
         let mut w = 0;
         while w < PAGE_WORDS {
@@ -376,24 +457,21 @@ mod tests {
                     words.push(current.word(w));
                     w += 1;
                 }
-                runs.push(DiffRun {
-                    word_off: start as u32,
-                    words,
-                });
+                runs.push((start as u32, words));
             } else {
                 w += 1;
             }
         }
-        Diff { runs }
+        runs
     }
 
     /// The original page-sized-overlay merge, retained as the oracle.
-    fn overlay_merge(older: &Diff, newer: &Diff) -> Diff {
+    fn overlay_merge(older: &Diff, newer: &Diff) -> RunList {
         let mut overlay: Vec<Option<u32>> = vec![None; PAGE_WORDS];
         for d in [older, newer] {
-            for r in &d.runs {
-                for (i, &v) in r.words.iter().enumerate() {
-                    overlay[r.word_off as usize + i] = Some(v);
+            for (off, words) in run_list(d) {
+                for (i, &v) in words.iter().enumerate() {
+                    overlay[off as usize + i] = Some(v);
                 }
             }
         }
@@ -408,15 +486,12 @@ mod tests {
                         words.push(*v);
                         w += 1;
                     }
-                    runs.push(DiffRun {
-                        word_off: start as u32,
-                        words,
-                    });
+                    runs.push((start as u32, words));
                 }
                 None => w += 1,
             }
         }
-        Diff { runs }
+        runs
     }
 
     /// SplitMix64: tiny deterministic PRNG, no dependencies.
@@ -457,8 +532,11 @@ mod tests {
             let twin = random_mutation(&mut rng, &PageBuf::zeroed(), 16);
             let cur = random_mutation(&mut rng, &twin, density);
             let chunked = Diff::create(&twin, &cur);
-            let scalar = scalar_create(&twin, &cur);
-            assert_eq!(chunked, scalar, "trial {trial} density {density}");
+            let what = format!("trial {trial} density {density}");
+            assert_matches(&chunked, &scalar_create(&twin, &cur), &what);
+            let mut scratch = Vec::new();
+            let reused = Diff::create_with_scratch(&twin, &cur, &mut scratch);
+            assert_eq!(reused, chunked, "{what}: scratch");
         }
     }
 
@@ -470,9 +548,8 @@ mod tests {
             let density = [1, 4, 32, 256][trial % 4];
             let a = Diff::create(&twin, &random_mutation(&mut rng, &twin, density));
             let b = Diff::create(&twin, &random_mutation(&mut rng, &twin, density));
-            let two_ptr = a.merge(&b);
-            let overlay = overlay_merge(&a, &b);
-            assert_eq!(two_ptr, overlay, "trial {trial} density {density}");
+            let what = format!("trial {trial} density {density}");
+            assert_matches(&a.merge(&b), &overlay_merge(&a, &b), &what);
         }
     }
 
@@ -494,8 +571,7 @@ mod tests {
         ];
         for (i, cur) in cases.iter().enumerate() {
             let chunked = Diff::create(&zero, cur);
-            let scalar = scalar_create(&zero, cur);
-            assert_eq!(chunked, scalar, "case {i}");
+            assert_matches(&chunked, &scalar_create(&zero, cur), &format!("case {i}"));
             let mut rebuilt = zero.clone();
             chunked.apply(&mut rebuilt);
             assert_eq!(&*rebuilt, &**cur, "roundtrip case {i}");
@@ -505,58 +581,93 @@ mod tests {
     #[test]
     fn merge_boundary_cases() {
         // Older run spans an entire newer run, with head and tail kept.
-        let a = Diff::from_runs(vec![DiffRun {
-            word_off: 10,
-            words: (0..20).collect(),
-        }]);
-        let b = Diff::from_runs(vec![DiffRun {
-            word_off: 15,
-            words: vec![900, 901, 902],
-        }]);
+        let older: Vec<u32> = (0..20).collect();
+        let a = Diff::from_runs([(10, &older[..])]);
+        let b = Diff::from_runs([(15, &[900, 901, 902][..])]);
         let m = a.merge(&b);
-        assert_eq!(m, overlay_merge(&a, &b));
+        assert_matches(&m, &overlay_merge(&a, &b), "spanned");
         assert_eq!(m.runs().len(), 1);
         assert_eq!(m.word_count(), 20);
         // Newer run extends past the older tail and bridges into a later run.
-        let a = Diff::from_runs(vec![
-            DiffRun {
-                word_off: 0,
-                words: vec![1, 2],
-            },
-            DiffRun {
-                word_off: 4,
-                words: vec![3],
-            },
-        ]);
-        let b = Diff::from_runs(vec![DiffRun {
-            word_off: 1,
-            words: vec![7, 8, 9],
-        }]);
-        assert_eq!(a.merge(&b), overlay_merge(&a, &b));
+        let a = Diff::from_runs([(0, &[1, 2][..]), (4, &[3][..])]);
+        let b = Diff::from_runs([(1, &[7, 8, 9][..])]);
+        assert_matches(&a.merge(&b), &overlay_merge(&a, &b), "bridged");
         // Merging with empties.
         assert_eq!(a.merge(&Diff::empty()), a);
         assert_eq!(Diff::empty().merge(&a), a);
         // Last-word runs.
-        let last = Diff::from_runs(vec![DiffRun {
-            word_off: PAGE_WORDS as u32 - 1,
-            words: vec![5],
-        }]);
-        assert_eq!(a.merge(&last), overlay_merge(&a, &last));
-        assert_eq!(last.merge(&a), overlay_merge(&last, &a));
+        let last = Diff::from_runs([(PAGE_WORDS as u32 - 1, &[5][..])]);
+        assert_matches(&a.merge(&last), &overlay_merge(&a, &last), "last word");
+        assert_matches(
+            &last.merge(&a),
+            &overlay_merge(&last, &a),
+            "last word, older",
+        );
+        // The whole page, and page-boundary runs on both sides.
+        let mut full_page = PageBuf::zeroed();
+        for w in 0..PAGE_WORDS {
+            full_page.set_word(w, w as u32 + 1);
+        }
+        let full = Diff::create(&PageBuf::zeroed(), &full_page);
+        for (what, x, y) in [
+            ("full over runs", &a, &full),
+            ("runs over full", &full, &a),
+            ("runs over last", &last, &a),
+            ("empty over empty", &Diff::empty(), &Diff::empty()),
+        ] {
+            assert_matches(&x.merge(y), &overlay_merge(x, y), what);
+        }
     }
 
     #[test]
     #[should_panic(expected = "unsorted")]
     fn from_runs_validates() {
-        Diff::from_runs(vec![
-            DiffRun {
-                word_off: 5,
-                words: vec![1],
-            },
-            DiffRun {
-                word_off: 2,
-                words: vec![1],
-            },
-        ]);
+        Diff::from_runs([(5, &[1][..]), (2, &[1][..])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unsorted or adjacent")]
+    fn from_runs_rejects_adjacent_runs() {
+        Diff::from_runs([(5, &[1][..]), (6, &[1][..])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn from_runs_rejects_runs_past_the_page() {
+        Diff::from_runs([(PAGE_WORDS as u32 - 1, &[1, 2][..])]);
+    }
+
+    #[test]
+    fn from_runs_round_trips_every_created_diff() {
+        let mut rng = Rng(0xf00d_2026);
+        for density in [0, 1, 4, 32, 256] {
+            let twin = PageBuf::zeroed();
+            let d = Diff::create(&twin, &random_mutation(&mut rng, &twin, density));
+            assert_eq!(Diff::from_runs(d.runs()), d, "density {density}");
+        }
+    }
+
+    #[test]
+    fn the_longest_encoding_fits() {
+        // Every other word changed: the most runs a page can hold.
+        let twin = PageBuf::zeroed();
+        let mut cur = PageBuf::zeroed();
+        for w in (0..PAGE_WORDS).step_by(2) {
+            cur.set_word(w, 1);
+        }
+        let d = Diff::create(&twin, &cur);
+        assert_eq!(d.runs().len(), PAGE_WORDS / 2);
+        let d = d.merge(&Diff::create(&twin, &page_with(&[(PAGE_WORDS - 1, 2)])));
+        assert_eq!(d.runs().len(), PAGE_WORDS / 2);
+        assert_eq!(d.word_count(), PAGE_WORDS / 2 + 1);
+    }
+
+    #[test]
+    fn clones_share_one_buffer() {
+        let d = Diff::create(&PageBuf::zeroed(), &page_with(&[(7, 1)]));
+        let c = d.clone();
+        assert!(c.shares_buffer(&d));
+        assert!(!Diff::from_runs(d.runs()).shares_buffer(&d));
+        assert!(!Diff::empty().shares_buffer(&Diff::empty()));
     }
 }

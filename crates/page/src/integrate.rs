@@ -13,9 +13,7 @@
 //! writer is a missed release; its value in both is the last writer's; and
 //! both encode the covered words as maximal runs.
 
-use std::sync::Arc;
-
-use crate::diff::{Diff, DiffRun};
+use crate::diff::{Diff, Encoder, ENCODED_MAX};
 use crate::page::PAGE_WORDS;
 
 /// The integration state of one page: every versioned diff absorbed so far,
@@ -28,7 +26,7 @@ pub struct IntegratedPage {
     stamps: Box<[u32; PAGE_WORDS]>,
     /// The newest absorbed diff and its version, kept so a requester that
     /// missed only this one is handed it shared rather than a copy.
-    newest: Option<(u32, Arc<Diff>)>,
+    newest: Option<(u32, Diff)>,
     /// Version of the diff absorbed before `newest` (0 = none).
     previous: u32,
 }
@@ -53,15 +51,15 @@ impl IntegratedPage {
     /// Overlay `diff`, released as `version`, on everything absorbed before.
     /// Versions are 1-based and must arrive in strictly increasing order.
     /// O(words in `diff`).
-    pub fn absorb(&mut self, version: u32, diff: Arc<Diff>) {
+    pub fn absorb(&mut self, version: u32, diff: Diff) {
         assert!(
             version > self.version(),
             "diff of version {version} absorbed after version {}",
             self.version()
         );
-        for r in diff.runs() {
-            let at = r.word_off as usize..r.end() as usize;
-            self.words[at.clone()].copy_from_slice(&r.words);
+        for (off, words) in diff.runs() {
+            let at = off as usize..off as usize + words.len();
+            self.words[at.clone()].copy_from_slice(words);
             self.stamps[at].fill(version);
         }
         self.previous = self.version();
@@ -72,16 +70,18 @@ impl IntegratedPage {
     /// the left fold of [`Diff::merge`] over those diffs, oldest first.
     /// `None` when nothing newer than `have` was absorbed; an absorbed diff
     /// that modified no word still counts (the result is then empty, as the
-    /// fold's would be). A single newer diff is returned shared. O(page).
-    pub fn newer_than(&self, have: u32) -> Option<Arc<Diff>> {
+    /// fold's would be). A single newer diff is returned shared; otherwise
+    /// the result is encoded on the stack and allocated once. O(page).
+    pub fn newer_than(&self, have: u32) -> Option<Diff> {
         let (version, newest) = self.newest.as_ref()?;
         if *version <= have {
             return None;
         }
         if self.previous <= have {
-            return Some(Arc::clone(newest));
+            return Some(newest.clone());
         }
-        let mut runs = Vec::new();
+        let mut buf = [0; ENCODED_MAX];
+        let mut enc = Encoder::new(&mut buf);
         let mut w = 0;
         while let Some(skip) = self.stamps[w..].iter().position(|&s| s > have) {
             let start = w + skip;
@@ -89,12 +89,9 @@ impl IntegratedPage {
                 .iter()
                 .position(|&s| s <= have)
                 .unwrap_or(PAGE_WORDS - start);
-            runs.push(DiffRun {
-                word_off: start as u32,
-                words: self.words[start..start + len].to_vec(),
-            });
+            enc.push(start as u32, &self.words[start..start + len]);
             w = start + len;
         }
-        Some(Arc::new(Diff { runs }))
+        Some(enc.finish())
     }
 }

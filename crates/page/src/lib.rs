@@ -26,7 +26,7 @@ mod mem;
 mod page;
 mod vtime;
 
-pub use diff::{Diff, DiffRun, DIFF_HEADER_BYTES, RUN_HEADER_BYTES};
+pub use diff::{Diff, DIFF_HEADER_BYTES, RUN_HEADER_BYTES};
 pub use heap::SharedHeap;
 pub use integrate::IntegratedPage;
 pub use interval::{IntervalId, IntervalRecord, WriteNotice, NOTICE_WIRE_BYTES};

@@ -268,7 +268,6 @@ impl NodeMemory {
     pub fn end_interval(&mut self) -> Vec<(PageId, Diff)> {
         let twins = std::mem::take(&mut self.twins);
         let mut pool = lock(&self.pool);
-        self.diff_scratch.clear();
         let mut out = Vec::with_capacity(twins.len());
         for (p, twin) in twins {
             let cur = match &self.pages[p] {
@@ -462,7 +461,7 @@ mod tests {
         let diffs = m.end_interval();
         assert_eq!(m.pool().stats(), (1, 1));
         assert_eq!(diffs[0].1.word_count(), 1);
-        assert_eq!(diffs[0].1.runs()[0].words, vec![2]);
+        assert_eq!(diffs[0].1.runs().next(), Some((0, &[2][..])));
     }
 
     #[test]
@@ -495,7 +494,7 @@ mod tests {
         b.page_mut(1).set_word(0, 2);
         assert_eq!(lock(&pool).stats(), (1, 1));
         let diffs = b.end_interval();
-        assert_eq!(diffs[0].1.runs()[0].words, vec![2]);
+        assert_eq!(diffs[0].1.runs().next(), Some((0, &[2][..])));
         // And back: a's next twin is the one b released.
         a.note_write(0);
         assert_eq!(lock(&pool).stats(), (2, 1));

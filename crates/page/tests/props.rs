@@ -4,11 +4,9 @@
 //! property-testing framework so the suite runs without external
 //! dependencies; failures print the seed for replay.
 
-use std::sync::Arc;
-
 use vopp_page::{
-    pages_spanned, Diff, DiffRun, IntegratedPage, NodeMemory, PageBuf, SharedHeap, VTime,
-    PAGE_SIZE, PAGE_WORDS,
+    pages_spanned, Diff, IntegratedPage, NodeMemory, PageBuf, SharedHeap, VTime, PAGE_SIZE,
+    PAGE_WORDS,
 };
 
 /// SplitMix64: tiny deterministic PRNG, seeded per case.
@@ -71,13 +69,13 @@ fn diff_runs_canonical() {
         let mut rng = Rng(seed);
         let d = Diff::create(&page_from(&rng.writes()), &page_from(&rng.writes()));
         let mut prev_end: Option<u32> = None;
-        for r in d.runs() {
-            assert!(!r.words.is_empty(), "seed {seed}");
-            let end = r.word_off + r.words.len() as u32;
+        for (off, words) in d.runs() {
+            assert!(!words.is_empty(), "seed {seed}");
+            let end = off + words.len() as u32;
             assert!(end as usize <= PAGE_WORDS, "seed {seed}");
             if let Some(pe) = prev_end {
                 // A gap of at least one unchanged word between runs.
-                assert!(r.word_off > pe, "seed {seed}");
+                assert!(off > pe, "seed {seed}");
             }
             prev_end = Some(end);
         }
@@ -161,13 +159,14 @@ fn release_diff(rng: &mut Rng) -> Diff {
             }
         }
     }
+    let words: Vec<Vec<u32>> = runs
+        .iter()
+        .map(|&(_, len)| (0..len).map(|_| rng.next_u32()).collect())
+        .collect();
     Diff::from_runs(
-        runs.into_iter()
-            .map(|(off, len)| DiffRun {
-                word_off: off as u32,
-                words: (0..len).map(|_| rng.next_u32()).collect(),
-            })
-            .collect(),
+        runs.iter()
+            .zip(&words)
+            .map(|(&(off, _), w)| (off as u32, &w[..])),
     )
 }
 
@@ -183,18 +182,18 @@ fn integrated_page_equals_merge_fold() {
         let mut page = IntegratedPage::default();
         // (version, diff) of the releases that touched this page; the view's
         // other releases (other pages only) leave gaps in the versions.
-        let mut releases: Vec<(u32, Arc<Diff>)> = Vec::new();
+        let mut releases: Vec<(u32, Diff)> = Vec::new();
         let last_version = rng.range(1, 24) as u32;
         for version in 1..=last_version {
             if rng.range(0, 3) > 0 {
-                let d = Arc::new(release_diff(&mut rng));
-                page.absorb(version, Arc::clone(&d));
+                let d = release_diff(&mut rng);
+                page.absorb(version, d.clone());
                 releases.push((version, d));
             }
         }
         assert_eq!(page.version(), releases.last().map_or(0, |(v, _)| *v));
         for have in 0..=last_version {
-            let missed: Vec<&Arc<Diff>> = releases
+            let missed: Vec<&Diff> = releases
                 .iter()
                 .filter(|(v, _)| *v > have)
                 .map(|(_, d)| d)
@@ -208,11 +207,12 @@ fn integrated_page_equals_merge_fold() {
             let fold = missed[1..]
                 .iter()
                 .fold(Diff::clone(first), |acc, d| acc.merge(d));
-            assert_eq!(*got, fold, "seed {seed} have {have}");
+            assert_eq!(got, fold, "seed {seed} have {have}");
             // Sorted, non-adjacent, in-bounds: from_runs panics otherwise.
-            let _ = Diff::from_runs(got.runs().to_vec());
-            if missed.len() == 1 {
-                assert!(Arc::ptr_eq(&got, first), "seed {seed} have {have}");
+            let _ = Diff::from_runs(got.runs());
+            // (An empty diff has no buffer to share.)
+            if missed.len() == 1 && !first.is_empty() {
+                assert!(got.shares_buffer(first), "seed {seed} have {have}");
             }
         }
     }
@@ -231,6 +231,151 @@ fn diff_wire_bytes_exact() {
         let expect =
             DIFF_HEADER_BYTES + d.runs().len() * RUN_HEADER_BYTES + d.word_count() * WORD_SIZE;
         assert_eq!(d.wire_bytes(), expect, "seed {seed}");
+    }
+}
+
+/// A diff as a plain run list: `(word_off, words)` per run, ascending.
+type RunList = Vec<(u32, Vec<u32>)>;
+
+fn run_list(d: &Diff) -> RunList {
+    d.runs().map(|(off, words)| (off, words.to_vec())).collect()
+}
+
+/// Word-by-word reference of `Diff::create`: maximal runs of the words of
+/// `cur` that differ from `twin`.
+fn scalar_runs(twin: &PageBuf, cur: &PageBuf) -> RunList {
+    let mut runs: RunList = Vec::new();
+    for w in 0..PAGE_WORDS {
+        if twin.word(w) == cur.word(w) {
+            continue;
+        }
+        match runs.last_mut() {
+            Some((off, words)) if *off as usize + words.len() == w => words.push(cur.word(w)),
+            _ => runs.push((w as u32, vec![cur.word(w)])),
+        }
+    }
+    runs
+}
+
+/// Page-overlay reference of a left fold of `Diff::merge`: later diffs win.
+fn overlay_runs(diffs: &[&Diff]) -> RunList {
+    let mut twin = PageBuf::zeroed();
+    let mut cur = PageBuf::zeroed();
+    for d in diffs {
+        for (off, words) in run_list(d) {
+            for (i, &v) in words.iter().enumerate() {
+                let w = off as usize + i;
+                // The twin word only has to differ from the written value.
+                twin.set_word(w, !v);
+                cur.set_word(w, v);
+            }
+        }
+    }
+    scalar_runs(&twin, &cur)
+}
+
+/// `d` equals the reference run list run for run, and its sizes agree.
+fn assert_matches(d: &Diff, reference: &RunList, what: &str) {
+    use vopp_page::{DIFF_HEADER_BYTES, RUN_HEADER_BYTES, WORD_SIZE};
+    assert_eq!(run_list(d), *reference, "{what}: runs");
+    let words: usize = reference.iter().map(|(_, w)| w.len()).sum();
+    assert_eq!(d.word_count(), words, "{what}: word_count");
+    assert_eq!(d.is_empty(), reference.is_empty(), "{what}: is_empty");
+    assert_eq!(
+        d.wire_bytes(),
+        DIFF_HEADER_BYTES + reference.len() * RUN_HEADER_BYTES + words * WORD_SIZE,
+        "{what}: wire_bytes"
+    );
+}
+
+/// Page-boundary shapes: first and last word, the whole page, every other
+/// word (the most runs a page can hold), and no change at all.
+fn boundary_pages() -> Vec<Box<PageBuf>> {
+    let last = PAGE_WORDS - 1;
+    let mut full = PageBuf::zeroed();
+    let mut alternate = PageBuf::zeroed();
+    for w in 0..PAGE_WORDS {
+        full.set_word(w, w as u32 + 1);
+        if w % 2 == 0 {
+            alternate.set_word(w, 7);
+        }
+    }
+    vec![
+        page_from(&[(0, 1)]),
+        page_from(&[(last, 1)]),
+        page_from(&[(0, 1), (last, 2)]),
+        page_from(&[(last - 1, 1), (last, 2)]),
+        full,
+        alternate,
+        PageBuf::zeroed(),
+    ]
+}
+
+/// `Diff::create` equals the word-by-word reference run for run, in its
+/// run list and in its O(1) sizes, on random and page-boundary pages.
+#[test]
+fn diff_create_matches_scalar_run_list() {
+    let zero = PageBuf::zeroed();
+    for (i, cur) in boundary_pages().iter().enumerate() {
+        let d = Diff::create(&zero, cur);
+        assert_matches(&d, &scalar_runs(&zero, cur), &format!("boundary {i}"));
+    }
+    for seed in 0..CASES {
+        let mut rng = Rng(seed);
+        let twin = page_from(&rng.writes());
+        let cur = page_from(&rng.writes());
+        let d = Diff::create(&twin, &cur);
+        assert_matches(&d, &scalar_runs(&twin, &cur), &format!("seed {seed}"));
+    }
+}
+
+/// `Diff::merge` equals the overlay reference run for run, including
+/// merges with the empty diff and with whole-page and boundary diffs.
+#[test]
+fn diff_merge_matches_overlay_run_list() {
+    let zero = PageBuf::zeroed();
+    let shapes: Vec<Diff> = boundary_pages()
+        .iter()
+        .map(|p| Diff::create(&zero, p))
+        .collect();
+    for (i, a) in shapes.iter().enumerate() {
+        for (j, b) in shapes.iter().enumerate() {
+            assert_matches(
+                &a.merge(b),
+                &overlay_runs(&[a, b]),
+                &format!("{i} then {j}"),
+            );
+        }
+    }
+    for seed in 0..CASES {
+        let mut rng = Rng(seed);
+        let a = release_diff(&mut rng);
+        let b = release_diff(&mut rng);
+        let c = release_diff(&mut rng);
+        let m = a.merge(&b).merge(&c);
+        assert_matches(&m, &overlay_runs(&[&a, &b, &c]), &format!("seed {seed}"));
+    }
+}
+
+/// Every integrated diff a page hands out equals the overlay reference run
+/// for run, sizes included.
+#[test]
+fn integrated_page_matches_overlay_run_list() {
+    for seed in 0..CASES {
+        let mut rng = Rng(seed ^ 0x1d);
+        let mut page = IntegratedPage::default();
+        let releases: Vec<Diff> = (0..rng.range(1, 12))
+            .map(|_| release_diff(&mut rng))
+            .collect();
+        for (v, d) in releases.iter().enumerate() {
+            page.absorb(v as u32 + 1, d.clone());
+        }
+        for have in 0..releases.len() {
+            let missed: Vec<&Diff> = releases[have..].iter().collect();
+            let got = page.newer_than(have as u32).expect("a newer release");
+            let what = format!("seed {seed} have {have}");
+            assert_matches(&got, &overlay_runs(&missed), &what);
+        }
     }
 }
 
