@@ -23,7 +23,7 @@ use vopp_page::{
 };
 use vopp_racecheck::{DisciplineRule, Mode as RcMode, RaceChecker, Violation};
 use vopp_sim::sync::Mutex;
-use vopp_sim::{AppCtx, EventKind, ProcId, SimDuration, SimTime};
+use vopp_sim::{AppCtx, EventKind, Packet, ProcId, SimDuration, SimTime};
 use vopp_simnet::RpcClient;
 use vopp_trace::{CausalProfiler, OpKind, OpSpan};
 
@@ -60,6 +60,9 @@ pub struct DsmCtx<'a> {
     causal: Option<Arc<CausalProfiler>>,
     /// Buffers the fault path reuses from fault to fault.
     fault_scratch: RefCell<FaultScratch>,
+    /// The replies of the last [`DsmCtx::call_all`] burst, drained by it;
+    /// kept for its capacity.
+    replies: RefCell<Vec<Packet>>,
 }
 
 /// The fault path's reused buffers (see [`DsmCtx::fault`]).
@@ -100,6 +103,7 @@ impl<'a> DsmCtx<'a> {
             rc,
             causal,
             fault_scratch: RefCell::default(),
+            replies: RefCell::default(),
         }
     }
 
@@ -326,22 +330,25 @@ impl<'a> DsmCtx<'a> {
 
     /// [`DsmCtx::call`] to several nodes at once: every request is sent
     /// before the first reply is awaited, and the whole wait is charged once.
+    /// The requests move straight into the transport; each reply is passed
+    /// to `each`, in request order.
     fn call_all(
         &self,
         reqs: impl Iterator<Item = (ProcId, Req)>,
         wait: Phase,
         obj: u64,
-    ) -> impl Iterator<Item = Resp> {
-        let calls: Vec<(ProcId, usize, Req)> = reqs
-            .map(|(to, req)| {
-                let bytes = req.wire_bytes();
-                (to, bytes, req)
-            })
-            .collect();
+        mut each: impl FnMut(Resp),
+    ) {
         let since = self.sim.now();
-        let replies = self.rpc.borrow_mut().call_all(&self.sim, &calls);
+        let mut replies = self.replies.borrow_mut();
+        let calls = reqs.map(|(to, req)| (to, req.wire_bytes(), req));
+        self.rpc
+            .borrow_mut()
+            .call_all(&self.sim, calls, &mut replies);
         self.charge_wait(wait, obj, since);
-        replies.into_iter().map(|pkt| pkt.expect::<Resp>())
+        for pkt in replies.drain(..) {
+            each(pkt.expect::<Resp>());
+        }
     }
 
     /// Close the current write interval: seal it (logging its record under
@@ -371,9 +378,9 @@ impl<'a> DsmCtx<'a> {
                 let flushes = groups
                     .into_iter()
                     .map(|(home, items)| (home, Req::HomeFlush { items }));
-                for resp in self.call_all(flushes, Phase::SendWait, 0) {
+                self.call_all(flushes, Phase::SendWait, 0, |resp| {
                     assert!(matches!(resp, Resp::Ack));
-                }
+                });
             }
         }
         Some((id, lamport, diffs))
@@ -1288,12 +1295,10 @@ impl<'a> DsmCtx<'a> {
             (owner, Req::DiffReq { page: p, intervals })
         });
         items.clear();
-        for resp in self.call_all(reqs, Phase::DataWait, p as u64) {
-            match resp {
-                Resp::DiffResp { items: it } => items.extend(it),
-                other => panic!("DiffReq got unexpected reply {other:?}"),
-            }
-        }
+        self.call_all(reqs, Phase::DataWait, p as u64, |resp| match resp {
+            Resp::DiffResp { items: it } => items.extend(it),
+            other => panic!("DiffReq got unexpected reply {other:?}"),
+        });
         // Each interval is fetched once, so the keys are unique.
         items.sort_unstable_by_key(|(id, lam, _)| (*lam, id.owner, id.seq));
         let mut n = self.node.lock();

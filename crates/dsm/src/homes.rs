@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use vopp_page::{Diff, IntegratedPage, PageId, VTime};
 use vopp_sim::sync::Mutex;
-use vopp_sim::{Handler, ProcId, SvcCtx};
+use vopp_sim::{Handler, Payload, ProcId, SvcCtx};
 use vopp_simnet::reply;
 
 use crate::msg::{AccessMode, Req, Resp, ViewRecord};
@@ -112,17 +112,26 @@ impl ViewHome {
 
 /// Build the service handler for one node.
 pub fn make_handler(node: Arc<Mutex<NodeState>>) -> Handler {
+    // Every ack is the same message: one payload, shared by every reply.
+    let ack: Payload = Arc::new(Resp::Ack);
     Box::new(move |svc, pkt| {
         let tag = pkt.tag;
         let src = pkt.src;
         // The sender's `RpcClient` keeps the payload for retransmission, so
         // the request is shared: borrow it and copy only what a home stores.
         let req = pkt.expect_arc::<Req>();
-        handle(&mut node.lock(), svc, src, tag, &req);
+        handle(&mut node.lock(), svc, src, tag, &req, &ack);
     })
 }
 
-fn handle(n: &mut NodeState, svc: &mut SvcCtx<'_>, src: ProcId, tag: u64, req: &Req) {
+fn handle(
+    n: &mut NodeState,
+    svc: &mut SvcCtx<'_>,
+    src: ProcId,
+    tag: u64,
+    req: &Req,
+    ack: &Payload,
+) {
     match req {
         Req::LockAcquire { lock, vt } => {
             let mut h = n.locks.remove(lock).unwrap_or_default();
@@ -160,7 +169,7 @@ fn handle(n: &mut NodeState, svc: &mut SvcCtx<'_>, src: ProcId, tag: u64, req: &
             }
             // Duplicate releases (holder already moved on) are just acked.
             n.locks.insert(*lock, h);
-            respond(svc, src, tag, Resp::Ack);
+            reply(svc, src, Resp::Ack.wire_bytes(), tag, ack.clone());
         }
 
         Req::BarrierArrive {
@@ -282,7 +291,7 @@ fn handle(n: &mut NodeState, svc: &mut SvcCtx<'_>, src: ProcId, tag: u64, req: &
         } => {
             let mut h = n.views.remove(&view).unwrap_or_default();
             h.readers.remove(&src);
-            respond(svc, src, tag, Resp::Ack);
+            reply(svc, src, Resp::Ack.wire_bytes(), tag, ack.clone());
             if h.readers.is_empty() && h.writer.is_none() {
                 grant_next(n, &mut h, svc, view);
             }
@@ -306,7 +315,7 @@ fn handle(n: &mut NodeState, svc: &mut SvcCtx<'_>, src: ProcId, tag: u64, req: &
                 n.mem.apply_diff_with_twin(*page, diff);
                 n.stats.diffs_applied += 1;
             }
-            respond(svc, src, tag, Resp::Ack);
+            reply(svc, src, Resp::Ack.wire_bytes(), tag, ack.clone());
         }
 
         &Req::PageReq { page } => {

@@ -47,7 +47,7 @@ pub use cost::{CostModel, CpuDebt};
 pub use fault::{Crash, FaultPlan, Loss, Slowdown};
 pub use layout::{check_views, Layout, ViewDef, ViewId};
 pub use msg::{AccessMode, Req, Resp, ViewRecord};
-pub use node::{NodeState, PendingFetch, Protocol, StoredDiff};
+pub use node::{interval_log, IntervalLog, NodeState, PendingFetch, Protocol, StoredDiff};
 pub use runtime::{run_cluster, ClusterConfig, ClusterOutcome};
 pub use stats::{NodeMetrics, NodeStats, RunStats, ViewStats, ViewStatsMap};
 pub use vopp_metrics::{Breakdown, Histogram, Phase, Registry, Summary};

@@ -12,6 +12,7 @@ use std::sync::Arc;
 use vopp_page::{
     Diff, IntervalId, IntervalRecord, NodeMemory, PageId, PageState, SharedPagePool, VTime,
 };
+use vopp_sim::sync::Mutex;
 use vopp_sim::ProcId;
 
 use crate::cost::CostModel;
@@ -112,6 +113,18 @@ pub struct PendingFetch {
     pub lamport: u64,
 }
 
+/// Every LRC interval record of one cluster: `[owner][seq - 1]`. Each
+/// owner appends its own records, in [`NodeState::seal_interval`]; a node
+/// knows the prefix of each owner's log that its `logged_vt` covers — the
+/// records it has been sent — and reads no further. Records are immutable
+/// once logged and shared by `Arc` with every message that carries them.
+pub type IntervalLog = Arc<Mutex<Vec<Vec<Arc<IntervalRecord>>>>>;
+
+/// An empty [`IntervalLog`] for a cluster of `n` nodes.
+pub fn interval_log(n: usize) -> IntervalLog {
+    Arc::new(Mutex::new(vec![Vec::new(); n]))
+}
+
 /// [`NodeState::page_writers`] entry of a page nobody has written.
 pub const NO_WRITER: u32 = u32::MAX;
 /// [`NodeState::page_writers`] entry of a page with two or more writers.
@@ -133,13 +146,13 @@ pub struct NodeState {
     pub mem: NodeMemory,
 
     // ---- interval / knowledge tracking (LRC, also ids for VC) ----
-    /// Every interval record this node possesses: `logged[owner][seq - 1]`.
-    /// Per-owner prefix-closed — a node only ever receives the records
-    /// above what the sender knows it has — so each owner's records are a
-    /// gap-free prefix of its intervals. Records are immutable once logged
-    /// and shared by `Arc` across the log, grants and releases.
-    pub logged: Vec<Vec<Arc<IntervalRecord>>>,
-    /// Per-owner count of records possessed.
+    /// The cluster's interval log, shared by every node. It can hold
+    /// records this node has not been sent; `logged_vt` bounds what the
+    /// node may read of it.
+    pub log: IntervalLog,
+    /// Per-owner count of records possessed: this node knows
+    /// `log[owner][..logged_vt[owner]]`. Per-owner prefix-closed — a node
+    /// only ever receives the records above what the sender knows it has.
     pub logged_vt: VTime,
     /// Per-owner count of intervals whose effects are enforced on `mem`
     /// (invalidations issued). Always dominated by `logged_vt`.
@@ -195,7 +208,8 @@ pub struct NodeState {
 
 impl NodeState {
     /// Fresh state for processor `me` of `n`, recycling page buffers
-    /// through `pool` (shared by every node of the cluster).
+    /// through `pool` and logging intervals in `log` (both shared by every
+    /// node of the cluster).
     pub fn new(
         me: ProcId,
         n: usize,
@@ -203,6 +217,7 @@ impl NodeState {
         cost: CostModel,
         layout: Arc<Layout>,
         pool: SharedPagePool,
+        log: IntervalLog,
     ) -> NodeState {
         assert!(
             n < MANY_WRITERS as usize,
@@ -214,7 +229,7 @@ impl NodeState {
             protocol,
             cost,
             mem: NodeMemory::with_pool(layout.npages(), pool),
-            logged: vec![Vec::new(); n],
+            log,
             logged_vt: VTime::zero(n),
             applied_vt: VTime::zero(n),
             lamport: 0,
@@ -263,7 +278,7 @@ impl NodeState {
     /// release keeps its history at the view home instead, so it builds no
     /// record. Returns the interval id and its diffs in page order (shared
     /// with the diff store, not copied), or `None` if nothing was written.
-    pub(crate) fn seal_interval(&mut self) -> Option<(IntervalId, PageDiffs)> {
+    pub fn seal_interval(&mut self) -> Option<(IntervalId, PageDiffs)> {
         let diffs: PageDiffs = self.mem.end_interval();
         if diffs.is_empty() {
             return None;
@@ -294,17 +309,31 @@ impl NodeState {
                 lamport: self.lamport,
                 pages: diffs.iter().map(|(p, _)| *p).collect(),
             };
-            self.logged[self.me].push(Arc::new(rec));
+            let mut log = self.log.lock();
+            debug_assert_eq!(log[self.me].len() + 1, seq as usize, "own log skipped");
+            log[self.me].push(Arc::new(rec));
         }
         Some((id, diffs))
+    }
+
+    /// The records of `owner` this node knows, from the cluster log.
+    fn known<'l>(
+        &self,
+        log: &'l [Vec<Arc<IntervalRecord>>],
+        owner: ProcId,
+    ) -> &'l [Arc<IntervalRecord>] {
+        &log[owner][..self.logged_vt.get(owner) as usize]
     }
 
     /// Records this node possesses that `vt` does not cover. The returned
     /// records are `Arc`-shared with the log (no deep copies).
     pub fn delta_since(&self, vt: &VTime) -> Vec<Arc<IntervalRecord>> {
+        let log = self.log.lock();
         let missing = |owner: ProcId| {
             let have = if vt.is_empty() { 0 } else { vt.get(owner) };
-            self.logged[owner].get(have as usize..).unwrap_or_default()
+            self.known(&log, owner)
+                .get(have as usize..)
+                .unwrap_or_default()
         };
         let len = (0..self.n).map(|o| missing(o).len()).sum();
         let mut out = Vec::with_capacity(len);
@@ -340,27 +369,35 @@ impl NodeState {
             .join_from(vt);
     }
 
-    /// Merge received interval records into the passive log (no effect on
-    /// memory until this node's own next acquire applies them). Records
-    /// already logged are skipped; a new record must extend its owner's
-    /// prefix by exactly one.
+    /// Learn received interval records (no effect on memory until this
+    /// node's own next acquire applies them): each is already in the
+    /// cluster log, so learning one only extends `logged_vt` and notes its
+    /// page writers. Records already known are skipped; a new record must
+    /// extend its owner's known prefix by exactly one.
     pub fn merge_logged(&mut self, records: &[Arc<IntervalRecord>]) {
+        let log = Arc::clone(&self.log);
+        let log = log.lock();
         for r in records {
             let (owner, seq) = (r.id.owner, r.id.seq);
-            let log = &mut self.logged[owner];
-            if seq as usize <= log.len() {
+            let have = self.logged_vt.get(owner);
+            if seq <= have {
                 continue;
             }
             assert_eq!(
-                seq as usize,
-                log.len() + 1,
+                seq,
+                have + 1,
                 "node {} log of {owner} is not prefix-closed",
                 self.me
             );
-            log.push(Arc::clone(r));
+            let logged = log[owner].get(seq as usize - 1);
+            assert!(
+                logged.is_some_and(|l| Arc::ptr_eq(l, r)),
+                "node {} learned record ({owner},{seq}) that is not in the cluster log",
+                self.me
+            );
             self.logged_vt.set(owner, seq);
             for &page in &r.pages {
-                self.note_page_writer(page, r.id.owner);
+                self.note_page_writer(page, owner);
             }
         }
     }
@@ -396,17 +433,22 @@ impl NodeState {
         if vt.is_empty() {
             return;
         }
+        let log = Arc::clone(&self.log);
+        let log = log.lock();
         for owner in 0..self.n {
             if owner == self.me {
                 continue;
             }
-            let from = self.applied_vt.get(owner) + 1;
-            let to = vt.get(owner);
-            for seq in from..=to {
-                let rec = self.logged[owner]
-                    .get(seq as usize - 1)
-                    .map(Arc::clone)
-                    .unwrap_or_else(|| panic!("node {} missing record ({owner},{seq})", self.me));
+            let from = self.applied_vt.get(owner) as usize;
+            let to = vt.get(owner) as usize;
+            if to <= from {
+                continue;
+            }
+            let missing = self
+                .known(&log, owner)
+                .get(from..to)
+                .unwrap_or_else(|| panic!("node {} missing record ({owner},{to})", self.me));
+            for rec in missing {
                 for &page in &rec.pages {
                     debug_assert_ne!(
                         self.mem.state(page),
@@ -569,24 +611,57 @@ impl NodeState {
 mod tests {
     use super::*;
 
-    fn mk_as(me: ProcId, n: usize, protocol: Protocol) -> NodeState {
+    /// Pages in every test layout.
+    const PAGES: usize = 8;
+
+    /// Node `me` of a cluster of `n` whose interval log is `log`.
+    fn mk_in(me: ProcId, n: usize, protocol: Protocol, log: &IntervalLog) -> NodeState {
         let mut l = Layout::new();
-        let _ = l.alloc(4 * vopp_page::PAGE_SIZE, 1);
-        NodeState::new(me, n, protocol, CostModel::default(), l.freeze(), pool())
+        let _ = l.alloc(PAGES * vopp_page::PAGE_SIZE, 1);
+        NodeState::new(
+            me,
+            n,
+            protocol,
+            CostModel::default(),
+            l.freeze(),
+            pool(),
+            log.clone(),
+        )
+    }
+
+    fn mk_as(me: ProcId, n: usize, protocol: Protocol) -> NodeState {
+        mk_in(me, n, protocol, &interval_log(n))
     }
 
     fn pool() -> SharedPagePool {
-        vopp_page::PagePool::shared_for(4)
+        vopp_page::PagePool::shared_for(PAGES)
     }
 
     fn mk(me: ProcId, n: usize) -> NodeState {
         mk_as(me, n, Protocol::LrcD)
     }
 
+    /// An LRC_d cluster of `n` nodes sharing one interval log.
+    fn cluster(n: usize) -> Vec<NodeState> {
+        let log = interval_log(n);
+        (0..n)
+            .map(|me| mk_in(me, n, Protocol::LrcD, &log))
+            .collect()
+    }
+
+    /// Write one word of `page` on `n`, seal the interval and return the
+    /// record it logged.
+    fn write_seal(n: &mut NodeState, page: PageId) -> Arc<IntervalRecord> {
+        n.mem.note_write(page);
+        let w = n.mem.page(page).word(0);
+        n.mem.page_mut(page).set_word(0, w + 1);
+        seal(n)
+    }
+
     /// Seal `n`'s write interval and return the record it logged.
     fn seal(n: &mut NodeState) -> Arc<IntervalRecord> {
         let (id, _) = n.seal_interval().expect("a dirty page");
-        Arc::clone(&n.logged[id.owner][id.seq as usize - 1])
+        Arc::clone(&n.log.lock()[id.owner][id.seq as usize - 1])
     }
 
     /// The pending fetches of `page`, drained.
@@ -604,13 +679,14 @@ mod tests {
         let (id, diffs) = a.seal_interval().unwrap();
         assert_eq!(diffs.len(), 1);
         assert_eq!(id, IntervalId { owner: 0, seq: 1 });
-        assert_eq!(a.logged[0][0].pages, vec![1]);
+        assert_eq!(a.log.lock()[0][0].pages, vec![1]);
         assert_eq!(a.logged_vt.get(0), 1);
         assert_eq!(a.applied_vt.get(0), 1);
         assert!(a.diff_store.contains_key(&1));
         // Empty interval produces nothing.
         assert!(a.seal_interval().is_none());
         assert_eq!(a.logged_vt.get(0), 1);
+        assert_eq!(a.log.lock()[0].len(), 1);
     }
 
     #[test]
@@ -656,27 +732,28 @@ mod tests {
         let (id, diffs) = a.seal_interval().unwrap();
         assert_eq!(id, IntervalId { owner: 0, seq: 1 });
         assert_eq!(diffs.iter().map(|(p, _)| *p).collect::<Vec<_>>(), [2]);
-        assert!(a.logged.iter().all(Vec::is_empty));
+        assert!(a.log.lock().iter().all(Vec::is_empty));
         assert_eq!(a.lamport, 1);
         assert!(a.diff_store.contains_key(&2));
     }
 
     #[test]
     fn grant_absorption_invalidates_and_pends() {
-        let mut a = mk(0, 2);
-        let mut b = mk(1, 2);
-        b.mem.note_write(2);
-        b.mem.page_mut(2).set_word(3, 9);
-        let rec = seal(&mut b);
+        let mut c = cluster(2);
+        c[1].mem.note_write(2);
+        c[1].mem.page_mut(2).set_word(3, 9);
+        let rec = seal(&mut c[1]);
 
+        let a = &mut c[0];
         a.absorb_lrc_grant(std::slice::from_ref(&rec), &rec.vt, rec.lamport);
         assert_eq!(a.mem.state(2), PageState::Invalid);
         assert_eq!(a.applied_vt.get(1), 1);
-        let pend = take(&mut a, 2);
+        let pend = take(a, 2);
         assert_eq!(pend.len(), 1);
         assert_eq!(pend[0].id, rec.id);
         // Fetch from b and apply.
-        let items = b.serve_diffs(2, &[rec.id]);
+        let items = c[1].serve_diffs(2, &[rec.id]);
+        let a = &mut c[0];
         a.mem.apply_diff(2, &items[0].2);
         a.mem.validate(2);
         assert_eq!(a.mem.page(2).word(3), 9);
@@ -702,17 +779,15 @@ mod tests {
 
     #[test]
     fn absorb_is_idempotent_per_interval() {
-        let mut a = mk(0, 2);
-        let mut b = mk(1, 2);
-        b.mem.note_write(2);
-        b.mem.page_mut(2).set_word(0, 1);
-        let rec = seal(&mut b);
+        let mut c = cluster(2);
+        let rec = write_seal(&mut c[1], 2);
+        let a = &mut c[0];
         a.absorb_lrc_grant(std::slice::from_ref(&rec), &rec.vt, rec.lamport);
-        let first = take(&mut a, 2);
+        let first = take(a, 2);
         assert_eq!(first.len(), 1);
         // Duplicate grant: already-applied intervals add no pending work.
         a.absorb_lrc_grant(std::slice::from_ref(&rec), &rec.vt, rec.lamport);
-        assert!(take(&mut a, 2).is_empty());
+        assert!(take(a, 2).is_empty());
     }
 
     #[test]
@@ -730,17 +805,58 @@ mod tests {
 
     #[test]
     fn merge_logged_prefix_extends_vt() {
+        let mut c = cluster(2);
+        let rec = write_seal(&mut c[1], 0);
+        let a = &mut c[0];
+        a.merge_logged(std::slice::from_ref(&rec));
+        assert_eq!(a.logged_vt.get(1), 1);
+        assert!(a.page_sole_writer(0, 1));
+        a.merge_logged(&[rec]);
+        assert_eq!(a.logged_vt.get(1), 1);
+        assert_eq!(a.log.lock()[1].len(), 1, "learning a record copies nothing");
+    }
+
+    #[test]
+    fn knowledge_is_bounded_by_logged_vt_not_the_log() {
+        // Owner 1 seals five intervals on pages 1..=5; node 0 is sent only
+        // the first two. The cluster log holds all five.
+        let mut c = cluster(2);
+        let recs: Vec<_> = (1..=5).map(|page| write_seal(&mut c[1], page)).collect();
+        assert_eq!(c[0].log.lock()[1].len(), 5);
+        let a = &mut c[0];
+        a.absorb_lrc_grant(&recs[..2], &recs[1].vt, recs[1].lamport);
+        assert_eq!(a.logged_vt.get(1), 2);
+        let ids: Vec<_> = a
+            .delta_since(&VTime::zero(0))
+            .iter()
+            .map(|r| r.id)
+            .collect();
+        assert_eq!(
+            ids,
+            [
+                IntervalId { owner: 1, seq: 1 },
+                IntervalId { owner: 1, seq: 2 }
+            ]
+        );
+        let invalid: Vec<_> = (0..PAGES)
+            .filter(|&p| a.mem.state(p) == PageState::Invalid)
+            .collect();
+        assert_eq!(invalid, [1, 2]);
+        for p in 3..=5 {
+            assert!(take(a, p).is_empty(), "page {p} was never sent");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not in the cluster log")]
+    fn merge_logged_rejects_a_record_outside_the_cluster_log() {
         let mut a = mk(0, 2);
-        let rec = Arc::new(IntervalRecord {
+        a.merge_logged(&[Arc::new(IntervalRecord {
             id: IntervalId { owner: 1, seq: 1 },
             vt: VTime::zero(2),
             lamport: 5,
             pages: vec![0],
-        });
-        a.merge_logged(std::slice::from_ref(&rec));
-        assert_eq!(a.logged_vt.get(1), 1);
-        a.merge_logged(&[rec]);
-        assert_eq!(a.logged_vt.get(1), 1);
+        })]);
     }
 
     #[test]
@@ -782,31 +898,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "not prefix-closed")]
     fn merge_logged_rejects_a_gap_in_an_owners_log() {
-        let mut a = mk(0, 2);
-        let rec = |seq| {
-            Arc::new(IntervalRecord {
-                id: IntervalId { owner: 1, seq },
-                vt: VTime::zero(2),
-                lamport: 5,
-                pages: vec![0],
-            })
-        };
-        a.merge_logged(&[rec(1)]);
-        a.merge_logged(&[rec(3)]);
+        let mut c = cluster(2);
+        let recs: Vec<_> = (0..3).map(|_| write_seal(&mut c[1], 0)).collect();
+        c[0].merge_logged(&recs[..1]);
+        c[0].merge_logged(&recs[2..]);
     }
 
     #[test]
     fn delta_since_slices_each_owners_log() {
-        let mut a = mk(0, 3);
-        let rec = |owner, seq| {
-            Arc::new(IntervalRecord {
-                id: IntervalId { owner, seq },
-                vt: VTime::zero(3),
-                lamport: 1,
-                pages: vec![0],
-            })
-        };
-        a.merge_logged(&[rec(1, 1), rec(1, 2), rec(1, 3), rec(2, 1)]);
+        let mut c = cluster(3);
+        let mut recs: Vec<_> = (0..3).map(|_| write_seal(&mut c[1], 0)).collect();
+        recs.push(write_seal(&mut c[2], 0));
+        let a = &mut c[0];
+        a.merge_logged(&recs);
         let mut vt = VTime::zero(3);
         vt.set(1, 1);
         // A peer that knows more of owner 2 than this node gets nothing.
@@ -835,6 +939,7 @@ mod tests {
             CostModel::default(),
             l.freeze(),
             pool(),
+            interval_log(4),
         );
         assert_eq!(a.view_home(0), 0);
         assert_eq!(a.view_home(1), 3);

@@ -14,7 +14,7 @@ use crate::cost::CostModel;
 use crate::fault::FaultPlan;
 use crate::homes::make_handler;
 use crate::layout::Layout;
-use crate::node::{NodeState, Protocol};
+use crate::node::{interval_log, NodeState, Protocol};
 use crate::stats::{NodeStats, RunStats};
 
 /// Everything configurable about a cluster run.
@@ -137,9 +137,10 @@ where
         sim.set_profiler(prof.clone());
     }
 
-    // One page-recycling pool for every node, sized from the layout. Pool
-    // hits and misses never touch virtual time.
+    // One page-recycling pool for every node, sized from the layout, and
+    // one interval log. Neither touches virtual time.
     let pool = PagePool::shared_for(layout.npages());
+    let log = interval_log(n);
     let nodes: Vec<Arc<Mutex<NodeState>>> = (0..n)
         .map(|p| {
             Arc::new(Mutex::new(NodeState::new(
@@ -149,6 +150,7 @@ where
                 cfg.faults.cost_for(p, &cfg.cost),
                 layout.clone(),
                 pool.clone(),
+                log.clone(),
             )))
         })
         .collect();

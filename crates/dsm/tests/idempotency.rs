@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use vopp_dsm::homes::make_handler;
-use vopp_dsm::{AccessMode, CostModel, Layout, NodeState, Protocol, Req, Resp};
+use vopp_dsm::{interval_log, AccessMode, CostModel, Layout, NodeState, Protocol, Req, Resp};
 use vopp_page::VTime;
 use vopp_sim::sync::Mutex;
 use vopp_sim::{DeliveryClass, PerfectNet, Sim, SimDuration};
@@ -28,6 +28,7 @@ fn drive<R: Send>(
         CostModel::default(),
         layout.clone(),
         vopp_page::PagePool::shared_for(layout.npages()),
+        interval_log(2),
     )));
     let mut sim = Sim::new(2, Box::new(PerfectNet::new(SimDuration::from_micros(10))));
     sim.set_handler(0, make_handler(node0));

@@ -39,6 +39,9 @@ pub struct RpcClient {
     /// Retransmissions before giving up (a real system would declare the
     /// peer dead; in the simulation running out is always a protocol bug).
     pub max_retries: u32,
+    /// The requests of the `call_all` burst in flight, kept for
+    /// retransmission; empty between bursts, capacity kept.
+    burst: Vec<(ProcId, usize, Payload)>,
 }
 
 impl Default for RpcClient {
@@ -49,6 +52,7 @@ impl Default for RpcClient {
             rtt: Histogram::default(),
             timeout: SimDuration::from_secs(1),
             max_retries: 60,
+            burst: Vec::new(),
         }
     }
 }
@@ -126,36 +130,41 @@ impl RpcClient {
 
     /// Issue several requests concurrently and block until every reply has
     /// arrived (the DSM fault path fetches diffs from all writers of a page
-    /// in parallel, like TreadMarks). Replies are returned in call order;
-    /// each call retransmits independently on timeout.
-    pub fn call_all<M>(&mut self, ctx: &AppCtx<'_>, calls: &[(ProcId, usize, M)]) -> Vec<Packet>
-    where
-        M: Clone + Send + Sync + 'static,
+    /// in parallel, like TreadMarks). Each call is `(dst, wire_bytes, msg)`;
+    /// `replies` is cleared and receives one reply per call, in call order.
+    /// Each call retransmits independently on timeout.
+    ///
+    /// Each request moves into its payload `Arc` once, shared with every
+    /// retransmission; the burst buffer is the client's own and keeps its
+    /// capacity, so a burst allocates only its messages.
+    pub fn call_all<M>(
+        &mut self,
+        ctx: &AppCtx<'_>,
+        calls: impl IntoIterator<Item = (ProcId, usize, M)>,
+        replies: &mut Vec<Packet>,
+    ) where
+        M: Send + Sync + 'static,
     {
-        if calls.is_empty() {
-            return Vec::new();
+        replies.clear();
+        let mut burst = std::mem::take(&mut self.burst);
+        burst.extend(
+            calls
+                .into_iter()
+                .map(|(dst, bytes, msg)| (dst, bytes, Arc::new(msg) as Payload)),
+        );
+        if burst.is_empty() {
+            self.burst = burst;
+            return;
         }
         let base = self.next_tag;
-        self.next_tag += calls.len() as u64;
+        self.next_tag += burst.len() as u64;
         let tag_of = |i: usize| RPC_TAG_BIT | (base + i as u64);
         ctx.purge_filter(|p| p.tag & RPC_TAG_BIT != 0 && p.tag < tag_of(0));
         let started = ctx.now();
-        // One allocation per request, shared with every retransmission.
-        let payloads: Vec<Payload> = calls
-            .iter()
-            .map(|(_, _, msg)| Arc::new(msg.clone()) as Payload)
-            .collect();
-        for (i, (dst, bytes, _)) in calls.iter().enumerate() {
-            ctx.send(
-                *dst,
-                *bytes,
-                DeliveryClass::Svc,
-                tag_of(i),
-                payloads[i].clone(),
-            );
+        for (i, (dst, bytes, payload)) in burst.iter().enumerate() {
+            ctx.send(*dst, *bytes, DeliveryClass::Svc, tag_of(i), payload.clone());
         }
-        let mut out = Vec::with_capacity(calls.len());
-        for (i, (dst, bytes, _)) in calls.iter().enumerate() {
+        for (i, (dst, bytes, payload)) in burst.iter().enumerate() {
             let tag = tag_of(i);
             let mut tries = 0;
             loop {
@@ -167,7 +176,7 @@ impl RpcClient {
                         // would otherwise inherit that tag's wait and
                         // inflate the histogram.
                         self.rtt.record((pkt.arrived - started).nanos());
-                        out.push(pkt);
+                        replies.push(pkt);
                         break;
                     }
                     None => {
@@ -178,7 +187,7 @@ impl RpcClient {
                             tries <= self.max_retries,
                             "rpc to {dst} got no reply after {tries} retransmissions"
                         );
-                        ctx.send(*dst, *bytes, DeliveryClass::Svc, tag, payloads[i].clone());
+                        ctx.send(*dst, *bytes, DeliveryClass::Svc, tag, payload.clone());
                     }
                 }
             }
@@ -186,9 +195,10 @@ impl RpcClient {
         // Duplicate replies for already-satisfied tags of *this* burst may
         // have queued up while later slots were drained; purge them so no
         // later receive can match a stale reply.
-        let last = tag_of(calls.len() - 1);
+        let last = tag_of(burst.len() - 1);
         ctx.purge_filter(|p| p.tag & RPC_TAG_BIT != 0 && p.tag >= tag_of(0) && p.tag <= last);
-        out
+        burst.clear();
+        self.burst = burst;
     }
 
     /// Like [`RpcClient::call`] with a custom timeout (barrier waits use a
@@ -349,7 +359,8 @@ mod tests {
         let out = sim.run(|ctx| {
             if ctx.me() == 0 {
                 let mut rpc = RpcClient::new();
-                let replies = rpc.call_all(&ctx, &[(1, 64, 0u64), (2, 64, 0u64)]);
+                let mut replies = Vec::new();
+                rpc.call_all(&ctx, [(1, 64, 0u64), (2, 64, 0u64)], &mut replies);
                 assert_eq!(replies.len(), 2);
                 (rpc.rtt.count(), rpc.rtt.sum_ns(), rpc.rtt.max_ns())
             } else {
@@ -395,8 +406,9 @@ mod tests {
         let out = sim.run(|ctx| {
             if ctx.me() == 0 {
                 let mut rpc = RpcClient::new();
-                let replies = rpc.call_all(&ctx, &[(1, 64, 1u64), (2, 64, 2u64)]);
-                let vals: Vec<u64> = replies.into_iter().map(|p| p.expect::<u64>()).collect();
+                let mut replies = Vec::new();
+                rpc.call_all(&ctx, [(1, 64, 1u64), (2, 64, 2u64)], &mut replies);
+                let vals: Vec<u64> = replies.drain(..).map(|p| p.expect::<u64>()).collect();
                 assert_eq!(vals, vec![2, 3]);
                 ctx.mailbox_len()
             } else {
@@ -404,6 +416,63 @@ mod tests {
             }
         });
         assert_eq!(out.results[0], 0, "stale duplicate reply left in mailbox");
+    }
+
+    #[test]
+    fn call_all_retransmits_one_shared_payload_and_replies_in_call_order() {
+        // Over a lossy link, every copy of a request that reaches the
+        // handler, first send or retransmission, is the one payload
+        // `call_all` allocated for it; the replies land in call order in
+        // the caller's buffer, reused from burst to burst.
+        let cfg = NetConfig {
+            base_drop_prob: 0.3,
+            ..NetConfig::default()
+        };
+        let mut sim = Sim::new(3, Box::new(EthernetModel::new(3, cfg)));
+        let seen: Arc<std::sync::Mutex<Vec<(u64, Payload)>>> = Arc::default();
+        for p in 1..3 {
+            let seen = seen.clone();
+            sim.set_handler(
+                p,
+                Box::new(move |svc, pkt| {
+                    seen.lock().unwrap().push((pkt.tag, pkt.payload.clone()));
+                    let (tag, src) = (pkt.tag, pkt.src);
+                    let v = pkt.expect::<u64>();
+                    reply(svc, src, 64, tag, Arc::new(v * 10));
+                }),
+            );
+        }
+        let out = sim.run(|ctx| {
+            if ctx.me() != 0 {
+                return 0;
+            }
+            let mut rpc = RpcClient::new();
+            let mut replies = Vec::new();
+            let mut buffer = None;
+            for burst in 0..20u64 {
+                let calls = (0..4).map(|i| (1 + i as usize % 2, 64, burst * 4 + i));
+                rpc.call_all(&ctx, calls, &mut replies);
+                let got: Vec<u64> = replies.iter().map(|p| *p.peek::<u64>().unwrap()).collect();
+                let want: Vec<u64> = (0..4).map(|i| (burst * 4 + i) * 10).collect();
+                assert_eq!(got, want, "burst {burst}");
+                let reused = *buffer.get_or_insert(replies.as_ptr()) == replies.as_ptr();
+                assert!(reused, "burst {burst} reallocated the reply buffer");
+                replies.clear();
+            }
+            rpc.rexmits
+        });
+        assert!(out.results[0] > 0, "the link must force retransmissions");
+        let seen = seen.lock().unwrap();
+        let mut repeated = 0;
+        for (i, (tag, payload)) in seen.iter().enumerate() {
+            for (t, p) in &seen[..i] {
+                if t == tag {
+                    assert!(Arc::ptr_eq(p, payload), "tag {tag:#x} was re-allocated");
+                    repeated += 1;
+                }
+            }
+        }
+        assert!(repeated > 0, "no request reached a handler twice");
     }
 
     #[test]

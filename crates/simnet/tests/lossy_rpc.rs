@@ -33,16 +33,16 @@ fn lossy_sixteen_node_rpc_is_pinned() {
     let out = sim.run(|ctx| {
         let me = ctx.me() as u64;
         let mut rpc = RpcClient::new();
+        let mut replies = Vec::new();
         for i in 0..CALLS {
             let dst = (ctx.me() + 1 + i as usize % (NODES - 1)) % NODES;
             let got = rpc.call(&ctx, dst, 80, me * 1000 + i).expect::<u64>();
             assert_eq!(got, (me * 1000 + i) * 2);
             if i % 8 == 7 {
                 // A fan-out burst: three peers answer concurrently.
-                let calls: Vec<_> = (1..=3)
-                    .map(|k| ((ctx.me() + k * 5) % NODES, 80, i))
-                    .collect();
-                for pkt in rpc.call_all(&ctx, &calls) {
+                let calls = (1..=3).map(|k| ((ctx.me() + k * 5) % NODES, 80, i));
+                rpc.call_all(&ctx, calls, &mut replies);
+                for pkt in replies.drain(..) {
                     assert_eq!(pkt.expect::<u64>(), i * 2);
                 }
             }
