@@ -199,23 +199,6 @@ fn bench_net(r: &mut Runner) {
     });
 }
 
-/// One lockstep cluster run: 8 processes each advancing their clocks in
-/// identical compute slices, so after the first round every wake-up is a
-/// same-instant `Resume` for the next process — the direct-handoff fast
-/// path's best case (and the shape of every barrier release in the DSM
-/// protocols). Returns the kernel's handoff counters.
-fn lockstep_run(direct: bool) -> (u64, u64) {
-    let mut sim = Sim::new(8, Box::new(EthernetModel::new(8, NetConfig::lossless())));
-    sim.set_direct_handoff(direct);
-    let out = sim.run(|ctx| {
-        for _ in 0..64 {
-            ctx.compute(SimDuration::from_micros(10));
-        }
-        0u64
-    });
-    (out.handoff.direct, out.handoff.via_controller)
-}
-
 /// One process advancing its clock in `slices` compute slices: every
 /// resume is popped by the process that scheduled it, so after the start-up
 /// wake the run never leaves its thread. Returns the wake-up count.
@@ -276,32 +259,15 @@ fn bare_park_pingpong(trips: u32) {
     });
 }
 
-/// Kernel wake-up path. The 8-process lockstep workload with the
-/// direct-handoff fast path on vs off (every wake-up through the controller
-/// thread): the measured delta is pure scheduling overhead — virtual-time
-/// results are identical by construction. Then the cost of one wake-up on
-/// the three shapes a run is made of (lockstep ring, self-wake, two-thread
-/// ping-pong), each as a ratio to a bare `park`/`unpark` ping-pong timed in
-/// this same binary — the floor the baton hand-off sits on, and the number
-/// a user-level scheduler (ROADMAP 2b) has to beat. Run lengths include the
-/// thread spawns; they are chosen long enough to drown them.
+/// Kernel wake-up path: the cost of one wake-up on the two shapes a run is
+/// made of (self-wake, two-thread ping-pong), each as a ratio to a bare
+/// `park`/`unpark` ping-pong timed in this same binary — the floor the baton
+/// hand-off sits on, and the number a user-level scheduler (ROADMAP item 8)
+/// has to beat. Run lengths include the thread spawns; they are chosen long
+/// enough to drown them.
 fn bench_kernel(r: &mut Runner) {
     const SELF_SLICES: u32 = 10_000;
     const TRIPS: u32 = 2_000;
-    let (direct, via_ctl) = lockstep_run(true);
-    println!("    -> lockstep handoff counters: {direct} direct, {via_ctl} via controller");
-    let on = r.bench("kernel_lockstep_handoff_on", || {
-        black_box(lockstep_run(true))
-    });
-    let off = r.bench("kernel_lockstep_handoff_off", || {
-        black_box(lockstep_run(false))
-    });
-    if let (Some(on), Some(off)) = (on, off) {
-        println!(
-            "    -> direct handoff runs the lockstep cluster in {:.2}x the time of the controller path",
-            on.as_nanos() as f64 / off.as_nanos().max(1) as f64
-        );
-    }
     let selfwake = r.bench("kernel_selfwake", || black_box(selfwake_run(SELF_SLICES)));
     let pingpong = r.bench("kernel_pingpong", || black_box(pingpong_run(TRIPS)));
     let floor = r
@@ -313,7 +279,6 @@ fn bench_kernel(r: &mut Runner) {
     // The wake-up counts are deterministic; one extra run of each shape
     // that was benched reads them off the kernel's own counters.
     for (name, ran) in [
-        ("lockstep", on.map(|d| (d, direct + via_ctl))),
         (
             "self-wake",
             selfwake.map(|d| (d, selfwake_run(SELF_SLICES))),

@@ -368,12 +368,16 @@ impl<'a> DsmCtx<'a> {
             .add_overhead_diff(self.cost.diff_create * diffs.len() as u64);
         self.flush();
         if self.protocol == Protocol::Hlrc {
-            let (np, me) = (self.nprocs(), self.me());
             let mut groups: BTreeMap<ProcId, Vec<_>> = BTreeMap::new();
-            // The home's own pages are already current locally.
-            for (p, d) in diffs.iter().filter(|(p, _)| p % np != me) {
-                groups.entry(p % np).or_default().push((*p, d.clone()));
+            let n = self.node.lock();
+            for (p, d) in diffs.iter() {
+                let home = n.page_home(*p);
+                // The home's own pages are already current locally.
+                if home != n.me {
+                    groups.entry(home).or_default().push((*p, d.clone()));
+                }
             }
+            drop(n);
             if !groups.is_empty() {
                 let flushes = groups
                     .into_iter()

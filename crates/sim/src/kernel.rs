@@ -1,9 +1,8 @@
 //! The discrete-event scheduler.
 //!
 //! Every simulated process is backed by an OS thread, but **exactly one
-//! thread runs at any instant**: a controller thread pops events in
-//! `(time, seq)` order and hands control to the corresponding process
-//! thread, then waits for it to block again. This gives straight-line
+//! thread runs at any instant**, and events execute in `(time, seq)` order
+//! (see "Who pops the next event" below). This gives straight-line
 //! imperative process code (no hand-written state machines) while keeping
 //! execution fully deterministic.
 //!
@@ -12,20 +11,17 @@
 //! middle of a `compute` span — modelling the interrupt-driven request
 //! handlers (SIGIO) of real page-based DSM systems such as TreadMarks.
 //!
-//! ## Direct handoff
+//! ## Who pops the next event
 //!
-//! The naive schedule costs two OS-thread handoffs per event: blocking
-//! process → controller → next process. Instead, the blocking thread drains
-//! the event queue itself — advancing virtual time, delivering packets, and
-//! running service handlers in exactly the order the controller would — and
-//! hands control straight to the next runnable process while the controller
-//! stays parked. The controller pops events itself only at startup, when
-//! handoff is disabled, and when the queue empties (termination / deadlock
-//! detection). Event pop order, trace order and every clock advance are
-//! identical either way; only the OS-thread ping-pong is elided. Savings
-//! (wake-ups that skipped the controller) are counted in
-//! [`HandoffStats`] (per run) and in process-wide totals ([`handoff_totals`])
-//! for wall-clock reporting.
+//! There is no scheduler thread. The process thread that just blocked or
+//! exited pops events itself — advancing virtual time, delivering packets
+//! and running service handlers — until one wakes a process, and hands that
+//! process control. The thread that called [`Sim::run`] pops only the first
+//! `Resume`, then parks until the run ends: at the last process exit (events
+//! still queued then never execute) or at a shutdown. The thread that finds
+//! the queue empty while a process is still live has found a deadlock and
+//! shuts the run down. Wake-ups are counted in [`HandoffStats`] (per run)
+//! and in process-wide totals ([`handoff_totals`]) for wall-clock reporting.
 //!
 //! ## The OS-level hand-off
 //!
@@ -35,10 +31,10 @@
 //! scheduler lock only covers the *decision* — `wake_now` marks the next
 //! process runnable — and is released before the baton is handed over, so
 //! the woken thread never runs into a held mutex; it re-locks uncontended,
-//! because one thread runs at a time. When a draining process pops its own
-//! resume or delivery it simply keeps running: no syscall, no context switch
-//! ([`HandoffStats::self_wakes`]). Only the controller still parks on a
-//! condition variable, and it too is notified after the lock is released.
+//! because one thread runs at a time. When a process pops its own resume or
+//! delivery it simply keeps running: no syscall, no context switch
+//! ([`HandoffStats::self_wakes`]). The caller of [`Sim::run`] parks on a
+//! baton of its own, handed once when the run ends.
 
 use std::any::Any;
 use std::collections::{BinaryHeap, VecDeque};
@@ -52,7 +48,7 @@ use vopp_trace::{CausalProfiler, CtxKind, EventKind, Tracer, NO_CTX};
 use crate::ctx::{AppCtx, SvcCtx};
 use crate::net::{NetModel, RouteRequest};
 use crate::packet::{DeliveryClass, Packet};
-use crate::sync::{Condvar, Mutex, MutexGuard};
+use crate::sync::{Mutex, MutexGuard};
 use crate::time::{SimDuration, SimTime};
 use crate::ProcId;
 
@@ -64,11 +60,12 @@ pub type Handler = Box<dyn FnMut(&mut SvcCtx<'_>, Packet) + Send + 'static>;
 /// only — never part of the virtual-time results.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HandoffStats {
-    /// Wake-ups transferred process→process without running the controller.
+    /// Wake-ups handed on by the process thread that blocked or exited.
     pub direct: u64,
-    /// Wake-ups that went through the controller thread.
+    /// Wake-ups handed on by the thread that called [`Sim::run`], which plays
+    /// controller only to start the run: one per run.
     pub via_controller: u64,
-    /// Of `direct`, the wake-ups where the draining process popped its *own*
+    /// Of `direct`, the wake-ups where the blocking process popped its *own*
     /// resume or delivery: it just keeps running — no OS wake, no context
     /// switch. Counted inside `direct`, so [`HandoffStats::total`] is
     /// unaffected.
@@ -86,8 +83,6 @@ impl HandoffStats {
 static TOTAL_DIRECT: AtomicU64 = AtomicU64::new(0);
 static TOTAL_VIA_CTL: AtomicU64 = AtomicU64::new(0);
 static TOTAL_SELF_WAKES: AtomicU64 = AtomicU64::new(0);
-/// Process-wide default for [`Sim::set_direct_handoff`].
-static DIRECT_HANDOFF_DEFAULT: AtomicBool = AtomicBool::new(true);
 
 /// Handoff totals accumulated by every run finished in this process so far.
 pub fn handoff_totals() -> HandoffStats {
@@ -96,18 +91,6 @@ pub fn handoff_totals() -> HandoffStats {
         via_controller: TOTAL_VIA_CTL.load(Ordering::Relaxed),
         self_wakes: TOTAL_SELF_WAKES.load(Ordering::Relaxed),
     }
-}
-
-/// Set the process-wide default for direct handoff scheduling (normally on;
-/// turning it off forces every wake-up through the controller thread, which
-/// is only useful for comparative benchmarks and scheduling tests).
-pub fn set_direct_handoff_default(on: bool) {
-    DIRECT_HANDOFF_DEFAULT.store(on, Ordering::Relaxed);
-}
-
-/// The current process-wide direct-handoff default.
-pub fn direct_handoff_default() -> bool {
-    DIRECT_HANDOFF_DEFAULT.load(Ordering::Relaxed)
 }
 
 /// A queued event. Process ids are stored as `u32` and an in-flight packet
@@ -232,12 +215,6 @@ pub(crate) struct Sched {
     running: Option<ProcId>,
     live: usize,
     shutdown: bool,
-    panicked: bool,
-    direct_handoff: bool,
-    /// A process thread is inside `try_handoff` — possibly with the lock
-    /// released while it runs a service handler. The controller must stay
-    /// parked until the drain finishes, even on a spurious condvar wake.
-    draining: bool,
     handoff: HandoffStats,
     tracer: Option<Arc<Tracer>>,
     /// Causal-edge recorder for the critical-path profiler; pure
@@ -353,13 +330,14 @@ pub(crate) struct Baton {
     /// under the scheduler mutex, after the wait returns — so Release/Acquire
     /// merely orders the hand-off after the waker's unlock.
     go: AtomicBool,
-    /// The process's OS thread, registered by [`Sim::run`] right after the
-    /// spawn and before the first event is popped.
+    /// The owner's OS thread: a process thread, registered by [`Sim::run`]
+    /// right after the spawn and before the first event is popped, or the
+    /// thread that called [`Sim::run`].
     thread: OnceLock<Thread>,
 }
 
 impl Baton {
-    /// Hand the baton to its process. Must be called with no scheduler lock
+    /// Hand the baton to its owner. Must be called with no scheduler lock
     /// held.
     fn hand(&self) {
         self.go.store(true, Ordering::Release);
@@ -369,8 +347,8 @@ impl Baton {
             .unpark();
     }
 
-    /// Park the calling process thread (the baton's owner) until the baton
-    /// is handed to it. `park` may return spuriously or on a stale token;
+    /// Park the calling thread (the baton's owner) until the baton is handed
+    /// to it. `park` may return spuriously or on a stale token;
     /// only the flag ends the wait.
     fn wait(&self) {
         while !self.go.swap(false, Ordering::Acquire) {
@@ -395,17 +373,18 @@ enum Step {
     Nothing,
 }
 
-/// Shared kernel state: the scheduler, the condition variable the controller
-/// parks on, and the per-process batons the process threads park on.
+/// Shared kernel state: the scheduler, the per-process batons the process
+/// threads park on, and the baton the caller of [`Sim::run`] parks on.
 pub(crate) struct Shared {
     pub(crate) sched: Mutex<Sched>,
-    ctl_cv: Condvar,
     batons: Vec<Baton>,
+    /// Handed once: by the last process exit or by [`Shared::shutdown_all`].
+    done: Baton,
     pub(crate) nprocs: usize,
-    /// Service handlers, shared so whichever thread pops a `Svc` delivery —
-    /// the controller or a draining process thread — can run it. A handler is
-    /// taken out of its slot for the duration of the call; event execution is
-    /// serialized (`running`/`draining`), so the slot is never contended.
+    /// Service handlers, shared so whichever process thread pops a `Svc`
+    /// delivery can run it. A handler is taken out of its slot for the
+    /// duration of the call; one thread runs at a time, so the slot is never
+    /// contended.
     handlers: Mutex<Vec<Option<Handler>>>,
     /// Same tracer as `Sched::tracer`, duplicated outside the mutex so the
     /// disabled path is a pointer test without taking the scheduler lock.
@@ -415,9 +394,8 @@ pub(crate) struct Shared {
 impl Shared {
     /// Called from a process thread: yield control and wait until it is
     /// handed back. The caller must already have set its own phase to the
-    /// blocked state it wants. If a queued event wakes a process, control
-    /// transfers directly; the controller is only notified when the drain
-    /// cannot continue (empty queue, shutdown, or handoff disabled).
+    /// blocked state it wants; it then pops events itself ([`Shared::drain`])
+    /// until one wakes a process.
     ///
     /// The OS-level hand-off sits at the futex floor: the drain only *marks*
     /// the next process runnable; if that process is the caller itself it
@@ -428,19 +406,18 @@ impl Shared {
     pub(crate) fn yield_and_wait<'a>(&'a self, me: ProcId, s: &mut MutexGuard<'a, Sched>) {
         debug_assert_eq!(s.running, Some(me));
         s.running = None;
-        self.try_handoff(s);
+        if let Err(e) = self.drain(s) {
+            // Propagate on this thread: the process-exit path records it as
+            // the first panic and the run shuts down.
+            std::panic::resume_unwind(e);
+        }
         let next = s.running;
         if next == Some(me) {
             s.handoff.self_wakes += 1;
             return;
         }
         self.sched.unlocked(s, || {
-            match next {
-                Some(p) => self.batons[p].hand(),
-                // The controller re-checks its parking condition under the
-                // lock, so notifying after the unlock cannot lose the wake.
-                None => self.ctl_cv.notify_one(),
-            }
+            self.hand_on(next);
             self.batons[me].wait();
         });
         if s.running != Some(me) {
@@ -452,42 +429,79 @@ impl Shared {
         debug_assert_eq!(s.procs[me].phase, Phase::Running);
     }
 
-    /// Drain the event queue — in exactly the order the controller would,
-    /// advancing virtual time and running service handlers the same way —
-    /// until an event wakes a process, which leaves `Sched::running` set (the
-    /// controller stays parked). `running` stays `None` if the controller
-    /// must take over: the queue is empty, handoff is disabled, or the run is
-    /// shutting down.
-    ///
-    /// Advancing `now` and running handlers from a process thread is safe:
-    /// event execution is serialized by `Sched::draining` (set here, checked
-    /// by the controller's parking loop), and the controller only reads
-    /// scheduler state after reacquiring the lock.
-    fn try_handoff<'a>(&'a self, s: &mut MutexGuard<'a, Sched>) {
-        if !s.direct_handoff || s.panicked || s.shutdown {
-            return;
+    /// Called from process `p`'s thread once its body has returned or
+    /// panicked: retire `p` and pass control on. The run ends here if `p`
+    /// was the last live process — events still queued never execute — or
+    /// if `p`'s panic is the run's first. Returns whether it is, or the
+    /// payload of a service handler that panicked while this thread drained:
+    /// that panic is then the run's first.
+    fn exit(&self, p: ProcId, panicked: bool) -> Result<bool, Panic> {
+        let mut s = self.sched.lock();
+        // Only the *first* panic is the real error; panics raised to unblock
+        // threads during shutdown are noise.
+        let first_panic = panicked && !s.shutdown;
+        if let Some(tr) = &s.tracer {
+            tr.record(s.procs[p].clock.0, p, EventKind::ProcExit);
         }
-        s.draining = true;
+        s.procs[p].phase = Phase::Finished;
+        s.live -= 1;
+        if s.running == Some(p) {
+            s.running = None;
+        }
+        if s.shutdown {
+            // `shutdown_all` has already released every thread.
+            return Ok(false);
+        }
+        if first_panic {
+            drop(s);
+            self.shutdown_all();
+            return Ok(true);
+        }
+        if s.live == 0 {
+            drop(s);
+            self.done.hand();
+            return Ok(false);
+        }
+        let drained = self.drain(&mut s);
+        let next = s.running;
+        drop(s);
+        self.hand_on(next);
+        drained.map(|()| false)
+    }
+
+    /// Pop events — advancing virtual time and running service handlers —
+    /// until one wakes a process, which leaves it in `Sched::running`. If the
+    /// queue runs dry first, `running` stays `None`: the caller was the last
+    /// thread that could have sent anything, so with a process still live
+    /// the run is deadlocked. Returns the payload of a service handler that
+    /// panicked, with `running` still `None`; the run must then end.
+    fn drain<'a>(&'a self, s: &mut MutexGuard<'a, Sched>) -> Result<(), Panic> {
         while let Some(step) = self.step(s) {
             match step {
                 Step::Woke(_) => {
                     s.handoff.direct += 1;
                     break;
                 }
-                // Propagate on this thread: the process-exit path records it
-                // as the first panic and the run shuts down.
-                Step::Handler(Err(e)) => std::panic::resume_unwind(e),
-                Step::Handler(Ok(())) if s.panicked || s.shutdown => break,
-                Step::Handler(Ok(())) | Step::Nothing => {}
+                Step::Handler(r) => r?,
+                Step::Nothing => {}
             }
         }
-        s.draining = false;
+        Ok(())
     }
 
-    /// Pop the earliest event and execute it: the one body the controller
-    /// and a draining process thread share, so the two cannot disagree on
-    /// event order, trace order or a clock advance. `None` means the queue
-    /// is empty.
+    /// Hand the baton to `next`, the process a drain woke, or shut the run
+    /// down if it woke none: the queue ran dry (a deadlock) or a service
+    /// handler panicked. Called with the lock released.
+    fn hand_on(&self, next: Option<ProcId>) {
+        match next {
+            Some(p) => self.batons[p].hand(),
+            None => self.shutdown_all(),
+        }
+    }
+
+    /// Pop the earliest event and execute it: the one body every popping
+    /// thread runs, so event order, trace order and clock advances depend on
+    /// the queue alone. `None` means the queue is empty.
     fn step<'a>(&'a self, s: &mut MutexGuard<'a, Sched>) -> Option<Step> {
         let QEntry { at, seq, ev } = s.queue.pop()?;
         debug_assert!(at >= s.now, "event queue went backwards");
@@ -628,56 +642,14 @@ impl Shared {
         s.running = Some(p);
     }
 
-    /// The controller: runs on the caller's thread until every process
-    /// finished, a process panicked, or a deadlock is detected. Returns a
-    /// panic payload if a service handler panicked on this thread. With
-    /// direct handoff on, process threads drain the queue themselves and
-    /// this loop mostly stays parked — it only pops events itself at
-    /// startup, when handoff is disabled, and to detect termination or
-    /// deadlock.
-    fn controller(&self) -> Option<Panic> {
-        let mut handler_panic = None;
-        let mut s = self.sched.lock();
-        while !s.panicked && s.live > 0 {
-            match self.step(&mut s) {
-                Some(Step::Woke(p)) => {
-                    s.handoff.via_controller += 1;
-                    // The baton is handed with the lock released, like every
-                    // process wake. While parked here, blocking processes
-                    // drain the queue and chain wake-ups among themselves;
-                    // the `draining` check keeps this loop parked even if
-                    // the condvar wakes spuriously while a drain has the
-                    // lock released for a service handler.
-                    self.sched.unlocked(&mut s, || self.batons[p].hand());
-                    while (s.running.is_some() || s.draining) && !s.panicked {
-                        self.ctl_cv.wait(&mut s);
-                    }
-                }
-                Some(Step::Handler(Ok(())) | Step::Nothing) => {}
-                Some(Step::Handler(Err(e))) => {
-                    handler_panic = Some(e);
-                    break;
-                }
-                // Live processes and no pending events: deadlock.
-                None => break,
-            }
-        }
-        // Whatever ended the loop must not strand the process threads still
-        // blocked: release them so the scope can join.
-        let stranded = s.live > 0;
-        drop(s);
-        if stranded {
-            self.shutdown_all();
-        }
-        handler_panic
-    }
-
-    /// Release every blocked process thread so the scope can join them.
+    /// Release every blocked process thread so the scope can join them, and
+    /// the caller of [`Sim::run`] so it joins them.
     fn shutdown_all(&self) {
         self.sched.lock().shutdown = true;
         for b in &self.batons {
             b.hand();
         }
+        self.done.hand();
     }
 }
 
@@ -691,8 +663,8 @@ pub struct RunOutcome<R> {
     pub proc_end: Vec<SimTime>,
     /// Kernel compute/blocked time classification of each process.
     pub proc_times: Vec<ProcTimes>,
-    /// Direct vs controller-mediated wake-up counts (wall-clock bookkeeping;
-    /// not part of the virtual-time results).
+    /// Wake-up counts (wall-clock bookkeeping; not part of the virtual-time
+    /// results).
     pub handoff: HandoffStats,
     /// The network model, returned so callers can read its statistics.
     pub net: Box<dyn NetModel>,
@@ -721,7 +693,6 @@ pub struct Sim {
     handlers: Vec<Option<Handler>>,
     tracer: Option<Arc<Tracer>>,
     profiler: Option<Arc<CausalProfiler>>,
-    direct_handoff: bool,
 }
 
 impl Sim {
@@ -735,15 +706,7 @@ impl Sim {
             handlers: (0..nprocs).map(|_| None).collect(),
             tracer: None,
             profiler: None,
-            direct_handoff: direct_handoff_default(),
         }
-    }
-
-    /// Enable or disable direct process→process handoff for this run
-    /// (defaults to the process-wide setting, normally on). Virtual-time
-    /// results are identical either way; only wall-clock differs.
-    pub fn set_direct_handoff(&mut self, on: bool) {
-        self.direct_handoff = on;
     }
 
     /// Install an event tracer. Kernel-level send/receive and process
@@ -793,9 +756,6 @@ impl Sim {
             running: None,
             live: nprocs,
             shutdown: false,
-            panicked: false,
-            direct_handoff: self.direct_handoff,
-            draining: false,
             handoff: HandoffStats::default(),
             tracer: self.tracer.clone(),
             profiler: self.profiler,
@@ -805,8 +765,11 @@ impl Sim {
         }
         let shared = Shared {
             sched: Mutex::new(sched),
-            ctl_cv: Condvar::new(),
             batons: (0..nprocs).map(|_| Baton::default()).collect(),
+            done: Baton {
+                thread: OnceLock::from(std::thread::current()),
+                ..Baton::default()
+            },
             nprocs,
             handlers: Mutex::new(self.handlers),
             tracer: self.tracer,
@@ -826,29 +789,11 @@ impl Sim {
                         }
                         let r =
                             catch_unwind(AssertUnwindSafe(|| body(AppCtx::new(shared, p, nprocs))));
-                        let mut s = shared.sched.lock();
-                        // Only the *first* panic is the real error; panics
-                        // raised to unblock threads during shutdown are noise.
-                        let first_panic = r.is_err() && !s.shutdown && !s.panicked;
-                        if first_panic {
-                            s.panicked = true;
-                        }
-                        if let Some(tr) = &s.tracer {
-                            tr.record(s.procs[p].clock.0, p, EventKind::ProcExit);
-                        }
-                        s.procs[p].phase = Phase::Finished;
-                        s.live -= 1;
-                        if s.running == Some(p) {
-                            s.running = None;
-                        }
-                        // Notify with the lock released: the controller
-                        // re-checks its parking condition under the lock.
-                        drop(s);
-                        shared.ctl_cv.notify_one();
-                        match r {
-                            Ok(v) => Some(v),
-                            Err(e) if first_panic => std::panic::resume_unwind(e),
-                            Err(_) => None,
+                        match (shared.exit(p, r.is_err()), r) {
+                            (Err(handler_panic), _) => std::panic::resume_unwind(handler_panic),
+                            (Ok(_), Ok(v)) => Some(v),
+                            (Ok(true), Err(e)) => std::panic::resume_unwind(e),
+                            (Ok(false), Err(_)) => None,
                         }
                     })
                 })
@@ -860,20 +805,25 @@ impl Sim {
                     .expect("one registration per process");
             }
 
-            let handler_panic = shared.controller();
+            // Pop the first `Resume` and hand it on; from then on the process
+            // threads pop every event.
+            let mut s = shared.sched.lock();
+            let Some(Step::Woke(first)) = shared.step(&mut s) else {
+                unreachable!("the first event resumes process 0")
+            };
+            s.handoff.via_controller += 1;
+            drop(s);
+            shared.batons[first].hand();
+            shared.done.wait();
 
-            let results: Vec<Option<R>> = joins
+            joins
                 .into_iter()
                 .map(|j| match j.join() {
                     Ok(v) => v,
                     // Re-panic on the main thread with the process's payload.
                     Err(e) => std::panic::resume_unwind(e),
                 })
-                .collect();
-            if let Some(e) = handler_panic {
-                std::panic::resume_unwind(e);
-            }
-            results
+                .collect()
         });
 
         let s = shared.sched.into_inner();

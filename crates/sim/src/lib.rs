@@ -26,10 +26,7 @@ mod time;
 pub type ProcId = usize;
 
 pub use ctx::{AppCtx, SvcCtx};
-pub use kernel::{
-    direct_handoff_default, handoff_totals, run_simple, set_direct_handoff_default, Handler,
-    HandoffStats, ProcTimes, RunOutcome, Sim,
-};
+pub use kernel::{handoff_totals, run_simple, Handler, HandoffStats, ProcTimes, RunOutcome, Sim};
 pub use net::{NetModel, PerfectNet, RouteRequest};
 pub use packet::{DeliveryClass, Packet, Payload};
 pub use time::{SimDuration, SimTime};

@@ -1,12 +1,13 @@
-//! Poison-free `Mutex`/`Condvar` over `std::sync`.
+//! Poison-free `Mutex` over `std::sync`.
 //!
 //! The kernel deliberately panics while holding the scheduler lock (e.g. to
 //! unblock process threads during shutdown), which would poison a plain
-//! `std::sync::Mutex` and turn every later `lock()` into an error. These
-//! wrappers recover the guard from a poisoned lock — the scheduler state is
+//! `std::sync::Mutex` and turn every later `lock()` into an error. This
+//! wrapper recovers the guard from a poisoned lock — the scheduler state is
 //! still consistent at those points, and the first panic is re-raised by the
-//! kernel anyway — and expose the `lock()`/`wait(&mut guard)` shape the rest
-//! of the workspace uses.
+//! kernel anyway — and can release a guard in place for a while
+//! ([`Mutex::unlocked`]), which is how the kernel runs a service handler or
+//! hands control to another process thread.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -37,7 +38,7 @@ impl<T> Mutex<T> {
     /// before returning. Passing a guard that belongs to a different mutex
     /// would silently re-lock the wrong one; callers must not do that.
     pub fn unlocked<'a, U>(&'a self, guard: &mut MutexGuard<'a, T>, f: impl FnOnce() -> U) -> U {
-        let inner = guard.0.take().expect("guard moved during wait");
+        let inner = guard.0.take().expect("guard moved while unlocked");
         drop(inner);
         let r = f();
         guard.0 = Some(self.0.lock().unwrap_or_else(PoisonError::into_inner));
@@ -53,7 +54,7 @@ impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
 
 /// Guard returned by [`Mutex::lock`].
 ///
-/// The inner `Option` is an implementation detail of [`Condvar::wait`],
+/// The inner `Option` is an implementation detail of [`Mutex::unlocked`],
 /// which must temporarily move the underlying `std` guard out; it is `Some`
 /// at every other moment.
 pub struct MutexGuard<'a, T>(Option<std::sync::MutexGuard<'a, T>>);
@@ -61,41 +62,13 @@ pub struct MutexGuard<'a, T>(Option<std::sync::MutexGuard<'a, T>>);
 impl<T> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.0.as_ref().expect("guard moved during wait")
+        self.0.as_ref().expect("guard moved while unlocked")
     }
 }
 
 impl<T> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.0.as_mut().expect("guard moved during wait")
-    }
-}
-
-/// Condition variable operating on [`MutexGuard`] in place.
-#[derive(Default)]
-pub struct Condvar(std::sync::Condvar);
-
-impl Condvar {
-    /// A new condition variable.
-    pub fn new() -> Condvar {
-        Condvar(std::sync::Condvar::new())
-    }
-
-    /// Atomically release the guard's lock and block until notified; the
-    /// lock is re-acquired (in place) before returning.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.0.take().expect("guard moved during wait");
-        guard.0 = Some(self.0.wait(inner).unwrap_or_else(PoisonError::into_inner));
-    }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        self.0.notify_one();
-    }
-
-    /// Wake all waiters.
-    pub fn notify_all(&self) {
-        self.0.notify_all();
+        self.0.as_mut().expect("guard moved while unlocked")
     }
 }
 
@@ -121,24 +94,5 @@ mod tests {
         })
         .join();
         assert_eq!(*m.lock(), 0);
-    }
-
-    #[test]
-    fn condvar_handoff() {
-        let shared = Arc::new((Mutex::new(false), Condvar::new()));
-        let s2 = shared.clone();
-        let t = std::thread::spawn(move || {
-            let (m, cv) = &*s2;
-            let mut g = m.lock();
-            while !*g {
-                cv.wait(&mut g);
-            }
-        });
-        {
-            let (m, cv) = &*shared;
-            *m.lock() = true;
-            cv.notify_all();
-        }
-        t.join().unwrap();
     }
 }

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use vopp_sim::{
-    run_simple, CausalProfiler, DeliveryClass, NetModel, PerfectNet, RouteRequest, Sim,
+    run_simple, CausalProfiler, DeliveryClass, EventKind, NetModel, PerfectNet, RouteRequest, Sim,
     SimDuration, SimTime, Tracer,
 };
 
@@ -368,18 +368,9 @@ fn proc_times_classify_every_nanosecond() {
 }
 
 // ---- The baton hand-off (per-process park/unpark, wake after unlock) ----
-//
-// Every test below runs under the two scheduling regimes that share the
-// hand-off code: direct handoff (the default) and every wake through the
-// controller (`set_direct_handoff(false)`).
 
-/// Direct handoff on, then off.
-const REGIMES: [bool; 2] = [true, false];
-
-fn sim_in(direct_handoff: bool, nprocs: usize) -> Sim {
-    let mut sim = Sim::new(nprocs, Box::new(PerfectNet::new(LAT)));
-    sim.set_direct_handoff(direct_handoff);
-    sim
+fn sim_of(nprocs: usize) -> Sim {
+    Sim::new(nprocs, Box::new(PerfectNet::new(LAT)))
 }
 
 /// Run `sim` to its panic and return the payload's message.
@@ -399,32 +390,20 @@ where
 #[test]
 fn a_lone_process_wakes_itself_without_an_os_handoff() {
     const SLICES: u64 = 10_000;
-    for direct in REGIMES {
-        let out = sim_in(direct, 1).run(|ctx| {
-            for _ in 0..SLICES {
-                ctx.compute(SimDuration::from_micros(3));
-            }
-            ctx.now()
-        });
-        assert_eq!(
-            out.results[0],
-            SimTime(SLICES * 3_000),
-            "direct handoff {direct}"
-        );
-        // With direct handoff every resume is popped by the process that
-        // scheduled it and only the start-up wake needs the controller.
-        let want = if direct {
-            (SLICES, SLICES, 1)
-        } else {
-            (0, 0, SLICES + 1)
-        };
-        let h = out.handoff;
-        assert_eq!(
-            (h.direct, h.self_wakes, h.via_controller),
-            want,
-            "direct handoff {direct}"
-        );
-    }
+    let out = sim_of(1).run(|ctx| {
+        for _ in 0..SLICES {
+            ctx.compute(SimDuration::from_micros(3));
+        }
+        ctx.now()
+    });
+    assert_eq!(out.results[0], SimTime(SLICES * 3_000));
+    // Every resume is popped by the process that scheduled it; only the
+    // start-up wake comes from the thread that called `run`.
+    let h = out.handoff;
+    assert_eq!(
+        (h.direct, h.self_wakes, h.via_controller),
+        (SLICES, SLICES, 1)
+    );
 }
 
 #[test]
@@ -432,38 +411,24 @@ fn ping_pong_hammer_loses_no_wake() {
     // Every hand-off is a real two-thread baton exchange, not a self-wake: a
     // lost or duplicated wake hangs the run or trips a clock.
     const TRIPS: u64 = 200_000;
-    for direct in REGIMES {
-        let out = sim_in(direct, 2).run(|ctx| {
-            let peer = 1 - ctx.me();
-            for i in 0..TRIPS {
-                if ctx.me() == 0 {
-                    ctx.send(peer, 8, DeliveryClass::App, i, Arc::new(()));
-                    ctx.recv();
-                } else {
-                    ctx.recv();
-                    ctx.send(peer, 8, DeliveryClass::App, i, Arc::new(()));
-                }
+    let out = sim_of(2).run(|ctx| {
+        let peer = 1 - ctx.me();
+        for i in 0..TRIPS {
+            if ctx.me() == 0 {
+                ctx.send(peer, 8, DeliveryClass::App, i, Arc::new(()));
+                ctx.recv();
+            } else {
+                ctx.recv();
+                ctx.send(peer, 8, DeliveryClass::App, i, Arc::new(()));
             }
-        });
-        assert_eq!(
-            out.proc_end[0],
-            SimTime(2 * TRIPS * LAT.0),
-            "direct handoff {direct}"
-        );
-        assert_eq!(
-            out.proc_end[1],
-            SimTime((2 * TRIPS - 1) * LAT.0),
-            "direct handoff {direct}"
-        );
-        // Two start-up wakes plus one per delivery, however they were routed.
-        assert_eq!(
-            out.handoff.total(),
-            2 + 2 * TRIPS,
-            "direct handoff {direct}"
-        );
-        // Only proc 1's very first `recv` can pop its own delivery.
-        assert!(out.handoff.self_wakes <= 1, "direct handoff {direct}");
-    }
+        }
+    });
+    assert_eq!(out.proc_end[0], SimTime(2 * TRIPS * LAT.0));
+    assert_eq!(out.proc_end[1], SimTime((2 * TRIPS - 1) * LAT.0));
+    // Two start-up wakes plus one per delivery.
+    assert_eq!(out.handoff.total(), 2 + 2 * TRIPS);
+    // Only proc 1's very first `recv` can pop its own delivery.
+    assert!(out.handoff.self_wakes <= 1);
 }
 
 #[test]
@@ -471,22 +436,13 @@ fn lockstep_hammer_loses_no_wake() {
     // Eight processes resume at the same instant every slice, so the baton
     // goes round the whole ring once per microsecond of virtual time.
     const SLICES: u64 = 50_000;
-    for direct in REGIMES {
-        let out = sim_in(direct, 8).run(|ctx| {
-            for _ in 0..SLICES {
-                ctx.compute(SimDuration::from_micros(1));
-            }
-        });
-        assert!(
-            out.proc_end.iter().all(|&t| t == SimTime(SLICES * 1_000)),
-            "direct handoff {direct}"
-        );
-        assert_eq!(
-            out.handoff.total(),
-            8 + 8 * SLICES,
-            "direct handoff {direct}"
-        );
-    }
+    let out = sim_of(8).run(|ctx| {
+        for _ in 0..SLICES {
+            ctx.compute(SimDuration::from_micros(1));
+        }
+    });
+    assert!(out.proc_end.iter().all(|&t| t == SimTime(SLICES * 1_000)));
+    assert_eq!(out.handoff.total(), 8 + 8 * SLICES);
 }
 
 #[test]
@@ -494,38 +450,88 @@ fn deadlock_with_64_parked_threads_unwinds_every_one() {
     // Half the processes time out and finish; the other half wait forever.
     // Returning from `run` at all proves every thread was handed its baton
     // and joined (the threads are scoped).
-    for direct in REGIMES {
-        let msg = panic_message(sim_in(direct, 64), |ctx| {
-            if ctx.me() % 2 == 0 {
-                ctx.recv();
-            } else {
-                assert!(ctx.recv_timeout(SimDuration::from_millis(1)).is_none());
-            }
-        });
-        assert!(msg.contains("deadlocked"), "direct handoff {direct}: {msg}");
-    }
+    let msg = panic_message(sim_of(64), |ctx| {
+        if ctx.me() % 2 == 0 {
+            ctx.recv();
+        } else {
+            assert!(ctx.recv_timeout(SimDuration::from_millis(1)).is_none());
+        }
+    });
+    assert!(msg.contains("deadlocked"), "{msg}");
 }
 
 #[test]
 fn a_panic_among_63_parked_threads_keeps_its_payload() {
-    for direct in REGIMES {
-        let msg = panic_message(sim_in(direct, 64), |ctx| {
-            if ctx.me() == 37 {
-                ctx.compute(SimDuration::from_millis(1));
-                panic!("boom from 37");
-            }
-            ctx.recv();
-        });
-        assert_eq!(msg, "boom from 37", "direct handoff {direct}");
-    }
+    let msg = panic_message(sim_of(64), |ctx| {
+        if ctx.me() == 37 {
+            ctx.compute(SimDuration::from_millis(1));
+            panic!("boom from 37");
+        }
+        ctx.recv();
+    });
+    assert_eq!(msg, "boom from 37");
 }
 
-// ---- Direct handoff is invisible under an order-sensitive network ----
+// ---- The run ends at the last exit ----
+
+#[test]
+fn a_svc_packet_in_flight_at_the_last_exit_never_runs_its_handler() {
+    let runs = Arc::new(AtomicU64::new(0));
+    let mut sim = sim_of(2);
+    let counted = runs.clone();
+    sim.set_handler(
+        1,
+        Box::new(move |_, _| {
+            counted.fetch_add(1, Ordering::Relaxed);
+        }),
+    );
+    let tracer = Arc::new(Tracer::new(1 << 10));
+    sim.set_tracer(tracer.clone());
+    let out = sim.run(|ctx| {
+        if ctx.me() == 0 {
+            // Arrives at 50us, after both processes have exited at 0.
+            ctx.send(1, 8, DeliveryClass::Svc, 7, Arc::new(()));
+        }
+    });
+    assert_eq!(out.end_time, SimTime::ZERO);
+    assert_eq!(runs.load(Ordering::Relaxed), 0, "the handler ran");
+    let events = tracer.take().events;
+    assert!(events
+        .iter()
+        .any(|e| matches!(e.kind, EventKind::NetSend { svc: true, .. })));
+    assert!(
+        !events
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::NetRecv { .. })),
+        "the packet was delivered after the last exit"
+    );
+}
+
+#[test]
+fn a_handler_panic_while_an_exiting_process_drains_ends_the_run_with_its_payload() {
+    // Proc 0 lets every other process block in `recv`, then sends a service
+    // request and exits: its own thread pops the delivery and runs the
+    // panicking handler. Returning from `run` at all proves the seven parked
+    // threads were released and joined.
+    let mut sim = sim_of(8);
+    sim.set_handler(1, Box::new(|_, _| panic!("handler boom on exit")));
+    let msg = panic_message(sim, |ctx| {
+        if ctx.me() == 0 {
+            ctx.compute(SimDuration::from_micros(1));
+            ctx.send(1, 8, DeliveryClass::Svc, 0, Arc::new(()));
+        } else {
+            ctx.recv();
+        }
+    });
+    assert_eq!(msg, "handler boom on exit");
+}
+
+// ---- Event order is pinned under an order-sensitive network ----
 
 /// A deterministic model whose delivery times depend on *route call order*
 /// (`sent` feeds a jitter term) and on the destination's delivery backlog:
-/// two schedulers agree on its output only if they route every send in the
-/// same order with the same backlog counts.
+/// a run reproduces its output only if it routes every send in the same
+/// order with the same backlog counts.
 struct JitterNet {
     sent: u64,
     bytes: u64,
@@ -561,13 +567,34 @@ struct Artifacts {
     net: (u64, u64),
 }
 
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+impl Artifacts {
+    /// One digest per field, in declaration order.
+    fn digests(&self) -> [u64; 6] {
+        let proc_end: Vec<u64> = self.proc_end.iter().map(|t| t.nanos()).collect();
+        [
+            fnv1a(format!("{:?}", self.results).as_bytes()),
+            fnv1a(format!("{proc_end:?}").as_bytes()),
+            fnv1a(self.proc_times.as_bytes()),
+            fnv1a(self.trace_json.as_bytes()),
+            fnv1a(self.causal.as_bytes()),
+            fnv1a(format!("{:?}", self.net).as_bytes()),
+        ]
+    }
+}
+
 /// Request/reply over service handlers with loopback self-sends, futile
 /// timeouts (live + stale timers), and order-sensitive network timing, on
 /// eight processes.
-fn jitter_run(direct_handoff: bool) -> Artifacts {
+fn jitter_run() -> Artifacts {
     const N: usize = 8;
     let mut sim = Sim::new(N, Box::new(JitterNet { sent: 0, bytes: 0 }));
-    sim.set_direct_handoff(direct_handoff);
     for p in 0..N {
         sim.set_handler(
             p,
@@ -638,16 +665,22 @@ fn jitter_run(direct_handoff: bool) -> Artifacts {
     }
 }
 
+/// `Artifacts::digests` of `jitter_run`, recorded when the kernel could
+/// still route every wake-up through a controller thread and both
+/// schedules produced these same digests.
+const JITTER_DIGESTS: [u64; 6] = [
+    0x5e13_a6ff_6404_9df1,
+    0x0d91_36ff_fbe4_f01f,
+    0x17a5_eab6_6daa_6f8f,
+    0xbf21_9dc4_6687_417a,
+    0x178b_e260_9c6a_3465,
+    0xde2e_fb64_76b1_8d10,
+];
+
 #[test]
-fn direct_handoff_on_and_off_agree_under_an_order_sensitive_net() {
-    let on = jitter_run(true);
-    assert!(on.trace_json.len() > 1_000, "the run must have traced");
-    assert!(on.net.0 > 0, "the run must have routed");
-    let off = jitter_run(false);
-    assert_eq!(on.results, off.results);
-    assert_eq!(on.proc_end, off.proc_end);
-    assert_eq!(on.proc_times, off.proc_times);
-    assert_eq!(on.net, off.net);
-    assert!(on.trace_json == off.trace_json, "trace JSON differs");
-    assert!(on.causal == off.causal, "causal log differs");
+fn an_order_sensitive_net_reproduces_its_recorded_digests() {
+    let run = jitter_run();
+    assert!(run.trace_json.len() > 1_000, "the run must have traced");
+    assert!(run.net.0 > 0, "the run must have routed");
+    assert_eq!(run.digests(), JITTER_DIGESTS);
 }

@@ -92,7 +92,7 @@ impl Tracer {
         Trace { events, evicted }
     }
 
-    /// Copy everything recorded so far without draining.
+    /// Copy everything recorded so far, leaving the ring as it is.
     pub fn snapshot(&self) -> Trace {
         let ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
         let mut events = ring.buf.clone();
