@@ -370,67 +370,109 @@ fn crit_cell_value(c: &CritCell) -> Value {
 /// Compare one candidate document against its baseline; returns one message
 /// per violation (empty = pass). Candidate cells absent from the baseline
 /// are allowed (new tables extend coverage without invalidating old
-/// baselines); baseline cells absent from the candidate fail.
+/// baselines); baseline cells absent from the candidate fail, and so does
+/// any cell of either document whose key is unreadable or repeated.
 ///
 /// `BENCH_critpath.json` documents (schema [`CRITPATH_SCHEMA`]) use their
 /// own rules: exact `cp_segments`, and every `*_ns` field within
 /// [`TIME_DRIFT_PCT`] percent of the baseline *makespan* (so zero-valued
 /// components have a well-defined budget too).
 pub fn compare(app: &str, baseline: &Value, candidate: &Value) -> Vec<String> {
-    if baseline.get("schema").and_then(Value::as_str) == Some(CRITPATH_SCHEMA) {
-        return compare_critpath(app, baseline, candidate);
-    }
+    gate(app, baseline, candidate).1
+}
+
+/// [`compare`], also returning how many baseline cells were compared.
+fn gate(app: &str, baseline: &Value, candidate: &Value) -> (usize, Vec<String>) {
+    let critpath = baseline.get("schema").and_then(Value::as_str) == Some(CRITPATH_SCHEMA);
     let mut errors = Vec::new();
-    let cells_of = |v: &Value| -> BTreeMap<String, Value> {
-        v.get("cells")
-            .and_then(Value::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(|c| {
-                let key = cell_key(
-                    c.get("table")?.as_str()?,
-                    c.get("variant")?.as_str()?,
-                    c.get("protocol")?.as_str()?,
-                    c.get("nprocs")?.as_usize()?,
-                );
-                Some((key, c.clone()))
-            })
-            .collect()
-    };
-    let base = cells_of(baseline);
-    let cand = cells_of(candidate);
+    let base = cells_by_key(app, "baseline", baseline, critpath, &mut errors);
+    let cand = cells_by_key(app, "candidate", candidate, critpath, &mut errors);
     if base.is_empty() {
         errors.push(format!("{app}: baseline has no readable cells"));
     }
+    let mut compared = 0;
     for (key, b) in &base {
         let Some(c) = cand.get(key) else {
             errors.push(format!("{app}/{key}: cell missing from candidate"));
             continue;
         };
-        let int_of = |v: &Value, field: &str| v.get(field).and_then(Value::as_u64);
-        match (int_of(b, "time_ns"), int_of(c, "time_ns")) {
-            (Some(bt), Some(ct)) if bt > 0 => {
-                let drift = (ct as f64 - bt as f64).abs() * 100.0 / bt as f64;
-                if drift > TIME_DRIFT_PCT {
-                    errors.push(format!(
-                        "{app}/{key}: time_ns drifted {drift:.2}% \
-                         (baseline {bt}, candidate {ct}, limit {TIME_DRIFT_PCT}%)"
-                    ));
-                }
-            }
-            _ => errors.push(format!("{app}/{key}: unreadable time_ns")),
+        compared += 1;
+        let at = format!("{app}/{key}");
+        match critpath {
+            true => compare_critpath_cell(&at, b, c, &mut errors),
+            false => compare_cell(&at, b, c, &mut errors),
         }
-        for field in EXACT_KEYS {
-            match (int_of(b, field), int_of(c, field)) {
-                (Some(bv), Some(cv)) if bv == cv => {}
-                (Some(bv), Some(cv)) => errors.push(format!(
-                    "{app}/{key}: {field} changed from {bv} to {cv} (must match exactly)"
-                )),
-                _ => errors.push(format!("{app}/{key}: unreadable {field}")),
+    }
+    (compared, errors)
+}
+
+/// The cells of one document by key. A cell whose key fields are
+/// unreadable, or whose key repeats an earlier cell's, is reported rather
+/// than dropped or overwritten: the gate never loses a cell silently.
+fn cells_by_key<'v>(
+    app: &str,
+    which: &str,
+    doc: &'v Value,
+    critpath: bool,
+    errors: &mut Vec<String>,
+) -> BTreeMap<String, &'v Value> {
+    // Critpath cells span every application in one document, so their key
+    // carries the cell's own `app` field (the document-level `app` is the
+    // artifact name, "critpath").
+    let key_of = |c: &Value| -> Option<String> {
+        let key = cell_key(
+            c.get("table")?.as_str()?,
+            c.get("variant")?.as_str()?,
+            c.get("protocol")?.as_str()?,
+            c.get("nprocs")?.as_usize()?,
+        );
+        match critpath {
+            true => Some(format!("{}/{key}", c.get("app")?.as_str()?)),
+            false => Some(key),
+        }
+    };
+    let mut cells = BTreeMap::new();
+    let all = doc.get("cells").and_then(Value::as_arr).unwrap_or(&[]);
+    for (i, c) in all.iter().enumerate() {
+        match key_of(c) {
+            None => errors.push(format!("{app}: {which} cell {i} has an unreadable key")),
+            Some(key) if cells.contains_key(&key) => {
+                errors.push(format!("{app}/{key}: duplicate {which} cell {i}"))
+            }
+            Some(key) => {
+                cells.insert(key, c);
             }
         }
     }
-    errors
+    cells
+}
+
+fn int_of(v: &Value, field: &str) -> Option<u64> {
+    v.get(field).and_then(Value::as_u64)
+}
+
+fn compare_cell(at: &str, b: &Value, c: &Value, errors: &mut Vec<String>) {
+    match (int_of(b, "time_ns"), int_of(c, "time_ns")) {
+        (Some(bt), Some(ct)) if bt > 0 => {
+            let drift = (ct as f64 - bt as f64).abs() * 100.0 / bt as f64;
+            if drift > TIME_DRIFT_PCT {
+                errors.push(format!(
+                    "{at}: time_ns drifted {drift:.2}% \
+                     (baseline {bt}, candidate {ct}, limit {TIME_DRIFT_PCT}%)"
+                ));
+            }
+        }
+        _ => errors.push(format!("{at}: unreadable time_ns")),
+    }
+    for field in EXACT_KEYS {
+        match (int_of(b, field), int_of(c, field)) {
+            (Some(bv), Some(cv)) if bv == cv => {}
+            (Some(bv), Some(cv)) => errors.push(format!(
+                "{at}: {field} changed from {bv} to {cv} (must match exactly)"
+            )),
+            _ => errors.push(format!("{at}: unreadable {field}")),
+        }
+    }
 }
 
 /// The `*_ns` decomposition fields of a critpath cell. Each is allowed to
@@ -452,75 +494,39 @@ const CRITPATH_NS_KEYS: [&str; 12] = [
     "flush_wait_ns",
 ];
 
-fn compare_critpath(app: &str, baseline: &Value, candidate: &Value) -> Vec<String> {
-    let mut errors = Vec::new();
-    // Critpath cells span every application in one document, so the key
-    // carries the cell's own `app` field (the document-level `app` is the
-    // artifact name, "critpath").
-    let cells_of = |v: &Value| -> BTreeMap<String, Value> {
-        v.get("cells")
-            .and_then(Value::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(|c| {
-                let key = format!(
-                    "{}/{}",
-                    c.get("app")?.as_str()?,
-                    cell_key(
-                        c.get("table")?.as_str()?,
-                        c.get("variant")?.as_str()?,
-                        c.get("protocol")?.as_str()?,
-                        c.get("nprocs")?.as_usize()?,
-                    )
-                );
-                Some((key, c.clone()))
-            })
-            .collect()
+fn compare_critpath_cell(at: &str, b: &Value, c: &Value, errors: &mut Vec<String>) {
+    let Some(makespan) = int_of(b, "makespan_ns") else {
+        errors.push(format!("{at}: unreadable makespan_ns"));
+        return;
     };
-    let base = cells_of(baseline);
-    let cand = cells_of(candidate);
-    if base.is_empty() {
-        errors.push(format!("{app}: baseline has no readable cells"));
+    let budget_ns = makespan as f64 * TIME_DRIFT_PCT / 100.0;
+    match (int_of(b, "cp_segments"), int_of(c, "cp_segments")) {
+        (Some(bv), Some(cv)) if bv == cv => {}
+        (Some(bv), Some(cv)) => errors.push(format!(
+            "{at}: cp_segments changed from {bv} to {cv} (must match exactly)"
+        )),
+        _ => errors.push(format!("{at}: unreadable cp_segments")),
     }
-    for (key, b) in &base {
-        let Some(c) = cand.get(key) else {
-            errors.push(format!("{app}/{key}: cell missing from candidate"));
-            continue;
-        };
-        let int_of = |v: &Value, field: &str| v.get(field).and_then(Value::as_u64);
-        let Some(makespan) = int_of(b, "makespan_ns") else {
-            errors.push(format!("{app}/{key}: unreadable makespan_ns"));
-            continue;
-        };
-        let budget_ns = makespan as f64 * TIME_DRIFT_PCT / 100.0;
-        match (int_of(b, "cp_segments"), int_of(c, "cp_segments")) {
-            (Some(bv), Some(cv)) if bv == cv => {}
-            (Some(bv), Some(cv)) => errors.push(format!(
-                "{app}/{key}: cp_segments changed from {bv} to {cv} (must match exactly)"
-            )),
-            _ => errors.push(format!("{app}/{key}: unreadable cp_segments")),
-        }
-        for field in CRITPATH_NS_KEYS {
-            match (int_of(b, field), int_of(c, field)) {
-                (Some(bv), Some(cv)) => {
-                    let drift = (cv as f64 - bv as f64).abs();
-                    if drift > budget_ns {
-                        errors.push(format!(
-                            "{app}/{key}: {field} drifted {drift:.0}ns \
-                             (baseline {bv}, candidate {cv}, \
-                             budget {budget_ns:.0}ns = {TIME_DRIFT_PCT}% of makespan)"
-                        ));
-                    }
+    for field in CRITPATH_NS_KEYS {
+        match (int_of(b, field), int_of(c, field)) {
+            (Some(bv), Some(cv)) => {
+                let drift = (cv as f64 - bv as f64).abs();
+                if drift > budget_ns {
+                    errors.push(format!(
+                        "{at}: {field} drifted {drift:.0}ns \
+                         (baseline {bv}, candidate {cv}, \
+                         budget {budget_ns:.0}ns = {TIME_DRIFT_PCT}% of makespan)"
+                    ));
                 }
-                _ => errors.push(format!("{app}/{key}: unreadable {field}")),
             }
+            _ => errors.push(format!("{at}: unreadable {field}")),
         }
     }
-    errors
 }
 
 /// Compare every `BENCH_*.json` in `baseline_dir` against the same-named
-/// file in `candidate_dir`. Returns `(cells compared, violations)`.
+/// file in `candidate_dir`. Returns `(cells compared, violations)`: a
+/// baseline cell counts only if it was found in its candidate and checked.
 pub fn compare_dirs(baseline_dir: &Path, candidate_dir: &Path) -> (usize, Vec<String>) {
     let mut errors = Vec::new();
     let mut compared = 0;
@@ -560,8 +566,9 @@ pub fn compare_dirs(baseline_dir: &Path, candidate_dir: &Path) -> (usize, Vec<St
         };
         match (read(baseline_dir), read(candidate_dir)) {
             (Ok(b), Ok(c)) => {
-                compared += b.get("cells").and_then(Value::as_arr).map_or(0, <[_]>::len);
-                errors.extend(compare(&app, &b, &c));
+                let (n, errs) = gate(&app, &b, &c);
+                compared += n;
+                errors.extend(errs);
             }
             (b, c) => errors.extend([b.err(), c.err()].into_iter().flatten()),
         }
@@ -811,6 +818,75 @@ mod tests {
             errs.iter().any(|e| e.contains("missing from candidate")),
             "{errs:?}"
         );
+    }
+
+    /// `doc` with `edit` applied to its cell list.
+    fn edit_cells(doc: &Value, edit: impl FnOnce(&mut Vec<Value>)) -> Value {
+        let Value::Obj(mut fields) = doc.clone() else {
+            panic!("a metrics document is an object")
+        };
+        match fields.iter_mut().find(|(k, _)| k == "cells") {
+            Some((_, Value::Arr(cells))) => edit(cells),
+            _ => panic!("a metrics document has a cell list"),
+        }
+        Value::Obj(fields)
+    }
+
+    /// `cell` with `field` replaced by `value`, or removed for `None`.
+    fn set_field(cell: &mut Value, field: &str, value: Option<Value>) {
+        let Value::Obj(fields) = cell else {
+            panic!("a cell is an object")
+        };
+        fields.retain(|(k, _)| k != field);
+        fields.extend(value.map(|v| (field.to_string(), v)));
+    }
+
+    #[test]
+    fn corrupt_baseline_cells_are_reported_not_dropped() {
+        let sink = sink_with(&[
+            ("table1", "is", "trad", "lrc_d", 4, stats(1_000_000, 50, 3)),
+            ("table1", "is", "vopp", "vc_sd", 4, stats(900_000, 40, 0)),
+        ]);
+        let doc = &sink.to_documents()["is"];
+        assert_eq!(gate("is", doc, doc), (2, Vec::new()));
+
+        // A cell without `nprocs` has no key: reported, and not counted.
+        let keyless = edit_cells(doc, |cells| set_field(&mut cells[0], "nprocs", None));
+        let (compared, errs) = gate("is", &keyless, doc);
+        assert_eq!(compared, 1);
+        assert_eq!(errs, ["is: baseline cell 0 has an unreadable key"]);
+
+        // A repeated key is reported, not silently overwritten.
+        let dup = edit_cells(doc, |cells| cells.push(cells[1].clone()));
+        let (compared, errs) = gate("is", &dup, doc);
+        assert_eq!(compared, 2);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].contains("duplicate baseline cell 2"), "{errs:?}");
+
+        // A time that is not an integer cannot pass the time gate.
+        let text_time = edit_cells(doc, |cells| {
+            set_field(&mut cells[0], "time_ns", Some(str("1000000")))
+        });
+        let errs = compare("is", &text_time, doc);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].ends_with("unreadable time_ns"), "{errs:?}");
+    }
+
+    #[test]
+    fn a_truncated_baseline_file_is_a_violation() {
+        let base = std::env::temp_dir().join(format!("vopp-metrics-trunc-{}", std::process::id()));
+        let (a, b) = (base.join("a"), base.join("b"));
+        let sink = sink_with(&[("table1", "is", "trad", "lrc_d", 4, stats(1_000_000, 50, 3))]);
+        sink.write_all(&a).unwrap();
+        sink.write_all(&b).unwrap();
+        let path = a.join("BENCH_is.json");
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, &text[..text.len() / 2]).unwrap();
+        let (compared, errors) = compare_dirs(&a, &b);
+        assert_eq!(compared, 0);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains("is not JSON"), "{errors:?}");
+        std::fs::remove_dir_all(&base).ok();
     }
 
     #[test]

@@ -1,18 +1,17 @@
 //! The per-node programming interface.
 //!
 //! [`DsmCtx`] is what application code sees: shared-memory accessors, the
-//! traditional lock/barrier API (LRC programs) and the VOPP view primitives
-//! (`acquire_view` / `release_view` / `acquire_rview` / `release_rview` /
-//! `merge_views`, paper §2).
+//! barrier, the traditional lock API (LRC programs) and the VOPP view
+//! primitives (`acquire_view` / `release_view` / `acquire_rview` /
+//! `release_rview` / `merge_views`, paper §2).
 //!
-//! Under the VC protocols the context *enforces* the VOPP discipline at run
-//! time: shared memory may only be read inside a held (read or write) view
-//! and written inside the held write view, write views do not nest, and a
-//! release must only have dirtied pages of the released view. Violations
-//! panic with a diagnostic — programming errors, not recoverable states.
+//! This file holds what every protocol shares: CPU accounting, the one
+//! round trip, the one interval close, the one fault path and the one
+//! memory-access path, and the racecheck hooks. The lock API and the view
+//! primitives are implemented per family, in `protocol/lrc.rs` and
+//! `protocol/vc.rs`.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -29,8 +28,9 @@ use vopp_trace::{CausalProfiler, OpKind, OpSpan};
 
 use crate::cost::{CostModel, CpuDebt};
 use crate::layout::{Layout, ViewId};
-use crate::msg::{AccessMode, Req, Resp};
-use crate::node::{NodeState, PageDiffs, PendingFetch, Protocol};
+use crate::msg::{Req, Resp};
+use crate::node::{NodeState, PageDiffs, PendingFetch};
+use crate::protocol::{Family, PageSource, Protocol};
 
 /// How an access through [`DsmCtx::bulk`] touches shared memory.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -43,16 +43,16 @@ enum Access {
 
 /// The application-side handle to one DSM node.
 pub struct DsmCtx<'a> {
-    sim: AppCtx<'a>,
-    node: Arc<Mutex<NodeState>>,
+    pub(crate) sim: AppCtx<'a>,
+    pub(crate) node: Arc<Mutex<NodeState>>,
     rpc: RefCell<RpcClient>,
-    debt: CpuDebt,
-    cost: CostModel,
-    layout: Arc<Layout>,
-    protocol: Protocol,
+    pub(crate) debt: CpuDebt,
+    pub(crate) cost: CostModel,
+    pub(crate) layout: Arc<Layout>,
+    pub(crate) protocol: Protocol,
     next_barrier: Cell<u32>,
     barrier_timeout: SimDuration,
-    auto_views: Cell<bool>,
+    pub(crate) auto_views: Cell<bool>,
     rc: Option<Arc<RaceChecker>>,
     /// Causal profiler of this run, cached off the kernel so the hot paths
     /// pay one pointer test. When set, every flush and blocking wait also
@@ -161,55 +161,12 @@ impl<'a> DsmCtx<'a> {
         let d = until - now;
         self.sim.sleep(d);
         let ns = d.nanos();
-        self.node
-            .lock()
-            .stats
-            .metrics
-            .breakdown
-            .charge(Phase::Idle, ns);
-        if let Some(prof) = &self.causal {
-            prof.record_op(
-                self.me(),
-                OpSpan {
-                    lo_ns: now.nanos(),
-                    hi_ns: until.nanos(),
-                    op: OpKind::Idle,
-                    obj: 0,
-                    app_ns: 0,
-                    overhead_ns: 0,
-                    diff_ns: 0,
-                },
-            );
-        }
+        let mut n = self.node.lock();
+        n.stats.metrics.breakdown.charge(Phase::Idle, ns);
+        drop(n);
+        self.annotate(now, until, OpKind::Idle, 0);
         ns
     }
-
-    /// Simulate a crash and restart of this node's DSM engine: volatile
-    /// state — page copies, pending invalidations, view-version knowledge —
-    /// is lost; durable state — the node's interval log and diff store (its
-    /// write-ahead log), the lamport clock, and any home/manager roles on
-    /// this node — survives. Recovery is lazy: the next `acquire_view`
-    /// reports version 0 and the home streams the full view history back,
-    /// reconstructing shard contents page by page.
-    ///
-    /// Only legal between requests (no held views, no unextracted writes)
-    /// and only modelled for the view protocols, whose homes keep the
-    /// per-view history recovery replays. Returns the number of page
-    /// buffers lost.
-    pub fn crash_recover(&self) -> u64 {
-        assert!(
-            self.protocol.is_vc(),
-            "crash/recovery is modelled for the view protocols only"
-        );
-        self.flush();
-        let dropped = self.node.lock().crash_volatile();
-        self.trace(EventKind::NodeCrash { pages: dropped });
-        dropped
-    }
-
-    // ---------------------------------------------------------------
-    // CPU accounting
-    // ---------------------------------------------------------------
 
     /// Charge `n` floating-point operations of compute.
     pub fn flops(&self, n: u64) {
@@ -234,7 +191,7 @@ impl<'a> DsmCtx<'a> {
     /// Flush accumulated CPU debt into the clock and attribute the advance:
     /// application work to [`Phase::Compute`], protocol charges to
     /// [`Phase::ProtoCpu`].
-    fn flush(&self) {
+    pub(crate) fn flush(&self) {
         let f = self.debt.flush(&self.sim);
         if f.total_ns() != 0 {
             let bd = &mut self.node.lock().stats.metrics.breakdown;
@@ -279,35 +236,39 @@ impl<'a> DsmCtx<'a> {
             _ => {}
         }
         drop(n);
-        if let Some(prof) = &self.causal {
-            let op = match phase {
-                Phase::BarrierWait => OpKind::Barrier,
-                Phase::AcquireWait => OpKind::Acquire,
-                Phase::DataWait => OpKind::Data,
-                Phase::SendWait => OpKind::Flush,
-                _ => OpKind::Other,
-            };
-            prof.record_op(
-                self.me(),
-                OpSpan {
-                    lo_ns: since.nanos(),
-                    hi_ns: now.nanos(),
-                    op,
-                    obj,
-                    app_ns: 0,
-                    overhead_ns: 0,
-                    diff_ns: 0,
-                },
-            );
-        }
+        let op = match phase {
+            Phase::BarrierWait => OpKind::Barrier,
+            Phase::AcquireWait => OpKind::Acquire,
+            Phase::DataWait => OpKind::Data,
+            Phase::SendWait => OpKind::Flush,
+            _ => OpKind::Other,
+        };
+        self.annotate(since, now, op, obj);
         waited
+    }
+
+    /// Record a span of protocol waiting or idling for critical-path blame,
+    /// when profiling.
+    fn annotate(&self, lo: SimTime, hi: SimTime, op: OpKind, obj: u64) {
+        if let Some(prof) = &self.causal {
+            let span = OpSpan {
+                lo_ns: lo.nanos(),
+                hi_ns: hi.nanos(),
+                op,
+                obj,
+                app_ns: 0,
+                overhead_ns: 0,
+                diff_ns: 0,
+            };
+            prof.record_op(self.me(), span);
+        }
     }
 
     /// One blocking round trip: send `req` to `to`, wait for the reply and
     /// charge the wait to `wait` (`obj` names what was waited for, as in
     /// [`DsmCtx::charge_wait`]). `timeout` replaces the transport's
     /// retransmission timeout for this call.
-    fn call(
+    pub(crate) fn call(
         &self,
         to: ProcId,
         req: Req,
@@ -332,7 +293,7 @@ impl<'a> DsmCtx<'a> {
     /// before the first reply is awaited, and the whole wait is charged once.
     /// The requests move straight into the transport; each reply is passed
     /// to `each`, in request order.
-    fn call_all(
+    pub(crate) fn call_all(
         &self,
         reqs: impl Iterator<Item = (ProcId, Req)>,
         wait: Phase,
@@ -353,12 +314,11 @@ impl<'a> DsmCtx<'a> {
 
     /// Close the current write interval: seal it (logging its record under
     /// the traditional protocols), then charge diff creation and flush.
-    /// Under HLRC the diffs are then flushed eagerly to their pages' home
-    /// nodes (and acknowledged) *before* any synchronization message is
-    /// sent — the flush-before-sync invariant that keeps home copies current
-    /// when invalidated readers fetch them. Returns the interval's id,
-    /// lamport time and diffs, or `None` if nothing was written.
-    fn close_interval(&self) -> Option<(IntervalId, u64, PageDiffs)> {
+    /// Under HLRC the diffs are then flushed to their pages' homes before
+    /// any synchronization message is sent ([`DsmCtx::flush_to_homes`]).
+    /// Returns the interval's id, lamport time and diffs, or `None` if
+    /// nothing was written.
+    pub(crate) fn close_interval(&self) -> Option<(IntervalId, u64, PageDiffs)> {
         let (id, lamport, diffs) = {
             let mut n = self.node.lock();
             let (id, diffs) = n.seal_interval()?;
@@ -367,32 +327,11 @@ impl<'a> DsmCtx<'a> {
         self.debt
             .add_overhead_diff(self.cost.diff_create * diffs.len() as u64);
         self.flush();
-        if self.protocol == Protocol::Hlrc {
-            let mut groups: BTreeMap<ProcId, Vec<_>> = BTreeMap::new();
-            let n = self.node.lock();
-            for (p, d) in diffs.iter() {
-                let home = n.page_home(*p);
-                // The home's own pages are already current locally.
-                if home != n.me {
-                    groups.entry(home).or_default().push((*p, d.clone()));
-                }
-            }
-            drop(n);
-            if !groups.is_empty() {
-                let flushes = groups
-                    .into_iter()
-                    .map(|(home, items)| (home, Req::HomeFlush { items }));
-                self.call_all(flushes, Phase::SendWait, 0, |resp| {
-                    assert!(matches!(resp, Resp::Ack));
-                });
-            }
+        if self.protocol.page_source() == PageSource::Home {
+            self.flush_to_homes(&diffs);
         }
         Some((id, lamport, diffs))
     }
-
-    // ---------------------------------------------------------------
-    // Synchronization: barrier
-    // ---------------------------------------------------------------
 
     /// Global barrier. Under LRC this also performs (centralized)
     /// consistency maintenance; under VC it only synchronizes (paper §3.2).
@@ -407,21 +346,24 @@ impl<'a> DsmCtx<'a> {
             // node's enter is ordered before any node's exit.
             rc.barrier_enter(self.me(), episode);
         }
-        let (records, vt) = if self.protocol.is_lrc_family() {
-            self.close_interval();
-            let mut n = self.node.lock();
-            (n.delta_for_home(0), n.logged_vt.clone())
-        } else {
-            // Undisciplined writes (already reported by the checker) are
-            // reverted here so they can never leak past a barrier.
-            self.rc_discard_undisciplined();
-            let n = self.node.lock();
-            assert!(
-                n.mem.dirty_pages().is_empty(),
-                "proc {}: barrier with unreleased view modifications",
-                n.me
-            );
-            (Vec::new(), VTime::zero(0))
+        let (records, vt) = match self.protocol.family() {
+            Family::Lrc => {
+                self.close_interval();
+                let mut n = self.node.lock();
+                (n.delta_for_home(0), n.logged_vt.clone())
+            }
+            Family::Vc => {
+                // Undisciplined writes (already reported by the checker) are
+                // reverted here so they can never leak past a barrier.
+                self.rc_discard_undisciplined();
+                let n = self.node.lock();
+                assert!(
+                    n.mem.dirty_pages().is_empty(),
+                    "proc {}: barrier with unreleased view modifications",
+                    n.me
+                );
+                (Vec::new(), VTime::zero(0))
+            }
         };
         self.trace(EventKind::BarrierEnter {
             id: 0,
@@ -433,62 +375,39 @@ impl<'a> DsmCtx<'a> {
             vt,
         };
         let timeout = Some(self.barrier_timeout);
-        match self.call(0, req, Phase::BarrierWait, 0, timeout) {
-            Resp::BarrierRelease {
-                records,
-                vt,
-                lamport,
-            } => {
-                let notices = records.len() as u64;
-                let fresh = self.fresh_lrc_notices(&records);
-                {
-                    let mut n = self.node.lock();
-                    if self.protocol.is_lrc_family() {
-                        n.absorb_lrc_grant(&records, &vt, lamport);
-                        let lv = vt.clone();
-                        n.note_home_knows(0, &lv);
-                    } else {
-                        n.lamport_sync(lamport);
-                    }
-                    n.stats.barriers += 1;
-                    n.stats.barrier_wait_ns += (self.sim.now() - t0).nanos();
-                }
-                self.emit_notices(fresh, 0);
-                self.trace(EventKind::BarrierExit {
-                    id: 0,
-                    epoch: episode as u64,
-                    notices,
-                });
-                if let Some(rc) = self.rc_hb() {
-                    rc.barrier_exit(self.me(), episode);
-                }
-            }
-            other => panic!("barrier got unexpected reply {other:?}"),
+        let Resp::BarrierRelease {
+            records,
+            vt,
+            lamport,
+        } = self.call(0, req, Phase::BarrierWait, 0, timeout)
+        else {
+            panic!("barrier got an unexpected reply")
+        };
+        let notices = records.len() as u64;
+        let fresh = self.fresh_lrc_notices(&records);
+        {
+            // A VC release carries no records and an empty `vt`, so
+            // absorbing it only syncs the lamport clock.
+            let mut n = self.node.lock();
+            n.absorb_lrc_grant(&records, &vt, lamport);
+            let lv = vt.clone();
+            n.note_home_knows(0, &lv);
+            n.stats.barriers += 1;
+            n.stats.barrier_wait_ns += (self.sim.now() - t0).nanos();
         }
-    }
-
-    /// The subset of grant `records` this node has not yet logged, as
-    /// `(owner, seq, pages)` triples for [`EventKind::WriteNoticeApply`]
-    /// events. Empty when tracing is off. Filtering against the pre-merge
-    /// log keeps each `(scope, owner)` notice series strictly increasing
-    /// even when a duplicate grant re-sends known records.
-    fn fresh_lrc_notices(
-        &self,
-        records: &[Arc<vopp_page::IntervalRecord>],
-    ) -> Vec<(ProcId, u64, u64)> {
-        if !self.tracing() || records.is_empty() {
-            return Vec::new();
+        self.emit_notices(fresh, 0);
+        self.trace(EventKind::BarrierExit {
+            id: 0,
+            epoch: episode as u64,
+            notices,
+        });
+        if let Some(rc) = self.rc_hb() {
+            rc.barrier_exit(self.me(), episode);
         }
-        let n = self.node.lock();
-        records
-            .iter()
-            .filter(|r| r.id.seq > n.logged_vt.get(r.id.owner))
-            .map(|r| (r.id.owner, r.id.seq as u64, r.pages.len() as u64))
-            .collect()
     }
 
     /// Emit one [`EventKind::WriteNoticeApply`] per freshly absorbed record.
-    fn emit_notices(&self, fresh: Vec<(ProcId, u64, u64)>, scope: u64) {
+    pub(crate) fn emit_notices(&self, fresh: Vec<(ProcId, u64, u64)>, scope: u64) {
         for (owner, seq, pages) in fresh {
             self.trace(EventKind::WriteNoticeApply {
                 owner,
@@ -499,584 +418,19 @@ impl<'a> DsmCtx<'a> {
         }
     }
 
-    // ---------------------------------------------------------------
-    // Synchronization: traditional locks (LRC programs)
-    // ---------------------------------------------------------------
-
-    /// Acquire lock `lock` (traditional API; LRC/HLRC/ScC).
-    ///
-    /// Under Scope Consistency the grant enforces only the updates made
-    /// under this lock's scope (paper §4); under the LRC family it enforces
-    /// everything the grantor knows.
-    pub fn lock_acquire(&self, lock: u32) {
-        assert!(
-            self.protocol.is_lrc_family(),
-            "locks belong to the traditional API; VOPP programs use views"
-        );
-        if self.protocol == Protocol::ScC {
-            return self.scc_lock_acquire(lock);
-        }
-        self.flush();
-        let t0 = self.sim.now();
-        self.trace(EventKind::LockAcquireStart { lock: lock as u64 });
-        self.close_interval();
-        let (home, vt) = {
-            let n = self.node.lock();
-            (n.lock_home(lock), n.logged_vt.clone())
-        };
-        let req = Req::LockAcquire { lock, vt };
-        match self.call(home, req, Phase::AcquireWait, lock as u64, None) {
-            Resp::LockGrant {
-                records,
-                vt,
-                lamport,
-            } => {
-                let fresh = self.fresh_lrc_notices(&records);
-                {
-                    let mut n = self.node.lock();
-                    n.absorb_lrc_grant(&records, &vt, lamport);
-                    let lv = vt.clone();
-                    n.note_home_knows(home, &lv);
-                    n.stats.acquires += 1;
-                    n.stats.acquire_wait_ns += (self.sim.now() - t0).nanos();
-                }
-                self.emit_notices(fresh, 0);
-                self.trace(EventKind::LockAcquireEnd { lock: lock as u64 });
-                if let Some(rc) = self.rc_hb() {
-                    rc.lock_acquired(self.me(), lock);
-                }
-            }
-            other => panic!("lock_acquire got unexpected reply {other:?}"),
-        }
-    }
-
-    /// Release lock `lock`, pushing this node's new interval records to the
-    /// lock home (LRC family) or publishing this scope's release record
-    /// (ScC).
-    pub fn lock_release(&self, lock: u32) {
-        assert!(self.protocol.is_lrc_family());
-        if self.protocol == Protocol::ScC {
-            return self.scc_lock_release(lock);
-        }
-        self.flush();
-        self.close_interval();
-        if let Some(rc) = self.rc_hb() {
-            // Publish this node's ordering before the release message: the
-            // home may grant the lock to a remote acquirer while this
-            // thread is still blocked on the Ack.
-            rc.lock_released(self.me(), lock);
-        }
-        let (home, records) = {
-            let mut n = self.node.lock();
-            let home = n.lock_home(lock);
-            (home, n.delta_for_home(home))
-        };
-        let req = Req::LockRelease { lock, records };
-        let resp = self.call(home, req, Phase::SendWait, lock as u64, None);
-        assert!(matches!(resp, Resp::Ack), "lock_release expects Ack");
-        self.trace(EventKind::LockRelease { lock: lock as u64 });
-    }
-
-    // ---------------------------------------------------------------
-    // Synchronization: Scope Consistency locks (related work, paper §4)
-    // ---------------------------------------------------------------
-
-    /// ScC acquire: the lock home sends the release records of *this scope*
-    /// newer than what this node has enforced; their pages are invalidated
-    /// and fetched on fault, exactly like a `VC_d` view grant — but the
-    /// scope's page set is dynamic (whatever its releases dirtied).
-    fn scc_lock_acquire(&self, lock: u32) {
-        self.flush();
-        let t0 = self.sim.now();
-        self.trace(EventKind::LockAcquireStart { lock: lock as u64 });
-        self.close_interval();
-        let (home, have) = {
-            let n = self.node.lock();
-            (
-                n.lock_home(lock),
-                n.lock_applied.get(&lock).copied().unwrap_or(0),
-            )
-        };
-        let req = Req::ViewAcquire {
-            view: lock,
-            mode: AccessMode::Write,
-            have,
-        };
-        match self.call(home, req, Phase::AcquireWait, lock as u64, None) {
-            Resp::ViewGrant {
-                records,
-                version,
-                lamport,
-                ..
-            } => {
-                let fresh: Vec<(ProcId, u64, u64)> = if self.tracing() {
-                    let n = self.node.lock();
-                    records
-                        .iter()
-                        .filter(|r| r.id.owner != n.me && !n.scoped_applied.contains(&r.id))
-                        .map(|r| (r.id.owner, r.id.seq as u64, r.pages.len() as u64))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                {
-                    let mut n = self.node.lock();
-                    n.scc_absorb(&records, lamport);
-                    let la = n.lock_applied.entry(lock).or_insert(0);
-                    *la = (*la).max(version);
-                    n.stats.acquires += 1;
-                    n.stats.acquire_wait_ns += (self.sim.now() - t0).nanos();
-                }
-                self.emit_notices(fresh, lock as u64 + 1);
-                self.trace(EventKind::LockAcquireEnd { lock: lock as u64 });
-                if let Some(rc) = self.rc_hb() {
-                    rc.lock_acquired(self.me(), lock);
-                }
-            }
-            other => panic!("scc lock_acquire got unexpected reply {other:?}"),
-        }
-    }
-
-    /// ScC release: close the interval (also logging it for the global
-    /// barrier merge) and publish its record under this lock's scope.
-    fn scc_lock_release(&self, lock: u32) {
-        self.flush();
-        if let Some(rc) = self.rc_hb() {
-            // As in `lock_release`: publish ordering before the message.
-            rc.lock_released(self.me(), lock);
-        }
-        let sealed = self.close_interval();
-        let (home, interval, lamport, pages) = {
-            let mut n = self.node.lock();
-            let home = n.lock_home(lock);
-            match sealed {
-                Some((id, lamport, diffs)) => {
-                    // This node's own release is already enforced locally.
-                    n.scoped_applied.insert(id);
-                    let pages = diffs.iter().map(|(p, _)| *p).collect();
-                    (home, Some(id), lamport, pages)
-                }
-                None => (home, None, n.lamport, Vec::new()),
-            }
-        };
-        let req = Req::ViewRelease {
-            view: lock,
-            mode: AccessMode::Write,
-            interval,
-            lamport,
-            pages,
-            diffs: Vec::new(),
-        };
-        match self.call(home, req, Phase::SendWait, lock as u64, None) {
-            Resp::ReleaseAck { version } => {
-                let mut n = self.node.lock();
-                let la = n.lock_applied.entry(lock).or_insert(0);
-                *la = (*la).max(version);
-            }
-            other => panic!("scc lock_release got unexpected reply {other:?}"),
-        }
-        self.trace(EventKind::LockRelease { lock: lock as u64 });
-    }
-
-    // ---------------------------------------------------------------
-    // Synchronization: VOPP view primitives
-    // ---------------------------------------------------------------
-
-    /// `acquire_view` (paper §2): gain exclusive access to view `v` and make
-    /// its content consistent. Not nestable.
-    pub fn acquire_view(&self, v: ViewId) {
-        self.acquire_view_mode(v, AccessMode::Write);
-    }
-
-    /// `acquire_Rview` (paper §2, §3.4): gain shared read access. Nestable;
-    /// concurrent readers are granted simultaneously.
-    pub fn acquire_rview(&self, v: ViewId) {
-        // Nested re-acquisition of an already-held read view is local.
-        {
-            let mut n = self.node.lock();
-            if let Some(c) = n.held_read.get_mut(&v) {
-                *c += 1;
-                return;
-            }
-        }
-        self.acquire_view_mode(v, AccessMode::Read);
-    }
-
-    fn acquire_view_mode(&self, v: ViewId, mode: AccessMode) {
-        assert!(
-            self.protocol.is_vc(),
-            "views require a VC protocol; traditional programs use locks/barriers"
-        );
-        self.flush();
-        let t0 = self.sim.now();
-        self.trace(EventKind::AcquireStart {
-            view: v as u64,
-            write: mode == AccessMode::Write,
-        });
-        let (home, have) = {
-            let n = self.node.lock();
-            if mode == AccessMode::Write {
-                assert!(
-                    n.held_write.is_none(),
-                    "proc {}: acquire_view({v}) while holding view {:?} — \
-                     acquire_view cannot be nested (paper §2)",
-                    n.me,
-                    n.held_write
-                );
-            }
-            assert!(
-                !(mode == AccessMode::Write && n.held_read.contains_key(&v)),
-                "proc {}: acquire_view({v}) while holding it as a read view",
-                n.me
-            );
-            (n.view_home(v), n.view_applied[v as usize])
-        };
-        if self.protocol == Protocol::VcRdma {
-            // Drop stale one-sided grant data left from a previous tenure
-            // of this view (a duplicate grant whose data landed after we
-            // moved on). Link FIFO guarantees any such straggler has landed
-            // by now: the release ack that ended the previous tenure
-            // travelled the same home→here link behind it.
-            let stale = crate::msg::rdma_grant_tag(v);
-            self.sim.purge_filter(|p| {
-                p.class == vopp_sim::DeliveryClass::OneSided && p.src == home && p.tag == stale
-            });
-        }
-        let req = Req::ViewAcquire {
-            view: v,
-            mode,
-            have,
-        };
-        // `call` times the wait from now, which is still `t0`.
-        match self.call(home, req, Phase::AcquireWait, v as u64, None) {
-            Resp::ViewGrant {
-                records,
-                diffs,
-                version,
-                lamport,
-            } => {
-                let diffs = if self.protocol == Protocol::VcRdma {
-                    debug_assert!(diffs.is_empty(), "VC_rdma grants carry no inline diffs");
-                    let tag = crate::msg::rdma_grant_tag(v);
-                    // The home wrote the view data one-sided ahead of this
-                    // reply, so FIFO has landed it already; an empty poll
-                    // therefore means the home had nothing to send, not
-                    // that the data is still in flight.
-                    let polled = match self.sim.poll_one_sided(home, tag) {
-                        Some(pkt) => pkt.expect::<Vec<(PageId, Diff)>>(),
-                        None => Vec::new(),
-                    };
-                    // A retransmitted acquire can leave a byte-identical
-                    // duplicate deposit behind the one we just consumed.
-                    self.sim.purge_filter(|p| {
-                        p.class == vopp_sim::DeliveryClass::OneSided
-                            && p.src == home
-                            && p.tag == tag
-                    });
-                    polled
-                } else {
-                    diffs
-                };
-                let napplied = diffs.len();
-                let grant_bytes: u64 = diffs
-                    .iter()
-                    .map(|(_, d)| d.wire_bytes() as u64)
-                    .sum::<u64>()
-                    + records.iter().map(|r| r.wire_bytes() as u64).sum::<u64>();
-                let fresh: Vec<(ProcId, u64, u64)> = if self.tracing() {
-                    records
-                        .iter()
-                        .map(|r| (r.id.owner, r.id.seq as u64, r.pages.len() as u64))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                let mut n = self.node.lock();
-                n.vc_absorb_grant(v, &records, &diffs, version, lamport);
-                match mode {
-                    AccessMode::Write => n.held_write = Some(v),
-                    AccessMode::Read => {
-                        n.held_read.insert(v, 1);
-                    }
-                }
-                n.stats.acquires += 1;
-                let waited = (self.sim.now() - t0).nanos();
-                n.stats.acquire_wait_ns += waited;
-                let vs = n.stats.views.entry(v).or_default();
-                vs.acquires += 1;
-                vs.wait_ns += waited;
-                vs.grant_bytes += grant_bytes;
-                drop(n);
-                // VC_rdma: the data arrived by one-sided write into the
-                // preposted buffer — nothing for the acquirer's CPU to
-                // apply, so no diff-apply charge. The other VC protocols
-                // pay software diff application per stale page.
-                if napplied > 0 && self.protocol != Protocol::VcRdma {
-                    self.debt
-                        .add_overhead_diff(self.cost.diff_apply * napplied as u64);
-                }
-                self.emit_notices(fresh, v as u64 + 1);
-                if self.tracing() {
-                    for (p, d) in &diffs {
-                        self.trace(EventKind::DiffApply {
-                            page: *p as u64,
-                            bytes: d.wire_bytes() as u64,
-                        });
-                    }
-                }
-                self.trace(EventKind::AcquireEnd {
-                    view: v as u64,
-                    write: mode == AccessMode::Write,
-                    version: version as u64,
-                    bytes: grant_bytes,
-                });
-            }
-            other => panic!("acquire_view got unexpected reply {other:?}"),
-        }
-    }
-
-    /// `release_view` (paper §2): publish this view's modifications and give
-    /// up exclusive access.
-    pub fn release_view(&self, v: ViewId) {
-        assert!(self.protocol.is_vc());
-        self.flush();
-        let home = {
-            let mut n = self.node.lock();
-            assert_eq!(
-                n.held_write,
-                Some(v),
-                "proc {}: release_view({v}) without holding it",
-                n.me
-            );
-            // VOPP discipline: everything dirtied belongs to the view. With
-            // a checker attached the violation was already reported at
-            // access time; revert foreign writes instead of panicking so
-            // only the view's own modifications are published.
-            let view_pages = self.layout.view(v).pages.clone();
-            if self.rc_discipline().is_some() {
-                for p in n.mem.dirty_pages() {
-                    if !view_pages.contains(&p) {
-                        n.mem.discard_writes(p);
-                    }
-                }
-            } else {
-                for p in n.mem.dirty_pages() {
-                    assert!(
-                        view_pages.contains(&p),
-                        "proc {}: modified page {p} (view {:?}) while holding view {v} — \
-                         VOPP programs modify only the acquired view (paper §2)",
-                        n.me,
-                        self.layout.view_of_page(p)
-                    );
-                }
-            }
-            n.held_write = None;
-            n.view_home(v)
-        };
-        let (interval, lamport, pages, diffs) = match self.close_interval() {
-            Some((id, lamport, diffs)) => {
-                let pages = diffs.iter().map(|(p, _)| *p).collect();
-                // VC_sd ships the diffs inline with the release; VC_rdma
-                // deposits them at the home by one-sided write below.
-                let sd = if matches!(self.protocol, Protocol::VcSd | Protocol::VcRdma) {
-                    diffs
-                } else {
-                    Vec::new()
-                };
-                (Some(id), lamport, pages, sd)
-            }
-            None => (None, self.node.lock().lamport, Vec::new(), Vec::new()),
-        };
-        let diffs = if self.protocol == Protocol::VcRdma {
-            if !diffs.is_empty() {
-                // One-sided deposit ahead of the (slim) release request:
-                // link FIFO lands the data before the control message, and
-                // only the control message is ever retransmitted, so the
-                // home's take on first processing cannot miss.
-                let wire = crate::msg::one_sided_diffs_wire_bytes(&diffs);
-                self.sim.send(
-                    home,
-                    wire,
-                    vopp_sim::DeliveryClass::OneSided,
-                    crate::msg::rdma_release_tag(v),
-                    Arc::new(diffs),
-                );
-            }
-            Vec::new()
-        } else {
-            diffs
-        };
-        let req = Req::ViewRelease {
-            view: v,
-            mode: AccessMode::Write,
-            interval,
-            lamport,
-            pages,
-            diffs,
-        };
-        match self.call(home, req, Phase::SendWait, v as u64, None) {
-            Resp::ReleaseAck { version } => {
-                let mut n = self.node.lock();
-                let bumped = version > n.view_applied[v as usize];
-                let va = &mut n.view_applied[v as usize];
-                *va = (*va).max(version);
-                if bumped {
-                    n.stats.views.entry(v).or_default().versions += 1;
-                }
-            }
-            other => panic!("release_view got unexpected reply {other:?}"),
-        }
-        self.trace(EventKind::ReleaseDone {
-            view: v as u64,
-            write: true,
-        });
-    }
-
-    /// `release_Rview` (paper §2).
-    pub fn release_rview(&self, v: ViewId) {
-        assert!(self.protocol.is_vc());
-        {
-            let mut n = self.node.lock();
-            let c = n
-                .held_read
-                .get_mut(&v)
-                .unwrap_or_else(|| panic!("release_rview({v}) without holding it"));
-            *c -= 1;
-            if *c > 0 {
-                return; // nested release: local
-            }
-            n.held_read.remove(&v);
-        }
-        // Writes made while only this read view was held were reported as
-        // violations; revert them before the protocol closes any interval.
-        self.rc_discard_undisciplined();
-        self.flush();
-        let (home, lamport) = {
-            let n = self.node.lock();
-            (n.view_home(v), n.lamport)
-        };
-        let req = Req::ViewRelease {
-            view: v,
-            mode: AccessMode::Read,
-            interval: None,
-            lamport,
-            pages: Vec::new(),
-            diffs: Vec::new(),
-        };
-        let resp = self.call(home, req, Phase::SendWait, v as u64, None);
-        assert!(matches!(resp, Resp::Ack));
-        self.trace(EventKind::ReleaseDone {
-            view: v as u64,
-            write: false,
-        });
-    }
-
-    /// `merge_views` (paper §3.5): bring every view up to date on this node.
-    /// Expensive but convenient; implemented as a read acquisition of each
-    /// view not currently held.
-    pub fn merge_views(&self) {
-        assert!(self.protocol.is_vc());
-        for v in 0..self.layout.nviews() as ViewId {
-            let held = {
-                let n = self.node.lock();
-                n.held_write == Some(v) || n.held_read.contains_key(&v)
-            };
-            if !held {
-                self.acquire_rview(v);
-                self.release_rview(v);
-            }
-        }
-    }
-
-    // ---------------------------------------------------------------
-    // Automated view insertion (paper §6 future work)
-    // ---------------------------------------------------------------
-
-    /// Enable or disable *automated view-primitive insertion*: the paper's
-    /// §6 future work ("the insertion of view primitives can be automated
-    /// by compiling techniques"), realized at run time. While enabled, a
-    /// shared-memory access whose view is not currently held automatically
-    /// acquires it (read view for reads, exclusive view for writes) for
-    /// exactly that access and releases it afterwards.
-    ///
-    /// This is correct but naive: each unbracketed access pays a full
-    /// acquire/release round trip, which is exactly why the paper argues
-    /// for programmer-placed (or cleverly compiler-batched) primitives —
-    /// see the `ablation_auto_views` benchmark.
-    pub fn set_auto_views(&self, on: bool) {
-        assert!(
-            self.protocol.is_vc() || !on,
-            "auto views require a VC protocol"
-        );
-        self.auto_views.set(on);
-    }
-
-    /// If auto mode is on and the span's view is not held, acquire it;
-    /// returns what must be released after the access. The span must lie
-    /// within one view (a compiler would split larger statements).
-    fn auto_acquire(&self, addr: Addr, len: usize, write: bool) -> Option<(ViewId, AccessMode)> {
-        if !self.auto_views.get() || !self.protocol.is_vc() || len == 0 {
-            return None;
-        }
-        let mut views = pages_spanned(addr, len).map(|p| self.layout.view_of_page(p));
-        let v = views
-            .next()
-            .flatten()
-            .expect("auto views: access outside any view");
-        assert!(
-            views.all(|o| o == Some(v)),
-            "auto views: one access must stay within one view"
-        );
-        let (held_w, held_r) = {
-            let n = self.node.lock();
-            (n.held_write == Some(v), n.held_read.contains_key(&v))
-        };
-        if write {
-            if held_w {
-                None
-            } else {
-                assert!(
-                    !held_r,
-                    "auto views: write access to view {v} held read-only"
-                );
-                self.acquire_view(v);
-                Some((v, AccessMode::Write))
-            }
-        } else if held_w || held_r {
-            None
-        } else {
-            self.acquire_rview(v);
-            Some((v, AccessMode::Read))
-        }
-    }
-
-    fn auto_release(&self, held: Option<(ViewId, AccessMode)>) {
-        match held {
-            Some((v, AccessMode::Write)) => self.release_view(v),
-            Some((v, AccessMode::Read)) => self.release_rview(v),
-            None => {}
-        }
-    }
-
-    // ---------------------------------------------------------------
-    // Dynamic correctness checking (vopp-racecheck)
-    // ---------------------------------------------------------------
-
     /// The attached happens-before checker, if any.
-    fn rc_hb(&self) -> Option<&RaceChecker> {
-        match &self.rc {
-            Some(rc) if rc.mode() == RcMode::HappensBefore => Some(rc),
-            _ => None,
-        }
+    pub(crate) fn rc_hb(&self) -> Option<&RaceChecker> {
+        self.rc
+            .as_deref()
+            .filter(|rc| rc.mode() == RcMode::HappensBefore)
     }
 
     /// The attached view-discipline checker, if any. While one is attached,
     /// VOPP discipline violations are reported instead of panicking.
-    fn rc_discipline(&self) -> Option<&RaceChecker> {
-        match &self.rc {
-            Some(rc) if rc.mode() == RcMode::ViewDiscipline => Some(rc),
-            _ => None,
-        }
+    pub(crate) fn rc_discipline(&self) -> Option<&RaceChecker> {
+        self.rc
+            .as_deref()
+            .filter(|rc| rc.mode() == RcMode::ViewDiscipline)
     }
 
     /// Record one shared access with the attached checker (a single pointer
@@ -1162,7 +516,7 @@ impl<'a> DsmCtx<'a> {
     /// rather than rejected; revert any dirty page that does not belong to
     /// the currently-held write view so the protocol machinery (interval
     /// closing, grant invalidation) never observes them.
-    fn rc_discard_undisciplined(&self) {
+    pub(crate) fn rc_discard_undisciplined(&self) {
         if self.rc_discipline().is_none() {
             return;
         }
@@ -1174,41 +528,6 @@ impl<'a> DsmCtx<'a> {
                 n.mem.discard_writes(p);
             }
         }
-    }
-
-    // ---------------------------------------------------------------
-    // Shared memory access
-    // ---------------------------------------------------------------
-
-    fn vopp_check(&self, n: &NodeState, p: PageId, write: bool) {
-        if !self.protocol.is_vc() || self.rc_discipline().is_some() {
-            return;
-        }
-        let v = self.layout.view_of_page(p).unwrap_or_else(|| {
-            panic!(
-                "proc {}: access to shared page {p} outside any view — \
-                 VOPP programs put all shared data in views",
-                n.me
-            )
-        });
-        let ok = if write {
-            n.held_write == Some(v)
-        } else {
-            n.held_write == Some(v) || n.held_read.contains_key(&v)
-        };
-        assert!(
-            ok,
-            "proc {}: {} page {p} of view {v} without {} it (held_write={:?}) — \
-             view primitives must bracket every access (paper §2)",
-            n.me,
-            if write { "write to" } else { "read of" },
-            if write {
-                "acquire_view-ing"
-            } else {
-                "acquiring"
-            },
-            n.held_write
-        );
     }
 
     /// Resolve a fault on `p`: fetch the missing diffs from their writers
@@ -1239,23 +558,18 @@ impl<'a> DsmCtx<'a> {
         }
         // HLRC always fetches the current page from its home (one round
         // trip; the home is kept current by eager flushes).
-        if self.protocol == Protocol::Hlrc {
-            let home = p % self.nprocs();
+        let source = self.protocol.page_source();
+        if source == PageSource::Home {
+            let home = self.node.lock().page_home(p);
             assert!(self.fetch_page(p, home), "HLRC home {home} lost page {p}");
             return;
         }
-        // Whole-page fetch (TreadMarks' "get whole page" escape hatch):
-        // when the accumulated per-interval diffs would exceed one page
-        // transfer, ask a node whose copy is known complete instead.
-        //   * View pages (VC): writes are serialized, so the most recent
-        //     writer's copy is provably complete while we hold the view.
-        //   * LRC pages whose *entire write history* has a single owner:
-        //     that owner's current copy equals the diff-reconstructed
-        //     content. The pending list alone is not enough — on a
-        //     false-shared page the one pending writer's copy can miss
-        //     other writers' updates this node already applied, silently
-        //     regressing their words — so the hatch additionally consults
-        //     the page's full writer-history bitmask.
+        // Whole-page fetch (TreadMarks' "get whole page" escape hatch, see
+        // `PageSource`): when the accumulated diffs would exceed one page
+        // transfer, ask a node whose copy is known complete instead. An LRC
+        // page's one pending writer is not enough: on a false-shared page
+        // its copy can miss other writers' updates this node already
+        // applied, so the hatch needs the page's whole write history.
         // The writers, in order of first fetch.
         owners.clear();
         for f in fetches.iter() {
@@ -1264,7 +578,6 @@ impl<'a> DsmCtx<'a> {
             }
         }
         let distinct_owners = owners.len();
-        let is_view_page = self.layout.view_of_page(p).is_some();
         // The most recent writer can be this node itself after a crash (its
         // own releases come back in the `have == 0` recovery grant); a
         // node's post-crash copy is exactly what was lost, so the escape
@@ -1272,11 +585,17 @@ impl<'a> DsmCtx<'a> {
         // which loopback to the durable local diff store where needed.
         let last_owner_is_me = fetches.last().is_some_and(|f| f.id.owner == self.me());
         let whole_page = !last_owner_is_me
-            && ((self.protocol.is_vc() && is_view_page && distinct_owners >= 3)
-                || (self.protocol == Protocol::LrcD
-                    && distinct_owners == 1
-                    && fetches.len() >= 4
-                    && self.node.lock().page_sole_writer(p, fetches[0].id.owner)));
+            && match source {
+                PageSource::LastWriter => {
+                    self.layout.view_of_page(p).is_some() && distinct_owners >= 3
+                }
+                PageSource::SoleWriter => {
+                    distinct_owners == 1
+                        && fetches.len() >= 4
+                        && self.node.lock().page_sole_writer(p, fetches[0].id.owner)
+                }
+                PageSource::Diffs | PageSource::Home => false,
+            };
         if whole_page && self.fetch_page(p, fetches.last().unwrap().id.owner) {
             return;
         }
@@ -1359,27 +678,18 @@ impl<'a> DsmCtx<'a> {
         }
     }
 
-    fn ensure_readable(&self, p: PageId) {
-        loop {
-            let n = self.node.lock();
-            self.vopp_check(&n, p, false);
-            match n.mem.state(p) {
-                PageState::Valid | PageState::Dirty => return,
-                PageState::Invalid => {
-                    drop(n);
-                    self.fault(p, false);
-                }
-            }
-        }
-    }
-
-    fn ensure_writable(&self, p: PageId) {
+    /// Make page `p` readable, or writable (twinning it on its first
+    /// write of the interval), faulting it in first if it is invalid.
+    fn ensure(&self, p: PageId, write: bool) {
         loop {
             let mut n = self.node.lock();
-            self.vopp_check(&n, p, true);
+            self.vopp_check(&n, p, write);
             match n.mem.state(p) {
-                PageState::Dirty => return,
-                PageState::Valid => {
+                PageState::Invalid => {
+                    drop(n);
+                    self.fault(p, write);
+                }
+                PageState::Valid if write => {
                     n.mem.note_write(p);
                     let me = n.me;
                     n.note_page_writer(p, me);
@@ -1387,10 +697,7 @@ impl<'a> DsmCtx<'a> {
                     self.debt.add_overhead(self.cost.twin);
                     return;
                 }
-                PageState::Invalid => {
-                    drop(n);
-                    self.fault(p, true);
-                }
+                PageState::Valid | PageState::Dirty => return,
             }
         }
     }
@@ -1452,10 +759,7 @@ impl<'a> DsmCtx<'a> {
         };
         self.copy_cost(copied as u64);
         for p in pages_spanned(addr, len) {
-            match write {
-                true => self.ensure_writable(p),
-                false => self.ensure_readable(p),
-            }
+            self.ensure(p, write);
         }
         let mut n = self.node.lock();
         let mut done = 0;

@@ -15,7 +15,9 @@ use vopp_sim::{Handler, Payload, ProcId, SvcCtx};
 use vopp_simnet::reply;
 
 use crate::msg::{AccessMode, Req, Resp, ViewRecord};
-use crate::node::{NodeState, Protocol};
+use crate::node::NodeState;
+use crate::protocol::vc::{rdma_read, rdma_write, Buffer};
+use crate::protocol::{Family, PageSource, ViewData};
 
 /// A queued lock request.
 #[derive(Debug, Clone)]
@@ -155,10 +157,7 @@ fn handle(
         }
 
         Req::LockRelease { lock, records } => {
-            if let Some(maxl) = records.iter().map(|r| r.lamport).max() {
-                n.lamport_sync(maxl);
-            }
-            n.merge_logged(records);
+            n.learn(records);
             let mut h = n.locks.remove(lock).unwrap_or_default();
             if h.holder == Some(src) {
                 h.holder = None;
@@ -177,10 +176,7 @@ fn handle(
             records,
             vt,
         } => {
-            if let Some(maxl) = records.iter().map(|r| r.lamport).max() {
-                n.lamport_sync(maxl);
-            }
-            n.merge_logged(records);
+            n.learn(records);
             if *episode < n.barrier.episodes_done {
                 // The release for this episode was lost: regenerate it.
                 send_barrier_release(n, svc, src, tag, vt);
@@ -199,15 +195,10 @@ fn handle(
 
         &Req::ViewAcquire { view, mode, have } => {
             let mut h = n.views.remove(&view).unwrap_or_default();
-            let already = match mode {
-                AccessMode::Write => h.writer == Some(src),
-                AccessMode::Read => h.readers.contains(&src),
-            };
-            let can = match mode {
-                AccessMode::Write => {
-                    h.writer.is_none() && h.readers.is_empty() && h.queue.is_empty()
-                }
-                AccessMode::Read => h.writer.is_none() && h.queue.is_empty(),
+            let free = h.writer.is_none() && h.queue.is_empty();
+            let (already, can) = match mode {
+                AccessMode::Write => (h.writer == Some(src), free && h.readers.is_empty()),
+                AccessMode::Read => (h.readers.contains(&src), free),
             };
             if already {
                 send_view_grant(n, &h, svc, view, src, tag, have);
@@ -247,28 +238,21 @@ fn handle(
                 } else {
                     h.version += 1;
                     let v = h.version;
-                    match n.protocol {
-                        Protocol::VcD | Protocol::ScC => h.records.push(Arc::new(ViewRecord {
+                    match n.protocol.view_data() {
+                        ViewData::Notices => h.records.push(Arc::new(ViewRecord {
                             version: v,
                             id: interval.expect("write release with pages but no interval id"),
                             lamport,
                             pages: pages.clone(),
                         })),
-                        Protocol::VcSd => h.absorb(v, diffs),
-                        Protocol::VcRdma => {
-                            // The diffs travelled out-of-band: a one-sided
-                            // write deposited them in this node's preposted
-                            // buffer before the (slim) release request, and
-                            // link FIFO guarantees they have landed by now.
-                            // Retransmitted duplicates take the else branch
-                            // below and never reach this take.
-                            let data = svc
-                                .take_one_sided(src, crate::msg::rdma_release_tag(view))
-                                .expect("VC_rdma release data must precede the release request");
-                            h.absorb(v, &data.expect_arc::<Vec<(PageId, Diff)>>());
-                        }
-                        Protocol::LrcD | Protocol::Hlrc => {
-                            unreachable!("views/scopes are not a homeless/home-based LRC feature")
+                        ViewData::Inline => h.absorb(v, diffs),
+                        ViewData::OneSided => {
+                            // The diffs were written one-sided ahead of this
+                            // request. Retransmitted duplicates take the
+                            // else branch below and never reach this read.
+                            let take = |tag| svc.take_one_sided(src, tag);
+                            let data = rdma_read(Buffer::Release(view), take);
+                            h.absorb(v, &data.expect("VC_rdma release data must precede it"));
                         }
                     }
                     v
@@ -309,7 +293,7 @@ fn handle(
             // too, so the flushed words are not re-attributed to this node's
             // next diff (concurrent writers are word-disjoint in DRF
             // programs).
-            debug_assert_eq!(n.protocol, Protocol::Hlrc);
+            debug_assert_eq!(n.protocol.page_source(), PageSource::Home);
             for (page, diff) in items {
                 debug_assert_eq!(n.page_home(*page), n.me, "flush sent to wrong home");
                 n.mem.apply_diff_with_twin(*page, diff);
@@ -389,19 +373,15 @@ fn send_barrier_release(
     tag: u64,
     req_vt: &VTime,
 ) {
-    let resp = if n.protocol.is_vc() {
+    let (records, vt) = match n.protocol.family() {
+        Family::Lrc => (n.delta_since(req_vt), n.logged_vt.clone()),
         // VC barriers synchronize only: no consistency payload (paper §3.2).
-        Resp::BarrierRelease {
-            records: Vec::new(),
-            vt: VTime::zero(0),
-            lamport: n.lamport,
-        }
-    } else {
-        Resp::BarrierRelease {
-            records: n.delta_since(req_vt),
-            vt: n.logged_vt.clone(),
-            lamport: n.lamport,
-        }
+        Family::Vc => (Vec::new(), VTime::zero(0)),
+    };
+    let resp = Resp::BarrierRelease {
+        records,
+        vt,
+        lamport: n.lamport,
     };
     respond(svc, dst, tag, resp);
 }
@@ -415,20 +395,16 @@ fn send_view_grant(
     tag: u64,
     have: u32,
 ) {
-    // VC_rdma moves the integrated diffs by a one-sided write into the
-    // requester's preposted buffer, issued ahead of the control reply so
-    // link FIFO lands the data first. The grant reply itself stays slim.
-    let mut one_sided: Vec<(PageId, Diff)> = Vec::new();
-    let (records, diffs) = match n.protocol {
-        // ScC scoped grants look exactly like VC_d view grants: release
-        // records newer than the requester's version, diffs on fault.
-        // A requester's own releases are elided — it applied them locally —
-        // except when it asks from version 0: in steady state no own
-        // records predate a node's first acquire, so `have == 0` with own
-        // history means a crashed node rebuilding from the home, and it
-        // needs its own releases back (their diffs still sit in its durable
-        // diff store).
-        Protocol::VcD | Protocol::ScC => (
+    // ScC scoped grants look exactly like VC_d view grants: release
+    // records newer than the requester's version, diffs on fault. A
+    // requester's own releases are elided — it applied them locally —
+    // except when it asks from version 0: in steady state no own records
+    // predate a node's first acquire, so `have == 0` with own history means
+    // a crashed node rebuilding from the home, and it needs its own
+    // releases back (their diffs still sit in its durable diff store).
+    let mut data_bytes = 0;
+    let (records, diffs) = match n.protocol.view_data() {
+        ViewData::Notices => (
             h.records
                 .iter()
                 .filter(|r| r.version > have && (have == 0 || r.id.owner != dst))
@@ -436,31 +412,14 @@ fn send_view_grant(
                 .collect(),
             Vec::new(),
         ),
-        Protocol::VcSd | Protocol::VcRdma => {
-            let integrated = h.integrated_since(have);
-            if n.protocol == Protocol::VcRdma {
-                one_sided = integrated;
-                (Vec::new(), Vec::new())
-            } else {
-                (Vec::new(), integrated)
-            }
-        }
-        Protocol::LrcD | Protocol::Hlrc => {
-            unreachable!("views/scopes are not a homeless/home-based LRC feature")
+        ViewData::Inline => (Vec::new(), h.integrated_since(have)),
+        // The grant message itself stays slim.
+        ViewData::OneSided => {
+            let send = |w, c, t, p| svc.send(dst, w, c, t, p);
+            data_bytes = rdma_write(Buffer::Grant(view), h.integrated_since(have), send);
+            (Vec::new(), Vec::new())
         }
     };
-    let mut data_bytes = 0u64;
-    if !one_sided.is_empty() {
-        let wire = crate::msg::one_sided_diffs_wire_bytes(&one_sided);
-        data_bytes = wire as u64;
-        svc.send(
-            dst,
-            wire,
-            vopp_sim::DeliveryClass::OneSided,
-            crate::msg::rdma_grant_tag(view),
-            Arc::new(one_sided),
-        );
-    }
     let resp = Resp::ViewGrant {
         records,
         diffs,

@@ -23,11 +23,16 @@
 //! * **VC_rdma** — VC_sd on one-sided RDMA verbs: view data moves by
 //!   one-sided writes, with no diff application on the acquirer's CPU.
 //!
-//! The crate provides the per-node protocol engine ([`NodeState`]), the
-//! manager roles ([`homes`]), the application-facing context ([`DsmCtx`])
-//! with both the traditional lock/barrier API and the VOPP view primitives,
-//! and the cluster runtime ([`run_cluster`]) that produces the statistics
-//! reported in the paper's tables ([`RunStats`]).
+//! Modules: [`protocol`] holds every per-protocol decision — [`Protocol`]
+//! and its properties, the LRC family (`protocol/lrc.rs`: locks, HLRC home
+//! flushes, ScC scopes) and the VC family (`protocol/vc.rs`: the view
+//! primitives, crash recovery, the view round trip, VC_rdma's one-sided
+//! transport). The
+//! shared engine is [`node`] (per-node state, the one invalidation loop),
+//! [`homes`] (lock, barrier and view managers), [`api`] ([`DsmCtx`]: CPU
+//! accounting, round trips, interval close, faults, memory access) and
+//! [`runtime`] ([`run_cluster`], producing the paper's [`RunStats`]), over
+//! [`msg`], [`layout`], [`cost`], [`fault`] and [`stats`].
 
 /// Wire size of a full page transfer payload.
 pub(crate) const PAGE_SIZE_WIRE: usize = vopp_page::PAGE_SIZE;
@@ -39,6 +44,7 @@ pub mod homes;
 pub mod layout;
 pub mod msg;
 pub mod node;
+pub mod protocol;
 pub mod runtime;
 pub mod stats;
 
@@ -47,7 +53,8 @@ pub use cost::{CostModel, CpuDebt};
 pub use fault::{Crash, FaultPlan, Loss, Slowdown};
 pub use layout::{check_views, Layout, ViewDef, ViewId};
 pub use msg::{AccessMode, Req, Resp, ViewRecord};
-pub use node::{interval_log, IntervalLog, NodeState, PendingFetch, Protocol, StoredDiff};
+pub use node::{interval_log, IntervalLog, NodeState, PendingFetch, StoredDiff};
+pub use protocol::Protocol;
 pub use runtime::{run_cluster, ClusterConfig, ClusterOutcome};
 pub use stats::{NodeMetrics, NodeStats, RunStats, ViewStats, ViewStatsMap};
 pub use vopp_metrics::{Breakdown, Histogram, Phase, Registry, Summary};

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use vopp_page::{Diff, IntervalId, IntervalRecord, PageBuf, PageId, VTime, NOTICE_WIRE_BYTES};
+use vopp_page::{Diff, IntervalId, IntervalRecord, PageBuf, PageId, VTime};
 use vopp_simnet::HEADER_BYTES;
 
 use crate::layout::ViewId;
@@ -232,30 +232,6 @@ impl Resp {
                 }
             }
     }
-}
-
-/// Wire size of a batch of write notices (used in sanity checks).
-pub fn notices_wire_bytes(n: usize) -> usize {
-    n * NOTICE_WIRE_BYTES
-}
-
-/// Mailbox tag of the one-sided grant data the home writes into an
-/// acquirer's preposted buffer under `VC_rdma`. Bit 62 keeps the RDMA tag
-/// space disjoint from RPC reply tags (bit 63).
-pub fn rdma_grant_tag(view: ViewId) -> u64 {
-    (1 << 62) | view as u64
-}
-
-/// Mailbox tag of the one-sided release-diff data a writer deposits at the
-/// view home under `VC_rdma` (bit 40 separates it from grant data).
-pub fn rdma_release_tag(view: ViewId) -> u64 {
-    (1 << 62) | (1 << 40) | view as u64
-}
-
-/// Wire size of a one-sided diff deposit (`VC_rdma`): one RDMA write
-/// carrying each page's id and diff, plus the transport header.
-pub fn one_sided_diffs_wire_bytes(diffs: &[(PageId, Diff)]) -> usize {
-    HEADER_BYTES + diffs.iter().map(|(_, d)| 4 + d.wire_bytes()).sum::<usize>()
 }
 
 #[cfg(test)]

@@ -18,74 +18,9 @@ use vopp_sim::ProcId;
 use crate::cost::CostModel;
 use crate::homes::{BarrierHome, LockHome, ViewHome};
 use crate::layout::{Layout, ViewId};
+use crate::protocol::PageSource;
+pub use crate::protocol::Protocol;
 use crate::stats::NodeStats;
-
-/// Which DSM implementation a run uses: the paper's three systems plus
-/// three extensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Protocol {
-    /// Diff-based Lazy Release Consistency: the TreadMarks protocol.
-    /// Traditional lock/barrier programs; barriers maintain consistency.
-    LrcD,
-    /// Diff-based View-based Consistency: same implementation techniques
-    /// (twins, diffs, invalidate, fault-time diff requests) but consistency
-    /// is view-scoped; barriers only synchronize.
-    VcD,
-    /// View-based Consistency with the integrated-diff update protocol:
-    /// a single merged diff per page, piggy-backed on the view grant.
-    VcSd,
-    /// `VC_sd` retargeted at an RDMA-capable fabric: view data moves by
-    /// one-sided writes into preposted per-node buffers (no request/reply
-    /// round trip, no remote CPU on the data path), and release diffs are
-    /// written to the home and applied there asynchronously — off the
-    /// acquirer's critical path. Identical consistency semantics to
-    /// [`Protocol::VcSd`]; only the transport and the CPU accounting of
-    /// diff application differ.
-    VcRdma,
-    /// Home-based Lazy Release Consistency (extension; the authors'
-    /// companion work on homeless vs. home-based protocols): every page has
-    /// a home node to which diffs are flushed eagerly at interval end;
-    /// faults fetch the whole up-to-date page from the home with a single
-    /// round trip.
-    Hlrc,
-    /// Scope Consistency (related work, paper §4): lock acquires receive
-    /// only the updates made under that lock's *scope* (dynamically — the
-    /// pages dirtied in intervals closed by its releases); barriers merge
-    /// all scopes globally, exactly like an LRC barrier. Weaker than LRC:
-    /// updates made under a different lock are not visible until a barrier.
-    ScC,
-}
-
-impl Protocol {
-    /// The label used in the paper's tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            Protocol::LrcD => "LRC_d",
-            Protocol::VcD => "VC_d",
-            Protocol::VcSd => "VC_sd",
-            Protocol::VcRdma => "VC_rdma",
-            Protocol::Hlrc => "HLRC_d",
-            Protocol::ScC => "ScC_d",
-        }
-    }
-
-    /// True for the VOPP protocols.
-    pub fn is_vc(self) -> bool {
-        matches!(self, Protocol::VcD | Protocol::VcSd | Protocol::VcRdma)
-    }
-
-    /// True for the traditional lock/barrier protocols (homeless or
-    /// home-based LRC, and Scope Consistency).
-    pub fn is_lrc_family(self) -> bool {
-        matches!(self, Protocol::LrcD | Protocol::Hlrc | Protocol::ScC)
-    }
-}
-
-impl std::fmt::Display for Protocol {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// The diffs of one sealed interval in page order, sharing their buffers
 /// with the creator's diff store.
@@ -317,7 +252,7 @@ impl NodeState {
     }
 
     /// The records of `owner` this node knows, from the cluster log.
-    fn known<'l>(
+    pub(crate) fn known<'l>(
         &self,
         log: &'l [Vec<Arc<IntervalRecord>>],
         owner: ProcId,
@@ -402,6 +337,14 @@ impl NodeState {
         }
     }
 
+    /// A manager learns the records a release or barrier arrival pushed.
+    pub fn learn(&mut self, records: &[Arc<IntervalRecord>]) {
+        if let Some(maxl) = records.iter().map(|r| r.lamport).max() {
+            self.lamport_sync(maxl);
+        }
+        self.merge_logged(records);
+    }
+
     /// Record that `owner` has written `page` at some point.
     pub fn note_page_writer(&mut self, page: PageId, owner: ProcId) {
         let w = &mut self.page_writers[page];
@@ -424,147 +367,23 @@ impl NodeState {
         self.lamport = self.lamport.max(l) + 1;
     }
 
-    /// LRC: absorb a lock grant / barrier release — log the records, then
-    /// enforce consistency up to `vt` by invalidating every page written in
-    /// intervals this node has not yet applied.
-    pub fn absorb_lrc_grant(&mut self, records: &[Arc<IntervalRecord>], vt: &VTime, lamport: u64) {
-        self.merge_logged(records);
-        self.lamport_sync(lamport);
-        if vt.is_empty() {
-            return;
-        }
-        let log = Arc::clone(&self.log);
-        let log = log.lock();
-        for owner in 0..self.n {
-            if owner == self.me {
+    /// The one invalidation loop, shared by every grant that carries write
+    /// notices: invalidate each page written in interval `id` and queue its
+    /// fault-time fetch. An HLRC home keeps its own pages, which eager
+    /// flushes keep current.
+    pub fn invalidate(&mut self, id: IntervalId, lamport: u64, pages: &[PageId]) {
+        let home_kept = self.protocol.page_source() == PageSource::Home;
+        for &page in pages {
+            debug_assert_ne!(
+                self.mem.state(page),
+                PageState::Dirty,
+                "invalidation hit a live twin: interval not closed before sync"
+            );
+            if home_kept && self.page_home(page) == self.me {
                 continue;
             }
-            let from = self.applied_vt.get(owner) as usize;
-            let to = vt.get(owner) as usize;
-            if to <= from {
-                continue;
-            }
-            let missing = self
-                .known(&log, owner)
-                .get(from..to)
-                .unwrap_or_else(|| panic!("node {} missing record ({owner},{to})", self.me));
-            for rec in missing {
-                for &page in &rec.pages {
-                    debug_assert_ne!(
-                        self.mem.state(page),
-                        PageState::Dirty,
-                        "invalidation hit a live twin: interval not closed before sync"
-                    );
-                    if self.protocol == Protocol::Hlrc && self.page_home(page) == self.me {
-                        // The home's copy is kept current by eager flushes;
-                        // it is never invalidated on its own node.
-                        continue;
-                    }
-                    if self.protocol == Protocol::ScC && self.scoped_applied.contains(&rec.id) {
-                        // Already enforced through a scoped lock grant.
-                        continue;
-                    }
-                    self.mem.invalidate(page);
-                    self.pending[page].push(PendingFetch {
-                        id: rec.id,
-                        lamport: rec.lamport,
-                    });
-                }
-            }
-        }
-        self.applied_vt.join_from(vt);
-    }
-
-    /// VC: absorb a view grant.
-    /// * `VC_d`: log view history records and invalidate their pages; diffs
-    ///   are fetched on fault.
-    /// * `VC_sd`: apply the piggy-backed integrated diffs immediately.
-    pub fn vc_absorb_grant(
-        &mut self,
-        view: ViewId,
-        records: &[Arc<crate::msg::ViewRecord>],
-        diffs: &[(PageId, Diff)],
-        version: u32,
-        lamport: u64,
-    ) {
-        self.lamport_sync(lamport);
-        for r in records {
-            // In steady state the home never echoes this node's own
-            // releases (it filters on `have`). After a crash this node
-            // re-acquires with `have == 0` and the full history — its own
-            // records included — comes back; the diffs for those records
-            // are then served out of this node's own durable diff store
-            // like anyone else's.
-            for &page in &r.pages {
-                debug_assert_ne!(self.mem.state(page), PageState::Dirty);
-                self.mem.invalidate(page);
-                self.pending[page].push(PendingFetch {
-                    id: r.id,
-                    lamport: r.lamport,
-                });
-            }
-        }
-        for (page, diff) in diffs {
-            debug_assert_ne!(self.mem.state(*page), PageState::Dirty);
-            self.mem.apply_diff(*page, diff);
-            self.mem.validate(*page);
-            self.stats.diffs_applied += 1;
-        }
-        let va = &mut self.view_applied[view as usize];
-        *va = (*va).max(version);
-    }
-
-    /// Crash this node's volatile protocol state, leaving its durable state
-    /// intact. Lost: every local page copy of every view (content restarts
-    /// from the zero page), all pending invalidations, and all knowledge of
-    /// view versions (`view_applied` back to 0, so the next acquire pulls
-    /// the full history from the home). Kept: the node's own interval log
-    /// and diff store — the write-ahead log its released intervals were
-    /// persisted to, which peers (and this node itself, on re-fetch) read
-    /// diffs from — plus the lamport clock and any manager roles homed
-    /// here, which the model treats as replicated directory state.
-    ///
-    /// Only legal between requests: no dirty pages, no held views. Returns
-    /// the number of materialized page buffers lost.
-    pub fn crash_volatile(&mut self) -> u64 {
-        assert!(
-            self.held_write.is_none() && self.held_read.is_empty(),
-            "node {} crashed while holding a view",
-            self.me
-        );
-        let mut dropped = 0u64;
-        let layout = self.layout.clone();
-        for def in layout.views() {
-            for page in def.pages.clone() {
-                // Invalidations queued for these pages refer to content the
-                // crash just destroyed; the `have == 0` re-acquire restores
-                // everything, so stale fetch plans must not survive.
-                self.pending[page].clear();
-                if self.mem.crash_page(page) {
-                    dropped += 1;
-                }
-            }
-            self.view_applied[def.id as usize] = 0;
-        }
-        dropped
-    }
-
-    /// Scope Consistency: absorb a scoped lock grant — invalidate the pages
-    /// of each release record not yet enforced on this node.
-    pub fn scc_absorb(&mut self, records: &[Arc<crate::msg::ViewRecord>], lamport: u64) {
-        self.lamport_sync(lamport);
-        for r in records {
-            if r.id.owner == self.me || !self.scoped_applied.insert(r.id) {
-                continue;
-            }
-            for &page in &r.pages {
-                debug_assert_ne!(self.mem.state(page), PageState::Dirty);
-                self.mem.invalidate(page);
-                self.pending[page].push(PendingFetch {
-                    id: r.id,
-                    lamport: r.lamport,
-                });
-            }
+            self.mem.invalidate(page);
+            self.pending[page].push(PendingFetch { id, lamport });
         }
     }
 

@@ -14,7 +14,8 @@ use crate::cost::CostModel;
 use crate::fault::FaultPlan;
 use crate::homes::make_handler;
 use crate::layout::Layout;
-use crate::node::{interval_log, NodeState, Protocol};
+use crate::node::{interval_log, NodeState};
+use crate::protocol::Protocol;
 use crate::stats::{NodeStats, RunStats};
 
 /// Everything configurable about a cluster run.

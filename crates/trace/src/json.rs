@@ -165,6 +165,7 @@ impl Value {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -196,6 +197,11 @@ const MAX_EXACT_F64: f64 = 9.007_199_254_740_992e15;
 
 /// Containers a [`Writer`] can have open at once: one bit of `nonempty` each.
 const MAX_DEPTH: usize = 64;
+
+/// Containers [`Value::parse`] accepts open at once. The parser recurses
+/// once per level, so an unbounded depth would let a small input overflow
+/// the stack; every document a [`Writer`] emits stays within it.
+const MAX_PARSE_DEPTH: usize = 2 * MAX_DEPTH;
 
 /// Where a [`Writer`] appends its output.
 pub trait Sink {
@@ -518,6 +524,8 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -562,11 +570,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse one container with `container`, one level deeper.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_PARSE_DEPTH {
+            let msg = format!("containers nested deeper than {MAX_PARSE_DEPTH}");
+            return Err(self.err(&msg));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, ParseError> {
@@ -715,6 +738,17 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Value::parse(&deep(MAX_PARSE_DEPTH)).is_ok());
+        let err = Value::parse(&deep(MAX_PARSE_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
+        // A megabyte of open containers is an error, not a stack overflow.
+        assert!(Value::parse(&"[".repeat(1_000_000)).is_err());
+        assert!(Value::parse(&"{\"k\":".repeat(1_000_000)).is_err());
+    }
 
     #[test]
     fn round_trips_nested_structures() {

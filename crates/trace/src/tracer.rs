@@ -233,6 +233,27 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_trace_json_is_an_error() {
+        let tr = Tracer::new(16);
+        tr.record(5, 1, ev(3));
+        let good = tr.take().to_json();
+        let bad = [
+            "[".repeat(1_000_000),
+            good[..good.len() / 2].to_string(),
+            r#"{"events":[]}"#.to_string(),
+            r#"{"evicted":0}"#.to_string(),
+            r#"{"evicted":"0","events":[]}"#.to_string(),
+            r#"{"evicted":0,"events":{}}"#.to_string(),
+            r#"{"evicted":0,"events":[{"t":"5","node":1,"kind":"proc_start"}]}"#.to_string(),
+            r#"{"evicted":0,"events":[{"t":5,"node":1,"kind":"no_such_kind"}]}"#.to_string(),
+        ];
+        for text in bad {
+            assert!(Trace::from_json(&text).is_err(), "{:.60}", text);
+        }
+        assert!(Trace::from_json(&good).is_ok());
+    }
+
+    #[test]
     fn trace_json_round_trip() {
         let tr = Tracer::new(16);
         tr.record(5, 1, ev(3));
