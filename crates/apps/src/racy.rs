@@ -18,7 +18,7 @@
 //! pure observation, and undisciplined writes are reverted by the DSM layer
 //! before the protocol can observe them.
 
-use vopp_core::{prelude::*, RacecheckMode};
+use vopp_core::prelude::*;
 
 use crate::workload::share;
 use crate::AppOutcome;
@@ -105,9 +105,9 @@ pub fn sor_racy_expected() -> usize {
 /// VOPP border-exchange (SOR-flavoured) kernel with node 0 breaking every
 /// view-discipline rule exactly once before the disciplined sweeps start.
 ///
-/// Requires a [`vopp_core::RaceChecker`] in view-discipline mode attached
-/// to `cfg`: without one the runtime enforces the discipline by panicking
-/// on the first seeded violation.
+/// Requires a [`vopp_core::RaceChecker`] attached to `cfg`: without one the
+/// runtime enforces the discipline by panicking on the first seeded
+/// violation.
 pub fn run_sor_racy(cfg: &ClusterConfig, n: usize, sweeps: usize) -> AppOutcome<f64> {
     assert!(cfg.protocol.is_vc(), "VOPP programs run on VC protocols");
     assert!(
@@ -115,10 +115,8 @@ pub fn run_sor_racy(cfg: &ClusterConfig, n: usize, sweeps: usize) -> AppOutcome<
         "the foreign-view violation needs a second view"
     );
     assert!(
-        cfg.racecheck
-            .as_ref()
-            .is_some_and(|rc| rc.mode() == RacecheckMode::ViewDiscipline),
-        "run_sor_racy needs a view-discipline checker attached \
+        cfg.racecheck.is_some(),
+        "run_sor_racy needs a checker attached \
          (the seeded violations would otherwise panic)"
     );
     let np = cfg.nprocs;
@@ -175,12 +173,8 @@ mod tests {
     use super::*;
     use crate::is::{run_is, IsParams, IsVariant};
 
-    fn with_checker(
-        np: usize,
-        proto: Protocol,
-        mode: RacecheckMode,
-    ) -> (ClusterConfig, Arc<RaceChecker>) {
-        let rc = Arc::new(RaceChecker::new(mode, np));
+    fn with_checker(np: usize, proto: Protocol) -> (ClusterConfig, Arc<RaceChecker>) {
+        let rc = Arc::new(RaceChecker::new());
         let mut cfg = ClusterConfig::lossless(np, proto);
         cfg.racecheck = Some(rc.clone());
         (cfg, rc)
@@ -189,7 +183,7 @@ mod tests {
     #[test]
     fn is_racy_reports_exact_count_on_every_lrc_protocol() {
         for proto in [Protocol::LrcD, Protocol::Hlrc, Protocol::ScC] {
-            let (cfg, rc) = with_checker(4, proto, RacecheckMode::HappensBefore);
+            let (cfg, rc) = with_checker(4, proto);
             run_is_racy(&cfg, 600, 2);
             assert_eq!(rc.count(), is_racy_expected(4), "{proto}");
             assert!(
@@ -203,9 +197,22 @@ mod tests {
     }
 
     #[test]
+    fn one_checker_follows_runs_of_different_sizes() {
+        // The run sizes the checker; violations of earlier runs are kept.
+        // The two row widths keep the two runs' races distinct.
+        let (cfg, rc) = with_checker(4, Protocol::LrcD);
+        run_is_racy(&cfg, 600, 2);
+        assert_eq!(rc.count(), is_racy_expected(4));
+        let mut cfg = ClusterConfig::lossless(16, Protocol::LrcD);
+        cfg.racecheck = Some(rc.clone());
+        run_is_racy(&cfg, 300, 2);
+        assert_eq!(rc.count(), is_racy_expected(4) + is_racy_expected(16));
+    }
+
+    #[test]
     fn sor_racy_reports_each_rule_once_on_both_vc() {
         for proto in [Protocol::VcD, Protocol::VcSd] {
-            let (cfg, rc) = with_checker(2, proto, RacecheckMode::ViewDiscipline);
+            let (cfg, rc) = with_checker(2, proto);
             run_sor_racy(&cfg, 64, 2);
             assert_eq!(rc.count(), sor_racy_expected(), "{proto}");
             let mut labels: Vec<&str> = rc
@@ -234,7 +241,7 @@ mod tests {
     fn clean_is_is_silent_across_all_five_cells() {
         let p = IsParams::quick();
         for proto in [Protocol::LrcD, Protocol::Hlrc, Protocol::ScC] {
-            let (cfg, rc) = with_checker(4, proto, RacecheckMode::HappensBefore);
+            let (cfg, rc) = with_checker(4, proto);
             run_is(&cfg, &p, IsVariant::Traditional);
             assert_eq!(
                 rc.count(),
@@ -243,7 +250,7 @@ mod tests {
             );
         }
         for proto in [Protocol::VcD, Protocol::VcSd] {
-            let (cfg, rc) = with_checker(4, proto, RacecheckMode::ViewDiscipline);
+            let (cfg, rc) = with_checker(4, proto);
             run_is(&cfg, &p, IsVariant::Vopp);
             assert_eq!(rc.count(), 0, "{proto}: clean VOPP IS must be silent");
         }
@@ -253,7 +260,7 @@ mod tests {
     fn checker_never_perturbs_results_or_virtual_time() {
         let cfg = ClusterConfig::lossless(2, Protocol::LrcD);
         let plain = run_is_racy(&cfg, 600, 2);
-        let (checked_cfg, rc) = with_checker(2, Protocol::LrcD, RacecheckMode::HappensBefore);
+        let (checked_cfg, rc) = with_checker(2, Protocol::LrcD);
         let checked = run_is_racy(&checked_cfg, 600, 2);
         assert!(rc.count() > 0);
         assert_eq!(plain.value, checked.value);
@@ -266,7 +273,7 @@ mod tests {
         let counter = world.alloc_u32(1);
         let layout = world.build();
         for locked in [true, false] {
-            let (cfg, rc) = with_checker(2, Protocol::LrcD, RacecheckMode::HappensBefore);
+            let (cfg, rc) = with_checker(2, Protocol::LrcD);
             let layout = layout.clone();
             run_cluster(&cfg, layout, move |ctx| {
                 if locked {

@@ -138,10 +138,9 @@ fn ablation_homeless_vs_home_lrc(r: &mut Runner) {
     });
 }
 
-/// The tracer when disabled (or absent) must not perturb the simulation:
-/// virtual time is byte-identical with no tracer, with a disabled tracer
-/// and with an enabled one, and the disabled-tracer wall-clock cost stays
-/// within noise of the no-tracer baseline (every hook is a pointer test).
+/// Tracing must not perturb the simulation: virtual time is byte-identical
+/// with and without a tracer. The two rows time an untraced and a traced
+/// run of the same cell.
 fn ablation_trace_overhead(r: &mut Runner) {
     let p = IsParams::quick();
     let run = |tracer: Option<Arc<Tracer>>| {
@@ -149,27 +148,14 @@ fn ablation_trace_overhead(r: &mut Runner) {
         cfg.tracer = tracer;
         run_is(&cfg, &p, IsVariant::Vopp).stats.time
     };
-    let disabled_tracer = || {
-        let t = Arc::new(Tracer::default());
-        t.set_enabled(false);
-        t
-    };
     let vt_none = run(None);
-    let vt_disabled = run(Some(disabled_tracer()));
-    let vt_enabled = run(Some(Arc::new(Tracer::default())));
-    assert_eq!(vt_none, vt_disabled, "disabled tracer changed virtual time");
-    assert_eq!(vt_none, vt_enabled, "enabled tracer changed virtual time");
+    let vt_on = run(Some(Arc::new(Tracer::default())));
+    assert_eq!(vt_none, vt_on, "tracing changed virtual time");
 
-    let base = r.bench("trace_overhead/none", || run(None));
-    let off = r.bench("trace_overhead/disabled", || run(Some(disabled_tracer())));
-    if let (Some(base), Some(off)) = (base, off) {
-        // Generous bound: wall clock on shared machines is noisy; the real
-        // guarantee is the virtual-time equality above plus "well under 2x".
-        assert!(
-            off.as_secs_f64() <= base.as_secs_f64() * 1.75 + 2e-3,
-            "disabled tracing cost {off:?} vs baseline {base:?}"
-        );
-    }
+    r.bench("trace_overhead/none", || run(None));
+    r.bench("trace_overhead/on", || {
+        run(Some(Arc::new(Tracer::default())))
+    });
 }
 
 fn main() {

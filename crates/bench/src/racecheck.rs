@@ -6,8 +6,8 @@
 //!
 //! * **Clean cells** — IS and SOR in both styles across all five
 //!   protocol×style cells of the paper's matrix (traditional on
-//!   LRC_d/HLRC_d/ScC under a happens-before checker, VOPP on VC_d/VC_sd
-//!   under a view-discipline checker). Every cell must report **zero**
+//!   LRC_d/HLRC_d/ScC, checked for data races; VOPP on VC_d/VC_sd, checked
+//!   for view discipline). Every cell must report **zero**
 //!   violations: the paper's programs are race-free and view-disciplined.
 //! * **Seeded cells** — the deliberately broken variants of
 //!   [`vopp_apps::racy`], whose violation counts are known exactly. Every
@@ -26,7 +26,7 @@ use std::sync::Arc;
 use vopp_apps::is::{run_is, IsParams, IsVariant};
 use vopp_apps::racy::{is_racy_expected, run_is_racy, run_sor_racy, sor_racy_expected};
 use vopp_apps::sor::{run_sor, SorParams, SorVariant};
-use vopp_core::{ClusterConfig, Protocol, RaceChecker, RacecheckMode};
+use vopp_core::{ClusterConfig, Protocol, RaceChecker};
 use vopp_serve::{run_serve, run_serve_undisciplined, undisciplined_expected, ServeParams};
 
 /// Processor count for every racecheck cell.
@@ -92,8 +92,8 @@ impl RacecheckOutcome {
     }
 }
 
-fn checked(np: usize, proto: Protocol, mode: RacecheckMode) -> (ClusterConfig, Arc<RaceChecker>) {
-    let rc = Arc::new(RaceChecker::new(mode, np));
+fn checked(np: usize, proto: Protocol) -> (ClusterConfig, Arc<RaceChecker>) {
+    let rc = Arc::new(RaceChecker::new());
     let mut cfg = ClusterConfig::lossless(np, proto);
     cfg.racecheck = Some(rc.clone());
     (cfg, rc)
@@ -117,25 +117,25 @@ pub fn run_racecheck() -> RacecheckOutcome {
 
     // Clean cells: the paper's programs, all five protocol×style cells.
     for proto in [Protocol::LrcD, Protocol::Hlrc, Protocol::ScC] {
-        let (cfg, rc) = checked(NP, proto, RacecheckMode::HappensBefore);
+        let (cfg, rc) = checked(NP, proto);
         run_is(&cfg, &is_p, IsVariant::Traditional);
         cells.push(cell(format!("clean is traditional {proto}"), 0, &rc));
-        let (cfg, rc) = checked(NP, proto, RacecheckMode::HappensBefore);
+        let (cfg, rc) = checked(NP, proto);
         run_sor(&cfg, &sor_p, SorVariant::Traditional);
         cells.push(cell(format!("clean sor traditional {proto}"), 0, &rc));
     }
     for proto in [Protocol::VcD, Protocol::VcSd] {
-        let (cfg, rc) = checked(NP, proto, RacecheckMode::ViewDiscipline);
+        let (cfg, rc) = checked(NP, proto);
         run_is(&cfg, &is_p, IsVariant::Vopp);
         cells.push(cell(format!("clean is vopp {proto}"), 0, &rc));
-        let (cfg, rc) = checked(NP, proto, RacecheckMode::ViewDiscipline);
+        let (cfg, rc) = checked(NP, proto);
         run_sor(&cfg, &sor_p, SorVariant::Vopp);
         cells.push(cell(format!("clean sor vopp {proto}"), 0, &rc));
     }
 
     // Seeded cells: known-answer violation counts.
     for proto in [Protocol::LrcD, Protocol::Hlrc, Protocol::ScC] {
-        let (cfg, rc) = checked(NP, proto, RacecheckMode::HappensBefore);
+        let (cfg, rc) = checked(NP, proto);
         run_is_racy(&cfg, 600, 2);
         cells.push(cell(
             format!("seeded is-racy traditional {proto}"),
@@ -144,7 +144,7 @@ pub fn run_racecheck() -> RacecheckOutcome {
         ));
     }
     for proto in [Protocol::VcD, Protocol::VcSd] {
-        let (cfg, rc) = checked(NP, proto, RacecheckMode::ViewDiscipline);
+        let (cfg, rc) = checked(NP, proto);
         run_sor_racy(&cfg, 64, 2);
         cells.push(cell(
             format!("seeded sor-racy vopp {proto}"),
@@ -158,15 +158,15 @@ pub fn run_racecheck() -> RacecheckOutcome {
     // must report exactly one violation per discipline rule.
     let serve_p = ServeParams::quick();
     for proto in [Protocol::LrcD, Protocol::Hlrc, Protocol::ScC] {
-        let (cfg, rc) = checked(NP, proto, RacecheckMode::HappensBefore);
+        let (cfg, rc) = checked(NP, proto);
         run_serve(&cfg, &serve_p, vopp_serve::ServeVariant::Traditional);
         cells.push(cell(format!("clean serve traditional {proto}"), 0, &rc));
     }
     for proto in [Protocol::VcD, Protocol::VcSd] {
-        let (cfg, rc) = checked(NP, proto, RacecheckMode::ViewDiscipline);
+        let (cfg, rc) = checked(NP, proto);
         run_serve(&cfg, &serve_p, vopp_serve::ServeVariant::Vopp);
         cells.push(cell(format!("clean serve vopp {proto}"), 0, &rc));
-        let (cfg, rc) = checked(NP, proto, RacecheckMode::ViewDiscipline);
+        let (cfg, rc) = checked(NP, proto);
         run_serve_undisciplined(&cfg, &serve_p);
         cells.push(cell(
             format!("seeded serve-undisciplined vopp {proto}"),

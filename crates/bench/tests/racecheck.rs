@@ -9,11 +9,11 @@ use std::sync::Arc;
 use vopp_apps::is::{run_is, IsParams, IsVariant};
 use vopp_apps::racy::{is_racy_expected, run_is_racy};
 use vopp_bench::MetricsSink;
-use vopp_core::{ClusterConfig, Protocol, RaceChecker, RacecheckMode, RunStats};
+use vopp_core::{ClusterConfig, Protocol, RaceChecker, RunStats};
 use vopp_trace::{EventKind, Tracer};
 
-fn checked(np: usize, proto: Protocol, mode: RacecheckMode) -> (ClusterConfig, Arc<RaceChecker>) {
-    let rc = Arc::new(RaceChecker::new(mode, np));
+fn checked(np: usize, proto: Protocol) -> (ClusterConfig, Arc<RaceChecker>) {
+    let rc = Arc::new(RaceChecker::new());
     let mut cfg = ClusterConfig::lossless(np, proto);
     cfg.racecheck = Some(rc.clone());
     (cfg, rc)
@@ -43,7 +43,7 @@ fn record_one(sink: &MetricsSink, stats: &RunStats) {
 fn metrics_documents_are_byte_identical_with_checker_attached() {
     // Even a checker that FIRES must not perturb the recorded statistics.
     let plain = run_is_racy(&ClusterConfig::lossless(2, Protocol::LrcD), 600, 2);
-    let (cfg, rc) = checked(2, Protocol::LrcD, RacecheckMode::HappensBefore);
+    let (cfg, rc) = checked(2, Protocol::LrcD);
     let with_rc = run_is_racy(&cfg, 600, 2);
     assert!(rc.count() > 0, "the seeded cell must actually fire");
 
@@ -61,7 +61,7 @@ fn metrics_documents_are_byte_identical_with_checker_attached() {
 fn traced_clean_is(rc: bool) -> String {
     let mut cfg = ClusterConfig::lossless(4, Protocol::VcSd);
     if rc {
-        cfg.racecheck = Some(Arc::new(RaceChecker::new(RacecheckMode::ViewDiscipline, 4)));
+        cfg.racecheck = Some(Arc::new(RaceChecker::new()));
     }
     let tracer = Arc::new(Tracer::default());
     cfg.tracer = Some(tracer.clone());
@@ -82,7 +82,7 @@ fn clean_run_trace_is_byte_identical_with_checker_attached() {
 
 #[test]
 fn racy_run_trace_gains_exactly_the_violation_events() {
-    let (cfg, rc) = checked(2, Protocol::LrcD, RacecheckMode::HappensBefore);
+    let (cfg, rc) = checked(2, Protocol::LrcD);
     let mut cfg = cfg;
     let tracer = Arc::new(Tracer::default());
     cfg.tracer = Some(tracer.clone());

@@ -77,7 +77,7 @@ impl<'a> VoppExt<'a> for DsmCtx<'a> {
 
 /// An application-level trace span bracketing a whole view bracket
 /// (acquire, body, release). Nothing is allocated or recorded unless the
-/// run has an enabled tracer installed.
+/// run has a tracer installed.
 struct Span(Option<String>);
 
 impl Span {

@@ -44,8 +44,7 @@ pub use world::WorldBuilder;
 pub use vopp_dsm::{
     check_views, run_cluster, Breakdown, ClusterConfig, ClusterOutcome, CostModel, Crash,
     DisciplineRule, DsmCtx, FaultPlan, Layout, Loss, NodeMetrics, NodeStats, Phase, Protocol,
-    RaceChecker, RacecheckMode, Registry, RunStats, Slowdown, Summary, ViewId, ViewStats,
-    Violation,
+    RaceChecker, RunStats, Slowdown, Summary, ViewId, ViewStats, Violation,
 };
 pub use vopp_page::{Addr, PAGE_SIZE};
 pub use vopp_simnet::NetConfig;

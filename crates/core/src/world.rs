@@ -80,11 +80,6 @@ impl WorldBuilder {
         (0..count).map(|_| self.view_u32(len)).collect()
     }
 
-    /// Direct access to the underlying layout (advanced uses).
-    pub fn layout_mut(&mut self) -> &mut Layout {
-        &mut self.layout
-    }
-
     /// Freeze the world for a cluster run.
     pub fn build(self) -> Arc<Layout> {
         self.layout.freeze()

@@ -20,14 +20,14 @@ use vopp_page::{
     offset_in_page, page_of, pages_spanned, Addr, Diff, IntervalId, NodeMemory, PageId, PageState,
     VTime, PAGE_SIZE,
 };
-use vopp_racecheck::{DisciplineRule, Mode as RcMode, RaceChecker, Violation};
+use vopp_racecheck::{RaceChecker, Violation};
 use vopp_sim::sync::Mutex;
 use vopp_sim::{AppCtx, EventKind, Packet, ProcId, SimDuration, SimTime};
 use vopp_simnet::RpcClient;
 use vopp_trace::{CausalProfiler, OpKind, OpSpan};
 
 use crate::cost::{CostModel, CpuDebt};
-use crate::layout::{Layout, ViewId};
+use crate::layout::Layout;
 use crate::msg::{Req, Resp};
 use crate::node::{NodeState, PageDiffs, PendingFetch};
 use crate::protocol::{Family, PageSource, Protocol};
@@ -53,7 +53,7 @@ pub struct DsmCtx<'a> {
     next_barrier: Cell<u32>,
     barrier_timeout: SimDuration,
     pub(crate) auto_views: Cell<bool>,
-    rc: Option<Arc<RaceChecker>>,
+    pub(crate) rc: Option<Arc<RaceChecker>>,
     /// Causal profiler of this run, cached off the kernel so the hot paths
     /// pay one pointer test. When set, every flush and blocking wait also
     /// records an [`OpSpan`] annotation for critical-path blame.
@@ -133,15 +133,15 @@ impl<'a> DsmCtx<'a> {
         self.sim.now()
     }
 
-    /// Whether an enabled tracer is installed on this run. Gate any work
-    /// done purely to build an event (string formatting, collection) on
-    /// this so disabled runs pay nothing.
+    /// Whether a tracer is installed on this run. Gate any work done purely
+    /// to build an event (string formatting, collection) on this so
+    /// untraced runs pay nothing.
     pub fn tracing(&self) -> bool {
         self.sim.tracing()
     }
 
     /// Record a structured trace event at this node's current virtual time.
-    /// A no-op (one pointer test) unless a tracer is installed and enabled.
+    /// A no-op (one pointer test) unless a tracer is installed.
     pub fn trace(&self, kind: EventKind) {
         self.sim.trace(kind);
     }
@@ -340,14 +340,15 @@ impl<'a> DsmCtx<'a> {
         let t0 = self.sim.now();
         let episode = self.next_barrier.get();
         self.next_barrier.set(episode + 1);
-        if let Some(rc) = self.rc_hb() {
-            // Contribute this node's clock before the arrive message: the
-            // home releases everyone only after all arrives, so every
-            // node's enter is ordered before any node's exit.
-            rc.barrier_enter(self.me(), episode);
-        }
         let (records, vt) = match self.protocol.family() {
             Family::Lrc => {
+                if let Some(rc) = &self.rc {
+                    // Contribute this node's clock before the arrive
+                    // message: the home releases everyone only after all
+                    // arrives, so every node's enter is ordered before any
+                    // node's exit.
+                    rc.barrier_enter(self.me(), episode);
+                }
                 self.close_interval();
                 let mut n = self.node.lock();
                 (n.delta_for_home(0), n.logged_vt.clone())
@@ -390,8 +391,7 @@ impl<'a> DsmCtx<'a> {
             // absorbing it only syncs the lamport clock.
             let mut n = self.node.lock();
             n.absorb_lrc_grant(&records, &vt, lamport);
-            let lv = vt.clone();
-            n.note_home_knows(0, &lv);
+            n.note_home_knows(0, &vt);
             n.stats.barriers += 1;
             n.stats.barrier_wait_ns += (self.sim.now() - t0).nanos();
         }
@@ -401,7 +401,7 @@ impl<'a> DsmCtx<'a> {
             epoch: episode as u64,
             notices,
         });
-        if let Some(rc) = self.rc_hb() {
+        if let (Family::Lrc, Some(rc)) = (self.protocol.family(), &self.rc) {
             rc.barrier_exit(self.me(), episode);
         }
     }
@@ -418,106 +418,46 @@ impl<'a> DsmCtx<'a> {
         }
     }
 
-    /// The attached happens-before checker, if any.
-    pub(crate) fn rc_hb(&self) -> Option<&RaceChecker> {
-        self.rc
-            .as_deref()
-            .filter(|rc| rc.mode() == RcMode::HappensBefore)
-    }
-
-    /// The attached view-discipline checker, if any. While one is attached,
-    /// VOPP discipline violations are reported instead of panicking.
-    pub(crate) fn rc_discipline(&self) -> Option<&RaceChecker> {
-        self.rc
-            .as_deref()
-            .filter(|rc| rc.mode() == RcMode::ViewDiscipline)
-    }
-
-    /// Record one shared access with the attached checker (a single pointer
-    /// test when none is attached) and emit a trace event per fresh
-    /// violation. Pure observation: never advances virtual time, so runs
-    /// with the checker off are byte-identical to runs without it.
+    /// Under the LRC family, record one shared access with the attached
+    /// checker (a single pointer test when none is attached) and emit a
+    /// trace event per fresh data race. Pure observation: never advances
+    /// virtual time, so runs with the checker off are byte-identical to runs
+    /// without it. (The VC family's discipline check runs in `ensure`.)
     fn rc_access(&self, addr: Addr, len: usize, write: bool) {
         let Some(rc) = &self.rc else { return };
-        if len == 0 {
+        if len == 0 || !self.protocol.is_lrc_family() {
             return;
         }
-        match rc.mode() {
-            RcMode::HappensBefore => {
-                let me = self.me();
-                for v in rc.access(me, addr, len, write) {
-                    if let Violation::DataRace {
-                        page,
-                        first,
-                        second,
-                    } = v
-                    {
-                        let (mine, other) = if second.node == me {
-                            (second, first)
-                        } else {
-                            (first, second)
-                        };
-                        self.trace(EventKind::RaceDetected {
-                            page: page as u64,
-                            other: other.node,
-                            start: mine.start as u64,
-                            end: mine.end as u64,
-                            write: mine.write,
-                        });
-                    }
-                }
-            }
-            RcMode::ViewDiscipline => self.rc_check_discipline(rc, addr, len, write),
-        }
-    }
-
-    /// Classify one access against the VOPP discipline and report every
-    /// violated page range — the relaxed, reporting replacement for the
-    /// panicking [`DsmCtx::vopp_check`].
-    fn rc_check_discipline(&self, rc: &RaceChecker, addr: Addr, len: usize, write: bool) {
         let me = self.me();
-        let (held_w, held_r): (Option<ViewId>, Vec<ViewId>) = {
-            let n = self.node.lock();
-            (n.held_write, n.held_read.keys().copied().collect())
-        };
-        for p in pages_spanned(addr, len) {
-            let ps = p * PAGE_SIZE;
-            let start = addr.max(ps);
-            let end = (addr + len).min(ps + PAGE_SIZE);
-            let (rule, view) = match self.layout.view_of_page(p) {
-                None => (DisciplineRule::OutsideViews, None),
-                Some(v) => {
-                    if held_w == Some(v) || (!write && held_r.contains(&v)) {
-                        continue; // disciplined access
-                    }
-                    let rule = if write && held_r.contains(&v) {
-                        DisciplineRule::ReadOnlyWrite
-                    } else if held_w.is_none() && held_r.is_empty() {
-                        DisciplineRule::Unbracketed
-                    } else {
-                        DisciplineRule::ForeignView
-                    };
-                    (rule, Some(v))
-                }
-            };
-            if rc.record_discipline(rule, me, view, p, start, end, write) && self.tracing() {
-                self.trace(EventKind::DisciplineViolation {
-                    rule: rule.label().to_string(),
-                    page: p as u64,
-                    start: start as u64,
-                    end: end as u64,
-                    write,
+        for v in rc.access(me, addr, len, write) {
+            if let Violation::DataRace {
+                page,
+                first,
+                second,
+            } = v
+            {
+                let (mine, other) = if second.node == me {
+                    (second, first)
+                } else {
+                    (first, second)
+                };
+                self.trace(EventKind::RaceDetected {
+                    page: page as u64,
+                    other: other.node,
+                    start: mine.start as u64,
+                    end: mine.end as u64,
+                    write: mine.write,
                 });
             }
         }
     }
 
-    /// With a discipline checker attached, undisciplined writes are reported
-    /// rather than rejected; revert any dirty page that does not belong to
-    /// the currently-held write view so the protocol machinery (interval
+    /// With a checker attached, undisciplined VC writes are reported rather
+    /// than rejected; revert any dirty page that does not belong to the
+    /// currently-held write view so the protocol machinery (interval
     /// closing, grant invalidation) never observes them.
     pub(crate) fn rc_discard_undisciplined(&self) {
-        if self.rc_discipline().is_none() {
+        if self.rc.is_none() {
             return;
         }
         let mut n = self.node.lock();
@@ -679,15 +619,20 @@ impl<'a> DsmCtx<'a> {
     }
 
     /// Make page `p` readable, or writable (twinning it on its first
-    /// write of the interval), faulting it in first if it is invalid.
-    fn ensure(&self, p: PageId, write: bool) {
+    /// write of the interval), faulting it in first if it is invalid. Under
+    /// the VC family the access (`span`, the whole access `p` is part of)
+    /// is first checked against the VOPP discipline.
+    fn ensure(&self, p: PageId, write: bool, span: Range<Addr>) {
+        let mut n = self.node.lock();
+        if self.protocol.is_vc() {
+            self.check_discipline(&n, p, span, write);
+        }
         loop {
-            let mut n = self.node.lock();
-            self.vopp_check(&n, p, write);
             match n.mem.state(p) {
                 PageState::Invalid => {
                     drop(n);
                     self.fault(p, write);
+                    n = self.node.lock();
                 }
                 PageState::Valid if write => {
                     n.mem.note_write(p);
@@ -759,7 +704,7 @@ impl<'a> DsmCtx<'a> {
         };
         self.copy_cost(copied as u64);
         for p in pages_spanned(addr, len) {
-            self.ensure(p, write);
+            self.ensure(p, write, addr..addr + len);
         }
         let mut n = self.node.lock();
         let mut done = 0;

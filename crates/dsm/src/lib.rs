@@ -57,7 +57,5 @@ pub use node::{interval_log, IntervalLog, NodeState, PendingFetch, StoredDiff};
 pub use protocol::Protocol;
 pub use runtime::{run_cluster, ClusterConfig, ClusterOutcome};
 pub use stats::{NodeMetrics, NodeStats, RunStats, ViewStats, ViewStatsMap};
-pub use vopp_metrics::{Breakdown, Histogram, Phase, Registry, Summary};
-pub use vopp_racecheck::{
-    AccessRec, DisciplineRule, Mode as RacecheckMode, RaceChecker, Violation,
-};
+pub use vopp_metrics::{Breakdown, Histogram, Phase, Summary};
+pub use vopp_racecheck::{AccessRec, DisciplineRule, RaceChecker, Violation};

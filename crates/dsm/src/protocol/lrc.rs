@@ -112,8 +112,7 @@ impl DsmCtx<'_> {
             let fresh = self.fresh_lrc_notices(&records);
             let mut n = self.node.lock();
             n.absorb_lrc_grant(&records, &vt, lamport);
-            let lv = vt.clone();
-            n.note_home_knows(home, &lv);
+            n.note_home_knows(home, &vt);
             (fresh, 0)
         };
         {
@@ -123,7 +122,7 @@ impl DsmCtx<'_> {
         }
         self.emit_notices(fresh, scope);
         self.trace(EventKind::LockAcquireEnd { lock: lock as u64 });
-        if let Some(rc) = self.rc_hb() {
+        if let Some(rc) = &self.rc {
             rc.lock_acquired(self.me(), lock);
         }
     }
@@ -135,7 +134,7 @@ impl DsmCtx<'_> {
         assert!(self.protocol.is_lrc_family());
         self.flush();
         let sealed = self.close_interval();
-        if let Some(rc) = self.rc_hb() {
+        if let Some(rc) = &self.rc {
             // Publish this node's ordering before the release message: the
             // home may grant the lock to a remote acquirer while this
             // thread is still blocked on the Ack.

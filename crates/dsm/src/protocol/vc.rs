@@ -7,12 +7,17 @@
 //! Under a VC protocol the context *enforces* the VOPP discipline: shared
 //! memory is read only inside a held view and written only inside the held
 //! write view, write views do not nest, and a release has dirtied only its
-//! view's pages. Violations panic: they are programming errors.
+//! view's pages. Violations panic: they are programming errors. With a
+//! race checker attached, access violations are recorded instead (one
+//! classifier, `NodeState::discipline`, serves both) and the offending
+//! writes are reverted before the protocol sees them.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use vopp_metrics::Phase;
-use vopp_page::{pages_spanned, Addr, Diff, IntervalId, PageId, PageState};
+use vopp_page::{pages_spanned, Addr, Diff, IntervalId, PageId, PageState, PAGE_SIZE};
+use vopp_racecheck::DisciplineRule;
 use vopp_sim::{DeliveryClass, EventKind, Packet, Payload, ProcId};
 use vopp_simnet::HEADER_BYTES;
 
@@ -109,6 +114,27 @@ impl NodeState {
     /// Whether this node holds view `v` for writing, and for reading.
     fn holds(&self, v: ViewId) -> (bool, bool) {
         (self.held_write == Some(v), self.held_read.contains_key(&v))
+    }
+
+    /// The VOPP-discipline classifier: the rule an access to page `p`
+    /// breaks, with the view owning the page, or `None` when a held view
+    /// brackets it (the write view, or for a read, a read view).
+    fn discipline(&self, p: PageId, write: bool) -> Option<(DisciplineRule, Option<ViewId>)> {
+        let Some(v) = self.layout.view_of_page(p) else {
+            return Some((DisciplineRule::OutsideViews, None));
+        };
+        let (held_w, held_r) = self.holds(v);
+        if held_w || (held_r && !write) {
+            return None;
+        }
+        let rule = if held_r {
+            DisciplineRule::ReadOnlyWrite
+        } else if self.held_write.is_none() && self.held_read.is_empty() {
+            DisciplineRule::Unbracketed
+        } else {
+            DisciplineRule::ForeignView
+        };
+        Some((rule, Some(v)))
     }
 
     /// The version of `obj` — a view, or under ScC a lock's scope — whose
@@ -389,7 +415,7 @@ impl DsmCtx<'_> {
         self.rc_discard_undisciplined();
         let home = {
             let mut n = self.node.lock();
-            if self.rc_discipline().is_none() {
+            if self.rc.is_none() {
                 for p in n.mem.dirty_pages() {
                     assert!(
                         self.layout.view(v).pages.contains(&p),
@@ -542,32 +568,51 @@ impl DsmCtx<'_> {
         }
     }
 
-    /// Under a VC protocol with no discipline checker attached, panic on an
-    /// access to `p` that no held view brackets.
-    pub(crate) fn vopp_check(&self, n: &NodeState, p: PageId, write: bool) {
-        if !self.protocol.is_vc() || self.rc_discipline().is_some() {
+    /// Check an access to page `p` (part of the access `span`) against the
+    /// VOPP discipline, with this node's state `n` locked by the caller. A
+    /// broken rule is recorded with the attached checker, and traced the
+    /// first time; with no checker attached it is a programming error.
+    pub(crate) fn check_discipline(
+        &self,
+        n: &NodeState,
+        p: PageId,
+        span: Range<Addr>,
+        write: bool,
+    ) {
+        let Some((rule, view)) = n.discipline(p, write) else {
             return;
+        };
+        let Some(rc) = &self.rc else {
+            match view {
+                None => panic!(
+                    "proc {}: access to shared page {p} outside any view — \
+                     VOPP programs put all shared data in views",
+                    n.me
+                ),
+                Some(v) => panic!(
+                    "proc {}: {} page {p} of view {v} without {} it (held_write={:?}) — \
+                     view primitives must bracket every access (paper §2)",
+                    n.me,
+                    if write { "write to" } else { "read of" },
+                    if write {
+                        "acquire_view-ing"
+                    } else {
+                        "acquiring"
+                    },
+                    n.held_write
+                ),
+            }
+        };
+        let ps = p * PAGE_SIZE;
+        let (start, end) = (span.start.max(ps), span.end.min(ps + PAGE_SIZE));
+        if rc.record_discipline(rule, n.me, view, p, start, end, write) && self.tracing() {
+            self.trace(EventKind::DisciplineViolation {
+                rule: rule.label().to_string(),
+                page: p as u64,
+                start: start as u64,
+                end: end as u64,
+                write,
+            });
         }
-        let v = self.layout.view_of_page(p).unwrap_or_else(|| {
-            panic!(
-                "proc {}: access to shared page {p} outside any view — \
-                 VOPP programs put all shared data in views",
-                n.me
-            )
-        });
-        let (held_w, held_r) = n.holds(v);
-        assert!(
-            held_w || (held_r && !write),
-            "proc {}: {} page {p} of view {v} without {} it (held_write={:?}) — \
-             view primitives must bracket every access (paper §2)",
-            n.me,
-            if write { "write to" } else { "read of" },
-            if write {
-                "acquire_view-ing"
-            } else {
-                "acquiring"
-            },
-            n.held_write
-        );
     }
 }

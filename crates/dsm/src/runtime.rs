@@ -37,9 +37,12 @@ pub struct ClusterConfig {
     /// no per-event work beyond a pointer test.
     pub tracer: Option<Arc<Tracer>>,
     /// Dynamic correctness checker shared by every node of the run (see
-    /// `vopp-racecheck`). `None` (the default) checks nothing and adds no
-    /// per-access work beyond a pointer test; attaching a checker never
-    /// advances virtual time, so results and statistics are unchanged.
+    /// `vopp-racecheck`): happens-before race detection under the LRC
+    /// family, view-discipline checking under the VC family. The run sizes
+    /// it for [`ClusterConfig::nprocs`] when it starts. `None` (the default)
+    /// checks nothing and adds no per-access work beyond a pointer test;
+    /// attaching a checker never advances virtual time, so results and
+    /// statistics are unchanged.
     pub racecheck: Option<Arc<RaceChecker>>,
     /// Deterministic fault schedule: elevated loss rewrites the network
     /// config, slowdowns scale individual nodes' cost models, and crash
@@ -159,6 +162,9 @@ where
         sim.set_handler(p, make_handler(node.clone()));
     }
 
+    if let Some(rc) = &cfg.racecheck {
+        rc.begin_run(n);
+    }
     let nodes_ref = &nodes;
     let barrier_timeout = cfg.barrier_timeout;
     let racecheck = &cfg.racecheck;

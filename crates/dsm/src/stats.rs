@@ -6,7 +6,7 @@
 
 use std::collections::BTreeMap;
 
-use vopp_metrics::{Breakdown, Histogram, Phase, Registry, Summary};
+use vopp_metrics::{Breakdown, Histogram, Phase, Summary};
 use vopp_sim::SimTime;
 use vopp_simnet::NetStats;
 
@@ -58,7 +58,7 @@ impl NodeMetrics {
 }
 
 /// Counters collected on one node during a run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NodeStats {
     /// Barrier operations performed by this node.
     pub barriers: u64,
@@ -242,34 +242,6 @@ impl RunStats {
         views.truncate(top_n);
         views
     }
-
-    /// Flatten everything into a name-keyed [`Registry`]: exact counters
-    /// (counts, message/byte totals, `time_ns`), derived gauges, and the
-    /// latency histograms. This is the stable export surface consumed by the
-    /// `BENCH_<app>.json` artifacts and the regression gate.
-    pub fn registry(&self) -> Registry {
-        let mut r = Registry::default();
-        r.inc_counter("time_ns", self.time.nanos());
-        r.inc_counter("barriers", self.nodes.barriers);
-        r.inc_counter("acquires", self.nodes.acquires);
-        r.inc_counter("diff_requests", self.nodes.diff_requests);
-        r.inc_counter("page_faults", self.nodes.page_faults);
-        r.inc_counter("rexmits", self.nodes.rexmits);
-        r.inc_counter("twins", self.nodes.twins);
-        r.inc_counter("diffs_created", self.nodes.diffs_created);
-        r.inc_counter("diffs_applied", self.nodes.diffs_applied);
-        r.inc_counter("net_msgs", self.net.msgs);
-        r.inc_counter("net_bytes", self.net.bytes);
-        r.inc_counter("net_drops", self.net.drops);
-        r.set_gauge("time_secs", self.time_secs());
-        r.set_gauge("data_mbytes", self.data_mbytes());
-        r.set_gauge("nprocs", self.nprocs as f64);
-        r.absorb_hist("acquire_rtt", &self.nodes.metrics.acquire_rtt);
-        r.absorb_hist("barrier_rtt", &self.nodes.metrics.barrier_rtt);
-        r.absorb_hist("diff_rtt", &self.nodes.metrics.diff_rtt);
-        r.absorb_hist("rpc_rtt", &self.nodes.metrics.rpc_rtt);
-        r
-    }
 }
 
 #[cfg(test)]
@@ -440,34 +412,5 @@ mod tests {
         // Equal waits tie-break on view id.
         assert_eq!(hot[1].0, 2);
         assert_eq!(s.hot_views(10).len(), 3);
-    }
-
-    #[test]
-    fn registry_exports_counters_gauges_hists() {
-        let mut s = RunStats {
-            time: SimTime(1_000_000_000),
-            nprocs: 2,
-            nodes: NodeStats {
-                barriers: 4,
-                diff_requests: 7,
-                ..Default::default()
-            },
-            net: NetStats {
-                msgs: 55,
-                bytes: 2_000_000,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        s.nodes.metrics.barrier_rtt.record(80_000);
-        let r = s.registry();
-        assert_eq!(r.counter("time_ns"), Some(1_000_000_000));
-        assert_eq!(r.counter("diff_requests"), Some(7));
-        assert_eq!(r.counter("net_msgs"), Some(55));
-        assert_eq!(r.gauge("nprocs"), Some(2.0));
-        assert_eq!(r.hist("barrier_rtt").unwrap().count(), 1);
-        // JSON export is well-formed and re-parsable.
-        let text = r.to_value().to_json();
-        assert!(vopp_trace::json::Value::parse(&text).is_ok());
     }
 }

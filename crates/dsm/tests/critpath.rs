@@ -109,12 +109,12 @@ fn profiler_never_perturbs_results_or_statistics() {
         assert_eq!(r_off, r_on, "{protocol:?}");
         assert!(s_off.crit.is_none());
         assert!(s_on.crit.is_some());
-        // The full stable export surface must be byte-identical.
+        // Every counter, histogram and per-view row must be identical.
         assert_eq!(
-            s_off.registry().to_value().to_json(),
-            s_on.registry().to_value().to_json(),
+            s_off.nodes, s_on.nodes,
             "{protocol:?}: profiling must be pure observation"
         );
+        assert_eq!(s_off.net, s_on.net, "{protocol:?}");
         assert_eq!(s_off.time, s_on.time, "{protocol:?}");
         assert_eq!(s_off.node_end, s_on.node_end, "{protocol:?}");
         for (a, b) in s_off.node_breakdowns.iter().zip(&s_on.node_breakdowns) {

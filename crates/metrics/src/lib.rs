@@ -1,6 +1,6 @@
 //! Per-node metrics for the VOPP simulator.
 //!
-//! Four primitives, all deterministic and allocation-light so they can sit
+//! Three primitives, all deterministic and allocation-light so they can sit
 //! on the simulated hot path:
 //!
 //! * [`Breakdown`] — a phase-accounting clock that classifies every
@@ -10,9 +10,6 @@
 //!   not an estimate.
 //! * [`Histogram`] — a fixed-bucket latency histogram (1-2-5 ladder from
 //!   1µs to 1s) with exact count/sum/max and bucket-resolution p50/p95.
-//! * [`Registry`] — a string-keyed export container for counters, gauges
-//!   and histogram summaries, with insertion-independent (sorted) iteration
-//!   and byte-stable JSON via `vopp_trace::json`.
 //! * [`critpath`] — backward-walk extraction of the exact virtual-time
 //!   critical path from a `vopp_trace::CausalLog`, with blame attribution
 //!   and what-if speedup ceilings.
@@ -25,12 +22,10 @@
 pub mod critpath;
 pub mod hist;
 pub mod phase;
-pub mod registry;
 
 pub use critpath::{
     critpath_to_chrome_json, extract, write_critpath_chrome_json_to, CritPath, CritSeg, SegCat,
 };
 pub use hist::{Histogram, Summary};
 pub use phase::{Breakdown, Phase};
-pub use registry::Registry;
 pub use vopp_trace::{CausalLog, CausalProfiler, OpKind, OpSpan};

@@ -1,20 +1,20 @@
 //! vopp-racecheck: dynamic correctness checking for both programming models
 //! the paper compares (§2, §3).
 //!
-//! Two checkers live behind one [`RaceChecker`] facade, selected by
-//! [`Mode`]:
+//! One [`RaceChecker`] holds both checks; the DSM layer calls the hooks of
+//! the one its protocol family needs:
 //!
-//! * **Happens-before data-race detection** ([`Mode::HappensBefore`]) for
-//!   traditional lock/barrier programs on the LRC-family protocols. Every
-//!   shared access is recorded as a per-word-range shadow record carrying
-//!   the accessor's vector-clock epoch; locks and barriers propagate vector
-//!   timestamps ([`vopp_page::VTime`], the same machinery the protocols
-//!   use). Two overlapping accesses from different nodes, at least one a
-//!   write, with neither ordered before the other, are a data race.
-//!   Detection is *word-range* precise: false sharing (distinct ranges on
-//!   one page) is not a race.
-//! * **View-discipline checking** ([`Mode::ViewDiscipline`]) for VOPP
-//!   programs: every shared access must fall inside a currently-acquired
+//! * **Happens-before data-race detection** for traditional lock/barrier
+//!   programs on the LRC-family protocols. Every shared access is recorded
+//!   as a per-word-range shadow record carrying the accessor's vector-clock
+//!   epoch; locks and barriers propagate vector timestamps
+//!   ([`vopp_page::VTime`], the same machinery the protocols use). Two
+//!   overlapping accesses from different nodes, at least one a write, with
+//!   neither ordered before the other, are a data race. Detection is
+//!   *word-range* precise: false sharing (distinct ranges on one page) is
+//!   not a race.
+//! * **View-discipline checking** for VOPP programs on the VC-family
+//!   protocols: every shared access must fall inside a currently-acquired
 //!   view that owns the touched addresses, and writes need the exclusive
 //!   view (paper §2: "debugging is easier since the runtime can detect view
 //!   access violations"). The DSM layer classifies each violation into a
@@ -28,15 +28,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
 use vopp_page::{pages_spanned, Addr, PageId, VTime, PAGE_SIZE};
-
-/// Which discipline a [`RaceChecker`] validates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Vector-clock happens-before race detection (traditional programs).
-    HappensBefore,
-    /// VOPP view-discipline checking (view-structured programs).
-    ViewDiscipline,
-}
 
 /// One recorded shared-memory access, as named in a race report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -94,7 +85,7 @@ impl DisciplineRule {
 /// One confirmed violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Violation {
-    /// Two unordered conflicting accesses (happens-before mode).
+    /// Two unordered conflicting accesses (LRC-family runs).
     DataRace {
         /// Page both accesses touch.
         page: PageId,
@@ -103,7 +94,7 @@ pub enum Violation {
         /// The access that completed the race.
         second: AccessRec,
     },
-    /// A view-discipline violation (VOPP mode).
+    /// A view-discipline violation (VC-family runs).
     Discipline {
         /// The broken rule.
         rule: DisciplineRule,
@@ -204,6 +195,7 @@ struct Shadow {
     clock: u32,
 }
 
+#[derive(Default)]
 struct Inner {
     n: usize,
     /// Per-node vector clock; node `i`'s own component starts at 1 so the
@@ -234,64 +226,58 @@ impl Inner {
     }
 }
 
-/// The dynamic checker attached to one simulated cluster run.
+/// The dynamic checker attached to simulated cluster runs, one at a time.
 ///
 /// Thread-safe: the simulator runs one node thread at a time, but handler
 /// and app threads are real OS threads, so all state sits behind a mutex.
 /// All methods are pure observation — they never advance virtual time, so
 /// attaching a checker does not change the simulated execution.
+#[derive(Default)]
 pub struct RaceChecker {
-    mode: Mode,
     inner: Mutex<Inner>,
 }
 
 impl std::fmt::Debug for RaceChecker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RaceChecker")
-            .field("mode", &self.mode)
-            .finish_non_exhaustive()
+        f.debug_struct("RaceChecker").finish_non_exhaustive()
     }
 }
 
 impl RaceChecker {
-    /// A checker for a run of `n` nodes validating `mode`.
-    pub fn new(mode: Mode, n: usize) -> RaceChecker {
-        let clocks = (0..n)
+    /// A checker to attach to cluster runs of any size, which size it
+    /// through [`RaceChecker::begin_run`].
+    pub fn new() -> RaceChecker {
+        RaceChecker::default()
+    }
+
+    /// Start checking a run of `n` nodes: fresh vector clocks, and no lock
+    /// clock, barrier clock or shadow record left by an earlier run.
+    /// Violations found so far are kept. The DSM runtime calls this when a
+    /// cluster run starts.
+    pub fn begin_run(&self, n: usize) {
+        let mut g = self.inner.lock().unwrap();
+        g.n = n;
+        g.clocks = (0..n)
             .map(|i| {
                 let mut c = VTime::zero(n);
                 c.set(i, 1);
                 c
             })
             .collect();
-        RaceChecker {
-            mode,
-            inner: Mutex::new(Inner {
-                n,
-                clocks,
-                locks: BTreeMap::new(),
-                barriers: BTreeMap::new(),
-                barrier_exits: BTreeMap::new(),
-                shadow: BTreeMap::new(),
-                violations: Vec::new(),
-                seen: BTreeSet::new(),
-            }),
-        }
-    }
-
-    /// Which discipline this checker validates.
-    pub fn mode(&self) -> Mode {
-        self.mode
+        g.locks.clear();
+        g.barriers.clear();
+        g.barrier_exits.clear();
+        g.shadow.clear();
     }
 
     // ---------------------------------------------------------------
-    // Happens-before mode: accesses and synchronization
+    // Happens-before: accesses and synchronization
     // ---------------------------------------------------------------
 
     /// Record a shared access of `[addr, addr+len)` by `node` and check it
     /// against the shadow records. Returns the freshly detected races (for
     /// trace emission); they are also retained internally.
     pub fn access(&self, node: usize, addr: Addr, len: usize, write: bool) -> Vec<Violation> {
-        debug_assert_eq!(self.mode, Mode::HappensBefore);
         let mut fresh = Vec::new();
         if len == 0 {
             return fresh;
@@ -358,7 +344,6 @@ impl RaceChecker {
     /// A lock grant completed: `node` now holds `lock` and inherits the
     /// ordering published by its previous releasers.
     pub fn lock_acquired(&self, node: usize, lock: u32) {
-        debug_assert_eq!(self.mode, Mode::HappensBefore);
         let mut g = self.inner.lock().unwrap();
         if let Some(lc) = g.locks.get(&lock).cloned() {
             g.clocks[node].join_from(&lc);
@@ -369,7 +354,6 @@ impl RaceChecker {
     /// its own epoch advances. Call *before* the release message is sent,
     /// so a remote acquire granted afterwards observes the ordering.
     pub fn lock_released(&self, node: usize, lock: u32) {
-        debug_assert_eq!(self.mode, Mode::HappensBefore);
         let mut g = self.inner.lock().unwrap();
         let n = g.n;
         let cl = g.clocks[node].clone();
@@ -383,7 +367,6 @@ impl RaceChecker {
     /// `node` arrives at barrier `episode`, contributing its clock. Call
     /// before the arrive message is sent.
     pub fn barrier_enter(&self, node: usize, episode: u32) {
-        debug_assert_eq!(self.mode, Mode::HappensBefore);
         let mut g = self.inner.lock().unwrap();
         let n = g.n;
         let cl = g.clocks[node].clone();
@@ -396,7 +379,6 @@ impl RaceChecker {
     /// `node` leaves barrier `episode`: every arriver's clock is inherited
     /// and the node's epoch advances. Call after the release reply.
     pub fn barrier_exit(&self, node: usize, episode: u32) {
-        debug_assert_eq!(self.mode, Mode::HappensBefore);
         let mut g = self.inner.lock().unwrap();
         if let Some(bc) = g.barriers.get(&episode).cloned() {
             g.clocks[node].join_from(&bc);
@@ -412,7 +394,7 @@ impl RaceChecker {
     }
 
     // ---------------------------------------------------------------
-    // View-discipline mode
+    // View discipline
     // ---------------------------------------------------------------
 
     /// Record a view-discipline violation classified by the DSM layer.
@@ -430,7 +412,6 @@ impl RaceChecker {
         end: Addr,
         write: bool,
     ) -> bool {
-        debug_assert_eq!(self.mode, Mode::ViewDiscipline);
         self.inner.lock().unwrap().push(Violation::Discipline {
             rule,
             node,
@@ -484,13 +465,15 @@ impl RaceChecker {
 mod tests {
     use super::*;
 
-    fn hb(n: usize) -> RaceChecker {
-        RaceChecker::new(Mode::HappensBefore, n)
+    fn checker(n: usize) -> RaceChecker {
+        let rc = RaceChecker::new();
+        rc.begin_run(n);
+        rc
     }
 
     #[test]
     fn unordered_write_write_is_a_race() {
-        let rc = hb(2);
+        let rc = checker(2);
         assert!(rc.access(0, 0x100, 8, true).is_empty());
         let races = rc.access(1, 0x104, 8, true);
         assert_eq!(races.len(), 1);
@@ -511,7 +494,7 @@ mod tests {
 
     #[test]
     fn read_read_is_not_a_race() {
-        let rc = hb(2);
+        let rc = checker(2);
         rc.access(0, 0, 64, false);
         assert!(rc.access(1, 0, 64, false).is_empty());
         assert_eq!(rc.count(), 0);
@@ -520,7 +503,7 @@ mod tests {
     #[test]
     fn disjoint_ranges_on_one_page_are_not_a_race() {
         // The false-sharing case: same page, different words.
-        let rc = hb(2);
+        let rc = checker(2);
         rc.access(0, 0, 64, true);
         assert!(rc.access(1, 64, 64, true).is_empty());
         assert_eq!(rc.count(), 0);
@@ -528,7 +511,7 @@ mod tests {
 
     #[test]
     fn lock_ordering_suppresses_the_race() {
-        let rc = hb(2);
+        let rc = checker(2);
         rc.lock_acquired(0, 7);
         rc.access(0, 0, 8, true);
         rc.lock_released(0, 7);
@@ -540,7 +523,7 @@ mod tests {
 
     #[test]
     fn different_locks_do_not_order() {
-        let rc = hb(2);
+        let rc = checker(2);
         rc.lock_acquired(0, 1);
         rc.access(0, 0, 8, true);
         rc.lock_released(0, 1);
@@ -551,7 +534,7 @@ mod tests {
 
     #[test]
     fn barrier_ordering_suppresses_the_race() {
-        let rc = hb(3);
+        let rc = checker(3);
         rc.access(0, 0, 8, true);
         for node in 0..3 {
             rc.barrier_enter(node, 0);
@@ -566,7 +549,7 @@ mod tests {
 
     #[test]
     fn race_before_barrier_still_detected_after() {
-        let rc = hb(2);
+        let rc = checker(2);
         rc.access(0, 0, 8, true);
         rc.access(1, 0, 8, true); // race happens here
         for node in 0..2 {
@@ -580,7 +563,7 @@ mod tests {
 
     #[test]
     fn duplicate_pairs_dedupe() {
-        let rc = hb(2);
+        let rc = checker(2);
         rc.access(0, 0, 8, true);
         rc.access(1, 0, 8, true);
         rc.access(1, 0, 8, true); // same pair again (record superseded)
@@ -590,17 +573,17 @@ mod tests {
 
     #[test]
     fn read_write_race_both_directions() {
-        let rc = hb(2);
+        let rc = checker(2);
         rc.access(0, 0, 8, false);
         assert_eq!(rc.access(1, 0, 8, true).len(), 1);
-        let rc = hb(2);
+        let rc = checker(2);
         rc.access(0, 0, 8, true);
         assert_eq!(rc.access(1, 0, 8, false).len(), 1);
     }
 
     #[test]
     fn access_spanning_pages_clips_per_page() {
-        let rc = hb(2);
+        let rc = checker(2);
         rc.access(0, PAGE_SIZE - 8, 16, true);
         // Conflicts exist on both pages; two distinct per-page races.
         let races = rc.access(1, PAGE_SIZE - 8, 16, true);
@@ -609,7 +592,7 @@ mod tests {
 
     #[test]
     fn discipline_dedupes_and_reports() {
-        let rc = RaceChecker::new(Mode::ViewDiscipline, 2);
+        let rc = checker(2);
         assert!(rc.record_discipline(DisciplineRule::Unbracketed, 0, Some(3), 5, 100, 108, false));
         assert!(!rc.record_discipline(DisciplineRule::Unbracketed, 0, Some(3), 5, 100, 108, false));
         assert!(rc.record_discipline(DisciplineRule::OutsideViews, 1, None, 9, 0, 4, true));
@@ -621,7 +604,21 @@ mod tests {
     }
 
     #[test]
+    fn a_new_run_forgets_the_last_runs_accesses_but_keeps_its_violations() {
+        let rc = checker(2);
+        rc.access(0, 0, 8, true);
+        rc.access(1, 0, 8, true);
+        assert_eq!(rc.count(), 1);
+        rc.begin_run(4);
+        // Node 0's write of the first run is no longer shadowed, and node 3
+        // exists now.
+        assert!(rc.access(3, 0, 8, true).is_empty());
+        assert_eq!(rc.access(2, 0, 8, false).len(), 1);
+        assert_eq!(rc.count(), 2);
+    }
+
+    #[test]
     fn clean_checker_reports_empty() {
-        assert_eq!(hb(2).report(), "");
+        assert_eq!(checker(2).report(), "");
     }
 }

@@ -1,6 +1,6 @@
 //! Running the serving workload on a simulated cluster.
 
-use vopp_core::{prelude::*, ClusterOutcome, RacecheckMode};
+use vopp_core::{prelude::*, ClusterOutcome};
 use vopp_metrics::Histogram;
 use vopp_sim::SimTime;
 use vopp_trace::EventKind;
@@ -310,17 +310,15 @@ pub fn undisciplined_expected() -> usize {
 /// exactly once before serving starts — the known-answer workload for
 /// racecheck coverage of the shard-view discipline.
 ///
-/// Requires a view-discipline [`vopp_core::RaceChecker`] attached to `cfg`
+/// Requires a [`vopp_core::RaceChecker`] attached to `cfg`
 /// (without one the runtime enforces the discipline by panicking) and at
 /// least two shards.
 pub fn run_serve_undisciplined(cfg: &ClusterConfig, p: &ServeParams) -> ServeOutcome {
     assert!(cfg.protocol.is_vc(), "VOPP serving runs on VC_d / VC_sd");
     assert!(p.shards >= 2, "the foreign-view violation needs two shards");
     assert!(
-        cfg.racecheck
-            .as_ref()
-            .is_some_and(|rc| rc.mode() == RacecheckMode::ViewDiscipline),
-        "run_serve_undisciplined needs a view-discipline checker attached \
+        cfg.racecheck.is_some(),
+        "run_serve_undisciplined needs a checker attached \
          (the seeded violations would otherwise panic)"
     );
     run_serve_vopp(cfg, p, true)
@@ -417,7 +415,7 @@ mod tests {
     fn undisciplined_variant_reports_exact_count() {
         let p = quick();
         for proto in [Protocol::VcD, Protocol::VcSd] {
-            let rc = Arc::new(RaceChecker::new(RacecheckMode::ViewDiscipline, 4));
+            let rc = Arc::new(RaceChecker::new());
             let mut cfg = ClusterConfig::lossless(4, proto);
             cfg.racecheck = Some(rc.clone());
             let out = run_serve_undisciplined(&cfg, &p);
@@ -430,14 +428,14 @@ mod tests {
     fn clean_store_is_silent_under_the_checker() {
         let p = quick();
         for proto in [Protocol::VcD, Protocol::VcSd] {
-            let rc = Arc::new(RaceChecker::new(RacecheckMode::ViewDiscipline, 4));
+            let rc = Arc::new(RaceChecker::new());
             let mut cfg = ClusterConfig::lossless(4, proto);
             cfg.racecheck = Some(rc.clone());
             run_serve(&cfg, &p, ServeVariant::Vopp);
             assert_eq!(rc.count(), 0, "{proto}");
         }
         for proto in [Protocol::LrcD, Protocol::Hlrc, Protocol::ScC] {
-            let rc = Arc::new(RaceChecker::new(RacecheckMode::HappensBefore, 4));
+            let rc = Arc::new(RaceChecker::new());
             let mut cfg = ClusterConfig::lossless(4, proto);
             cfg.racecheck = Some(rc.clone());
             run_serve(&cfg, &p, ServeVariant::Traditional);

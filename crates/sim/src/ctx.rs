@@ -197,21 +197,19 @@ impl<'a> AppCtx<'a> {
         self.shared.sched.lock().profiler.clone()
     }
 
-    /// Whether an enabled tracer is installed. Layers that need to compute
-    /// anything to build an event should gate on this first.
+    /// Whether a tracer is installed. Layers that need to compute anything
+    /// to build an event should gate on this first.
     #[inline]
     pub fn tracing(&self) -> bool {
-        matches!(&self.shared.tracer, Some(t) if t.is_enabled())
+        self.shared.tracer.is_some()
     }
 
     /// Record a trace event at this process's current virtual time.
     /// A no-op (one pointer test) when no tracer is installed.
     pub fn trace(&self, kind: vopp_trace::EventKind) {
         if let Some(tr) = &self.shared.tracer {
-            if tr.is_enabled() {
-                let now = self.shared.sched.lock().procs[self.me].clock;
-                tr.record(now.0, self.me, kind);
-            }
+            let now = self.shared.sched.lock().procs[self.me].clock;
+            tr.record(now.0, self.me, kind);
         }
     }
 }

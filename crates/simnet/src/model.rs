@@ -31,7 +31,7 @@ use vopp_sim::{EventKind, NetModel, RouteRequest, SimTime, Tracer};
 use crate::config::NetConfig;
 
 /// Aggregate traffic counters, shared out of the model via [`Arc`].
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Datagrams put on the wire (including ones later dropped).
     pub msgs: u64,

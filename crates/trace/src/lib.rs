@@ -16,8 +16,7 @@
 //! `vopp-sim` and everything above it depend on this crate, not vice versa.
 //!
 //! Tracing is opt-in per run. When no tracer is installed the hot paths pay
-//! a single `Option` test; a disabled tracer costs one relaxed atomic load
-//! (both guarded by the overhead bench in `vopp-bench`).
+//! a single `Option` test (the overhead bench in `vopp-bench` times both).
 
 pub mod causal;
 pub mod check;

@@ -2,10 +2,9 @@
 //!
 //! A [`Tracer`] is shared as `Option<Arc<Tracer>>` by every runtime layer.
 //! `None` means tracing is compiled out of the hot path entirely (a single
-//! pointer test per potential event); a present-but-disabled tracer costs one
-//! relaxed atomic load, which the overhead bench in `vopp-bench` guards.
+//! pointer test per potential event); an attached tracer records every
+//! event.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use crate::event::{Event, EventKind, NodeId};
@@ -26,15 +25,12 @@ struct Ring {
 
 /// Thread-safe ring-buffered event recorder.
 pub struct Tracer {
-    enabled: AtomicBool,
     ring: Mutex<Ring>,
 }
 
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tracer")
-            .field("enabled", &self.is_enabled())
-            .finish_non_exhaustive()
+        f.debug_struct("Tracer").finish_non_exhaustive()
     }
 }
 
@@ -42,7 +38,6 @@ impl Tracer {
     /// A tracer keeping at most `capacity` events (oldest evicted first).
     pub fn new(capacity: usize) -> Tracer {
         Tracer {
-            enabled: AtomicBool::new(true),
             ring: Mutex::new(Ring {
                 buf: Vec::new(),
                 cap: capacity.max(1),
@@ -52,22 +47,9 @@ impl Tracer {
         }
     }
 
-    /// Flip recording on or off without dropping buffered events.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether [`Tracer::record`] currently stores events.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Record one event at virtual time `t` (ns) on `node`.
     #[inline]
     pub fn record(&self, t: u64, node: NodeId, kind: EventKind) {
-        if !self.is_enabled() {
-            return;
-        }
         let mut ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
         let ev = Event { t, node, kind };
         if ring.buf.len() < ring.cap {
@@ -81,7 +63,7 @@ impl Tracer {
     }
 
     /// Drain everything recorded so far into an immutable [`Trace`],
-    /// leaving the tracer empty (but still enabled).
+    /// leaving the tracer empty.
     pub fn take(&self) -> Trace {
         let mut ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
         let head = ring.head;
@@ -90,17 +72,6 @@ impl Tracer {
         ring.head = 0;
         let evicted = std::mem::take(&mut ring.evicted);
         Trace { events, evicted }
-    }
-
-    /// Copy everything recorded so far, leaving the ring as it is.
-    pub fn snapshot(&self) -> Trace {
-        let ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut events = ring.buf.clone();
-        events.rotate_left(ring.head);
-        Trace {
-            events,
-            evicted: ring.evicted,
-        }
     }
 }
 
@@ -219,17 +190,6 @@ mod tests {
             })
             .collect();
         assert_eq!(pages, vec![6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn disabled_tracer_records_nothing() {
-        let tr = Tracer::new(16);
-        tr.set_enabled(false);
-        tr.record(1, 0, ev(0));
-        assert!(tr.snapshot().events.is_empty());
-        tr.set_enabled(true);
-        tr.record(2, 0, ev(1));
-        assert_eq!(tr.snapshot().events.len(), 1);
     }
 
     #[test]
