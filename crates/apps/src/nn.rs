@@ -16,7 +16,7 @@
 //!   replica — the paper's MPICH baseline for Table 9.
 
 use vopp_core::prelude::*;
-use vopp_mpi::{run_mpi, MpiConfig};
+use vopp_mpi::run_mpi;
 
 use crate::workload::{share, unit_f64};
 use crate::AppOutcome;
@@ -396,14 +396,9 @@ fn run_nn_vopp(cfg: &ClusterConfig, p: &NnParams) -> AppOutcome<f64> {
 }
 
 fn run_nn_mpi(cfg: &ClusterConfig, p: &NnParams) -> AppOutcome<f64> {
-    let mcfg = MpiConfig {
-        nprocs: cfg.nprocs,
-        net: cfg.net.clone(),
-        cost: cfg.cost.clone(),
-    };
     let p = p.clone();
     let np = cfg.nprocs;
-    let out = run_mpi(&mcfg, move |c| {
+    let out = run_mpi(cfg, move |c| {
         let me = c.me();
         let (ss, se) = share(p.samples, me, np);
         let mut shard = Shard::new(&p, (ss, se));
@@ -421,30 +416,9 @@ fn run_nn_mpi(cfg: &ClusterConfig, p: &NnParams) -> AppOutcome<f64> {
         c.flops(p.flops_per_sample() * (se - ss) as u64);
         loss
     });
-    // Fold MPI transport stats into the common shape.
-    let mut nodes = vopp_dsm::NodeStats {
-        rexmits: out.rexmits,
-        ..Default::default()
-    };
-    for bd in &out.breakdowns {
-        nodes.metrics.breakdown.absorb(bd);
-    }
-    nodes.metrics.rpc_rtt.absorb(&out.rpc_rtt);
     AppOutcome {
         value: out.results.iter().sum(),
-        stats: RunStats {
-            time: out.time,
-            nprocs: np,
-            nodes,
-            net: vopp_simnet::NetStats {
-                msgs: out.msgs,
-                bytes: out.bytes,
-                ..Default::default()
-            },
-            node_breakdowns: out.breakdowns,
-            node_end: out.proc_end,
-            crit: None,
-        },
+        stats: out.stats,
     }
 }
 

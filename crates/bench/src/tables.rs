@@ -587,8 +587,9 @@ fn stats_rows(t: &mut Table, runs: &[&RunStats], with_acquire_time: bool) {
 /// of its runs was profiled (`--critpath`). Every percentage is of the
 /// *makespan*: unlike the summed-per-node breakdown above, these rows
 /// decompose the single chain of events that determined the finish time.
-/// Unprofiled columns (e.g. the NN MPI variant, which bypasses the cluster
-/// runtime) render `-`.
+/// Every cell, the NN MPI variant included, runs on the one cluster wiring
+/// that installs the profiler, so a column renders `-` only when its run
+/// was not profiled.
 fn critpath_rows(t: &mut Table, runs: &[&RunStats]) {
     use vopp_metrics::{CritPath, OpKind};
     let crits: Vec<Option<&CritPath>> = runs.iter().map(|s| s.crit.as_deref()).collect();

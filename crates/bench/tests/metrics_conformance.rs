@@ -1,13 +1,19 @@
 //! The phase-accounting invariant: on every protocol (and on MPI), each
 //! node's breakdown must classify *every* nanosecond of its virtual time —
-//! `compute + proto cpu + waits == run time`, per node, exactly. The DSM
-//! and MPI runtimes `debug_assert` this against the kernel's independent
+//! `compute + proto cpu + waits == run time`, per node, exactly. The
+//! cluster wiring `debug_assert`s this against the kernel's independent
 //! compute/blocked split; this test asserts it unconditionally so the
-//! release profile is covered too.
+//! release profile is covered too. MPI runs on the same wiring, so the
+//! cluster config's faults, tracer and profiler reach it as well.
+
+use std::sync::Arc;
 
 use vopp_apps::nn::{nn_reference, run_nn, NnParams, NnVariant};
+use vopp_bench::tables::check_config_for;
 use vopp_core::prelude::*;
 use vopp_core::VoppExt;
+use vopp_dsm::FaultPlan;
+use vopp_trace::{check, CausalProfiler, EventKind, Tracer};
 
 const NPROCS: usize = 4;
 const ROUNDS: u32 = 3;
@@ -103,4 +109,70 @@ fn mpi_accounts_every_nanosecond() {
         out.stats.breakdown().cpu_ns() > 0,
         "MPI run must record compute time"
     );
+}
+
+/// NN MPI at `NPROCS` nodes on the quick parameters, on `cfg`'s cluster.
+fn nn_mpi(cfg: &ClusterConfig) -> RunStats {
+    let p = NnParams::quick();
+    let out = run_nn(cfg, &p, NnVariant::Mpi);
+    assert_eq!(out.value, nn_reference(&p, NPROCS), "MPI result mismatch");
+    assert_accounted("MPI", &out.stats);
+    out.stats
+}
+
+#[test]
+fn mpi_honours_a_slowdown() {
+    let clean = nn_mpi(&ClusterConfig::new(NPROCS, Protocol::VcSd));
+    let mut cfg = ClusterConfig::new(NPROCS, Protocol::VcSd);
+    cfg.faults = FaultPlan::none().with_slowdown(0, 3.0);
+    let slowed = nn_mpi(&cfg);
+    assert!(
+        slowed.time > clean.time,
+        "a 3x slower rank 0 must slow the run: {:?} vs {:?}",
+        slowed.time,
+        clean.time
+    );
+}
+
+#[test]
+fn mpi_honours_elevated_loss() {
+    let mut cfg = ClusterConfig::new(NPROCS, Protocol::VcSd);
+    cfg.faults = FaultPlan::none().with_loss(0.02, 7);
+    let stats = nn_mpi(&cfg);
+    assert!(stats.rexmits() > 0, "2 % loss must force retransmissions");
+    assert!(stats.net.drops > 0, "2 % loss must drop datagrams");
+}
+
+#[test]
+fn mpi_runs_are_traced_and_conform() {
+    let tracer = Arc::new(Tracer::default());
+    let mut cfg = ClusterConfig::new(NPROCS, Protocol::VcSd);
+    cfg.tracer = Some(tracer.clone());
+    nn_mpi(&cfg);
+    let trace = tracer.take();
+    assert_eq!(trace.evicted, 0);
+    for rank in 0..NPROCS {
+        let has = |want: fn(&EventKind) -> bool| {
+            trace.events.iter().any(|e| e.node == rank && want(&e.kind))
+        };
+        assert!(has(|k| matches!(k, EventKind::ProcStart)), "rank {rank}");
+        assert!(
+            has(|k| matches!(k, EventKind::NetSend { .. })),
+            "rank {rank}"
+        );
+    }
+    let violations = check(&trace, &check_config_for(Protocol::VcSd));
+    assert!(violations.is_empty(), "{violations:?}");
+}
+
+#[test]
+fn mpi_runs_are_profiled() {
+    let mut cfg = ClusterConfig::new(NPROCS, Protocol::VcSd);
+    cfg.profiler = Some(Arc::new(CausalProfiler::new(NPROCS)));
+    let stats = nn_mpi(&cfg);
+    let crit = stats
+        .crit
+        .as_deref()
+        .expect("a profiled MPI run has a critical path");
+    assert_eq!(crit.makespan_ns, stats.time.nanos());
 }

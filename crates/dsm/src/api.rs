@@ -5,7 +5,7 @@
 //! primitives (`acquire_view` / `release_view` / `acquire_rview` /
 //! `release_rview` / `merge_views`, paper §2).
 //!
-//! This file holds what every protocol shares: CPU accounting, the one
+//! This file holds what every protocol shares: the wait brackets, the one
 //! round trip, the one interval close, the one fault path and the one
 //! memory-access path, and the racecheck hooks. The lock API and the view
 //! primitives are implemented per family, in `protocol/lrc.rs` and
@@ -15,7 +15,7 @@ use std::cell::{Cell, RefCell};
 use std::ops::Range;
 use std::sync::Arc;
 
-use vopp_metrics::Phase;
+use vopp_metrics::{Breakdown, Phase};
 use vopp_page::{
     offset_in_page, page_of, pages_spanned, Addr, Diff, IntervalId, NodeMemory, PageId, PageState,
     VTime, PAGE_SIZE,
@@ -24,9 +24,8 @@ use vopp_racecheck::{RaceChecker, Violation};
 use vopp_sim::sync::Mutex;
 use vopp_sim::{AppCtx, EventKind, Packet, ProcId, SimDuration, SimTime};
 use vopp_simnet::RpcClient;
-use vopp_trace::{CausalProfiler, OpKind, OpSpan};
 
-use crate::cost::{CostModel, CpuDebt};
+use crate::cost::CpuAccount;
 use crate::layout::Layout;
 use crate::msg::{Req, Resp};
 use crate::node::{NodeState, PageDiffs, PendingFetch};
@@ -46,18 +45,16 @@ pub struct DsmCtx<'a> {
     pub(crate) sim: AppCtx<'a>,
     pub(crate) node: Arc<Mutex<NodeState>>,
     rpc: RefCell<RpcClient>,
-    pub(crate) debt: CpuDebt,
-    pub(crate) cost: CostModel,
+    pub(crate) cpu: CpuAccount,
+    /// This node's phase accounting, folded into its statistics by
+    /// [`DsmCtx::finish`].
+    breakdown: RefCell<Breakdown>,
     pub(crate) layout: Arc<Layout>,
     pub(crate) protocol: Protocol,
     next_barrier: Cell<u32>,
     barrier_timeout: SimDuration,
     pub(crate) auto_views: Cell<bool>,
     pub(crate) rc: Option<Arc<RaceChecker>>,
-    /// Causal profiler of this run, cached off the kernel so the hot paths
-    /// pay one pointer test. When set, every flush and blocking wait also
-    /// records an [`OpSpan`] annotation for critical-path blame.
-    causal: Option<Arc<CausalProfiler>>,
     /// Buffers the fault path reuses from fault to fault.
     fault_scratch: RefCell<FaultScratch>,
     /// The replies of the last [`DsmCtx::call_all`] burst, drained by it;
@@ -88,20 +85,18 @@ impl<'a> DsmCtx<'a> {
             let n = node.lock();
             (n.cost.clone(), n.layout.clone(), n.protocol)
         };
-        let causal = sim.causal_profiler();
         DsmCtx {
+            cpu: CpuAccount::new(&sim, cost),
             sim,
             node,
             rpc: RefCell::new(RpcClient::with_timeout(rexmit_timeout)),
-            debt: CpuDebt::new(),
-            cost,
+            breakdown: RefCell::default(),
             layout,
             protocol,
             next_barrier: Cell::new(0),
             barrier_timeout,
             auto_views: Cell::new(false),
             rc,
-            causal,
             fault_scratch: RefCell::default(),
             replies: RefCell::default(),
         }
@@ -158,109 +153,48 @@ impl<'a> DsmCtx<'a> {
         if until <= now {
             return 0;
         }
-        let d = until - now;
-        self.sim.sleep(d);
-        let ns = d.nanos();
-        let mut n = self.node.lock();
-        n.stats.metrics.breakdown.charge(Phase::Idle, ns);
-        drop(n);
-        self.annotate(now, until, OpKind::Idle, 0);
-        ns
+        self.sim.sleep(until - now);
+        let mut bd = self.breakdown.borrow_mut();
+        self.cpu
+            .charge_wait(&self.sim, Phase::Idle, 0, now, &mut bd)
     }
 
     /// Charge `n` floating-point operations of compute.
     pub fn flops(&self, n: u64) {
-        self.debt.add_ns(n as f64 * self.cost.ns_per_flop);
+        self.cpu.flops(n);
     }
 
     /// Charge `n` integer/index operations of compute.
     pub fn int_ops(&self, n: u64) {
-        self.debt.add_ns(n as f64 * self.cost.ns_per_int);
+        self.cpu.int_ops(n);
     }
 
     /// Charge a local buffer copy of `n` bytes.
     pub fn copy_cost(&self, n: u64) {
-        self.debt.add_ns(n as f64 * self.cost.ns_per_byte_copy);
+        self.cpu.copy_cost(n);
     }
 
     /// Charge raw nanoseconds of compute.
     pub fn compute_ns(&self, ns: f64) {
-        self.debt.add_ns(ns);
+        self.cpu.compute_ns(ns);
     }
 
-    /// Flush accumulated CPU debt into the clock and attribute the advance:
-    /// application work to [`Phase::Compute`], protocol charges to
-    /// [`Phase::ProtoCpu`].
+    /// Flush accumulated CPU debt into the clock (see [`CpuAccount::flush`]).
     pub(crate) fn flush(&self) {
-        let f = self.debt.flush(&self.sim);
-        if f.total_ns() != 0 {
-            let bd = &mut self.node.lock().stats.metrics.breakdown;
-            bd.charge(Phase::Compute, f.app_ns);
-            bd.charge(Phase::ProtoCpu, f.overhead_ns);
-            if let Some(prof) = &self.causal {
-                // The flush advanced the clock by exactly total_ns, so the
-                // annotation span matches the kernel's compute wake record.
-                let hi_ns = self.sim.now().nanos();
-                prof.record_op(
-                    self.me(),
-                    OpSpan {
-                        lo_ns: hi_ns - f.total_ns(),
-                        hi_ns,
-                        op: OpKind::App,
-                        obj: 0,
-                        app_ns: f.app_ns,
-                        overhead_ns: f.overhead_ns,
-                        diff_ns: f.diff_ns,
-                    },
-                );
-            }
-        }
+        self.cpu.flush(&self.sim, &mut self.breakdown.borrow_mut());
     }
 
-    /// Attribute the virtual time elapsed since `since` (a blocked RPC wait)
-    /// to `phase`, recording it in the matching latency histogram. Every
-    /// blocking call in this file is bracketed by exactly one `charge_wait`,
-    /// which is what makes the per-node breakdown sum to the node's clock.
-    /// `obj` is the view/lock/page the wait was for (0 when global), used
-    /// only by the critical-path blame annotation.
-    fn charge_wait(&self, phase: Phase, obj: u64, since: SimTime) -> u64 {
-        let now = self.sim.now();
-        let waited = (now - since).nanos();
-        let mut n = self.node.lock();
-        let m = &mut n.stats.metrics;
-        m.breakdown.charge(phase, waited);
+    /// Charge the wait since `since` (see [`CpuAccount::charge_wait`]) and
+    /// record it in the matching latency histogram.
+    fn charge_wait(&self, phase: Phase, obj: u64, since: SimTime) {
+        let mut bd = self.breakdown.borrow_mut();
+        let waited = self.cpu.charge_wait(&self.sim, phase, obj, since, &mut bd);
+        let m = &mut self.node.lock().stats.metrics;
         match phase {
             Phase::AcquireWait => m.acquire_rtt.record(waited),
             Phase::BarrierWait => m.barrier_rtt.record(waited),
             Phase::DataWait => m.diff_rtt.record(waited),
             _ => {}
-        }
-        drop(n);
-        let op = match phase {
-            Phase::BarrierWait => OpKind::Barrier,
-            Phase::AcquireWait => OpKind::Acquire,
-            Phase::DataWait => OpKind::Data,
-            Phase::SendWait => OpKind::Flush,
-            _ => OpKind::Other,
-        };
-        self.annotate(since, now, op, obj);
-        waited
-    }
-
-    /// Record a span of protocol waiting or idling for critical-path blame,
-    /// when profiling.
-    fn annotate(&self, lo: SimTime, hi: SimTime, op: OpKind, obj: u64) {
-        if let Some(prof) = &self.causal {
-            let span = OpSpan {
-                lo_ns: lo.nanos(),
-                hi_ns: hi.nanos(),
-                op,
-                obj,
-                app_ns: 0,
-                overhead_ns: 0,
-                diff_ns: 0,
-            };
-            prof.record_op(self.me(), span);
         }
     }
 
@@ -324,8 +258,8 @@ impl<'a> DsmCtx<'a> {
             let (id, diffs) = n.seal_interval()?;
             (id, n.lamport, diffs)
         };
-        self.debt
-            .add_overhead_diff(self.cost.diff_create * diffs.len() as u64);
+        self.cpu
+            .add_overhead_diff(self.cpu.cost.diff_create * diffs.len() as u64);
         self.flush();
         if self.protocol.page_source() == PageSource::Home {
             self.flush_to_homes(&diffs);
@@ -474,7 +408,7 @@ impl<'a> DsmCtx<'a> {
     /// (in parallel, grouped per writer) and apply them in happens-before
     /// order. The invalidate-protocol hot path of LRC_d and VC_d.
     fn fault(&self, p: PageId, write: bool) {
-        self.debt.add_overhead(self.cost.page_fault);
+        self.cpu.add_overhead(self.cpu.cost.page_fault);
         self.flush();
         self.trace(EventKind::PageFault {
             page: p as u64,
@@ -579,8 +513,8 @@ impl<'a> DsmCtx<'a> {
                 });
             }
         }
-        self.debt
-            .add_overhead_diff(self.cost.diff_apply * items.len() as u64);
+        self.cpu
+            .add_overhead_diff(self.cpu.cost.diff_apply * items.len() as u64);
     }
 
     /// Fetch page `p` whole from `from` — the HLRC home, or a node whose
@@ -605,7 +539,7 @@ impl<'a> DsmCtx<'a> {
                 n.mem.release_page(content);
                 n.mem.validate(p);
                 n.stats.diffs_applied += 1;
-                self.debt.add_overhead_diff(self.cost.diff_apply);
+                self.cpu.add_overhead_diff(self.cpu.cost.diff_apply);
                 drop(n);
                 self.trace(EventKind::DiffApply {
                     page: p as u64,
@@ -639,7 +573,7 @@ impl<'a> DsmCtx<'a> {
                     let me = n.me;
                     n.note_page_writer(p, me);
                     n.stats.twins += 1;
-                    self.debt.add_overhead(self.cost.twin);
+                    self.cpu.add_overhead(self.cpu.cost.twin);
                     return;
                 }
                 PageState::Valid | PageState::Dirty => return,
@@ -757,13 +691,14 @@ impl<'a> DsmCtx<'a> {
         });
     }
 
-    /// Fold the transport's retransmission count and round-trip histogram
-    /// into the node statistics and flush remaining CPU debt. Called by the
-    /// runtime after the body.
+    /// Flush remaining CPU debt, then fold the phase accounting, the
+    /// transport's retransmission count and its round-trip histogram into
+    /// the node statistics. Called by the runtime after the body.
     pub(crate) fn finish(&self) {
         self.flush();
         let rpc = self.rpc.borrow();
         let mut n = self.node.lock();
+        n.stats.metrics.breakdown = *self.breakdown.borrow();
         n.stats.rexmits += rpc.rexmits;
         n.stats.metrics.rpc_rtt.absorb(&rpc.rtt);
     }

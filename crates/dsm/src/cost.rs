@@ -1,15 +1,19 @@
 //! CPU cost model, calibrated to the paper's 350 MHz Pentium-class nodes.
 //!
-//! Application code charges its algorithmic work through [`CpuDebt`] (flops,
-//! integer ops, byte copies); the DSM runtime charges protocol overheads
-//! (page-fault traps, twin snapshots, diff creation/application). Debt is
-//! accumulated locally and flushed into the simulation clock at interaction
-//! points (sync operations, faults), so element-wise shared-memory access
-//! does not flood the event queue.
+//! Application code charges its algorithmic work through a node's
+//! [`CpuAccount`] (flops, integer ops, byte copies); the DSM runtime charges
+//! protocol overheads (page-fault traps, twin snapshots, diff
+//! creation/application). Debt is accumulated locally and flushed into the
+//! simulation clock at interaction points (sync operations, faults), so
+//! element-wise shared-memory access does not flood the event queue. The
+//! DSM and the MPI baseline charge compute and waits through the same type.
 
 use std::cell::Cell;
+use std::sync::Arc;
 
-use vopp_sim::{AppCtx, SimDuration};
+use vopp_metrics::{Breakdown, Phase};
+use vopp_sim::{AppCtx, SimDuration, SimTime};
+use vopp_trace::{CausalProfiler, OpKind, OpSpan};
 
 /// Nanosecond costs of primitive operations on the simulated CPU.
 #[derive(Debug, Clone)]
@@ -44,62 +48,59 @@ impl Default for CostModel {
     }
 }
 
-/// Locally accumulated CPU time, flushed into the simulator lazily.
+/// One node's CPU accounting: the debt it owes the clock, the cost model
+/// that prices its work, and the run's causal profiler. The DSM and the MPI
+/// contexts charge compute and blocking waits through one, into a
+/// [`Breakdown`] they own, and annotate the critical path when profiled.
 ///
-/// Two accounts share one clock: `ns` is the total owed (application work
-/// plus protocol overhead) and drives the simulated clock exactly as a single
-/// accumulator would — the phase split must never perturb virtual time.
-/// `overhead_ns` tracks the protocol-charged portion so a flush can report
-/// how much of the advance was overhead.
-#[derive(Debug, Default)]
-pub struct CpuDebt {
+/// `ns` is the total owed and alone drives the clock, so the phase split
+/// never perturbs virtual time; `overhead_ns` is its protocol share and
+/// `diff_ns` the diff work within that (the "free diffs" what-if).
+pub struct CpuAccount {
     ns: Cell<f64>,
     overhead_ns: Cell<f64>,
     diff_ns: Cell<f64>,
+    /// The node's cost model.
+    pub cost: CostModel,
+    /// Cached off the kernel so the hot paths pay one pointer test.
+    causal: Option<Arc<CausalProfiler>>,
 }
 
-/// Whole nanoseconds pushed into the clock by one [`CpuDebt::flush`], split
-/// into application compute and protocol overhead. `app_ns + overhead_ns`
-/// is exactly the clock advance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlushedNs {
-    /// Application work (flops, int ops, copies).
-    pub app_ns: u64,
-    /// Protocol CPU (page-fault traps, twins, diff create/apply).
-    pub overhead_ns: u64,
-    /// Diff create/apply share of `overhead_ns`. Purely informational —
-    /// feeds the critical-path profiler's "free diffs" what-if estimator.
-    pub diff_ns: u64,
-}
-
-impl FlushedNs {
-    /// Total clock advance of the flush.
-    pub fn total_ns(self) -> u64 {
-        self.app_ns + self.overhead_ns
-    }
-}
-
-impl CpuDebt {
-    /// An empty account.
-    pub fn new() -> CpuDebt {
-        CpuDebt::default()
+impl CpuAccount {
+    /// An empty account for the node running `sim`, priced by `cost`.
+    pub fn new(sim: &AppCtx<'_>, cost: CostModel) -> CpuAccount {
+        CpuAccount {
+            ns: Cell::new(0.0),
+            overhead_ns: Cell::new(0.0),
+            diff_ns: Cell::new(0.0),
+            cost,
+            causal: sim.causal_profiler(),
+        }
     }
 
-    /// Add raw nanoseconds of application work.
+    /// Charge raw nanoseconds of compute.
     #[inline]
-    pub fn add_ns(&self, ns: f64) {
+    pub fn compute_ns(&self, ns: f64) {
         self.ns.set(self.ns.get() + ns);
     }
 
-    /// Add a structured duration of application work.
-    #[inline]
-    pub fn add(&self, d: SimDuration) {
-        self.add_ns(d.nanos() as f64);
+    /// Charge `n` floating-point operations of compute.
+    pub fn flops(&self, n: u64) {
+        self.compute_ns(n as f64 * self.cost.ns_per_flop);
     }
 
-    /// Add a structured duration of protocol overhead: advances the clock
-    /// like [`CpuDebt::add`], but the time is reported as overhead by the
-    /// next flush.
+    /// Charge `n` integer/index operations of compute.
+    pub fn int_ops(&self, n: u64) {
+        self.compute_ns(n as f64 * self.cost.ns_per_int);
+    }
+
+    /// Charge a local buffer copy of `n` bytes.
+    pub fn copy_cost(&self, n: u64) {
+        self.compute_ns(n as f64 * self.cost.ns_per_byte_copy);
+    }
+
+    /// Charge protocol overhead: advances the clock like compute, but the
+    /// next flush reports it as [`Phase::ProtoCpu`].
     #[inline]
     pub fn add_overhead(&self, d: SimDuration) {
         let ns = d.nanos() as f64;
@@ -107,39 +108,99 @@ impl CpuDebt {
         self.overhead_ns.set(self.overhead_ns.get() + ns);
     }
 
-    /// Add protocol overhead that is diff creation/application. Identical
-    /// clock effect to [`CpuDebt::add_overhead`]; the diff share is also
-    /// reported separately by the next flush.
+    /// Charge protocol overhead that is diff creation or application.
     #[inline]
     pub fn add_overhead_diff(&self, d: SimDuration) {
         self.add_overhead(d);
         self.diff_ns.set(self.diff_ns.get() + d.nanos() as f64);
     }
 
-    /// Nanoseconds currently owed (both accounts).
-    pub fn owed_ns(&self) -> f64 {
-        self.ns.get()
-    }
-
-    /// Push all owed time into the simulation clock, reporting the split.
-    /// Sub-nanosecond residue is dropped, exactly as before the split: the
-    /// total advance is `ns as u64` of the single legacy accumulator.
-    pub fn flush(&self, ctx: &AppCtx<'_>) -> FlushedNs {
+    /// Push all owed time into the clock; returns the whole nanoseconds
+    /// pushed as `(app, overhead, diff)`, split as above, `app + overhead`
+    /// being the advance. Sub-nanosecond residue is dropped.
+    fn drain(&self, sim: &AppCtx<'_>) -> (u64, u64, u64) {
         let ns = self.ns.replace(0.0);
         let overhead = self.overhead_ns.replace(0.0);
         let diff = self.diff_ns.replace(0.0);
-        if ns >= 1.0 {
-            let total = ns as u64;
-            ctx.compute(SimDuration::from_nanos(total));
-            let overhead_ns = (overhead as u64).min(total);
-            FlushedNs {
-                app_ns: total - overhead_ns,
-                overhead_ns,
-                diff_ns: (diff as u64).min(overhead_ns),
-            }
-        } else {
-            FlushedNs::default()
+        if ns < 1.0 {
+            return (0, 0, 0);
         }
+        let total = ns as u64;
+        sim.compute(SimDuration::from_nanos(total));
+        let overhead_ns = (overhead as u64).min(total);
+        (
+            total - overhead_ns,
+            overhead_ns,
+            (diff as u64).min(overhead_ns),
+        )
+    }
+
+    /// Flush the debt into the clock and attribute the advance in `bd`:
+    /// application work to [`Phase::Compute`], protocol charges to
+    /// [`Phase::ProtoCpu`].
+    pub fn flush(&self, sim: &AppCtx<'_>, bd: &mut Breakdown) {
+        let (app_ns, overhead_ns, diff_ns) = self.drain(sim);
+        let total_ns = app_ns + overhead_ns;
+        if total_ns == 0 {
+            return;
+        }
+        bd.charge(Phase::Compute, app_ns);
+        bd.charge(Phase::ProtoCpu, overhead_ns);
+        if let Some(prof) = &self.causal {
+            // The flush advanced the clock by exactly total_ns, so the
+            // annotation span matches the kernel's compute wake record.
+            let hi_ns = sim.now().nanos();
+            let span = OpSpan {
+                lo_ns: hi_ns - total_ns,
+                hi_ns,
+                op: OpKind::App,
+                obj: 0,
+                app_ns,
+                overhead_ns,
+                diff_ns,
+            };
+            prof.record_op(sim.me(), span);
+        }
+    }
+
+    /// Attribute the virtual time elapsed since `since` (a blocking wait,
+    /// or idle pacing) to `phase` in `bd` and return it. Every blocking
+    /// call of a context is bracketed by exactly one `charge_wait`, which is
+    /// what makes its breakdown sum to the node's clock. `obj` is the view,
+    /// lock or page waited for (0 when global), used only by the
+    /// critical-path blame.
+    pub fn charge_wait(
+        &self,
+        sim: &AppCtx<'_>,
+        phase: Phase,
+        obj: u64,
+        since: SimTime,
+        bd: &mut Breakdown,
+    ) -> u64 {
+        let now = sim.now();
+        let waited = (now - since).nanos();
+        bd.charge(phase, waited);
+        if let Some(prof) = &self.causal {
+            let op = match phase {
+                Phase::BarrierWait => OpKind::Barrier,
+                Phase::AcquireWait => OpKind::Acquire,
+                Phase::DataWait => OpKind::Data,
+                Phase::SendWait => OpKind::Flush,
+                Phase::Idle => OpKind::Idle,
+                _ => OpKind::Other,
+            };
+            let span = OpSpan {
+                lo_ns: since.nanos(),
+                hi_ns: now.nanos(),
+                op,
+                obj,
+                app_ns: 0,
+                overhead_ns: 0,
+                diff_ns: 0,
+            };
+            prof.record_op(sim.me(), span);
+        }
+        waited
     }
 }
 
@@ -147,83 +208,78 @@ impl CpuDebt {
 mod tests {
     use super::*;
 
+    /// Run `f` on a fresh account inside a one-node simulation; returns
+    /// the node's final clock.
+    fn on_account(f: impl Fn(&AppCtx<'_>, &CpuAccount) + Send + Sync) -> u64 {
+        let out = vopp_sim::run_simple(1, SimDuration::from_micros(1), |ctx| {
+            f(&ctx, &CpuAccount::new(&ctx, CostModel::default()));
+            ctx.now()
+        });
+        out.results[0].nanos()
+    }
+
     #[test]
     fn debt_accumulates() {
-        let d = CpuDebt::new();
-        d.add_ns(10.5);
-        d.add(SimDuration::from_nanos(4));
-        assert!((d.owed_ns() - 14.5).abs() < 1e-9);
+        on_account(|_, d| {
+            d.compute_ns(10.5);
+            d.flops(1);
+            assert!((d.ns.get() - 22.5).abs() < 1e-9);
+        });
     }
 
     #[test]
     fn flush_drains_into_clock() {
-        let out = vopp_sim::run_simple(1, SimDuration::from_micros(1), |ctx| {
-            let d = CpuDebt::new();
-            d.add_ns(2_500.0);
-            let f = d.flush(&ctx);
-            assert_eq!(
-                f,
-                FlushedNs {
-                    app_ns: 2_500,
-                    overhead_ns: 0,
-                    diff_ns: 0
-                }
-            );
-            assert_eq!(d.owed_ns(), 0.0);
+        let end = on_account(|ctx, d| {
+            d.compute_ns(2_500.0);
+            let mut bd = Breakdown::default();
+            d.flush(ctx, &mut bd);
+            assert_eq!(bd.get(Phase::Compute), 2_500);
+            assert_eq!(bd.total_ns(), 2_500);
+            assert_eq!(d.ns.get(), 0.0);
             // Sub-nanosecond residue is dropped, not re-queued.
-            d.add_ns(0.4);
-            assert_eq!(d.flush(&ctx), FlushedNs::default());
-            ctx.now()
+            d.compute_ns(0.4);
+            assert_eq!(d.drain(ctx), (0, 0, 0));
         });
-        assert_eq!(out.results[0].nanos(), 2_500);
+        assert_eq!(end, 2_500);
     }
 
     #[test]
     fn flush_splits_app_and_overhead() {
-        let out = vopp_sim::run_simple(1, SimDuration::from_micros(1), |ctx| {
-            let d = CpuDebt::new();
-            d.add_ns(1_000.25);
+        let end = on_account(|ctx, d| {
+            d.compute_ns(1_000.25);
             d.add_overhead(SimDuration::from_nanos(500));
-            let f = d.flush(&ctx);
+            let mut bd = Breakdown::default();
+            d.flush(ctx, &mut bd);
             // Total is the truncated single accumulator (1500.25 -> 1500ns),
             // overhead is reported out of that total.
-            assert_eq!(f.total_ns(), 1_500);
-            assert_eq!(f.overhead_ns, 500);
-            assert_eq!(f.app_ns, 1_000);
-            ctx.now()
+            assert_eq!(bd.total_ns(), 1_500);
+            assert_eq!(bd.get(Phase::ProtoCpu), 500);
+            assert_eq!(bd.get(Phase::Compute), 1_000);
         });
-        assert_eq!(out.results[0].nanos(), 1_500);
+        assert_eq!(end, 1_500);
     }
 
     #[test]
     fn overhead_alone_advances_clock() {
-        let out = vopp_sim::run_simple(1, SimDuration::from_micros(1), |ctx| {
-            let d = CpuDebt::new();
+        let end = on_account(|ctx, d| {
             d.add_overhead(SimDuration::from_micros(40));
-            let f = d.flush(&ctx);
-            assert_eq!(f.app_ns, 0);
-            assert_eq!(f.overhead_ns, 40_000);
-            ctx.now()
+            assert_eq!(d.drain(ctx), (0, 40_000, 0));
         });
-        assert_eq!(out.results[0].nanos(), 40_000);
+        assert_eq!(end, 40_000);
     }
 
     #[test]
     fn diff_overhead_is_reported_within_the_overhead_share() {
-        let out = vopp_sim::run_simple(1, SimDuration::from_micros(1), |ctx| {
-            let d = CpuDebt::new();
-            d.add_ns(1_000.0);
+        let end = on_account(|ctx, d| {
+            d.compute_ns(1_000.0);
             d.add_overhead(SimDuration::from_nanos(200));
             d.add_overhead_diff(SimDuration::from_nanos(300));
-            let f = d.flush(&ctx);
-            assert_eq!(f.total_ns(), 1_500);
-            assert_eq!(f.overhead_ns, 500);
-            assert_eq!(f.diff_ns, 300);
+            // 1000 ns of compute, 500 of overhead, 300 of it diff work.
+            assert_eq!(d.drain(ctx), (1_000, 500, 300));
             // A fresh flush reports nothing.
-            assert_eq!(d.flush(&ctx), FlushedNs::default());
-            ctx.now()
+            assert_eq!(d.drain(ctx), (0, 0, 0));
         });
-        assert_eq!(out.results[0].nanos(), 1_500);
+        assert_eq!(end, 1_500);
     }
 
     #[test]

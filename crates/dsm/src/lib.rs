@@ -49,13 +49,13 @@ pub mod runtime;
 pub mod stats;
 
 pub use api::DsmCtx;
-pub use cost::{CostModel, CpuDebt};
+pub use cost::{CostModel, CpuAccount};
 pub use fault::{Crash, FaultPlan, Loss, Slowdown};
 pub use layout::{check_views, Layout, ViewDef, ViewId};
 pub use msg::{AccessMode, Req, Resp, ViewRecord};
 pub use node::{interval_log, IntervalLog, NodeState, PendingFetch, StoredDiff};
 pub use protocol::Protocol;
-pub use runtime::{run_cluster, ClusterConfig, ClusterOutcome};
+pub use runtime::{run_cluster, run_nodes, ClusterConfig, ClusterOutcome};
 pub use stats::{NodeMetrics, NodeStats, RunStats, ViewStats, ViewStatsMap};
 pub use vopp_metrics::{Breakdown, Histogram, Phase, Summary};
 pub use vopp_racecheck::{AccessRec, DisciplineRule, RaceChecker, Violation};

@@ -378,7 +378,8 @@ impl DsmCtx<'_> {
         // page.
         let napplied = g.diffs.len() as u64;
         if napplied > 0 && self.protocol.view_data() != ViewData::OneSided {
-            self.debt.add_overhead_diff(self.cost.diff_apply * napplied);
+            self.cpu
+                .add_overhead_diff(self.cpu.cost.diff_apply * napplied);
         }
         self.emit_notices(fresh, v as u64 + 1);
         if self.tracing() {

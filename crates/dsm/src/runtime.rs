@@ -1,12 +1,13 @@
-//! Wiring: build a simulated cluster, run a DSM program on it, collect the
-//! paper's statistics.
+//! Wiring: build a simulated cluster, run a program on it, collect the
+//! paper's statistics. [`run_nodes`] is the wiring the DSM's
+//! [`run_cluster`] and the MPI baseline's `run_mpi` share.
 
 use std::sync::Arc;
 
 use vopp_page::PagePool;
 use vopp_racecheck::RaceChecker;
 use vopp_sim::sync::Mutex;
-use vopp_sim::{Sim, SimDuration, Tracer};
+use vopp_sim::{AppCtx, Handler, ProcId, Sim, SimDuration, Tracer};
 use vopp_simnet::{EthernetModel, NetConfig};
 
 use crate::api::DsmCtx;
@@ -122,6 +123,58 @@ where
     F: Fn(&DsmCtx<'_>) -> R + Send + Sync,
 {
     let n = cfg.nprocs;
+    // One page-recycling pool for every node, sized from the layout, and
+    // one interval log. Neither touches virtual time.
+    let pool = PagePool::shared_for(layout.npages());
+    let log = interval_log(n);
+    if let Some(rc) = &cfg.racecheck {
+        rc.begin_run(n);
+    }
+    let node = |p, cost| {
+        NodeState::new(
+            p,
+            n,
+            cfg.protocol,
+            cost,
+            layout.clone(),
+            pool.clone(),
+            log.clone(),
+        )
+    };
+    let (barrier_timeout, rc) = (cfg.barrier_timeout, &cfg.racecheck);
+    run_nodes(
+        cfg,
+        node,
+        make_handler,
+        |node| &node.stats,
+        |ctx, node, rexmit| {
+            let dctx = DsmCtx::new(ctx, node.clone(), barrier_timeout, rexmit, rc.clone());
+            let r = body(&dctx);
+            dctx.finish();
+            r
+        },
+    )
+}
+
+/// Run one program per node on the cluster `cfg` describes, with its
+/// faults, tracer and profiler. Node `p`'s state is `node(p, cost)`, `cost`
+/// being its cost model after the fault plan's slowdowns; `handler` answers
+/// its messages; `body` runs on it with the effective network's
+/// retransmission timeout. `stats` reads each node's statistics after the
+/// run: their breakdowns must account for every nanosecond of its clock.
+pub fn run_nodes<N, R, F>(
+    cfg: &ClusterConfig,
+    mut node: impl FnMut(ProcId, CostModel) -> N,
+    handler: fn(Arc<Mutex<N>>) -> Handler,
+    stats: fn(&N) -> &NodeStats,
+    body: F,
+) -> ClusterOutcome<R>
+where
+    N: Send,
+    R: Send,
+    F: Fn(AppCtx<'_>, &Arc<Mutex<N>>, SimDuration) -> R + Send + Sync,
+{
+    let n = cfg.nprocs;
     assert!(n > 0);
     let effective_net = cfg.faults.apply_net(&cfg.net);
     // Each node's RPC endpoint retransmits on the effective network's
@@ -140,56 +193,25 @@ where
     if let Some(prof) = &cfg.profiler {
         sim.set_profiler(prof.clone());
     }
-
-    // One page-recycling pool for every node, sized from the layout, and
-    // one interval log. Neither touches virtual time.
-    let pool = PagePool::shared_for(layout.npages());
-    let log = interval_log(n);
-    let nodes: Vec<Arc<Mutex<NodeState>>> = (0..n)
-        .map(|p| {
-            Arc::new(Mutex::new(NodeState::new(
-                p,
-                n,
-                cfg.protocol,
-                cfg.faults.cost_for(p, &cfg.cost),
-                layout.clone(),
-                pool.clone(),
-                log.clone(),
-            )))
-        })
+    let nodes: Vec<Arc<Mutex<N>>> = (0..n)
+        .map(|p| Arc::new(Mutex::new(node(p, cfg.faults.cost_for(p, &cfg.cost)))))
         .collect();
     for (p, node) in nodes.iter().enumerate() {
-        sim.set_handler(p, make_handler(node.clone()));
+        sim.set_handler(p, handler(node.clone()));
     }
 
-    if let Some(rc) = &cfg.racecheck {
-        rc.begin_run(n);
-    }
-    let nodes_ref = &nodes;
-    let barrier_timeout = cfg.barrier_timeout;
-    let racecheck = &cfg.racecheck;
-    let out = sim.run(move |ctx| {
-        let dctx = DsmCtx::new(
-            ctx,
-            nodes_ref[ctx.me()].clone(),
-            barrier_timeout,
-            rexmit_timeout,
-            racecheck.clone(),
-        );
-        let r = body(&dctx);
-        dctx.finish();
-        r
-    });
+    let out = sim.run(|ctx| body(ctx, &nodes[ctx.me()], rexmit_timeout));
 
     let mut agg = NodeStats::default();
     let mut node_breakdowns = Vec::with_capacity(n);
     for (p, node) in nodes.iter().enumerate() {
         let node = node.lock();
-        let bd = node.stats.metrics.breakdown;
+        let s = stats(&node);
+        let bd = s.metrics.breakdown;
         // Phase accounting must classify every nanosecond of the node's
         // virtual time, and must agree with the kernel's independent
         // CPU-vs-blocked split. A mismatch means a blocking call or a debt
-        // charge slipped past the accounting brackets in `api.rs`.
+        // charge slipped past a context's `CpuAccount`.
         debug_assert_eq!(
             bd.total_ns(),
             out.proc_end[p].nanos(),
@@ -206,7 +228,7 @@ where
             "node {p}: wait phases disagree with kernel blocked time"
         );
         node_breakdowns.push(bd);
-        agg.absorb(&node.stats);
+        agg.absorb(s);
     }
     let net = *net_stats.lock();
     let crit = cfg.profiler.as_ref().map(|prof| {
@@ -221,7 +243,7 @@ where
             nodes: agg,
             net,
             node_breakdowns,
-            node_end: out.proc_end.clone(),
+            node_end: out.proc_end,
             crit,
         },
     }

@@ -3,73 +3,19 @@
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
-use vopp_dsm::{CostModel, CpuDebt};
-use vopp_metrics::{Breakdown, Histogram, Phase};
-use vopp_sim::sync::Mutex;
-use vopp_sim::{AppCtx, ProcId, Sim, SimTime};
-use vopp_simnet::{EthernetModel, NetConfig, RpcClient};
+use vopp_dsm::{run_nodes, ClusterConfig, ClusterOutcome, CpuAccount, NodeStats};
+use vopp_metrics::{Breakdown, Phase};
+use vopp_sim::{AppCtx, ProcId, SimTime};
+use vopp_simnet::RpcClient;
 
 use crate::p2p::{deliver_tag, make_handler, Delivered, MpiData, MpiNode, MpiPayload};
-
-/// Configuration of an MPI run (same network and CPU models as the DSM).
-#[derive(Debug, Clone)]
-pub struct MpiConfig {
-    /// Number of ranks.
-    pub nprocs: usize,
-    /// Network parameters.
-    pub net: NetConfig,
-    /// CPU cost model.
-    pub cost: CostModel,
-}
-
-impl MpiConfig {
-    /// `nprocs` ranks with default calibration.
-    pub fn new(nprocs: usize) -> MpiConfig {
-        MpiConfig {
-            nprocs,
-            net: NetConfig::default(),
-            cost: CostModel::default(),
-        }
-    }
-
-    /// Lossless variant for tests.
-    pub fn lossless(nprocs: usize) -> MpiConfig {
-        MpiConfig {
-            net: NetConfig::lossless(),
-            ..MpiConfig::new(nprocs)
-        }
-    }
-}
-
-/// Outcome of an MPI run.
-pub struct MpiOutcome<R> {
-    /// Per-rank results.
-    pub results: Vec<R>,
-    /// Virtual execution time.
-    pub time: SimTime,
-    /// Datagrams on the wire.
-    pub msgs: u64,
-    /// Bytes on the wire.
-    pub bytes: u64,
-    /// Retransmissions.
-    pub rexmits: u64,
-    /// Per-rank phase breakdown of virtual time (same classification as the
-    /// DSM runtime, so MPI and DSM runs are directly comparable).
-    pub breakdowns: Vec<Breakdown>,
-    /// Per-rank finish times.
-    pub proc_end: Vec<SimTime>,
-    /// Round-trip latencies of every reliable send (DATA -> ACK), merged
-    /// across ranks.
-    pub rpc_rtt: Histogram,
-}
 
 /// The per-rank communicator handle.
 pub struct MpiCtx<'a> {
     sim: AppCtx<'a>,
     rpc: RefCell<RpcClient>,
     seq_out: RefCell<Vec<u64>>,
-    debt: CpuDebt,
-    cost: CostModel,
+    cpu: CpuAccount,
     breakdown: RefCell<Breakdown>,
     /// When set, blocking waits are charged to this phase instead of the
     /// default (send -> SendWait, recv -> DataWait). `barrier` uses it so
@@ -96,34 +42,29 @@ impl<'a> MpiCtx<'a> {
 
     /// Flush CPU debt into the clock, classifying the advance.
     fn flush(&self) {
-        let f = self.debt.flush(&self.sim);
-        if f.total_ns() != 0 {
-            let mut bd = self.breakdown.borrow_mut();
-            bd.charge(Phase::Compute, f.app_ns);
-            bd.charge(Phase::ProtoCpu, f.overhead_ns);
-        }
+        self.cpu.flush(&self.sim, &mut self.breakdown.borrow_mut());
     }
 
     /// Charge the time since `since` to `phase` (or the barrier override).
     fn charge_wait(&self, phase: Phase, since: SimTime) {
-        let waited = (self.sim.now() - since).nanos();
         let phase = self.wait_phase.get().unwrap_or(phase);
-        self.breakdown.borrow_mut().charge(phase, waited);
+        let mut bd = self.breakdown.borrow_mut();
+        self.cpu.charge_wait(&self.sim, phase, 0, since, &mut bd);
     }
 
     /// Charge floating-point work.
     pub fn flops(&self, n: u64) {
-        self.debt.add_ns(n as f64 * self.cost.ns_per_flop);
+        self.cpu.flops(n);
     }
 
     /// Charge integer work.
     pub fn int_ops(&self, n: u64) {
-        self.debt.add_ns(n as f64 * self.cost.ns_per_int);
+        self.cpu.int_ops(n);
     }
 
     /// Charge raw nanoseconds.
     pub fn compute_ns(&self, ns: f64) {
-        self.debt.add_ns(ns);
+        self.cpu.compute_ns(ns);
     }
 
     /// Blocking reliable send to `dst` with message tag `tag`.
@@ -246,103 +187,67 @@ impl<'a> MpiCtx<'a> {
         };
         out.into_f64s().as_ref().clone()
     }
-
-    fn finish(&self) -> (u64, Breakdown, Histogram) {
-        self.flush();
-        let rpc = self.rpc.borrow();
-        (rpc.rexmits, *self.breakdown.borrow(), rpc.rtt.clone())
-    }
 }
 
 const TAG_BARRIER: u32 = 0xB000;
 const TAG_BCAST: u32 = 0xB001;
 const TAG_REDUCE: u32 = 0xB002;
 
-/// Run an SPMD MPI program on the simulated cluster.
-pub fn run_mpi<R, F>(cfg: &MpiConfig, body: F) -> MpiOutcome<R>
+/// Run an SPMD MPI program on the simulated cluster `cfg` describes, with
+/// the same wiring as the DSM's `run_cluster`: faults, tracer and profiler
+/// apply alike. A message-passing program has no shared memory, so
+/// `cfg.protocol`, `cfg.racecheck` and `cfg.barrier_timeout` are unused.
+pub fn run_mpi<R, F>(cfg: &ClusterConfig, body: F) -> ClusterOutcome<R>
 where
     R: Send,
     F: Fn(&MpiCtx<'_>) -> R + Send + Sync,
 {
     let n = cfg.nprocs;
-    let model = EthernetModel::new(n, cfg.net.clone());
-    let net_stats = model.stats_handle();
-    let mut sim = Sim::new(n, Box::new(model));
-    let states: Vec<Arc<Mutex<MpiNode>>> = (0..n)
-        .map(|_| {
-            Arc::new(Mutex::new(MpiNode {
-                expected_in: vec![0; n],
-            }))
-        })
-        .collect();
-    for (p, st) in states.iter().enumerate() {
-        sim.set_handler(p, make_handler(st.clone()));
-    }
-    let cost = cfg.cost.clone();
-    let rexmits = Mutex::new(0u64);
-    let breakdowns = Mutex::new(vec![Breakdown::default(); n]);
-    let rpc_rtt = Mutex::new(Histogram::default());
-    let out = sim.run(|ctx| {
-        let n = ctx.nprocs();
-        let me = ctx.me();
-        let mctx = MpiCtx {
-            sim: ctx,
-            rpc: RefCell::new(RpcClient::new()),
-            seq_out: RefCell::new(vec![0; n]),
-            debt: CpuDebt::new(),
-            cost: cost.clone(),
-            breakdown: RefCell::new(Breakdown::default()),
-            wait_phase: Cell::new(None),
-        };
-        let r = body(&mctx);
-        let (rex, bd, rtt) = mctx.finish();
-        *rexmits.lock() += rex;
-        breakdowns.lock()[me] = bd;
-        rpc_rtt.lock().absorb(&rtt);
-        r
-    });
-    let ns = *net_stats.lock();
-    let rexmits = *rexmits.lock();
-    let breakdowns = breakdowns.lock().clone();
-    let rpc_rtt = rpc_rtt.lock().clone();
-    for (p, bd) in breakdowns.iter().enumerate() {
-        // Same cross-checks as the DSM runtime: the phase accounting must
-        // classify every nanosecond and agree with the kernel's own split.
-        debug_assert_eq!(
-            bd.total_ns(),
-            out.proc_end[p].nanos(),
-            "rank {p}: phase breakdown does not sum to run time"
-        );
-        debug_assert_eq!(
-            bd.cpu_ns(),
-            out.proc_times[p].compute_ns,
-            "rank {p}: compute disagrees with kernel compute time"
-        );
-        debug_assert_eq!(
-            bd.blocked_ns(),
-            out.proc_times[p].blocked_ns,
-            "rank {p}: wait phases disagree with kernel blocked time"
-        );
-    }
-    MpiOutcome {
-        results: out.results,
-        time: out.end_time,
-        msgs: ns.msgs,
-        bytes: ns.bytes,
-        rexmits,
-        breakdowns,
-        proc_end: out.proc_end,
-        rpc_rtt,
-    }
+    let node = |_, cost| MpiNode {
+        expected_in: vec![0; n],
+        cost,
+        stats: NodeStats::default(),
+    };
+    run_nodes(
+        cfg,
+        node,
+        make_handler,
+        |node| &node.stats,
+        |sim, node, rexmit| {
+            let cost = node.lock().cost.clone();
+            let mctx = MpiCtx {
+                cpu: CpuAccount::new(&sim, cost),
+                seq_out: RefCell::new(vec![0; n]),
+                sim,
+                rpc: RefCell::new(RpcClient::with_timeout(rexmit)),
+                breakdown: RefCell::default(),
+                wait_phase: Cell::new(None),
+            };
+            let r = body(&mctx);
+            mctx.flush();
+            let rpc = mctx.rpc.into_inner();
+            let stats = &mut node.lock().stats;
+            stats.metrics.breakdown = mctx.breakdown.into_inner();
+            stats.rexmits = rpc.rexmits;
+            stats.metrics.rpc_rtt = rpc.rtt;
+            r
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vopp_dsm::Protocol;
+
+    /// MPI ignores the protocol; any one will do.
+    fn lossless(n: usize) -> ClusterConfig {
+        ClusterConfig::lossless(n, Protocol::VcSd)
+    }
 
     #[test]
     fn send_recv_roundtrip() {
-        let out = run_mpi(&MpiConfig::lossless(2), |c| {
+        let out = run_mpi(&lossless(2), |c| {
             if c.me() == 0 {
                 c.send(1, 7, MpiPayload::F64s(Arc::new(vec![1.0, 2.0])));
                 0.0
@@ -352,12 +257,12 @@ mod tests {
             }
         });
         assert_eq!(out.results[1], 3.0);
-        assert!(out.msgs >= 2); // DATA + ACK
+        assert!(out.stats.net.msgs >= 2); // DATA + ACK
     }
 
     #[test]
     fn barrier_synchronizes() {
-        let out = run_mpi(&MpiConfig::lossless(5), |c| {
+        let out = run_mpi(&lossless(5), |c| {
             if c.me() == 2 {
                 c.compute_ns(10_000_000.0); // straggler
             }
@@ -372,7 +277,7 @@ mod tests {
     #[test]
     fn bcast_all_sizes() {
         for n in [1, 2, 3, 4, 7, 8] {
-            let out = run_mpi(&MpiConfig::lossless(n), |c| {
+            let out = run_mpi(&lossless(n), |c| {
                 let data = if c.me() == 0 {
                     Some(MpiPayload::U32s(Arc::new(vec![42, 43])))
                 } else {
@@ -387,7 +292,7 @@ mod tests {
 
     #[test]
     fn bcast_nonzero_root() {
-        let out = run_mpi(&MpiConfig::lossless(6), |c| {
+        let out = run_mpi(&lossless(6), |c| {
             let data = if c.me() == 4 {
                 Some(MpiPayload::U32s(Arc::new(vec![9])))
             } else {
@@ -401,7 +306,7 @@ mod tests {
     #[test]
     fn allreduce_sums() {
         for n in [1, 2, 3, 4, 6, 8] {
-            let out = run_mpi(&MpiConfig::lossless(n), move |c| {
+            let out = run_mpi(&lossless(n), move |c| {
                 let mine = vec![c.me() as f64, 1.0];
                 c.allreduce_sum_f64(mine)
             });
@@ -415,7 +320,7 @@ mod tests {
 
     #[test]
     fn reliable_under_loss() {
-        let mut cfg = MpiConfig::new(4);
+        let mut cfg = ClusterConfig::new(4, Protocol::VcSd);
         cfg.net.base_drop_prob = 0.05;
         let out = run_mpi(&cfg, |c| {
             let mut acc = [0.0; 8];
@@ -436,13 +341,13 @@ mod tests {
         for r in &out.results {
             assert_eq!(*r, expect);
         }
-        assert!(out.rexmits > 0);
+        assert!(out.stats.rexmits() > 0);
     }
 
     #[test]
     fn deterministic_runs() {
         let run = || {
-            let mut cfg = MpiConfig::new(3);
+            let mut cfg = ClusterConfig::new(3, Protocol::VcSd);
             cfg.net.base_drop_prob = 0.02;
             run_mpi(&cfg, |c| {
                 let s = c.allreduce_sum_f64(vec![c.me() as f64; 32]);
@@ -452,7 +357,7 @@ mod tests {
         };
         let (a, b) = (run(), run());
         assert_eq!(a.results, b.results);
-        assert_eq!(a.time, b.time);
-        assert_eq!(a.msgs, b.msgs);
+        assert_eq!(a.stats.time, b.stats.time);
+        assert_eq!(a.stats.net, b.stats.net);
     }
 }

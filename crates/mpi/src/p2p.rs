@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use vopp_dsm::{CostModel, NodeStats};
 use vopp_sim::sync::Mutex;
 use vopp_sim::{DeliveryClass, Handler, ProcId};
 use vopp_simnet::{reply, HEADER_BYTES};
@@ -75,9 +76,12 @@ pub(crate) fn deliver_tag(src: ProcId, tag: u32) -> u64 {
     DELIVER_BIT | ((src as u64) << 32) | tag as u64
 }
 
-/// Receiver-side state: next expected sequence number per sender.
+/// One rank's state: the receive side's next expected sequence number per
+/// sender, the rank's cost model, and the statistics the rank reports.
 pub(crate) struct MpiNode {
     pub expected_in: Vec<u64>,
+    pub cost: CostModel,
+    pub stats: NodeStats,
 }
 
 /// Build the receive handler for one rank: acknowledges every DATA message

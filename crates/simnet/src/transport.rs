@@ -44,46 +44,23 @@ pub struct RpcClient {
     burst: Vec<(ProcId, usize, Payload)>,
 }
 
-impl Default for RpcClient {
-    fn default() -> Self {
-        RpcClient {
-            next_tag: 0,
-            rexmits: 0,
-            rtt: Histogram::default(),
-            timeout: SimDuration::from_secs(1),
-            max_retries: 60,
-            burst: Vec::new(),
-        }
-    }
-}
-
 impl RpcClient {
-    /// An endpoint with the default 1 s retransmission timeout.
-    pub fn new() -> RpcClient {
-        RpcClient::default()
-    }
-
-    /// An endpoint whose retransmission timeout matches the network it runs
-    /// over ([`crate::NetConfig::rexmit_timeout`]): exactly the historical 1 s on
-    /// the paper's testbed, milliseconds on modern generations — a loss on
-    /// an RDMA-class fabric must not stall the protocol six orders of
-    /// magnitude past the round trip.
-    pub fn for_net(cfg: &crate::config::NetConfig) -> RpcClient {
-        RpcClient::with_timeout(cfg.rexmit_timeout)
-    }
-
-    /// An endpoint with the given retransmission timeout. The retry budget
-    /// scales inversely so the give-up horizon stays at the historical
-    /// ~60 s of unanswered waiting regardless of how short one try is: a
-    /// deferred grant (view or lock held elsewhere) legitimately outlasts
-    /// many millisecond-scale tries on a modern generation.
+    /// An endpoint retransmitting after `timeout`: the network's
+    /// [`crate::NetConfig::rexmit_timeout`], the historical 1 s on the
+    /// paper's testbed and milliseconds on modern generations. The retry
+    /// budget scales inversely, so the give-up horizon stays at ~60 s of
+    /// unanswered waiting: a deferred grant (view or lock held elsewhere)
+    /// legitimately outlasts many millisecond-scale tries.
     pub fn with_timeout(timeout: SimDuration) -> RpcClient {
         let horizon_ns: u64 = 60 * 1_000_000_000;
         let max_retries = horizon_ns.div_ceil(timeout.nanos().max(1)).max(60) as u32;
         RpcClient {
+            next_tag: 0,
+            rexmits: 0,
+            rtt: Histogram::default(),
             timeout,
             max_retries,
-            ..RpcClient::default()
+            burst: Vec::new(),
         }
     }
 
@@ -239,6 +216,7 @@ mod tests {
 
     /// Echo service: replies with the request value + 1.
     fn echo_sim(cfg: NetConfig, calls: u32) -> (Vec<u64>, u64) {
+        let timeout = cfg.rexmit_timeout;
         let mut sim = Sim::new(2, Box::new(EthernetModel::new(2, cfg)));
         sim.set_handler(
             1,
@@ -251,7 +229,7 @@ mod tests {
         );
         let out = sim.run(move |ctx| {
             if ctx.me() == 0 {
-                let mut rpc = RpcClient::new();
+                let mut rpc = RpcClient::with_timeout(timeout);
                 let mut got = Vec::new();
                 for i in 0..calls as u64 {
                     got.push(rpc.call(&ctx, 1, 64, i).expect::<u64>());
@@ -310,7 +288,7 @@ mod tests {
         );
         let out = sim.run(|ctx| {
             if ctx.me() == 0 {
-                let mut rpc = RpcClient::new();
+                let mut rpc = RpcClient::with_timeout(NetConfig::lossless().rexmit_timeout);
                 for i in 0..10u64 {
                     rpc.call(&ctx, 1, 64, i);
                 }
@@ -358,7 +336,7 @@ mod tests {
         );
         let out = sim.run(|ctx| {
             if ctx.me() == 0 {
-                let mut rpc = RpcClient::new();
+                let mut rpc = RpcClient::with_timeout(NetConfig::lossless().rexmit_timeout);
                 let mut replies = Vec::new();
                 rpc.call_all(&ctx, [(1, 64, 0u64), (2, 64, 0u64)], &mut replies);
                 assert_eq!(replies.len(), 2);
@@ -405,7 +383,7 @@ mod tests {
         );
         let out = sim.run(|ctx| {
             if ctx.me() == 0 {
-                let mut rpc = RpcClient::new();
+                let mut rpc = RpcClient::with_timeout(NetConfig::lossless().rexmit_timeout);
                 let mut replies = Vec::new();
                 rpc.call_all(&ctx, [(1, 64, 1u64), (2, 64, 2u64)], &mut replies);
                 let vals: Vec<u64> = replies.drain(..).map(|p| p.expect::<u64>()).collect();
@@ -428,6 +406,7 @@ mod tests {
             base_drop_prob: 0.3,
             ..NetConfig::default()
         };
+        let timeout = cfg.rexmit_timeout;
         let mut sim = Sim::new(3, Box::new(EthernetModel::new(3, cfg)));
         let seen: Arc<std::sync::Mutex<Vec<(u64, Payload)>>> = Arc::default();
         for p in 1..3 {
@@ -446,7 +425,7 @@ mod tests {
             if ctx.me() != 0 {
                 return 0;
             }
-            let mut rpc = RpcClient::new();
+            let mut rpc = RpcClient::with_timeout(timeout);
             let mut replies = Vec::new();
             let mut buffer = None;
             for burst in 0..20u64 {
@@ -476,15 +455,15 @@ mod tests {
     }
 
     #[test]
-    fn for_net_matches_the_generation_timeout() {
+    fn every_generation_keeps_the_give_up_horizon() {
         use crate::config::NetGen;
         assert_eq!(
-            RpcClient::for_net(&NetConfig::default()).timeout,
+            NetConfig::default().rexmit_timeout,
             SimDuration::from_secs(1)
         );
         for gen in NetGen::ALL {
             let cfg = gen.config();
-            let rpc = RpcClient::for_net(&cfg);
+            let rpc = RpcClient::with_timeout(cfg.rexmit_timeout);
             assert_eq!(rpc.timeout, cfg.rexmit_timeout);
             // The give-up horizon stays ~constant: shorter tries, more of
             // them. The paper preset keeps the historical 60 retries.
@@ -493,7 +472,6 @@ mod tests {
                 "{gen}: horizon shrank"
             );
         }
-        assert_eq!(RpcClient::new().max_retries, 60);
         assert_eq!(
             RpcClient::with_timeout(SimDuration::from_secs(1)).max_retries,
             60
@@ -528,7 +506,7 @@ mod tests {
         );
         let out = sim.run(move |ctx| {
             if ctx.me() == 0 {
-                let mut rpc = RpcClient::for_net(&cfg);
+                let mut rpc = RpcClient::with_timeout(cfg.rexmit_timeout);
                 let v = rpc.call(&ctx, 1, 64, 41u64).expect::<u64>();
                 (v, rpc.rexmits, ctx.now())
             } else {
@@ -595,7 +573,7 @@ mod tests {
                 // if ordering were by size rather than FIFO, the control
                 // message would win the race and the handler would panic.
                 ctx.send(1, 60_000, DeliveryClass::OneSided, 42, Arc::new(999u64));
-                let mut rpc = RpcClient::new();
+                let mut rpc = RpcClient::with_timeout(NetConfig::lossless().rexmit_timeout);
                 rpc.call(&ctx, 1, 64, 42u64).expect::<u64>()
             } else {
                 0
@@ -607,21 +585,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "no reply")]
     fn rpc_gives_up_eventually() {
-        let mut sim = Sim::new(
-            2,
-            Box::new(EthernetModel::new(
-                2,
-                NetConfig {
-                    base_drop_prob: 1.0,
-                    overflow_cap: 1.0,
-                    ..NetConfig::default()
-                },
-            )),
-        );
+        let cfg = NetConfig {
+            base_drop_prob: 1.0,
+            overflow_cap: 1.0,
+            ..NetConfig::default()
+        };
+        let timeout = cfg.rexmit_timeout;
+        let mut sim = Sim::new(2, Box::new(EthernetModel::new(2, cfg)));
         sim.set_handler(1, Box::new(|_, _| {}));
         sim.run(|ctx| {
             if ctx.me() == 0 {
-                let mut rpc = RpcClient::new();
+                let mut rpc = RpcClient::with_timeout(timeout);
                 rpc.max_retries = 3;
                 rpc.call(&ctx, 1, 64, 0u64);
             } else {

@@ -17,6 +17,7 @@ fn lossy_sixteen_node_rpc_is_pinned() {
         base_drop_prob: 0.05,
         ..NetConfig::default()
     };
+    let timeout = cfg.rexmit_timeout;
     let model = EthernetModel::new(NODES, cfg);
     let net = model.stats_handle();
     let mut sim = Sim::new(NODES, Box::new(model));
@@ -32,7 +33,7 @@ fn lossy_sixteen_node_rpc_is_pinned() {
     }
     let out = sim.run(|ctx| {
         let me = ctx.me() as u64;
-        let mut rpc = RpcClient::new();
+        let mut rpc = RpcClient::with_timeout(timeout);
         let mut replies = Vec::new();
         for i in 0..CALLS {
             let dst = (ctx.me() + 1 + i as usize % (NODES - 1)) % NODES;

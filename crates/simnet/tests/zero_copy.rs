@@ -107,6 +107,7 @@ fn retransmissions_share_the_request_allocation() {
         latency: vopp_sim::SimDuration::from_millis(700), // rtt 1.4s > 1s timeout
         ..NetConfig::lossless()
     };
+    let timeout = cfg.rexmit_timeout;
     let mut sim = Sim::new(2, Box::new(EthernetModel::new(2, cfg)));
     sim.set_handler(
         1,
@@ -120,7 +121,7 @@ fn retransmissions_share_the_request_allocation() {
     );
     let out = sim.run(|ctx| {
         if ctx.me() == 0 {
-            let mut rpc = RpcClient::new();
+            let mut rpc = RpcClient::with_timeout(timeout);
             let got = rpc.call(&ctx, 1, 64, RpcMsg::new(41)).expect::<u64>();
             (got, rpc.rexmits)
         } else {

@@ -17,7 +17,7 @@ use vopp_repro::page::{
     Diff, IntegratedPage, IntervalRecord, PageBuf, PagePool, VTime, PAGE_SIZE, PAGE_WORDS,
 };
 use vopp_repro::sim::{PerfectNet, Sim, SimDuration};
-use vopp_repro::simnet::{reply, RpcClient};
+use vopp_repro::simnet::{reply, NetConfig, RpcClient};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -180,7 +180,7 @@ fn an_rpc_burst_allocates_only_its_messages() {
         if ctx.me() != 0 {
             return 0;
         }
-        let mut rpc = RpcClient::new();
+        let mut rpc = RpcClient::with_timeout(NetConfig::default().rexmit_timeout);
         let mut replies = Vec::new();
         let mut burst = |rpc: &mut RpcClient| {
             let calls = (0..K).map(|i| (1 + i as usize % 2, 64, i));
