@@ -49,7 +49,8 @@ fn send_req(ctx: &vopp_sim::AppCtx<'_>, tag: u64, req: Req) {
 }
 
 fn recv_resp(ctx: &vopp_sim::AppCtx<'_>, tag: u64) -> Resp {
-    ctx.recv_filter(|p| p.tag == (RPC_TAG_BIT | tag))
+    ctx.recv_tag(RPC_TAG_BIT | tag, None)
+        .unwrap()
         .expect::<Resp>()
 }
 

@@ -89,7 +89,10 @@ impl<'a> MpiCtx<'a> {
         self.flush();
         let want = deliver_tag(src, tag);
         let t0 = self.sim.now();
-        let pkt = self.sim.recv_filter(|p| p.tag == want);
+        let pkt = self
+            .sim
+            .recv_tag(want, None)
+            .expect("an untimed receive ends with a packet");
         self.charge_wait(Phase::DataWait, t0);
         pkt.expect::<Delivered>().payload
     }

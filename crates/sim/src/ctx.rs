@@ -1,9 +1,11 @@
 //! Process-side and handler-side views of the kernel.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
-use crate::kernel::{Event, Phase, Shared};
+use crate::kernel::{Event, Phase, Sched, Shared, TagWait};
 use crate::packet::{DeliveryClass, Packet, Payload};
+use crate::sync::MutexGuard;
 use crate::time::{SimDuration, SimTime};
 use crate::ProcId;
 
@@ -17,6 +19,19 @@ fn shrink_if_drained(mb: &mut VecDeque<Packet>) {
     if mb.is_empty() && mb.capacity() > MAILBOX_IDLE_CAP {
         mb.shrink_to(MAILBOX_IDLE_CAP);
     }
+}
+
+/// Remove the earliest queued packet satisfying `want`. Every take from a
+/// mailbox goes through here, so each one releases a drained spike.
+fn take(mb: &mut VecDeque<Packet>, want: impl Fn(&Packet) -> bool) -> Option<Packet> {
+    let pkt = mb.remove(mb.iter().position(want)?);
+    shrink_if_drained(mb);
+    pkt
+}
+
+/// Whether `p` is a one-sided write from `src` with `tag`.
+fn one_sided(p: &Packet, src: ProcId, tag: u64) -> bool {
+    p.class == DeliveryClass::OneSided && p.src == src && p.tag == tag
 }
 
 /// The kernel interface available to a process body (application thread).
@@ -92,68 +107,109 @@ impl<'a> AppCtx<'a> {
     }
 
     /// Receive the next mailbox packet, blocking until one arrives.
+    /// One-sided writes ([`DeliveryClass::OneSided`]) are invisible to every
+    /// receive — they landed without CPU involvement and are only observed
+    /// by an explicit [`AppCtx::poll_one_sided`].
     pub fn recv(&self) -> Packet {
-        self.recv_filter(|_| true)
+        self.recv_any(None)
+            .expect("a receive without a timeout ends with a packet")
     }
 
-    /// Receive the first mailbox packet satisfying `want`, blocking until one
-    /// arrives. Non-matching packets stay queued in arrival order. One-sided
-    /// writes ([`DeliveryClass::OneSided`]) are invisible here — they landed
-    /// without CPU involvement and are only observed by an explicit
-    /// [`AppCtx::poll_one_sided`].
-    pub fn recv_filter(&self, want: impl Fn(&Packet) -> bool) -> Packet {
-        let mut s = self.shared.sched.lock();
-        loop {
-            if let Some(pos) = s.procs[self.me]
-                .mailbox
-                .iter()
-                .position(|p| p.class != DeliveryClass::OneSided && want(p))
-            {
-                let pkt = s.procs[self.me].mailbox.remove(pos).unwrap();
-                shrink_if_drained(&mut s.procs[self.me].mailbox);
-                return pkt;
-            }
-            s.procs[self.me].phase = Phase::WaitRecv;
-            self.shared.yield_and_wait(self.me, &mut s);
-        }
+    /// Receive any packet with a timeout. Returns `None` if the deadline
+    /// passes first. A packet that arrives in time cancels the timeout, so
+    /// it never lingers in the event queue.
+    pub fn recv_timeout(&self, d: SimDuration) -> Option<Packet> {
+        self.recv_any(Some(d))
     }
 
-    /// Like [`AppCtx::recv_filter`] with a timeout. Returns `None` if the
-    /// deadline passes first. A packet that arrives in time cancels the
-    /// timeout, so it never lingers in the event queue.
-    pub fn recv_filter_timeout(
-        &self,
-        d: SimDuration,
-        want: impl Fn(&Packet) -> bool,
-    ) -> Option<Packet> {
+    /// Take the first receivable packet, blocking until one arrives or the
+    /// timeout, if any, passes. Every delivery wakes this process.
+    fn recv_any(&self, timeout: Option<SimDuration>) -> Option<Packet> {
         let mut s = self.shared.sched.lock();
-        let deadline = s.procs[self.me].clock + d;
+        let deadline = timeout.map(|d| s.procs[self.me].clock + d);
         loop {
-            if let Some(pos) = s.procs[self.me]
-                .mailbox
-                .iter()
-                .position(|p| p.class != DeliveryClass::OneSided && want(p))
-            {
-                let pkt = s.procs[self.me].mailbox.remove(pos).unwrap();
-                shrink_if_drained(&mut s.procs[self.me].mailbox);
+            let mb = &mut s.procs[self.me].mailbox;
+            if let Some(pkt) = take(mb, |p| p.class != DeliveryClass::OneSided) {
                 s.cancel_timer(self.me);
                 return Some(pkt);
             }
-            if s.procs[self.me].timer.is_none() {
-                s.arm_timer(self.me, deadline);
+            if let (Some(at), None) = (deadline, s.procs[self.me].timer) {
+                s.arm_timer(self.me, at);
             }
-            s.procs[self.me].timed_out = false;
-            s.procs[self.me].phase = Phase::WaitRecv;
-            self.shared.yield_and_wait(self.me, &mut s);
-            if s.procs[self.me].timed_out {
+            if self.block(&mut s) {
                 return None;
             }
         }
     }
 
-    /// Receive any packet with a timeout.
-    pub fn recv_timeout(&self, d: SimDuration) -> Option<Packet> {
-        self.recv_filter_timeout(d, |_| true)
+    /// Receive the first packet with `tag` (below `u64::MAX`), blocking
+    /// until it arrives or, with `Some(timeout)`, until the timeout passes
+    /// (`None`). Other packets stay queued in arrival order, and their
+    /// arrival does not wake this process: the kernel checks the tag itself.
+    pub fn recv_tag(&self, tag: u64, timeout: Option<SimDuration>) -> Option<Packet> {
+        let end = tag.checked_add(1).expect("tags end below u64::MAX");
+        let mut got = None;
+        self.wait_tags(tag..end, timeout, |p| got = Some(p)).ok()?;
+        got
+    }
+
+    /// Receive one packet for each of the contiguous `tags`, appending them
+    /// to `out` in tag order. Each tag is waited for up to `timeout` from
+    /// the moment the tags before it are in (as a loop of [`recv_tag`]
+    /// calls would); the kernel collects the tags as they land and wakes
+    /// this process once, when the last one is in or a timeout passes.
+    /// `Err(tag)` means `tag`'s timeout passed: the tags before it are in
+    /// `out`, none after.
+    ///
+    /// [`recv_tag`]: AppCtx::recv_tag
+    pub fn recv_tags(
+        &self,
+        tags: Range<u64>,
+        timeout: Option<SimDuration>,
+        out: &mut Vec<Packet>,
+    ) -> Result<(), u64> {
+        self.wait_tags(tags, timeout, |p| out.push(p))
+    }
+
+    /// The tag wait behind [`AppCtx::recv_tag`] and [`AppCtx::recv_tags`]:
+    /// hand `collect` the packets of the tags that are in, in tag order.
+    fn wait_tags(
+        &self,
+        tags: Range<u64>,
+        timeout: Option<SimDuration>,
+        mut collect: impl FnMut(Packet),
+    ) -> Result<(), u64> {
+        let me = self.me;
+        let mut s = self.shared.sched.lock();
+        s.procs[me].tag_wait = Some(TagWait {
+            next: tags.start,
+            end: tags.end,
+            timeout,
+        });
+        if !s.advance_tags(me) {
+            self.block(&mut s);
+        }
+        let pi = &mut s.procs[me];
+        let w = pi.tag_wait.take().expect("the tag wait ends here");
+        for tag in tags.start..w.next {
+            let want = |p: &Packet| p.class != DeliveryClass::OneSided && p.tag == tag;
+            collect(take(&mut pi.mailbox, want).expect("a tag counted in is queued"));
+        }
+        if w.next == w.end {
+            Ok(())
+        } else {
+            debug_assert!(pi.timed_out, "a tag wait woke with tag {} missing", w.next);
+            Err(w.next)
+        }
+    }
+
+    /// Block in a receive until the kernel wakes this process; returns
+    /// whether the wake was this receive's timeout.
+    fn block(&self, s: &mut MutexGuard<'a, Sched>) -> bool {
+        s.procs[self.me].timed_out = false;
+        s.procs[self.me].phase = Phase::WaitRecv;
+        self.shared.yield_and_wait(self.me, s);
+        s.procs[self.me].timed_out
     }
 
     /// Number of packets currently queued in this process's mailbox.
@@ -168,13 +224,7 @@ impl<'a> AppCtx<'a> {
     /// same-link control message sent after the write arrives after it).
     pub fn poll_one_sided(&self, src: ProcId, tag: u64) -> Option<Packet> {
         let mut s = self.shared.sched.lock();
-        let pos = s.procs[self.me]
-            .mailbox
-            .iter()
-            .position(|p| p.class == DeliveryClass::OneSided && p.src == src && p.tag == tag)?;
-        let pkt = s.procs[self.me].mailbox.remove(pos).unwrap();
-        shrink_if_drained(&mut s.procs[self.me].mailbox);
-        Some(pkt)
+        take(&mut s.procs[self.me].mailbox, |p| one_sided(p, src, tag))
     }
 
     /// Remove every queued packet matching `unwanted`, returning how many
@@ -272,11 +322,7 @@ impl<'a> SvcCtx<'a> {
     /// already present (FIFO link ordering).
     pub fn take_one_sided(&mut self, src: ProcId, tag: u64) -> Option<Packet> {
         let mut s = self.shared.sched.lock();
-        let pos = s.procs[self.me]
-            .mailbox
-            .iter()
-            .position(|p| p.class == DeliveryClass::OneSided && p.src == src && p.tag == tag)?;
-        s.procs[self.me].mailbox.remove(pos)
+        take(&mut s.procs[self.me].mailbox, |p| one_sided(p, src, tag))
     }
 
     /// Record a trace event at the handled packet's arrival time.

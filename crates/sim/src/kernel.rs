@@ -23,6 +23,17 @@
 //! shuts the run down. Wake-ups are counted in [`HandoffStats`] (per run)
 //! and in process-wide totals ([`handoff_totals`]) for wall-clock reporting.
 //!
+//! A receive that names its tags ([`AppCtx::recv_tag`],
+//! [`AppCtx::recv_tags`]) is finished by the popping thread too. A delivery
+//! to a process in such a wait gets the wake's bookkeeping — clock,
+//! [`ProcTimes`], the causal profiler's record — and then the per-tag step
+//! the waiting thread would have taken: cancel the timer of a tag that
+//! landed, arm the next missing tag's. The process is woken only when its
+//! last tag is in or a timer fires, so an RPC burst wakes its caller once,
+//! with the event queue, `seq` and every record exactly as if its thread
+//! had checked each delivery itself ([`HandoffStats::absorbed`] counts the
+//! wakes saved).
+//!
 //! ## The OS-level hand-off
 //!
 //! Passing control between two OS threads costs what the OS charges for one
@@ -70,6 +81,12 @@ pub struct HandoffStats {
     /// switch. Counted inside `direct`, so [`HandoffStats::total`] is
     /// unaffected.
     pub self_wakes: u64,
+    /// Receive wake-ups the kernel finished without waking the thread: a
+    /// delivery to a process in a tag wait that left a tag missing. Not
+    /// counted in [`HandoffStats::total`]; `total() + absorbed` is the
+    /// number of wake-ups a thread that checked every delivery itself
+    /// would have taken.
+    pub absorbed: u64,
 }
 
 impl HandoffStats {
@@ -83,6 +100,7 @@ impl HandoffStats {
 static TOTAL_DIRECT: AtomicU64 = AtomicU64::new(0);
 static TOTAL_VIA_CTL: AtomicU64 = AtomicU64::new(0);
 static TOTAL_SELF_WAKES: AtomicU64 = AtomicU64::new(0);
+static TOTAL_ABSORBED: AtomicU64 = AtomicU64::new(0);
 
 /// Handoff totals accumulated by every run finished in this process so far.
 pub fn handoff_totals() -> HandoffStats {
@@ -90,6 +108,7 @@ pub fn handoff_totals() -> HandoffStats {
         direct: TOTAL_DIRECT.load(Ordering::Relaxed),
         via_controller: TOTAL_VIA_CTL.load(Ordering::Relaxed),
         self_wakes: TOTAL_SELF_WAKES.load(Ordering::Relaxed),
+        absorbed: TOTAL_ABSORBED.load(Ordering::Relaxed),
     }
 }
 
@@ -144,11 +163,24 @@ pub(crate) enum Phase {
     Running,
     /// Blocked until its scheduled `Resume` event fires (compute/sleep).
     BlockedResume,
-    /// Blocked in `recv`, possibly with a timeout armed
-    /// ([`ProcInfo::timer`]).
+    /// Blocked in a receive, possibly with a timeout armed
+    /// ([`ProcInfo::timer`]) and possibly in a tag wait
+    /// ([`ProcInfo::tag_wait`]).
     WaitRecv,
     /// Process body returned.
     Finished,
+}
+
+/// A receive of the contiguous tags `next..end`, in order, each waited for
+/// up to `timeout` (`None`: forever) from the moment it becomes the next
+/// one. The kernel advances `next` as the tags land and wakes the process
+/// only when `next == end` or a timer fires. The packets stay in the
+/// mailbox until the thread collects them.
+#[derive(Clone, Copy)]
+pub(crate) struct TagWait {
+    pub(crate) next: u64,
+    pub(crate) end: u64,
+    pub(crate) timeout: Option<SimDuration>,
 }
 
 pub(crate) struct ProcInfo {
@@ -159,6 +191,9 @@ pub(crate) struct ProcInfo {
     /// fire. Cleared when the timer fires or its receive ends with a packet.
     pub(crate) timer: Option<u64>,
     pub(crate) timed_out: bool,
+    /// The tag wait in progress, from its start until the thread collects
+    /// its packets; `None` in an any-packet receive.
+    pub(crate) tag_wait: Option<TagWait>,
     pub(crate) times: ProcTimes,
 }
 
@@ -170,8 +205,17 @@ impl ProcInfo {
             mailbox: VecDeque::new(),
             timer: None,
             timed_out: false,
+            tag_wait: None,
             times: ProcTimes::default(),
         }
+    }
+
+    /// Whether a receivable packet (not a one-sided write) with `tag` is
+    /// queued.
+    fn has_tag(&self, tag: u64) -> bool {
+        self.mailbox
+            .iter()
+            .any(|p| p.class != DeliveryClass::OneSided && p.tag == tag)
     }
 }
 
@@ -267,6 +311,29 @@ impl Sched {
             });
             self.dead_timers = 0;
         }
+    }
+
+    /// Advance process `p`'s tag wait past every tag already queued, the
+    /// way a thread taking the tags one by one would: a tag found cancels
+    /// the timer armed for it, and the first tag missing arms its own,
+    /// `timeout` from now. Returns whether every tag is in.
+    pub(crate) fn advance_tags(&mut self, p: ProcId) -> bool {
+        let pi = &mut self.procs[p];
+        let mut w = pi.tag_wait.expect("advance_tags outside a tag wait");
+        let first = w.next;
+        while w.next < w.end && pi.has_tag(w.next) {
+            w.next += 1;
+        }
+        pi.tag_wait = Some(w);
+        let deadline = w.timeout.map(|d| pi.clock + d);
+        if w.next > first {
+            self.cancel_timer(p);
+        }
+        match deadline {
+            Some(at) if w.next < w.end => self.arm_timer(p, at),
+            _ => {}
+        }
+        w.next == w.end
     }
 
     /// Route a packet through the network model and schedule its delivery.
@@ -540,9 +607,22 @@ impl Shared {
                         return Some(Step::Handler(self.dispatch_svc(s, dst, pkt, at)));
                     }
                     DeliveryClass::App => {
-                        let cause = pkt.cause;
+                        let (cause, tag) = (pkt.cause, pkt.tag);
                         s.procs[dst].mailbox.push_back(pkt);
                         if s.procs[dst].phase != Phase::WaitRecv {
+                            return Some(Step::Nothing);
+                        }
+                        if let Some(w) = s.procs[dst].tag_wait {
+                            // The wake the waiting thread would have taken
+                            // to check this packet, then its per-tag step.
+                            self.account_wake(s, dst, at, cause);
+                            if tag == w.next && s.advance_tags(dst) {
+                                self.mark_running(s, dst);
+                                return Some(Step::Woke(dst));
+                            }
+                            // A tag is still missing: the thread would block
+                            // again at once, so it is never woken.
+                            s.handoff.absorbed += 1;
                             return Some(Step::Nothing);
                         }
                         (dst, cause)
@@ -601,14 +681,22 @@ impl Shared {
         r
     }
 
-    /// Mark process `p` runnable at virtual time `t`. Every clock advance
-    /// and its compute/blocked classification happens here. The caller hands
-    /// `p` its [`Baton`] once it has released the scheduler lock (unless `p`
-    /// is the caller itself).
+    /// Mark process `p` runnable at virtual time `t`. The caller hands `p`
+    /// its [`Baton`] once it has released the scheduler lock (unless `p` is
+    /// the caller itself).
     /// `pkt_cause` is the delivered packet's causal stamp on receive wakes
     /// ([`NO_CTX`] for self-caused resumes and timer expiries).
     fn wake_now(&self, s: &mut MutexGuard<'_, Sched>, p: ProcId, t: SimTime, pkt_cause: u64) {
-        debug_assert!(s.running.is_none());
+        self.account_wake(s, p, t, pkt_cause);
+        self.mark_running(s, p);
+    }
+
+    /// Advance process `p`'s clock to `t` for a wake: every clock advance
+    /// and its compute/blocked classification happens here, and so does the
+    /// causal profiler's wake record. `p` stays in its blocked phase; a wake
+    /// the kernel finishes itself (a tag wait with a tag still missing)
+    /// goes no further.
+    fn account_wake(&self, s: &mut MutexGuard<'_, Sched>, p: ProcId, t: SimTime, pkt_cause: u64) {
         if s.procs[p].phase == Phase::Startup {
             if let Some(tr) = &s.tracer {
                 tr.record(t.0, p, EventKind::ProcStart);
@@ -638,7 +726,12 @@ impl Shared {
             Phase::Startup | Phase::Running | Phase::Finished => {}
         }
         pi.clock = pi.clock.max(t);
-        pi.phase = Phase::Running;
+    }
+
+    /// Make process `p` the one running.
+    fn mark_running(&self, s: &mut MutexGuard<'_, Sched>, p: ProcId) {
+        debug_assert!(s.running.is_none());
+        s.procs[p].phase = Phase::Running;
         s.running = Some(p);
     }
 
@@ -835,6 +928,7 @@ impl Sim {
         TOTAL_DIRECT.fetch_add(s.handoff.direct, Ordering::Relaxed);
         TOTAL_VIA_CTL.fetch_add(s.handoff.via_controller, Ordering::Relaxed);
         TOTAL_SELF_WAKES.fetch_add(s.handoff.self_wakes, Ordering::Relaxed);
+        TOTAL_ABSORBED.fetch_add(s.handoff.absorbed, Ordering::Relaxed);
         RunOutcome {
             results: results
                 .iter_mut()

@@ -9,7 +9,8 @@
 //! (`send`/`recv`), so runs are bit-for-bit deterministic.
 //!
 //! * [`Sim`] — build and run a simulation.
-//! * [`AppCtx`] — process-side API: `compute`, `send`, `recv`, timeouts.
+//! * [`AppCtx`] — process-side API: `compute`, `send`, `recv`, tag
+//!   receives the kernel finishes (`recv_tag`, `recv_tags`), timeouts.
 //! * [`SvcCtx`] + [`Handler`] — interrupt-style service handlers, the
 //!   simulation analogue of a DSM's SIGIO request handler.
 //! * [`NetModel`] — pluggable timing/loss model ([`PerfectNet`] here; the

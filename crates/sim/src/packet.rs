@@ -33,7 +33,7 @@ pub enum DeliveryClass {
     /// A one-sided RDMA-style write: the payload lands in the destination's
     /// preposted buffer (its mailbox) with **no remote CPU involvement** —
     /// no service dispatch, and a blocked receiver is not woken. Invisible
-    /// to `recv`/`recv_filter`; retrieved explicitly with
+    /// to every receive (`recv`, `recv_tag`, ...); retrieved explicitly with
     /// [`crate::AppCtx::poll_one_sided`] / [`crate::SvcCtx::take_one_sided`].
     /// Routed reliably by network models (hardware retransmission, no loss
     /// draw) and never counted toward receive-queue overflow occupancy.

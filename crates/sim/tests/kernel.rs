@@ -93,7 +93,7 @@ fn messages_delivered_in_order_per_link() {
 }
 
 #[test]
-fn recv_filter_skips_non_matching() {
+fn recv_tag_skips_non_matching() {
     let out = run_simple(2, LAT, |ctx| {
         if ctx.me() == 0 {
             ctx.send(1, 8, DeliveryClass::App, 5, Arc::new(5u32));
@@ -101,13 +101,139 @@ fn recv_filter_skips_non_matching() {
             0
         } else {
             // Ask for tag 9 first even though tag 5 arrives first.
-            let nine = ctx.recv_filter(|p| p.tag == 9).expect::<u32>();
+            let nine = ctx.recv_tag(9, None).unwrap().expect::<u32>();
             let five = ctx.recv().expect::<u32>();
             assert_eq!((nine, five), (9, 5));
             1
         }
     });
     assert_eq!(out.results, vec![0, 1]);
+}
+
+// ---- Tag waits: the kernel collects the tags, the caller wakes once ----
+
+#[test]
+fn a_reverse_order_burst_wakes_its_caller_once() {
+    // Proc k in 1..=4 sends tag k - 1 after computing (5 - k) * 10 us: the
+    // tags land in reverse order.
+    let out = run_simple(5, LAT, |ctx| {
+        let k = ctx.me() as u64;
+        if k > 0 {
+            ctx.compute(SimDuration::from_micros((5 - k) * 10));
+            ctx.send(0, 8, DeliveryClass::App, k - 1, Arc::new(k - 1));
+            return (vec![], ctx.now());
+        }
+        let mut got = Vec::new();
+        assert_eq!(ctx.recv_tags(0..4, None, &mut got), Ok(()));
+        let tags: Vec<u64> = got.iter().map(|p| p.tag).collect();
+        (tags, ctx.now())
+    });
+    let (tags, woke_at) = out.results[0].clone();
+    assert_eq!(tags, [0, 1, 2, 3]);
+    // The last arrival is tag 0, sent at 40 us.
+    assert_eq!(woke_at, SimTime(40_000 + LAT.0));
+    let h = out.handoff;
+    // Five start-up wakes and four compute resumes; of the four deliveries
+    // only the one that completes the burst wakes proc 0.
+    assert_eq!((h.total(), h.absorbed), (10, 3));
+    let pt = out.proc_times[0];
+    assert_eq!((pt.compute_ns, pt.blocked_ns), (0, woke_at.0));
+}
+
+#[test]
+fn an_unwanted_tag_wakes_nobody_and_stays_queued() {
+    let out = run_simple(2, LAT, |ctx| {
+        if ctx.me() == 1 {
+            ctx.send(0, 8, DeliveryClass::App, 99, Arc::new(99u32));
+            ctx.compute(SimDuration::from_millis(1));
+            ctx.send(0, 8, DeliveryClass::App, 7, Arc::new(7u32));
+            return (0, 0, ctx.now());
+        }
+        let seven = ctx.recv_tag(7, None).unwrap();
+        let woke_at = ctx.now();
+        let other = ctx.recv().expect::<u32>();
+        (seven.expect::<u32>(), other, woke_at)
+    });
+    assert_eq!(out.results[0], (7, 99, SimTime(1_000_000 + LAT.0)));
+    // Two start-up wakes, proc 1's resume, and the wake for tag 7; tag 99's
+    // delivery is finished by the kernel.
+    assert_eq!((out.handoff.total(), out.handoff.absorbed), (4, 1));
+}
+
+/// Delivers every packet after 50 us, replies `(5 - src) * 10` us later
+/// still, and drops the first packet from proc 2 to proc 0.
+struct DropSecondReply {
+    sent: u64,
+    dropped: bool,
+}
+
+impl NetModel for DropSecondReply {
+    fn route(&mut self, req: RouteRequest) -> Option<SimTime> {
+        self.sent += 1;
+        if (req.src, req.dst, self.dropped) == (2, 0, false) {
+            self.dropped = true;
+            return None;
+        }
+        let skew = if req.src == 0 {
+            0
+        } else {
+            (5 - req.src as u64) * 10_000
+        };
+        Some(req.now + LAT + SimDuration::from_nanos(skew))
+    }
+
+    fn sent_count(&self) -> u64 {
+        self.sent
+    }
+
+    fn sent_bytes(&self) -> u64 {
+        0
+    }
+}
+
+#[test]
+fn a_burst_with_a_dropped_reply_retransmits_when_the_per_tag_loop_did() {
+    let mut sim = Sim::new(
+        5,
+        Box::new(DropSecondReply {
+            sent: 0,
+            dropped: false,
+        }),
+    );
+    for p in 1..5 {
+        sim.set_handler(
+            p,
+            Box::new(|svc, pkt| svc.send(pkt.src, 64, DeliveryClass::App, pkt.tag, Arc::new(()))),
+        );
+    }
+    let out = sim.run(|ctx| {
+        if ctx.me() != 0 {
+            return (vec![], vec![], ctx.now());
+        }
+        let request =
+            |tag: u64| ctx.send(tag as usize + 1, 64, DeliveryClass::Svc, tag, Arc::new(()));
+        (0..4).for_each(request);
+        let (mut got, mut rexmits, mut next) = (Vec::new(), Vec::new(), 0);
+        while let Err(tag) = ctx.recv_tags(next..4, Some(SimDuration::from_millis(1)), &mut got) {
+            rexmits.push((tag, ctx.now().nanos()));
+            request(tag);
+            next = tag;
+        }
+        let got: Vec<(u64, u64)> = got.iter().map(|p| (p.tag, p.arrived.nanos())).collect();
+        (got, rexmits, ctx.now())
+    });
+    // Recorded with a loop of one timed receive per tag: tag 1's timer is
+    // armed when tag 0 lands at 140 us and fires 1 ms later.
+    let (got, rexmits, end) = &out.results[0];
+    assert_eq!(
+        got,
+        &[(0, 140_000), (1, 1_270_000), (2, 120_000), (3, 110_000)]
+    );
+    assert_eq!(rexmits, &[(1, 1_140_000)]);
+    assert_eq!(*end, SimTime(1_270_000));
+    assert_eq!(out.net.sent_count(), 10);
+    // Ten wake-ups in that loop; three are now finished by the kernel.
+    assert_eq!((out.handoff.total(), out.handoff.absorbed), (7, 3));
 }
 
 #[test]
@@ -636,19 +762,18 @@ fn jitter_run() -> Artifacts {
                 // Futile wait: the timer always wins, and earlier armed
                 // timers go stale.
                 assert!(ctx
-                    .recv_filter_timeout(SimDuration::from_micros(5), |pk| pk.tag == u64::MAX)
+                    .recv_tag(u64::MAX - 1, Some(SimDuration::from_micros(5)))
                     .is_none());
             }
             let reply = ctx
-                .recv_filter_timeout(SimDuration::from_secs(1), |pk| {
-                    pk.tag == 500_000 + i && pk.src == dst
-                })
+                .recv_tag(500_000 + i, Some(SimDuration::from_secs(1)))
                 .expect("svc reply");
+            assert_eq!(reply.src, dst);
             sum = sum
                 .wrapping_mul(31)
                 .wrapping_add(reply.arrived.nanos() ^ reply.expect::<u64>());
             if i % 4 == 0 {
-                let lb = ctx.recv_filter(|pk| pk.tag == 1_000_000 + i);
+                let lb = ctx.recv_tag(1_000_000 + i, None).unwrap();
                 sum = sum.wrapping_mul(31).wrapping_add(lb.arrived.nanos());
             }
         }

@@ -20,7 +20,7 @@ fn heavy_all_to_all_traffic() {
                 }
             }
             for _ in 0..n - 1 {
-                let (src, round) = ctx.recv_filter(|p| p.tag == r).expect::<(usize, u64)>();
+                let (src, round) = ctx.recv_tag(r, None).unwrap().expect::<(usize, u64)>();
                 assert_ne!(src, me);
                 assert_eq!(round, r);
                 received += 1;
@@ -57,7 +57,7 @@ fn handlers_under_pressure() {
         for i in 0..100u64 {
             let dst = (me + 1 + (i as usize % (ctx.nprocs() - 1))) % ctx.nprocs();
             ctx.send(dst, 32, DeliveryClass::Svc, i, Arc::new(()));
-            ctx.recv_filter(|p| p.tag == i);
+            ctx.recv_tag(i, None);
             acks += 1;
         }
         acks

@@ -83,26 +83,27 @@ impl RpcClient {
         let mut tries = 0;
         loop {
             ctx.send(dst, wire_bytes, DeliveryClass::Svc, tag, payload.clone());
-            match ctx.recv_filter_timeout(self.timeout, |p| p.tag == tag) {
-                Some(pkt) => {
-                    self.rtt.record((ctx.now() - started).nanos());
-                    // A retransmitted request may have produced a duplicate
-                    // reply that is already queued; drop it now so no later
-                    // receive can match this satisfied tag.
-                    ctx.purge_filter(|p| p.tag == tag);
-                    return pkt;
-                }
-                None => {
-                    tries += 1;
-                    self.rexmits += 1;
-                    ctx.trace(vopp_sim::EventKind::Rexmit { dst, tag });
-                    assert!(
-                        tries <= self.max_retries,
-                        "rpc to {dst} got no reply after {tries} retransmissions"
-                    );
-                }
+            if let Some(pkt) = ctx.recv_tag(tag, Some(self.timeout)) {
+                self.rtt.record((ctx.now() - started).nanos());
+                // A retransmitted request may have produced a duplicate
+                // reply that is already queued; drop it now so no later
+                // receive can match this satisfied tag.
+                ctx.purge_filter(|p| p.tag == tag);
+                return pkt;
             }
+            tries += 1;
+            self.note_rexmit(ctx, dst, tag, tries);
         }
+    }
+
+    /// Count and trace the retransmission of `tag` to `dst`, its `tries`-th.
+    fn note_rexmit(&mut self, ctx: &AppCtx<'_>, dst: ProcId, tag: u64, tries: u32) {
+        self.rexmits += 1;
+        ctx.trace(vopp_sim::EventKind::Rexmit { dst, tag });
+        assert!(
+            tries <= self.max_retries,
+            "rpc to {dst} got no reply after {tries} retransmissions"
+        );
     }
 
     /// Issue several requests concurrently and block until every reply has
@@ -110,6 +111,10 @@ impl RpcClient {
     /// in parallel, like TreadMarks). Each call is `(dst, wire_bytes, msg)`;
     /// `replies` is cleared and receives one reply per call, in call order.
     /// Each call retransmits independently on timeout.
+    ///
+    /// The replies are one tag wait ([`AppCtx::recv_tags`]): the kernel
+    /// collects them as they land and wakes the caller once per burst, or
+    /// once per timeout, not once per reply.
     ///
     /// Each request moves into its payload `Arc` once, shared with every
     /// retransmission; the burst buffer is the client's own and keeps its
@@ -133,47 +138,34 @@ impl RpcClient {
             self.burst = burst;
             return;
         }
-        let base = self.next_tag;
+        let first = RPC_TAG_BIT | self.next_tag;
         self.next_tag += burst.len() as u64;
-        let tag_of = |i: usize| RPC_TAG_BIT | (base + i as u64);
-        ctx.purge_filter(|p| p.tag & RPC_TAG_BIT != 0 && p.tag < tag_of(0));
+        let end = first + burst.len() as u64;
+        ctx.purge_filter(|p| p.tag & RPC_TAG_BIT != 0 && p.tag < first);
         let started = ctx.now();
-        for (i, (dst, bytes, payload)) in burst.iter().enumerate() {
-            ctx.send(*dst, *bytes, DeliveryClass::Svc, tag_of(i), payload.clone());
+        for (tag, (dst, bytes, payload)) in (first..).zip(&burst) {
+            ctx.send(*dst, *bytes, DeliveryClass::Svc, tag, payload.clone());
         }
-        for (i, (dst, bytes, payload)) in burst.iter().enumerate() {
-            let tag = tag_of(i);
-            let mut tries = 0;
-            loop {
-                match ctx.recv_filter_timeout(self.timeout, |p| p.tag == tag) {
-                    Some(pkt) => {
-                        // Use the packet's arrival stamp, not the dequeue
-                        // time: replies are drained in call order, so a
-                        // fast reply dequeued after a slow earlier tag
-                        // would otherwise inherit that tag's wait and
-                        // inflate the histogram.
-                        self.rtt.record((pkt.arrived - started).nanos());
-                        replies.push(pkt);
-                        break;
-                    }
-                    None => {
-                        tries += 1;
-                        self.rexmits += 1;
-                        ctx.trace(vopp_sim::EventKind::Rexmit { dst: *dst, tag });
-                        assert!(
-                            tries <= self.max_retries,
-                            "rpc to {dst} got no reply after {tries} retransmissions"
-                        );
-                        ctx.send(*dst, *bytes, DeliveryClass::Svc, tag, payload.clone());
-                    }
-                }
-            }
+        // Each timeout ends the wait at the tag that timed out; retransmit
+        // that one request and wait again for it and the tags after it.
+        let (mut next, mut tries) = (first, 0);
+        while let Err(tag) = ctx.recv_tags(next..end, Some(self.timeout), replies) {
+            tries = if tag == next { tries + 1 } else { 1 };
+            next = tag;
+            let (dst, bytes, payload) = &burst[(tag - first) as usize];
+            self.note_rexmit(ctx, *dst, tag, tries);
+            ctx.send(*dst, *bytes, DeliveryClass::Svc, tag, payload.clone());
+        }
+        // Use each packet's arrival stamp, not the wake time: a fast reply
+        // would otherwise inherit the wait for the burst's slowest one and
+        // inflate the histogram.
+        for pkt in replies.iter() {
+            self.rtt.record((pkt.arrived - started).nanos());
         }
         // Duplicate replies for already-satisfied tags of *this* burst may
-        // have queued up while later slots were drained; purge them so no
+        // have queued up while later tags were awaited; purge them so no
         // later receive can match a stale reply.
-        let last = tag_of(burst.len() - 1);
-        ctx.purge_filter(|p| p.tag & RPC_TAG_BIT != 0 && p.tag >= tag_of(0) && p.tag <= last);
+        ctx.purge_filter(|p| (first..end).contains(&p.tag));
         burst.clear();
         self.burst = burst;
     }
@@ -308,10 +300,10 @@ mod tests {
     fn call_all_rtt_uses_arrival_time() {
         // Fan-out where the first tag's reply only comes after a ~1 s
         // retransmission (node 1 ignores the first request) while the
-        // second tag's reply arrives within microseconds. Replies are
-        // drained in call order, so the fast reply is dequeued ~1 s after
+        // second tag's reply arrives within microseconds. The caller wakes
+        // once, after the slow tag, so the fast reply is taken ~1 s after
         // it arrived; its recorded RTT must reflect its own arrival, not
-        // the dequeue time after the slow tag.
+        // the wake after the slow tag.
         let mut sim = Sim::new(3, Box::new(EthernetModel::new(3, NetConfig::lossless())));
         let mut first = true;
         sim.set_handler(

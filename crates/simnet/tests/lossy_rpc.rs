@@ -58,17 +58,21 @@ fn lossy_sixteen_node_rpc_is_pinned() {
         (out.end_time.nanos(), stats.msgs, stats.bytes, rexmits),
         (9_009_397_960, 1894, 166_240, 94)
     );
-    // The wake-up count and its self-wake subset as first counted, when a
-    // controller thread still handed on every wake after a non-final exit.
-    assert_eq!((out.handoff.total(), out.handoff.self_wakes), (1630, 307));
-    // Since the exiting thread hands on itself, only the start-up wake comes
-    // from the thread that called `run`.
+    // The wake-up count as first counted, when a controller thread still
+    // handed on every wake after a non-final exit and the waiting thread
+    // checked every delivery itself: each wake is now either taken or
+    // finished by the kernel (a reply out of tag order in a burst, or one
+    // that left its burst a tag short).
+    let h = out.handoff;
+    assert_eq!(h.total() + h.absorbed, 1630);
+    // Only the start-up wake comes from the thread that called `run`.
     assert_eq!(
-        out.handoff,
+        h,
         HandoffStats {
-            direct: 1629,
+            direct: 1469,
             via_controller: 1,
-            self_wakes: 307,
+            self_wakes: 198,
+            absorbed: 160,
         }
     );
 }

@@ -56,7 +56,7 @@ fn broadcast_to_32_nodes_allocates_payload_once() {
             }
             0
         } else {
-            let pkt = ctx.recv_filter(|p| p.tag == TAG);
+            let pkt = ctx.recv_tag(TAG, None).unwrap();
             // Borrow the shared allocation; never deep-copy it.
             let msg = pkt.expect_arc::<BcastMsg>();
             assert_eq!(msg.data.len(), 4096);

@@ -58,16 +58,23 @@ fn acquire_release_loop_keeps_its_wake_up_counts() {
         (14_061_453_450u64, 1_740u64, 181_014u64),
         "virtual time, datagrams or wire bytes moved"
     );
-    let (total, self_wakes) = (
+    let (total, self_wakes, absorbed) = (
         after.total() - before.total(),
         after.self_wakes - before.self_wakes,
+        after.absorbed - before.absorbed,
     );
-    // The wake-up count and its self-wake subset as first counted, when a
-    // controller thread still handed on every wake after a non-final exit.
+    // The wake-up count as first counted, when a controller thread still
+    // handed on every wake after a non-final exit and a waiting thread
+    // checked every delivery itself: each of those wakes is now either
+    // taken or finished by the kernel.
+    assert_eq!(total + absorbed, 2_161, "the number of wake-ups moved");
+    // Four of them were a late duplicate reply to a retransmitted request,
+    // landing while its node waited on the tag of a later call: the kernel
+    // finishes those without a hand-off.
     assert_eq!(
-        (total, self_wakes),
-        (2_161u64, 1_459u64),
-        "the number of wake-ups moved"
+        (total, self_wakes, absorbed),
+        (2_157u64, 1_455u64, 4u64),
+        "the split of wake-ups moved"
     );
     // Since the exiting thread hands on itself, only the start-up wake comes
     // from the thread that called `run`; the 15 non-final exits moved from
@@ -77,7 +84,7 @@ fn acquire_release_loop_keeps_its_wake_up_counts() {
             after.direct - before.direct,
             after.via_controller - before.via_controller
         ),
-        (2_160u64, 1u64),
+        (2_156u64, 1u64),
         "the routing of wake-ups moved"
     );
 }
