@@ -184,6 +184,15 @@ impl<'a> DsmCtx<'a> {
         self.cpu.flush(&self.sim, &mut self.breakdown.borrow_mut());
     }
 
+    /// [`DsmCtx::flush`] owed to the kernel until the next RPC blocks (see
+    /// [`CpuAccount::defer_flush`]). Every call site names what it reads
+    /// before that RPC: no state a service handler of this node writes,
+    /// since a handler landing in the span runs only at its end.
+    pub(crate) fn defer_flush(&self) {
+        self.cpu
+            .defer_flush(&self.sim, &mut self.breakdown.borrow_mut());
+    }
+
     /// Charge the wait since `since` (see [`CpuAccount::charge_wait`]) and
     /// record it in the matching latency histogram.
     fn charge_wait(&self, phase: Phase, obj: u64, since: SimTime) {
@@ -247,9 +256,10 @@ impl<'a> DsmCtx<'a> {
     }
 
     /// Close the current write interval: seal it (logging its record under
-    /// the traditional protocols), then charge diff creation and flush.
-    /// Under HLRC the diffs are then flushed to their pages' homes before
-    /// any synchronization message is sent ([`DsmCtx::flush_to_homes`]).
+    /// the traditional protocols), then charge diff creation and flush it
+    /// (under VC, owed until the release RPC). Under HLRC the diffs are
+    /// then flushed to their pages' homes before any synchronization
+    /// message is sent ([`DsmCtx::flush_to_homes`]).
     /// Returns the interval's id, lamport time and diffs, or `None` if
     /// nothing was written.
     pub(crate) fn close_interval(&self) -> Option<(IntervalId, u64, PageDiffs)> {
@@ -260,7 +270,13 @@ impl<'a> DsmCtx<'a> {
         };
         self.cpu
             .add_overhead_diff(self.cpu.cost.diff_create * diffs.len() as u64);
-        self.flush();
+        match self.protocol.family() {
+            // A VC interval closes only in `release_view`, whose next kernel
+            // call is the release RPC; until then it reads only the sealed
+            // interval returned here.
+            Family::Vc => self.defer_flush(),
+            Family::Lrc => self.flush(),
+        }
         if self.protocol.page_source() == PageSource::Home {
             self.flush_to_homes(&diffs);
         }
@@ -409,11 +425,6 @@ impl<'a> DsmCtx<'a> {
     /// order. The invalidate-protocol hot path of LRC_d and VC_d.
     fn fault(&self, p: PageId, write: bool) {
         self.cpu.add_overhead(self.cpu.cost.page_fault);
-        self.flush();
-        self.trace(EventKind::PageFault {
-            page: p as u64,
-            write,
-        });
         let mut scratch = self.fault_scratch.borrow_mut();
         let FaultScratch {
             fetches,
@@ -421,10 +432,44 @@ impl<'a> DsmCtx<'a> {
             items,
         } = &mut *scratch;
         {
+            // Taken before the flush: only this thread writes `pending`.
             let mut n = self.node.lock();
             n.stats.page_faults += 1;
             n.take_pending(p, fetches);
         }
+        // The writers, in order of first fetch.
+        owners.clear();
+        for f in fetches.iter() {
+            if !owners.contains(&f.id.owner) {
+                owners.push(f.id.owner);
+            }
+        }
+        let distinct_owners = owners.len();
+        let source = self.protocol.page_source();
+        // The most recent writer can be this node itself after a crash (its
+        // own releases come back in the `have == 0` recovery grant); a
+        // node's post-crash copy is exactly what was lost, so the escape
+        // hatch must fetch from a peer — fall through to diff fetches,
+        // which loopback to the durable local diff store where needed.
+        let last_owner_is_me = fetches.last().is_some_and(|f| f.id.owner == self.me());
+        // Whether the LRC_d hatch below asks `page_writers`, which the
+        // lock-release and barrier-arrive handlers write
+        // (`NodeState::learn`).
+        let asks_writers = source == PageSource::SoleWriter
+            && !last_owner_is_me
+            && distinct_owners == 1
+            && fetches.len() >= 4;
+        if fetches.is_empty() || asks_writers {
+            self.flush();
+        } else {
+            // Until the fetch RPC this path reads only this thread's
+            // `fetches`, the layout and the page's static HLRC home.
+            self.defer_flush();
+        }
+        self.trace(EventKind::PageFault {
+            page: p as u64,
+            write,
+        });
         if fetches.is_empty() {
             // Invalid page with no recorded writer: nothing to fetch.
             self.node.lock().mem.validate(p);
@@ -432,7 +477,6 @@ impl<'a> DsmCtx<'a> {
         }
         // HLRC always fetches the current page from its home (one round
         // trip; the home is kept current by eager flushes).
-        let source = self.protocol.page_source();
         if source == PageSource::Home {
             let home = self.node.lock().page_home(p);
             assert!(self.fetch_page(p, home), "HLRC home {home} lost page {p}");
@@ -444,29 +488,13 @@ impl<'a> DsmCtx<'a> {
         // page's one pending writer is not enough: on a false-shared page
         // its copy can miss other writers' updates this node already
         // applied, so the hatch needs the page's whole write history.
-        // The writers, in order of first fetch.
-        owners.clear();
-        for f in fetches.iter() {
-            if !owners.contains(&f.id.owner) {
-                owners.push(f.id.owner);
-            }
-        }
-        let distinct_owners = owners.len();
-        // The most recent writer can be this node itself after a crash (its
-        // own releases come back in the `have == 0` recovery grant); a
-        // node's post-crash copy is exactly what was lost, so the escape
-        // hatch must fetch from a peer — fall through to diff fetches,
-        // which loopback to the durable local diff store where needed.
-        let last_owner_is_me = fetches.last().is_some_and(|f| f.id.owner == self.me());
         let whole_page = !last_owner_is_me
             && match source {
                 PageSource::LastWriter => {
                     self.layout.view_of_page(p).is_some() && distinct_owners >= 3
                 }
                 PageSource::SoleWriter => {
-                    distinct_owners == 1
-                        && fetches.len() >= 4
-                        && self.node.lock().page_sole_writer(p, fetches[0].id.owner)
+                    asks_writers && self.node.lock().page_sole_writer(p, fetches[0].id.owner)
                 }
                 PageSource::Diffs | PageSource::Home => false,
             };

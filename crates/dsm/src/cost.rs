@@ -5,8 +5,11 @@
 //! protocol overheads (page-fault traps, twin snapshots, diff
 //! creation/application). Debt is accumulated locally and flushed into the
 //! simulation clock at interaction points (sync operations, faults), so
-//! element-wise shared-memory access does not flood the event queue. The
-//! DSM and the MPI baseline charge compute and waits through the same type.
+//! element-wise shared-memory access does not flood the event queue. A
+//! flush right before an RPC may be deferred ([`CpuAccount::defer_flush`]):
+//! the node then owes the span to the kernel, which ends it when the RPC
+//! blocks, so the node wakes once, when its replies are in. The DSM and the
+//! MPI baseline charge compute and waits through the same type.
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -115,10 +118,11 @@ impl CpuAccount {
         self.diff_ns.set(self.diff_ns.get() + d.nanos() as f64);
     }
 
-    /// Push all owed time into the clock; returns the whole nanoseconds
-    /// pushed as `(app, overhead, diff)`, split as above, `app + overhead`
-    /// being the advance. Sub-nanosecond residue is dropped.
-    fn drain(&self, sim: &AppCtx<'_>) -> (u64, u64, u64) {
+    /// Push all owed time into the clock through `spend`; returns the
+    /// whole nanoseconds pushed as `(app, overhead, diff)`, split as above,
+    /// `app + overhead` being the advance. Sub-nanosecond residue is
+    /// dropped.
+    fn drain(&self, spend: impl FnOnce(SimDuration)) -> (u64, u64, u64) {
         let ns = self.ns.replace(0.0);
         let overhead = self.overhead_ns.replace(0.0);
         let diff = self.diff_ns.replace(0.0);
@@ -126,7 +130,7 @@ impl CpuAccount {
             return (0, 0, 0);
         }
         let total = ns as u64;
-        sim.compute(SimDuration::from_nanos(total));
+        spend(SimDuration::from_nanos(total));
         let overhead_ns = (overhead as u64).min(total);
         (
             total - overhead_ns,
@@ -139,7 +143,20 @@ impl CpuAccount {
     /// application work to [`Phase::Compute`], protocol charges to
     /// [`Phase::ProtoCpu`].
     pub fn flush(&self, sim: &AppCtx<'_>, bd: &mut Breakdown) {
-        let (app_ns, overhead_ns, diff_ns) = self.drain(sim);
+        self.account(sim, bd, self.drain(|d| sim.compute(d)));
+    }
+
+    /// [`CpuAccount::flush`], but the node owes the span to the kernel
+    /// ([`AppCtx::defer_compute`]) instead of spending it now; the
+    /// accounting is the same. Only for a flush whose code up to the next
+    /// RPC reads no state a service handler of this node writes.
+    pub fn defer_flush(&self, sim: &AppCtx<'_>, bd: &mut Breakdown) {
+        self.account(sim, bd, self.drain(|d| sim.defer_compute(d)));
+    }
+
+    /// Attribute a drained advance in `bd` and on the critical path.
+    fn account(&self, sim: &AppCtx<'_>, bd: &mut Breakdown, drained: (u64, u64, u64)) {
+        let (app_ns, overhead_ns, diff_ns) = drained;
         let total_ns = app_ns + overhead_ns;
         if total_ns == 0 {
             return;
@@ -238,7 +255,7 @@ mod tests {
             assert_eq!(d.ns.get(), 0.0);
             // Sub-nanosecond residue is dropped, not re-queued.
             d.compute_ns(0.4);
-            assert_eq!(d.drain(ctx), (0, 0, 0));
+            assert_eq!(d.drain(|t| ctx.compute(t)), (0, 0, 0));
         });
         assert_eq!(end, 2_500);
     }
@@ -263,7 +280,7 @@ mod tests {
     fn overhead_alone_advances_clock() {
         let end = on_account(|ctx, d| {
             d.add_overhead(SimDuration::from_micros(40));
-            assert_eq!(d.drain(ctx), (0, 40_000, 0));
+            assert_eq!(d.drain(|t| ctx.compute(t)), (0, 40_000, 0));
         });
         assert_eq!(end, 40_000);
     }
@@ -275,11 +292,32 @@ mod tests {
             d.add_overhead(SimDuration::from_nanos(200));
             d.add_overhead_diff(SimDuration::from_nanos(300));
             // 1000 ns of compute, 500 of overhead, 300 of it diff work.
-            assert_eq!(d.drain(ctx), (1_000, 500, 300));
+            assert_eq!(d.drain(|t| ctx.compute(t)), (1_000, 500, 300));
             // A fresh flush reports nothing.
-            assert_eq!(d.drain(ctx), (0, 0, 0));
+            assert_eq!(d.drain(|t| ctx.compute(t)), (0, 0, 0));
         });
         assert_eq!(end, 1_500);
+    }
+
+    #[test]
+    fn a_deferred_flush_accounts_as_the_eager_one() {
+        let run = |defer: bool| {
+            on_account(move |ctx, d| {
+                d.compute_ns(1_000.0);
+                d.add_overhead_diff(SimDuration::from_nanos(500));
+                let mut bd = Breakdown::default();
+                if defer {
+                    d.defer_flush(ctx, &mut bd);
+                } else {
+                    d.flush(ctx, &mut bd);
+                }
+                assert_eq!(ctx.now(), SimTime(1_500));
+                assert_eq!(bd.get(Phase::Compute), 1_000);
+                assert_eq!(bd.get(Phase::ProtoCpu), 500);
+            })
+        };
+        // The owed span ends when the body does.
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

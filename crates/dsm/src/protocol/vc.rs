@@ -240,9 +240,7 @@ impl DsmCtx<'_> {
 
     /// Discard every one-sided grant deposit of view `v` from `home`.
     fn purge_grant_data(&self, home: ProcId, v: ViewId) {
-        let tag = Buffer::Grant(v).tag();
-        self.sim
-            .purge_filter(|p| p.class == DeliveryClass::OneSided && p.src == home && p.tag == tag);
+        self.sim.purge_one_sided(home, Buffer::Grant(v).tag());
     }
 
     /// The release half of the view round trip. A write release publishes

@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 use std::ops::Range;
 
-use crate::kernel::{Event, Phase, Sched, Shared, TagWait};
+use crate::kernel::{Event, Phase, Queued, Sched, Shared, TagWait};
 use crate::packet::{DeliveryClass, Packet, Payload};
 use crate::sync::MutexGuard;
 use crate::time::{SimDuration, SimTime};
@@ -15,7 +15,7 @@ use crate::ProcId;
 const MAILBOX_IDLE_CAP: usize = 64;
 
 /// Release excess mailbox capacity once the queue is empty.
-fn shrink_if_drained(mb: &mut VecDeque<Packet>) {
+pub(crate) fn shrink_if_drained(mb: &mut VecDeque<Packet>) {
     if mb.is_empty() && mb.capacity() > MAILBOX_IDLE_CAP {
         mb.shrink_to(MAILBOX_IDLE_CAP);
     }
@@ -62,22 +62,60 @@ impl<'a> AppCtx<'a> {
         self.nprocs
     }
 
-    /// Current virtual time on this process's clock.
+    /// Current virtual time on this process's clock, including a span it
+    /// owes ([`AppCtx::defer_compute`]).
     pub fn now(&self) -> SimTime {
-        self.shared.sched.lock().procs[self.me].clock
+        let s = self.shared.sched.lock();
+        let pi = &s.procs[self.me];
+        pi.clock + pi.owed
     }
 
     /// Spend `d` of virtual CPU time. Service packets arriving during the
     /// span are handled at their arrival times (interrupt semantics).
     pub fn compute(&self, d: SimDuration) {
+        let mut s = self.shared.sched.lock();
+        self.settle(&mut s);
+        self.spend(&mut s, d);
+    }
+
+    /// Owe `d` of virtual CPU time instead of spending it now: the span
+    /// ends, with the same service-handler interrupts as
+    /// [`AppCtx::compute`], when this process next blocks. Until then
+    /// [`AppCtx::now`] reads the span's end, and [`AppCtx::send`],
+    /// [`AppCtx::trace`] and [`AppCtx::purge_tags`] are queued, in order,
+    /// and performed at the span's end. A tag wait ([`AppCtx::recv_tag`],
+    /// [`AppCtx::recv_tags`]) started while owing blocks once: the kernel
+    /// ends the span, performs the queued calls and starts the wait, so
+    /// the process wakes only when the wait is over. Every other call
+    /// spends the span first, as does the end of the process body. The
+    /// results are those of `compute(d)` in place of this call.
+    ///
+    /// The caller must not read, while owing, state that a service handler
+    /// of this process writes: under `compute(d)` a handler landing inside
+    /// the span would have run first.
+    pub fn defer_compute(&self, d: SimDuration) {
+        let mut s = self.shared.sched.lock();
+        self.settle(&mut s);
+        s.procs[self.me].owed = d;
+    }
+
+    /// Spend a span this process owes, if any ([`AppCtx::defer_compute`]).
+    pub(crate) fn settle(&self, s: &mut MutexGuard<'a, Sched>) {
+        let owed = std::mem::take(&mut s.procs[self.me].owed);
+        self.spend(s, owed);
+    }
+
+    /// Block in a compute span of `d`; its end wakes this process, after
+    /// performing what it queued while owing the span
+    /// (`Shared::end_span`).
+    fn spend(&self, s: &mut MutexGuard<'a, Sched>, d: SimDuration) {
         if d == SimDuration::ZERO {
             return;
         }
-        let mut s = self.shared.sched.lock();
         let at = s.procs[self.me].clock + d;
         s.push_event(at, Event::Resume(self.me as u32));
         s.procs[self.me].phase = Phase::BlockedResume;
-        self.shared.yield_and_wait(self.me, &mut s);
+        self.shared.yield_and_wait(self.me, s);
     }
 
     /// Alias of [`AppCtx::compute`] for idle waits.
@@ -88,7 +126,8 @@ impl<'a> AppCtx<'a> {
     /// Send a datagram. Non-blocking; delivery time and loss are decided by
     /// the network model. `wire_bytes` must include protocol headers. The
     /// payload is shared: sending the same `Arc` to many destinations (a
-    /// broadcast, a retransmission) costs one allocation total.
+    /// broadcast, a retransmission) costs one allocation total. Queued
+    /// while this process owes a span ([`AppCtx::defer_compute`]).
     pub fn send(
         &self,
         dst: ProcId,
@@ -98,8 +137,13 @@ impl<'a> AppCtx<'a> {
         payload: Payload,
     ) {
         let mut s = self.shared.sched.lock();
-        let now = s.procs[self.me].clock;
         let mut pkt = Packet::new(self.me, wire_bytes, class, tag, payload);
+        let pi = &mut s.procs[self.me];
+        if pi.owes() {
+            pi.outbox.push(Queued::Send { dst, pkt });
+            return;
+        }
+        let now = pi.clock;
         if let Some(p) = &s.profiler {
             pkt.cause = p.cur_ctx();
         }
@@ -126,6 +170,7 @@ impl<'a> AppCtx<'a> {
     /// timeout, if any, passes. Every delivery wakes this process.
     fn recv_any(&self, timeout: Option<SimDuration>) -> Option<Packet> {
         let mut s = self.shared.sched.lock();
+        self.settle(&mut s);
         let deadline = timeout.map(|d| s.procs[self.me].clock + d);
         loop {
             let mb = &mut s.procs[self.me].mailbox;
@@ -146,6 +191,7 @@ impl<'a> AppCtx<'a> {
     /// until it arrives or, with `Some(timeout)`, until the timeout passes
     /// (`None`). Other packets stay queued in arrival order, and their
     /// arrival does not wake this process: the kernel checks the tag itself.
+    /// Started while owing a span, the wait begins at the span's end.
     pub fn recv_tag(&self, tag: u64, timeout: Option<SimDuration>) -> Option<Packet> {
         let end = tag.checked_add(1).expect("tags end below u64::MAX");
         let mut got = None;
@@ -186,7 +232,12 @@ impl<'a> AppCtx<'a> {
             end: tags.end,
             timeout,
         });
-        if !s.advance_tags(me) {
+        let owed = std::mem::take(&mut s.procs[me].owed);
+        if owed > SimDuration::ZERO {
+            // The span's end starts the wait (`Shared::end_span`).
+            s.procs[me].timed_out = false;
+            self.spend(&mut s, owed);
+        } else if !s.advance_tags(me) {
             self.block(&mut s);
         }
         let pi = &mut s.procs[me];
@@ -214,7 +265,9 @@ impl<'a> AppCtx<'a> {
 
     /// Number of packets currently queued in this process's mailbox.
     pub fn mailbox_len(&self) -> usize {
-        self.shared.sched.lock().procs[self.me].mailbox.len()
+        let mut s = self.shared.sched.lock();
+        self.settle(&mut s);
+        s.procs[self.me].mailbox.len()
     }
 
     /// Take the earliest one-sided write from `src` with tag `tag` out of
@@ -224,20 +277,32 @@ impl<'a> AppCtx<'a> {
     /// same-link control message sent after the write arrives after it).
     pub fn poll_one_sided(&self, src: ProcId, tag: u64) -> Option<Packet> {
         let mut s = self.shared.sched.lock();
+        self.settle(&mut s);
         take(&mut s.procs[self.me].mailbox, |p| one_sided(p, src, tag))
     }
 
-    /// Remove every queued packet matching `unwanted`, returning how many
-    /// were discarded. Used to drop stale duplicate replies after a
-    /// retransmitted request was answered twice.
-    pub fn purge_filter(&self, unwanted: impl Fn(&Packet) -> bool) -> usize {
+    /// Drop every queued receivable packet (not a one-sided write) whose
+    /// tag is in `tags`: the stale duplicate replies a retransmitted
+    /// request was answered with. Queued while this process owes a span
+    /// ([`AppCtx::defer_compute`]).
+    pub fn purge_tags(&self, tags: Range<u64>) {
         let mut s = self.shared.sched.lock();
+        let pi = &mut s.procs[self.me];
+        if pi.owes() {
+            pi.outbox.push(Queued::Purge(tags));
+        } else {
+            pi.purge_tags(tags);
+        }
+    }
+
+    /// Drop every one-sided write from `src` with `tag` that has landed in
+    /// this process's preposted buffer.
+    pub fn purge_one_sided(&self, src: ProcId, tag: u64) {
+        let mut s = self.shared.sched.lock();
+        self.settle(&mut s);
         let mb = &mut s.procs[self.me].mailbox;
-        let before = mb.len();
-        mb.retain(|p| !unwanted(p));
-        let purged = before - mb.len();
+        mb.retain(|p| !one_sided(p, src, tag));
         shrink_if_drained(mb);
-        purged
     }
 
     /// The causal profiler installed on this run, if any. Upper layers
@@ -255,11 +320,17 @@ impl<'a> AppCtx<'a> {
     }
 
     /// Record a trace event at this process's current virtual time.
-    /// A no-op (one pointer test) when no tracer is installed.
+    /// A no-op (one pointer test) when no tracer is installed. Queued
+    /// while this process owes a span ([`AppCtx::defer_compute`]).
     pub fn trace(&self, kind: vopp_trace::EventKind) {
         if let Some(tr) = &self.shared.tracer {
-            let now = self.shared.sched.lock().procs[self.me].clock;
-            tr.record(now.0, self.me, kind);
+            let mut s = self.shared.sched.lock();
+            let pi = &mut s.procs[self.me];
+            if pi.owes() {
+                pi.outbox.push(Queued::Trace(kind));
+            } else {
+                tr.record(pi.clock.0, self.me, kind);
+            }
         }
     }
 }

@@ -34,6 +34,16 @@
 //! had checked each delivery itself ([`HandoffStats::absorbed`] counts the
 //! wakes saved).
 //!
+//! The end of a compute span is finished the same way when the process
+//! owed it ([`AppCtx::defer_compute`]) and blocked in a tag wait. An owing
+//! process pushes no event: its sends, trace records and tag purges wait
+//! in its outbox, so the span's `Resume` takes the `seq` an eager
+//! [`AppCtx::compute`] would have given it. When that `Resume` pops, the
+//! popping thread does the wake's bookkeeping, performs the outbox at the
+//! span's end, in program order, and starts the tag wait, all at the
+//! `(time, seq)` point where the woken thread would have done so. The
+//! process wakes once, when its replies are in.
+//!
 //! ## The OS-level hand-off
 //!
 //! Passing control between two OS threads costs what the OS charges for one
@@ -49,6 +59,7 @@
 
 use std::any::Any;
 use std::collections::{BinaryHeap, VecDeque};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -56,7 +67,7 @@ use std::thread::Thread;
 
 use vopp_trace::{CausalProfiler, CtxKind, EventKind, Tracer, NO_CTX};
 
-use crate::ctx::{AppCtx, SvcCtx};
+use crate::ctx::{shrink_if_drained, AppCtx, SvcCtx};
 use crate::net::{NetModel, RouteRequest};
 use crate::packet::{DeliveryClass, Packet};
 use crate::sync::{Mutex, MutexGuard};
@@ -81,11 +92,14 @@ pub struct HandoffStats {
     /// switch. Counted inside `direct`, so [`HandoffStats::total`] is
     /// unaffected.
     pub self_wakes: u64,
-    /// Receive wake-ups the kernel finished without waking the thread: a
-    /// delivery to a process in a tag wait that left a tag missing. Not
-    /// counted in [`HandoffStats::total`]; `total() + absorbed` is the
-    /// number of wake-ups a thread that checked every delivery itself
-    /// would have taken.
+    /// Wake-ups the kernel finished without waking the thread: a delivery
+    /// to a process in a tag wait that left a tag missing, and the end of
+    /// a span the process owed ([`AppCtx::defer_compute`]) when the tag
+    /// wait it then starts is not complete. Not counted in
+    /// [`HandoffStats::total`]; `total() + absorbed` is the number of
+    /// wake-ups a thread that spent every span with
+    /// [`AppCtx::compute`] and checked every delivery itself would have
+    /// taken.
     pub absorbed: u64,
 }
 
@@ -161,7 +175,8 @@ pub(crate) enum Phase {
     Startup,
     /// This process's thread is the one running.
     Running,
-    /// Blocked until its scheduled `Resume` event fires (compute/sleep).
+    /// Blocked until its scheduled `Resume` event fires (compute/sleep, or
+    /// a span it owed, possibly with a tag wait to start at its end).
     BlockedResume,
     /// Blocked in a receive, possibly with a timeout armed
     /// ([`ProcInfo::timer`]) and possibly in a tag wait
@@ -183,9 +198,26 @@ pub(crate) struct TagWait {
     pub(crate) timeout: Option<SimDuration>,
 }
 
+/// What a process did while it owed a span, performed at the span's end.
+pub(crate) enum Queued {
+    Send {
+        dst: ProcId,
+        pkt: Packet,
+    },
+    Trace(EventKind),
+    /// [`AppCtx::purge_tags`].
+    Purge(Range<u64>),
+}
+
 pub(crate) struct ProcInfo {
     pub(crate) phase: Phase,
     pub(crate) clock: SimTime,
+    /// A compute span this process owes ([`AppCtx::defer_compute`]): its
+    /// clock reads `clock + owed`, and it has pushed no event since.
+    pub(crate) owed: SimDuration,
+    /// The sends, trace records and tag purges made while owing, in program
+    /// order; performed at the span's end. Keeps its capacity.
+    pub(crate) outbox: Vec<Queued>,
     pub(crate) mailbox: VecDeque<Packet>,
     /// `seq` of this process's armed receive timeout, while it can still
     /// fire. Cleared when the timer fires or its receive ends with a packet.
@@ -202,6 +234,8 @@ impl ProcInfo {
         ProcInfo {
             phase: Phase::Startup,
             clock: SimTime::ZERO,
+            owed: SimDuration::ZERO,
+            outbox: Vec::new(),
             mailbox: VecDeque::new(),
             timer: None,
             timed_out: false,
@@ -210,12 +244,25 @@ impl ProcInfo {
         }
     }
 
+    /// Whether this process owes a compute span.
+    pub(crate) fn owes(&self) -> bool {
+        self.owed > SimDuration::ZERO
+    }
+
     /// Whether a receivable packet (not a one-sided write) with `tag` is
     /// queued.
     fn has_tag(&self, tag: u64) -> bool {
         self.mailbox
             .iter()
             .any(|p| p.class != DeliveryClass::OneSided && p.tag == tag)
+    }
+
+    /// Drop every receivable packet (not a one-sided write) whose tag is in
+    /// `tags`.
+    pub(crate) fn purge_tags(&mut self, tags: Range<u64>) {
+        self.mailbox
+            .retain(|p| p.class == DeliveryClass::OneSided || !tags.contains(&p.tag));
+        shrink_if_drained(&mut self.mailbox);
     }
 }
 
@@ -280,6 +327,14 @@ impl Sched {
             "event scheduled in the past: {at} < now {}",
             self.now
         );
+        // What makes a deferred span exact: an owing process pushes no
+        // event, so its span's `Resume` takes the `seq` an eager `compute`
+        // would have given it.
+        debug_assert!(
+            self.running.is_none_or(|p| !self.procs[p].owes()),
+            "proc {:?} pushed an event while owing a span",
+            self.running
+        );
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(QEntry { at, seq, ev });
@@ -334,6 +389,31 @@ impl Sched {
             _ => {}
         }
         w.next == w.end
+    }
+
+    /// Perform what process `p` queued while it owed a span, in program
+    /// order, at its clock: the span's end. Each send is stamped with the
+    /// causal context running now, the wake that ended the span.
+    fn flush_outbox(&mut self, p: ProcId) {
+        let mut outbox = std::mem::take(&mut self.procs[p].outbox);
+        let now = self.procs[p].clock;
+        for q in outbox.drain(..) {
+            match q {
+                Queued::Send { dst, mut pkt } => {
+                    if let Some(prof) = &self.profiler {
+                        pkt.cause = prof.cur_ctx();
+                    }
+                    self.submit_send(now, dst, pkt);
+                }
+                Queued::Trace(kind) => {
+                    if let Some(tr) = &self.tracer {
+                        tr.record(now.0, p, kind);
+                    }
+                }
+                Queued::Purge(tags) => self.procs[p].purge_tags(tags),
+            }
+        }
+        self.procs[p].outbox = outbox;
     }
 
     /// Route a packet through the network model and schedule its delivery.
@@ -436,7 +516,8 @@ enum Step {
     /// `Err` is its panic payload.
     Handler(Result<(), Panic>),
     /// Nothing to wake: a cancelled timer, a resume of a finished process, a
-    /// delivery nobody was blocked on.
+    /// delivery nobody was blocked on, a delivery or span end after which a
+    /// tag wait goes on.
     Nothing,
 }
 
@@ -575,7 +656,8 @@ impl Shared {
         s.now = at;
         let (dst, cause) = match ev {
             Event::Resume(p) => match s.procs[p as usize].phase {
-                Phase::Startup | Phase::BlockedResume => (p as usize, NO_CTX),
+                Phase::Startup => (p as usize, NO_CTX),
+                Phase::BlockedResume => return Some(self.end_span(s, p as usize, at)),
                 Phase::Finished => return Some(Step::Nothing),
                 ref ph => unreachable!("resume for proc {p} in phase {ph:?}"),
             },
@@ -651,6 +733,23 @@ impl Shared {
         };
         self.wake_now(s, dst, at, cause);
         Some(Step::Woke(dst))
+    }
+
+    /// End process `p`'s compute span at `t`: the wake's bookkeeping, then
+    /// what `p` queued while it owed the span, then the step its thread
+    /// would take next. A plain span, or one whose tag wait is already
+    /// complete, wakes `p`; otherwise the wait goes on with `p` never woken.
+    fn end_span(&self, s: &mut MutexGuard<'_, Sched>, p: ProcId, t: SimTime) -> Step {
+        self.account_wake(s, p, t, NO_CTX);
+        s.flush_outbox(p);
+        if s.procs[p].tag_wait.is_none() || s.advance_tags(p) {
+            self.mark_running(s, p);
+            return Step::Woke(p);
+        }
+        // A tag is still missing: the thread would block again at once.
+        s.procs[p].phase = Phase::WaitRecv;
+        s.handoff.absorbed += 1;
+        Step::Nothing
     }
 
     /// Run the `Svc` handler for `dst`, releasing the scheduler lock for the
@@ -880,8 +979,12 @@ impl Sim {
                         if shared.sched.lock().running != Some(p) {
                             return None;
                         }
-                        let r =
-                            catch_unwind(AssertUnwindSafe(|| body(AppCtx::new(shared, p, nprocs))));
+                        let r = catch_unwind(AssertUnwindSafe(|| {
+                            let ctx = AppCtx::new(shared, p, nprocs);
+                            let v = body(ctx);
+                            ctx.settle(&mut shared.sched.lock());
+                            v
+                        }));
                         match (shared.exit(p, r.is_err()), r) {
                             (Err(handler_panic), _) => std::panic::resume_unwind(handler_panic),
                             (Ok(_), Ok(v)) => Some(v),

@@ -10,7 +10,8 @@
 //!
 //! * [`Sim`] — build and run a simulation.
 //! * [`AppCtx`] — process-side API: `compute`, `send`, `recv`, tag
-//!   receives the kernel finishes (`recv_tag`, `recv_tags`), timeouts.
+//!   receives the kernel finishes (`recv_tag`, `recv_tags`), timeouts, and
+//!   `defer_compute`, a span the kernel ends when the next tag wait blocks.
 //! * [`SvcCtx`] + [`Handler`] — interrupt-style service handlers, the
 //!   simulation analogue of a DSM's SIGIO request handler.
 //! * [`NetModel`] — pluggable timing/loss model ([`PerfectNet`] here; the

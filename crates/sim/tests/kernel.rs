@@ -5,8 +5,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use vopp_sim::{
-    run_simple, CausalProfiler, DeliveryClass, EventKind, NetModel, PerfectNet, RouteRequest, Sim,
-    SimDuration, SimTime, Tracer,
+    run_simple, AppCtx, CausalProfiler, DeliveryClass, EventKind, HandoffStats, NetModel,
+    PerfectNet, ProcTimes, RouteRequest, Sim, SimDuration, SimTime, Tracer,
 };
 
 const LAT: SimDuration = SimDuration(50_000); // 50us
@@ -502,7 +502,7 @@ fn sim_of(nprocs: usize) -> Sim {
 /// Run `sim` to its panic and return the payload's message.
 fn panic_message<F>(sim: Sim, body: F) -> String
 where
-    F: Fn(vopp_sim::AppCtx<'_>) + Send + Sync,
+    F: Fn(AppCtx<'_>) + Send + Sync,
 {
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run(body)))
         .err()
@@ -683,7 +683,8 @@ impl NetModel for JitterNet {
     }
 }
 
-/// Everything a scheduler must reproduce bit for bit.
+/// Everything a scheduler must reproduce bit for bit, and the wake-ups it
+/// took to do so.
 struct Artifacts {
     results: Vec<u64>,
     proc_end: Vec<SimTime>,
@@ -691,6 +692,7 @@ struct Artifacts {
     trace_json: String,
     causal: String,
     net: (u64, u64),
+    handoff: HandoffStats,
 }
 
 /// 64-bit FNV-1a.
@@ -717,8 +719,10 @@ impl Artifacts {
 
 /// Request/reply over service handlers with loopback self-sends, futile
 /// timeouts (live + stale timers), and order-sensitive network timing, on
-/// eight processes.
-fn jitter_run() -> Artifacts {
+/// eight processes. With `deferred`, each compute span is owed
+/// ([`vopp_sim::AppCtx::defer_compute`]) and ended by the tag wait after
+/// its sends.
+fn jitter_run(deferred: bool) -> Artifacts {
     const N: usize = 8;
     let mut sim = Sim::new(N, Box::new(JitterNet { sent: 0, bytes: 0 }));
     for p in 0..N {
@@ -744,9 +748,12 @@ fn jitter_run() -> Artifacts {
         let p = ctx.me();
         let mut sum = 0u64;
         for i in 0..40u64 {
-            ctx.compute(SimDuration::from_nanos(
-                (p as u64 * 7_919 + i * 104_729) % 50_000,
-            ));
+            let span = SimDuration::from_nanos((p as u64 * 7_919 + i * 104_729) % 50_000);
+            if deferred {
+                ctx.defer_compute(span);
+            } else {
+                ctx.compute(span);
+            }
             if i % 4 == 0 {
                 ctx.send(p, 64, DeliveryClass::App, 1_000_000 + i, Arc::new(i));
             }
@@ -787,6 +794,7 @@ fn jitter_run() -> Artifacts {
         trace_json: tracer.take().to_json(),
         causal: format!("{:?}|{:?}|{:?}", log.records, log.last_wake, log.spans),
         net: (out.net.sent_count(), out.net.sent_bytes()),
+        handoff: out.handoff,
     }
 }
 
@@ -804,8 +812,144 @@ const JITTER_DIGESTS: [u64; 6] = [
 
 #[test]
 fn an_order_sensitive_net_reproduces_its_recorded_digests() {
-    let run = jitter_run();
+    let run = jitter_run(false);
     assert!(run.trace_json.len() > 1_000, "the run must have traced");
     assert!(run.net.0 > 0, "the run must have routed");
     assert_eq!(run.digests(), JITTER_DIGESTS);
+}
+
+// ---- Owed spans: `defer_compute` gives the results of `compute` ----
+
+#[test]
+fn owed_spans_reproduce_the_eager_digests_with_fewer_wakes() {
+    let eager = jitter_run(false);
+    let owed = jitter_run(true);
+    assert_eq!(owed.digests(), JITTER_DIGESTS);
+    assert_eq!(owed.digests(), eager.digests());
+    let (e, o) = (eager.handoff, owed.handoff);
+    assert_eq!(e.total() + e.absorbed, o.total() + o.absorbed);
+    // Each of the 8 x 40 spans but proc 0's first, which is zero long, ends
+    // in a tag wait its reply has not completed: its wake is saved.
+    assert_eq!(e.total() - o.total(), 8 * 40 - 1, "{e:?} -> {o:?}");
+}
+
+/// What [`owed_span_lets_a_handler_run_first`] records: each handler call
+/// as `(proc, tag, virtual time)`.
+type HandlerLog = Arc<Mutex<Vec<(usize, u64, u64)>>>;
+
+/// Proc 1 requests tag 1 of proc 0 at time zero. Proc 0 spends (or owes)
+/// 100 us, then requests tag 2 of proc 1 and waits for its reply. Proc 0's
+/// handler answers tag 1 with a request of its own, tag 3; proc 1's handler
+/// replies to tag 2. Returns the handler log, proc 0's end and the wakes.
+fn svc_inside_a_span(deferred: bool) -> (Vec<(usize, u64, u64)>, SimTime, HandoffStats) {
+    let log = HandlerLog::default();
+    let mut sim = Sim::new(2, Box::new(PerfectNet::new(LAT)));
+    for p in 0..2 {
+        let log = log.clone();
+        sim.set_handler(
+            p,
+            Box::new(move |svc, pkt| {
+                log.lock().unwrap().push((p, pkt.tag, svc.now().nanos()));
+                match pkt.tag {
+                    1 => svc.send(1, 8, DeliveryClass::Svc, 3, Arc::new(())),
+                    2 => svc.send(0, 8, DeliveryClass::App, 2, Arc::new(())),
+                    _ => {}
+                }
+            }),
+        );
+    }
+    let out = sim.run(|ctx| {
+        if ctx.me() == 1 {
+            ctx.send(0, 8, DeliveryClass::Svc, 1, Arc::new(()));
+            return;
+        }
+        let span = SimDuration::from_micros(100);
+        if deferred {
+            ctx.defer_compute(span);
+            assert_eq!(ctx.now(), SimTime(100_000), "an owed span reads as spent");
+        } else {
+            ctx.compute(span);
+        }
+        ctx.send(1, 8, DeliveryClass::Svc, 2, Arc::new(()));
+        ctx.recv_tag(2, None).expect("proc 1 replies");
+    });
+    let log = log.lock().unwrap().clone();
+    (log, out.proc_end[0], out.handoff)
+}
+
+#[test]
+fn owed_span_lets_a_handler_run_first() {
+    let (log, end, owed) = svc_inside_a_span(true);
+    // Proc 0's handler ran at tag 1's arrival, inside the span, and its
+    // request (tag 3) left before the one queued until the span's end.
+    assert_eq!(log, [(0, 1, 50_000), (1, 3, 100_000), (1, 2, 150_000)]);
+    assert_eq!(end, SimTime(200_000));
+    let (eager_log, eager_end, eager) = svc_inside_a_span(false);
+    assert_eq!((log, end), (eager_log, eager_end));
+    // The span's end sent tag 2 and started its wait without a wake.
+    assert_eq!((owed.total() + 1, owed.absorbed), (eager.total(), 1));
+}
+
+/// A call made right after a span, reduced to a number.
+type Op = fn(&AppCtx<'_>) -> u64;
+
+/// Proc 1 sends proc 0 one packet at time zero (it lands at 50 us); proc 0
+/// spends (or owes) 200 us and then calls `op`. Returns `op`'s result,
+/// proc 0's clock after it, and the run's clocks and time classification.
+fn owing_then(deferred: bool, op: Op) -> (u64, SimTime, Vec<SimTime>, Vec<ProcTimes>) {
+    let out = run_simple(2, LAT, |ctx| {
+        if ctx.me() == 1 {
+            ctx.send(0, 8, DeliveryClass::App, 5, Arc::new(()));
+            return (0, ctx.now());
+        }
+        let span = SimDuration::from_micros(200);
+        if deferred {
+            ctx.defer_compute(span);
+        } else {
+            ctx.compute(span);
+        }
+        let got = op(&ctx);
+        (got, ctx.now())
+    });
+    let (got, after) = out.results[0];
+    (got, after, out.proc_end, out.proc_times)
+}
+
+#[test]
+fn calls_that_are_not_tag_waits_spend_an_owed_span_first() {
+    let ops: [(&str, Op, u64, u64); 3] = [
+        ("recv", |ctx| ctx.recv().tag, 5, 200_000),
+        ("mailbox_len", |ctx| ctx.mailbox_len() as u64, 1, 200_000),
+        (
+            "compute",
+            |ctx| {
+                ctx.compute(SimDuration::from_micros(10));
+                0
+            },
+            0,
+            210_000,
+        ),
+    ];
+    for (name, op, want, clock) in ops {
+        let owed = owing_then(true, op);
+        assert_eq!((owed.0, owed.1), (want, SimTime(clock)), "{name}");
+        assert_eq!(owed, owing_then(false, op), "{name}");
+    }
+}
+
+#[test]
+fn a_body_that_returns_owing_ends_at_its_span() {
+    let out = run_simple(2, LAT, |ctx| {
+        if ctx.me() == 0 {
+            ctx.compute(SimDuration::from_micros(10));
+            ctx.defer_compute(SimDuration::from_micros(40));
+            ctx.send(1, 8, DeliveryClass::App, 0, Arc::new(()));
+            return SimTime::ZERO;
+        }
+        ctx.recv().arrived
+    });
+    assert_eq!(out.proc_end[0], SimTime(50_000));
+    assert_eq!(out.proc_times[0].compute_ns, 50_000);
+    // The queued send left at the span's end.
+    assert_eq!(out.results[1], SimTime(50_000 + LAT.0));
 }

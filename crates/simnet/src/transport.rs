@@ -77,7 +77,7 @@ impl RpcClient {
         let tag = RPC_TAG_BIT | self.next_tag;
         self.next_tag += 1;
         // Discard stale duplicate replies from earlier calls.
-        ctx.purge_filter(|p| p.tag & RPC_TAG_BIT != 0 && p.tag < tag);
+        ctx.purge_tags(RPC_TAG_BIT..tag);
         let started = ctx.now();
         let payload: Payload = Arc::new(msg);
         let mut tries = 0;
@@ -88,7 +88,7 @@ impl RpcClient {
                 // A retransmitted request may have produced a duplicate
                 // reply that is already queued; drop it now so no later
                 // receive can match this satisfied tag.
-                ctx.purge_filter(|p| p.tag == tag);
+                ctx.purge_tags(tag..tag + 1);
                 return pkt;
             }
             tries += 1;
@@ -141,7 +141,7 @@ impl RpcClient {
         let first = RPC_TAG_BIT | self.next_tag;
         self.next_tag += burst.len() as u64;
         let end = first + burst.len() as u64;
-        ctx.purge_filter(|p| p.tag & RPC_TAG_BIT != 0 && p.tag < first);
+        ctx.purge_tags(RPC_TAG_BIT..first);
         let started = ctx.now();
         for (tag, (dst, bytes, payload)) in (first..).zip(&burst) {
             ctx.send(*dst, *bytes, DeliveryClass::Svc, tag, payload.clone());
@@ -165,7 +165,7 @@ impl RpcClient {
         // Duplicate replies for already-satisfied tags of *this* burst may
         // have queued up while later tags were awaited; purge them so no
         // later receive can match a stale reply.
-        ctx.purge_filter(|p| (first..end).contains(&p.tag));
+        ctx.purge_tags(first..end);
         burst.clear();
         self.burst = burst;
     }

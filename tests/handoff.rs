@@ -69,11 +69,13 @@ fn acquire_release_loop_keeps_its_wake_up_counts() {
     // taken or finished by the kernel.
     assert_eq!(total + absorbed, 2_161, "the number of wake-ups moved");
     // Four of them were a late duplicate reply to a retransmitted request,
-    // landing while its node waited on the tag of a later call: the kernel
-    // finishes those without a hand-off.
+    // landing while its node waited on the tag of a later call. The other
+    // 384 end the diff-creation span a write release owes before its
+    // release RPC: the kernel ends the span, sends the request and starts
+    // the reply wait. The kernel finishes all of those without a hand-off.
     assert_eq!(
         (total, self_wakes, absorbed),
-        (2_157u64, 1_455u64, 4u64),
+        (1_773u64, 1_071u64, 388u64),
         "the split of wake-ups moved"
     );
     // Since the exiting thread hands on itself, only the start-up wake comes
@@ -84,7 +86,7 @@ fn acquire_release_loop_keeps_its_wake_up_counts() {
             after.direct - before.direct,
             after.via_controller - before.via_controller
         ),
-        (2_156u64, 1u64),
+        (1_772u64, 1u64),
         "the routing of wake-ups moved"
     );
 }
