@@ -21,14 +21,14 @@ use vopp_page::{
     VTime, PAGE_SIZE,
 };
 use vopp_racecheck::{RaceChecker, Violation};
-use vopp_sim::sync::Mutex;
+use vopp_sim::sync::{Mutex, MutexGuard};
 use vopp_sim::{AppCtx, EventKind, Packet, ProcId, SimDuration, SimTime};
 use vopp_simnet::RpcClient;
 
 use crate::cost::CpuAccount;
 use crate::layout::Layout;
 use crate::msg::{Req, Resp};
-use crate::node::{NodeState, PageDiffs, PendingFetch};
+use crate::node::{AppState, NodeState, PageDiffs, PendingFetch};
 use crate::protocol::{Family, PageSource, Protocol};
 
 /// How an access through [`DsmCtx::bulk`] touches shared memory.
@@ -43,7 +43,13 @@ enum Access {
 /// The application-side handle to one DSM node.
 pub struct DsmCtx<'a> {
     pub(crate) sim: AppCtx<'a>,
-    pub(crate) node: Arc<Mutex<NodeState>>,
+    /// Reached only through [`DsmCtx::node`].
+    node: Arc<Mutex<NodeState>>,
+    /// What only this thread touches, readable while the node owes a span.
+    pub(crate) app: RefCell<AppState>,
+    /// Whether the node may owe the kernel a span ([`DsmCtx::defer_flush`],
+    /// [`DsmCtx::idle_until`]); cleared once it is surely spent.
+    owes: Cell<bool>,
     rpc: RefCell<RpcClient>,
     pub(crate) cpu: CpuAccount,
     /// This node's phase accounting, folded into its statistics by
@@ -89,6 +95,11 @@ impl<'a> DsmCtx<'a> {
             cpu: CpuAccount::new(&sim, cost),
             sim,
             node,
+            app: RefCell::new(AppState {
+                view_applied: vec![0; layout.nviews()],
+                ..AppState::default()
+            }),
+            owes: Cell::new(false),
             rpc: RefCell::new(RpcClient::with_timeout(rexmit_timeout)),
             breakdown: RefCell::default(),
             layout,
@@ -147,13 +158,20 @@ impl<'a> DsmCtx<'a> {
     /// kernel counts as CPU time — the node is runnable, just pacing
     /// itself — so the accounting invariants still close. Returns the
     /// nanoseconds idled.
+    ///
+    /// The node owes the span to the kernel ([`AppCtx::defer_compute`])
+    /// rather than sleeping through it: a view acquire that follows sends
+    /// its request at `until` and wakes the node once, at the grant.
+    /// Any other operation spends the span first, before it reads state a
+    /// service handler writes, so its results are those of a sleep.
     pub fn idle_until(&self, until: SimTime) -> u64 {
         self.flush();
         let now = self.sim.now();
         if until <= now {
             return 0;
         }
-        self.sim.sleep(until - now);
+        self.sim.defer_compute(until - now);
+        self.owes.set(true);
         let mut bd = self.breakdown.borrow_mut();
         self.cpu
             .charge_wait(&self.sim, Phase::Idle, 0, now, &mut bd)
@@ -179,18 +197,38 @@ impl<'a> DsmCtx<'a> {
         self.cpu.compute_ns(ns);
     }
 
-    /// Flush accumulated CPU debt into the clock (see [`CpuAccount::flush`]).
+    /// Spend any span the node owes, then flush accumulated CPU debt into
+    /// the clock (see [`CpuAccount::flush`]).
     pub(crate) fn flush(&self) {
+        self.settle();
         self.cpu.flush(&self.sim, &mut self.breakdown.borrow_mut());
     }
 
     /// [`DsmCtx::flush`] owed to the kernel until the next RPC blocks (see
-    /// [`CpuAccount::defer_flush`]). Every call site names what it reads
-    /// before that RPC: no state a service handler of this node writes,
-    /// since a handler landing in the span runs only at its end.
+    /// [`CpuAccount::defer_flush`]), with any span already owed. A service
+    /// handler landing in the span runs only at its end, so the state it
+    /// writes is reached only through [`DsmCtx::node`], which spends the
+    /// span first: a call site keeps the saving only if nothing before its
+    /// RPC locks the node.
     pub(crate) fn defer_flush(&self) {
         self.cpu
             .defer_flush(&self.sim, &mut self.breakdown.borrow_mut());
+        self.owes.set(true);
+    }
+
+    /// Spend the span the node may owe now.
+    fn settle(&self) {
+        if self.owes.replace(false) {
+            self.sim.compute(SimDuration::ZERO);
+        }
+    }
+
+    /// This node's protocol state, locked: the application side's only way
+    /// to it. A span the node owes is spent first, so every service handler
+    /// that lands inside it has run.
+    pub(crate) fn node(&self) -> MutexGuard<'_, NodeState> {
+        self.settle();
+        self.node.lock()
     }
 
     /// Charge the wait since `since` (see [`CpuAccount::charge_wait`]) and
@@ -198,7 +236,7 @@ impl<'a> DsmCtx<'a> {
     fn charge_wait(&self, phase: Phase, obj: u64, since: SimTime) {
         let mut bd = self.breakdown.borrow_mut();
         let waited = self.cpu.charge_wait(&self.sim, phase, obj, since, &mut bd);
-        let m = &mut self.node.lock().stats.metrics;
+        let m = &mut self.node().stats.metrics;
         match phase {
             Phase::AcquireWait => m.acquire_rtt.record(waited),
             Phase::BarrierWait => m.barrier_rtt.record(waited),
@@ -228,6 +266,8 @@ impl<'a> DsmCtx<'a> {
                 .borrow_mut()
                 .call_with_timeout(&self.sim, to, bytes, req, t),
         };
+        // The reply wait spent any owed span.
+        self.owes.set(false);
         self.charge_wait(wait, obj, since);
         pkt.expect::<Resp>()
     }
@@ -249,6 +289,7 @@ impl<'a> DsmCtx<'a> {
         self.rpc
             .borrow_mut()
             .call_all(&self.sim, calls, &mut replies);
+        self.owes.set(false);
         self.charge_wait(wait, obj, since);
         for pkt in replies.drain(..) {
             each(pkt.expect::<Resp>());
@@ -264,7 +305,7 @@ impl<'a> DsmCtx<'a> {
     /// nothing was written.
     pub(crate) fn close_interval(&self) -> Option<(IntervalId, u64, PageDiffs)> {
         let (id, lamport, diffs) = {
-            let mut n = self.node.lock();
+            let mut n = self.node();
             let (id, diffs) = n.seal_interval()?;
             (id, n.lamport, diffs)
         };
@@ -300,14 +341,14 @@ impl<'a> DsmCtx<'a> {
                     rc.barrier_enter(self.me(), episode);
                 }
                 self.close_interval();
-                let mut n = self.node.lock();
+                let mut n = self.node();
                 (n.delta_for_home(0), n.logged_vt.clone())
             }
             Family::Vc => {
                 // Undisciplined writes (already reported by the checker) are
                 // reverted here so they can never leak past a barrier.
                 self.rc_discard_undisciplined();
-                let n = self.node.lock();
+                let n = self.node();
                 assert!(
                     n.mem.dirty_pages().is_empty(),
                     "proc {}: barrier with unreleased view modifications",
@@ -339,7 +380,7 @@ impl<'a> DsmCtx<'a> {
         {
             // A VC release carries no records and an empty `vt`, so
             // absorbing it only syncs the lamport clock.
-            let mut n = self.node.lock();
+            let mut n = self.node();
             n.absorb_lrc_grant(&records, &vt, lamport);
             n.note_home_knows(0, &vt);
             n.stats.barriers += 1;
@@ -410,8 +451,9 @@ impl<'a> DsmCtx<'a> {
         if self.rc.is_none() {
             return;
         }
-        let mut n = self.node.lock();
-        let keep = n.held_write.map(|v| self.layout.view(v).pages.clone());
+        let held = self.app.borrow().held_write;
+        let keep = held.map(|v| self.layout.view(v).pages.clone());
+        let mut n = self.node();
         for p in n.mem.dirty_pages() {
             let legit = keep.as_ref().is_some_and(|pages| pages.contains(&p));
             if !legit {
@@ -433,7 +475,7 @@ impl<'a> DsmCtx<'a> {
         } = &mut *scratch;
         {
             // Taken before the flush: only this thread writes `pending`.
-            let mut n = self.node.lock();
+            let mut n = self.node();
             n.stats.page_faults += 1;
             n.take_pending(p, fetches);
         }
@@ -459,28 +501,9 @@ impl<'a> DsmCtx<'a> {
             && !last_owner_is_me
             && distinct_owners == 1
             && fetches.len() >= 4;
-        if fetches.is_empty() || asks_writers {
+        let eager = fetches.is_empty() || asks_writers;
+        if eager {
             self.flush();
-        } else {
-            // Until the fetch RPC this path reads only this thread's
-            // `fetches`, the layout and the page's static HLRC home.
-            self.defer_flush();
-        }
-        self.trace(EventKind::PageFault {
-            page: p as u64,
-            write,
-        });
-        if fetches.is_empty() {
-            // Invalid page with no recorded writer: nothing to fetch.
-            self.node.lock().mem.validate(p);
-            return;
-        }
-        // HLRC always fetches the current page from its home (one round
-        // trip; the home is kept current by eager flushes).
-        if source == PageSource::Home {
-            let home = self.node.lock().page_home(p);
-            assert!(self.fetch_page(p, home), "HLRC home {home} lost page {p}");
-            return;
         }
         // Whole-page fetch (TreadMarks' "get whole page" escape hatch, see
         // `PageSource`): when the accumulated diffs would exceed one page
@@ -494,15 +517,43 @@ impl<'a> DsmCtx<'a> {
                     self.layout.view_of_page(p).is_some() && distinct_owners >= 3
                 }
                 PageSource::SoleWriter => {
-                    asks_writers && self.node.lock().page_sole_writer(p, fetches[0].id.owner)
+                    asks_writers && self.node().page_sole_writer(p, fetches[0].id.owner)
                 }
                 PageSource::Diffs | PageSource::Home => false,
             };
-        if whole_page && self.fetch_page(p, fetches.last().unwrap().id.owner) {
+        if !fetches.is_empty() {
+            // One whole-page request, or one diff request per writer.
+            let single = source == PageSource::Home || whole_page;
+            self.node().stats.diff_requests += if single { 1 } else { owners.len() as u64 };
+        }
+        if !eager {
+            // Until the fetch RPC this path reads only this thread's
+            // `fetches` and the layout.
+            self.defer_flush();
+        }
+        self.trace(EventKind::PageFault {
+            page: p as u64,
+            write,
+        });
+        if fetches.is_empty() {
+            // Invalid page with no recorded writer: nothing to fetch.
+            self.node().mem.validate(p);
             return;
         }
+        // HLRC always fetches the current page from its home (one round
+        // trip; the home is kept current by eager flushes).
+        if source == PageSource::Home {
+            let home = self.layout.page_home(p, self.nprocs());
+            assert!(self.fetch_page(p, home), "HLRC home {home} lost page {p}");
+            return;
+        }
+        if whole_page {
+            if self.fetch_page(p, fetches.last().unwrap().id.owner) {
+                return;
+            }
+            self.node().stats.diff_requests += owners.len() as u64;
+        }
         // One request per writer, its intervals in application order.
-        self.node.lock().stats.diff_requests += owners.len() as u64;
         if self.tracing() {
             for &owner in owners.iter() {
                 self.trace(EventKind::DiffRequest {
@@ -526,7 +577,7 @@ impl<'a> DsmCtx<'a> {
         });
         // Each interval is fetched once, so the keys are unique.
         items.sort_unstable_by_key(|(id, lam, _)| (*lam, id.owner, id.seq));
-        let mut n = self.node.lock();
+        let mut n = self.node();
         for (_, _, diff) in items.iter() {
             n.mem.apply_diff(p, diff);
             n.stats.diffs_applied += 1;
@@ -550,9 +601,9 @@ impl<'a> DsmCtx<'a> {
     /// if `from` holds no valid copy: LRC nodes drop copies under memory
     /// pressure, and under crash faults even a view page's last writer may
     /// have lost its copy. Diffs live in the durable store, so the caller
-    /// falls back to per-interval diff fetches.
+    /// falls back to per-interval diff fetches. The caller counts the
+    /// request.
     fn fetch_page(&self, p: PageId, from: ProcId) -> bool {
-        self.node.lock().stats.diff_requests += 1;
         self.trace(EventKind::DiffRequest {
             page: p as u64,
             to: from,
@@ -562,7 +613,7 @@ impl<'a> DsmCtx<'a> {
             Resp::PageResp {
                 content: Some(content),
             } => {
-                let mut n = self.node.lock();
+                let mut n = self.node();
                 n.mem.install_page(p, &content);
                 n.mem.release_page(content);
                 n.mem.validate(p);
@@ -585,16 +636,16 @@ impl<'a> DsmCtx<'a> {
     /// the VC family the access (`span`, the whole access `p` is part of)
     /// is first checked against the VOPP discipline.
     fn ensure(&self, p: PageId, write: bool, span: Range<Addr>) {
-        let mut n = self.node.lock();
+        let mut n = self.node();
         if self.protocol.is_vc() {
-            self.check_discipline(&n, p, span, write);
+            self.check_discipline(p, span, write);
         }
         loop {
             match n.mem.state(p) {
                 PageState::Invalid => {
                     drop(n);
                     self.fault(p, write);
-                    n = self.node.lock();
+                    n = self.node();
                 }
                 PageState::Valid if write => {
                     n.mem.note_write(p);
@@ -656,6 +707,9 @@ impl<'a> DsmCtx<'a> {
     ) {
         let (len, write) = (count * W, access != Access::Read);
         let auto = self.auto_acquire(addr, len, write);
+        // The checker orders this access among the other nodes' by when it
+        // runs, so an owed span is spent first.
+        self.settle();
         self.rc_access(addr, len, write);
         debug_assert_eq!(addr % W, 0);
         // A read-modify-write copies its bytes out and back.
@@ -668,7 +722,7 @@ impl<'a> DsmCtx<'a> {
         for p in pages_spanned(addr, len) {
             self.ensure(p, write, addr..addr + len);
         }
-        let mut n = self.node.lock();
+        let mut n = self.node();
         let mut done = 0;
         while done < count {
             let a = addr + done * W;
@@ -725,7 +779,7 @@ impl<'a> DsmCtx<'a> {
     pub(crate) fn finish(&self) {
         self.flush();
         let rpc = self.rpc.borrow();
-        let mut n = self.node.lock();
+        let mut n = self.node();
         n.stats.metrics.breakdown = *self.breakdown.borrow();
         n.stats.rexmits += rpc.rexmits;
         n.stats.metrics.rpc_rtt.absorb(&rpc.rtt);

@@ -295,7 +295,11 @@ fn handle(
             // programs).
             debug_assert_eq!(n.protocol.page_source(), PageSource::Home);
             for (page, diff) in items {
-                debug_assert_eq!(n.page_home(*page), n.me, "flush sent to wrong home");
+                debug_assert_eq!(
+                    n.layout.page_home(*page, n.n),
+                    n.me,
+                    "flush sent to wrong home"
+                );
                 n.mem.apply_diff_with_twin(*page, diff);
                 n.stats.diffs_applied += 1;
             }

@@ -114,6 +114,19 @@ impl Layout {
         self.page_view.get(p).copied().flatten()
     }
 
+    /// The node managing view `v` on a cluster of `n`: its declared home
+    /// (normally the primary writer) or round-robin — either way
+    /// consistency maintenance is distributed across nodes, which the paper
+    /// credits for VC's barrier advantage.
+    pub fn view_home(&self, v: ViewId, n: usize) -> usize {
+        self.view(v).home.unwrap_or(v as usize) % n
+    }
+
+    /// The home of page `p` under HLRC on a cluster of `n` (round-robin).
+    pub fn page_home(&self, p: PageId, n: usize) -> usize {
+        p % n
+    }
+
     /// Total pages in the shared address space.
     pub fn npages(&self) -> usize {
         self.heap.pages_needed()

@@ -113,17 +113,7 @@ pub struct NodeState {
     /// request one.
     pub diff_store: BTreeMap<PageId, Vec<StoredDiff>>,
 
-    // ---- VOPP state ----
-    /// Per view: latest version whose content is reflected locally.
-    pub view_applied: Vec<u32>,
-    /// The exclusively-held view, if any (non-nestable, paper §2).
-    pub held_write: Option<ViewId>,
-    /// Read-held views with nesting counts (nestable, paper §2).
-    pub held_read: BTreeMap<ViewId, u32>,
-
     // ---- Scope Consistency state ----
-    /// Per lock: the latest scope version whose updates are enforced.
-    pub lock_applied: BTreeMap<u32, u32>,
     /// Intervals already enforced through a scoped grant (so the global
     /// merge at barriers does not re-invalidate their pages).
     pub scoped_applied: std::collections::BTreeSet<IntervalId>,
@@ -139,6 +129,22 @@ pub struct NodeState {
     pub barrier: BarrierHome,
     /// Views managed by this node.
     pub views: BTreeMap<ViewId, ViewHome>,
+}
+
+/// The protocol state only the application thread touches: the views it
+/// holds and the versions it reflects. It lives in [`crate::DsmCtx`], out
+/// of every service handler's reach, so code that reads only this and the
+/// layout may run while the node owes a span.
+#[derive(Default)]
+pub(crate) struct AppState {
+    /// Per view: latest version whose content is reflected locally.
+    pub(crate) view_applied: Vec<u32>,
+    /// The exclusively-held view, if any (non-nestable, paper §2).
+    pub(crate) held_write: Option<ViewId>,
+    /// Read-held views with nesting counts (nestable, paper §2).
+    pub(crate) held_read: BTreeMap<ViewId, u32>,
+    /// ScC, per lock: the latest scope version whose updates are enforced.
+    pub(crate) lock_applied: BTreeMap<u32, u32>,
 }
 
 impl NodeState {
@@ -172,10 +178,6 @@ impl NodeState {
             pending: vec![Vec::new(); layout.npages()],
             page_writers: vec![NO_WRITER; layout.npages()],
             diff_store: BTreeMap::new(),
-            view_applied: vec![0; layout.nviews()],
-            held_write: None,
-            held_read: BTreeMap::new(),
-            lock_applied: BTreeMap::new(),
             scoped_applied: std::collections::BTreeSet::new(),
             stats: NodeStats::default(),
             locks: BTreeMap::new(),
@@ -185,25 +187,9 @@ impl NodeState {
         }
     }
 
-    /// The node managing view `v`: its declared home (normally the primary
-    /// writer) or round-robin — either way consistency maintenance is
-    /// distributed across nodes, which the paper credits for VC's barrier
-    /// advantage.
-    pub fn view_home(&self, v: ViewId) -> ProcId {
-        match self.layout.view(v).home {
-            Some(h) => h % self.n,
-            None => v as usize % self.n,
-        }
-    }
-
     /// The node managing lock `l`.
     pub fn lock_home(&self, l: u32) -> ProcId {
         l as usize % self.n
-    }
-
-    /// The home of page `p` under HLRC (round-robin assignment).
-    pub fn page_home(&self, p: PageId) -> ProcId {
-        p % self.n
     }
 
     /// Seal the current write interval: extract the diff of every dirty
@@ -379,7 +365,7 @@ impl NodeState {
                 PageState::Dirty,
                 "invalidation hit a live twin: interval not closed before sync"
             );
-            if home_kept && self.page_home(page) == self.me {
+            if home_kept && self.layout.page_home(page, self.n) == self.me {
                 continue;
             }
             self.mem.invalidate(page);
@@ -760,9 +746,10 @@ mod tests {
             pool(),
             interval_log(4),
         );
-        assert_eq!(a.view_home(0), 0);
-        assert_eq!(a.view_home(1), 3);
-        assert_eq!(a.view_home(2), 2);
+        assert_eq!(a.layout.view_home(0, 4), 0);
+        assert_eq!(a.layout.view_home(1, 4), 3);
+        assert_eq!(a.layout.view_home(2, 4), 2);
         assert_eq!(a.lock_home(7), 3);
+        assert_eq!(a.layout.page_home(6, 4), 2);
     }
 }

@@ -80,13 +80,13 @@ impl DsmCtx<'_> {
         let t0 = self.sim.now();
         self.trace(EventKind::LockAcquireStart { lock: lock as u64 });
         self.close_interval();
-        let home = self.node.lock().lock_home(lock);
+        let home = self.node().lock_home(lock);
         let (fresh, scope) = if self.protocol.scoped_locks() {
             // The scope's release records newer than what this node has
             // enforced, exactly like a `VC_d` view grant — but the scope's
             // page set is whatever its releases dirtied.
             let g = self.view_grant(home, lock, AccessMode::Write);
-            let mut n = self.node.lock();
+            let mut n = self.node();
             let fresh = if self.tracing() {
                 g.records
                     .iter()
@@ -99,7 +99,7 @@ impl DsmCtx<'_> {
             n.absorb_scope_grant(&g.records, g.lamport);
             (fresh, lock as u64 + 1)
         } else {
-            let vt = self.node.lock().logged_vt.clone();
+            let vt = self.node().logged_vt.clone();
             let req = Req::LockAcquire { lock, vt };
             let Resp::LockGrant {
                 records,
@@ -110,13 +110,13 @@ impl DsmCtx<'_> {
                 panic!("lock_acquire got an unexpected reply")
             };
             let fresh = self.fresh_lrc_notices(&records);
-            let mut n = self.node.lock();
+            let mut n = self.node();
             n.absorb_lrc_grant(&records, &vt, lamport);
             n.note_home_knows(home, &vt);
             (fresh, 0)
         };
         {
-            let mut n = self.node.lock();
+            let mut n = self.node();
             n.stats.acquires += 1;
             n.stats.acquire_wait_ns += (self.sim.now() - t0).nanos();
         }
@@ -140,15 +140,15 @@ impl DsmCtx<'_> {
             // thread is still blocked on the Ack.
             rc.lock_released(self.me(), lock);
         }
-        let home = self.node.lock().lock_home(lock);
+        let home = self.node().lock_home(lock);
         if self.protocol.scoped_locks() {
             if let Some((id, ..)) = &sealed {
                 // This node's own release is already enforced locally.
-                self.node.lock().scoped_applied.insert(*id);
+                self.node().scoped_applied.insert(*id);
             }
             self.release_to_view_home(home, lock, AccessMode::Write, sealed);
         } else {
-            let records = self.node.lock().delta_for_home(home);
+            let records = self.node().delta_for_home(home);
             let req = Req::LockRelease { lock, records };
             let resp = self.call(home, req, Phase::SendWait, lock as u64, None);
             assert!(matches!(resp, Resp::Ack), "lock_release expects Ack");
@@ -162,15 +162,13 @@ impl DsmCtx<'_> {
     /// invalidated readers fetch them.
     pub(crate) fn flush_to_homes(&self, diffs: &PageDiffs) {
         let mut groups: BTreeMap<ProcId, Vec<_>> = BTreeMap::new();
-        let n = self.node.lock();
         for (p, d) in diffs.iter() {
-            let home = n.page_home(*p);
+            let home = self.layout.page_home(*p, self.nprocs());
             // The home's own pages are already current locally.
-            if home != n.me {
+            if home != self.me() {
                 groups.entry(home).or_default().push((*p, d.clone()));
             }
         }
-        drop(n);
         if !groups.is_empty() {
             let flushes = groups
                 .into_iter()
@@ -193,7 +191,7 @@ impl DsmCtx<'_> {
         if !self.tracing() || records.is_empty() {
             return Vec::new();
         }
-        let n = self.node.lock();
+        let n = self.node();
         records
             .iter()
             .filter(|r| r.id.seq > n.logged_vt.get(r.id.owner))

@@ -12,6 +12,7 @@
 //! classifier, `NodeState::discipline`, serves both) and the offending
 //! writes are reverted before the protocol sees them.
 
+use std::cell::RefMut;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -23,9 +24,9 @@ use vopp_simnet::HEADER_BYTES;
 
 use super::ViewData;
 use crate::api::DsmCtx;
-use crate::layout::ViewId;
+use crate::layout::{Layout, ViewId};
 use crate::msg::{AccessMode, Req, Resp, ViewRecord};
-use crate::node::{NodeState, PageDiffs};
+use crate::node::{AppState, NodeState, PageDiffs};
 
 /// One of VC_rdma's preposted one-sided buffers.
 #[derive(Debug, Clone, Copy)]
@@ -111,16 +112,52 @@ impl NodeState {
         }
     }
 
+    /// Crash this node's volatile protocol state, leaving its durable state
+    /// intact. Lost: every local page copy of every view (content restarts
+    /// from the zero page) and all pending invalidations; the application
+    /// side forgets its view versions ([`DsmCtx::crash_recover`]). Kept:
+    /// the node's own interval log and diff store — the write-ahead log its
+    /// released intervals were persisted to, which peers (and this node
+    /// itself, on re-fetch) read diffs from — plus the lamport clock and
+    /// any manager roles homed here, which the model treats as replicated
+    /// directory state.
+    ///
+    /// Only legal between requests: no dirty pages, no held views. Returns
+    /// the number of materialized page buffers lost.
+    pub fn crash_volatile(&mut self) -> u64 {
+        let mut dropped = 0u64;
+        let layout = self.layout.clone();
+        for def in layout.views() {
+            for page in def.pages.clone() {
+                // Invalidations queued for these pages refer to content the
+                // crash just destroyed; the `have == 0` re-acquire restores
+                // everything, so stale fetch plans must not survive.
+                self.pending[page].clear();
+                if self.mem.crash_page(page) {
+                    dropped += 1;
+                }
+            }
+        }
+        dropped
+    }
+}
+
+impl AppState {
     /// Whether this node holds view `v` for writing, and for reading.
     fn holds(&self, v: ViewId) -> (bool, bool) {
         (self.held_write == Some(v), self.held_read.contains_key(&v))
     }
 
-    /// The VOPP-discipline classifier: the rule an access to page `p`
-    /// breaks, with the view owning the page, or `None` when a held view
-    /// brackets it (the write view, or for a read, a read view).
-    fn discipline(&self, p: PageId, write: bool) -> Option<(DisciplineRule, Option<ViewId>)> {
-        let Some(v) = self.layout.view_of_page(p) else {
+    /// The VOPP-discipline classifier: the rule an access to page `p` of
+    /// `layout` breaks, with the view owning the page, or `None` when a
+    /// held view brackets it (the write view, or for a read, a read view).
+    fn discipline(
+        &self,
+        layout: &Layout,
+        p: PageId,
+        write: bool,
+    ) -> Option<(DisciplineRule, Option<ViewId>)> {
+        let Some(v) = layout.view_of_page(p) else {
             return Some((DisciplineRule::OutsideViews, None));
         };
         let (held_w, held_r) = self.holds(v);
@@ -136,68 +173,35 @@ impl NodeState {
         };
         Some((rule, Some(v)))
     }
+}
 
+impl DsmCtx<'_> {
     /// The version of `obj` — a view, or under ScC a lock's scope — whose
     /// content this node reflects.
-    fn applied_version(&mut self, obj: u32) -> &mut u32 {
-        match self.protocol.scoped_locks() {
-            true => self.lock_applied.entry(obj).or_insert(0),
-            false => &mut self.view_applied[obj as usize],
-        }
+    fn applied_version(&self, obj: u32) -> RefMut<'_, u32> {
+        RefMut::map(self.app.borrow_mut(), |app| {
+            match self.protocol.scoped_locks() {
+                true => app.lock_applied.entry(obj).or_insert(0),
+                false => &mut app.view_applied[obj as usize],
+            }
+        })
     }
 
     /// Note that this node reflects `version` of `obj`. Returns whether
     /// that advanced its knowledge.
-    fn note_version(&mut self, obj: u32, version: u32) -> bool {
-        let have = self.applied_version(obj);
+    fn note_version(&self, obj: u32, version: u32) -> bool {
+        let mut have = self.applied_version(obj);
         let bumped = version > *have;
         *have = (*have).max(version);
         bumped
     }
 
-    /// Crash this node's volatile protocol state, leaving its durable state
-    /// intact. Lost: every local page copy of every view (content restarts
-    /// from the zero page), all pending invalidations, and all knowledge of
-    /// view versions (`view_applied` back to 0, so the next acquire pulls
-    /// the full history from the home). Kept: the node's own interval log
-    /// and diff store — the write-ahead log its released intervals were
-    /// persisted to, which peers (and this node itself, on re-fetch) read
-    /// diffs from — plus the lamport clock and any manager roles homed
-    /// here, which the model treats as replicated directory state.
-    ///
-    /// Only legal between requests: no dirty pages, no held views. Returns
-    /// the number of materialized page buffers lost.
-    pub fn crash_volatile(&mut self) -> u64 {
-        assert!(
-            self.held_write.is_none() && self.held_read.is_empty(),
-            "node {} crashed while holding a view",
-            self.me
-        );
-        let mut dropped = 0u64;
-        let layout = self.layout.clone();
-        for def in layout.views() {
-            for page in def.pages.clone() {
-                // Invalidations queued for these pages refer to content the
-                // crash just destroyed; the `have == 0` re-acquire restores
-                // everything, so stale fetch plans must not survive.
-                self.pending[page].clear();
-                if self.mem.crash_page(page) {
-                    dropped += 1;
-                }
-            }
-            self.view_applied[def.id as usize] = 0;
-        }
-        dropped
-    }
-}
-
-impl DsmCtx<'_> {
     /// The acquire half of the view round trip, for a view or a ScC lock's
     /// scope: ask `obj`'s home for what changed since the version this node
     /// reflects, collect any one-sided data the home wrote ahead of its
     /// grant, and note the grant's version.
     pub(crate) fn view_grant(&self, home: ProcId, obj: u32, mode: AccessMode) -> Grant {
-        let have = *self.node.lock().applied_version(obj);
+        let have = *self.applied_version(obj);
         let one_sided = self.protocol.view_data() == ViewData::OneSided;
         if one_sided {
             // Drop stale one-sided grant data left from a previous tenure
@@ -229,7 +233,7 @@ impl DsmCtx<'_> {
             // deposit behind the one just consumed.
             self.purge_grant_data(home, obj);
         }
-        self.node.lock().note_version(obj, version);
+        self.note_version(obj, version);
         Grant {
             records,
             diffs,
@@ -261,7 +265,7 @@ impl DsmCtx<'_> {
                 let pages = diffs.iter().map(|(p, _)| *p).collect();
                 (Some(id), lamport, pages, diffs)
             }
-            None => (None, self.node.lock().lamport, Vec::new(), Vec::new()),
+            None => (None, self.node().lamport, Vec::new(), Vec::new()),
         };
         let diffs = match self.protocol.view_data() {
             ViewData::Notices => Vec::new(),
@@ -283,7 +287,7 @@ impl DsmCtx<'_> {
             diffs,
         };
         match self.call(home, req, Phase::SendWait, obj as u64, None) {
-            Resp::ReleaseAck { version } => self.node.lock().note_version(obj, version),
+            Resp::ReleaseAck { version } => self.note_version(obj, version),
             Resp::Ack if mode == AccessMode::Read => false,
             other => panic!("view release got unexpected reply {other:?}"),
         }
@@ -299,12 +303,9 @@ impl DsmCtx<'_> {
     /// concurrent readers are granted simultaneously.
     pub fn acquire_rview(&self, v: ViewId) {
         // Nested re-acquisition of an already-held read view is local.
-        {
-            let mut n = self.node.lock();
-            if let Some(c) = n.held_read.get_mut(&v) {
-                *c += 1;
-                return;
-            }
+        if let Some(c) = self.app.borrow_mut().held_read.get_mut(&v) {
+            *c += 1;
+            return;
         }
         self.acquire_view_mode(v, AccessMode::Read);
     }
@@ -314,30 +315,33 @@ impl DsmCtx<'_> {
             self.protocol.is_vc(),
             "views require a VC protocol; traditional programs use locks/barriers"
         );
-        self.flush();
+        {
+            let app = self.app.borrow();
+            if mode == AccessMode::Write {
+                assert!(
+                    app.held_write.is_none(),
+                    "proc {}: acquire_view({v}) while holding view {:?} — \
+                     acquire_view cannot be nested (paper §2)",
+                    self.me(),
+                    app.held_write
+                );
+            }
+            assert!(
+                !(mode == AccessMode::Write && app.held_read.contains_key(&v)),
+                "proc {}: acquire_view({v}) while holding it as a read view",
+                self.me()
+            );
+        }
+        // Until the acquire RPC this reads only `AppState` and the layout,
+        // so the span (and an idle wait's before it) ends when the kernel
+        // sends the request, and the node wakes once, at the grant.
+        self.defer_flush();
         let t0 = self.sim.now();
         self.trace(EventKind::AcquireStart {
             view: v as u64,
             write: mode == AccessMode::Write,
         });
-        let home = {
-            let n = self.node.lock();
-            if mode == AccessMode::Write {
-                assert!(
-                    n.held_write.is_none(),
-                    "proc {}: acquire_view({v}) while holding view {:?} — \
-                     acquire_view cannot be nested (paper §2)",
-                    n.me,
-                    n.held_write
-                );
-            }
-            assert!(
-                !(mode == AccessMode::Write && n.held_read.contains_key(&v)),
-                "proc {}: acquire_view({v}) while holding it as a read view",
-                n.me
-            );
-            n.view_home(v)
-        };
+        let home = self.layout.view_home(v, self.nprocs());
         // `view_grant` times the wait from now, which is still `t0`.
         let g = self.view_grant(home, v, mode);
         let grant_bytes: u64 = g
@@ -354,14 +358,14 @@ impl DsmCtx<'_> {
         } else {
             Vec::new()
         };
-        let mut n = self.node.lock();
-        n.absorb_view_grant(&g);
         match mode {
-            AccessMode::Write => n.held_write = Some(v),
+            AccessMode::Write => self.app.borrow_mut().held_write = Some(v),
             AccessMode::Read => {
-                n.held_read.insert(v, 1);
+                self.app.borrow_mut().held_read.insert(v, 1);
             }
         }
+        let mut n = self.node();
+        n.absorb_view_grant(&g);
         n.stats.acquires += 1;
         let waited = (self.sim.now() - t0).nanos();
         n.stats.acquire_wait_ns += waited;
@@ -402,7 +406,7 @@ impl DsmCtx<'_> {
         assert!(self.protocol.is_vc());
         self.flush();
         assert_eq!(
-            self.node.lock().held_write,
+            self.app.borrow().held_write,
             Some(v),
             "proc {}: release_view({v}) without holding it",
             self.me()
@@ -412,25 +416,22 @@ impl DsmCtx<'_> {
         // time; foreign writes are reverted instead, so only the view's own
         // modifications are published.
         self.rc_discard_undisciplined();
-        let home = {
-            let mut n = self.node.lock();
-            if self.rc.is_none() {
-                for p in n.mem.dirty_pages() {
-                    assert!(
-                        self.layout.view(v).pages.contains(&p),
-                        "proc {}: modified page {p} (view {:?}) while holding view {v} — \
-                         VOPP programs modify only the acquired view (paper §2)",
-                        n.me,
-                        self.layout.view_of_page(p)
-                    );
-                }
+        if self.rc.is_none() {
+            for p in self.node().mem.dirty_pages() {
+                assert!(
+                    self.layout.view(v).pages.contains(&p),
+                    "proc {}: modified page {p} (view {:?}) while holding view {v} — \
+                     VOPP programs modify only the acquired view (paper §2)",
+                    self.me(),
+                    self.layout.view_of_page(p)
+                );
             }
-            n.held_write = None;
-            n.view_home(v)
-        };
+        }
+        self.app.borrow_mut().held_write = None;
+        let home = self.layout.view_home(v, self.nprocs());
         let sealed = self.close_interval();
         if self.release_to_view_home(home, v, AccessMode::Write, sealed) {
-            self.node.lock().stats.views.entry(v).or_default().versions += 1;
+            self.node().stats.views.entry(v).or_default().versions += 1;
         }
         self.trace(EventKind::ReleaseDone {
             view: v as u64,
@@ -442,8 +443,8 @@ impl DsmCtx<'_> {
     pub fn release_rview(&self, v: ViewId) {
         assert!(self.protocol.is_vc());
         {
-            let mut n = self.node.lock();
-            let c = n
+            let mut app = self.app.borrow_mut();
+            let c = app
                 .held_read
                 .get_mut(&v)
                 .unwrap_or_else(|| panic!("release_rview({v}) without holding it"));
@@ -451,13 +452,13 @@ impl DsmCtx<'_> {
             if *c > 0 {
                 return; // nested release: local
             }
-            n.held_read.remove(&v);
+            app.held_read.remove(&v);
         }
         // Writes made while only this read view was held were reported as
         // violations; revert them before the protocol closes any interval.
         self.rc_discard_undisciplined();
         self.flush();
-        let home = self.node.lock().view_home(v);
+        let home = self.layout.view_home(v, self.nprocs());
         self.release_to_view_home(home, v, AccessMode::Read, None);
         self.trace(EventKind::ReleaseDone {
             view: v as u64,
@@ -471,7 +472,7 @@ impl DsmCtx<'_> {
     pub fn merge_views(&self) {
         assert!(self.protocol.is_vc());
         for v in 0..self.layout.nviews() as ViewId {
-            let (held_w, held_r) = self.node.lock().holds(v);
+            let (held_w, held_r) = self.app.borrow().holds(v);
             if !(held_w || held_r) {
                 self.acquire_rview(v);
                 self.release_rview(v);
@@ -497,7 +498,17 @@ impl DsmCtx<'_> {
             "crash/recovery is modelled for the view protocols only"
         );
         self.flush();
-        let dropped = self.node.lock().crash_volatile();
+        {
+            let mut app = self.app.borrow_mut();
+            assert!(
+                app.held_write.is_none() && app.held_read.is_empty(),
+                "node {} crashed while holding a view",
+                self.me()
+            );
+            // The next acquire of every view pulls its full history.
+            app.view_applied.fill(0);
+        }
+        let dropped = self.node().crash_volatile();
         self.trace(EventKind::NodeCrash { pages: dropped });
         dropped
     }
@@ -542,7 +553,7 @@ impl DsmCtx<'_> {
             views.all(|o| o == Some(v)),
             "auto views: one access must stay within one view"
         );
-        let (held_w, held_r) = self.node.lock().holds(v);
+        let (held_w, held_r) = self.app.borrow().holds(v);
         if held_w || (held_r && !write) {
             return None;
         }
@@ -568,43 +579,38 @@ impl DsmCtx<'_> {
     }
 
     /// Check an access to page `p` (part of the access `span`) against the
-    /// VOPP discipline, with this node's state `n` locked by the caller. A
-    /// broken rule is recorded with the attached checker, and traced the
-    /// first time; with no checker attached it is a programming error.
-    pub(crate) fn check_discipline(
-        &self,
-        n: &NodeState,
-        p: PageId,
-        span: Range<Addr>,
-        write: bool,
-    ) {
-        let Some((rule, view)) = n.discipline(p, write) else {
+    /// VOPP discipline. A broken rule is recorded with the attached
+    /// checker, and traced the first time; with no checker attached it is a
+    /// programming error.
+    pub(crate) fn check_discipline(&self, p: PageId, span: Range<Addr>, write: bool) {
+        let Some((rule, view)) = self.app.borrow().discipline(&self.layout, p, write) else {
             return;
         };
+        let me = self.me();
         let Some(rc) = &self.rc else {
             match view {
                 None => panic!(
                     "proc {}: access to shared page {p} outside any view — \
                      VOPP programs put all shared data in views",
-                    n.me
+                    me
                 ),
                 Some(v) => panic!(
                     "proc {}: {} page {p} of view {v} without {} it (held_write={:?}) — \
                      view primitives must bracket every access (paper §2)",
-                    n.me,
+                    me,
                     if write { "write to" } else { "read of" },
                     if write {
                         "acquire_view-ing"
                     } else {
                         "acquiring"
                     },
-                    n.held_write
+                    self.app.borrow().held_write
                 ),
             }
         };
         let ps = p * PAGE_SIZE;
         let (start, end) = (span.start.max(ps), span.end.min(ps + PAGE_SIZE));
-        if rc.record_discipline(rule, n.me, view, p, start, end, write) && self.tracing() {
+        if rc.record_discipline(rule, me, view, p, start, end, write) && self.tracing() {
             self.trace(EventKind::DisciplineViolation {
                 rule: rule.label().to_string(),
                 page: p as u64,

@@ -92,7 +92,11 @@ impl<'a> AppCtx<'a> {
     ///
     /// The caller must not read, while owing, state that a service handler
     /// of this process writes: under `compute(d)` a handler landing inside
-    /// the span would have run first.
+    /// the span would have run first. A layer can make that a type fact by
+    /// keeping what only its process touches apart and reaching the rest
+    /// through one accessor that spends the span first, as `vopp-dsm` does
+    /// for its idle waits and its fault, view-acquire and view-release
+    /// spans.
     pub fn defer_compute(&self, d: SimDuration) {
         let mut s = self.shared.sched.lock();
         self.settle(&mut s);
