@@ -7,7 +7,7 @@ CRITPATH_DIR ?= target/bench-critpath
 CRITPATH_BASELINE_DIR ?= crates/bench/baselines-critpath
 
 .PHONY: all check fmt clippy doc test test-all tables tables-quick tables-check serve scaling \
-        netgen bench bench-micro baseline critpath baseline-critpath \
+        netgen bench baseline critpath baseline-critpath \
         metrics-demo trace-demo racecheck hostbench hostbench-test \
         clean
 
@@ -30,8 +30,8 @@ test:
 	cargo test -q
 
 # `cargo test -q` above is the whole workspace in debug (tier-1; the root
-# manifest's `default-members`). This is the same suite in release (about
-# 480 tests), which the lost-wake hammers in crates/sim/tests are sized for.
+# manifest's `default-members`). This is the same suite in release, which
+# the lost-wake hammers in crates/sim/tests are sized for.
 test-all:
 	cargo test --release --workspace -q
 
@@ -102,9 +102,6 @@ metrics-demo:
 	cargo run -p vopp-bench --release --bin tables -- table1 --quick --metrics target/metrics-demo
 	@echo "Metrics artifacts in target/metrics-demo:"
 	@ls target/metrics-demo
-
-bench-micro:
-	cargo bench --workspace
 
 # A Perfetto-ready trace of IS on 4 nodes (quick scale): load the
 # *.perfetto.json files from $(TRACE_DIR) in https://ui.perfetto.dev

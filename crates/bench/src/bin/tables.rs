@@ -73,18 +73,13 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use vopp_bench::hostprof::{peak_rss_bytes, CountingAlloc};
+use vopp_bench::hostprof::peak_rss_bytes;
 use vopp_bench::sweep::{
     cells_for, context_hash, dedup_cells, run_sweep_cached, DiskCache, OPT_IN, TABLES,
 };
 use vopp_bench::{MetricsSink, Scale, Table};
 use vopp_core::FaultPlan;
 use vopp_trace::json::Value;
-
-/// Count every allocation the table run makes. Library users and tests
-/// don't pay for this — only this binary installs the counting allocator.
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
 
 const USAGE: &str = "usage: tables [--quick] [--json] [--jobs N] [--trace DIR] \
      [--metrics DIR] [--cache DIR] [--faults PLAN] [--critpath] [--racecheck] \

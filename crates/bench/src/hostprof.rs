@@ -3,13 +3,14 @@
 //!
 //! Everything here observes the host, never the simulation: peak RSS and
 //! allocation counters have no connection to virtual time, so they are
-//! reported (the `tables` binary's `[host: ...]` line, and per rep by the
-//! `benchmark/` suite) but never gated by `metrics_diff`.
+//! reported (peak RSS on the `tables` binary's `[host: ...]` line; both
+//! per rep by the `benchmark/` suite) but never gated by `metrics_diff`.
 //!
 //! * [`CountingAlloc`] — a `GlobalAlloc` wrapper counting allocations and
 //!   allocated bytes (cumulative, relaxed atomics; a few ns per malloc).
-//!   Installed by the `tables` binary only, so the library and its tests
-//!   pay nothing.
+//!   Installed by `benchmark/` and by the root package's allocation tests
+//!   (`tests/{protocol_allocs,trace_export,view_integration}.rs`); the
+//!   library and every other binary and test pay nothing.
 //! * [`peak_rss_bytes`] — the process's high-water resident set, read from
 //!   `/proc/self/status` (`VmHWM`) on Linux; `None` elsewhere.
 

@@ -7,11 +7,10 @@
 //! `--trace DIR` for per-run structured traces and conformance checks and
 //! `--metrics DIR` for machine-readable `BENCH_<app>.json` artifacts);
 //! [`metrics`] implements those artifacts and the perf-regression gate
-//! (`metrics_diff` binary) comparing them against committed baselines;
-//! the benches under `benches/` measure the substrates (diffing, network
-//! model, protocol operations) and the ablations called out in DESIGN.md.
+//! (`metrics_diff` binary) comparing them against committed baselines.
+//! Host cost (wall-clock, allocations, the substrate probes) is measured
+//! by the stand-alone `benchmark/` crate, which links this one.
 
-pub mod harness;
 pub mod hostprof;
 pub mod metrics;
 pub mod persist;

@@ -281,8 +281,8 @@ impl Scale {
         }
     }
 
-    /// Node counts of the scale-out family (`tables scaling`): the regime
-    /// ROADMAP item 2 targets, well past the paper's 32-processor ceiling.
+    /// Node counts of the scale-out family (`tables scaling`): cluster
+    /// sizes well past the paper's 32-processor ceiling.
     /// Identical at both scales — `quick` shrinks the instances, not the
     /// cluster.
     pub fn scaling_procs(&self) -> Vec<usize> {
@@ -850,7 +850,7 @@ pub fn table_serve(scale: &Scale) -> Table {
 /// Scale-out table (not in the paper): IS, Gauss and SOR at 64 and 128
 /// nodes on the paper's baseline (LRC_d), home-based LRC and the headline
 /// VOPP protocol (VC_sd): the heaviest cells of the quick sweep, and the
-/// rig for host-performance work on the kernel (ROADMAP item 2).
+/// rig for host-performance work on the kernel's thread hand-offs.
 pub fn table_scaling(scale: &Scale) -> Table {
     let runs = scale.runs("scaling");
     // One column per (app, nodes), holding one run per protocol with the

@@ -91,7 +91,8 @@ pub enum Req {
         mode: AccessMode,
         /// The writer-side interval of this release (write mode, dirty).
         interval: Option<IntervalId>,
-        /// Releaser's happens-before scalar.
+        /// Releaser's happens-before scalar (write mode; 0 on a read
+        /// release, whose handler ignores it).
         lamport: u64,
         /// Pages dirtied (write mode).
         pages: Vec<PageId>,

@@ -265,6 +265,9 @@ impl DsmCtx<'_> {
                 let pages = diffs.iter().map(|(p, _)| *p).collect();
                 (Some(id), lamport, pages, diffs)
             }
+            // The read-release handler ignores the scalar, so a read
+            // release does not lock the node to read one.
+            None if mode == AccessMode::Read => (None, 0, Vec::new(), Vec::new()),
             None => (None, self.node().lamport, Vec::new(), Vec::new()),
         };
         let diffs = match self.protocol.view_data() {

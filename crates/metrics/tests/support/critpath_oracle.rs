@@ -1,8 +1,7 @@
 //! The tree the critical-path exporter built before it streamed, kept as the
 //! reference: printed by `print_pretty` of `crates/trace/tests/oracle`, it is
 //! the document `vopp_metrics::critpath_to_chrome_json` must equal. Included
-//! by path from the root package's `tests/trace_export.rs` and the "before"
-//! row of `crates/bench/benches/substrate.rs`.
+//! by path from the root package's `tests/trace_export.rs`.
 
 use vopp_metrics::{CritPath, SegCat};
 use vopp_trace::json::{self, Value};

@@ -6,7 +6,8 @@
 //! [`NetGen::Eth100m`] and stays byte-for-byte the [`NetConfig::default`];
 //! the later generations rescale bandwidth, latency, loss and the
 //! retransmission timeout to ask how the paper's LRC-vs-VC verdict shifts
-//! once the network stops being the bottleneck (ROADMAP item 3).
+//! once the network stops being the bottleneck (the `netgen` table,
+//! docs/NETWORK.md).
 
 use vopp_sim::SimDuration;
 

@@ -1,6 +1,6 @@
-//! Shared by this crate's `tests/export_props.rs`, the root package's
-//! `tests/trace_export.rs` and `crates/bench/benches/substrate.rs` (each
-//! includes this file by path; none of them uses every function).
+//! Shared by this crate's `tests/export_props.rs` and the root package's
+//! `tests/trace_export.rs` (each includes this file by path; neither uses
+//! every function).
 #![allow(dead_code)]
 
 pub mod gen;

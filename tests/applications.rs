@@ -2,11 +2,14 @@
 //! sequential reference on every DSM system and several cluster sizes, on
 //! both lossless and lossy networks.
 
+use std::sync::Arc;
+
 use vopp_repro::apps::gauss::{gauss_reference, run_gauss, GaussParams, GaussVariant};
 use vopp_repro::apps::is::{is_reference, run_is, IsParams, IsVariant};
 use vopp_repro::apps::nn::{nn_reference, run_nn, NnParams, NnVariant};
 use vopp_repro::apps::sor::{run_sor, sor_reference, SorParams, SorVariant};
 use vopp_repro::core::prelude::*;
+use vopp_repro::sim::Tracer;
 
 #[test]
 fn is_all_systems_all_variants() {
@@ -112,6 +115,16 @@ fn traditional_apps_run_on_home_based_lrc() {
         SorVariant::Traditional,
     );
     assert_eq!(sor.value, sor_reference(&s));
+    // Against homeless LRC_d, the home-based protocol trades eager flush
+    // traffic for single-round-trip faults.
+    let homeless = run_sor(
+        &ClusterConfig::lossless(4, Protocol::LrcD),
+        &s,
+        SorVariant::Traditional,
+    );
+    assert_eq!(homeless.value, sor.value);
+    assert!(sor.stats.diff_requests() <= homeless.stats.diff_requests());
+    assert!(sor.stats.data_mbytes() > homeless.stats.data_mbytes());
 
     let n = NnParams::quick();
     let nn = run_nn(
@@ -183,8 +196,16 @@ fn stats_invariants_across_apps() {
     assert!(vcd.stats.diff_requests() > 0);
     // Same program on both VC systems: same barrier count.
     assert_eq!(vcd.stats.barriers(), vcsd.stats.barriers());
-    // VC_sd needs fewer messages than VC_d (integration + piggy-backing).
+    // VC_sd needs fewer messages than VC_d (integration + piggy-backing),
+    // and no more virtual time.
     assert!(vcsd.stats.num_msgs() < vcd.stats.num_msgs());
+    assert!(vcsd.stats.time <= vcd.stats.time);
+    // Tracing is pure observation: the same cell traced takes the same
+    // virtual time.
+    let mut traced = ClusterConfig::lossless(4, Protocol::VcSd);
+    traced.tracer = Some(Arc::new(Tracer::default()));
+    let vcsd_traced = run_is(&traced, &p, IsVariant::Vopp);
+    assert_eq!(vcsd_traced.stats.time, vcsd.stats.time);
 }
 
 #[test]
