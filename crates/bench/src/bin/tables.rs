@@ -63,8 +63,8 @@
 //! protocol×style cells must report zero violations, and the seeded-racy
 //! variants must report their exact known-answer counts. Exits nonzero on
 //! any mismatch. May be used alone (`tables --racecheck`) without
-//! generating tables. Checking never perturbs the table sweep: all other
-//! artifacts stay byte-identical with or without this flag.
+//! generating tables. The flag attaches no checker to the table sweep,
+//! whose artifacts are those of a run without it.
 //!
 //! Anything else — a flag or a table name not listed above — is refused
 //! with the usage text and exit code 2.

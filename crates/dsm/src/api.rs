@@ -22,7 +22,7 @@ use vopp_page::{
 };
 use vopp_racecheck::{RaceChecker, Violation};
 use vopp_sim::sync::{Mutex, MutexGuard};
-use vopp_sim::{AppCtx, EventKind, Packet, ProcId, SimDuration, SimTime};
+use vopp_sim::{AppCtx, EventKind, ProcId, SimDuration, SimTime};
 use vopp_simnet::RpcClient;
 
 use crate::cost::CpuAccount;
@@ -63,9 +63,6 @@ pub struct DsmCtx<'a> {
     pub(crate) rc: Option<Arc<RaceChecker>>,
     /// Buffers the fault path reuses from fault to fault.
     fault_scratch: RefCell<FaultScratch>,
-    /// The replies of the last [`DsmCtx::call_all`] burst, drained by it;
-    /// kept for its capacity.
-    replies: RefCell<Vec<Packet>>,
 }
 
 /// The fault path's reused buffers (see [`DsmCtx::fault`]).
@@ -109,7 +106,6 @@ impl<'a> DsmCtx<'a> {
             auto_views: Cell::new(false),
             rc,
             fault_scratch: RefCell::default(),
-            replies: RefCell::default(),
         }
     }
 
@@ -245,55 +241,37 @@ impl<'a> DsmCtx<'a> {
         }
     }
 
-    /// One blocking round trip: send `req` to `to`, wait for the reply and
-    /// charge the wait to `wait` (`obj` names what was waited for, as in
-    /// [`DsmCtx::charge_wait`]). `timeout` replaces the transport's
-    /// retransmission timeout for this call.
-    pub(crate) fn call(
-        &self,
-        to: ProcId,
-        req: Req,
-        wait: Phase,
-        obj: u64,
-        timeout: Option<SimDuration>,
-    ) -> Resp {
-        let bytes = req.wire_bytes();
-        let since = self.sim.now();
-        let pkt = match timeout {
-            None => self.rpc.borrow_mut().call(&self.sim, to, bytes, req),
-            Some(t) => self
-                .rpc
-                .borrow_mut()
-                .call_with_timeout(&self.sim, to, bytes, req, t),
-        };
-        // The reply wait spent any owed span.
-        self.owes.set(false);
-        self.charge_wait(wait, obj, since);
-        pkt.expect::<Resp>()
+    /// One blocking round trip: [`DsmCtx::call_all`] with one request and
+    /// the transport's timeout, returning its reply.
+    pub(crate) fn call(&self, to: ProcId, req: Req, wait: Phase, obj: u64) -> Resp {
+        let mut resp = None;
+        let once = std::iter::once((to, req));
+        self.call_all(once, wait, obj, None, |r| resp = Some(r));
+        resp.expect("a call ends with its reply")
     }
 
-    /// [`DsmCtx::call`] to several nodes at once: every request is sent
-    /// before the first reply is awaited, and the whole wait is charged once.
-    /// The requests move straight into the transport; each reply is passed
-    /// to `each`, in request order.
+    /// Send every request before the first reply is awaited, wait for all
+    /// the replies and charge the whole wait once to `wait` (`obj` names
+    /// what was waited for, as in [`DsmCtx::charge_wait`]). `timeout`
+    /// replaces the transport's retransmission timeout for this burst.
+    /// The requests move straight into the transport; once all replies
+    /// are in, each is passed to `each`, in request order.
     pub(crate) fn call_all(
         &self,
         reqs: impl Iterator<Item = (ProcId, Req)>,
         wait: Phase,
         obj: u64,
+        timeout: Option<SimDuration>,
         mut each: impl FnMut(Resp),
     ) {
         let since = self.sim.now();
-        let mut replies = self.replies.borrow_mut();
         let calls = reqs.map(|(to, req)| (to, req.wire_bytes(), req));
         self.rpc
             .borrow_mut()
-            .call_all(&self.sim, calls, &mut replies);
+            .call_all(&self.sim, calls, timeout, |pkt| each(pkt.expect()));
+        // The reply wait spent any owed span.
         self.owes.set(false);
         self.charge_wait(wait, obj, since);
-        for pkt in replies.drain(..) {
-            each(pkt.expect::<Resp>());
-        }
     }
 
     /// Close the current write interval: seal it (logging its record under
@@ -366,12 +344,14 @@ impl<'a> DsmCtx<'a> {
             records,
             vt,
         };
-        let timeout = Some(self.barrier_timeout);
-        let Resp::BarrierRelease {
+        let (once, timeout) = (std::iter::once((0, req)), Some(self.barrier_timeout));
+        let mut release = None;
+        self.call_all(once, Phase::BarrierWait, 0, timeout, |r| release = Some(r));
+        let Some(Resp::BarrierRelease {
             records,
             vt,
             lamport,
-        } = self.call(0, req, Phase::BarrierWait, 0, timeout)
+        }) = release
         else {
             panic!("barrier got an unexpected reply")
         };
@@ -571,7 +551,7 @@ impl<'a> DsmCtx<'a> {
             (owner, Req::DiffReq { page: p, intervals })
         });
         items.clear();
-        self.call_all(reqs, Phase::DataWait, p as u64, |resp| match resp {
+        self.call_all(reqs, Phase::DataWait, p as u64, None, |resp| match resp {
             Resp::DiffResp { items: it } => items.extend(it),
             other => panic!("DiffReq got unexpected reply {other:?}"),
         });
@@ -609,7 +589,7 @@ impl<'a> DsmCtx<'a> {
             to: from,
         });
         let req = Req::PageReq { page: p };
-        match self.call(from, req, Phase::DataWait, p as u64, None) {
+        match self.call(from, req, Phase::DataWait, p as u64) {
             Resp::PageResp {
                 content: Some(content),
             } => {

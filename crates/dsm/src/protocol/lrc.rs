@@ -105,7 +105,7 @@ impl DsmCtx<'_> {
                 records,
                 vt,
                 lamport,
-            } = self.call(home, req, Phase::AcquireWait, lock as u64, None)
+            } = self.call(home, req, Phase::AcquireWait, lock as u64)
             else {
                 panic!("lock_acquire got an unexpected reply")
             };
@@ -150,7 +150,7 @@ impl DsmCtx<'_> {
         } else {
             let records = self.node().delta_for_home(home);
             let req = Req::LockRelease { lock, records };
-            let resp = self.call(home, req, Phase::SendWait, lock as u64, None);
+            let resp = self.call(home, req, Phase::SendWait, lock as u64);
             assert!(matches!(resp, Resp::Ack), "lock_release expects Ack");
         }
         self.trace(EventKind::LockRelease { lock: lock as u64 });
@@ -173,7 +173,7 @@ impl DsmCtx<'_> {
             let flushes = groups
                 .into_iter()
                 .map(|(home, items)| (home, Req::HomeFlush { items }));
-            self.call_all(flushes, Phase::SendWait, 0, |resp| {
+            self.call_all(flushes, Phase::SendWait, 0, None, |resp| {
                 assert!(matches!(resp, Resp::Ack));
             });
         }

@@ -221,7 +221,7 @@ impl DsmCtx<'_> {
             mut diffs,
             version,
             lamport,
-        } = self.call(home, req, Phase::AcquireWait, obj as u64, None)
+        } = self.call(home, req, Phase::AcquireWait, obj as u64)
         else {
             panic!("view acquire got an unexpected reply")
         };
@@ -289,7 +289,7 @@ impl DsmCtx<'_> {
             pages,
             diffs,
         };
-        match self.call(home, req, Phase::SendWait, obj as u64, None) {
+        match self.call(home, req, Phase::SendWait, obj as u64) {
             Resp::ReleaseAck { version } => self.note_version(obj, version),
             Resp::Ack if mode == AccessMode::Read => false,
             other => panic!("view release got unexpected reply {other:?}"),

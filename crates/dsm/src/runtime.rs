@@ -185,7 +185,6 @@ where
     if let Some(tr) = &cfg.tracer {
         model.set_tracer(tr.clone());
     }
-    let net_stats = model.stats_handle();
     let mut sim = Sim::new(n, Box::new(model));
     if let Some(tr) = &cfg.tracer {
         sim.set_tracer(tr.clone());
@@ -230,7 +229,7 @@ where
         node_breakdowns.push(bd);
         agg.absorb(s);
     }
-    let net = *net_stats.lock();
+    let net = out.net.stats();
     let crit = cfg.profiler.as_ref().map(|prof| {
         let ends: Vec<u64> = out.proc_end.iter().map(|t| t.nanos()).collect();
         Arc::new(vopp_metrics::extract(&prof.take(), &ends))

@@ -232,16 +232,6 @@ impl RunStats {
     pub fn diff_latency(&self) -> Summary {
         self.nodes.metrics.diff_rtt.summary()
     }
-
-    /// The §3.6 hot-view ranking: views ordered by total blocked acquire
-    /// time (descending, view id as tiebreak), truncated to `top_n`.
-    pub fn hot_views(&self, top_n: usize) -> Vec<(u32, ViewStats)> {
-        let mut views: Vec<(u32, ViewStats)> =
-            self.nodes.views.iter().map(|(v, s)| (*v, *s)).collect();
-        views.sort_by(|a, b| b.1.wait_ns.cmp(&a.1.wait_ns).then(a.0.cmp(&b.0)));
-        views.truncate(top_n);
-        views
-    }
 }
 
 #[cfg(test)]
@@ -383,34 +373,5 @@ mod tests {
         assert_eq!(s.barriers(), 0);
         // Per-barrier means still well-defined (barriers counter nonzero).
         assert!(s.barrier_time_usec() > 0.0);
-    }
-
-    #[test]
-    fn hot_views_ranked_by_wait_time() {
-        let mut s = RunStats::default();
-        *s.nodes.stats_view(2) = ViewStats {
-            acquires: 4,
-            versions: 1,
-            wait_ns: 500,
-            grant_bytes: 10,
-        };
-        *s.nodes.stats_view(5) = ViewStats {
-            acquires: 1,
-            versions: 1,
-            wait_ns: 9_000,
-            grant_bytes: 99,
-        };
-        *s.nodes.stats_view(9) = ViewStats {
-            acquires: 7,
-            versions: 2,
-            wait_ns: 500,
-            grant_bytes: 1,
-        };
-        let hot = s.hot_views(2);
-        assert_eq!(hot.len(), 2);
-        assert_eq!(hot[0].0, 5);
-        // Equal waits tie-break on view id.
-        assert_eq!(hot[1].0, 2);
-        assert_eq!(s.hot_views(10).len(), 3);
     }
 }

@@ -80,7 +80,8 @@ impl<'a> MpiCtx<'a> {
         let bytes = data.wire_bytes();
         // The ack is the rpc reply; retransmission handled by the transport.
         let t0 = self.sim.now();
-        let _ = self.rpc.borrow_mut().call(&self.sim, dst, bytes, data);
+        let call = [(dst, bytes, data)];
+        self.rpc.borrow_mut().call_all(&self.sim, call, None, drop);
         self.charge_wait(Phase::SendWait, t0);
     }
 

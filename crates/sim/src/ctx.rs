@@ -199,31 +199,21 @@ impl<'a> AppCtx<'a> {
     pub fn recv_tag(&self, tag: u64, timeout: Option<SimDuration>) -> Option<Packet> {
         let end = tag.checked_add(1).expect("tags end below u64::MAX");
         let mut got = None;
-        self.wait_tags(tag..end, timeout, |p| got = Some(p)).ok()?;
+        self.recv_tags(tag..end, timeout, |p| got = Some(p)).ok()?;
         got
     }
 
-    /// Receive one packet for each of the contiguous `tags`, appending them
-    /// to `out` in tag order. Each tag is waited for up to `timeout` from
-    /// the moment the tags before it are in (as a loop of [`recv_tag`]
-    /// calls would); the kernel collects the tags as they land and wakes
-    /// this process once, when the last one is in or a timeout passes.
-    /// `Err(tag)` means `tag`'s timeout passed: the tags before it are in
-    /// `out`, none after.
+    /// Receive one packet for each of the contiguous `tags`, handing them
+    /// to `collect` in tag order. Each tag is waited for up to `timeout`
+    /// from the moment the tags before it are in (as a loop of
+    /// [`recv_tag`] calls would); the kernel collects the tags as they land
+    /// and wakes this process once, when the last one is in or a timeout
+    /// passes. `Err(tag)` means `tag`'s timeout passed: the tags before it
+    /// were collected, none after. `collect` runs under the scheduler lock
+    /// and must not call back into this context.
     ///
     /// [`recv_tag`]: AppCtx::recv_tag
     pub fn recv_tags(
-        &self,
-        tags: Range<u64>,
-        timeout: Option<SimDuration>,
-        out: &mut Vec<Packet>,
-    ) -> Result<(), u64> {
-        self.wait_tags(tags, timeout, |p| out.push(p))
-    }
-
-    /// The tag wait behind [`AppCtx::recv_tag`] and [`AppCtx::recv_tags`]:
-    /// hand `collect` the packets of the tags that are in, in tag order.
-    fn wait_tags(
         &self,
         tags: Range<u64>,
         timeout: Option<SimDuration>,

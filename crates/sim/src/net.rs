@@ -30,6 +30,21 @@ pub struct RouteRequest {
     pub reliable: bool,
 }
 
+/// Aggregate traffic counters of a network model ([`NetModel::stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NetStats {
+    /// Datagrams put on the wire (including ones later dropped).
+    pub msgs: u64,
+    /// Wire bytes put on the network (including headers and drops).
+    pub bytes: u64,
+    /// Datagrams lost.
+    pub drops: u64,
+    /// Self-deliveries (not counted in `msgs`/`bytes`).
+    pub loopback_msgs: u64,
+    /// One-sided (reliable-transport) datagrams — a subset of `msgs`.
+    pub one_sided: u64,
+}
+
 /// Decides delivery time and loss for each datagram.
 ///
 /// Implementations must be deterministic given the same sequence of calls
@@ -38,19 +53,9 @@ pub trait NetModel: Send {
     /// Return the arrival time of the packet, or `None` if it is dropped.
     fn route(&mut self, req: RouteRequest) -> Option<SimTime>;
 
-    /// Total number of datagrams accepted onto the wire so far.
-    fn sent_count(&self) -> u64 {
-        0
-    }
-
-    /// Total wire bytes accepted so far.
-    fn sent_bytes(&self) -> u64 {
-        0
-    }
-
-    /// Datagrams dropped so far.
-    fn dropped_count(&self) -> u64 {
-        0
+    /// The traffic counted so far (all zero unless the model counts).
+    fn stats(&self) -> NetStats {
+        NetStats::default()
     }
 }
 
@@ -58,8 +63,7 @@ pub trait NetModel: Send {
 #[derive(Debug, Clone)]
 pub struct PerfectNet {
     latency: SimDuration,
-    sent: u64,
-    bytes: u64,
+    stats: NetStats,
 }
 
 impl PerfectNet {
@@ -67,8 +71,7 @@ impl PerfectNet {
     pub fn new(latency: SimDuration) -> PerfectNet {
         PerfectNet {
             latency,
-            sent: 0,
-            bytes: 0,
+            stats: NetStats::default(),
         }
     }
 }
@@ -81,17 +84,13 @@ impl Default for PerfectNet {
 
 impl NetModel for PerfectNet {
     fn route(&mut self, req: RouteRequest) -> Option<SimTime> {
-        self.sent += 1;
-        self.bytes += req.wire_bytes as u64;
+        self.stats.msgs += 1;
+        self.stats.bytes += req.wire_bytes as u64;
         Some(req.now + self.latency)
     }
 
-    fn sent_count(&self) -> u64 {
-        self.sent
-    }
-
-    fn sent_bytes(&self) -> u64 {
-        self.bytes
+    fn stats(&self) -> NetStats {
+        self.stats
     }
 }
 
@@ -113,8 +112,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(t, SimTime(51_000));
-        assert_eq!(n.sent_count(), 1);
-        assert_eq!(n.sent_bytes(), 123);
-        assert_eq!(n.dropped_count(), 0);
+        let s = n.stats();
+        assert_eq!((s.msgs, s.bytes, s.drops), (1, 123, 0));
     }
 }

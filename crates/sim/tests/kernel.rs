@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use vopp_sim::{
-    run_simple, AppCtx, CausalProfiler, DeliveryClass, EventKind, HandoffStats, NetModel,
+    run_simple, AppCtx, CausalProfiler, DeliveryClass, EventKind, HandoffStats, NetModel, NetStats,
     PerfectNet, ProcTimes, RouteRequest, Sim, SimDuration, SimTime, Tracer,
 };
 
@@ -124,7 +124,7 @@ fn a_reverse_order_burst_wakes_its_caller_once() {
             return (vec![], ctx.now());
         }
         let mut got = Vec::new();
-        assert_eq!(ctx.recv_tags(0..4, None, &mut got), Ok(()));
+        assert_eq!(ctx.recv_tags(0..4, None, |p| got.push(p)), Ok(()));
         let tags: Vec<u64> = got.iter().map(|p| p.tag).collect();
         (tags, ctx.now())
     });
@@ -182,12 +182,11 @@ impl NetModel for DropSecondReply {
         Some(req.now + LAT + SimDuration::from_nanos(skew))
     }
 
-    fn sent_count(&self) -> u64 {
-        self.sent
-    }
-
-    fn sent_bytes(&self) -> u64 {
-        0
+    fn stats(&self) -> NetStats {
+        NetStats {
+            msgs: self.sent,
+            ..NetStats::default()
+        }
     }
 }
 
@@ -214,7 +213,9 @@ fn a_burst_with_a_dropped_reply_retransmits_when_the_per_tag_loop_did() {
             |tag: u64| ctx.send(tag as usize + 1, 64, DeliveryClass::Svc, tag, Arc::new(()));
         (0..4).for_each(request);
         let (mut got, mut rexmits, mut next) = (Vec::new(), Vec::new(), 0);
-        while let Err(tag) = ctx.recv_tags(next..4, Some(SimDuration::from_millis(1)), &mut got) {
+        while let Err(tag) =
+            ctx.recv_tags(next..4, Some(SimDuration::from_millis(1)), |p| got.push(p))
+        {
             rexmits.push((tag, ctx.now().nanos()));
             request(tag);
             next = tag;
@@ -231,7 +232,7 @@ fn a_burst_with_a_dropped_reply_retransmits_when_the_per_tag_loop_did() {
     );
     assert_eq!(rexmits, &[(1, 1_140_000)]);
     assert_eq!(*end, SimTime(1_270_000));
-    assert_eq!(out.net.sent_count(), 10);
+    assert_eq!(out.net.stats().msgs, 10);
     // Ten wake-ups in that loop; three are now finished by the kernel.
     assert_eq!((out.handoff.total(), out.handoff.absorbed), (7, 3));
 }
@@ -397,8 +398,8 @@ fn net_stats_exposed_after_run() {
             ctx.recv();
         }
     });
-    assert_eq!(out.net.sent_count(), 1);
-    assert_eq!(out.net.sent_bytes(), 1000);
+    let net = out.net.stats();
+    assert_eq!((net.msgs, net.bytes), (1, 1000));
 }
 
 #[test]
@@ -674,12 +675,12 @@ impl NetModel for JitterNet {
         Some(req.now + SimDuration::from_micros(50) + SimDuration::from_nanos(jitter))
     }
 
-    fn sent_count(&self) -> u64 {
-        self.sent
-    }
-
-    fn sent_bytes(&self) -> u64 {
-        self.bytes
+    fn stats(&self) -> NetStats {
+        NetStats {
+            msgs: self.sent,
+            bytes: self.bytes,
+            ..NetStats::default()
+        }
     }
 }
 
@@ -793,7 +794,7 @@ fn jitter_run(deferred: bool) -> Artifacts {
         proc_times: format!("{:?}", out.proc_times),
         trace_json: tracer.take().to_json(),
         causal: format!("{:?}|{:?}|{:?}", log.records, log.last_wake, log.spans),
-        net: (out.net.sent_count(), out.net.sent_bytes()),
+        net: (out.net.stats().msgs, out.net.stats().bytes),
         handoff: out.handoff,
     }
 }

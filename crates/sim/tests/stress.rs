@@ -30,7 +30,7 @@ fn heavy_all_to_all_traffic() {
         received
     });
     assert!(out.results.iter().all(|&r| r == (rounds * (n as u64 - 1))));
-    assert_eq!(out.net.sent_count(), rounds * (n as u64) * (n as u64 - 1));
+    assert_eq!(out.net.stats().msgs, rounds * (n as u64) * (n as u64 - 1));
 }
 
 #[test]

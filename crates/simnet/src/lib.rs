@@ -21,5 +21,6 @@ mod model;
 mod transport;
 
 pub use config::{NetConfig, NetGen, HEADER_BYTES};
-pub use model::{EthernetModel, NetStats};
+pub use model::EthernetModel;
 pub use transport::{reply, RpcClient, RPC_TAG_BIT};
+pub use vopp_sim::NetStats;

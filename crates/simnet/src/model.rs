@@ -25,25 +25,9 @@
 
 use std::sync::Arc;
 
-use vopp_sim::sync::Mutex;
-use vopp_sim::{EventKind, NetModel, RouteRequest, SimTime, Tracer};
+use vopp_sim::{EventKind, NetModel, NetStats, RouteRequest, SimTime, Tracer};
 
 use crate::config::NetConfig;
-
-/// Aggregate traffic counters, shared out of the model via [`Arc`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetStats {
-    /// Datagrams put on the wire (including ones later dropped).
-    pub msgs: u64,
-    /// Wire bytes put on the network (including headers and drops).
-    pub bytes: u64,
-    /// Datagrams lost.
-    pub drops: u64,
-    /// Self-deliveries (not counted in `msgs`/`bytes`).
-    pub loopback_msgs: u64,
-    /// One-sided (reliable-transport) datagrams — a subset of `msgs`.
-    pub one_sided: u64,
-}
 
 /// SplitMix64: a tiny, high-quality deterministic PRNG for loss decisions.
 #[derive(Debug, Clone)]
@@ -72,7 +56,7 @@ pub struct EthernetModel {
     /// Per-node downlink busy-until, in picoseconds.
     rx_free_ps: Vec<u64>,
     rng: SplitMix64,
-    stats: Arc<Mutex<NetStats>>,
+    stats: NetStats,
     tracer: Option<Arc<Tracer>>,
 }
 
@@ -84,15 +68,9 @@ impl EthernetModel {
             cfg,
             tx_free_ps: vec![0; nprocs],
             rx_free_ps: vec![0; nprocs],
-            stats: Arc::new(Mutex::new(NetStats::default())),
+            stats: NetStats::default(),
             tracer: None,
         }
-    }
-
-    /// Handle to the live statistics (clone before moving the model into
-    /// the simulation).
-    pub fn stats_handle(&self) -> Arc<Mutex<NetStats>> {
-        self.stats.clone()
     }
 
     /// Record drop events (with overflow classification — only the model
@@ -112,16 +90,13 @@ impl EthernetModel {
 impl NetModel for EthernetModel {
     fn route(&mut self, req: RouteRequest) -> Option<SimTime> {
         if req.src == req.dst {
-            self.stats.lock().loopback_msgs += 1;
+            self.stats.loopback_msgs += 1;
             return Some(req.now + self.cfg.loopback_latency);
         }
-        {
-            let mut s = self.stats.lock();
-            s.msgs += 1;
-            s.bytes += req.wire_bytes as u64;
-            if req.reliable {
-                s.one_sided += 1;
-            }
+        self.stats.msgs += 1;
+        self.stats.bytes += req.wire_bytes as u64;
+        if req.reliable {
+            self.stats.one_sided += 1;
         }
         if !req.reliable {
             // Loss decision consumes exactly one RNG draw per lossy-path
@@ -130,7 +105,7 @@ impl NetModel for EthernetModel {
             // transport: no draw, no drop, no overflow accounting.
             let p = self.drop_probability(req.pending_bytes_at_dst);
             if p > 0.0 && self.rng.next_f64() < p {
-                self.stats.lock().drops += 1;
+                self.stats.drops += 1;
                 if let Some(tr) = &self.tracer {
                     tr.record(
                         req.now.nanos(),
@@ -161,16 +136,8 @@ impl NetModel for EthernetModel {
         Some(SimTime(rx_end.div_ceil(1000)))
     }
 
-    fn sent_count(&self) -> u64 {
-        self.stats.lock().msgs
-    }
-
-    fn sent_bytes(&self) -> u64 {
-        self.stats.lock().bytes
-    }
-
-    fn dropped_count(&self) -> u64 {
-        self.stats.lock().drops
+    fn stats(&self) -> NetStats {
+        self.stats
     }
 }
 
@@ -231,8 +198,8 @@ mod tests {
         let mut m = EthernetModel::new(2, NetConfig::lossless());
         let at = m.route(req(1_000, 1, 1, 50_000, 0)).unwrap();
         assert_eq!(at, SimTime(1_000) + SimDuration::from_micros(2));
-        assert_eq!(m.sent_count(), 0);
-        assert_eq!(m.stats.lock().loopback_msgs, 1);
+        assert_eq!(m.stats.msgs, 0);
+        assert_eq!(m.stats.loopback_msgs, 1);
     }
 
     #[test]
@@ -247,7 +214,7 @@ mod tests {
         let mut m = EthernetModel::new(2, cfg);
         assert!(m.route(req(0, 0, 1, 100, 4096)).is_some());
         assert!(m.route(req(0, 0, 1, 100, 8192)).is_none());
-        assert_eq!(m.dropped_count(), 1);
+        assert_eq!(m.stats.drops, 1);
     }
 
     #[test]
@@ -311,9 +278,8 @@ mod tests {
         let mut m = EthernetModel::new(2, cfg);
         assert!(m.route(req(0, 0, 1, 500, 0)).is_none());
         // The datagram hit the wire before being lost.
-        assert_eq!(m.sent_count(), 1);
-        assert_eq!(m.sent_bytes(), 500);
-        assert_eq!(m.dropped_count(), 1);
+        let s = m.stats;
+        assert_eq!((s.msgs, s.bytes, s.drops), (1, 500, 1));
     }
 
     #[test]
@@ -404,7 +370,7 @@ mod tests {
             .map(|i| m.route(req(i, 0, 1, 64, 0)).is_some())
             .collect::<Vec<_>>();
         assert_eq!(pattern_without, pattern_with);
-        let s = *m.stats.lock();
+        let s = m.stats;
         assert_eq!(s.one_sided, 50);
         assert_eq!(s.msgs, 250); // one-sided counts as wire traffic
     }

@@ -31,17 +31,35 @@ pub struct RpcClient {
     /// Retransmissions performed so far (the paper's `Rexmit` statistic).
     pub rexmits: u64,
     /// Round-trip latency of every completed request, including any
-    /// retransmission waits. For `call_all` bursts, each request's trip is
-    /// measured from the burst send to its own reply.
+    /// retransmission waits, measured from the burst send to the request's
+    /// own reply.
     pub rtt: Histogram,
     /// Timeout before a retransmission.
     pub timeout: SimDuration,
     /// Retransmissions before giving up (a real system would declare the
     /// peer dead; in the simulation running out is always a protocol bug).
     pub max_retries: u32,
-    /// The requests of the `call_all` burst in flight, kept for
-    /// retransmission; empty between bursts, capacity kept.
-    burst: Vec<(ProcId, usize, Payload)>,
+    /// The `call_all` burst in flight, one slot per request; empty between
+    /// bursts, capacity kept.
+    burst: Vec<Slot>,
+}
+
+/// A burst's request, kept for retransmission until its reply replaces it.
+enum Slot {
+    /// `(dst, wire_bytes, payload)`, awaiting its reply.
+    Request(ProcId, usize, Payload),
+    /// The reply, which released the request.
+    Reply(Packet),
+}
+
+impl Slot {
+    /// The request of a slot still awaiting its reply.
+    fn request(&self) -> (ProcId, usize, &Payload) {
+        match self {
+            Slot::Request(dst, bytes, payload) => (*dst, *bytes, payload),
+            Slot::Reply(_) => unreachable!("an answered request is never sent again"),
+        }
+    }
 }
 
 impl RpcClient {
@@ -64,131 +82,96 @@ impl RpcClient {
         }
     }
 
-    /// Send `msg` to the service handler of `dst` and block until the reply
-    /// arrives, retransmitting on timeout. `wire_bytes` is the request's
-    /// on-wire size including headers.
-    ///
-    /// The request is allocated once; retransmissions re-send the same
-    /// shared payload.
-    pub fn call<M>(&mut self, ctx: &AppCtx<'_>, dst: ProcId, wire_bytes: usize, msg: M) -> Packet
-    where
-        M: Send + Sync + 'static,
-    {
-        let tag = RPC_TAG_BIT | self.next_tag;
-        self.next_tag += 1;
-        // Discard stale duplicate replies from earlier calls.
-        ctx.purge_tags(RPC_TAG_BIT..tag);
-        let started = ctx.now();
-        let payload: Payload = Arc::new(msg);
-        let mut tries = 0;
-        loop {
-            ctx.send(dst, wire_bytes, DeliveryClass::Svc, tag, payload.clone());
-            if let Some(pkt) = ctx.recv_tag(tag, Some(self.timeout)) {
-                self.rtt.record((ctx.now() - started).nanos());
-                // A retransmitted request may have produced a duplicate
-                // reply that is already queued; drop it now so no later
-                // receive can match this satisfied tag.
-                ctx.purge_tags(tag..tag + 1);
-                return pkt;
-            }
-            tries += 1;
-            self.note_rexmit(ctx, dst, tag, tries);
-        }
-    }
-
-    /// Count and trace the retransmission of `tag` to `dst`, its `tries`-th.
-    fn note_rexmit(&mut self, ctx: &AppCtx<'_>, dst: ProcId, tag: u64, tries: u32) {
-        self.rexmits += 1;
-        ctx.trace(vopp_sim::EventKind::Rexmit { dst, tag });
-        assert!(
-            tries <= self.max_retries,
-            "rpc to {dst} got no reply after {tries} retransmissions"
-        );
-    }
-
-    /// Issue several requests concurrently and block until every reply has
-    /// arrived (the DSM fault path fetches diffs from all writers of a page
-    /// in parallel, like TreadMarks). Each call is `(dst, wire_bytes, msg)`;
-    /// `replies` is cleared and receives one reply per call, in call order.
-    /// Each call retransmits independently on timeout.
+    /// Send each request to the service handler of its destination and
+    /// block until every reply has arrived: the one request routine, so a
+    /// single RPC is a burst of one (the DSM fault path fetches diffs from
+    /// all writers of a page in parallel, like TreadMarks). Each call is
+    /// `(dst, wire_bytes, msg)`; once all replies are in, each is handed to
+    /// `each`, in call order. Each call retransmits independently on
+    /// timeout; `Some(timeout)` replaces the client's
+    /// [`RpcClient::timeout`] for this burst (a barrier's reply is
+    /// legitimately deferred until every process arrives).
     ///
     /// The replies are one tag wait ([`AppCtx::recv_tags`]): the kernel
     /// collects them as they land and wakes the caller once per burst, or
     /// once per timeout, not once per reply.
     ///
     /// Each request moves into its payload `Arc` once, shared with every
-    /// retransmission; the burst buffer is the client's own and keeps its
-    /// capacity, so a burst allocates only its messages.
+    /// retransmission. The burst buffer is the client's own and keeps its
+    /// capacity, and each reply takes its request's slot, releasing the
+    /// request: a burst allocates only its messages. The replies are
+    /// handed on only after the wait, so every request is released before
+    /// any reply is consumed; consuming each as it landed reordered a
+    /// round trip's frees and raised `serve16`'s peak heap (PERFORMANCE.md
+    /// §18).
     pub fn call_all<M>(
         &mut self,
         ctx: &AppCtx<'_>,
         calls: impl IntoIterator<Item = (ProcId, usize, M)>,
-        replies: &mut Vec<Packet>,
+        timeout: Option<SimDuration>,
+        mut each: impl FnMut(Packet),
     ) where
         M: Send + Sync + 'static,
     {
-        replies.clear();
         let mut burst = std::mem::take(&mut self.burst);
         burst.extend(
             calls
                 .into_iter()
-                .map(|(dst, bytes, msg)| (dst, bytes, Arc::new(msg) as Payload)),
+                .map(|(dst, bytes, msg)| Slot::Request(dst, bytes, Arc::new(msg))),
         );
         if burst.is_empty() {
             self.burst = burst;
             return;
         }
+        let timeout = timeout.unwrap_or(self.timeout);
         let first = RPC_TAG_BIT | self.next_tag;
         self.next_tag += burst.len() as u64;
         let end = first + burst.len() as u64;
+        // Discard stale duplicate replies from earlier bursts.
         ctx.purge_tags(RPC_TAG_BIT..first);
         let started = ctx.now();
-        for (tag, (dst, bytes, payload)) in (first..).zip(&burst) {
-            ctx.send(*dst, *bytes, DeliveryClass::Svc, tag, payload.clone());
+        for (tag, slot) in (first..).zip(&burst) {
+            let (dst, bytes, payload) = slot.request();
+            ctx.send(dst, bytes, DeliveryClass::Svc, tag, payload.clone());
         }
         // Each timeout ends the wait at the tag that timed out; retransmit
         // that one request and wait again for it and the tags after it.
         let (mut next, mut tries) = (first, 0);
-        while let Err(tag) = ctx.recv_tags(next..end, Some(self.timeout), replies) {
+        loop {
+            let land = |pkt: Packet| {
+                // The trip ends at the reply's arrival stamp, not the wake
+                // time: a fast reply would otherwise inherit the wait for
+                // the burst's slowest one. A one-tag wait wakes at the
+                // arrival, so for a single request the two agree.
+                self.rtt.record((pkt.arrived - started).nanos());
+                let i = (pkt.tag - first) as usize;
+                burst[i] = Slot::Reply(pkt);
+            };
+            let Err(tag) = ctx.recv_tags(next..end, Some(timeout), land) else {
+                break;
+            };
             tries = if tag == next { tries + 1 } else { 1 };
             next = tag;
-            let (dst, bytes, payload) = &burst[(tag - first) as usize];
-            self.note_rexmit(ctx, *dst, tag, tries);
-            ctx.send(*dst, *bytes, DeliveryClass::Svc, tag, payload.clone());
+            let (dst, bytes, payload) = burst[(tag - first) as usize].request();
+            self.rexmits += 1;
+            ctx.trace(vopp_sim::EventKind::Rexmit { dst, tag });
+            assert!(
+                tries <= self.max_retries,
+                "rpc to {dst} got no reply after {tries} retransmissions"
+            );
+            ctx.send(dst, bytes, DeliveryClass::Svc, tag, payload.clone());
         }
-        // Use each packet's arrival stamp, not the wake time: a fast reply
-        // would otherwise inherit the wait for the burst's slowest one and
-        // inflate the histogram.
-        for pkt in replies.iter() {
-            self.rtt.record((pkt.arrived - started).nanos());
-        }
-        // Duplicate replies for already-satisfied tags of *this* burst may
-        // have queued up while later tags were awaited; purge them so no
-        // later receive can match a stale reply.
+        // A retransmitted request may have produced duplicate replies that
+        // are already queued; purge this burst's tags so no later receive
+        // can match a stale reply.
         ctx.purge_tags(first..end);
-        burst.clear();
+        for slot in burst.drain(..) {
+            let Slot::Reply(pkt) = slot else {
+                unreachable!("a burst ends with every reply in")
+            };
+            each(pkt);
+        }
         self.burst = burst;
-    }
-
-    /// Like [`RpcClient::call`] with a custom timeout (barrier waits use a
-    /// longer one, since the reply is legitimately deferred until every
-    /// process arrives).
-    pub fn call_with_timeout<M>(
-        &mut self,
-        ctx: &AppCtx<'_>,
-        dst: ProcId,
-        wire_bytes: usize,
-        msg: M,
-        timeout: SimDuration,
-    ) -> Packet
-    where
-        M: Send + Sync + 'static,
-    {
-        let saved = self.timeout;
-        self.timeout = timeout;
-        let r = self.call(ctx, dst, wire_bytes, msg);
-        self.timeout = saved;
-        r
     }
 }
 
@@ -204,7 +187,19 @@ mod tests {
     use super::*;
     use crate::config::NetConfig;
     use crate::model::EthernetModel;
-    use vopp_sim::Sim;
+    use vopp_sim::{Sim, SimTime};
+
+    /// One request as a burst of one: its reply.
+    fn call<M: Send + Sync + 'static>(
+        rpc: &mut RpcClient,
+        ctx: &AppCtx<'_>,
+        dst: ProcId,
+        msg: M,
+    ) -> Packet {
+        let mut reply = None;
+        rpc.call_all(ctx, [(dst, 64, msg)], None, |p| reply = Some(p));
+        reply.expect("a burst of one ends with its reply")
+    }
 
     /// Echo service: replies with the request value + 1.
     fn echo_sim(cfg: NetConfig, calls: u32) -> (Vec<u64>, u64) {
@@ -224,7 +219,7 @@ mod tests {
                 let mut rpc = RpcClient::with_timeout(timeout);
                 let mut got = Vec::new();
                 for i in 0..calls as u64 {
-                    got.push(rpc.call(&ctx, 1, 64, i).expect::<u64>());
+                    got.push(call(&mut rpc, &ctx, 1, i).expect::<u64>());
                 }
                 (got, rpc.rexmits)
             } else {
@@ -282,7 +277,7 @@ mod tests {
             if ctx.me() == 0 {
                 let mut rpc = RpcClient::with_timeout(NetConfig::lossless().rexmit_timeout);
                 for i in 0..10u64 {
-                    rpc.call(&ctx, 1, 64, i);
+                    call(&mut rpc, &ctx, 1, i);
                 }
                 let s = rpc.rtt.summary();
                 (s.count, s.p50_ns, s.max_ns)
@@ -329,9 +324,9 @@ mod tests {
         let out = sim.run(|ctx| {
             if ctx.me() == 0 {
                 let mut rpc = RpcClient::with_timeout(NetConfig::lossless().rexmit_timeout);
-                let mut replies = Vec::new();
-                rpc.call_all(&ctx, [(1, 64, 0u64), (2, 64, 0u64)], &mut replies);
-                assert_eq!(replies.len(), 2);
+                let mut replies = 0;
+                rpc.call_all(&ctx, [(1, 64, 0u64), (2, 64, 0u64)], None, |_| replies += 1);
+                assert_eq!(replies, 2);
                 (rpc.rtt.count(), rpc.rtt.sum_ns(), rpc.rtt.max_ns())
             } else {
                 (0, 0, 0)
@@ -376,9 +371,9 @@ mod tests {
         let out = sim.run(|ctx| {
             if ctx.me() == 0 {
                 let mut rpc = RpcClient::with_timeout(NetConfig::lossless().rexmit_timeout);
-                let mut replies = Vec::new();
-                rpc.call_all(&ctx, [(1, 64, 1u64), (2, 64, 2u64)], &mut replies);
-                let vals: Vec<u64> = replies.drain(..).map(|p| p.expect::<u64>()).collect();
+                let mut vals = Vec::new();
+                let calls = [(1, 64, 1u64), (2, 64, 2u64)];
+                rpc.call_all(&ctx, calls, None, |p| vals.push(p.expect::<u64>()));
                 assert_eq!(vals, vec![2, 3]);
                 ctx.mailbox_len()
             } else {
@@ -392,8 +387,8 @@ mod tests {
     fn call_all_retransmits_one_shared_payload_and_replies_in_call_order() {
         // Over a lossy link, every copy of a request that reaches the
         // handler, first send or retransmission, is the one payload
-        // `call_all` allocated for it; the replies land in call order in
-        // the caller's buffer, reused from burst to burst.
+        // `call_all` allocated for it; the replies are handed over in call
+        // order.
         let cfg = NetConfig {
             base_drop_prob: 0.3,
             ..NetConfig::default()
@@ -418,17 +413,12 @@ mod tests {
                 return 0;
             }
             let mut rpc = RpcClient::with_timeout(timeout);
-            let mut replies = Vec::new();
-            let mut buffer = None;
             for burst in 0..20u64 {
                 let calls = (0..4).map(|i| (1 + i as usize % 2, 64, burst * 4 + i));
-                rpc.call_all(&ctx, calls, &mut replies);
-                let got: Vec<u64> = replies.iter().map(|p| *p.peek::<u64>().unwrap()).collect();
+                let mut got = Vec::new();
+                rpc.call_all(&ctx, calls, None, |p| got.push(p.expect::<u64>()));
                 let want: Vec<u64> = (0..4).map(|i| (burst * 4 + i) * 10).collect();
                 assert_eq!(got, want, "burst {burst}");
-                let reused = *buffer.get_or_insert(replies.as_ptr()) == replies.as_ptr();
-                assert!(reused, "burst {burst} reallocated the reply buffer");
-                replies.clear();
             }
             rpc.rexmits
         });
@@ -499,7 +489,7 @@ mod tests {
         let out = sim.run(move |ctx| {
             if ctx.me() == 0 {
                 let mut rpc = RpcClient::with_timeout(cfg.rexmit_timeout);
-                let v = rpc.call(&ctx, 1, 64, 41u64).expect::<u64>();
+                let v = call(&mut rpc, &ctx, 1, 41u64).expect::<u64>();
                 (v, rpc.rexmits, ctx.now())
             } else {
                 (0, 0, ctx.now())
@@ -510,11 +500,64 @@ mod tests {
         assert_eq!(rexmits, 1);
         // One retransmission wait plus a round trip: far below the paper's
         // 1 s, at least the generation timeout.
-        assert!(finished >= vopp_sim::SimTime::ZERO + rexmit);
+        assert!(finished >= SimTime::ZERO + rexmit);
         assert!(
-            finished < vopp_sim::SimTime::ZERO + rexmit + rexmit,
+            finished < SimTime::ZERO + rexmit + rexmit,
             "retry did not happen at the generation timescale: {finished}"
         );
+    }
+
+    #[test]
+    fn a_burst_timeout_replaces_the_client_timeout() {
+        // Node 1 swallows the first request. A burst of one with its own
+        // timeout retransmits after that timeout, not the client's, and
+        // records the round trip from the first send to the reply's
+        // arrival: the swallowed try, the retransmission and its trip.
+        let cfg = NetConfig::lossless();
+        let (client, burst) = (cfg.rexmit_timeout, SimDuration::from_millis(3));
+        let mut sim = Sim::new(2, Box::new(EthernetModel::new(2, cfg)));
+        let mut first = true;
+        sim.set_handler(
+            1,
+            Box::new(move |svc, pkt| {
+                if std::mem::take(&mut first) {
+                    return;
+                }
+                let (tag, src) = (pkt.tag, pkt.src);
+                reply(svc, src, 64, tag, Arc::new(pkt.expect::<u64>() + 1));
+            }),
+        );
+        let out = sim.run(move |ctx| {
+            if ctx.me() != 0 {
+                return None;
+            }
+            let mut rpc = RpcClient::with_timeout(client);
+            let mut reply = None;
+            let started = ctx.now();
+            rpc.call_all(&ctx, [(1, 64, 41u64)], Some(burst), |p| reply = Some(p));
+            let pkt = reply.expect("one reply");
+            let rtt = (rpc.rtt.count(), rpc.rtt.sum_ns());
+            Some((
+                pkt.arrived - started,
+                ctx.now(),
+                rpc.rexmits,
+                rtt,
+                rpc.timeout,
+            ))
+        });
+        let (trip, finished, rexmits, rtt, timeout) = out.results[0].unwrap();
+        assert_eq!(rexmits, 1);
+        // The burst's timeout was used for this burst only.
+        assert_eq!(timeout, client);
+        // One 3 ms wait, then one lossless round trip well under a
+        // millisecond: the 1 s client timeout never ran.
+        assert!(trip > burst && trip < burst + SimDuration::from_millis(1));
+        assert_eq!(
+            finished,
+            SimTime::ZERO + trip,
+            "woke at the reply's arrival"
+        );
+        assert_eq!(rtt, (1, trip.nanos()));
     }
 
     #[test]
@@ -566,7 +609,7 @@ mod tests {
                 // message would win the race and the handler would panic.
                 ctx.send(1, 60_000, DeliveryClass::OneSided, 42, Arc::new(999u64));
                 let mut rpc = RpcClient::with_timeout(NetConfig::lossless().rexmit_timeout);
-                rpc.call(&ctx, 1, 64, 42u64).expect::<u64>()
+                call(&mut rpc, &ctx, 1, 42u64).expect::<u64>()
             } else {
                 0
             }
@@ -589,7 +632,7 @@ mod tests {
             if ctx.me() == 0 {
                 let mut rpc = RpcClient::with_timeout(timeout);
                 rpc.max_retries = 3;
-                rpc.call(&ctx, 1, 64, 0u64);
+                call(&mut rpc, &ctx, 1, 0u64);
             } else {
                 // Idle long enough for proc 0's retries to play out, then
                 // finish so only the panic (not a deadlock) can end the run.

@@ -18,9 +18,7 @@ fn lossy_sixteen_node_rpc_is_pinned() {
         ..NetConfig::default()
     };
     let timeout = cfg.rexmit_timeout;
-    let model = EthernetModel::new(NODES, cfg);
-    let net = model.stats_handle();
-    let mut sim = Sim::new(NODES, Box::new(model));
+    let mut sim = Sim::new(NODES, Box::new(EthernetModel::new(NODES, cfg)));
     for p in 0..NODES {
         sim.set_handler(
             p,
@@ -34,25 +32,22 @@ fn lossy_sixteen_node_rpc_is_pinned() {
     let out = sim.run(|ctx| {
         let me = ctx.me() as u64;
         let mut rpc = RpcClient::with_timeout(timeout);
-        let mut replies = Vec::new();
         for i in 0..CALLS {
             let dst = (ctx.me() + 1 + i as usize % (NODES - 1)) % NODES;
-            let got = rpc.call(&ctx, dst, 80, me * 1000 + i).expect::<u64>();
-            assert_eq!(got, (me * 1000 + i) * 2);
+            let want = (me * 1000 + i) * 2;
+            let call = [(dst, 80, me * 1000 + i)];
+            rpc.call_all(&ctx, call, None, |p| assert_eq!(p.expect::<u64>(), want));
             if i % 8 == 7 {
                 // A fan-out burst: three peers answer concurrently.
                 let calls = (1..=3).map(|k| ((ctx.me() + k * 5) % NODES, 80, i));
-                rpc.call_all(&ctx, calls, &mut replies);
-                for pkt in replies.drain(..) {
-                    assert_eq!(pkt.expect::<u64>(), i * 2);
-                }
+                rpc.call_all(&ctx, calls, None, |p| assert_eq!(p.expect::<u64>(), i * 2));
             }
             ctx.compute(SimDuration::from_micros(50 + me * 3));
         }
         rpc.rexmits
     });
     let rexmits: u64 = out.results.iter().sum();
-    let stats = *net.lock();
+    let stats = out.net.stats();
     assert!(rexmits > 0, "the run must exercise retransmission timers");
     assert_eq!(
         (out.end_time.nanos(), stats.msgs, stats.bytes, rexmits),

@@ -122,7 +122,9 @@ fn retransmissions_share_the_request_allocation() {
     let out = sim.run(|ctx| {
         if ctx.me() == 0 {
             let mut rpc = RpcClient::with_timeout(timeout);
-            let got = rpc.call(&ctx, 1, 64, RpcMsg::new(41)).expect::<u64>();
+            let mut got = 0;
+            let call = [(1, 64, RpcMsg::new(41))];
+            rpc.call_all(&ctx, call, None, |p| got = p.expect::<u64>());
             (got, rpc.rexmits)
         } else {
             (0, 0)

@@ -181,11 +181,10 @@ fn an_rpc_burst_allocates_only_its_messages() {
             return 0;
         }
         let mut rpc = RpcClient::with_timeout(NetConfig::default().rexmit_timeout);
-        let mut replies = Vec::new();
-        let mut burst = |rpc: &mut RpcClient| {
+        let burst = |rpc: &mut RpcClient| {
             let calls = (0..K).map(|i| (1 + i as usize % 2, 64, i));
-            rpc.call_all(&ctx, calls, &mut replies);
-            let got: u64 = replies.iter().map(|p| *p.peek::<u64>().unwrap()).sum();
+            let mut got = 0;
+            rpc.call_all(&ctx, calls, None, |p| got += *p.peek::<u64>().unwrap());
             assert_eq!(got, (1..=K).sum::<u64>());
         };
         burst(&mut rpc);
