@@ -8,7 +8,7 @@ CRITPATH_BASELINE_DIR ?= crates/bench/baselines-critpath
 
 .PHONY: all check fmt clippy doc test test-all tables tables-quick tables-check serve scaling \
         netgen bench baseline critpath baseline-critpath \
-        metrics-demo trace-demo racecheck hostbench hostbench-test \
+        metrics-demo trace-demo racecheck hostbench hostbench-test hostbench-pairs \
         clean
 
 all: check test
@@ -120,6 +120,19 @@ trace-demo:
 # Host time is reported, never gated.
 hostbench:
 	bash benchmark/run.sh $(ARGS)
+
+# Alternating pairs of pinned host-benchmark runs of two checkouts, then each
+# side's median, quartiles and pairs won per end-to-end metric
+# (tools/hostbench_pairs.sh), e.g.
+# `make hostbench-pairs PARENT=../parent WORKLOAD=paper16 SEED0=201 N=10`.
+PARENT ?=
+CHANGE ?= .
+WORKLOAD ?= paper16
+SEED0 ?= 1
+N ?= 10
+hostbench-pairs:
+	$(if $(PARENT),,$(error set PARENT to the parent checkout))
+	bash tools/hostbench_pairs.sh $(PARENT) $(CHANGE) $(WORKLOAD) $(SEED0) $(N)
 
 # The benchmark crate's own tests (a stand-alone workspace the root
 # `cargo test --workspace` does not see).
