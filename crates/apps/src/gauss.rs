@@ -89,15 +89,88 @@ impl GaussParams {
 /// One in-place Gauss–Seidel sweep over a block of rows, with the stencil
 /// clamped to the block (the computation is block-local by construction).
 /// Shared by the reference and both parallel versions.
+///
+/// A wavefront over groups of four rows: row `k` of a group runs `k`
+/// columns behind row `k - 1`, so the group's four `left` dependency chains
+/// interleave instead of running one after another. When element `(i, j)`
+/// is computed, `(i - 1, j)` and `(i, j - 1)` are already new and
+/// `(i + 1, j)` and `(i, j + 1)` still old, exactly as in the row-by-row
+/// loop, and every value is `0.25 * (up + down + left + right)` added in
+/// that order, so the result is bit-for-bit the row-by-row sweep's.
+/// Edge columns, the wavefront's ramps, the last `nrows % GROUP` rows and
+/// blocks narrower than 6 columns go through `relax` one element at a
+/// time.
 pub fn sweep_block(blk: &mut [f64], nrows: usize, cols: usize) {
     debug_assert_eq!(blk.len(), nrows * cols);
-    for i in 0..nrows {
+    let grouped = if cols < 2 + GROUP {
+        0
+    } else {
+        nrows / GROUP * GROUP
+    };
+    for r in (0..grouped).step_by(GROUP) {
+        sweep_group(blk, nrows, cols, r);
+    }
+    for i in grouped..nrows {
         for j in 0..cols {
-            let up = blk[i.saturating_sub(1) * cols + j];
-            let down = blk[(i + 1).min(nrows - 1) * cols + j];
-            let left = blk[i * cols + j.saturating_sub(1)];
-            let right = blk[i * cols + (j + 1).min(cols - 1)];
-            blk[i * cols + j] = 0.25 * (up + down + left + right);
+            relax(blk, nrows, cols, i, j);
+        }
+    }
+}
+
+/// Rows per wavefront group (`sweep_group`'s steady state is written out
+/// for four).
+const GROUP: usize = 4;
+
+/// The clamped stencil update of element `(i, j)`.
+#[inline(always)]
+fn relax(blk: &mut [f64], nrows: usize, cols: usize, i: usize, j: usize) {
+    let up = blk[i.saturating_sub(1) * cols + j];
+    let down = blk[(i + 1).min(nrows - 1) * cols + j];
+    let left = blk[i * cols + j.saturating_sub(1)];
+    let right = blk[i * cols + (j + 1).min(cols - 1)];
+    blk[i * cols + j] = 0.25 * (up + down + left + right);
+}
+
+/// Rows `r..r + GROUP` as a wavefront (`cols >= 2 + GROUP`). Step `t`
+/// computes column `t - k` of row `r + k`; in steps `GROUP..cols - 1` every
+/// row is at an interior column and keeps its `left` neighbour, the value
+/// it computed the step before, in a register.
+fn sweep_group(blk: &mut [f64], nrows: usize, cols: usize, r: usize) {
+    // The ramp in: steps 0..GROUP reach columns 0..GROUP.
+    for t in 0..GROUP {
+        for k in 0..=t {
+            relax(blk, nrows, cols, r + k, t - k);
+        }
+    }
+    let row = |k: usize| (r + k) * cols;
+    // Above the first row and below the last, clamped at the block's edge
+    // (where the element reads itself, still old).
+    let up = r.saturating_sub(1) * cols;
+    let down = (r + GROUP).min(nrows - 1) * cols;
+    let (o0, o1, o2, o3) = (row(0), row(1), row(2), row(3));
+    // What each row computed in the ramp's last step, at column 3 - k.
+    let mut l0 = blk[o0 + 3];
+    let mut l1 = blk[o1 + 2];
+    let mut l2 = blk[o2 + 1];
+    let mut l3 = blk[o3];
+    for t in GROUP..cols - 1 {
+        let j = t;
+        l0 = 0.25 * (blk[up + j] + blk[o1 + j] + l0 + blk[o0 + j + 1]);
+        blk[o0 + j] = l0;
+        let j = t - 1;
+        l1 = 0.25 * (blk[o0 + j] + blk[o2 + j] + l1 + blk[o1 + j + 1]);
+        blk[o1 + j] = l1;
+        let j = t - 2;
+        l2 = 0.25 * (blk[o1 + j] + blk[o3 + j] + l2 + blk[o2 + j + 1]);
+        blk[o2 + j] = l2;
+        let j = t - 3;
+        l3 = 0.25 * (blk[o2 + j] + blk[down + j] + l3 + blk[o3 + j + 1]);
+        blk[o3 + j] = l3;
+    }
+    // The ramp out: steps cols - 1..cols - 1 + GROUP end at column cols - 1.
+    for t in cols - 1..cols - 1 + GROUP {
+        for k in t + 1 - cols..GROUP {
+            relax(blk, nrows, cols, r + k, t - k);
         }
     }
 }
@@ -245,6 +318,42 @@ fn run_gauss_vopp(cfg: &ClusterConfig, p: &GaussParams) -> AppOutcome<f64> {
 mod tests {
     use super::*;
 
+    /// The row-by-row sweep `sweep_block` must equal bit for bit.
+    fn textbook_sweep(blk: &mut [f64], nrows: usize, cols: usize) {
+        for i in 0..nrows {
+            for j in 0..cols {
+                let up = blk[i.saturating_sub(1) * cols + j];
+                let down = blk[(i + 1).min(nrows - 1) * cols + j];
+                let left = blk[i * cols + j.saturating_sub(1)];
+                let right = blk[i * cols + (j + 1).min(cols - 1)];
+                blk[i * cols + j] = 0.25 * (up + down + left + right);
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_equals_textbook_bit_for_bit() {
+        // Every leftover row count after 0, 1 and 2 groups, the narrow path
+        // and the first wavefront width, and whole blocks of the benchmark.
+        let mut shapes: Vec<(usize, usize)> = Vec::new();
+        for nrows in 1..=9 {
+            shapes.extend((1..=7).map(|cols| (nrows, cols)));
+        }
+        shapes.extend([(64, 768), (65, 768)]);
+        let p = GaussParams::bench();
+        for (nrows, cols) in shapes {
+            let p = GaussParams { cols, ..p.clone() };
+            let mut fast = p.init_rows(0, nrows);
+            let mut textbook = fast.clone();
+            for _ in 0..3 {
+                sweep_block(&mut fast, nrows, cols);
+                textbook_sweep(&mut textbook, nrows, cols);
+            }
+            let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fast), bits(&textbook), "{nrows}x{cols}");
+        }
+    }
+
     #[test]
     fn sweep_is_contracting() {
         // Values stay within the initial range (averaging).
@@ -254,6 +363,26 @@ mod tests {
             sweep_block(&mut blk, p.rows, p.cols);
         }
         assert!(blk.iter().all(|v| v.is_finite() && (0.0..=1.0).contains(v)));
+    }
+
+    #[test]
+    fn reference_known_answers() {
+        // Recorded from the row-by-row sweep: every cell's check shares
+        // `sweep_block` with this oracle, so a kernel change that moved both
+        // would pass them all.
+        let quick = GaussParams::quick();
+        let paper16 = GaussParams {
+            iters: 12,
+            ..GaussParams::bench()
+        };
+        let cases = [
+            (&quick, 1, 0x406e_77d3_2b30_9fa1),
+            (&quick, 4, 0x406e_771b_0a63_d54c),
+            (&paper16, 16, 0x4108_099f_4ae1_89b8),
+        ];
+        for (p, np, known) in cases {
+            assert_eq!(gauss_reference(p, np).to_bits(), known, "{p:?} np={np}");
+        }
     }
 
     #[test]

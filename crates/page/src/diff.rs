@@ -98,7 +98,8 @@ impl Diff {
     ///
     /// Hierarchical scan: clean 256-byte superblocks are dismissed with one
     /// `memcmp`-class slice compare, dirty superblocks are scanned 16 bytes
-    /// at a time (one `u128` compare per chunk), and only dirty chunks fall
+    /// at a time (one `u128` compare per chunk), a stretch of fully-modified
+    /// chunks is copied in one piece, and only partly modified chunks fall
     /// back to word granularity. Runs remain maximal across every boundary
     /// because the encoder extends a run whenever its end meets the next
     /// modified word. The encoding is built on the stack, then allocated
@@ -121,7 +122,8 @@ impl Diff {
 
     fn create_into(twin: &PageBuf, current: &PageBuf, out: &mut [u32]) -> Diff {
         let mut enc = Encoder::new(out);
-        const SUPER_CHUNKS: usize = SUPER_BYTES / (CHUNK_WORDS * WORD_SIZE);
+        const CHUNK_BYTES: usize = CHUNK_WORDS * WORD_SIZE;
+        const SUPER_CHUNKS: usize = SUPER_BYTES / CHUNK_BYTES;
         const QUARTER_SUPERS: usize = QUARTER_BYTES / SUPER_BYTES;
         for q in 0..PAGE_QUARTERS {
             if twin.quarter(q) == current.quarter(q) {
@@ -131,38 +133,41 @@ impl Diff {
                 if twin.superblock(s) == current.superblock(s) {
                     continue;
                 }
-                for c in s * SUPER_CHUNKS..(s + 1) * SUPER_CHUNKS {
-                    let t = twin.chunk128(c);
+                // Word `i` of a little-endian chunk occupies bits
+                // `32*i..32*i+32`; a nonzero XOR window marks a modified
+                // word.
+                let xor = |c: usize| twin.chunk128(c) ^ current.chunk128(c);
+                let full = |x: u128| (0..CHUNK_WORDS).all(|i| (x >> (32 * i)) as u32 != 0);
+                let end = (s + 1) * SUPER_CHUNKS;
+                let mut c = s * SUPER_CHUNKS;
+                while c < end {
+                    let x = xor(c);
+                    if x == 0 {
+                        c += 1;
+                        continue;
+                    }
+                    if full(x) {
+                        // A stretch of fully-dirty chunks (contiguous
+                        // writes, the dense and whole-page case) is copied
+                        // in one push; the chunk that ends it is examined
+                        // again.
+                        let first = c;
+                        c += 1;
+                        while c < end && full(xor(c)) {
+                            c += 1;
+                        }
+                        let bytes = &current[first * CHUNK_BYTES..c * CHUNK_BYTES];
+                        enc.push_le_bytes((first * CHUNK_WORDS) as u32, bytes);
+                        continue;
+                    }
                     let cu = current.chunk128(c);
-                    if t == cu {
-                        continue;
-                    }
-                    // Word `i` of a little-endian chunk occupies bits
-                    // `32*i..32*i+32`; a nonzero XOR window marks a
-                    // modified word. Fully-dirty chunks (contiguous
-                    // writes, the dense/full-page case) extend the open
-                    // run four words at a time without per-word branches.
-                    let x = t ^ cu;
                     let base = (c * CHUNK_WORDS) as u32;
-                    let words = [
-                        cu as u32,
-                        (cu >> 32) as u32,
-                        (cu >> 64) as u32,
-                        (cu >> 96) as u32,
-                    ];
-                    if (x as u32) != 0
-                        && ((x >> 32) as u32) != 0
-                        && ((x >> 64) as u32) != 0
-                        && ((x >> 96) as u32) != 0
-                    {
-                        enc.push(base, &words);
-                        continue;
-                    }
-                    for (i, v) in words.iter().enumerate() {
+                    for i in 0..CHUNK_WORDS {
                         if (x >> (32 * i)) as u32 != 0 {
-                            enc.push(base + i as u32, std::slice::from_ref(v));
+                            enc.push(base + i as u32, &[(cu >> (32 * i)) as u32]);
                         }
                     }
+                    c += 1;
                 }
             }
         }
@@ -292,14 +297,29 @@ impl<'a> Encoder<'a> {
     /// the previous push.
     #[inline]
     pub(crate) fn push(&mut self, off: u32, words: &[u32]) {
-        if words.is_empty() {
-            return;
+        if !words.is_empty() {
+            self.extend(off, words.len()).copy_from_slice(words);
         }
+    }
+
+    /// [`Encoder::push`] of the little-endian words in `bytes` (a whole
+    /// number of words, at least one).
+    #[inline]
+    fn push_le_bytes(&mut self, off: u32, bytes: &[u8]) {
+        let words = self.extend(off, bytes.len() / WORD_SIZE);
+        for (w, b) in words.iter_mut().zip(bytes.chunks_exact(WORD_SIZE)) {
+            *w = u32::from_le_bytes(b.try_into().expect("a whole word"));
+        }
+    }
+
+    /// Open a run at `off`, or extend the last one when it ends there, by
+    /// `n > 0` words, and return them for the caller to fill.
+    #[inline]
+    fn extend(&mut self, off: u32, n: usize) -> &mut [u32] {
         debug_assert!(
             self.runs == 0 || off >= self.end,
             "diff runs pushed out of order"
         );
-        let n = words.len();
         if off == self.end {
             self.out[self.header] += (n as u32) << LEN_SHIFT;
         } else {
@@ -308,9 +328,10 @@ impl<'a> Encoder<'a> {
             self.len += 1;
             self.runs += 1;
         }
-        self.out[self.len..self.len + n].copy_from_slice(words);
+        let words = &mut self.out[self.len..self.len + n];
         self.len += n;
         self.end = off + n as u32;
+        words
     }
 
     /// The finished diff: one exact-size allocation, none when empty.

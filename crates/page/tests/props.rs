@@ -288,8 +288,21 @@ fn assert_matches(d: &Diff, reference: &RunList, what: &str) {
     );
 }
 
+/// `page` with every word of each `[start, end)` stretch changed.
+fn write_stretches(page: &mut PageBuf, stretches: &[(usize, usize)]) {
+    for &(start, end) in stretches {
+        for w in start..end {
+            page.set_word(w, !page.word(w));
+        }
+    }
+}
+
 /// Page-boundary shapes: first and last word, the whole page, every other
-/// word (the most runs a page can hold), and no change at all.
+/// word (the most runs a page can hold), and no change at all; then
+/// stretches of modified words (16-byte chunks are words `4c..4c + 4`,
+/// 256-byte superblocks 64 words, 1 KiB quarters 256 words) that start or
+/// end inside a chunk, end at or cross a superblock or quarter boundary, or
+/// run on into the first words of a partly modified chunk.
 fn boundary_pages() -> Vec<Box<PageBuf>> {
     let last = PAGE_WORDS - 1;
     let mut full = PageBuf::zeroed();
@@ -300,7 +313,7 @@ fn boundary_pages() -> Vec<Box<PageBuf>> {
             alternate.set_word(w, 7);
         }
     }
-    vec![
+    let mut pages = vec![
         page_from(&[(0, 1)]),
         page_from(&[(last, 1)]),
         page_from(&[(0, 1), (last, 2)]),
@@ -308,24 +321,62 @@ fn boundary_pages() -> Vec<Box<PageBuf>> {
         full,
         alternate,
         PageBuf::zeroed(),
-    ]
+    ];
+    let stretches: [&[(usize, usize)]; 12] = [
+        &[(2, 14)],
+        &[(5, 64)],
+        &[(8, 23)],
+        &[(48, 64)],
+        &[(240, 256)],
+        &[(56, 72)],
+        &[(250, 262)],
+        &[(244, 272)],
+        &[(0, PAGE_WORDS - 3)],
+        &[(8, 17)],
+        &[(8, 18), (19, 20)],
+        &[(60, 64), (65, 66), (128, 200), (255, 513)],
+    ];
+    for s in stretches {
+        let mut page = PageBuf::zeroed();
+        write_stretches(&mut page, s);
+        pages.push(page);
+    }
+    pages
 }
 
-/// `Diff::create` equals the word-by-word reference run for run, in its
-/// run list and in its O(1) sizes, on random and page-boundary pages.
+/// `Diff::create` and `Diff::create_with_scratch` (one scratch, reused
+/// across every case) equal the word-by-word reference run for run, in
+/// their run lists and in their O(1) sizes, on page-boundary pages, random
+/// sparse pages and random stretches of modified words.
 #[test]
 fn diff_create_matches_scalar_run_list() {
+    let mut scratch = Vec::new();
+    let mut check = |twin: &PageBuf, cur: &PageBuf, what: &str| {
+        let reference = scalar_runs(twin, cur);
+        assert_matches(&Diff::create(twin, cur), &reference, what);
+        let d = Diff::create_with_scratch(twin, cur, &mut scratch);
+        assert_matches(&d, &reference, &format!("{what}, scratch"));
+    };
     let zero = PageBuf::zeroed();
     for (i, cur) in boundary_pages().iter().enumerate() {
-        let d = Diff::create(&zero, cur);
-        assert_matches(&d, &scalar_runs(&zero, cur), &format!("boundary {i}"));
+        check(&zero, cur, &format!("boundary {i}"));
     }
     for seed in 0..CASES {
         let mut rng = Rng(seed);
         let twin = page_from(&rng.writes());
         let cur = page_from(&rng.writes());
-        let d = Diff::create(&twin, &cur);
-        assert_matches(&d, &scalar_runs(&twin, &cur), &format!("seed {seed}"));
+        check(&twin, &cur, &format!("seed {seed}"));
+        // Stretches, which may meet, overlap (changing a word back) or
+        // straddle any boundary, over a twin with scattered writes.
+        let stretches: Vec<(usize, usize)> = (0..rng.range(1, 5))
+            .map(|_| {
+                let start = rng.range(0, PAGE_WORDS);
+                (start, rng.range(start + 1, PAGE_WORDS + 1).min(start + 300))
+            })
+            .collect();
+        let mut cur = twin.clone();
+        write_stretches(&mut cur, &stretches);
+        check(&twin, &cur, &format!("seed {seed} stretches {stretches:?}"));
     }
 }
 

@@ -14,11 +14,12 @@
 # and quartiles, the change in the median and the number of pairs the change
 # won ("better" as BENCHMARK.json says). Quartiles are Python's
 # statistics.quantiles, the benchmark's own method. Exits 1 if any run is not
-# `"correct":true`.
+# `"correct":true`, or, naming its PID, if another vopp-hostbench is running
+# when a run is due to start.
 set -euo pipefail
 
 if [ $# -ne 5 ]; then
-  sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//' >&2
   exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -48,9 +49,15 @@ runs=$(mktemp)
 trap 'rm -f "$runs"' EXIT
 
 # One run of one side: prints its end-to-end metrics and appends
-# "side seed result-object" to $runs.
+# "side seed result-object" to $runs. A second benchmark run sharing the
+# CPU distorts both (the calibration spin slows far more than compute), so
+# the script stops if another vopp-hostbench is running.
 run() {
-  local side=$1 dir=$2 seed=$3 result
+  local side=$1 dir=$2 seed=$3 result other
+  if other=$(pgrep -x vopp-hostbench); then
+    echo "another vopp-hostbench is running (PID $(echo $other)); stopping" >&2
+    exit 1
+  fi
   result=$(cd "$dir" && "${pin[@]}" benchmark/target/release/vopp-hostbench \
     --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1)
   echo "$side $seed $result" >>"$runs"
