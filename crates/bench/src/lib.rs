@@ -20,7 +20,7 @@ pub mod table;
 pub mod tables;
 
 pub use hostprof::{alloc_totals, peak_rss_bytes, CountingAlloc};
-pub use metrics::MetricsSink;
+pub use metrics::{CellRecord, MetricsSink};
 pub use racecheck::{run_racecheck, RacecheckOutcome};
 pub use sweep::{
     cells_for, context_hash, dedup_cells, run_sweep, run_sweep_cached, CellSpec, DiskCache,

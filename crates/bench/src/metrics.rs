@@ -18,8 +18,10 @@ use std::path::Path;
 use std::sync::Mutex;
 
 use vopp_core::RunStats;
-use vopp_metrics::Histogram;
+use vopp_metrics::{CritPath, OpKind};
 use vopp_trace::json::{num, obj, str, Value};
+
+use crate::sweep::{CellSpec, CellVariant, ServePayload};
 
 /// Schema tag written into every artifact, bumped on breaking changes.
 pub const SCHEMA: &str = "vopp-bench-metrics/1";
@@ -48,60 +50,79 @@ pub const TIME_DRIFT_PCT: f64 = 2.0;
 /// Counters that must not drift at all between baseline and candidate.
 const EXACT_KEYS: [&str; 5] = ["msgs", "bytes", "barriers", "diff_requests", "rexmits"];
 
-/// One recorded table cell: a verified cluster run and where it came from.
+/// One finished table cell: the table that ran it, what ran, and what it
+/// measured. The tables render from these records and the sink writes its
+/// artifacts from them; a profiled run's critical path is `stats.crit`.
 #[derive(Debug, Clone)]
-pub struct Cell {
-    /// Table that produced the run (`table1` .. `table9`, `ext`).
-    pub table: String,
-    /// Application (`is`, `gauss`, `sor`, `nn`).
-    pub app: String,
-    /// Program variant (`trad`, `vopp`, `vopp_lb`, `mpi`).
-    pub variant: String,
-    /// Protocol label, lowercased (`lrc_d`, `vc_sd`, ...).
-    pub protocol: String,
-    /// Processor count.
-    pub nprocs: usize,
-    /// The run's statistics.
+pub struct CellRecord {
+    /// Table that ran the cell (`table1` .. `table9`, `ext`, `serve`,
+    /// `scaling`, `netgen`).
+    pub table: &'static str,
+    /// What ran.
+    pub spec: CellSpec,
+    /// The run's verified statistics.
     pub stats: RunStats,
-    /// Serving-workload extras (`BENCH_serve.json` cells only).
-    pub serve: Option<ServeCellMetrics>,
+    /// The serve results; `Some` exactly on serve cells.
+    pub serve: Option<ServePayload>,
 }
 
-/// The serving-specific fields of a recorded cell.
-#[derive(Debug, Clone)]
-pub struct ServeCellMetrics {
-    /// Per-request service latency, merged across all serving nodes.
-    pub latency: Histogram,
-    /// Requests served (the whole schedule, exactly once).
-    pub served: u64,
-    /// Final-store checksum, equal to the sequential reference.
-    pub checksum: u64,
-    /// Pages shed by crash windows and rebuilt from the home nodes.
-    pub recovered_pages: u64,
+/// How a cell is named in the artifacts, besides its table and `nprocs`.
+struct Labels {
+    /// The artifact (`BENCH_<app>.json`) the cell lands in.
+    app: &'static str,
+    variant: String,
+    /// Protocol label, lowercased (`lrc_d`, `vc_sd`, ...).
+    protocol: String,
+}
+
+/// The artifact labels of `r`. Paper tables label a cell by its
+/// application, variant and protocol, with the MPI variant as protocol
+/// `mpi`; a serve cell's variant carries its load and fault. `scaling` and
+/// `netgen` are artifacts of their own, whose variant carries the
+/// application (and generation) so cell keys stay unique within them.
+fn labels(r: &CellRecord) -> Labels {
+    let spec = &r.spec;
+    let (app, variant) = (spec.app.label(), spec.variant.label());
+    let protocol = spec.proto.label().to_lowercase();
+    let (app, variant, protocol) = match (spec.serve, spec.netgen) {
+        (Some(sc), _) => (app, format!("{variant}_{}", sc.label()), protocol),
+        _ if r.table == "scaling" => ("scaling", format!("{app}_{variant}"), protocol),
+        (_, Some(gen)) => (
+            "netgen",
+            format!("{app}_{variant}_{}", gen.label()),
+            protocol,
+        ),
+        // The MPI variant runs message passing, not a DSM protocol.
+        _ if spec.variant == CellVariant::Mpi => (app, variant.to_string(), "mpi".to_string()),
+        _ => (app, variant.to_string(), protocol),
+    };
+    Labels {
+        app,
+        variant,
+        protocol,
+    }
+}
+
+/// The five fields that name a cell in every artifact, in artifact order.
+fn name_fields(r: &CellRecord, l: &Labels) -> [(&'static str, Value); 5] {
+    [
+        ("table", str(r.table)),
+        ("app", str(l.app)),
+        ("variant", str(&l.variant)),
+        ("protocol", str(&l.protocol)),
+        ("nprocs", num(r.spec.np as u64)),
+    ]
 }
 
 fn cell_key(table: &str, variant: &str, protocol: &str, nprocs: usize) -> String {
     format!("{table}/{variant}/{protocol}/{nprocs}p")
 }
 
-/// Collects cells across a table-generation run and writes the
+/// Collects the records of a table-generation run and writes the
 /// `BENCH_<app>.json` artifacts. Shared behind `Arc` by [`crate::Scale`].
 #[derive(Debug, Default)]
 pub struct MetricsSink {
-    cells: Mutex<Vec<Cell>>,
-    crit_cells: Mutex<Vec<CritCell>>,
-    current_table: Mutex<String>,
-}
-
-/// One critical-path cell: the blame decomposition of a profiled run.
-#[derive(Debug, Clone)]
-struct CritCell {
-    table: String,
-    app: String,
-    variant: String,
-    protocol: String,
-    nprocs: usize,
-    crit: std::sync::Arc<vopp_metrics::CritPath>,
+    records: Mutex<Vec<CellRecord>>,
 }
 
 impl MetricsSink {
@@ -110,93 +131,14 @@ impl MetricsSink {
         MetricsSink::default()
     }
 
-    /// Label the table whose runs are recorded next.
-    pub fn begin_table(&self, name: &str) {
-        name.clone_into(&mut self.current_table.lock().expect("sink lock"));
-    }
-
-    /// Record one verified run under the current table label.
-    pub fn record(
-        &self,
-        app: &str,
-        variant: &str,
-        protocol: &str,
-        nprocs: usize,
-        stats: &RunStats,
-    ) {
-        let table = self.current_table.lock().expect("sink lock").clone();
-        self.record_crit(&table, app, variant, protocol, nprocs, stats);
-        self.cells.lock().expect("sink lock").push(Cell {
-            table,
-            app: app.to_string(),
-            variant: variant.to_string(),
-            protocol: protocol.to_string(),
-            nprocs,
-            stats: stats.clone(),
-            serve: None,
-        });
-    }
-
-    /// When the run carried a critical path, also record a critpath cell
-    /// (destined for `BENCH_critpath.json`). Zero cost when unprofiled.
-    fn record_crit(
-        &self,
-        table: &str,
-        app: &str,
-        variant: &str,
-        protocol: &str,
-        nprocs: usize,
-        stats: &RunStats,
-    ) {
-        if let Some(crit) = &stats.crit {
-            self.crit_cells.lock().expect("sink lock").push(CritCell {
-                table: table.to_string(),
-                app: app.to_string(),
-                variant: variant.to_string(),
-                protocol: protocol.to_string(),
-                nprocs,
-                crit: crit.clone(),
-            });
-        }
-    }
-
-    /// Record one verified serving run under the current table label. The
-    /// cell lands in `BENCH_serve.json` (schema [`SERVE_SCHEMA`]) with the
-    /// request-latency percentiles and convergence evidence attached; its
-    /// exact counters are gated like every other cell's.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_serve(
-        &self,
-        variant: &str,
-        protocol: &str,
-        nprocs: usize,
-        stats: &RunStats,
-        latency: &Histogram,
-        served: u64,
-        checksum: u64,
-        recovered_pages: u64,
-    ) {
-        let table = self.current_table.lock().expect("sink lock").clone();
-        self.record_crit(&table, "serve", variant, protocol, nprocs, stats);
-        self.cells.lock().expect("sink lock").push(Cell {
-            table,
-            app: "serve".to_string(),
-            variant: variant.to_string(),
-            protocol: protocol.to_string(),
-            nprocs,
-            stats: stats.clone(),
-            serve: Some(ServeCellMetrics {
-                latency: latency.clone(),
-                served,
-                checksum,
-                recovered_pages,
-            }),
-        });
+    /// Record one finished cell.
+    pub fn record(&self, record: &CellRecord) {
+        self.records.lock().expect("sink lock").push(record.clone());
     }
 
     /// Number of cells recorded so far.
     pub fn len(&self) -> usize {
-        self.cells.lock().expect("sink lock").len()
+        self.records.lock().expect("sink lock").len()
     }
 
     /// True when nothing has been recorded.
@@ -205,28 +147,27 @@ impl MetricsSink {
     }
 
     /// Group the recorded cells into one JSON document per application,
-    /// plus a `critpath` document when any run was profiled.
+    /// plus a `critpath` document of the profiled cells, in recording
+    /// order, when any run was profiled.
     pub fn to_documents(&self) -> BTreeMap<String, Value> {
-        let cells = self.cells.lock().expect("sink lock");
-        let mut by_app: BTreeMap<String, Vec<&Cell>> = BTreeMap::new();
-        for c in cells.iter() {
-            by_app.entry(c.app.clone()).or_default().push(c);
+        let records = self.records.lock().expect("sink lock");
+        let labelled: Vec<(&CellRecord, Labels)> = records.iter().map(|r| (r, labels(r))).collect();
+        let crit: Vec<Value> = labelled
+            .iter()
+            .filter_map(|(r, l)| Some(crit_cell_value(r, l, r.stats.crit.as_deref()?)))
+            .collect();
+        let mut docs = BTreeMap::new();
+        if !crit.is_empty() {
+            let doc = obj(vec![
+                ("schema", str(CRITPATH_SCHEMA)),
+                ("cells", Value::Arr(crit)),
+            ]);
+            docs.insert("critpath".to_string(), doc);
         }
-        let mut docs: BTreeMap<String, Value> = {
-            let crit = self.crit_cells.lock().expect("sink lock");
-            if crit.is_empty() {
-                BTreeMap::new()
-            } else {
-                let doc = obj(vec![
-                    ("schema", str(CRITPATH_SCHEMA)),
-                    (
-                        "cells",
-                        Value::Arr(crit.iter().map(crit_cell_value).collect()),
-                    ),
-                ]);
-                [("critpath".to_string(), doc)].into_iter().collect()
-            }
-        };
+        let mut by_app: BTreeMap<&str, Vec<&(&CellRecord, Labels)>> = BTreeMap::new();
+        for c in &labelled {
+            by_app.entry(c.1.app).or_default().push(c);
+        }
         docs.extend(by_app.into_iter().map(|(app, cells)| {
             // Speedup base: the application's single-processor run (the
             // speedup tables' sequential baseline). Cells recorded
@@ -234,24 +175,27 @@ impl MetricsSink {
             // across the whole app, not positionally.
             let base_ns = cells
                 .iter()
-                .find(|c| c.nprocs == 1)
-                .map(|c| c.stats.time.nanos());
+                .find(|(r, _)| r.spec.np == 1)
+                .map(|(r, _)| r.stats.time.nanos());
+            let schema = match app {
+                "serve" => SERVE_SCHEMA,
+                "netgen" => NETGEN_SCHEMA,
+                _ => SCHEMA,
+            };
             let doc = obj(vec![
-                (
-                    "schema",
-                    str(match app.as_str() {
-                        "serve" => SERVE_SCHEMA,
-                        "netgen" => NETGEN_SCHEMA,
-                        _ => SCHEMA,
-                    }),
-                ),
-                ("app", str(&app)),
+                ("schema", str(schema)),
+                ("app", str(app)),
                 (
                     "cells",
-                    Value::Arr(cells.iter().map(|c| cell_value(c, base_ns)).collect()),
+                    Value::Arr(
+                        cells
+                            .iter()
+                            .map(|(r, l)| cell_value(r, l, base_ns))
+                            .collect(),
+                    ),
                 ),
             ]);
-            (app, doc)
+            (app.to_string(), doc)
         }));
         docs
     }
@@ -270,67 +214,61 @@ impl MetricsSink {
     }
 }
 
-fn cell_value(c: &Cell, base_ns: Option<u64>) -> Value {
-    let s = &c.stats;
+fn cell_value(r: &CellRecord, l: &Labels, base_ns: Option<u64>) -> Value {
+    let s = &r.stats;
     let speedup = match base_ns {
         Some(base) if s.time.nanos() > 0 => Value::Num(base as f64 / s.time.nanos() as f64),
         _ => Value::Null,
     };
-    let mut fields = vec![
-        ("table", str(&c.table)),
-        ("app", str(&c.app)),
-        ("variant", str(&c.variant)),
-        ("protocol", str(&c.protocol)),
-        ("nprocs", num(c.nprocs as u64)),
-        // Exact integers: the gate's comparison surface.
-        ("time_ns", num(s.time.nanos())),
-        ("msgs", num(s.num_msgs())),
-        ("bytes", num(s.net.bytes)),
-        ("barriers", num(s.nodes.barriers)),
-        ("acquires", num(s.acquires())),
-        ("diff_requests", num(s.diff_requests())),
-        ("rexmits", num(s.rexmits())),
-        // Derived values for humans.
-        ("time_secs", Value::Num(s.time_secs())),
-        ("data_mb", Value::Num(s.data_mbytes())),
-        ("speedup", speedup),
-        ("breakdown", s.breakdown().to_value()),
-        (
-            "latency",
-            obj(vec![
-                ("acquire_rtt", s.acquire_latency().to_value()),
-                ("barrier_rtt", s.barrier_latency().to_value()),
-                ("diff_rtt", s.diff_latency().to_value()),
-                ("rpc_rtt", s.nodes.metrics.rpc_rtt.summary().to_value()),
-            ]),
-        ),
-    ];
-    if let Some(sm) = &c.serve {
+    let mut fields: Vec<_> = name_fields(r, l)
+        .into_iter()
+        .chain([
+            // Exact integers: the gate's comparison surface.
+            ("time_ns", num(s.time.nanos())),
+            ("msgs", num(s.num_msgs())),
+            ("bytes", num(s.net.bytes)),
+            ("barriers", num(s.nodes.barriers)),
+            ("acquires", num(s.acquires())),
+            ("diff_requests", num(s.diff_requests())),
+            ("rexmits", num(s.rexmits())),
+            // Derived values for humans.
+            ("time_secs", Value::Num(s.time_secs())),
+            ("data_mb", Value::Num(s.data_mbytes())),
+            ("speedup", speedup),
+            ("breakdown", s.breakdown().to_value()),
+            (
+                "latency",
+                obj(vec![
+                    ("acquire_rtt", s.acquire_latency().to_value()),
+                    ("barrier_rtt", s.barrier_latency().to_value()),
+                    ("diff_rtt", s.diff_latency().to_value()),
+                    ("rpc_rtt", s.nodes.metrics.rpc_rtt.summary().to_value()),
+                ]),
+            ),
+        ])
+        .collect();
+    if let Some(p) = &r.serve {
         // Serving extras: the open-loop request-latency summary (p50/p95/
         // p99/p99.9/max) plus the store's convergence evidence.
-        fields.push(("request_latency", sm.latency.to_value()));
-        fields.push(("request_latency_mean_ns", Value::Num(sm.latency.mean_ns())));
-        fields.push(("served", num(sm.served)));
-        fields.push(("checksum", str(&format!("{:016x}", sm.checksum))));
-        fields.push(("recovered_pages", num(sm.recovered_pages)));
+        fields.extend([
+            ("request_latency", p.latency.to_value()),
+            ("request_latency_mean_ns", Value::Num(p.latency.mean_ns())),
+            ("served", num(p.served)),
+            ("checksum", str(&format!("{:016x}", p.checksum))),
+            ("recovered_pages", num(p.recovered_pages)),
+        ]);
     }
     obj(fields)
 }
 
-fn crit_cell_value(c: &CritCell) -> Value {
-    let cp = c.crit.as_ref();
+fn crit_cell_value(r: &CellRecord, l: &Labels, cp: &CritPath) -> Value {
     let whatif = |removed_ns: u64| {
         obj(vec![
             ("removed_ns", num(removed_ns)),
             ("speedup_ceiling", Value::Num(cp.ceiling(removed_ns))),
         ])
     };
-    obj(vec![
-        ("table", str(&c.table)),
-        ("app", str(&c.app)),
-        ("variant", str(&c.variant)),
-        ("protocol", str(&c.protocol)),
-        ("nprocs", num(c.nprocs as u64)),
+    let fields = name_fields(r, l).into_iter().chain([
         // The gate's comparison surface: segment count exactly, the ns
         // decomposition within the makespan drift budget.
         ("cp_segments", num(cp.segs.len() as u64)),
@@ -340,22 +278,13 @@ fn crit_cell_value(c: &CritCell) -> Value {
         ("cpu_app_ns", num(cp.cpu_app_ns())),
         ("cpu_overhead_ns", num(cp.cpu_overhead_ns())),
         ("diff_cpu_ns", num(cp.diff_cpu_ns())),
-        ("idle_ns", num(cp.cpu_op_ns(vopp_metrics::OpKind::Idle))),
+        ("idle_ns", num(cp.cpu_op_ns(OpKind::Idle))),
         ("net_ns", num(cp.net_ns())),
         ("timeout_ns", num(cp.timeout_ns())),
-        (
-            "barrier_wait_ns",
-            num(cp.wait_ns(vopp_metrics::OpKind::Barrier)),
-        ),
-        (
-            "acquire_wait_ns",
-            num(cp.wait_ns(vopp_metrics::OpKind::Acquire)),
-        ),
-        ("data_wait_ns", num(cp.wait_ns(vopp_metrics::OpKind::Data))),
-        (
-            "flush_wait_ns",
-            num(cp.wait_ns(vopp_metrics::OpKind::Flush)),
-        ),
+        ("barrier_wait_ns", num(cp.wait_ns(OpKind::Barrier))),
+        ("acquire_wait_ns", num(cp.wait_ns(OpKind::Acquire))),
+        ("data_wait_ns", num(cp.wait_ns(OpKind::Data))),
+        ("flush_wait_ns", num(cp.wait_ns(OpKind::Flush))),
         (
             "whatif",
             obj(vec![
@@ -364,7 +293,8 @@ fn crit_cell_value(c: &CritCell) -> Value {
                 ("barrier_free", whatif(cp.whatif_barrier_free_ns())),
             ]),
         ),
-    ])
+    ]);
+    obj(fields.collect())
 }
 
 /// Compare one candidate document against its baseline; returns one message
@@ -579,8 +509,13 @@ pub fn compare_dirs(baseline_dir: &Path, candidate_dir: &Path) -> (usize, Vec<St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vopp_core::{NodeStats, RunStats};
+    use crate::sweep::{CellApp, ServeCell, ServeFault, ServeLoad};
+    use vopp_core::{NodeStats, Protocol, RunStats};
     use vopp_sim::SimTime;
+    use vopp_simnet::NetGen;
+    use CellApp::{Gauss, Is, Nn, Serve, Sor};
+    use CellVariant::{Mpi, Traditional, Vopp};
+    use Protocol::{Hlrc, LrcD, VcD, VcRdma, VcSd};
 
     fn stats(time_ns: u64, msgs: u64, diff_requests: u64) -> RunStats {
         RunStats {
@@ -600,21 +535,58 @@ mod tests {
         }
     }
 
-    fn sink_with(cells: &[(&str, &str, &str, &str, usize, RunStats)]) -> MetricsSink {
+    /// The record of a batch cell of `table`.
+    fn rec(
+        table: &'static str,
+        app: CellApp,
+        variant: CellVariant,
+        proto: Protocol,
+        np: usize,
+        stats: RunStats,
+    ) -> CellRecord {
+        let spec = CellSpec {
+            app,
+            variant,
+            proto,
+            np,
+            serve: None,
+            netgen: None,
+        };
+        CellRecord {
+            table,
+            spec,
+            stats,
+            serve: None,
+        }
+    }
+
+    /// `r` as a netgen cell on generation `gen`.
+    fn on(gen: NetGen, mut r: CellRecord) -> CellRecord {
+        r.spec.netgen = Some(gen);
+        r
+    }
+
+    fn sink_with(records: Vec<CellRecord>) -> MetricsSink {
         let sink = MetricsSink::new();
-        for (table, app, variant, proto, np, s) in cells {
-            sink.begin_table(table);
-            sink.record(app, variant, proto, *np, s);
+        for r in &records {
+            sink.record(r);
         }
         sink
     }
 
+    /// The five naming fields of a cell, in artifact order.
+    fn name_of(c: &Value) -> (String, String, String, String, u64) {
+        let s = |k| c.get(k).and_then(Value::as_str).unwrap().to_string();
+        let np = c.get("nprocs").and_then(Value::as_u64).unwrap();
+        (s("table"), s("app"), s("variant"), s("protocol"), np)
+    }
+
     #[test]
     fn documents_group_by_app_and_compute_speedup() {
-        let sink = sink_with(&[
-            ("table3", "is", "trad", "lrc_d", 1, stats(4_000_000, 10, 0)),
-            ("table3", "is", "trad", "lrc_d", 2, stats(2_000_000, 30, 5)),
-            ("table6", "sor", "vopp", "vc_sd", 4, stats(1_000_000, 40, 0)),
+        let sink = sink_with(vec![
+            rec("table3", Is, Traditional, LrcD, 1, stats(4_000_000, 10, 0)),
+            rec("table3", Is, Traditional, LrcD, 2, stats(2_000_000, 30, 5)),
+            rec("table6", Sor, Vopp, VcSd, 4, stats(1_000_000, 40, 0)),
         ]);
         let docs = sink.to_documents();
         assert_eq!(
@@ -639,47 +611,25 @@ mod tests {
 
     #[test]
     fn netgen_cells_carry_their_own_schema_and_gate_exactly() {
-        let sink = sink_with(&[
-            (
-                "netgen",
-                "netgen",
-                "is_vopp_rdma",
-                "vc_rdma",
-                4,
-                stats(500_000, 20, 0),
-            ),
-            (
-                "netgen",
-                "netgen",
-                "is_vopp_eth100m",
-                "vc_sd",
-                4,
-                stats(4_000_000, 20, 0),
-            ),
-        ]);
+        let netgen = |msgs| {
+            sink_with(vec![
+                on(
+                    NetGen::Rdma,
+                    rec("netgen", Is, Vopp, VcRdma, 4, stats(500_000, msgs, 0)),
+                ),
+                on(
+                    NetGen::Eth100m,
+                    rec("netgen", Is, Vopp, VcSd, 4, stats(4_000_000, 20, 0)),
+                ),
+            ])
+        };
+        let sink = netgen(20);
         let doc = &sink.to_documents()["netgen"];
         assert_eq!(doc.get("schema").unwrap().as_str(), Some(NETGEN_SCHEMA));
         assert_eq!(compare("netgen", doc, doc), Vec::<String>::new());
         // The generation lives in the variant label, so the same
         // app/protocol/np under another generation is a distinct gated cell.
-        let drifted = sink_with(&[
-            (
-                "netgen",
-                "netgen",
-                "is_vopp_rdma",
-                "vc_rdma",
-                4,
-                stats(500_000, 21, 0),
-            ),
-            (
-                "netgen",
-                "netgen",
-                "is_vopp_eth100m",
-                "vc_sd",
-                4,
-                stats(4_000_000, 20, 0),
-            ),
-        ]);
+        let drifted = netgen(21);
         // The fixture derives bytes from msgs, so one msgs bump drifts both
         // exact counters — and only in the rdma cell.
         let errs = compare("netgen", doc, &drifted.to_documents()["netgen"]);
@@ -689,22 +639,50 @@ mod tests {
 
     #[test]
     fn identical_documents_pass_the_gate() {
-        let sink = sink_with(&[("table1", "is", "trad", "lrc_d", 4, stats(1_000_000, 50, 3))]);
+        let sink = sink_with(vec![rec(
+            "table1",
+            Is,
+            Traditional,
+            LrcD,
+            4,
+            stats(1_000_000, 50, 3),
+        )]);
         let doc = &sink.to_documents()["is"];
         assert_eq!(compare("is", doc, doc), Vec::<String>::new());
     }
 
     #[test]
     fn gate_fails_on_time_drift_and_count_drift() {
-        let base = sink_with(&[("table1", "is", "trad", "lrc_d", 4, stats(1_000_000, 50, 3))]);
+        let base = sink_with(vec![rec(
+            "table1",
+            Is,
+            Traditional,
+            LrcD,
+            4,
+            stats(1_000_000, 50, 3),
+        )]);
         let base_doc = &base.to_documents()["is"];
 
         // 1% time drift passes; counts identical.
-        let near = sink_with(&[("table1", "is", "trad", "lrc_d", 4, stats(1_010_000, 50, 3))]);
+        let near = sink_with(vec![rec(
+            "table1",
+            Is,
+            Traditional,
+            LrcD,
+            4,
+            stats(1_010_000, 50, 3),
+        )]);
         assert!(compare("is", base_doc, &near.to_documents()["is"]).is_empty());
 
         // 5% time drift fails.
-        let slow = sink_with(&[("table1", "is", "trad", "lrc_d", 4, stats(1_050_000, 50, 3))]);
+        let slow = sink_with(vec![rec(
+            "table1",
+            Is,
+            Traditional,
+            LrcD,
+            4,
+            stats(1_050_000, 50, 3),
+        )]);
         let errs = compare("is", base_doc, &slow.to_documents()["is"]);
         assert!(
             errs.iter().any(|e| e.contains("time_ns drifted")),
@@ -712,12 +690,26 @@ mod tests {
         );
 
         // Any message-count drift fails even with identical time.
-        let chatty = sink_with(&[("table1", "is", "trad", "lrc_d", 4, stats(1_000_000, 51, 3))]);
+        let chatty = sink_with(vec![rec(
+            "table1",
+            Is,
+            Traditional,
+            LrcD,
+            4,
+            stats(1_000_000, 51, 3),
+        )]);
         let errs = compare("is", base_doc, &chatty.to_documents()["is"]);
         assert!(errs.iter().any(|e| e.contains("msgs changed")), "{errs:?}");
 
         // A vanished cell fails.
-        let empty = sink_with(&[("table9", "is", "mpi", "vc_sd", 2, stats(1_000_000, 5, 0))]);
+        let empty = sink_with(vec![rec(
+            "table9",
+            Is,
+            Vopp,
+            VcSd,
+            2,
+            stats(1_000_000, 5, 0),
+        )]);
         let errs = compare("is", base_doc, &empty.to_documents()["is"]);
         assert!(
             errs.iter().any(|e| e.contains("missing from candidate")),
@@ -762,16 +754,80 @@ mod tests {
 
     #[test]
     fn profiled_runs_produce_a_critpath_document() {
-        let sink = MetricsSink::new();
-        sink.begin_table("table3");
-        sink.record("is", "vopp", "vc_sd", 4, &crit_stats(1_000_000, 250_000));
-        sink.record("is", "trad", "lrc_d", 4, &stats(900_000, 10, 0)); // unprofiled
+        // Profiled and unprofiled records interleaved across every labelling
+        // rule: a paper table, a serve cell, netgen, scaling and MPI.
+        let mut serve = rec(
+            "serve",
+            Serve,
+            Vopp,
+            VcSd,
+            4,
+            crit_stats(2_000_000, 500_000),
+        );
+        serve.spec.serve = Some(ServeCell {
+            load: ServeLoad::Base,
+            fault: ServeFault::Crash,
+        });
+        serve.serve = Some(ServePayload {
+            latency: Default::default(),
+            checksum: 0xfeed,
+            get_digest: 0,
+            served: 9,
+            recovered_pages: 2,
+        });
+        let sink = sink_with(vec![
+            rec("table3", Is, Vopp, VcSd, 4, crit_stats(1_000_000, 250_000)),
+            rec("table3", Is, Traditional, LrcD, 4, stats(900_000, 10, 0)),
+            serve,
+            on(
+                NetGen::Eth10g,
+                rec("netgen", Sor, Vopp, VcSd, 4, stats(700_000, 10, 0)),
+            ),
+            on(
+                NetGen::Rdma,
+                rec("netgen", Is, Vopp, VcRdma, 4, crit_stats(500_000, 100_000)),
+            ),
+            rec("table9", Nn, Mpi, VcSd, 2, stats(800_000, 10, 0)),
+            rec(
+                "scaling",
+                Gauss,
+                Traditional,
+                Hlrc,
+                64,
+                crit_stats(3_000_000, 0),
+            ),
+            rec("table9", Nn, Mpi, VcSd, 4, crit_stats(600_000, 200_000)),
+        ]);
         let docs = sink.to_documents();
-        assert_eq!(docs.keys().collect::<Vec<_>>(), ["critpath", "is"]);
+        assert_eq!(
+            docs.keys().collect::<Vec<_>>(),
+            ["critpath", "is", "netgen", "nn", "scaling", "serve"]
+        );
         let doc = &docs["critpath"];
         assert_eq!(doc.get("schema").unwrap().as_str(), Some(CRITPATH_SCHEMA));
         let cells = doc.get("cells").unwrap().as_arr().unwrap();
-        assert_eq!(cells.len(), 1, "only the profiled run gets a cell");
+        // Exactly the profiled records, in recording order.
+        let name =
+            |t: &str, a: &str, v: &str, p: &str, np| (t.into(), a.into(), v.into(), p.into(), np);
+        assert_eq!(
+            cells.iter().map(name_of).collect::<Vec<_>>(),
+            [
+                name("table3", "is", "vopp", "vc_sd", 4),
+                name("serve", "serve", "vopp_base_crash", "vc_sd", 4),
+                name("netgen", "netgen", "is_vopp_rdma", "vc_rdma", 4),
+                name("scaling", "scaling", "gauss_trad", "hlrc_d", 64),
+                name("table9", "nn", "mpi", "mpi", 4),
+            ]
+        );
+        // Each names exactly one cell of its app document: its twin, which
+        // measured the same run.
+        for c in cells {
+            let name = name_of(c);
+            let app_cells = docs[&name.1].get("cells").unwrap().as_arr().unwrap();
+            let twins: Vec<&Value> = app_cells.iter().filter(|t| name_of(t) == name).collect();
+            assert_eq!(twins.len(), 1, "{name:?}");
+            assert_eq!(twins[0].get("time_ns"), c.get("makespan_ns"), "{name:?}");
+        }
         let c = &cells[0];
         assert_eq!(c.get("makespan_ns").unwrap().as_u64(), Some(1_000_000));
         assert_eq!(c.get("cpu_ns").unwrap().as_u64(), Some(750_000));
@@ -788,9 +844,14 @@ mod tests {
     #[test]
     fn critpath_gate_budgets_drift_against_the_makespan() {
         let doc_of = |makespan, net| {
-            let sink = MetricsSink::new();
-            sink.begin_table("table3");
-            sink.record("is", "vopp", "vc_sd", 4, &crit_stats(makespan, net));
+            let sink = sink_with(vec![rec(
+                "table3",
+                Is,
+                Vopp,
+                VcSd,
+                4,
+                crit_stats(makespan, net),
+            )]);
             sink.to_documents().remove("critpath").unwrap()
         };
         let base = doc_of(1_000_000, 250_000);
@@ -809,9 +870,14 @@ mod tests {
         );
         // A vanished cell fails.
         let other = doc_of(2_000_000, 250_000);
-        let sink = MetricsSink::new();
-        sink.begin_table("table9");
-        sink.record("sor", "vopp", "vc_d", 2, &crit_stats(500_000, 100_000));
+        let sink = sink_with(vec![rec(
+            "table9",
+            Sor,
+            Vopp,
+            VcD,
+            2,
+            crit_stats(500_000, 100_000),
+        )]);
         let missing = sink.to_documents().remove("critpath").unwrap();
         let errs = compare("critpath", &other, &missing);
         assert!(
@@ -843,9 +909,9 @@ mod tests {
 
     #[test]
     fn corrupt_baseline_cells_are_reported_not_dropped() {
-        let sink = sink_with(&[
-            ("table1", "is", "trad", "lrc_d", 4, stats(1_000_000, 50, 3)),
-            ("table1", "is", "vopp", "vc_sd", 4, stats(900_000, 40, 0)),
+        let sink = sink_with(vec![
+            rec("table1", Is, Traditional, LrcD, 4, stats(1_000_000, 50, 3)),
+            rec("table1", Is, Vopp, VcSd, 4, stats(900_000, 40, 0)),
         ]);
         let doc = &sink.to_documents()["is"];
         assert_eq!(gate("is", doc, doc), (2, Vec::new()));
@@ -876,7 +942,14 @@ mod tests {
     fn a_truncated_baseline_file_is_a_violation() {
         let base = std::env::temp_dir().join(format!("vopp-metrics-trunc-{}", std::process::id()));
         let (a, b) = (base.join("a"), base.join("b"));
-        let sink = sink_with(&[("table1", "is", "trad", "lrc_d", 4, stats(1_000_000, 50, 3))]);
+        let sink = sink_with(vec![rec(
+            "table1",
+            Is,
+            Traditional,
+            LrcD,
+            4,
+            stats(1_000_000, 50, 3),
+        )]);
         sink.write_all(&a).unwrap();
         sink.write_all(&b).unwrap();
         let path = a.join("BENCH_is.json");
@@ -893,16 +966,9 @@ mod tests {
     fn compare_dirs_round_trips_written_artifacts() {
         let base = std::env::temp_dir().join(format!("vopp-metrics-cmp-{}", std::process::id()));
         let (a, b) = (base.join("a"), base.join("b"));
-        let sink = sink_with(&[
-            ("table1", "is", "trad", "lrc_d", 4, stats(1_000_000, 50, 3)),
-            (
-                "table4",
-                "gauss",
-                "vopp",
-                "vc_d",
-                4,
-                stats(2_000_000, 80, 7),
-            ),
+        let sink = sink_with(vec![
+            rec("table1", Is, Traditional, LrcD, 4, stats(1_000_000, 50, 3)),
+            rec("table4", Gauss, Vopp, VcD, 4, stats(2_000_000, 80, 7)),
         ]);
         sink.write_all(&a).unwrap();
         sink.write_all(&b).unwrap();

@@ -26,7 +26,7 @@ use vopp_serve::{build_schedule, run_serve, serve_reference, ServeParams, ServeV
 use vopp_sim::{SimDuration, SimTime};
 use vopp_trace::{check, report, write_chrome_json_to, CheckConfig, Tracer};
 
-use crate::metrics::MetricsSink;
+use crate::metrics::{CellRecord, MetricsSink};
 use crate::sweep::{
     cells_for, CellApp, CellSpec, CellVariant, RunCache, ServeCell, ServeFault, ServeLoad,
     ServePayload, OPT_IN, TABLES,
@@ -80,14 +80,6 @@ pub struct Scale {
     pub trace_evictions: Arc<Mutex<Vec<(String, u64)>>>,
 }
 
-/// One verified cell of a table: what ran and what it measured.
-struct Run {
-    spec: CellSpec,
-    stats: RunStats,
-    /// The serve results; `Some` exactly on serve cells.
-    serve: Option<ServePayload>,
-}
-
 /// Create `path` and stream a document into it through `write`; panics with
 /// the path on any I/O error, like every other artifact write of a run.
 fn write_file(path: &Path, write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>) {
@@ -137,10 +129,7 @@ impl Scale {
     }
 
     /// The verified runs of table `table`, in [`cells_for`] order.
-    fn runs(&self, table: &str) -> Vec<Run> {
-        if let Some(m) = &self.metrics {
-            m.begin_table(table);
-        }
+    fn runs(&self, table: &'static str) -> Vec<CellRecord> {
         cells_for(table, self)
             .iter()
             .map(|spec| self.run(table, spec))
@@ -150,11 +139,8 @@ impl Scale {
     /// One cell of `table`: the sweep's precomputed result when there is one
     /// (a serve entry without its payload, impossible outside a corrupted
     /// store, runs inline), else an inline [`execute_cell`]; then the metrics
-    /// record. Paper tables record under `(app, variant, protocol)` with the
-    /// MPI variant as protocol `mpi`; `scaling` and `netgen` record under
-    /// their own family, the variant label carrying the application (and
-    /// generation) so cell keys stay unique within the family.
-    fn run(&self, table: &str, spec: &CellSpec) -> Run {
+    /// record.
+    fn run(&self, table: &'static str, spec: &CellSpec) -> CellRecord {
         let (stats, serve) = match self
             .cache
             .as_ref()
@@ -164,42 +150,16 @@ impl Scale {
             Some(r) => (r.stats.clone(), r.serve.clone()),
             None => execute_cell(self, spec),
         };
-        if let Some(m) = &self.metrics {
-            let (app, variant) = (spec.app.label(), spec.variant.label());
-            let proto = spec.proto.label().to_lowercase();
-            match (spec.serve, &serve, spec.netgen) {
-                (Some(sc), Some(p), _) => m.record_serve(
-                    &format!("{variant}_{}", sc.label()),
-                    &proto,
-                    spec.np,
-                    &stats,
-                    &p.latency,
-                    p.served,
-                    p.checksum,
-                    p.recovered_pages,
-                ),
-                _ if table == "scaling" => {
-                    m.record(table, &format!("{app}_{variant}"), &proto, spec.np, &stats)
-                }
-                (_, _, Some(gen)) => m.record(
-                    "netgen",
-                    &format!("{app}_{variant}_{}", gen.label()),
-                    &proto,
-                    spec.np,
-                    &stats,
-                ),
-                // The MPI variant runs message passing, not a DSM protocol.
-                _ if spec.variant == CellVariant::Mpi => {
-                    m.record(app, variant, "mpi", spec.np, &stats)
-                }
-                _ => m.record(app, variant, &proto, spec.np, &stats),
-            }
-        }
-        Run {
+        let record = CellRecord {
+            table,
             spec: *spec,
             stats,
             serve,
+        };
+        if let Some(m) = &self.metrics {
+            m.record(&record);
         }
+        record
     }
 
     /// Install a fresh tracer on `config` when tracing is requested.
@@ -369,19 +329,13 @@ const SCALING_MIN_PROCS: usize = 64;
 ///   the invariant.
 /// * Both VC protocols scope consistency to views, so their barrier
 ///   releases must carry no write notices (paper §3.2).
-/// * All protocols run over the reliable transport whose retransmission
-///   timeout is derived from the network generation (the historical 1 s on
-///   the paper testbed), far above that network's round trip, so every
-///   retransmission outside a synchronization wait must be covered by a
-///   preceding datagram drop (queue overflow under bursts, or a background
-///   bit error); during barrier/lock/view waits the reply is legitimately
-///   deferred past the timeout.
+///
+/// The other invariants (`rexmit-covered` and `non-nested-acquires` among
+/// them) hold for every protocol and always run.
 pub fn check_config_for(proto: Protocol) -> CheckConfig {
     CheckConfig {
         expect_zero_diff_requests: matches!(proto, Protocol::VcSd | Protocol::VcRdma),
         expect_no_barrier_notices: proto.is_vc(),
-        check_rexmit_overflow: true,
-        check_non_nested: true,
     }
 }
 
@@ -523,7 +477,7 @@ pub(crate) fn execute_cell(scale: &Scale, spec: &CellSpec) -> (RunStats, Option<
 // -------------------------------------------------------------------
 
 /// The statistics of every run, for the row helpers.
-fn stats_of(runs: &[Run]) -> Vec<&RunStats> {
+fn stats_of(runs: &[CellRecord]) -> Vec<&RunStats> {
     runs.iter().map(|r| &r.stats).collect()
 }
 
@@ -646,7 +600,7 @@ fn critpath_rows(t: &mut Table, runs: &[&RunStats]) {
 
 /// A statistics table (1, 2, 4, 6, 8): one column per cell, headed by its
 /// protocol, on the stats processor count.
-fn stats_table(scale: &Scale, name: &str, title: &str, with_acquire_time: bool) -> Table {
+fn stats_table(scale: &Scale, name: &'static str, title: &str, with_acquire_time: bool) -> Table {
     let runs = scale.runs(name);
     let mut t = Table::new(
         format!("{title} on {} processors", scale.stats_procs()),
@@ -659,7 +613,7 @@ fn stats_table(scale: &Scale, name: &str, title: &str, with_acquire_time: bool) 
 /// A speedup table (3, 5, 7, 9): the traditional program on one processor
 /// as the base, then one row per `labels` entry, each a run of the
 /// speedup processor counts.
-fn speedup_table(scale: &Scale, name: &str, title: &str, labels: &[&str]) -> Table {
+fn speedup_table(scale: &Scale, name: &'static str, title: &str, labels: &[&str]) -> Table {
     let procs = scale.speedup_procs();
     let runs = scale.runs(name);
     let (base, rows) = runs.split_first().expect("a speedup table has a base cell");
@@ -798,7 +752,7 @@ pub fn table_serve(scale: &Scale) -> Table {
             .map(|(_, p)| *p)
             .expect("every protocol has a clean base cell")
     };
-    let cells = |f: &dyn Fn(&Run, &ServePayload) -> String| -> Vec<String> {
+    let cells = |f: &dyn Fn(&CellRecord, &ServePayload) -> String| -> Vec<String> {
         runs.iter().zip(&payloads).map(|(r, p)| f(r, p)).collect()
     };
     let usec = |ns: u64| Table::f(ns as f64 / 1000.0, 1);
@@ -855,7 +809,7 @@ pub fn table_scaling(scale: &Scale) -> Table {
     let runs = scale.runs("scaling");
     // One column per (app, nodes), holding one run per protocol with the
     // headline VOPP protocol last.
-    let columns: Vec<&[Run]> = runs
+    let columns: Vec<&[CellRecord]> = runs
         .chunk_by(|a, b| (a.spec.app, a.spec.np) == (b.spec.app, b.spec.np))
         .collect();
     let mut t = Table::new(
@@ -903,7 +857,7 @@ pub fn table_netgen(scale: &Scale) -> Table {
     let runs = scale.runs("netgen");
     // One block of rows per application; its runs are the columns,
     // generation-major.
-    let apps: Vec<&[Run]> = runs.chunk_by(|a, b| a.spec.app == b.spec.app).collect();
+    let apps: Vec<&[CellRecord]> = runs.chunk_by(|a, b| a.spec.app == b.spec.app).collect();
     let mut t = Table::new(
         format!("Netgen: network generations on {np} processors (LRC_d / VC_sd / VC_rdma)"),
         apps[0]

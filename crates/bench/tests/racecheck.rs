@@ -8,7 +8,8 @@ use std::sync::Arc;
 
 use vopp_apps::is::{run_is, IsParams, IsVariant};
 use vopp_apps::racy::{is_racy_expected, run_is_racy};
-use vopp_bench::MetricsSink;
+use vopp_bench::sweep::{CellApp, CellVariant};
+use vopp_bench::{CellRecord, CellSpec, MetricsSink};
 use vopp_core::{ClusterConfig, Protocol, RaceChecker, RunStats};
 use vopp_trace::{EventKind, Tracer};
 
@@ -34,9 +35,21 @@ fn full_racecheck_suite_is_green() {
     );
 }
 
-fn record_one(sink: &MetricsSink, stats: &RunStats) {
-    sink.begin_table("racecheck-identity");
-    sink.record("is_racy", "traditional", "LRC_d", 2, stats);
+fn record_one(sink: &MetricsSink, stats: RunStats) {
+    let spec = CellSpec {
+        app: CellApp::Is,
+        variant: CellVariant::Traditional,
+        proto: Protocol::LrcD,
+        np: 2,
+        serve: None,
+        netgen: None,
+    };
+    sink.record(&CellRecord {
+        table: "racecheck-identity",
+        spec,
+        stats,
+        serve: None,
+    });
 }
 
 #[test]
@@ -48,13 +61,13 @@ fn metrics_documents_are_byte_identical_with_checker_attached() {
     assert!(rc.count() > 0, "the seeded cell must actually fire");
 
     let (a, b) = (MetricsSink::new(), MetricsSink::new());
-    record_one(&a, &plain.stats);
-    record_one(&b, &with_rc.stats);
+    record_one(&a, plain.stats);
+    record_one(&b, with_rc.stats);
     let (da, db) = (a.to_documents(), b.to_documents());
     assert_eq!(
-        da["is_racy"].to_json_pretty(),
-        db["is_racy"].to_json_pretty(),
-        "BENCH_is_racy.json differs when a checker is attached"
+        da["is"].to_json_pretty(),
+        db["is"].to_json_pretty(),
+        "BENCH_is.json differs when a checker is attached"
     );
 }
 

@@ -31,6 +31,11 @@ use crate::msg::{Req, Resp};
 use crate::node::{AppState, NodeState, PageDiffs, PendingFetch};
 use crate::protocol::{Family, PageSource, Protocol};
 
+/// Retransmission timeout of a barrier arrival: longer than the transport's
+/// RPC timeout, because the manager legitimately defers the release until
+/// every node has arrived.
+pub const BARRIER_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+
 /// How an access through [`DsmCtx::bulk`] touches shared memory.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Access {
@@ -58,7 +63,6 @@ pub struct DsmCtx<'a> {
     pub(crate) layout: Arc<Layout>,
     pub(crate) protocol: Protocol,
     next_barrier: Cell<u32>,
-    barrier_timeout: SimDuration,
     pub(crate) auto_views: Cell<bool>,
     pub(crate) rc: Option<Arc<RaceChecker>>,
     /// Buffers the fault path reuses from fault to fault.
@@ -80,7 +84,6 @@ impl<'a> DsmCtx<'a> {
     pub(crate) fn new(
         sim: AppCtx<'a>,
         node: Arc<Mutex<NodeState>>,
-        barrier_timeout: SimDuration,
         rexmit_timeout: SimDuration,
         rc: Option<Arc<RaceChecker>>,
     ) -> DsmCtx<'a> {
@@ -102,7 +105,6 @@ impl<'a> DsmCtx<'a> {
             layout,
             protocol,
             next_barrier: Cell::new(0),
-            barrier_timeout,
             auto_views: Cell::new(false),
             rc,
             fault_scratch: RefCell::default(),
@@ -344,7 +346,7 @@ impl<'a> DsmCtx<'a> {
             records,
             vt,
         };
-        let (once, timeout) = (std::iter::once((0, req)), Some(self.barrier_timeout));
+        let (once, timeout) = (std::iter::once((0, req)), Some(BARRIER_TIMEOUT));
         let mut release = None;
         self.call_all(once, Phase::BarrierWait, 0, timeout, |r| release = Some(r));
         let Some(Resp::BarrierRelease {

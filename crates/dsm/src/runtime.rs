@@ -30,9 +30,6 @@ pub struct ClusterConfig {
     pub net: NetConfig,
     /// CPU cost model.
     pub cost: CostModel,
-    /// Retransmission timeout for barrier waits (longer than the default
-    /// RPC timeout: the reply is legitimately deferred until all arrive).
-    pub barrier_timeout: SimDuration,
     /// Structured event tracer shared by every layer of the run (kernel,
     /// network, protocol). `None` (the default) records nothing and adds
     /// no per-event work beyond a pointer test.
@@ -68,7 +65,6 @@ impl ClusterConfig {
             protocol,
             net: NetConfig::default(),
             cost: CostModel::default(),
-            barrier_timeout: SimDuration::from_secs(2),
             tracer: None,
             racecheck: None,
             faults: FaultPlan::none(),
@@ -141,14 +137,14 @@ where
             log.clone(),
         )
     };
-    let (barrier_timeout, rc) = (cfg.barrier_timeout, &cfg.racecheck);
+    let rc = &cfg.racecheck;
     run_nodes(
         cfg,
         node,
         make_handler,
         |node| &node.stats,
         |ctx, node, rexmit| {
-            let dctx = DsmCtx::new(ctx, node.clone(), barrier_timeout, rexmit, rc.clone());
+            let dctx = DsmCtx::new(ctx, node.clone(), rexmit, rc.clone());
             let r = body(&dctx);
             dctx.finish();
             r

@@ -138,7 +138,6 @@ fn barriers_survive_heavy_loss() {
     let l = Layout::new();
     let mut cfg = ClusterConfig::new(5, Protocol::VcSd);
     cfg.faults = FaultPlan::none().with_loss(0.10, cfg.net.seed);
-    cfg.barrier_timeout = SimDuration::from_millis(500);
     let out = run_cluster(&cfg, l.freeze(), |ctx| {
         for _ in 0..30 {
             ctx.barrier();

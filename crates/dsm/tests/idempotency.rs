@@ -37,7 +37,7 @@ fn drive<R: Send>(
             Some(driver(&ctx))
         } else {
             // Node 0's app thread idles while its handler serves.
-            ctx.sleep(SimDuration::from_millis(50));
+            ctx.compute(SimDuration::from_millis(50));
             None
         }
     });

@@ -200,7 +200,7 @@ const TAG_REDUCE: u32 = 0xB002;
 /// Run an SPMD MPI program on the simulated cluster `cfg` describes, with
 /// the same wiring as the DSM's `run_cluster`: faults, tracer and profiler
 /// apply alike. A message-passing program has no shared memory, so
-/// `cfg.protocol`, `cfg.racecheck` and `cfg.barrier_timeout` are unused.
+/// `cfg.protocol` and `cfg.racecheck` are unused.
 pub fn run_mpi<R, F>(cfg: &ClusterConfig, body: F) -> ClusterOutcome<R>
 where
     R: Send,

@@ -122,11 +122,6 @@ impl<'a> AppCtx<'a> {
         self.shared.yield_and_wait(self.me, s);
     }
 
-    /// Alias of [`AppCtx::compute`] for idle waits.
-    pub fn sleep(&self, d: SimDuration) {
-        self.compute(d);
-    }
-
     /// Send a datagram. Non-blocking; delivery time and loss are decided by
     /// the network model. `wire_bytes` must include protocol headers. The
     /// payload is shared: sending the same `Arc` to many destinations (a

@@ -175,7 +175,7 @@ pub(crate) enum Phase {
     Startup,
     /// This process's thread is the one running.
     Running,
-    /// Blocked until its scheduled `Resume` event fires (compute/sleep, or
+    /// Blocked until its scheduled `Resume` event fires (a compute span, or
     /// a span it owed, possibly with a tag wait to start at its end).
     BlockedResume,
     /// Blocked in a receive, possibly with a timeout armed
@@ -273,7 +273,7 @@ impl ProcInfo {
 /// MPI) check their finer-grained phase breakdowns against these two totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProcTimes {
-    /// Time spent advancing through `compute`/`sleep` spans (CPU time).
+    /// Time spent advancing through `compute` spans (CPU time).
     pub compute_ns: u64,
     /// Time spent blocked in `recv` waiting for a packet or timeout.
     pub blocked_ns: u64,

@@ -636,7 +636,7 @@ mod tests {
             } else {
                 // Idle long enough for proc 0's retries to play out, then
                 // finish so only the panic (not a deadlock) can end the run.
-                ctx.sleep(SimDuration::from_secs(30));
+                ctx.compute(SimDuration::from_secs(30));
             }
         });
     }

@@ -38,35 +38,15 @@ use std::fmt;
 use crate::event::{EventKind, NodeId};
 use crate::tracer::Trace;
 
-/// Which optional invariants to enforce; structural invariants (1, 2, 7 and
-/// re-acquire checking) always run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The two protocol-specific invariants to enforce (4 and 5); every other
+/// invariant holds for all protocols and always runs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckConfig {
     /// Invariant 4: fail on any `DiffRequest` (true for VC_sd).
     pub expect_zero_diff_requests: bool,
     /// Invariant 5: fail on a `BarrierExit` carrying notices (true for
     /// VC_d / VC_sd).
     pub expect_no_barrier_notices: bool,
-    /// Invariant 6: fail on a retransmission not covered by a preceding
-    /// drop. Valid for standard table-run network configs (sub-millisecond
-    /// RTT, 1 s RPC timeout); disable for artificial high-latency setups
-    /// where timeouts fire without loss.
-    pub check_rexmit_overflow: bool,
-    /// Invariant 3's cross-view half: fail when a write view is acquired
-    /// while another write view is held. Disable for applications that
-    /// intentionally bracket views (none of the paper's four do).
-    pub check_non_nested: bool,
-}
-
-impl Default for CheckConfig {
-    fn default() -> Self {
-        CheckConfig {
-            expect_zero_diff_requests: false,
-            expect_no_barrier_notices: false,
-            check_rexmit_overflow: true,
-            check_non_nested: true,
-        }
-    }
 }
 
 /// One invariant breach, pointing at the offending event.
@@ -143,7 +123,7 @@ pub fn check(trace: &Trace, cfg: &CheckConfig) -> Vec<Violation> {
                         format!("node {n} re-acquires view {view} it already holds"),
                     );
                 }
-                if cfg.check_non_nested && *write {
+                if *write {
                     if let Some((other, _)) = h.iter().find(|(_, w)| *w) {
                         push(
                             "non-nested-acquires",
@@ -248,7 +228,7 @@ pub fn check(trace: &Trace, cfg: &CheckConfig) -> Vec<Violation> {
                     continue;
                 }
                 uncovered_rexmits += 1;
-                if cfg.check_rexmit_overflow && uncovered_rexmits > drops {
+                if uncovered_rexmits > drops {
                     push(
                         "rexmit-covered",
                         i,
@@ -393,11 +373,6 @@ mod tests {
             names(&check(&t, &CheckConfig::default())),
             ["non-nested-acquires"]
         );
-        let relaxed = CheckConfig {
-            check_non_nested: false,
-            ..CheckConfig::default()
-        };
-        assert!(check(&t, &relaxed).is_empty());
     }
 
     #[test]
