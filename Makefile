@@ -143,7 +143,7 @@ hostbench-test:
 # across all five protocol×style cells must report zero violations, the
 # seeded-racy variants their exact known-answer counts.
 racecheck:
-	cargo run -p vopp-bench --release --bin tables -- --racecheck
+	cargo test --release -p vopp-bench --test racecheck -- --nocapture
 
 clean:
 	cargo clean

@@ -58,14 +58,6 @@
 //! byte-identical. Like `--trace`, it disables `--cache` (a warm replay
 //! carries no causal log to walk).
 //!
-//! `--racecheck` additionally runs the dynamic-checker suite (see
-//! `docs/CORRECTNESS.md`): clean applications across all five
-//! protocol×style cells must report zero violations, and the seeded-racy
-//! variants must report their exact known-answer counts. Exits nonzero on
-//! any mismatch. May be used alone (`tables --racecheck`) without
-//! generating tables. The flag attaches no checker to the table sweep,
-//! whose artifacts are those of a run without it.
-//!
 //! Anything else — a flag or a table name not listed above — is refused
 //! with the usage text and exit code 2.
 
@@ -82,7 +74,7 @@ use vopp_core::FaultPlan;
 use vopp_trace::json::Value;
 
 const USAGE: &str = "usage: tables [--quick] [--json] [--jobs N] [--trace DIR] \
-     [--metrics DIR] [--cache DIR] [--faults PLAN] [--critpath] [--racecheck] \
+     [--metrics DIR] [--cache DIR] [--faults PLAN] [--critpath] \
      (all | table1 .. table9 | ext | serve | scaling | netgen)*";
 
 /// The command line, checked: every flag is one the usage text lists and
@@ -92,7 +84,6 @@ struct Cli {
     quick: bool,
     json: bool,
     critpath: bool,
-    racecheck: bool,
     jobs: Option<usize>,
     trace_dir: Option<PathBuf>,
     metrics_dir: Option<PathBuf>,
@@ -120,7 +111,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             "--quick" => cli.quick = true,
             "--json" => cli.json = true,
             "--critpath" => cli.critpath = true,
-            "--racecheck" => cli.racecheck = true,
             "--jobs" => cli.jobs = Some(parse_jobs(operand("a positive integer")?)?),
             "--trace" => cli.trace_dir = Some(PathBuf::from(operand("a directory")?)),
             "--metrics" => cli.metrics_dir = Some(PathBuf::from(operand("a directory")?)),
@@ -136,7 +126,7 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             name => return Err(format!("unknown table {name:?}")),
         }
     }
-    if cli.wanted.is_empty() && !cli.racecheck {
+    if cli.wanted.is_empty() {
         return Err("no table named".to_string());
     }
     Ok(cli)
@@ -155,7 +145,6 @@ fn main() {
         quick,
         json,
         critpath,
-        racecheck,
         jobs,
         trace_dir,
         metrics_dir,
@@ -171,10 +160,6 @@ fn main() {
     if cache_dir.is_some() && critpath {
         eprintln!("[cache: disabled — --critpath requires simulating every cell]");
         cache_dir = None;
-    }
-    if wanted.is_empty() {
-        run_racecheck_suite();
-        return;
     }
     let sink = metrics_dir.as_ref().map(|_| Arc::new(MetricsSink::new()));
     let mut scale = Scale {
@@ -253,9 +238,6 @@ fn main() {
         eprintln!("[host: peak RSS {:.1} MiB]", rss as f64 / (1024.0 * 1024.0));
     }
     report_trace_evictions(&scale);
-    if racecheck {
-        run_racecheck_suite();
-    }
 }
 
 /// The closing line of a traced run: every cell whose trace ring wrapped
@@ -284,15 +266,4 @@ fn report_trace_evictions(scale: &Scale) {
         cells.len(),
         cells.join(", ")
     );
-}
-
-/// Run the dynamic-checker suite and exit nonzero on any count mismatch.
-fn run_racecheck_suite() {
-    let t0 = Instant::now();
-    let outcome = vopp_bench::run_racecheck();
-    print!("{}", outcome.render());
-    eprintln!("[racecheck suite in {:.1?}]", t0.elapsed());
-    if !outcome.ok() {
-        std::process::exit(1);
-    }
 }

@@ -1,5 +1,6 @@
-//! The `tables --racecheck` suite: dynamic correctness checking of the
-//! paper's application matrix (see `docs/CORRECTNESS.md`).
+//! The racecheck suite: dynamic correctness checking of the paper's
+//! application matrix (see `docs/CORRECTNESS.md`). `make racecheck` runs it
+//! through `tests/racecheck.rs`.
 //!
 //! Two kinds of cells are run, each with a [`RaceChecker`] attached to the
 //! cluster:
@@ -16,9 +17,8 @@
 //!
 //! The suite always runs the quick problem instances: checking validates
 //! correctness properties, which do not depend on problem scale. Checking
-//! is pure observation (it never advances virtual time), so the table
-//! sweep itself is never affected — `--racecheck` adds runs, it does not
-//! perturb existing artifacts.
+//! is pure observation (it never advances virtual time): a checked run's
+//! artifacts are those of the same run unchecked.
 
 use std::fmt::Write as _;
 use std::sync::Arc;

@@ -1,8 +1,9 @@
 //! Zero-cost guard for the dynamic checker: attaching a `RaceChecker` must
 //! never change any artifact — metrics documents and trace streams stay
 //! byte-identical whether a (silent) checker is attached or not, and a
-//! tracing run only gains events for actual violations. Plus a smoke test
-//! that the full `tables --racecheck` suite passes.
+//! tracing run only gains events for actual violations. Plus the full
+//! checker suite (`make racecheck` runs it alone, in release, and shows
+//! its per-cell report).
 
 use std::sync::Arc;
 
@@ -23,6 +24,7 @@ fn checked(np: usize, proto: Protocol) -> (ClusterConfig, Arc<RaceChecker>) {
 #[test]
 fn full_racecheck_suite_is_green() {
     let outcome = vopp_bench::run_racecheck();
+    print!("{}", outcome.render());
     assert_eq!(
         outcome.cells.len(),
         22,

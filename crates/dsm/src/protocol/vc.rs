@@ -526,7 +526,8 @@ impl DsmCtx<'_> {
     /// This is correct but naive: each unbracketed access pays a full
     /// acquire/release round trip, which is exactly why the paper argues
     /// for programmer-placed (or cleverly compiler-batched) primitives —
-    /// see the `ablation_auto_views` benchmark.
+    /// `crates/dsm/tests/auto_views.rs` asserts the extra acquires,
+    /// messages and virtual time.
     pub fn set_auto_views(&self, on: bool) {
         assert!(
             self.protocol.is_vc() || !on,

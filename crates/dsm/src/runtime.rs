@@ -177,11 +177,7 @@ where
     // timescale: the historical 1 s on the paper testbed, milliseconds on
     // modern generations.
     let rexmit_timeout = effective_net.rexmit_timeout;
-    let mut model = EthernetModel::new(n, effective_net);
-    if let Some(tr) = &cfg.tracer {
-        model.set_tracer(tr.clone());
-    }
-    let mut sim = Sim::new(n, Box::new(model));
+    let mut sim = Sim::new(n, Box::new(EthernetModel::new(n, effective_net)));
     if let Some(tr) = &cfg.tracer {
         sim.set_tracer(tr.clone());
     }

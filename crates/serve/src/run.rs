@@ -149,7 +149,7 @@ fn run_serve_vopp(cfg: &ClusterConfig, p: &ServeParams, undisciplined: bool) -> 
             if membership.server_for(rq.shard, epoch) != me {
                 continue;
             }
-            serve_one(ctx, &mut tally, rq, i, |ctx, tally| {
+            serve_one(ctx, &mut tally, rq, |ctx, tally| {
                 let sv = &shard_views[rq.shard];
                 if rq.write {
                     ctx.with_view(sv, |r| {
@@ -209,7 +209,7 @@ fn run_serve_traditional(cfg: &ClusterConfig, p: &ServeParams) -> ServeOutcome {
             if membership.server_for(rq.shard, epoch) != me {
                 continue;
             }
-            serve_one(ctx, &mut tally, rq, i, |ctx, tally| {
+            serve_one(ctx, &mut tally, rq, |ctx, tally| {
                 let lock = rq.shard as u32;
                 let slot = rq.shard * slots + rq.slot;
                 ctx.lock_acquire(lock);
@@ -247,10 +247,8 @@ fn serve_one(
     ctx: &DsmCtx<'_>,
     tally: &mut NodeTally,
     rq: &Request,
-    index: usize,
     op: impl FnOnce(&DsmCtx<'_>, &mut NodeTally),
 ) {
-    let _ = index;
     let arrival = SimTime(rq.arrival);
     ctx.idle_until(arrival);
     op(ctx, tally);

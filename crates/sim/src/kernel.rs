@@ -68,7 +68,7 @@ use std::thread::Thread;
 use vopp_trace::{CausalProfiler, CtxKind, EventKind, Tracer, NO_CTX};
 
 use crate::ctx::{shrink_if_drained, AppCtx, SvcCtx};
-use crate::net::{NetModel, RouteRequest};
+use crate::net::{Dropped, NetModel, RouteRequest};
 use crate::packet::{DeliveryClass, Packet};
 use crate::sync::{Mutex, MutexGuard};
 use crate::time::{SimDuration, SimTime};
@@ -439,26 +439,40 @@ impl Sched {
             pending_bytes_at_dst: self.pending_bytes[dst],
             reliable: one_sided,
         };
-        if let Some(at) = self.net.route(req) {
-            // One-sided writes land in preposted buffers, not the receive
-            // queue, so they add no overflow occupancy.
-            if !one_sided {
-                self.pending_bytes[dst] += pkt.wire_bytes;
+        let at = match self.net.route(req) {
+            Ok(at) => at,
+            Err(Dropped { overflow }) => {
+                if let Some(tr) = &self.tracer {
+                    tr.record(
+                        now.0,
+                        pkt.src,
+                        EventKind::NetDrop {
+                            dst,
+                            wire_bytes: pkt.wire_bytes as u64,
+                            overflow,
+                        },
+                    );
+                }
+                return;
             }
-            let slot = match self.free_slots.pop() {
-                Some(slot) => {
-                    self.in_flight[slot as usize] = Some(pkt);
-                    slot
-                }
-                None => {
-                    self.in_flight.push(Some(pkt));
-                    u32::try_from(self.in_flight.len() - 1)
-                        .expect("fewer than 2^32 packets in flight")
-                }
-            };
-            let dst = dst as u32;
-            self.push_event(at.max(now), Event::Deliver { dst, slot });
+        };
+        // One-sided writes land in preposted buffers, not the receive
+        // queue, so they add no overflow occupancy.
+        if !one_sided {
+            self.pending_bytes[dst] += pkt.wire_bytes;
         }
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.in_flight[slot as usize] = Some(pkt);
+                slot
+            }
+            None => {
+                self.in_flight.push(Some(pkt));
+                u32::try_from(self.in_flight.len() - 1).expect("fewer than 2^32 packets in flight")
+            }
+        };
+        let dst = dst as u32;
+        self.push_event(at.max(now), Event::Deliver { dst, slot });
     }
 }
 

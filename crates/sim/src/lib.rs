@@ -29,7 +29,7 @@ pub type ProcId = usize;
 
 pub use ctx::{AppCtx, SvcCtx};
 pub use kernel::{handoff_totals, run_simple, Handler, HandoffStats, ProcTimes, RunOutcome, Sim};
-pub use net::{NetModel, NetStats, PerfectNet, RouteRequest};
+pub use net::{Dropped, NetModel, NetStats, PerfectNet, RouteRequest};
 pub use packet::{DeliveryClass, Packet, Payload};
 pub use time::{SimDuration, SimTime};
 pub use vopp_trace::{

@@ -45,13 +45,23 @@ pub struct NetStats {
     pub one_sided: u64,
 }
 
+/// A datagram the network model lost ([`NetModel::route`]'s error). The
+/// kernel records it as a `NetDrop` event right after the send's `NetSend`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Dropped {
+    /// The receiver queue was past the overflow threshold: the
+    /// congestion-loss regime, as opposed to background bit error. Only the
+    /// model can tell the two apart.
+    pub overflow: bool,
+}
+
 /// Decides delivery time and loss for each datagram.
 ///
 /// Implementations must be deterministic given the same sequence of calls
 /// (use an internally seeded RNG for loss decisions).
 pub trait NetModel: Send {
-    /// Return the arrival time of the packet, or `None` if it is dropped.
-    fn route(&mut self, req: RouteRequest) -> Option<SimTime>;
+    /// Return the arrival time of the packet, or [`Dropped`] if it is lost.
+    fn route(&mut self, req: RouteRequest) -> Result<SimTime, Dropped>;
 
     /// The traffic counted so far (all zero unless the model counts).
     fn stats(&self) -> NetStats {
@@ -83,10 +93,10 @@ impl Default for PerfectNet {
 }
 
 impl NetModel for PerfectNet {
-    fn route(&mut self, req: RouteRequest) -> Option<SimTime> {
+    fn route(&mut self, req: RouteRequest) -> Result<SimTime, Dropped> {
         self.stats.msgs += 1;
         self.stats.bytes += req.wire_bytes as u64;
-        Some(req.now + self.latency)
+        Ok(req.now + self.latency)
     }
 
     fn stats(&self) -> NetStats {

@@ -5,8 +5,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use vopp_sim::{
-    run_simple, AppCtx, CausalProfiler, DeliveryClass, EventKind, HandoffStats, NetModel, NetStats,
-    PerfectNet, ProcTimes, RouteRequest, Sim, SimDuration, SimTime, Tracer,
+    run_simple, AppCtx, CausalProfiler, DeliveryClass, Dropped, EventKind, HandoffStats, NetModel,
+    NetStats, PerfectNet, ProcTimes, RouteRequest, Sim, SimDuration, SimTime, Tracer,
 };
 
 const LAT: SimDuration = SimDuration(50_000); // 50us
@@ -168,18 +168,18 @@ struct DropSecondReply {
 }
 
 impl NetModel for DropSecondReply {
-    fn route(&mut self, req: RouteRequest) -> Option<SimTime> {
+    fn route(&mut self, req: RouteRequest) -> Result<SimTime, Dropped> {
         self.sent += 1;
         if (req.src, req.dst, self.dropped) == (2, 0, false) {
             self.dropped = true;
-            return None;
+            return Err(Dropped { overflow: false });
         }
         let skew = if req.src == 0 {
             0
         } else {
             (5 - req.src as u64) * 10_000
         };
-        Some(req.now + LAT + SimDuration::from_nanos(skew))
+        Ok(req.now + LAT + SimDuration::from_nanos(skew))
     }
 
     fn stats(&self) -> NetStats {
@@ -205,6 +205,8 @@ fn a_burst_with_a_dropped_reply_retransmits_when_the_per_tag_loop_did() {
             Box::new(|svc, pkt| svc.send(pkt.src, 64, DeliveryClass::App, pkt.tag, Arc::new(()))),
         );
     }
+    let tracer = Arc::new(Tracer::new(1 << 10));
+    sim.set_tracer(tracer.clone());
     let out = sim.run(|ctx| {
         if ctx.me() != 0 {
             return (vec![], vec![], ctx.now());
@@ -235,6 +237,30 @@ fn a_burst_with_a_dropped_reply_retransmits_when_the_per_tag_loop_did() {
     assert_eq!(out.net.stats().msgs, 10);
     // Ten wake-ups in that loop; three are now finished by the kernel.
     assert_eq!((out.handoff.total(), out.handoff.absorbed), (7, 3));
+    // The kernel records the model's drop verdict right after the send.
+    let events = tracer.take().events;
+    let drop = events
+        .iter()
+        .position(|e| matches!(e.kind, EventKind::NetDrop { .. }))
+        .expect("the drop is traced");
+    let (send, drop) = (&events[drop - 1], &events[drop]);
+    assert_eq!((send.t, send.node), (drop.t, drop.node));
+    assert_eq!(
+        (&send.kind, &drop.kind),
+        (
+            &EventKind::NetSend {
+                dst: 0,
+                wire_bytes: 64,
+                tag: 1,
+                svc: false
+            },
+            &EventKind::NetDrop {
+                dst: 0,
+                wire_bytes: 64,
+                overflow: false
+            }
+        )
+    );
 }
 
 #[test]
@@ -665,14 +691,14 @@ struct JitterNet {
 }
 
 impl NetModel for JitterNet {
-    fn route(&mut self, req: RouteRequest) -> Option<SimTime> {
+    fn route(&mut self, req: RouteRequest) -> Result<SimTime, Dropped> {
         if req.src == req.dst {
-            return Some(req.now + SimDuration::from_micros(5));
+            return Ok(req.now + SimDuration::from_micros(5));
         }
         self.sent += 1;
         self.bytes += req.wire_bytes as u64;
         let jitter = (self.sent * 1_771 + req.pending_bytes_at_dst as u64 * 13) % 7_000;
-        Some(req.now + SimDuration::from_micros(50) + SimDuration::from_nanos(jitter))
+        Ok(req.now + SimDuration::from_micros(50) + SimDuration::from_nanos(jitter))
     }
 
     fn stats(&self) -> NetStats {

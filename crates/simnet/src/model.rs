@@ -23,9 +23,7 @@
 //! machinery entirely — no RNG draw, so protocols that never use them see an
 //! unchanged loss stream.
 
-use std::sync::Arc;
-
-use vopp_sim::{EventKind, NetModel, NetStats, RouteRequest, SimTime, Tracer};
+use vopp_sim::{Dropped, NetModel, NetStats, RouteRequest, SimTime};
 
 use crate::config::NetConfig;
 
@@ -57,7 +55,6 @@ pub struct EthernetModel {
     rx_free_ps: Vec<u64>,
     rng: SplitMix64,
     stats: NetStats,
-    tracer: Option<Arc<Tracer>>,
 }
 
 impl EthernetModel {
@@ -69,15 +66,7 @@ impl EthernetModel {
             tx_free_ps: vec![0; nprocs],
             rx_free_ps: vec![0; nprocs],
             stats: NetStats::default(),
-            tracer: None,
         }
-    }
-
-    /// Record drop events (with overflow classification — only the model
-    /// knows whether a loss was congestion or background bit error) into
-    /// `tracer`. Use the same tracer as the owning `Sim`.
-    pub fn set_tracer(&mut self, tracer: Arc<Tracer>) {
-        self.tracer = Some(tracer);
     }
 
     fn drop_probability(&self, pending_bytes_at_dst: usize) -> f64 {
@@ -88,10 +77,10 @@ impl EthernetModel {
 }
 
 impl NetModel for EthernetModel {
-    fn route(&mut self, req: RouteRequest) -> Option<SimTime> {
+    fn route(&mut self, req: RouteRequest) -> Result<SimTime, Dropped> {
         if req.src == req.dst {
             self.stats.loopback_msgs += 1;
-            return Some(req.now + self.cfg.loopback_latency);
+            return Ok(req.now + self.cfg.loopback_latency);
         }
         self.stats.msgs += 1;
         self.stats.bytes += req.wire_bytes as u64;
@@ -106,18 +95,9 @@ impl NetModel for EthernetModel {
             let p = self.drop_probability(req.pending_bytes_at_dst);
             if p > 0.0 && self.rng.next_f64() < p {
                 self.stats.drops += 1;
-                if let Some(tr) = &self.tracer {
-                    tr.record(
-                        req.now.nanos(),
-                        req.src,
-                        EventKind::NetDrop {
-                            dst: req.dst,
-                            wire_bytes: req.wire_bytes as u64,
-                            overflow: req.pending_bytes_at_dst > self.cfg.overflow_threshold_bytes,
-                        },
-                    );
-                }
-                return None;
+                return Err(Dropped {
+                    overflow: req.pending_bytes_at_dst > self.cfg.overflow_threshold_bytes,
+                });
             }
         }
         let now_ps = req.now.0 * 1000;
@@ -133,7 +113,7 @@ impl NetModel for EthernetModel {
         self.rx_free_ps[req.dst] = rx_end;
         // Round the delivery *up* to the ns event grid: `rx_end >= now_ps +
         // latency_ps`, so ceiling keeps `delivery >= now + latency`.
-        Some(SimTime(rx_end.div_ceil(1000)))
+        Ok(SimTime(rx_end.div_ceil(1000)))
     }
 
     fn stats(&self) -> NetStats {
@@ -212,8 +192,11 @@ mod tests {
             ..NetConfig::default()
         };
         let mut m = EthernetModel::new(2, cfg);
-        assert!(m.route(req(0, 0, 1, 100, 4096)).is_some());
-        assert!(m.route(req(0, 0, 1, 100, 8192)).is_none());
+        assert!(m.route(req(0, 0, 1, 100, 4096)).is_ok());
+        assert_eq!(
+            m.route(req(0, 0, 1, 100, 8192)),
+            Err(Dropped { overflow: true })
+        );
         assert_eq!(m.stats.drops, 1);
     }
 
@@ -226,7 +209,7 @@ mod tests {
         let mut m = EthernetModel::new(2, cfg);
         let mut drops = 0;
         for i in 0..100_000 {
-            if m.route(req(i, 0, 1, 100, 0)).is_none() {
+            if m.route(req(i, 0, 1, 100, 0)).is_err() {
                 drops += 1;
             }
         }
@@ -244,7 +227,7 @@ mod tests {
             };
             let mut m = EthernetModel::new(2, cfg);
             (0..1000)
-                .map(|i| m.route(req(i, 0, 1, 64, 0)).is_some())
+                .map(|i| m.route(req(i, 0, 1, 64, 0)).is_ok())
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(7), run(7));
@@ -276,7 +259,7 @@ mod tests {
             ..NetConfig::default()
         };
         let mut m = EthernetModel::new(2, cfg);
-        assert!(m.route(req(0, 0, 1, 500, 0)).is_none());
+        assert!(m.route(req(0, 0, 1, 500, 0)).is_err());
         // The datagram hit the wire before being lost.
         let s = m.stats;
         assert_eq!((s.msgs, s.bytes, s.drops), (1, 500, 1));
@@ -359,15 +342,15 @@ mod tests {
         let pattern_without = {
             let mut m = EthernetModel::new(2, cfg.clone());
             (0..200)
-                .map(|i| m.route(req(i, 0, 1, 64, 0)).is_some())
+                .map(|i| m.route(req(i, 0, 1, 64, 0)).is_ok())
                 .collect::<Vec<_>>()
         };
         let mut m = EthernetModel::new(2, cfg);
         for i in 0..50 {
-            assert!(m.route(one_sided(i, 0, 1, 4096)).is_some());
+            assert!(m.route(one_sided(i, 0, 1, 4096)).is_ok());
         }
         let pattern_with = (0..200)
-            .map(|i| m.route(req(i, 0, 1, 64, 0)).is_some())
+            .map(|i| m.route(req(i, 0, 1, 64, 0)).is_ok())
             .collect::<Vec<_>>();
         assert_eq!(pattern_without, pattern_with);
         let s = m.stats;
@@ -386,7 +369,7 @@ mod tests {
         };
         let mut m = EthernetModel::new(2, cfg);
         // A lossy datagram into a saturated receiver drops...
-        assert!(m.route(req(0, 0, 1, 100, 1 << 20)).is_none());
+        assert!(m.route(req(0, 0, 1, 100, 1 << 20)).is_err());
         // ...a one-sided write does not, and serializes on both links.
         let at = m
             .route(RouteRequest {

@@ -6,6 +6,11 @@
 //! alone. Each variant maps 1:1 to a JSON object via [`Event::write_json`] /
 //! [`Event::from_value`]; the conformance checker and the Perfetto exporter
 //! both consume the in-memory form.
+//!
+//! Every kind is declared once, in the `event_kinds!` table below: its
+//! variant, docs, JSON `"kind"` name and fields in JSON key order. The
+//! macro derives the enum, [`EventKind::name`], [`EventKind::NAMES`] and
+//! both directions of the JSON form from that one entry.
 
 use crate::json::{Sink, Value, Writer};
 
@@ -23,251 +28,321 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// Everything the runtime layers know how to record.
-///
-/// The taxonomy covers four layers (see `docs/OBSERVABILITY.md`):
-/// kernel scheduling, network, DSM protocol, and application spans.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EventKind {
-    // ── kernel layer ────────────────────────────────────────────────────
-    /// A simulated process began executing its body.
-    ProcStart,
-    /// A simulated process ran to completion.
-    ProcExit,
+/// Expands the kind table into the [`EventKind`] enum, its JSON names and
+/// the per-kind halves of [`Event::write_json`] and [`Event::from_value`].
+macro_rules! event_kinds {
+    (
+        $(#[$meta:meta])*
+        pub enum EventKind {
+            $(
+                $(#[$doc:meta])*
+                $variant:ident = $json:literal $({
+                    $($(#[$fdoc:meta])* $field:ident: $ty:ty),* $(,)?
+                })?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum EventKind {
+            $($(#[$doc])* $variant $({ $($(#[$fdoc])* $field: $ty),* })?,)*
+        }
 
-    // ── network layer ───────────────────────────────────────────────────
-    /// A datagram was handed to the network model by `node`.
-    NetSend {
-        /// Destination process.
-        dst: NodeId,
-        /// Bytes on the wire including headers.
-        wire_bytes: u64,
-        /// Demultiplexing tag.
-        tag: u64,
-        /// Service-class (handler-dispatched) rather than mailbox delivery.
-        svc: bool,
-    },
-    /// A datagram arrived at `node` (the destination).
-    NetRecv {
-        /// Originating process.
-        src: NodeId,
-        /// Bytes on the wire including headers.
-        wire_bytes: u64,
-        /// Demultiplexing tag.
-        tag: u64,
-    },
-    /// The network model dropped a datagram sent by `node`.
-    NetDrop {
-        /// Intended destination.
-        dst: NodeId,
-        /// Bytes that would have been on the wire.
-        wire_bytes: u64,
-        /// True when the receiver queue was past the overflow threshold —
-        /// the congestion-loss regime, as opposed to background bit error.
-        overflow: bool,
-    },
-    /// The reliable transport on `node` timed out and retransmitted a call.
-    Rexmit {
-        /// Callee the request is retried against.
-        dst: NodeId,
-        /// RPC tag of the retried call.
-        tag: u64,
-    },
+        impl EventKind {
+            /// The JSON `"kind"` name of every declared kind, in declaration
+            /// order.
+            pub const NAMES: &'static [&'static str] = &[$($json),*];
 
-    // ── DSM protocol layer ──────────────────────────────────────────────
-    /// `node` faulted on a shared page.
-    PageFault {
-        /// Page index within the shared region.
-        page: u64,
-        /// Write fault (twin created) vs read fault.
-        write: bool,
-    },
-    /// `node` asked `to` for diffs of a page (LRC/VC_d fault service).
-    DiffRequest {
-        /// Page index.
-        page: u64,
-        /// Node serving the diff.
-        to: NodeId,
-    },
-    /// `node` applied a diff (or whole page) to its copy.
-    DiffApply {
-        /// Page index.
-        page: u64,
-        /// Encoded diff size in bytes.
-        bytes: u64,
-    },
-    /// `node` applied an interval of write notices from `owner`.
-    ///
-    /// `scope` is 0 for the global LRC history and `view + 1` for per-view
-    /// VC histories; within one `(node, scope, owner)` series the interval
-    /// sequence numbers must advance monotonically — this is the
-    /// vector-time-causality invariant the checker enforces.
-    WriteNoticeApply {
-        /// Node whose writes the notices describe.
-        owner: NodeId,
-        /// Interval sequence number in the owner's history.
-        seq: u64,
-        /// History scope: 0 = global (LRC), otherwise view id + 1.
-        scope: u64,
-        /// Number of pages invalidated or updated.
-        pages: u64,
-    },
-    /// `node` started waiting for a view.
-    AcquireStart {
-        /// View id.
-        view: u64,
-        /// Write (exclusive) vs read acquisition.
-        write: bool,
-    },
-    /// `node` was granted the view and left the acquire call.
-    AcquireEnd {
-        /// View id.
-        view: u64,
-        /// Write vs read acquisition.
-        write: bool,
-        /// Version of the view carried by the grant.
-        version: u64,
-        /// Consistency payload bytes carried by the grant.
-        bytes: u64,
-    },
-    /// `node` released a view (release fully acknowledged).
-    ReleaseDone {
-        /// View id.
-        view: u64,
-        /// Write vs read release.
-        write: bool,
-    },
-    /// The view home on `node` sent a grant to a waiting requester.
-    ViewGrantSent {
-        /// View id.
-        view: u64,
-        /// Requester being granted.
-        to: NodeId,
-        /// View version carried.
-        version: u64,
-        /// Consistency payload bytes carried.
-        bytes: u64,
-    },
-    /// `node` entered a barrier and sent its arrival message.
-    BarrierEnter {
-        /// Barrier id.
-        id: u64,
-        /// Episode counter (how many times `node` has entered this barrier).
-        epoch: u64,
-    },
-    /// `node` left the barrier after the release arrived.
-    BarrierExit {
-        /// Barrier id.
-        id: u64,
-        /// Episode counter.
-        epoch: u64,
-        /// Write notices carried by the release message (must be 0 for VC).
-        notices: u64,
-    },
-    /// `node` started waiting for a lock.
-    LockAcquireStart {
-        /// Lock id.
-        lock: u64,
-    },
-    /// `node` obtained the lock.
-    LockAcquireEnd {
-        /// Lock id.
-        lock: u64,
-    },
-    /// `node` released the lock.
-    LockRelease {
-        /// Lock id.
-        lock: u64,
-    },
-    /// `node` crashed and restarted its DSM engine: volatile state (page
-    /// copies, pending invalidations, view versions) was lost; its durable
-    /// write-ahead log survived. Recovery is lazy via version-0 acquires.
-    NodeCrash {
-        /// Materialized page buffers lost in the crash.
-        pages: u64,
-    },
+            /// Stable machine name of the variant, used as the JSON `"kind"` field.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(EventKind::$variant { .. } => $json,)*
+                }
+            }
 
-    // ── correctness checking (vopp-racecheck) ───────────────────────────
-    /// The happens-before checker confirmed a data race: `node`'s access is
-    /// unordered with a conflicting access by `other`.
-    RaceDetected {
-        /// Page both accesses touch.
-        page: u64,
-        /// The other node of the unordered pair.
-        other: NodeId,
-        /// First byte of this node's access range (absolute address).
-        start: u64,
-        /// One past the last byte of the range.
-        end: u64,
-        /// Whether this node's access was a write.
-        write: bool,
-    },
-    /// The view-discipline checker flagged a VOPP access by `node`.
-    DisciplineViolation {
-        /// Broken rule (stable snake_case label from vopp-racecheck).
-        rule: String,
-        /// Page touched.
-        page: u64,
-        /// First byte of the access range (absolute address).
-        start: u64,
-        /// One past the last byte of the range.
-        end: u64,
-        /// Whether the access was a write.
-        write: bool,
-    },
+            /// Write the variant's own fields, in declaration order.
+            fn write_fields<S: Sink>(&self, w: &mut Writer<'_, S>) {
+                match self {
+                    $(EventKind::$variant $({ $($field),* })? => {
+                        $($(Field::write($field, w, stringify!($field));)*)?
+                    })*
+                }
+            }
 
-    // ── application layer ───────────────────────────────────────────────
-    /// The serving workload on `node` completed one request.
-    ServeRequest {
-        /// Shard the request addressed.
-        shard: u64,
-        /// PUT (write) vs GET (read).
-        write: bool,
-        /// Open-loop latency: completion minus scheduled arrival.
-        latency_ns: u64,
-    },
-    /// An application-level span opened (e.g. a `with_view` bracket).
-    SpanBegin {
-        /// Span label.
-        name: String,
-    },
-    /// The matching span closed.
-    SpanEnd {
-        /// Span label.
-        name: String,
-    },
+            /// Read the fields of the kind named `kind` from its JSON object.
+            fn read_fields(kind: &str, v: &Value) -> Result<EventKind, String> {
+                Ok(match kind {
+                    $($json => EventKind::$variant $({
+                        $($field: read_field(v, kind, stringify!($field))?),*
+                    })?,)*
+                    other => return Err(format!("unknown event kind '{other}'")),
+                })
+            }
+        }
+    };
 }
 
-impl EventKind {
-    /// Stable machine name of the variant, used as the JSON `"kind"` field.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::ProcStart => "proc_start",
-            EventKind::ProcExit => "proc_exit",
-            EventKind::NetSend { .. } => "net_send",
-            EventKind::NetRecv { .. } => "net_recv",
-            EventKind::NetDrop { .. } => "net_drop",
-            EventKind::Rexmit { .. } => "rexmit",
-            EventKind::PageFault { .. } => "page_fault",
-            EventKind::DiffRequest { .. } => "diff_request",
-            EventKind::DiffApply { .. } => "diff_apply",
-            EventKind::WriteNoticeApply { .. } => "write_notice_apply",
-            EventKind::AcquireStart { .. } => "acquire_start",
-            EventKind::AcquireEnd { .. } => "acquire_end",
-            EventKind::ReleaseDone { .. } => "release_done",
-            EventKind::ViewGrantSent { .. } => "view_grant_sent",
-            EventKind::BarrierEnter { .. } => "barrier_enter",
-            EventKind::BarrierExit { .. } => "barrier_exit",
-            EventKind::LockAcquireStart { .. } => "lock_acquire_start",
-            EventKind::LockAcquireEnd { .. } => "lock_acquire_end",
-            EventKind::LockRelease { .. } => "lock_release",
-            EventKind::NodeCrash { .. } => "node_crash",
-            EventKind::RaceDetected { .. } => "race_detected",
-            EventKind::DisciplineViolation { .. } => "discipline_violation",
-            EventKind::ServeRequest { .. } => "serve_request",
-            EventKind::SpanBegin { .. } => "span_begin",
-            EventKind::SpanEnd { .. } => "span_end",
-        }
+/// The JSON form of one field type.
+trait Field: Sized {
+    fn write<S: Sink>(&self, w: &mut Writer<'_, S>, key: &str);
+    fn read(v: &Value) -> Option<Self>;
+}
+
+impl Field for u64 {
+    fn write<S: Sink>(&self, w: &mut Writer<'_, S>, key: &str) {
+        w.field_u64(key, *self);
+    }
+    fn read(v: &Value) -> Option<u64> {
+        v.as_u64()
+    }
+}
+
+impl Field for NodeId {
+    fn write<S: Sink>(&self, w: &mut Writer<'_, S>, key: &str) {
+        w.field_u64(key, *self as u64);
+    }
+    fn read(v: &Value) -> Option<NodeId> {
+        v.as_usize()
+    }
+}
+
+impl Field for bool {
+    fn write<S: Sink>(&self, w: &mut Writer<'_, S>, key: &str) {
+        w.field_bool(key, *self);
+    }
+    fn read(v: &Value) -> Option<bool> {
+        v.as_bool()
+    }
+}
+
+impl Field for String {
+    fn write<S: Sink>(&self, w: &mut Writer<'_, S>, key: &str) {
+        w.field_str(key, self);
+    }
+    fn read(v: &Value) -> Option<String> {
+        v.as_str().map(str::to_string)
+    }
+}
+
+fn read_field<T: Field>(v: &Value, kind: &str, key: &str) -> Result<T, String> {
+    v.get(key)
+        .and_then(T::read)
+        .ok_or_else(|| format!("{kind}: missing '{key}'"))
+}
+
+event_kinds! {
+    /// Everything the runtime layers know how to record.
+    ///
+    /// The taxonomy covers four layers (see `docs/OBSERVABILITY.md`):
+    /// kernel scheduling, network, DSM protocol, and application spans.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum EventKind {
+        // ── kernel layer ────────────────────────────────────────────────
+        /// A simulated process began executing its body.
+        ProcStart = "proc_start",
+        /// A simulated process ran to completion.
+        ProcExit = "proc_exit",
+
+        // ── network layer ───────────────────────────────────────────────
+        /// A datagram was handed to the network model by `node`.
+        NetSend = "net_send" {
+            /// Destination process.
+            dst: NodeId,
+            /// Bytes on the wire including headers.
+            wire_bytes: u64,
+            /// Demultiplexing tag.
+            tag: u64,
+            /// Service-class (handler-dispatched) rather than mailbox delivery.
+            svc: bool,
+        },
+        /// A datagram arrived at `node` (the destination).
+        NetRecv = "net_recv" {
+            /// Originating process.
+            src: NodeId,
+            /// Bytes on the wire including headers.
+            wire_bytes: u64,
+            /// Demultiplexing tag.
+            tag: u64,
+        },
+        /// The network model dropped a datagram sent by `node`.
+        NetDrop = "net_drop" {
+            /// Intended destination.
+            dst: NodeId,
+            /// Bytes that would have been on the wire.
+            wire_bytes: u64,
+            /// True when the receiver queue was past the overflow threshold —
+            /// the congestion-loss regime, as opposed to background bit error.
+            overflow: bool,
+        },
+        /// The reliable transport on `node` timed out and retransmitted a call.
+        Rexmit = "rexmit" {
+            /// Callee the request is retried against.
+            dst: NodeId,
+            /// RPC tag of the retried call.
+            tag: u64,
+        },
+
+        // ── DSM protocol layer ──────────────────────────────────────────
+        /// `node` faulted on a shared page.
+        PageFault = "page_fault" {
+            /// Page index within the shared region.
+            page: u64,
+            /// Write fault (twin created) vs read fault.
+            write: bool,
+        },
+        /// `node` asked `to` for diffs of a page (LRC/VC_d fault service).
+        DiffRequest = "diff_request" {
+            /// Page index.
+            page: u64,
+            /// Node serving the diff.
+            to: NodeId,
+        },
+        /// `node` applied a diff (or whole page) to its copy.
+        DiffApply = "diff_apply" {
+            /// Page index.
+            page: u64,
+            /// Encoded diff size in bytes.
+            bytes: u64,
+        },
+        /// `node` applied an interval of write notices from `owner`.
+        ///
+        /// `scope` is 0 for the global LRC history and `view + 1` for per-view
+        /// VC histories; within one `(node, scope, owner)` series the interval
+        /// sequence numbers must advance monotonically — this is the
+        /// vector-time-causality invariant the checker enforces.
+        WriteNoticeApply = "write_notice_apply" {
+            /// Node whose writes the notices describe.
+            owner: NodeId,
+            /// Interval sequence number in the owner's history.
+            seq: u64,
+            /// History scope: 0 = global (LRC), otherwise view id + 1.
+            scope: u64,
+            /// Number of pages invalidated or updated.
+            pages: u64,
+        },
+        /// `node` started waiting for a view.
+        AcquireStart = "acquire_start" {
+            /// View id.
+            view: u64,
+            /// Write (exclusive) vs read acquisition.
+            write: bool,
+        },
+        /// `node` was granted the view and left the acquire call.
+        AcquireEnd = "acquire_end" {
+            /// View id.
+            view: u64,
+            /// Write vs read acquisition.
+            write: bool,
+            /// Version of the view carried by the grant.
+            version: u64,
+            /// Consistency payload bytes carried by the grant.
+            bytes: u64,
+        },
+        /// `node` released a view (release fully acknowledged).
+        ReleaseDone = "release_done" {
+            /// View id.
+            view: u64,
+            /// Write vs read release.
+            write: bool,
+        },
+        /// The view home on `node` sent a grant to a waiting requester.
+        ViewGrantSent = "view_grant_sent" {
+            /// View id.
+            view: u64,
+            /// Requester being granted.
+            to: NodeId,
+            /// View version carried.
+            version: u64,
+            /// Consistency payload bytes carried.
+            bytes: u64,
+        },
+        /// `node` entered a barrier and sent its arrival message.
+        BarrierEnter = "barrier_enter" {
+            /// Barrier id.
+            id: u64,
+            /// Episode counter (how many times `node` has entered this barrier).
+            epoch: u64,
+        },
+        /// `node` left the barrier after the release arrived.
+        BarrierExit = "barrier_exit" {
+            /// Barrier id.
+            id: u64,
+            /// Episode counter.
+            epoch: u64,
+            /// Write notices carried by the release message (must be 0 for VC).
+            notices: u64,
+        },
+        /// `node` started waiting for a lock.
+        LockAcquireStart = "lock_acquire_start" {
+            /// Lock id.
+            lock: u64,
+        },
+        /// `node` obtained the lock.
+        LockAcquireEnd = "lock_acquire_end" {
+            /// Lock id.
+            lock: u64,
+        },
+        /// `node` released the lock.
+        LockRelease = "lock_release" {
+            /// Lock id.
+            lock: u64,
+        },
+        /// `node` crashed and restarted its DSM engine: volatile state (page
+        /// copies, pending invalidations, view versions) was lost; its durable
+        /// write-ahead log survived. Recovery is lazy via version-0 acquires.
+        NodeCrash = "node_crash" {
+            /// Materialized page buffers lost in the crash.
+            pages: u64,
+        },
+
+        // ── correctness checking (vopp-racecheck) ───────────────────────
+        /// The happens-before checker confirmed a data race: `node`'s access is
+        /// unordered with a conflicting access by `other`.
+        RaceDetected = "race_detected" {
+            /// Page both accesses touch.
+            page: u64,
+            /// The other node of the unordered pair.
+            other: NodeId,
+            /// First byte of this node's access range (absolute address).
+            start: u64,
+            /// One past the last byte of the range.
+            end: u64,
+            /// Whether this node's access was a write.
+            write: bool,
+        },
+        /// The view-discipline checker flagged a VOPP access by `node`.
+        DisciplineViolation = "discipline_violation" {
+            /// Broken rule (stable snake_case label from vopp-racecheck).
+            rule: String,
+            /// Page touched.
+            page: u64,
+            /// First byte of the access range (absolute address).
+            start: u64,
+            /// One past the last byte of the range.
+            end: u64,
+            /// Whether the access was a write.
+            write: bool,
+        },
+
+        // ── application layer ───────────────────────────────────────────
+        /// The serving workload on `node` completed one request.
+        ServeRequest = "serve_request" {
+            /// Shard the request addressed.
+            shard: u64,
+            /// PUT (write) vs GET (read).
+            write: bool,
+            /// Open-loop latency: completion minus scheduled arrival.
+            latency_ns: u64,
+        },
+        /// An application-level span opened (e.g. a `with_view` bracket).
+        SpanBegin = "span_begin" {
+            /// Span label.
+            name: String,
+        },
+        /// The matching span closed.
+        SpanEnd = "span_end" {
+            /// Span label.
+            name: String,
+        },
     }
 }
 
@@ -278,150 +353,7 @@ impl Event {
         w.field_u64("t", self.t);
         w.field_u64("node", self.node as u64);
         w.field_str("kind", self.kind.name());
-        match &self.kind {
-            EventKind::ProcStart | EventKind::ProcExit => {}
-            EventKind::NetSend {
-                dst,
-                wire_bytes,
-                tag,
-                svc,
-            } => {
-                w.field_u64("dst", *dst as u64);
-                w.field_u64("wire_bytes", *wire_bytes);
-                w.field_u64("tag", *tag);
-                w.field_bool("svc", *svc);
-            }
-            EventKind::NetRecv {
-                src,
-                wire_bytes,
-                tag,
-            } => {
-                w.field_u64("src", *src as u64);
-                w.field_u64("wire_bytes", *wire_bytes);
-                w.field_u64("tag", *tag);
-            }
-            EventKind::NetDrop {
-                dst,
-                wire_bytes,
-                overflow,
-            } => {
-                w.field_u64("dst", *dst as u64);
-                w.field_u64("wire_bytes", *wire_bytes);
-                w.field_bool("overflow", *overflow);
-            }
-            EventKind::Rexmit { dst, tag } => {
-                w.field_u64("dst", *dst as u64);
-                w.field_u64("tag", *tag);
-            }
-            EventKind::PageFault { page, write } => {
-                w.field_u64("page", *page);
-                w.field_bool("write", *write);
-            }
-            EventKind::DiffRequest { page, to } => {
-                w.field_u64("page", *page);
-                w.field_u64("to", *to as u64);
-            }
-            EventKind::DiffApply { page, bytes } => {
-                w.field_u64("page", *page);
-                w.field_u64("bytes", *bytes);
-            }
-            EventKind::WriteNoticeApply {
-                owner,
-                seq,
-                scope,
-                pages,
-            } => {
-                w.field_u64("owner", *owner as u64);
-                w.field_u64("seq", *seq);
-                w.field_u64("scope", *scope);
-                w.field_u64("pages", *pages);
-            }
-            EventKind::AcquireStart { view, write } => {
-                w.field_u64("view", *view);
-                w.field_bool("write", *write);
-            }
-            EventKind::AcquireEnd {
-                view,
-                write,
-                version,
-                bytes,
-            } => {
-                w.field_u64("view", *view);
-                w.field_bool("write", *write);
-                w.field_u64("version", *version);
-                w.field_u64("bytes", *bytes);
-            }
-            EventKind::ReleaseDone { view, write } => {
-                w.field_u64("view", *view);
-                w.field_bool("write", *write);
-            }
-            EventKind::ViewGrantSent {
-                view,
-                to,
-                version,
-                bytes,
-            } => {
-                w.field_u64("view", *view);
-                w.field_u64("to", *to as u64);
-                w.field_u64("version", *version);
-                w.field_u64("bytes", *bytes);
-            }
-            EventKind::BarrierEnter { id, epoch } => {
-                w.field_u64("id", *id);
-                w.field_u64("epoch", *epoch);
-            }
-            EventKind::BarrierExit { id, epoch, notices } => {
-                w.field_u64("id", *id);
-                w.field_u64("epoch", *epoch);
-                w.field_u64("notices", *notices);
-            }
-            EventKind::LockAcquireStart { lock }
-            | EventKind::LockAcquireEnd { lock }
-            | EventKind::LockRelease { lock } => {
-                w.field_u64("lock", *lock);
-            }
-            EventKind::NodeCrash { pages } => {
-                w.field_u64("pages", *pages);
-            }
-            EventKind::ServeRequest {
-                shard,
-                write,
-                latency_ns,
-            } => {
-                w.field_u64("shard", *shard);
-                w.field_bool("write", *write);
-                w.field_u64("latency_ns", *latency_ns);
-            }
-            EventKind::RaceDetected {
-                page,
-                other,
-                start,
-                end,
-                write,
-            } => {
-                w.field_u64("page", *page);
-                w.field_u64("other", *other as u64);
-                w.field_u64("start", *start);
-                w.field_u64("end", *end);
-                w.field_bool("write", *write);
-            }
-            EventKind::DisciplineViolation {
-                rule,
-                page,
-                start,
-                end,
-                write,
-            } => {
-                w.field_str("rule", rule);
-                w.field_u64("page", *page);
-                w.field_u64("start", *start);
-                w.field_u64("end", *end);
-                w.field_bool("write", *write);
-            }
-            EventKind::SpanBegin { name } | EventKind::SpanEnd { name } => {
-                w.field_str("name", name);
-            }
-        }
+        self.kind.write_fields(w);
         w.end_obj();
     }
 
@@ -436,122 +368,7 @@ impl Event {
             .get("kind")
             .and_then(Value::as_str)
             .ok_or("missing 'kind'")?;
-
-        let u = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("{kind_name}: missing '{key}'"))
-        };
-        let id = |key: &str| -> Result<NodeId, String> { u(key).map(|n| n as NodeId) };
-        let b = |key: &str| -> Result<bool, String> {
-            v.get(key)
-                .and_then(Value::as_bool)
-                .ok_or_else(|| format!("{kind_name}: missing '{key}'"))
-        };
-        let s = |key: &str| -> Result<String, String> {
-            v.get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("{kind_name}: missing '{key}'"))
-        };
-
-        let kind = match kind_name {
-            "proc_start" => EventKind::ProcStart,
-            "proc_exit" => EventKind::ProcExit,
-            "net_send" => EventKind::NetSend {
-                dst: id("dst")?,
-                wire_bytes: u("wire_bytes")?,
-                tag: u("tag")?,
-                svc: b("svc")?,
-            },
-            "net_recv" => EventKind::NetRecv {
-                src: id("src")?,
-                wire_bytes: u("wire_bytes")?,
-                tag: u("tag")?,
-            },
-            "net_drop" => EventKind::NetDrop {
-                dst: id("dst")?,
-                wire_bytes: u("wire_bytes")?,
-                overflow: b("overflow")?,
-            },
-            "rexmit" => EventKind::Rexmit {
-                dst: id("dst")?,
-                tag: u("tag")?,
-            },
-            "page_fault" => EventKind::PageFault {
-                page: u("page")?,
-                write: b("write")?,
-            },
-            "diff_request" => EventKind::DiffRequest {
-                page: u("page")?,
-                to: id("to")?,
-            },
-            "diff_apply" => EventKind::DiffApply {
-                page: u("page")?,
-                bytes: u("bytes")?,
-            },
-            "write_notice_apply" => EventKind::WriteNoticeApply {
-                owner: id("owner")?,
-                seq: u("seq")?,
-                scope: u("scope")?,
-                pages: u("pages")?,
-            },
-            "acquire_start" => EventKind::AcquireStart {
-                view: u("view")?,
-                write: b("write")?,
-            },
-            "acquire_end" => EventKind::AcquireEnd {
-                view: u("view")?,
-                write: b("write")?,
-                version: u("version")?,
-                bytes: u("bytes")?,
-            },
-            "release_done" => EventKind::ReleaseDone {
-                view: u("view")?,
-                write: b("write")?,
-            },
-            "view_grant_sent" => EventKind::ViewGrantSent {
-                view: u("view")?,
-                to: id("to")?,
-                version: u("version")?,
-                bytes: u("bytes")?,
-            },
-            "barrier_enter" => EventKind::BarrierEnter {
-                id: u("id")?,
-                epoch: u("epoch")?,
-            },
-            "barrier_exit" => EventKind::BarrierExit {
-                id: u("id")?,
-                epoch: u("epoch")?,
-                notices: u("notices")?,
-            },
-            "lock_acquire_start" => EventKind::LockAcquireStart { lock: u("lock")? },
-            "lock_acquire_end" => EventKind::LockAcquireEnd { lock: u("lock")? },
-            "lock_release" => EventKind::LockRelease { lock: u("lock")? },
-            "node_crash" => EventKind::NodeCrash { pages: u("pages")? },
-            "serve_request" => EventKind::ServeRequest {
-                shard: u("shard")?,
-                write: b("write")?,
-                latency_ns: u("latency_ns")?,
-            },
-            "race_detected" => EventKind::RaceDetected {
-                page: u("page")?,
-                other: id("other")?,
-                start: u("start")?,
-                end: u("end")?,
-                write: b("write")?,
-            },
-            "discipline_violation" => EventKind::DisciplineViolation {
-                rule: s("rule")?,
-                page: u("page")?,
-                start: u("start")?,
-                end: u("end")?,
-                write: b("write")?,
-            },
-            "span_begin" => EventKind::SpanBegin { name: s("name")? },
-            "span_end" => EventKind::SpanEnd { name: s("name")? },
-            other => return Err(format!("unknown event kind '{other}'")),
-        };
+        let kind = EventKind::read_fields(kind_name, v)?;
         Ok(Event { t, node, kind })
     }
 }
@@ -765,8 +582,32 @@ mod tests {
     }
 
     #[test]
+    fn the_samples_hold_one_event_of_every_declared_kind() {
+        let mut declared = EventKind::NAMES.to_vec();
+        declared.sort_unstable();
+        let count = declared.len();
+        declared.dedup();
+        assert_eq!(declared.len(), count, "two kinds share a JSON name");
+        let mut sampled: Vec<_> = sample_events().iter().map(|e| e.kind.name()).collect();
+        sampled.sort_unstable();
+        assert_eq!(sampled, declared, "one sample per declared kind");
+    }
+
+    #[test]
     fn unknown_kind_is_rejected() {
         let v = Value::parse(r#"{"t":1,"node":0,"kind":"warp_drive"}"#).unwrap();
-        assert!(Event::from_value(&v).is_err());
+        assert_eq!(
+            Event::from_value(&v),
+            Err("unknown event kind 'warp_drive'".to_string())
+        );
+    }
+
+    #[test]
+    fn a_missing_field_is_named_with_its_kind() {
+        let v = Value::parse(r#"{"t":1,"node":0,"kind":"net_send","dst":2}"#).unwrap();
+        assert_eq!(
+            Event::from_value(&v),
+            Err("net_send: missing 'wire_bytes'".to_string())
+        );
     }
 }

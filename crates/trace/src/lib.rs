@@ -16,7 +16,9 @@
 //! `vopp-sim` and everything above it depend on this crate, not vice versa.
 //!
 //! Tracing is opt-in per run. When no tracer is installed the hot paths pay
-//! a single `Option` test (the overhead bench in `vopp-bench` times both).
+//! a single `Option` test. The host benchmark's `observe` workload times
+//! both: its traced cells against their plain twins
+//! (`trace.record_overhead_s`, see `benchmark/README.md`).
 
 pub mod causal;
 pub mod check;

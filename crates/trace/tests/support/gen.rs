@@ -56,8 +56,8 @@ impl Rng {
     }
 }
 
-/// Number of [`EventKind`] variants [`event`] draws from.
-pub const KINDS: u64 = 25;
+/// Number of [`EventKind`] variants [`event`] draws from: every declared one.
+pub const KINDS: u64 = EventKind::NAMES.len() as u64;
 
 /// One random event of variant number `variant % KINDS` at time `t`.
 pub fn event(rng: &mut Rng, variant: u64, t: u64) -> Event {
