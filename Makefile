@@ -8,7 +8,7 @@ CRITPATH_BASELINE_DIR ?= crates/bench/baselines-critpath
 
 .PHONY: all check fmt clippy doc test test-all tables tables-quick tables-check serve scaling \
         netgen bench baseline critpath baseline-critpath \
-        metrics-demo trace-demo racecheck hostbench hostbench-test hostbench-pairs \
+        metrics-demo trace-demo racecheck fuzz hostbench hostbench-test hostbench-pairs \
         clean
 
 all: check test
@@ -144,6 +144,13 @@ hostbench-test:
 # seeded-racy variants their exact known-answer counts.
 racecheck:
 	cargo test --release -p vopp-bench --test racecheck -- --nocapture
+
+# Differential runs (tests/differential.rs): seeded draws of IS/SOR/Gauss
+# parameters, cluster size, protocol, network and loss, each equal to its
+# sequential reference. `cargo test` runs a few hundred draws; this runs the
+# long budget in release. A failure prints the draw's seed.
+fuzz:
+	cargo test --release --test differential -- --include-ignored
 
 clean:
 	cargo clean

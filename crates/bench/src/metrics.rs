@@ -254,7 +254,7 @@ fn cell_value(r: &CellRecord, l: &Labels, base_ns: Option<u64>) -> Value {
             ("request_latency", p.latency.to_value()),
             ("request_latency_mean_ns", Value::Num(p.latency.mean_ns())),
             ("served", num(p.served)),
-            ("checksum", str(&format!("{:016x}", p.checksum))),
+            ("checksum", Value::Str(crate::persist::hex16(p.checksum))),
             ("recovered_pages", num(p.recovered_pages)),
         ]);
     }

@@ -33,6 +33,18 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// `x` as 16 zero-padded hex digits, in one allocation whatever its value:
+/// `format!("{x:016x}")` writes the padding zeros one character at a time
+/// into an empty `String` and so allocates once more when `x` has a leading
+/// zero digit, which made a sweep's allocation count depend on the bytes of
+/// the executable through [`exe_fingerprint`].
+pub fn hex16(x: u64) -> String {
+    use std::fmt::Write;
+    let mut s = String::with_capacity(16);
+    let _ = write!(s, "{x:016x}");
+    s
+}
+
 /// FNV-1a hash of the running executable's bytes, computed once per process.
 /// Any rebuild — new simulator code, new cost tables, new rustc — changes
 /// this value and thereby invalidates every cached cell at once. Falls back

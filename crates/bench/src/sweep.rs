@@ -221,8 +221,8 @@ impl ServePayload {
     pub fn to_value(&self) -> Value {
         obj(vec![
             ("latency", persist::hist_to_value(&self.latency)),
-            ("checksum", str(&format!("{:016x}", self.checksum))),
-            ("get_digest", str(&format!("{:016x}", self.get_digest))),
+            ("checksum", Value::Str(persist::hex16(self.checksum))),
+            ("get_digest", Value::Str(persist::hex16(self.get_digest))),
             ("served", num(self.served)),
             ("recovered_pages", num(self.recovered_pages)),
         ])
@@ -568,8 +568,8 @@ impl DiskCache {
         let mut cells = BTreeMap::new();
         if let Ok(text) = std::fs::read_to_string(&path) {
             if let Ok(doc) = Value::parse(&text) {
-                let fp_hex = format!("{fingerprint:016x}");
-                let ctx_hex = format!("{context:016x}");
+                let fp_hex = persist::hex16(fingerprint);
+                let ctx_hex = persist::hex16(context);
                 let matches = doc.get("schema").and_then(Value::as_str) == Some(CACHE_SCHEMA)
                     && doc.get("fingerprint").and_then(Value::as_str) == Some(fp_hex.as_str())
                     && doc.get("context").and_then(Value::as_str) == Some(ctx_hex.as_str());
@@ -640,8 +640,8 @@ impl DiskCache {
         }
         let doc = obj(vec![
             ("schema", str(CACHE_SCHEMA)),
-            ("fingerprint", str(&format!("{:016x}", self.fingerprint))),
-            ("context", str(&format!("{:016x}", self.context))),
+            ("fingerprint", Value::Str(persist::hex16(self.fingerprint))),
+            ("context", Value::Str(persist::hex16(self.context))),
             (
                 "cells",
                 Value::Obj(

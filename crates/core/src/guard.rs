@@ -4,6 +4,9 @@
 //! give them an idiomatic Rust shape while keeping the underlying protocol
 //! calls identical.
 
+use std::io::{self, Write};
+use std::sync::Arc;
+
 use vopp_dsm::{DsmCtx, ViewId};
 use vopp_trace::EventKind;
 
@@ -77,15 +80,21 @@ impl<'a> VoppExt<'a> for DsmCtx<'a> {
 
 /// An application-level trace span bracketing a whole view bracket
 /// (acquire, body, release). Nothing is allocated or recorded unless the
-/// run has a tracer installed.
-struct Span(Option<String>);
+/// run has a tracer installed; then the label is allocated once and shared
+/// by the span's two events.
+struct Span(Option<Arc<str>>);
 
 impl Span {
     fn open(ctx: &DsmCtx<'_>, what: &str, view: ViewId) -> Span {
         if !ctx.tracing() {
             return Span(None);
         }
-        let name = format!("{what} v{view}");
+        // Formatted on the stack, so the `Arc` is the one allocation.
+        let mut buf = [0u8; 48];
+        let mut label = io::Cursor::new(&mut buf[..]);
+        write!(label, "{what} v{view}").expect("a span label fits 48 bytes");
+        let len = label.position() as usize;
+        let name: Arc<str> = std::str::from_utf8(&buf[..len]).expect("UTF-8").into();
         ctx.trace(EventKind::SpanBegin { name: name.clone() });
         Span(Some(name))
     }

@@ -32,7 +32,7 @@
 
 use std::io;
 
-use vopp_trace::json::{IoSink, Sink, Writer};
+use vopp_trace::json::{IoSink, Part, Sink, Writer};
 use vopp_trace::{CausalLog, CtxKind, OpKind, NO_CTX};
 
 /// How a critical-path segment spent its time.
@@ -322,6 +322,9 @@ pub fn extract(log: &CausalLog, proc_end_ns: &[u64]) -> CritPath {
         }
     }
     segs.reverse();
+    // The path outlives the run in its `RunStats`, so it keeps no doubling
+    // slack: up to half of a 16 Ki-segment path's 1 MiB would be idle.
+    segs.shrink_to_fit();
     let cp = CritPath {
         makespan_ns,
         end_node,
@@ -337,11 +340,6 @@ pub fn extract(log: &CausalLog, proc_end_ns: &[u64]) -> CritPath {
         "critical-path segments must be contiguous"
     );
     cp
-}
-
-/// Convert ns to the microsecond floats Chrome trace events use.
-fn us(t_ns: u64) -> f64 {
-    t_ns as f64 / 1000.0
 }
 
 /// Export the critical path as a Chrome-trace JSON document with one
@@ -364,7 +362,7 @@ pub fn write_critpath_chrome_json_to(cp: &CritPath, out: &mut impl io::Write) ->
 
 fn write_chrome_json<S: Sink>(cp: &CritPath, w: &mut Writer<'_, S>) {
     // Metadata event naming process 0 (`process_name`) or one of its threads.
-    fn meta<S: Sink>(w: &mut Writer<'_, S>, tid: u64, what: &str, name: std::fmt::Arguments<'_>) {
+    fn meta<S: Sink>(w: &mut Writer<'_, S>, tid: u64, what: &str, name: &[Part<'_>]) {
         w.begin_obj();
         w.field_str("ph", "M");
         w.field_u64("pid", 0);
@@ -372,7 +370,8 @@ fn write_chrome_json<S: Sink>(cp: &CritPath, w: &mut Writer<'_, S>) {
         w.field_str("name", what);
         w.key("args");
         w.begin_obj();
-        w.field_fmt("name", name);
+        w.key("name");
+        w.str_parts(name);
         w.end_obj();
         w.end_obj();
     }
@@ -381,12 +380,13 @@ fn write_chrome_json<S: Sink>(cp: &CritPath, w: &mut Writer<'_, S>) {
     w.field_str("displayTimeUnit", "ns");
     w.key("traceEvents");
     w.begin_arr();
-    meta(w, 0, "process_name", format_args!("critical path"));
+    meta(w, 0, "process_name", &[Part::Text("critical path")]);
     let mut named: Vec<usize> = cp.segs.iter().map(|s| s.node).collect();
     named.sort_unstable();
     named.dedup();
     for node in named {
-        meta(w, node as u64, "thread_name", format_args!("node {node}"));
+        let name = [Part::Text("node "), Part::Int(node as u64)];
+        meta(w, node as u64, "thread_name", &name);
     }
     for s in &cp.segs {
         if s.len_ns() == 0 {
@@ -397,9 +397,16 @@ fn write_chrome_json<S: Sink>(cp: &CritPath, w: &mut Writer<'_, S>) {
         w.field_u64("pid", 0);
         w.field_u64("tid", s.node as u64);
         w.field_str("cat", s.cat.label());
-        w.field_fmt("name", format_args!("{}:{}", s.cat.label(), s.op.label()));
-        w.field_f64("ts", us(s.lo_ns));
-        w.field_f64("dur", us(s.len_ns()));
+        w.key("name");
+        w.str_parts(&[
+            Part::Text(s.cat.label()),
+            Part::Text(":"),
+            Part::Text(s.op.label()),
+        ]);
+        w.key("ts");
+        w.us(s.lo_ns);
+        w.key("dur");
+        w.us(s.len_ns());
         w.key("args");
         w.begin_obj();
         w.field_u64("obj", s.obj);

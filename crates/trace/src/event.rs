@@ -12,6 +12,8 @@
 //! macro derives the enum, [`EventKind::name`], [`EventKind::NAMES`] and
 //! both directions of the JSON form from that one entry.
 
+use std::sync::Arc;
+
 use crate::json::{Sink, Value, Writer};
 
 /// A simulated process id (mirrors `vopp_sim::ProcId` without the dependency).
@@ -59,11 +61,16 @@ macro_rules! event_kinds {
                 }
             }
 
-            /// Write the variant's own fields, in declaration order.
+            /// Write the `kind` member and the variant's own fields, in
+            /// declaration order, each key as one escape-free literal.
             fn write_fields<S: Sink>(&self, w: &mut Writer<'_, S>) {
                 match self {
                     $(EventKind::$variant $({ $($field),* })? => {
-                        $($(Field::write($field, w, stringify!($field));)*)?
+                        w.member(concat!(",\"kind\":\"", $json, "\""));
+                        $($(
+                            w.member(concat!(",\"", stringify!($field), "\":"));
+                            Field::write($field, w);
+                        )*)?
                     })*
                 }
             }
@@ -81,15 +88,15 @@ macro_rules! event_kinds {
     };
 }
 
-/// The JSON form of one field type.
+/// The JSON form of one field type: the value behind its key.
 trait Field: Sized {
-    fn write<S: Sink>(&self, w: &mut Writer<'_, S>, key: &str);
+    fn write<S: Sink>(&self, w: &mut Writer<'_, S>);
     fn read(v: &Value) -> Option<Self>;
 }
 
 impl Field for u64 {
-    fn write<S: Sink>(&self, w: &mut Writer<'_, S>, key: &str) {
-        w.field_u64(key, *self);
+    fn write<S: Sink>(&self, w: &mut Writer<'_, S>) {
+        w.u64(*self);
     }
     fn read(v: &Value) -> Option<u64> {
         v.as_u64()
@@ -97,8 +104,8 @@ impl Field for u64 {
 }
 
 impl Field for NodeId {
-    fn write<S: Sink>(&self, w: &mut Writer<'_, S>, key: &str) {
-        w.field_u64(key, *self as u64);
+    fn write<S: Sink>(&self, w: &mut Writer<'_, S>) {
+        w.u64(*self as u64);
     }
     fn read(v: &Value) -> Option<NodeId> {
         v.as_usize()
@@ -106,8 +113,8 @@ impl Field for NodeId {
 }
 
 impl Field for bool {
-    fn write<S: Sink>(&self, w: &mut Writer<'_, S>, key: &str) {
-        w.field_bool(key, *self);
+    fn write<S: Sink>(&self, w: &mut Writer<'_, S>) {
+        w.bool(*self);
     }
     fn read(v: &Value) -> Option<bool> {
         v.as_bool()
@@ -115,11 +122,21 @@ impl Field for bool {
 }
 
 impl Field for String {
-    fn write<S: Sink>(&self, w: &mut Writer<'_, S>, key: &str) {
-        w.field_str(key, self);
+    fn write<S: Sink>(&self, w: &mut Writer<'_, S>) {
+        w.str(self);
     }
     fn read(v: &Value) -> Option<String> {
         v.as_str().map(str::to_string)
+    }
+}
+
+/// A span label: the `SpanBegin` and `SpanEnd` of one bracket share it.
+impl Field for Arc<str> {
+    fn write<S: Sink>(&self, w: &mut Writer<'_, S>) {
+        w.str(self);
+    }
+    fn read(v: &Value) -> Option<Arc<str>> {
+        v.as_str().map(Arc::from)
     }
 }
 
@@ -335,13 +352,13 @@ event_kinds! {
         },
         /// An application-level span opened (e.g. a `with_view` bracket).
         SpanBegin = "span_begin" {
-            /// Span label.
-            name: String,
+            /// Span label, shared with the matching `SpanEnd`.
+            name: Arc<str>,
         },
         /// The matching span closed.
         SpanEnd = "span_end" {
             /// Span label.
-            name: String,
+            name: Arc<str>,
         },
     }
 }
@@ -350,9 +367,10 @@ impl Event {
     /// Write the canonical JSON object form.
     pub fn write_json<S: Sink>(&self, w: &mut Writer<'_, S>) {
         w.begin_obj();
-        w.field_u64("t", self.t);
-        w.field_u64("node", self.node as u64);
-        w.field_str("kind", self.kind.name());
+        w.member(",\"t\":");
+        w.u64(self.t);
+        w.member(",\"node\":");
+        w.u64(self.node as u64);
         self.kind.write_fields(w);
         w.end_obj();
     }
@@ -553,14 +571,14 @@ mod tests {
                 t: 114_000,
                 node: 0,
                 kind: EventKind::SpanBegin {
-                    name: "view 5".to_string(),
+                    name: "view 5".into(),
                 },
             },
             Event {
                 t: 115_000,
                 node: 0,
                 kind: EventKind::SpanEnd {
-                    name: "view 5".to_string(),
+                    name: "view 5".into(),
                 },
             },
             Event {

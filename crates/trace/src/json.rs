@@ -195,6 +195,11 @@ pub fn str(s: &str) -> Value {
 /// Largest magnitude below which every integer is an exact `f64` (2^53).
 const MAX_EXACT_F64: f64 = 9.007_199_254_740_992e15;
 
+/// [`Writer::us`] makes its text from integers below this bound (2^50) and
+/// goes through `f64` from it on. The integer text equals the `f64` one for
+/// every value below 2^52; the margin keeps the bound clear of that edge.
+pub const US_EXACT_BELOW: u64 = 1 << 50;
+
 /// Containers a [`Writer`] can have open at once: one bit of `nonempty` each.
 const MAX_DEPTH: usize = 64;
 
@@ -202,6 +207,15 @@ const MAX_DEPTH: usize = 64;
 /// once per level, so an unbounded depth would let a small input overflow
 /// the stack; every document a [`Writer`] emits stays within it.
 const MAX_PARSE_DEPTH: usize = 2 * MAX_DEPTH;
+
+/// One piece of a string written by [`Writer::str_parts`].
+#[derive(Debug, Clone, Copy)]
+pub enum Part<'a> {
+    /// Text, escaped where JSON needs it.
+    Text(&'a str),
+    /// An integer's decimal digits.
+    Int(u64),
+}
 
 /// Where a [`Writer`] appends its output.
 pub trait Sink {
@@ -347,6 +361,33 @@ impl<'a, S: Sink> Writer<'a, S> {
         self.close("]");
     }
 
+    /// An object member whose text needs no escapes, in its compact form
+    /// behind a comma: `,"key":` when a value follows, `,"key":value` for a
+    /// whole member. The key holds no `:`. The comma is dropped before an
+    /// object's first member, and the pretty layout places the member as
+    /// [`Writer::key`] would; either way the compact text is one append.
+    pub fn member(&mut self, lit: &str) {
+        debug_assert!(lit.starts_with(",\"") && self.depth > 0 && !self.after_key);
+        let bit = 1u64 << self.depth;
+        let first = self.nonempty & bit == 0;
+        self.nonempty |= bit;
+        if self.pretty {
+            if !first {
+                self.out.put(",");
+            }
+            self.newline();
+            let (key, value) = lit[1..]
+                .split_once(':')
+                .expect("a member literal has a ':'");
+            self.out.put(key);
+            self.out.put(": ");
+            self.out.put(value);
+        } else {
+            self.out.put(&lit[usize::from(first)..]);
+        }
+        self.after_key = lit.ends_with(':');
+    }
+
     /// The key of the next object member.
     pub fn key(&mut self, k: &str) {
         self.before_token();
@@ -372,6 +413,40 @@ impl<'a, S: Sink> Writer<'a, S> {
     pub fn u64(&mut self, n: u64) {
         self.before_token();
         put_u64(self.out, n);
+    }
+
+    /// Virtual nanoseconds as the microseconds Chrome trace events carry:
+    /// the text [`Writer::f64`] gives `t_ns as f64 / 1000.0`, made from
+    /// integers. Below [`US_EXACT_BELOW`] that text is the whole part, then
+    /// (unless zero) a point and the three-digit remainder without its
+    /// trailing zeros: the quotient is within a quarter of a thousandth of
+    /// the exact one there, so no shorter decimal reads back as the same
+    /// `f64`. Larger values take the `f64` path.
+    pub fn us(&mut self, t_ns: u64) {
+        if t_ns >= US_EXACT_BELOW {
+            return self.f64(t_ns as f64 / 1000.0);
+        }
+        self.before_token();
+        let (whole, mut frac) = (t_ns / 1000, t_ns % 1000);
+        let mut buf = [0u8; 24];
+        let mut at = buf.len();
+        if frac != 0 {
+            let mut digits = 3;
+            while frac % 10 == 0 {
+                frac /= 10;
+                digits -= 1;
+            }
+            for _ in 0..digits {
+                at -= 1;
+                buf[at] = b'0' + (frac % 10) as u8;
+                frac /= 10;
+            }
+            at -= 1;
+            buf[at] = b'.';
+        }
+        let start = digits_into(&mut buf[..at], whole);
+        self.out
+            .put(std::str::from_utf8(&buf[start..]).expect("ASCII digits"));
     }
 
     /// A float. Integral values up to 2^53 print as integers, the rest in
@@ -400,14 +475,16 @@ impl<'a, S: Sink> Writer<'a, S> {
         self.out.put("\"");
     }
 
-    /// A string given as format arguments, escaped piece by piece without an
-    /// intermediate `String`: `w.str_fmt(format_args!("node {n}"))`.
-    pub fn str_fmt(&mut self, args: fmt::Arguments<'_>) {
+    /// A string given in pieces: text, escaped as needed, and integers.
+    pub fn str_parts(&mut self, parts: &[Part<'_>]) {
         self.before_token();
         self.out.put("\"");
-        // `Escaped::write_str` cannot fail, so only a `Display` impl that
-        // reports an error of its own could; none of ours does.
-        let _ = fmt::write(&mut Escaped(self.out), args);
+        for part in parts {
+            match *part {
+                Part::Text(s) => put_escaped(self.out, s),
+                Part::Int(n) => put_u64(self.out, n),
+            }
+        }
         self.out.put("\"");
     }
 
@@ -417,28 +494,10 @@ impl<'a, S: Sink> Writer<'a, S> {
         self.u64(n);
     }
 
-    /// `key` followed by a float.
-    pub fn field_f64(&mut self, key: &str, n: f64) {
-        self.key(key);
-        self.f64(n);
-    }
-
-    /// `key` followed by a boolean.
-    pub fn field_bool(&mut self, key: &str, b: bool) {
-        self.key(key);
-        self.bool(b);
-    }
-
     /// `key` followed by a string.
     pub fn field_str(&mut self, key: &str, s: &str) {
         self.key(key);
         self.str(s);
-    }
-
-    /// `key` followed by a string given as format arguments.
-    pub fn field_fmt(&mut self, key: &str, args: fmt::Arguments<'_>) {
-        self.key(key);
-        self.str_fmt(args);
     }
 
     /// The newline that ends a pretty document.
@@ -447,18 +506,38 @@ impl<'a, S: Sink> Writer<'a, S> {
     }
 }
 
-fn put_u64(out: &mut impl Sink, mut n: u64) {
-    // u64::MAX has 20 digits.
-    let mut buf = [0u8; 20];
+/// The two digits of every number below 100, in order.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Write `n`'s decimal digits at the end of `buf` (two at a time) and return
+/// where they start. `buf` must hold them: u64::MAX has 20.
+fn digits_into(buf: &mut [u8], mut n: u64) -> usize {
     let mut at = buf.len();
-    loop {
-        at -= 1;
-        buf[at] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
+    while n >= 100 {
+        let pair = 2 * (n % 100) as usize;
+        n /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     }
+    if n >= 10 {
+        let pair = 2 * n as usize;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + n as u8;
+    }
+    at
+}
+
+fn put_u64(out: &mut impl Sink, n: u64) {
+    let mut buf = [0u8; 20];
+    let at = digits_into(&mut buf, n);
     out.put(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
 }
 
@@ -857,11 +936,13 @@ mod tests {
         let mut s = String::new();
         let mut w = Writer::compact(&mut s);
         w.begin_obj();
-        w.field_u64("n", u64::MAX);
-        w.field_f64("us", 1.5);
-        w.field_bool("ok", true);
+        w.member(r#","n":"#);
+        w.u64(u64::MAX);
+        w.key("us");
+        w.f64(1.5);
+        w.member(r#","ok":true"#);
         w.key("name");
-        w.str_fmt(format_args!("v{} \"{}\"", 3, "q\n"));
+        w.str_parts(&[Part::Text("v"), Part::Int(3), Part::Text(" \"q\n\"")]);
         w.key("items");
         w.begin_arr();
         w.null();

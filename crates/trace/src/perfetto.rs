@@ -8,38 +8,71 @@
 //! become instant events. Each view-grant → acquire-completion pair is tied
 //! together with a flow arrow (`ph:"s"` / `ph:"f"`) from the home node's
 //! grant slice to the requester's acquire slice. Timestamps are **virtual**
-//! microseconds — wall time never appears, so exports are deterministic.
+//! microseconds ([`Writer::us`]) — wall time never appears, so exports are
+//! deterministic.
 
-use std::collections::HashMap;
-use std::fmt;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
 
 use crate::event::{EventKind, NodeId};
-use crate::json::{IoSink, Sink, Writer};
+use crate::json::{IoSink, Part, Sink, Writer};
 use crate::tracer::Trace;
 
-/// Nanoseconds of virtual time as the microsecond floats Chrome trace
-/// events use. Sub-microsecond precision is preserved as fractions.
-fn us(t_ns: u64) -> f64 {
-    t_ns as f64 / 1000.0
-}
+/// FxHash (multiply and rotate, as in rustc) for the open-interval keys the
+/// exporters build from a trace's own ids. Without SipHash a trace file
+/// crafted to collide can slow its own export, nothing else.
+#[derive(Default)]
+pub(crate) struct FastHasher(u64);
 
-fn mode(write: bool) -> &'static str {
-    if write {
-        "W"
-    } else {
-        "R"
+impl Hasher for FastHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(n.into());
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
-/// One `args` member of a trace event: an integer or a formatted string.
-enum Arg<'a> {
-    U(u64),
-    F(fmt::Arguments<'a>),
+/// A `HashMap` keyed through [`FastHasher`].
+pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
+
+fn mode(write: bool) -> &'static str {
+    if write {
+        " (W)"
+    } else {
+        " (R)"
+    }
 }
 
+/// Whole `ph` members of the event shapes.
+const META: &str = r#","ph":"M""#;
+const SLICE: &str = r#","ph":"X""#;
+const INSTANT: &str = r#","ph":"i""#;
+const FLOW_START: &str = r#","ph":"s""#;
+const FLOW_END: &str = r#","ph":"f""#;
+
 /// Writes trace events into the open `traceEvents` array, one per call, in
-/// call order.
+/// call order. Fixed members come as escape-free literals
+/// ([`Writer::member`]): `ph`, `cat` (`,"cat":"lock"`) and the `args` keys
+/// (`,"view":`). Slice and instant names are written in pieces.
 struct Emitter<'w, 'a, S: Sink> {
     w: &'w mut Writer<'a, S>,
 }
@@ -47,76 +80,76 @@ struct Emitter<'w, 'a, S: Sink> {
 impl<S: Sink> Emitter<'_, '_, S> {
     fn head(&mut self, ph: &str, pid: NodeId) {
         self.w.begin_obj();
-        self.w.field_str("ph", ph);
-        if ph == "i" {
-            self.w.field_str("s", "t");
+        self.w.member(ph);
+        if ph == INSTANT {
+            self.w.member(r#","s":"t""#);
         }
-        self.w.field_u64("pid", pid as u64);
-        self.w.field_u64("tid", 0);
+        self.w.member(r#","pid":"#);
+        self.w.u64(pid as u64);
+        self.w.member(r#","tid":0"#);
     }
 
-    fn args(&mut self, args: &[(&str, Arg<'_>)]) {
+    /// The `args` object of integer members, which closes the event.
+    fn args(&mut self, args: &[(&str, u64)]) {
         self.w.key("args");
         self.w.begin_obj();
-        for (key, arg) in args {
-            match arg {
-                Arg::U(n) => self.w.field_u64(key, *n),
-                Arg::F(text) => self.w.field_fmt(key, *text),
-            }
+        self.end_args(args);
+    }
+
+    /// The rest of an open `args` object, and the event.
+    fn end_args(&mut self, args: &[(&str, u64)]) {
+        for &(key, n) in args {
+            self.w.member(key);
+            self.w.u64(n);
         }
         self.w.end_obj();
-    }
-
-    fn meta(&mut self, pid: NodeId, name: &str, value: Arg<'_>) {
-        self.head("M", pid);
-        self.w.field_str("name", name);
-        self.args(&[("name", value)]);
         self.w.end_obj();
     }
 
-    fn slice(
-        &mut self,
-        pid: NodeId,
-        cat: &str,
-        name: fmt::Arguments<'_>,
-        start_ns: u64,
-        end_ns: u64,
-        args: &[(&str, Arg<'_>)],
-    ) {
-        self.head("X", pid);
-        self.w.field_str("cat", cat);
-        self.w.field_fmt("name", name);
-        self.w.field_f64("ts", us(start_ns));
-        self.w.field_f64("dur", us(end_ns.saturating_sub(start_ns)));
-        self.args(args);
+    fn meta(&mut self, pid: NodeId, name: &str, value: impl FnOnce(&mut Writer<'_, S>)) {
+        self.head(META, pid);
+        self.w.member(name);
+        self.w.key("args");
+        self.w.begin_obj();
+        self.w.key("name");
+        value(self.w);
+        self.w.end_obj();
         self.w.end_obj();
     }
 
-    fn instant(
-        &mut self,
-        pid: NodeId,
-        cat: &str,
-        name: fmt::Arguments<'_>,
-        t_ns: u64,
-        args: &[(&str, Arg<'_>)],
-    ) {
-        self.head("i", pid);
-        self.w.field_str("cat", cat);
-        self.w.field_fmt("name", name);
-        self.w.field_f64("ts", us(t_ns));
-        self.args(args);
-        self.w.end_obj();
+    /// A slice up to its `args`.
+    fn slice(&mut self, pid: NodeId, cat: &str, name: &[Part<'_>], start_ns: u64, end_ns: u64) {
+        self.head(SLICE, pid);
+        self.w.member(cat);
+        self.w.key("name");
+        self.w.str_parts(name);
+        self.w.member(r#","ts":"#);
+        self.w.us(start_ns);
+        self.w.member(r#","dur":"#);
+        self.w.us(end_ns.saturating_sub(start_ns));
+    }
+
+    /// An instant event up to its `args`.
+    fn instant(&mut self, pid: NodeId, cat: &str, name: &[Part<'_>], t_ns: u64) {
+        self.head(INSTANT, pid);
+        self.w.member(cat);
+        self.w.key("name");
+        self.w.str_parts(name);
+        self.w.member(r#","ts":"#);
+        self.w.us(t_ns);
     }
 
     fn flow(&mut self, ph: &str, pid: NodeId, id: u64, t_ns: u64) {
         self.head(ph, pid);
-        self.w.field_str("cat", "grant-flow");
-        self.w.field_str("name", "view grant");
-        self.w.field_u64("id", id);
-        self.w.field_f64("ts", us(t_ns));
-        if ph == "f" {
+        self.w.member(r#","cat":"grant-flow""#);
+        self.w.member(r#","name":"view grant""#);
+        self.w.member(r#","id":"#);
+        self.w.u64(id);
+        self.w.member(r#","ts":"#);
+        self.w.us(t_ns);
+        if ph == FLOW_END {
             // Bind the arrow head to the enclosing (acquire) slice.
-            self.w.field_str("bp", "e");
+            self.w.member(r#","bp":"e""#);
         }
         self.w.end_obj();
     }
@@ -124,7 +157,9 @@ impl<S: Sink> Emitter<'_, '_, S> {
 
 /// Render a trace as a Chrome-trace JSON document.
 pub fn to_chrome_json(trace: &Trace) -> String {
-    let mut s = String::new();
+    // About 40 bytes per recorded event, so a large trace's buffer grows
+    // at most once.
+    let mut s = String::with_capacity(64 + 40 * trace.events.len());
     write_chrome_json(trace, &mut Writer::compact(&mut s));
     s
 }
@@ -138,6 +173,8 @@ pub fn write_chrome_json_to(trace: &Trace, out: &mut impl io::Write) -> io::Resu
 }
 
 fn write_chrome_json<S: Sink>(trace: &Trace, w: &mut Writer<'_, S>) {
+    use Part::{Int, Text};
+
     w.begin_obj();
     w.field_str("displayTimeUnit", "ns");
     w.key("traceEvents");
@@ -145,9 +182,12 @@ fn write_chrome_json<S: Sink>(trace: &Trace, w: &mut Writer<'_, S>) {
     let mut em = Emitter { w };
 
     for node in 0..trace.node_count() {
-        em.meta(node, "process_name", Arg::F(format_args!("node {node}")));
-        em.meta(node, "process_sort_index", Arg::U(node as u64));
-        em.meta(node, "thread_name", Arg::F(format_args!("protocol")));
+        let n = node as u64;
+        em.meta(node, r#","name":"process_name""#, |w| {
+            w.str_parts(&[Text("node "), Int(n)])
+        });
+        em.meta(node, r#","name":"process_sort_index""#, |w| w.u64(n));
+        em.meta(node, r#","name":"thread_name""#, |w| w.str("protocol"));
     }
 
     // Open-interval state, keyed so that pops always match the most recent
@@ -155,14 +195,14 @@ fn write_chrome_json<S: Sink>(trace: &Trace, w: &mut Writer<'_, S>) {
     // iterated, so emission order stays deterministic (scan order).
     // (start time, grant version, grant bytes) of an open view hold.
     type Hold = (u64, u64, u64);
-    let mut acquires: HashMap<(NodeId, u64, bool), Vec<u64>> = HashMap::new();
-    let mut holds: HashMap<(NodeId, u64, bool), Vec<Hold>> = HashMap::new();
-    let mut barriers: HashMap<(NodeId, u64), Vec<(u64, u64)>> = HashMap::new();
-    let mut locks: HashMap<(NodeId, u64), Vec<u64>> = HashMap::new();
-    let mut spans: HashMap<(NodeId, &str), Vec<u64>> = HashMap::new();
+    let mut acquires: FastMap<(NodeId, u64, bool), Vec<u64>> = FastMap::default();
+    let mut holds: FastMap<(NodeId, u64, bool), Vec<Hold>> = FastMap::default();
+    let mut barriers: FastMap<(NodeId, u64), Vec<u64>> = FastMap::default();
+    let mut locks: FastMap<(NodeId, u64), Vec<u64>> = FastMap::default();
+    let mut spans: FastMap<(NodeId, &str), Vec<u64>> = FastMap::default();
     // Grants not yet matched to the requester's acquire completion:
     // (view, version, requester) → flow ids, in grant order.
-    let mut pending_grants: HashMap<(u64, u64, NodeId), Vec<u64>> = HashMap::new();
+    let mut pending_grants: FastMap<(u64, u64, NodeId), VecDeque<u64>> = FastMap::default();
     let mut next_flow_id: u64 = 1;
 
     for ev in &trace.events {
@@ -177,24 +217,19 @@ fn write_chrome_json<S: Sink>(trace: &Trace, w: &mut Writer<'_, S>) {
                 version,
                 bytes,
             } => {
-                if let Some(start) = acquires.entry((n, *view, *write)).or_default().pop() {
-                    em.slice(
-                        n,
-                        "acquire",
-                        format_args!("acquire v{view} ({})", mode(*write)),
-                        start,
-                        ev.t,
-                        &[
-                            ("view", Arg::U(*view)),
-                            ("version", Arg::U(*version)),
-                            ("grant_bytes", Arg::U(*bytes)),
-                        ],
-                    );
+                if let Some(start) = acquires.get_mut(&(n, *view, *write)).and_then(Vec::pop) {
+                    let name = [Text("acquire v"), Int(*view), Text(mode(*write))];
+                    em.slice(n, r#","cat":"acquire""#, &name, start, ev.t);
+                    em.args(&[
+                        (r#","view":"#, *view),
+                        (r#","version":"#, *version),
+                        (r#","grant_bytes":"#, *bytes),
+                    ]);
                     if let Some(flow_id) = pending_grants
                         .get_mut(&(*view, *version, n))
-                        .and_then(|ids| (!ids.is_empty()).then(|| ids.remove(0)))
+                        .and_then(VecDeque::pop_front)
                     {
-                        em.flow("f", n, flow_id, ev.t);
+                        em.flow(FLOW_END, n, flow_id, ev.t);
                     }
                 }
                 holds
@@ -204,20 +239,15 @@ fn write_chrome_json<S: Sink>(trace: &Trace, w: &mut Writer<'_, S>) {
             }
             EventKind::ReleaseDone { view, write } => {
                 if let Some((start, version, bytes)) =
-                    holds.entry((n, *view, *write)).or_default().pop()
+                    holds.get_mut(&(n, *view, *write)).and_then(Vec::pop)
                 {
-                    em.slice(
-                        n,
-                        "view",
-                        format_args!("hold v{view} ({})", mode(*write)),
-                        start,
-                        ev.t,
-                        &[
-                            ("view", Arg::U(*view)),
-                            ("version", Arg::U(version)),
-                            ("grant_bytes", Arg::U(bytes)),
-                        ],
-                    );
+                    let name = [Text("hold v"), Int(*view), Text(mode(*write))];
+                    em.slice(n, r#","cat":"view""#, &name, start, ev.t);
+                    em.args(&[
+                        (r#","view":"#, *view),
+                        (r#","version":"#, version),
+                        (r#","grant_bytes":"#, bytes),
+                    ]);
                 }
             }
             EventKind::ViewGrantSent {
@@ -231,103 +261,72 @@ fn write_chrome_json<S: Sink>(trace: &Trace, w: &mut Writer<'_, S>) {
                 pending_grants
                     .entry((*view, *version, *to))
                     .or_default()
-                    .push(flow_id);
+                    .push_back(flow_id);
                 // A short slice so the flow arrow has a visible anchor at
                 // the home node; virtual grant processing is instantaneous.
-                em.slice(
-                    n,
-                    "grant",
-                    format_args!("grant v{view}→{to}"),
-                    ev.t,
-                    ev.t + 1_000,
-                    &[
-                        ("view", Arg::U(*view)),
-                        ("version", Arg::U(*version)),
-                        ("bytes", Arg::U(*bytes)),
-                    ],
-                );
-                em.flow("s", n, flow_id, ev.t);
+                let name = [Text("grant v"), Int(*view), Text("→"), Int(*to as u64)];
+                em.slice(n, r#","cat":"grant""#, &name, ev.t, ev.t + 1_000);
+                em.args(&[
+                    (r#","view":"#, *view),
+                    (r#","version":"#, *version),
+                    (r#","bytes":"#, *bytes),
+                ]);
+                em.flow(FLOW_START, n, flow_id, ev.t);
             }
-            EventKind::BarrierEnter { id, epoch } => {
-                barriers.entry((n, *id)).or_default().push((ev.t, *epoch));
+            EventKind::BarrierEnter { id, .. } => {
+                barriers.entry((n, *id)).or_default().push(ev.t);
             }
             EventKind::BarrierExit { id, epoch, notices } => {
-                if let Some((start, _)) = barriers.entry((n, *id)).or_default().pop() {
-                    em.slice(
-                        n,
-                        "barrier",
-                        format_args!("barrier {id}"),
-                        start,
-                        ev.t,
-                        &[("epoch", Arg::U(*epoch)), ("notices", Arg::U(*notices))],
-                    );
+                if let Some(start) = barriers.get_mut(&(n, *id)).and_then(Vec::pop) {
+                    let name = [Text("barrier "), Int(*id)];
+                    em.slice(n, r#","cat":"barrier""#, &name, start, ev.t);
+                    em.args(&[(r#","epoch":"#, *epoch), (r#","notices":"#, *notices)]);
                 }
             }
             EventKind::LockAcquireStart { lock } => {
                 locks.entry((n, *lock)).or_default().push(ev.t);
             }
             EventKind::LockAcquireEnd { lock } => {
-                if let Some(start) = locks.entry((n, *lock)).or_default().pop() {
-                    em.slice(
-                        n,
-                        "lock",
-                        format_args!("lock {lock}"),
-                        start,
-                        ev.t,
-                        &[("lock", Arg::U(*lock))],
-                    );
+                if let Some(start) = locks.get_mut(&(n, *lock)).and_then(Vec::pop) {
+                    let name = [Text("lock "), Int(*lock)];
+                    em.slice(n, r#","cat":"lock""#, &name, start, ev.t);
+                    em.args(&[(r#","lock":"#, *lock)]);
                 }
             }
             EventKind::SpanBegin { name } => {
-                spans.entry((n, name)).or_default().push(ev.t);
+                spans.entry((n, &**name)).or_default().push(ev.t);
             }
             EventKind::SpanEnd { name } => {
-                if let Some(start) = spans.entry((n, name)).or_default().pop() {
-                    em.slice(n, "app", format_args!("{name}"), start, ev.t, &[]);
+                if let Some(start) = spans.get_mut(&(n, &**name)).and_then(Vec::pop) {
+                    em.slice(n, r#","cat":"app""#, &[Text(name)], start, ev.t);
+                    em.args(&[]);
                 }
             }
             EventKind::PageFault { page, write } => {
-                em.instant(
-                    n,
-                    "fault",
-                    format_args!("fault p{page} ({})", mode(*write)),
-                    ev.t,
-                    &[("page", Arg::U(*page))],
-                );
+                let name = [Text("fault p"), Int(*page), Text(mode(*write))];
+                em.instant(n, r#","cat":"fault""#, &name, ev.t);
+                em.args(&[(r#","page":"#, *page)]);
             }
             EventKind::DiffRequest { page, to } => {
-                em.instant(
-                    n,
-                    "diff",
-                    format_args!("diff req p{page}"),
-                    ev.t,
-                    &[("page", Arg::U(*page)), ("to", Arg::U(*to as u64))],
-                );
+                let name = [Text("diff req p"), Int(*page)];
+                em.instant(n, r#","cat":"diff""#, &name, ev.t);
+                em.args(&[(r#","page":"#, *page), (r#","to":"#, *to as u64)]);
             }
             EventKind::NetDrop {
                 dst,
                 wire_bytes,
                 overflow,
             } => {
-                em.instant(
-                    n,
-                    "net",
-                    format_args!("{}", if *overflow { "drop (overflow)" } else { "drop" }),
-                    ev.t,
-                    &[
-                        ("dst", Arg::U(*dst as u64)),
-                        ("wire_bytes", Arg::U(*wire_bytes)),
-                    ],
-                );
+                let name = if *overflow { "drop (overflow)" } else { "drop" };
+                em.instant(n, r#","cat":"net""#, &[Text(name)], ev.t);
+                em.args(&[
+                    (r#","dst":"#, *dst as u64),
+                    (r#","wire_bytes":"#, *wire_bytes),
+                ]);
             }
             EventKind::Rexmit { dst, tag } => {
-                em.instant(
-                    n,
-                    "net",
-                    format_args!("rexmit"),
-                    ev.t,
-                    &[("dst", Arg::U(*dst as u64)), ("tag", Arg::U(*tag))],
-                );
+                em.instant(n, r#","cat":"net""#, &[Text("rexmit")], ev.t);
+                em.args(&[(r#","dst":"#, *dst as u64), (r#","tag":"#, *tag)]);
             }
             EventKind::RaceDetected {
                 page,
@@ -336,43 +335,34 @@ fn write_chrome_json<S: Sink>(trace: &Trace, w: &mut Writer<'_, S>) {
                 end,
                 write,
             } => {
-                em.instant(
-                    n,
-                    "racecheck",
-                    format_args!("race p{page} vs n{other} ({})", mode(*write)),
-                    ev.t,
-                    &[
-                        ("page", Arg::U(*page)),
-                        ("other", Arg::U(*other as u64)),
-                        ("start", Arg::U(*start)),
-                        ("end", Arg::U(*end)),
-                    ],
-                );
+                let name = [
+                    Text("race p"),
+                    Int(*page),
+                    Text(" vs n"),
+                    Int(*other as u64),
+                    Text(mode(*write)),
+                ];
+                em.instant(n, r#","cat":"racecheck""#, &name, ev.t);
+                em.args(&[
+                    (r#","page":"#, *page),
+                    (r#","other":"#, *other as u64),
+                    (r#","start":"#, *start),
+                    (r#","end":"#, *end),
+                ]);
             }
             EventKind::NodeCrash { pages } => {
-                em.instant(
-                    n,
-                    "fault",
-                    format_args!("crash ({pages} pages lost)"),
-                    ev.t,
-                    &[("pages", Arg::U(*pages))],
-                );
+                let name = [Text("crash ("), Int(*pages), Text(" pages lost)")];
+                em.instant(n, r#","cat":"fault""#, &name, ev.t);
+                em.args(&[(r#","pages":"#, *pages)]);
             }
             EventKind::ServeRequest {
                 shard,
                 write,
                 latency_ns,
             } => {
-                em.instant(
-                    n,
-                    "serve",
-                    format_args!("{} s{shard}", if *write { "put" } else { "get" }),
-                    ev.t,
-                    &[
-                        ("shard", Arg::U(*shard)),
-                        ("latency_ns", Arg::U(*latency_ns)),
-                    ],
-                );
+                let name = [Text(if *write { "put s" } else { "get s" }), Int(*shard)];
+                em.instant(n, r#","cat":"serve""#, &name, ev.t);
+                em.args(&[(r#","shard":"#, *shard), (r#","latency_ns":"#, *latency_ns)]);
             }
             EventKind::DisciplineViolation {
                 rule,
@@ -381,18 +371,16 @@ fn write_chrome_json<S: Sink>(trace: &Trace, w: &mut Writer<'_, S>) {
                 end,
                 write,
             } => {
-                em.instant(
-                    n,
-                    "racecheck",
-                    format_args!("{rule} p{page} ({})", mode(*write)),
-                    ev.t,
-                    &[
-                        ("rule", Arg::F(format_args!("{rule}"))),
-                        ("page", Arg::U(*page)),
-                        ("start", Arg::U(*start)),
-                        ("end", Arg::U(*end)),
-                    ],
-                );
+                let name = [Text(rule), Text(" p"), Int(*page), Text(mode(*write))];
+                em.instant(n, r#","cat":"racecheck""#, &name, ev.t);
+                em.w.key("args");
+                em.w.begin_obj();
+                em.w.field_str("rule", rule);
+                em.end_args(&[
+                    (r#","page":"#, *page),
+                    (r#","start":"#, *start),
+                    (r#","end":"#, *end),
+                ]);
             }
             // High-volume or structural events are available in the raw
             // trace JSON; they would only clutter the timeline here.

@@ -4,10 +4,10 @@
 //! the top-N slowest view acquires, a per-view wait histogram, and barrier
 //! wait statistics — the three quantities the paper's tables aggregate away.
 
-use std::collections::HashMap;
 use std::fmt::Write;
 
 use crate::event::{EventKind, NodeId};
+use crate::perfetto::FastMap;
 use crate::tracer::Trace;
 
 /// One completed view-acquire wait reconstructed from the stream.
@@ -27,28 +27,7 @@ pub struct AcquireWait {
 
 /// Pair every `AcquireStart` with its `AcquireEnd`.
 pub fn acquire_waits(trace: &Trace) -> Vec<AcquireWait> {
-    let mut open: HashMap<(NodeId, u64, bool), Vec<u64>> = HashMap::new();
-    let mut out = Vec::new();
-    for ev in &trace.events {
-        match &ev.kind {
-            EventKind::AcquireStart { view, write } => {
-                open.entry((ev.node, *view, *write)).or_default().push(ev.t);
-            }
-            EventKind::AcquireEnd { view, write, .. } => {
-                if let Some(start) = open.entry((ev.node, *view, *write)).or_default().pop() {
-                    out.push(AcquireWait {
-                        node: ev.node,
-                        view: *view,
-                        write: *write,
-                        start,
-                        wait_ns: ev.t.saturating_sub(start),
-                    });
-                }
-            }
-            _ => {}
-        }
-    }
-    out
+    Scan::of(trace).acquires
 }
 
 /// Aggregate acquire statistics of one view, for hot-view ranking (§3.6:
@@ -70,24 +49,79 @@ pub struct HotView {
 /// Rank views by total acquire-wait time, hottest first (ties broken by
 /// view id), truncated to `top_n`.
 pub fn hot_views(trace: &Trace, top_n: usize) -> Vec<HotView> {
-    let mut per: HashMap<u64, HotView> = HashMap::new();
-    let blank = |view| HotView {
-        view,
-        acquires: 0,
-        wait_ns: 0,
-        grant_bytes: 0,
-    };
-    for w in acquire_waits(trace) {
-        per.entry(w.view).or_insert_with(|| blank(w.view)).wait_ns += w.wait_ns;
-    }
-    for ev in &trace.events {
-        if let EventKind::AcquireEnd { view, bytes, .. } = &ev.kind {
-            let e = per.entry(*view).or_insert_with(|| blank(*view));
-            e.acquires += 1;
-            e.grant_bytes += bytes;
+    rank(Scan::of(trace).views, top_n)
+}
+
+/// Everything the report reads from the event stream, gathered in one scan.
+struct Scan {
+    census: FastMap<&'static str, usize>,
+    acquires: Vec<AcquireWait>,
+    /// Per view: every `AcquireEnd`, and the waits of those that matched
+    /// an `AcquireStart`.
+    views: FastMap<u64, HotView>,
+    barriers: Vec<u64>,
+}
+
+impl Scan {
+    fn of(trace: &Trace) -> Scan {
+        let mut census: FastMap<&'static str, usize> = FastMap::default();
+        let mut open: FastMap<(NodeId, u64, bool), Vec<u64>> = FastMap::default();
+        let mut acquires = Vec::new();
+        let mut views: FastMap<u64, HotView> = FastMap::default();
+        let mut open_barriers: FastMap<(NodeId, u64), u64> = FastMap::default();
+        let mut barriers = Vec::new();
+        for ev in &trace.events {
+            *census.entry(ev.kind.name()).or_default() += 1;
+            match &ev.kind {
+                EventKind::AcquireStart { view, write } => {
+                    open.entry((ev.node, *view, *write)).or_default().push(ev.t);
+                }
+                EventKind::AcquireEnd {
+                    view, write, bytes, ..
+                } => {
+                    let hot = views.entry(*view).or_insert(HotView {
+                        view: *view,
+                        acquires: 0,
+                        wait_ns: 0,
+                        grant_bytes: 0,
+                    });
+                    hot.acquires += 1;
+                    hot.grant_bytes += bytes;
+                    if let Some(start) = open.get_mut(&(ev.node, *view, *write)).and_then(Vec::pop)
+                    {
+                        let wait_ns = ev.t.saturating_sub(start);
+                        hot.wait_ns += wait_ns;
+                        acquires.push(AcquireWait {
+                            node: ev.node,
+                            view: *view,
+                            write: *write,
+                            start,
+                            wait_ns,
+                        });
+                    }
+                }
+                EventKind::BarrierEnter { id, .. } => {
+                    open_barriers.insert((ev.node, *id), ev.t);
+                }
+                EventKind::BarrierExit { id, .. } => {
+                    if let Some(start) = open_barriers.remove(&(ev.node, *id)) {
+                        barriers.push(ev.t.saturating_sub(start));
+                    }
+                }
+                _ => {}
+            }
+        }
+        Scan {
+            census,
+            acquires,
+            views,
+            barriers,
         }
     }
-    let mut out: Vec<HotView> = per.into_values().collect();
+}
+
+fn rank(views: FastMap<u64, HotView>, top_n: usize) -> Vec<HotView> {
+    let mut out: Vec<HotView> = views.into_values().collect();
     out.sort_by(|a, b| b.wait_ns.cmp(&a.wait_ns).then(a.view.cmp(&b.view)));
     out.truncate(top_n);
     out
@@ -125,11 +159,14 @@ pub fn report(trace: &Trace, top_n: usize) -> String {
         trace.evicted
     );
 
+    let Scan {
+        census,
+        acquires: mut waits,
+        views,
+        barriers: barrier_waits,
+    } = Scan::of(trace);
+
     // Event census, sorted by count descending then name for stability.
-    let mut census: HashMap<&'static str, usize> = HashMap::new();
-    for ev in &trace.events {
-        *census.entry(ev.kind.name()).or_default() += 1;
-    }
     let mut census: Vec<(&str, usize)> = census.into_iter().collect();
     census.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
     let _ = writeln!(out, "\nevent census:");
@@ -138,7 +175,6 @@ pub fn report(trace: &Trace, top_n: usize) -> String {
     }
 
     // Slowest acquires.
-    let mut waits = acquire_waits(trace);
     waits.sort_by(|a, b| b.wait_ns.cmp(&a.wait_ns).then(a.start.cmp(&b.start)));
     let _ = writeln!(
         out,
@@ -158,7 +194,7 @@ pub fn report(trace: &Trace, top_n: usize) -> String {
     }
 
     // Hottest views by total acquire-wait time.
-    let hot = hot_views(trace, top_n);
+    let hot = rank(views, top_n);
     if !hot.is_empty() {
         let _ = writeln!(out, "\nhottest views (by total acquire wait):");
         for h in &hot {
@@ -174,7 +210,7 @@ pub fn report(trace: &Trace, top_n: usize) -> String {
     }
 
     // Per-view wait histograms.
-    let mut per_view: HashMap<u64, (u64, u64, [usize; BUCKETS.len()])> = HashMap::new();
+    let mut per_view: FastMap<u64, (u64, u64, [usize; BUCKETS.len()])> = FastMap::default();
     for w in &waits {
         let entry = per_view.entry(w.view).or_insert((0, 0, [0; BUCKETS.len()]));
         entry.0 += 1;
@@ -204,21 +240,6 @@ pub fn report(trace: &Trace, top_n: usize) -> String {
     }
 
     // Barrier waits.
-    let mut open: HashMap<(NodeId, u64), u64> = HashMap::new();
-    let mut barrier_waits: Vec<u64> = Vec::new();
-    for ev in &trace.events {
-        match &ev.kind {
-            EventKind::BarrierEnter { id, .. } => {
-                open.insert((ev.node, *id), ev.t);
-            }
-            EventKind::BarrierExit { id, .. } => {
-                if let Some(start) = open.remove(&(ev.node, *id)) {
-                    barrier_waits.push(ev.t.saturating_sub(start));
-                }
-            }
-            _ => {}
-        }
-    }
     if !barrier_waits.is_empty() {
         let total: u64 = barrier_waits.iter().sum();
         let max = *barrier_waits.iter().max().expect("non-empty");

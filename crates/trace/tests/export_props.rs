@@ -72,6 +72,49 @@ fn whole_traces_stream_their_trees() {
     assert_eq!(to_chrome_json(&empty), oracle::to_chrome_json(&empty));
 }
 
+fn us_text(t_ns: u64) -> String {
+    let mut s = String::new();
+    Writer::compact(&mut s).us(t_ns);
+    s
+}
+
+/// The microsecond writer prints exactly what the `f64` path printed for
+/// `t_ns as f64 / 1000.0` (the oracle's number printer): over the whole
+/// `u64` range at every shift, and at powers of ten and around 2^50, 2^52
+/// and 2^53, where the text is made from integers on one side and from the
+/// `f64` on the other, and where `f64` stops holding every nanosecond.
+#[test]
+fn microseconds_print_as_the_f64_path() {
+    let check = |t: u64, what: &str| {
+        let want = oracle::print(&Value::Num(t as f64 / 1000.0));
+        assert_eq!(us_text(t), want, "{what}: t = {t}");
+    };
+    for seed in 0..16 * CASES {
+        let mut rng = Rng(seed);
+        for shift in 0..64 {
+            check(
+                rng.next_u64() >> shift,
+                &format!("seed {seed}, shift {shift}"),
+            );
+        }
+    }
+    for k in 0..20 {
+        check(10u64.pow(k), "power of ten");
+        check(10u64.pow(k) - 1, "power of ten");
+    }
+    for k in 0..2_000 {
+        for edge in [1u64 << 50, 1 << 53] {
+            check(edge + k, "edge + k");
+            check(edge - k, "edge - k");
+        }
+        check((1 << 52) + k, "2^52 + k");
+    }
+    check(u64::MAX, "u64::MAX");
+    assert_eq!(us_text(1_500), "1.5");
+    assert_eq!(us_text(2_000), "2");
+    assert_eq!(us_text(7), "0.007");
+}
+
 /// A random tree: every scalar kind, strings that need escapes, floats with
 /// fractions, and containers that are often empty.
 fn value(rng: &mut Rng, depth: u32) -> Value {

@@ -158,17 +158,37 @@ pub fn event(rng: &mut Rng, variant: u64, t: u64) -> Event {
             write: rng.flip(),
             latency_ns: rng.below(50_000_000),
         },
-        23 => EventKind::SpanBegin { name: rng.text() },
-        _ => EventKind::SpanEnd { name: rng.text() },
+        23 => EventKind::SpanBegin {
+            name: rng.text().into(),
+        },
+        _ => EventKind::SpanEnd {
+            name: rng.text().into(),
+        },
     };
     Event { t, node, kind }
 }
 
-/// `n` random events of random variants in time order; the steps are not
-/// whole microseconds, so the Perfetto timestamps carry fractions.
+/// Where the trace of `seed` starts: at 0, or a few hundred microseconds
+/// before 2^50 (where the exporters' microsecond text stops being made
+/// from integers), 2^52 or 2^53 (where `f64` stops holding every
+/// nanosecond), or anywhere below 2^62. A trace of a few hundred events
+/// crosses the edge it starts before.
+pub fn start_time(seed: u64) -> u64 {
+    match seed % 5 {
+        0 => 0,
+        1 => (1 << 50) - 300_000,
+        2 => (1 << 52) - 300_000,
+        3 => (1 << 53) - 300_000,
+        _ => Rng(seed).next_u64() >> 2,
+    }
+}
+
+/// `n` random events of random variants in time order from
+/// [`start_time`]; the steps are not whole microseconds, so the Perfetto
+/// timestamps carry fractions.
 pub fn trace(seed: u64, n: usize) -> Trace {
     let mut rng = Rng(seed);
-    let mut t = 0;
+    let mut t = start_time(seed);
     let events = (0..n)
         .map(|_| {
             t += rng.below(3000);

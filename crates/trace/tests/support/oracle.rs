@@ -398,10 +398,10 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                 }
             }
             EventKind::SpanBegin { name } => {
-                spans.entry((n, name.clone())).or_default().push(ev.t);
+                spans.entry((n, name.to_string())).or_default().push(ev.t);
             }
             EventKind::SpanEnd { name } => {
-                if let Some(start) = spans.entry((n, name.clone())).or_default().pop() {
+                if let Some(start) = spans.entry((n, name.to_string())).or_default().pop() {
                     em.slice(n, "app", name, start, ev.t, vec![]);
                 }
             }

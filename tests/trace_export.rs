@@ -114,6 +114,49 @@ fn real_runs_export_what_the_tree_builders_did() {
     exports_match_the_oracle("LRC_d", &trace, &crit);
 }
 
+/// Random critical paths export what the tree builder did, from every
+/// start time the trace generator uses: on both sides of 2^50, where the
+/// microsecond text stops being made from integers, and past 2^53.
+#[test]
+fn random_critical_paths_export_what_the_tree_builder_did() {
+    use support::gen::{start_time, Rng};
+    use vopp_metrics::{CritSeg, SegCat};
+    use vopp_trace::OpKind;
+    const CATS: [SegCat; 3] = [SegCat::Cpu, SegCat::Net, SegCat::Timeout];
+    const OPS: [OpKind; 7] = [
+        OpKind::App,
+        OpKind::Idle,
+        OpKind::Barrier,
+        OpKind::Acquire,
+        OpKind::Data,
+        OpKind::Flush,
+        OpKind::Other,
+    ];
+    for seed in 0..40 {
+        let mut rng = Rng(seed);
+        let mut t = start_time(seed);
+        let mut cp = CritPath::default();
+        for _ in 0..300 {
+            let lo_ns = t;
+            t += rng.below(3000);
+            cp.segs.push(CritSeg {
+                node: rng.below(6) as usize,
+                lo_ns,
+                hi_ns: t,
+                cat: CATS[rng.below(3) as usize],
+                op: OPS[rng.below(7) as usize],
+                obj: rng.id(),
+                app_ns: rng.below(3000),
+                overhead_ns: rng.below(3000),
+                diff_ns: rng.below(3000),
+            });
+        }
+        let tree = critpath_oracle::critpath_to_chrome_value(&cp);
+        let track = critpath_to_chrome_json(&cp);
+        assert!(track == oracle::print_pretty(&tree), "seed {seed}");
+    }
+}
+
 /// The tree builder allocated about ten times per event (a `Vec` of pairs,
 /// a `String` per key); the streaming writer allocates for nothing but the
 /// output, so into a buffer that is already big enough the count does not
