@@ -63,19 +63,20 @@ scaling:
 # Modern network generations (docs/NETWORK.md): IS/Gauss/SOR/NN across
 # 100 Mbps / 10 GbE / RDMA under LRC_d, VC_sd, and the RDMA-native VC_rdma,
 # with phase-accounting breakdown rows. Runs the byte-identity test suite
-# first; the BENCH_netgen.json regression gate runs inside `bench`, which
-# sweeps netgen alongside the paper tables. Opt-in like `ext`; not part of
+# first; BENCH_netgen.json is compared with its baseline inside `bench`,
+# which sweeps netgen alongside the paper tables. Opt-in like `ext`; not part of
 # `all`.
 netgen:
 	cargo test --release -p vopp-bench --test netgen
 	cargo run -p vopp-bench --release --bin tables -- netgen --quick --metrics target/netgen-metrics
 
-# Quick tables with machine-readable metrics, then the perf-regression
-# gate against the committed baselines (>2% time drift or any count drift
+# Quick tables with machine-readable metrics, which must equal the
+# committed baselines byte for byte (any changed, missing or extra file
 # fails the build).
 bench:
+	rm -rf $(METRICS_DIR)
 	cargo run -p vopp-bench --release --bin tables -- all serve scaling netgen --quick --metrics $(METRICS_DIR)
-	cargo run -p vopp-bench --release --bin metrics_diff -- $(BASELINE_DIR) $(METRICS_DIR)
+	diff -r $(BASELINE_DIR) $(METRICS_DIR)
 
 # Refresh the committed baselines after an intentional perf change.
 baseline:
@@ -83,12 +84,11 @@ baseline:
 
 # Critical-path profile of the full quick sweep (docs/OBSERVABILITY.md):
 # every table gains CP blame rows and what-if ceilings, the sweep writes
-# BENCH_critpath.json, and the critpath regression gate runs against the
-# committed baselines. Covers all five protocols (stats tables + ext +
-# serve).
+# BENCH_critpath.json, which must equal the committed baseline byte for
+# byte. Covers all five protocols (stats tables + ext + serve).
 critpath:
 	cargo run -p vopp-bench --release --bin tables -- all ext serve --quick --critpath --metrics $(CRITPATH_DIR)
-	cargo run -p vopp-bench --release --bin metrics_diff -- $(CRITPATH_BASELINE_DIR) $(CRITPATH_DIR)
+	diff $(CRITPATH_BASELINE_DIR)/BENCH_critpath.json $(CRITPATH_DIR)/BENCH_critpath.json
 
 # Refresh the committed critpath baselines after an intentional change to
 # the protocols or the cost model. Only BENCH_critpath.json is committed;

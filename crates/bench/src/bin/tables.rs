@@ -17,8 +17,9 @@
 //!
 //! `--metrics <dir>` records every verified run and writes one
 //! `BENCH_<app>.json` per application into `<dir>` — the machine-readable
-//! artifacts consumed by the `metrics_diff` regression gate. Host cost
-//! (wall-clock, RSS, allocations per cell) is measured by `benchmark/`.
+//! artifacts that `make bench` compares byte for byte with the committed
+//! baselines. Host cost (wall-clock, RSS, allocations per cell) is
+//! measured by `benchmark/`.
 //!
 //! `--jobs N` (default: available parallelism) sizes the worker pool that
 //! precomputes the sweep's cells. Every artifact is byte-identical for any
@@ -166,7 +167,6 @@ fn main() {
         quick,
         trace_dir,
         metrics: sink.clone(),
-        net_override: None,
         cache: None,
         faults,
         critpath,

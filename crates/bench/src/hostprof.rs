@@ -4,7 +4,7 @@
 //! Everything here observes the host, never the simulation: peak RSS and
 //! allocation counters have no connection to virtual time, so they are
 //! reported (peak RSS on the `tables` binary's `[host: ...]` line; both
-//! per rep by the `benchmark/` suite) but never gated by `metrics_diff`.
+//! per rep by the `benchmark/` suite) but never written to a gated artifact.
 //!
 //! * [`CountingAlloc`] — a `GlobalAlloc` wrapper counting allocations and
 //!   allocated bytes (cumulative, relaxed atomics; a few ns per malloc).

@@ -6,8 +6,8 @@
 //! binary: `cargo run -p vopp-bench --release --bin tables -- all`, with
 //! `--trace DIR` for per-run structured traces and conformance checks and
 //! `--metrics DIR` for machine-readable `BENCH_<app>.json` artifacts);
-//! [`metrics`] implements those artifacts and the perf-regression gate
-//! (`metrics_diff` binary) comparing them against committed baselines.
+//! [`metrics`] implements those artifacts, which must equal the committed
+//! baselines byte for byte (`make bench`).
 //! Host cost (wall-clock, allocations, the substrate probes) is measured
 //! by the stand-alone `benchmark/` crate, which links this one.
 

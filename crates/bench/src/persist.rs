@@ -1,7 +1,7 @@
 //! Lossless (de)serialization of [`RunStats`] for the on-disk sweep cache.
 //!
 //! The in-memory metrics export (`metrics.rs`) is intentionally lossy — it
-//! condenses histograms to summaries for the regression gate. A cached cell,
+//! condenses histograms to summaries for the artifacts. A cached cell,
 //! by contrast, must reproduce the *exact* `RunStats` the simulator would
 //! have produced, because table text and `BENCH_<app>.json` artifacts are
 //! byte-gated against the cold run. This module therefore round-trips every

@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use vopp_core::{Protocol, RunStats};
+use vopp_core::{NetConfig, Protocol, RunStats};
 use vopp_dsm::CostModel;
 use vopp_simnet::NetGen;
 use vopp_trace::json::{num, obj, str, Value};
@@ -529,7 +529,7 @@ pub const CACHE_FILE: &str = "sweep-cache.json";
 /// a fault-free one. The cost models hash via their `Debug` form, which
 /// covers every field.
 pub fn context_hash(scale: &Scale) -> u64 {
-    let net = scale.net_override.clone().unwrap_or_default();
+    let net = NetConfig::default();
     let cost = CostModel::default();
     let text = format!(
         "quick={} net={net:?} cost={cost:?} faults={}",
@@ -889,8 +889,7 @@ mod tests {
     }
 
     /// The sweep cache can never serve a cell across network generations:
-    /// the generation is part of the cell key, and the scale-level override
-    /// is part of the context hash.
+    /// the generation is part of the cell key.
     #[test]
     fn cache_addressing_covers_the_network_dimension() {
         // Same (app, variant, proto, np) under different generations are
@@ -900,17 +899,6 @@ mod tests {
             .map(|&g| netgen_cell(CellApp::Is, CellVariant::Vopp, g, Protocol::VcSd, 4).key())
             .collect();
         assert_eq!(keys.len(), NETGEN_GENS.len());
-        // A scale-wide net override flips the context hash, so a cache
-        // populated under one network can never warm another.
-        let base = Scale::quick();
-        let mut overridden = Scale::quick();
-        overridden.net_override = Some(NetGen::Rdma.config());
-        assert_ne!(context_hash(&base), context_hash(&overridden));
-        // eth100m is bit-for-bit the default config, so its override hashes
-        // like no override at all — the byte-identity invariant in hash form.
-        let mut eth = Scale::quick();
-        eth.net_override = Some(NetGen::Eth100m.config());
-        assert_eq!(context_hash(&base), context_hash(&eth));
     }
 
     #[test]

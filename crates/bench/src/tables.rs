@@ -21,7 +21,7 @@ use vopp_apps::gauss::{gauss_reference, run_gauss, GaussParams, GaussVariant};
 use vopp_apps::is::{is_reference, run_is, IsParams, IsVariant};
 use vopp_apps::nn::{nn_reference, run_nn, NnParams, NnVariant};
 use vopp_apps::sor::{run_sor, sor_reference, SorParams, SorVariant};
-use vopp_core::{ClusterConfig, FaultPlan, NetConfig, Phase, Protocol, RunStats};
+use vopp_core::{ClusterConfig, FaultPlan, Phase, Protocol, RunStats};
 use vopp_serve::{build_schedule, run_serve, serve_reference, ServeParams, ServeVariant};
 use vopp_sim::{SimDuration, SimTime};
 use vopp_trace::{check, report, write_chrome_json_to, CheckConfig, Tracer};
@@ -39,7 +39,7 @@ use crate::table::Table;
 /// trace, exports it (raw JSON, Chrome/Perfetto JSON, text report) into
 /// that directory and asserts the protocol conformance invariants.
 /// When `metrics` is set, every verified run is recorded as a cell for the
-/// `BENCH_<app>.json` artifacts and the regression gate.
+/// `BENCH_<app>.json` artifacts.
 /// When `cache` is set (a [`RunCache`] populated by
 /// [`crate::sweep::run_sweep`]), the tables consume precomputed results
 /// instead of simulating inline — trace artifacts were already written by
@@ -53,11 +53,6 @@ pub struct Scale {
     pub trace_dir: Option<PathBuf>,
     /// Sink for machine-readable per-run metrics; `None` disables.
     pub metrics: Option<Arc<MetricsSink>>,
-    /// Replace the default network parameters of every run (used by the
-    /// regression-gate tests to demonstrate that perturbing the cost model
-    /// fails the gate). A netgen cell's own generation
-    /// ([`CellSpec::netgen`]) takes precedence.
-    pub net_override: Option<NetConfig>,
     /// Global fault plan applied to every run (the `tables --faults SPEC`
     /// flag): datagram loss and node slowdowns reshape all cells; crash
     /// windows are acted on by the serving workload only. Folded into the
@@ -106,14 +101,11 @@ impl Scale {
         Scale::default()
     }
 
-    /// Cluster configuration of one cell: the network override or the
-    /// cell's generation, the global fault plan with a serve cell's
-    /// scenario stacked on top, and a fresh profiler under `--critpath`.
+    /// Cluster configuration of one cell: the cell's network generation,
+    /// the global fault plan with a serve cell's scenario stacked on top,
+    /// and a fresh profiler under `--critpath`.
     fn cfg(&self, spec: &CellSpec) -> ClusterConfig {
         let mut config = ClusterConfig::new(spec.np, spec.proto);
-        if let Some(net) = &self.net_override {
-            config.net = net.clone();
-        }
         if let Some(gen) = spec.netgen {
             config.net = gen.config();
         }

@@ -7,10 +7,11 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
+use vopp_apps::is::{is_reference, run_is, IsParams, IsVariant};
 use vopp_bench::metrics::CRITPATH_SCHEMA;
 use vopp_bench::sweep::{cells_for, dedup_cells, run_sweep};
 use vopp_bench::{tables, MetricsSink, Scale};
-use vopp_core::NetConfig;
+use vopp_core::{ClusterConfig, NetConfig, Protocol};
 use vopp_sim::SimDuration;
 use vopp_trace::json::Value;
 
@@ -182,23 +183,25 @@ fn net_free_ceiling_bounds_an_actual_fast_network_run() {
         .and_then(Value::as_f64)
         .expect("finite ceiling: a quick run has nonzero CPU on the path");
 
-    // Actual run of the same cell on a near-free network.
-    let fast_sink = Arc::new(MetricsSink::new());
-    let fast_scale = Scale {
-        quick: true,
-        metrics: Some(fast_sink.clone()),
-        net_override: Some(NetConfig {
-            bandwidth_bps: 1e15,
-            latency: SimDuration::from_nanos(1),
-            loopback_latency: SimDuration::from_nanos(1),
-            base_drop_prob: 0.0,
-            ..NetConfig::default()
-        }),
-        ..Scale::default()
+    // Actual run of the same cell (quick IS, VOPP on VC_sd) on a near-free
+    // network.
+    let np = scale.stats_procs();
+    let mut fast_cfg = ClusterConfig::new(np, Protocol::VcSd);
+    fast_cfg.net = NetConfig {
+        bandwidth_bps: 1e15,
+        latency: SimDuration::from_nanos(1),
+        loopback_latency: SimDuration::from_nanos(1),
+        base_drop_prob: 0.0,
+        ..NetConfig::default()
     };
-    let _ = tables::table1(&fast_scale);
-    let fast = cell_of(&fast_sink.to_documents()["is"]);
-    let fast_ns = fast.get("time_ns").and_then(Value::as_u64).expect("time");
+    let p = IsParams::quick();
+    let fast = run_is(&fast_cfg, &p, IsVariant::Vopp);
+    assert_eq!(
+        fast.value,
+        is_reference(&p, np, false),
+        "IS result mismatch"
+    );
+    let fast_ns = fast.stats.time.nanos();
 
     let actual = makespan as f64 / fast_ns as f64;
     assert!(

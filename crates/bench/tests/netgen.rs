@@ -2,7 +2,8 @@
 //! docs/NETWORK.md) must obey the same artifact invariants as the paper
 //! tables: the sweep-pool worker count and the persistent disk cache are
 //! invisible in the rendered table, in `BENCH_netgen.json`, and in the
-//! trace files.
+//! trace files, and `BENCH_netgen.json` equals the committed baseline byte
+//! for byte.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -64,6 +65,13 @@ fn netgen_four_jobs_match_one_job_byte_for_byte() {
     assert!(
         netgen_json.contains(NETGEN_SCHEMA),
         "BENCH_netgen.json must carry {NETGEN_SCHEMA}"
+    );
+    let baseline = Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines/BENCH_netgen.json");
+    assert!(
+        *netgen_json == std::fs::read_to_string(&baseline).expect("read the committed baseline"),
+        "BENCH_netgen.json differs from {} \
+         (`make bench` shows the diff; after an intentional model change, run `make baseline`)",
+        baseline.display()
     );
     // Every generation folds into the trace stems, so rdma / 10g / eth100m
     // runs of the same app+protocol never collide on one file.

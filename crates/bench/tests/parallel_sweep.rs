@@ -1,7 +1,8 @@
 //! The parallel sweep runner must be invisible in every artifact: running
 //! the full quick sweep with 4 workers produces byte-identical table text,
 //! `BENCH_<app>.json` metrics, and trace files to a 1-worker run. Only
-//! wall-clock may differ.
+//! wall-clock may differ. The metrics must also equal the committed
+//! baselines byte for byte.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -82,7 +83,23 @@ fn four_workers_match_one_worker_byte_for_byte() {
     for (name, body) in &f1 {
         assert_eq!(body, &f4[name], "{name} differs between --jobs 1 and 4");
     }
+    for app in ["is", "gauss", "sor", "nn"] {
+        let name = format!("BENCH_{app}.json");
+        assert!(
+            f1[&format!("metrics/{name}")] == baseline(&name),
+            "{name} differs from crates/bench/baselines/{name} \
+             (`make bench` shows the diff; after an intentional model change, run `make baseline`)"
+        );
+    }
     std::fs::remove_dir_all(&base).ok();
+}
+
+/// The committed baseline artifact `name`.
+fn baseline(name: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("baselines")
+        .join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
 /// Render the full quick sweep (metrics only — the persistent cache is

@@ -4,8 +4,9 @@
 //! bucket), which brackets every round-trip the simulator produces: the
 //! fastest RPC is bounded below by the network latency (µs scale) and the
 //! retransmission timeout caps single waits near 1s. Quantiles are resolved
-//! to the bucket upper bound — exact enough for the 2% regression gate while
-//! keeping `record()` a couple of integer compares.
+//! to the bucket upper bound — deterministic, so the latency summaries are
+//! as byte-stable as every other metric, while keeping `record()` a couple
+//! of integer compares.
 
 use vopp_trace::json::{num, obj, Value};
 

@@ -1,8 +1,11 @@
 //! Differential runs: seeded draws of an application's parameters, the
 //! cluster size, a protocol of the program's style, a network generation and
-//! a loss plan, each run compared with the application's sequential
-//! reference. The parallel result must equal the sequential one on every
-//! input drawn.
+//! a fault plan (none, loss, or one slowed node), each run compared with the
+//! application's sequential reference. The parallel result must equal the
+//! sequential one on every input drawn.
+//!
+//! Crash windows are not drawn: only the serving workload acts on them, and
+//! the batch applications drawn here ignore a plan's crash entries.
 //!
 //! A failing draw panics with its seed. `draw(seed)` rebuilds the same run
 //! from the seed alone; add the seed to `REGRESSIONS` to keep it in tier-1.
@@ -12,6 +15,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use vopp_repro::apps::gauss::{gauss_reference, run_gauss, GaussParams, GaussVariant};
 use vopp_repro::apps::is::{is_reference, run_is, IsParams, IsVariant};
+use vopp_repro::apps::nn::{nn_reference, run_nn, NnParams, NnVariant};
 use vopp_repro::apps::sor::{run_sor, sor_reference, SorParams, SorVariant};
 use vopp_repro::dsm::{ClusterConfig, FaultPlan, Protocol};
 use vopp_repro::simnet::NetGen;
@@ -54,6 +58,17 @@ enum App {
     Is(IsVariant),
     Sor,
     Gauss,
+    Nn(NnVariant),
+}
+
+/// What goes wrong during a run, on top of the generation's own loss.
+#[derive(Debug)]
+enum Plan {
+    Clean,
+    /// Seed of a 2 % loss plan.
+    Loss(u64),
+    /// One node's CPU slowed down by a factor.
+    Slow(usize, f64),
 }
 
 /// One run: everything the seed decides, printed on failure.
@@ -63,11 +78,11 @@ struct Draw {
     np: usize,
     proto: Protocol,
     net: NetGen,
-    /// Seed of a 2 % loss plan on top of the generation's own loss.
-    loss: Option<u64>,
+    plan: Plan,
     is: IsParams,
     sor: SorParams,
     gauss: GaussParams,
+    nn: NnParams,
 }
 
 /// The run `seed` stands for. `np` overrides the drawn cluster size.
@@ -77,11 +92,14 @@ fn draw(seed: u64, np: Option<usize>) -> Draw {
     let mut rng = Rng(seed);
     let np = np.unwrap_or_else(|| rng.range(1, 9));
     let vopp = rng.flip();
-    let app = match rng.range(0, 2) {
+    let app = match rng.range(0, 3) {
         0 if vopp => App::Is(rng.pick(&[IsVariant::Vopp, IsVariant::VoppLb])),
         0 => App::Is(IsVariant::Traditional),
         1 => App::Sor,
-        _ => App::Gauss,
+        2 => App::Gauss,
+        _ if rng.flip() => App::Nn(NnVariant::Mpi),
+        _ if vopp => App::Nn(NnVariant::Vopp),
+        _ => App::Nn(NnVariant::Traditional),
     };
     let bmax = rng.range(16, 700);
     Draw {
@@ -89,7 +107,11 @@ fn draw(seed: u64, np: Option<usize>) -> Draw {
         np,
         proto: rng.pick(if vopp { &VOPP } else { &TRADITIONAL }),
         net: rng.pick(&[NetGen::Eth100m, NetGen::Eth10g, NetGen::Rdma]),
-        loss: rng.flip().then(|| rng.next()),
+        plan: match rng.range(0, 2) {
+            0 => Plan::Clean,
+            1 => Plan::Loss(rng.next()),
+            _ => Plan::Slow(rng.range(0, np - 1), rng.pick(&[1.25, 2.0, 5.0])),
+        },
         is: IsParams {
             n_keys: rng.range(np, 4096),
             bmax,
@@ -109,6 +131,15 @@ fn draw(seed: u64, np: Option<usize>) -> Draw {
             iters: rng.range(1, 5),
             seed: rng.next(),
         },
+        nn: NnParams {
+            n_in: rng.range(1, 8),
+            n_hidden: rng.range(1, 10),
+            n_out: rng.range(1, 4),
+            samples: rng.range(1, 80),
+            epochs: rng.range(1, 4),
+            lr: rng.pick(&[0.01, 0.05, 0.2]),
+            seed: rng.next(),
+        },
     }
 }
 
@@ -116,9 +147,11 @@ fn draw(seed: u64, np: Option<usize>) -> Draw {
 fn run(d: &Draw) -> Result<(), String> {
     let mut cfg = ClusterConfig::new(d.np, d.proto);
     cfg.net = d.net.config();
-    if let Some(seed) = d.loss {
-        cfg.faults = FaultPlan::none().with_loss(0.02, seed);
-    }
+    cfg.faults = match d.plan {
+        Plan::Clean => FaultPlan::none(),
+        Plan::Loss(seed) => FaultPlan::none().with_loss(0.02, seed),
+        Plan::Slow(node, factor) => FaultPlan::none().with_slowdown(node, factor),
+    };
     let vopp = d.proto.is_vc();
     let (got, want) = match d.app {
         App::Is(variant) => (
@@ -134,6 +167,10 @@ fn run(d: &Draw) -> Result<(), String> {
             let variant = [GaussVariant::Traditional, GaussVariant::Vopp][usize::from(vopp)];
             let out = run_gauss(&cfg, &d.gauss, variant).value;
             (out.to_bits(), gauss_reference(&d.gauss, d.np).to_bits())
+        }
+        App::Nn(variant) => {
+            let out = run_nn(&cfg, &d.nn, variant).value;
+            (out.to_bits(), nn_reference(&d.nn, d.np).to_bits())
         }
     };
     (got == want)
