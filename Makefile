@@ -5,9 +5,11 @@ METRICS_DIR ?= target/bench-metrics
 BASELINE_DIR ?= crates/bench/baselines
 CRITPATH_DIR ?= target/bench-critpath
 CRITPATH_BASELINE_DIR ?= crates/bench/baselines-critpath
+FULL_METRICS_DIR ?= target/full-metrics
+FULL_BASELINE_DIR ?= crates/bench/baselines-full
 
-.PHONY: all check fmt clippy doc test test-all tables tables-quick tables-check serve scaling \
-        netgen bench baseline critpath baseline-critpath \
+.PHONY: all check fmt clippy doc test test-all tables tables-quick tables-check baseline-full \
+        serve scaling netgen bench baseline critpath baseline-critpath \
         metrics-demo trace-demo racecheck fuzz hostbench hostbench-test hostbench-pairs \
         clean
 
@@ -42,11 +44,24 @@ tables-quick:
 	cargo run -p vopp-bench --release --bin tables -- all --quick
 
 # The paper-scale tables must reproduce docs/regenerated_tables.txt byte for
-# byte (about a minute on 2 cores). Peak RSS is set by the multi-node LRC_d
-# Gauss cells' diff stores: about 1.5 GiB at --jobs 4, and about 1 GiB at
-# --jobs 2 with one malloc arena (MALLOC_ARENA_MAX=1).
+# byte, and the same run's full-scale metrics (the paper tables plus `ext`)
+# must equal crates/bench/baselines-full/ byte for byte: the rendered text
+# rounds seconds to two decimals, the metrics pin every nanosecond and count.
+# The `ext` table prints last; its text is cut off before the text diff. About
+# a minute on 2 cores. Peak RSS is set by the multi-node LRC_d Gauss cells'
+# diff stores: about 1.5 GiB at --jobs 4, and about 1 GiB at --jobs 2 with one
+# malloc arena (MALLOC_ARENA_MAX=1).
 tables-check:
-	cargo run -p vopp-bench --release --bin tables -- all --jobs 4 | diff docs/regenerated_tables.txt -
+	rm -rf $(FULL_METRICS_DIR)
+	mkdir -p $(FULL_METRICS_DIR)
+	cargo run -p vopp-bench --release --bin tables -- all ext --jobs 4 --metrics $(FULL_METRICS_DIR) > $(FULL_METRICS_DIR)/tables.txt
+	sed '/^Extension: /,$$d' $(FULL_METRICS_DIR)/tables.txt | diff docs/regenerated_tables.txt -
+	rm $(FULL_METRICS_DIR)/tables.txt
+	diff -r $(FULL_BASELINE_DIR) $(FULL_METRICS_DIR)
+
+# Refresh the full-scale baselines after an intentional model change.
+baseline-full:
+	cargo run -p vopp-bench --release --bin tables -- all ext --jobs 4 --metrics $(FULL_BASELINE_DIR) > /dev/null
 
 # The serving workload (docs/SERVING.md): open-loop sharded KV store
 # across the protocol matrix, two offered loads, and loss/slowdown/crash
@@ -147,7 +162,7 @@ racecheck:
 
 # Differential runs (tests/differential.rs): seeded draws of IS/SOR/Gauss
 # parameters, cluster size, protocol, network and loss, each equal to its
-# sequential reference. `cargo test` runs a few hundred draws; this runs the
+# sequential reference. `cargo test` runs a thousand draws; this runs the
 # long budget in release. A failure prints the draw's seed.
 fuzz:
 	cargo test --release --test differential -- --include-ignored

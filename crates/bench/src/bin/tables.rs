@@ -4,7 +4,6 @@
 //! cargo run -p vopp-bench --release --bin tables -- all
 //! cargo run -p vopp-bench --release --bin tables -- table1 table3
 //! cargo run -p vopp-bench --release --bin tables -- all --quick
-//! cargo run -p vopp-bench --release --bin tables -- all --json > tables.json
 //! cargo run -p vopp-bench --release --bin tables -- table1 --trace /tmp/t
 //! cargo run -p vopp-bench --release --bin tables -- all --quick --metrics out/
 //! cargo run -p vopp-bench --release --bin tables -- all --jobs 4
@@ -70,11 +69,10 @@ use vopp_bench::hostprof::peak_rss_bytes;
 use vopp_bench::sweep::{
     cells_for, context_hash, dedup_cells, run_sweep_cached, DiskCache, OPT_IN, TABLES,
 };
-use vopp_bench::{MetricsSink, Scale, Table};
+use vopp_bench::{MetricsSink, Scale};
 use vopp_core::FaultPlan;
-use vopp_trace::json::Value;
 
-const USAGE: &str = "usage: tables [--quick] [--json] [--jobs N] [--trace DIR] \
+const USAGE: &str = "usage: tables [--quick] [--jobs N] [--trace DIR] \
      [--metrics DIR] [--cache DIR] [--faults PLAN] [--critpath] \
      (all | table1 .. table9 | ext | serve | scaling | netgen)*";
 
@@ -83,7 +81,6 @@ const USAGE: &str = "usage: tables [--quick] [--json] [--jobs N] [--trace DIR] \
 #[derive(Default)]
 struct Cli {
     quick: bool,
-    json: bool,
     critpath: bool,
     jobs: Option<usize>,
     trace_dir: Option<PathBuf>,
@@ -110,7 +107,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         };
         match arg.as_str() {
             "--quick" => cli.quick = true,
-            "--json" => cli.json = true,
             "--critpath" => cli.critpath = true,
             "--jobs" => cli.jobs = Some(parse_jobs(operand("a positive integer")?)?),
             "--trace" => cli.trace_dir = Some(PathBuf::from(operand("a directory")?)),
@@ -144,7 +140,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Cli {
         quick,
-        json,
         critpath,
         jobs,
         trace_dir,
@@ -205,20 +200,11 @@ fn main() {
     }
     scale.cache = Some(cache);
 
-    let mut produced = Vec::new();
     for (name, f) in &selected {
         let t0 = Instant::now();
         let table = f(&scale);
         eprintln!("[{name} generated in {:.1?}]", t0.elapsed());
-        if json {
-            produced.push(table);
-        } else {
-            println!("{table}");
-        }
-    }
-    if json {
-        let v = Value::Arr(produced.iter().map(Table::to_value).collect());
-        println!("{}", v.to_json_pretty());
+        println!("{table}");
     }
     if let (Some(sink), Some(dir)) = (&sink, &metrics_dir) {
         match sink.write_all(dir) {

@@ -22,25 +22,9 @@ use vopp_trace::json::{num, obj, str, Value};
 use crate::sweep::{CellSpec, CellVariant, ServePayload};
 
 /// Schema tag written into every artifact, bumped on breaking changes.
-pub const SCHEMA: &str = "vopp-bench-metrics/1";
-
-/// Schema tag of the serving artifact (`BENCH_serve.json`), whose cells
-/// additionally carry per-request latency percentiles and the convergence
-/// evidence of the sharded store.
-pub const SERVE_SCHEMA: &str = "vopp-bench-serve/1";
-
-/// Schema tag of the critical-path artifact (`BENCH_critpath.json`): one
-/// cell per profiled run with the path's blame decomposition and the
-/// what-if speedup ceilings. Deterministic and byte-stable across `--jobs`
-/// values; gated by its own baselines (`baselines-critpath/`).
-pub const CRITPATH_SCHEMA: &str = "vopp-bench-critpath/1";
-
-/// Schema tag of the network-generation artifact (`BENCH_netgen.json`):
-/// the `tables netgen` family, whose cells carry the generation in the
-/// variant label (`is_vopp_rdma`). Structurally identical to [`SCHEMA`]
-/// cells but tagged separately so the baseline's sweep dimensions are
-/// explicit; gated exactly like every other artifact.
-pub const NETGEN_SCHEMA: &str = "vopp-bench-netgen/1";
+/// One tag serves every family: the file name (`BENCH_serve.json`,
+/// `BENCH_critpath.json`, ...) already says which cells a document holds.
+pub const SCHEMA: &str = "vopp-bench-metrics/2";
 
 /// One finished table cell: the table that ran it, what ran, and what it
 /// measured. The tables render from these records and the sink writes its
@@ -146,10 +130,7 @@ impl MetricsSink {
             .collect();
         let mut docs = BTreeMap::new();
         if !crit.is_empty() {
-            let doc = obj(vec![
-                ("schema", str(CRITPATH_SCHEMA)),
-                ("cells", Value::Arr(crit)),
-            ]);
+            let doc = obj(vec![("schema", str(SCHEMA)), ("cells", Value::Arr(crit))]);
             docs.insert("critpath".to_string(), doc);
         }
         let mut by_app: BTreeMap<&str, Vec<&(&CellRecord, Labels)>> = BTreeMap::new();
@@ -165,13 +146,8 @@ impl MetricsSink {
                 .iter()
                 .find(|(r, _)| r.spec.np == 1)
                 .map(|(r, _)| r.stats.time.nanos());
-            let schema = match app {
-                "serve" => SERVE_SCHEMA,
-                "netgen" => NETGEN_SCHEMA,
-                _ => SCHEMA,
-            };
             let doc = obj(vec![
-                ("schema", str(schema)),
+                ("schema", str(SCHEMA)),
                 ("app", str(app)),
                 (
                     "cells",
@@ -388,7 +364,7 @@ mod tests {
     }
 
     #[test]
-    fn netgen_cells_carry_their_own_schema_and_gate_exactly() {
+    fn netgen_cells_carry_their_generation_and_gate_exactly() {
         let netgen = |msgs| {
             sink_with(vec![
                 on(
@@ -402,7 +378,7 @@ mod tests {
             ])
         };
         let doc = &netgen(20).to_documents()["netgen"];
-        assert_eq!(doc.get("schema").unwrap().as_str(), Some(NETGEN_SCHEMA));
+        assert_eq!(doc.get("schema").unwrap().as_str(), Some(SCHEMA));
         // The generation lives in the variant label, so the same
         // app/protocol/np under another generation is a distinct cell, and
         // one msgs bump changes the bytes of the rdma cell alone.
@@ -501,7 +477,7 @@ mod tests {
             ["critpath", "is", "netgen", "nn", "scaling", "serve"]
         );
         let doc = &docs["critpath"];
-        assert_eq!(doc.get("schema").unwrap().as_str(), Some(CRITPATH_SCHEMA));
+        assert_eq!(doc.get("schema").unwrap().as_str(), Some(SCHEMA));
         let cells = doc.get("cells").unwrap().as_arr().unwrap();
         // Exactly the profiled records, in recording order.
         let name =

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use vopp_trace::json::Value;
-
 /// A rendered evaluation table.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -36,28 +34,6 @@ impl Table {
     /// Cell for a float with `prec` decimals.
     pub fn f(v: f64, prec: usize) -> String {
         format!("{v:.prec$}")
-    }
-
-    /// The table as a JSON value: `{title, columns, rows: [[label, cells]]}`.
-    pub fn to_value(&self) -> Value {
-        let rows = self
-            .rows
-            .iter()
-            .map(|(label, cells)| {
-                Value::Arr(vec![
-                    Value::Str(label.clone()),
-                    Value::Arr(cells.iter().map(|c| Value::Str(c.clone())).collect()),
-                ])
-            })
-            .collect();
-        Value::Obj(vec![
-            ("title".into(), Value::Str(self.title.clone())),
-            (
-                "columns".into(),
-                Value::Arr(self.columns.iter().map(|c| Value::Str(c.clone())).collect()),
-            ),
-            ("rows".into(), Value::Arr(rows)),
-        ])
     }
 
     /// Cell for an integer with thousands separators (paper style).
@@ -129,15 +105,6 @@ mod tests {
         assert_eq!(Table::i(999), "999");
         assert_eq!(Table::i(1000), "1,000");
         assert_eq!(Table::i(1234567), "1,234,567");
-    }
-
-    #[test]
-    fn json_value_parses_back() {
-        let mut t = Table::new("Test", vec!["A".into()]);
-        t.row("x", vec!["1".into()]);
-        let parsed = Value::parse(&t.to_value().to_json()).unwrap();
-        assert_eq!(parsed.get("title").unwrap().as_str().unwrap(), "Test");
-        assert_eq!(parsed.get("rows").unwrap().as_arr().unwrap().len(), 1);
     }
 
     #[test]

@@ -20,6 +20,8 @@ fn bad_command_lines_exit_2_with_the_usage_text() {
         &["tabel1", "--quick"],
         // A flag this binary once had is an unknown flag like any other.
         &["scaling", "--quick", "--sim-workers", "4"],
+        // `--metrics DIR` is the machine-readable output; `--json` is gone.
+        &["table1", "--quick", "--json"],
         // The checker suite is a test (`make racecheck`), not a table.
         &["--racecheck"],
         &["table1", "--quick", "--jobs", "0"],

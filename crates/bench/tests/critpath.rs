@@ -8,7 +8,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use vopp_apps::is::{is_reference, run_is, IsParams, IsVariant};
-use vopp_bench::metrics::CRITPATH_SCHEMA;
+use vopp_bench::metrics::SCHEMA;
 use vopp_bench::sweep::{cells_for, dedup_cells, run_sweep};
 use vopp_bench::{tables, MetricsSink, Scale};
 use vopp_core::{ClusterConfig, NetConfig, Protocol};
@@ -76,7 +76,7 @@ fn critpath_artifacts_do_not_depend_on_worker_count() {
     // The table carries the CP rows and the artifact its schema.
     assert!(f1["table1.txt"].contains("CP Compute (%)"));
     assert!(f1["table1.txt"].contains("Ceil. net free"));
-    assert!(f1["BENCH_critpath.json"].contains(CRITPATH_SCHEMA));
+    assert!(f1["BENCH_critpath.json"].contains(SCHEMA));
     std::fs::remove_dir_all(&base).ok();
 }
 
@@ -106,10 +106,7 @@ fn profiler_is_invisible_in_gated_artifacts() {
     // nothing is produced without the flag.
     assert!(!off.contains_key("critpath"));
     let doc = &on["critpath"];
-    assert_eq!(
-        doc.get("schema").and_then(Value::as_str),
-        Some(CRITPATH_SCHEMA)
-    );
+    assert_eq!(doc.get("schema").and_then(Value::as_str), Some(SCHEMA));
     assert_eq!(
         doc.get("cells").and_then(Value::as_arr).map(<[_]>::len),
         Some(3)

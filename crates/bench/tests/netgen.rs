@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
-use vopp_bench::metrics::NETGEN_SCHEMA;
+use vopp_bench::metrics::SCHEMA;
 use vopp_bench::sweep::{
     cells_for, context_hash, dedup_cells, run_sweep, run_sweep_cached, DiskCache,
 };
@@ -63,8 +63,8 @@ fn netgen_four_jobs_match_one_job_byte_for_byte() {
     );
     let netgen_json = &f1["metrics/BENCH_netgen.json"];
     assert!(
-        netgen_json.contains(NETGEN_SCHEMA),
-        "BENCH_netgen.json must carry {NETGEN_SCHEMA}"
+        netgen_json.contains(SCHEMA),
+        "BENCH_netgen.json must carry {SCHEMA}"
     );
     let baseline = Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines/BENCH_netgen.json");
     assert!(

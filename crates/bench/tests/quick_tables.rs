@@ -57,12 +57,9 @@ fn all_nine_tables_generate_at_quick_scale() {
 }
 
 #[test]
-fn tables_render_and_serialize() {
-    let t = vopp_bench::tables::table2(&Scale::quick());
-    let text = t.to_string();
+fn tables_render() {
+    let text = vopp_bench::tables::table2(&Scale::quick()).to_string();
     assert!(text.contains("VC_sd"));
-    let json = t.to_value().to_json();
-    assert!(json.contains("\"title\""));
 }
 
 /// Tracing a quick table run end to end: the per-run artifacts exist, the

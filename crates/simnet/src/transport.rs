@@ -103,7 +103,7 @@ impl RpcClient {
     /// handed on only after the wait, so every request is released before
     /// any reply is consumed; consuming each as it landed reordered a
     /// round trip's frees and raised `serve16`'s peak heap (PERFORMANCE.md
-    /// §18).
+    /// §5).
     pub fn call_all<M>(
         &mut self,
         ctx: &AppCtx<'_>,

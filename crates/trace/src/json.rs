@@ -3,7 +3,7 @@
 //! The workspace builds in a network-less environment, so it cannot pull in
 //! `serde_json`; this module is the single JSON implementation shared by the
 //! trace exporters, the conformance-checker round-trip tests, and the
-//! `tables --json` output. Objects preserve insertion order so that exports
+//! `BENCH_*.json` metrics. Objects preserve insertion order so that exports
 //! are byte-stable across runs — the determinism guard in `vopp-bench`
 //! compares serialized traces verbatim.
 //!

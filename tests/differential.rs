@@ -20,8 +20,9 @@ use vopp_repro::apps::sor::{run_sor, sor_reference, SorParams, SorVariant};
 use vopp_repro::dsm::{ClusterConfig, FaultPlan, Protocol};
 use vopp_repro::simnet::NetGen;
 
-/// Draws every `cargo test` runs (about 4 s in debug on 2 cores).
-const TIER1_DRAWS: u64 = 300;
+/// Draws every `cargo test` runs: about 4 s on 2 cores, with `vopp-apps`
+/// optimised in the dev profile (root `Cargo.toml`) and the rest in debug.
+const TIER1_DRAWS: u64 = 1_000;
 /// Draws `make fuzz` runs in release.
 const FUZZ_DRAWS: u64 = 20_000;
 /// Seeds that once failed, replayed on every run.
