@@ -160,9 +160,10 @@ hostbench-test:
 racecheck:
 	cargo test --release -p vopp-bench --test racecheck -- --nocapture
 
-# Differential runs (tests/differential.rs): seeded draws of IS/SOR/Gauss
-# parameters, cluster size, protocol, network and loss, each equal to its
-# sequential reference. `cargo test` runs a thousand draws; this runs the
+# Differential runs (tests/differential.rs): seeded draws of IS/SOR/Gauss/NN
+# parameters, cluster size, protocol, network generation and fault plan
+# (none, 2 % loss or one slowed node), each equal to its sequential
+# reference. `cargo test` runs a thousand draws; this runs the
 # long budget in release. A failure prints the draw's seed.
 fuzz:
 	cargo test --release --test differential -- --include-ignored

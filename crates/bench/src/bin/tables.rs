@@ -39,12 +39,6 @@
 //! rebuild or configuration change invalidates it wholesale. Ignored when
 //! `--trace` is set (trace artifacts require actually running the cells).
 //!
-//! `--faults <plan>` applies a global fault plan to every cell (e.g.
-//! `loss=0.02@7,slow=0x1.5`): message loss and slowdowns reshape the
-//! timing of all runs, while crash entries are acted on only by the
-//! `serve` table (batch apps ignore them). The plan is folded into the
-//! sweep-cache context hash, so cached cells never mix fault regimes.
-//!
 //! The `serve` table (open-loop service workload, see `docs/SERVING.md`)
 //! is opt-in like `ext`: request it by name (`tables serve`), it is not
 //! part of `all`.
@@ -70,10 +64,9 @@ use vopp_bench::sweep::{
     cells_for, context_hash, dedup_cells, run_sweep_cached, DiskCache, OPT_IN, TABLES,
 };
 use vopp_bench::{MetricsSink, Scale};
-use vopp_core::FaultPlan;
 
 const USAGE: &str = "usage: tables [--quick] [--jobs N] [--trace DIR] \
-     [--metrics DIR] [--cache DIR] [--faults PLAN] [--critpath] \
+     [--metrics DIR] [--cache DIR] [--critpath] \
      (all | table1 .. table9 | ext | serve | scaling | netgen)*";
 
 /// The command line, checked: every flag is one the usage text lists and
@@ -86,7 +79,6 @@ struct Cli {
     trace_dir: Option<PathBuf>,
     metrics_dir: Option<PathBuf>,
     cache_dir: Option<PathBuf>,
-    faults: FaultPlan,
     wanted: Vec<String>,
 }
 
@@ -112,10 +104,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             "--trace" => cli.trace_dir = Some(PathBuf::from(operand("a directory")?)),
             "--metrics" => cli.metrics_dir = Some(PathBuf::from(operand("a directory")?)),
             "--cache" => cli.cache_dir = Some(PathBuf::from(operand("a directory")?)),
-            "--faults" => {
-                cli.faults = FaultPlan::parse(operand("a fault plan (e.g. loss=0.02@7)")?)
-                    .map_err(|e| format!("--faults: {e}"))?;
-            }
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
             name if name == "all" || TABLES.iter().any(|(t, _)| *t == name) => {
                 cli.wanted.push(name.to_string());
@@ -145,7 +133,6 @@ fn main() {
         trace_dir,
         metrics_dir,
         mut cache_dir,
-        faults,
         wanted,
     } = parse_cli(&args).unwrap_or_else(|e| usage_exit(&e));
     let jobs = jobs.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from));
@@ -163,7 +150,6 @@ fn main() {
         trace_dir,
         metrics: sink.clone(),
         cache: None,
-        faults,
         critpath,
         trace_evictions: Default::default(),
     };

@@ -523,19 +523,15 @@ pub const CACHE_SCHEMA: &str = "vopp-sweep-cache/3";
 pub const CACHE_FILE: &str = "sweep-cache.json";
 
 /// Hash of everything *besides* the cell key that determines a run's
-/// result: problem scale (quick vs full), the network/CPU cost models and
-/// the global fault plan. Folded into the cache address so e.g. a
-/// `--quick` cache can never serve a full-scale sweep, nor a faulted sweep
-/// a fault-free one. The cost models hash via their `Debug` form, which
-/// covers every field.
+/// result: problem scale (quick vs full) and the network/CPU cost models.
+/// Folded into the cache address so e.g. a `--quick` cache can never serve
+/// a full-scale sweep. A cell's fault plan follows from its key (the serve
+/// cell's fault dimension), so it needs no term here. The cost models hash
+/// via their `Debug` form, which covers every field.
 pub fn context_hash(scale: &Scale) -> u64 {
     let net = NetConfig::default();
     let cost = CostModel::default();
-    let text = format!(
-        "quick={} net={net:?} cost={cost:?} faults={}",
-        scale.quick,
-        scale.faults.label()
-    );
+    let text = format!("quick={} net={net:?} cost={cost:?}", scale.quick);
     persist::fnv1a(text.as_bytes())
 }
 

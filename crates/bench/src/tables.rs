@@ -53,12 +53,6 @@ pub struct Scale {
     pub trace_dir: Option<PathBuf>,
     /// Sink for machine-readable per-run metrics; `None` disables.
     pub metrics: Option<Arc<MetricsSink>>,
-    /// Global fault plan applied to every run (the `tables --faults SPEC`
-    /// flag): datagram loss and node slowdowns reshape all cells; crash
-    /// windows are acted on by the serving workload only. Folded into the
-    /// sweep cache's context hash. The serve table's fault *dimension*
-    /// stacks its scenario on top of this plan.
-    pub faults: FaultPlan,
     /// Precomputed sweep results; `None` simulates every cell inline.
     pub cache: Option<Arc<RunCache>>,
     /// Attach a causal profiler to every cluster run (the `tables
@@ -102,16 +96,15 @@ impl Scale {
     }
 
     /// Cluster configuration of one cell: the cell's network generation,
-    /// the global fault plan with a serve cell's scenario stacked on top,
-    /// and a fresh profiler under `--critpath`.
+    /// a serve cell's fault scenario, and a fresh profiler under
+    /// `--critpath`. No other cell runs a fault plan.
     fn cfg(&self, spec: &CellSpec) -> ClusterConfig {
         let mut config = ClusterConfig::new(spec.np, spec.proto);
         if let Some(gen) = spec.netgen {
             config.net = gen.config();
         }
-        config.faults = self.faults.clone();
         if let Some(sc) = spec.serve {
-            config.faults = serve_fault_plan(&self.serve(sc.load), config.faults, sc.fault);
+            config.faults = serve_fault_plan(&self.serve(sc.load), sc.fault);
         }
         if self.critpath {
             // One fresh profiler per run: causal logs are per-run state.
@@ -352,19 +345,21 @@ fn oracle(key: String, compute: impl FnOnce() -> u64) -> u64 {
     *slot.get_or_init(compute)
 }
 
-/// Promote a serve cell's fault dimension into the run's fault plan,
-/// stacked on top of the global `--faults` plan.
-fn serve_fault_plan(p: &ServeParams, base: FaultPlan, fault: ServeFault) -> FaultPlan {
+/// The fault plan of a serve cell's fault dimension: the only source of
+/// what-if faults in the tables (the network's own loss and retransmissions
+/// are part of every cell's `NetConfig`).
+fn serve_fault_plan(p: &ServeParams, fault: ServeFault) -> FaultPlan {
+    let none = FaultPlan::none();
     match fault {
-        ServeFault::Clean => base,
-        ServeFault::Loss => base.with_loss(0.02, 7),
-        ServeFault::Slow => base.with_slowdown(0, 2.0),
+        ServeFault::Clean => none,
+        ServeFault::Loss => none.with_loss(0.02, 7),
+        ServeFault::Slow => none.with_slowdown(0, 2.0),
         ServeFault::Crash => {
             // Crash node 1 at a quarter of the schedule horizon, down for
             // another quarter: recovery happens mid-stream with plenty of
             // post-recovery traffic left to measure.
             let horizon = build_schedule(p).last().expect("nonempty schedule").arrival;
-            base.with_crash(
+            none.with_crash(
                 1,
                 SimTime(horizon / 4),
                 SimDuration::from_nanos(horizon / 4),

@@ -27,8 +27,8 @@ fn bad_command_lines_exit_2_with_the_usage_text() {
         &["table1", "--quick", "--jobs", "0"],
         &["table1", "--quick", "--jobs"],
         &["--quick"],
-        // A slowdown by NaN would multiply every cost of the node by NaN.
-        &["table1", "--quick", "--faults", "slow=1xNaN"],
+        // Faults come from a cell's own plan; there is no global one.
+        &["table1", "--quick", "--faults", "loss=0.02@7"],
     ] {
         let out = tables(args);
         let err = String::from_utf8_lossy(&out.stderr);

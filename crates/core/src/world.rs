@@ -75,11 +75,6 @@ impl WorldBuilder {
         (0..count).map(|_| self.view_f64(len)).collect()
     }
 
-    /// `count` equally-sized word views.
-    pub fn views_u32(&mut self, count: usize, len: usize) -> Vec<ViewRegion<u32>> {
-        (0..count).map(|_| self.view_u32(len)).collect()
-    }
-
     /// Freeze the world for a cluster run.
     pub fn build(self) -> Arc<Layout> {
         self.layout.freeze()
@@ -109,7 +104,7 @@ mod tests {
         let v = w.view_f64(3);
         assert_eq!(v.region.addr % PAGE_SIZE, 0);
         assert_eq!(v.len(), 3);
-        let vs = w.views_u32(4, 1024);
+        let vs = w.views_f64(4, 1024);
         assert_eq!(vs.len(), 4);
         let l = w.build();
         assert_eq!(l.nviews(), 5);

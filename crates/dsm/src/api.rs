@@ -45,29 +45,87 @@ enum Access {
     Update,
 }
 
-/// The application-side handle to one DSM node.
-pub struct DsmCtx<'a> {
-    pub(crate) sim: AppCtx<'a>,
-    /// Reached only through [`DsmCtx::node`].
-    node: Arc<Mutex<NodeState>>,
-    /// What only this thread touches, readable while the node owes a span.
-    pub(crate) app: RefCell<AppState>,
-    /// Whether the node may owe the kernel a span ([`DsmCtx::defer_flush`],
-    /// [`DsmCtx::idle_until`]); cleared once it is surely spent.
-    owes: Cell<bool>,
-    rpc: RefCell<RpcClient>,
-    pub(crate) cpu: CpuAccount,
-    /// This node's phase accounting, folded into its statistics by
-    /// [`DsmCtx::finish`].
-    breakdown: RefCell<Breakdown>,
-    pub(crate) layout: Arc<Layout>,
-    pub(crate) protocol: Protocol,
-    next_barrier: Cell<u32>,
-    pub(crate) auto_views: Cell<bool>,
-    pub(crate) rc: Option<Arc<RaceChecker>>,
-    /// Buffers the fault path reuses from fault to fault.
-    fault_scratch: RefCell<FaultScratch>,
+/// The definition of [`DsmCtx`] and the methods that reach its `node`
+/// field. The field is private to this module, so the application side
+/// locks the node's protocol state only through [`DsmCtx::node`], which
+/// first spends any span the node owes (see [`DsmCtx::defer_flush`]).
+/// A `.node.lock()` anywhere else does not compile.
+mod ctx {
+    use super::*;
+
+    /// The application-side handle to one DSM node.
+    pub struct DsmCtx<'a> {
+        pub(crate) sim: AppCtx<'a>,
+        /// Reached only through [`DsmCtx::node`].
+        node: Arc<Mutex<NodeState>>,
+        /// What only this thread touches, readable while the node owes a span.
+        pub(crate) app: RefCell<AppState>,
+        /// Whether the node may owe the kernel a span ([`DsmCtx::defer_flush`],
+        /// [`DsmCtx::idle_until`]); cleared once it is surely spent.
+        pub(super) owes: Cell<bool>,
+        pub(super) rpc: RefCell<RpcClient>,
+        pub(crate) cpu: CpuAccount,
+        /// This node's phase accounting, folded into its statistics by
+        /// [`DsmCtx::finish`].
+        pub(super) breakdown: RefCell<Breakdown>,
+        pub(crate) layout: Arc<Layout>,
+        pub(crate) protocol: Protocol,
+        pub(super) next_barrier: Cell<u32>,
+        pub(crate) auto_views: Cell<bool>,
+        pub(crate) rc: Option<Arc<RaceChecker>>,
+        /// Buffers the fault path reuses from fault to fault.
+        pub(super) fault_scratch: RefCell<FaultScratch>,
+    }
+
+    impl<'a> DsmCtx<'a> {
+        pub(crate) fn new(
+            sim: AppCtx<'a>,
+            node: Arc<Mutex<NodeState>>,
+            rexmit_timeout: SimDuration,
+            rc: Option<Arc<RaceChecker>>,
+        ) -> DsmCtx<'a> {
+            let (cost, layout, protocol) = {
+                let n = node.lock();
+                (n.cost.clone(), n.layout.clone(), n.protocol)
+            };
+            DsmCtx {
+                cpu: CpuAccount::new(&sim, cost),
+                sim,
+                node,
+                app: RefCell::new(AppState {
+                    view_applied: vec![0; layout.nviews()],
+                    ..AppState::default()
+                }),
+                owes: Cell::new(false),
+                rpc: RefCell::new(RpcClient::with_timeout(rexmit_timeout)),
+                breakdown: RefCell::default(),
+                layout,
+                protocol,
+                next_barrier: Cell::new(0),
+                auto_views: Cell::new(false),
+                rc,
+                fault_scratch: RefCell::default(),
+            }
+        }
+
+        /// Spend the span the node may owe now.
+        pub(super) fn settle(&self) {
+            if self.owes.replace(false) {
+                self.sim.compute(SimDuration::ZERO);
+            }
+        }
+
+        /// This node's protocol state, locked: the application side's only way
+        /// to it. A span the node owes is spent first, so every service handler
+        /// that lands inside it has run.
+        pub(crate) fn node(&self) -> MutexGuard<'_, NodeState> {
+            self.settle();
+            self.node.lock()
+        }
+    }
 }
+
+pub use ctx::DsmCtx;
 
 /// The fault path's reused buffers (see [`DsmCtx::fault`]).
 #[derive(Default)]
@@ -81,36 +139,6 @@ struct FaultScratch {
 }
 
 impl<'a> DsmCtx<'a> {
-    pub(crate) fn new(
-        sim: AppCtx<'a>,
-        node: Arc<Mutex<NodeState>>,
-        rexmit_timeout: SimDuration,
-        rc: Option<Arc<RaceChecker>>,
-    ) -> DsmCtx<'a> {
-        let (cost, layout, protocol) = {
-            let n = node.lock();
-            (n.cost.clone(), n.layout.clone(), n.protocol)
-        };
-        DsmCtx {
-            cpu: CpuAccount::new(&sim, cost),
-            sim,
-            node,
-            app: RefCell::new(AppState {
-                view_applied: vec![0; layout.nviews()],
-                ..AppState::default()
-            }),
-            owes: Cell::new(false),
-            rpc: RefCell::new(RpcClient::with_timeout(rexmit_timeout)),
-            breakdown: RefCell::default(),
-            layout,
-            protocol,
-            next_barrier: Cell::new(0),
-            auto_views: Cell::new(false),
-            rc,
-            fault_scratch: RefCell::default(),
-        }
-    }
-
     /// This processor's id.
     pub fn me(&self) -> ProcId {
         self.sim.me()
@@ -212,21 +240,6 @@ impl<'a> DsmCtx<'a> {
         self.cpu
             .defer_flush(&self.sim, &mut self.breakdown.borrow_mut());
         self.owes.set(true);
-    }
-
-    /// Spend the span the node may owe now.
-    fn settle(&self) {
-        if self.owes.replace(false) {
-            self.sim.compute(SimDuration::ZERO);
-        }
-    }
-
-    /// This node's protocol state, locked: the application side's only way
-    /// to it. A span the node owes is spent first, so every service handler
-    /// that lands inside it has run.
-    pub(crate) fn node(&self) -> MutexGuard<'_, NodeState> {
-        self.settle();
-        self.node.lock()
     }
 
     /// Charge the wait since `since` (see [`CpuAccount::charge_wait`]) and

@@ -4,10 +4,11 @@
 //! that goes wrong during a run: elevated background message loss, nodes
 //! with degraded CPUs, and crash windows after which a node restarts with
 //! cold volatile state. The plan lives in
-//! [`ClusterConfig`](crate::ClusterConfig), so every harness — unit tests,
-//! the `tables` sweep, the serving workload — expresses faults the same way,
-//! and the plan's [`label`](FaultPlan::label) feeds both table rows and the
-//! sweep cache's context hash.
+//! [`ClusterConfig`](crate::ClusterConfig) and is built in code with the
+//! `with_*` builders, so every harness — unit tests, the serve table's
+//! fault dimension, the serving workload — expresses faults the same way.
+//! A table cell names its plan through its own key (the serve cell's
+//! `clean`/`loss`/`slow`/`crash`), so the plan itself needs no text form.
 //!
 //! Faults never introduce nondeterminism: loss is driven by the seeded
 //! network RNG, slowdowns are fixed cost-model scalings, and crash schedules
@@ -73,11 +74,6 @@ impl FaultPlan {
     /// The empty plan: nothing goes wrong.
     pub fn none() -> FaultPlan {
         FaultPlan::default()
-    }
-
-    /// True when the plan changes nothing about a run.
-    pub fn is_empty(&self) -> bool {
-        self.loss.is_none() && self.slowdowns.is_empty() && self.crashes.is_empty()
     }
 
     /// Builder: set elevated background loss.
@@ -147,130 +143,6 @@ impl FaultPlan {
         out.sort_by_key(|c| c.at);
         out
     }
-
-    /// Compact stable label, e.g. `loss=0.02@7,slow=3x1.5,crash=2@40ms+30ms`;
-    /// `none` for the empty plan. Round-trips through [`FaultPlan::parse`]
-    /// and is folded into the sweep cache's context hash.
-    pub fn label(&self) -> String {
-        if self.is_empty() {
-            return "none".to_string();
-        }
-        let mut parts = Vec::new();
-        if let Some(l) = &self.loss {
-            parts.push(format!("loss={}@{}", l.drop_prob, l.seed));
-        }
-        for s in &self.slowdowns {
-            parts.push(format!("slow={}x{}", s.node, s.factor));
-        }
-        for c in &self.crashes {
-            parts.push(format!(
-                "crash={}@{}+{}",
-                c.node,
-                fmt_ns(c.at.nanos()),
-                fmt_ns(c.down_for.nanos())
-            ));
-        }
-        parts.join(",")
-    }
-
-    /// Parse the CLI/label syntax: a comma-separated list of
-    /// `loss=P@SEED`, `slow=NODExFACTOR`, and `crash=NODE@AT+DOWN` clauses
-    /// (durations take `ns`/`us`/`ms`/`s` suffixes), or `none`.
-    pub fn parse(spec: &str) -> Result<FaultPlan, String> {
-        let mut plan = FaultPlan::none();
-        let spec = spec.trim();
-        if spec.is_empty() || spec == "none" {
-            return Ok(plan);
-        }
-        for clause in spec.split(',') {
-            let (kind, rest) = clause
-                .split_once('=')
-                .ok_or_else(|| format!("fault clause {clause:?} has no '='"))?;
-            match kind {
-                "loss" => {
-                    let (p, seed) = rest
-                        .split_once('@')
-                        .ok_or_else(|| format!("loss clause {rest:?} wants P@SEED"))?;
-                    let drop_prob: f64 = p
-                        .parse()
-                        .map_err(|_| format!("bad loss probability {p:?}"))?;
-                    if !(0.0..=1.0).contains(&drop_prob) {
-                        return Err(format!("loss probability {drop_prob} out of [0,1]"));
-                    }
-                    let seed: u64 = seed
-                        .parse()
-                        .map_err(|_| format!("bad loss seed {seed:?}"))?;
-                    plan.loss = Some(Loss { drop_prob, seed });
-                }
-                "slow" => {
-                    let (node, factor) = rest
-                        .split_once('x')
-                        .ok_or_else(|| format!("slow clause {rest:?} wants NODExFACTOR"))?;
-                    let node: usize = node
-                        .parse()
-                        .map_err(|_| format!("bad slow node {node:?}"))?;
-                    let factor: f64 = factor
-                        .parse()
-                        .map_err(|_| format!("bad slow factor {factor:?}"))?;
-                    if !factor.is_finite() {
-                        return Err(format!("slow factor {factor} is not finite"));
-                    }
-                    if factor < 1.0 {
-                        return Err(format!("slow factor {factor} below 1.0"));
-                    }
-                    plan.slowdowns.push(Slowdown { node, factor });
-                }
-                "crash" => {
-                    let (node, times) = rest
-                        .split_once('@')
-                        .ok_or_else(|| format!("crash clause {rest:?} wants NODE@AT+DOWN"))?;
-                    let (at, down) = times
-                        .split_once('+')
-                        .ok_or_else(|| format!("crash clause {rest:?} wants NODE@AT+DOWN"))?;
-                    let node: usize = node
-                        .parse()
-                        .map_err(|_| format!("bad crash node {node:?}"))?;
-                    plan.crashes.push(Crash {
-                        node,
-                        at: SimTime(parse_ns(at)?),
-                        down_for: SimDuration::from_nanos(parse_ns(down)?),
-                    });
-                }
-                other => return Err(format!("unknown fault kind {other:?}")),
-            }
-        }
-        Ok(plan)
-    }
-}
-
-/// Render nanoseconds with the largest exact unit suffix.
-fn fmt_ns(ns: u64) -> String {
-    for (div, unit) in [(1_000_000_000, "s"), (1_000_000, "ms"), (1_000, "us")] {
-        if ns > 0 && ns.is_multiple_of(div) {
-            return format!("{}{unit}", ns / div);
-        }
-    }
-    format!("{ns}ns")
-}
-
-/// Parse a duration like `40ms`, `250us`, `2s`, or `1500ns` to nanoseconds.
-fn parse_ns(s: &str) -> Result<u64, String> {
-    let (digits, mult) = if let Some(d) = s.strip_suffix("ns") {
-        (d, 1)
-    } else if let Some(d) = s.strip_suffix("us") {
-        (d, 1_000)
-    } else if let Some(d) = s.strip_suffix("ms") {
-        (d, 1_000_000)
-    } else if let Some(d) = s.strip_suffix('s') {
-        (d, 1_000_000_000)
-    } else {
-        (s, 1)
-    };
-    let n: u64 = digits
-        .parse()
-        .map_err(|_| format!("bad duration {s:?} (want e.g. 40ms, 250us, 2s)"))?;
-    n.checked_mul(mult)
-        .ok_or_else(|| format!("duration {s:?} overflows 64-bit nanoseconds"))
 }
 
 #[cfg(test)]
@@ -280,8 +152,6 @@ mod tests {
     #[test]
     fn empty_plan_changes_nothing() {
         let plan = FaultPlan::none();
-        assert!(plan.is_empty());
-        assert_eq!(plan.label(), "none");
         let net = NetConfig::default();
         let applied = plan.apply_net(&net);
         assert_eq!(applied.base_drop_prob, net.base_drop_prob);
@@ -327,46 +197,5 @@ mod tests {
         assert_eq!(c2[1].at, SimTime(50_000_000));
         assert_eq!(c2[1].up_at(), SimTime(60_000_000));
         assert_eq!(plan.crashes_for(0).len(), 0);
-    }
-
-    #[test]
-    fn label_round_trips_through_parse() {
-        let plan = FaultPlan::none()
-            .with_loss(0.02, 7)
-            .with_slowdown(3, 1.5)
-            .with_crash(2, SimTime(40_000_000), SimDuration::from_millis(30));
-        assert_eq!(plan.label(), "loss=0.02@7,slow=3x1.5,crash=2@40ms+30ms");
-        assert_eq!(FaultPlan::parse(&plan.label()).unwrap(), plan);
-        assert_eq!(FaultPlan::parse("none").unwrap(), FaultPlan::none());
-        assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::none());
-    }
-
-    #[test]
-    fn parse_accepts_every_duration_unit() {
-        let plan = FaultPlan::parse("crash=0@1500ns+250us,crash=1@2s+40ms").unwrap();
-        assert_eq!(plan.crashes[0].at, SimTime(1_500));
-        assert_eq!(plan.crashes[0].down_for, SimDuration::from_micros(250));
-        assert_eq!(plan.crashes[1].at, SimTime(2_000_000_000));
-        assert_eq!(plan.crashes[1].down_for, SimDuration::from_millis(40));
-    }
-
-    #[test]
-    fn parse_rejects_malformed_specs() {
-        for bad in [
-            "bogus",
-            "loss=0.5",
-            "loss=2.0@1",
-            "slow=1",
-            "slow=1x0.5",
-            "slow=1xNaN",
-            "slow=1xinf",
-            "slow=1x1e309",
-            "crash=1@10ms",
-            "crash=0@20000000000s+1s",
-            "crash=x@10ms+1ms",
-            "flood=9",
-        ] {
-            assert!(FaultPlan::parse(bad).is_err(), "{bad:?} should fail");
-        }
     }
 }

@@ -375,22 +375,3 @@ fn crash_recovery_catches_up_on_missed_writes() {
     // 1+2+3+4 from round one, plus 3 × 100 while node 3 was down.
     assert_eq!(out.results, vec![310; 4]);
 }
-
-/// The fault-plan label grammar round-trips and rejects nonsense — the
-/// bench CLI leans on this for `--faults`.
-#[test]
-fn fault_plan_labels_round_trip() {
-    let plan = FaultPlan::none()
-        .with_loss(0.02, 7)
-        .with_slowdown(3, 1.5)
-        .with_crash(
-            2,
-            SimTime::default() + SimDuration::from_millis(40),
-            SimDuration::from_millis(30),
-        );
-    let label = plan.label();
-    assert_eq!(label, "loss=0.02@7,slow=3x1.5,crash=2@40ms+30ms");
-    assert_eq!(FaultPlan::parse(&label).unwrap(), plan);
-    assert_eq!(FaultPlan::parse("none").unwrap(), FaultPlan::none());
-    assert!(FaultPlan::parse("crash=2").is_err());
-}

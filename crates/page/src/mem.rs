@@ -340,12 +340,6 @@ impl NodeMemory {
     pub fn pool(&self) -> MutexGuard<'_, PagePool> {
         lock(&self.pool)
     }
-
-    /// Bytes resident in materialized pages and twins (for diagnostics).
-    pub fn resident_bytes(&self) -> usize {
-        let pages = self.pages.iter().filter(|p| p.is_some()).count();
-        (pages + self.twins.len()) * crate::page::PAGE_SIZE
-    }
 }
 
 /// Lock a shared pool. A pool holds no invariant a panic can break, so a
@@ -371,7 +365,6 @@ mod tests {
         let m = NodeMemory::new(4);
         assert_eq!(m.state(2), PageState::Valid);
         assert!(m.page(2).iter().all(|&b| b == 0));
-        assert_eq!(m.resident_bytes(), 0);
     }
 
     #[test]

@@ -121,31 +121,6 @@ impl Packet {
     pub fn peek<T: Any>(&self) -> Option<&T> {
         self.payload.downcast_ref::<T>()
     }
-
-    /// Try to downcast the payload, returning the packet back on mismatch.
-    pub fn try_expect<T: Any + Send + Sync + Clone>(self) -> Result<T, Packet> {
-        let Packet {
-            src,
-            wire_bytes,
-            class,
-            tag,
-            arrived,
-            cause,
-            payload,
-        } = self;
-        match payload.downcast::<T>() {
-            Ok(arc) => Ok(Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone())),
-            Err(payload) => Err(Packet {
-                src,
-                wire_bytes,
-                class,
-                tag,
-                arrived,
-                cause,
-                payload,
-            }),
-        }
-    }
 }
 
 impl fmt::Debug for Packet {
@@ -176,14 +151,6 @@ mod tests {
     fn expect_wrong_type_panics() {
         let p = Packet::new(0, 0, DeliveryClass::App, 0, Arc::new("hi"));
         let _ = p.expect::<u64>();
-    }
-
-    #[test]
-    fn try_expect_returns_packet_on_mismatch() {
-        let p = Packet::new(1, 10, DeliveryClass::Svc, 9, Arc::new(5i64));
-        let p = p.try_expect::<String>().unwrap_err();
-        assert_eq!(p.tag, 9);
-        assert_eq!(p.try_expect::<i64>().unwrap(), 5);
     }
 
     #[test]

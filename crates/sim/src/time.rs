@@ -44,12 +44,6 @@ impl SimTime {
         debug_assert!(earlier.0 <= self.0, "since() with a later time");
         SimDuration(self.0 - earlier.0)
     }
-
-    /// Saturating distance from another point (zero if `other` is later).
-    #[inline]
-    pub fn saturating_since(self, other: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
-    }
 }
 
 impl SimDuration {
@@ -78,13 +72,6 @@ impl SimDuration {
     #[inline]
     pub const fn from_secs(s: u64) -> SimDuration {
         SimDuration(s * 1_000_000_000)
-    }
-
-    /// Construct from fractional seconds (rounds to nanoseconds).
-    #[inline]
-    pub fn from_secs_f64(s: f64) -> SimDuration {
-        debug_assert!(s >= 0.0, "negative duration");
-        SimDuration((s * 1e9).round() as u64)
     }
 
     /// Raw nanosecond count.
@@ -198,7 +185,6 @@ mod tests {
         assert_eq!(SimDuration::from_micros(3).nanos(), 3_000);
         assert_eq!(SimDuration::from_millis(3).nanos(), 3_000_000);
         assert_eq!(SimDuration::from_secs(3).nanos(), 3_000_000_000);
-        assert_eq!(SimDuration::from_secs_f64(0.5).nanos(), 500_000_000);
     }
 
     #[test]
@@ -209,14 +195,6 @@ mod tests {
         assert_eq!((t2 - t).nanos(), 1);
         assert_eq!((SimDuration::from_nanos(6) / 2).nanos(), 3);
         assert_eq!((SimDuration::from_nanos(6) * 2).nanos(), 12);
-    }
-
-    #[test]
-    fn saturating_since_is_zero_for_future() {
-        let a = SimTime(5);
-        let b = SimTime(9);
-        assert_eq!(a.saturating_since(b), SimDuration::ZERO);
-        assert_eq!(b.saturating_since(a), SimDuration(4));
     }
 
     #[test]
