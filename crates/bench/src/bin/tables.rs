@@ -23,7 +23,9 @@
 //! `--jobs N` (default: available parallelism) sizes the worker pool that
 //! precomputes the sweep's cells. Every artifact is byte-identical for any
 //! worker count — cells are independent deterministic simulations consumed
-//! in sequential order.
+//! in sequential order. After the `[sweep: ...]` line, stderr carries one
+//! `[cell <key>: <ns> ns]` line per cell, in cell-list order, with the real
+//! time the cell took to simulate.
 //!
 //! The `scaling` table (64/128-node scale-out cells) is opt-in like `ext`
 //! and `serve`: request it by name (`tables scaling`).
@@ -31,13 +33,6 @@
 //! The `netgen` table (IS/Gauss/SOR/NN across network generations under
 //! LRC_d, VC_sd and VC_rdma, see `docs/NETWORK.md`) is opt-in the same
 //! way: request it by name (`tables netgen`).
-//!
-//! `--cache <dir>` keeps a persistent content-addressed store of finished
-//! cells (`sweep-cache.json`) across invocations: a warm rerun simulates
-//! nothing and replays the identical tables/metrics from disk. The cache is
-//! addressed by a build fingerprint plus a scale/cost-model hash, so any
-//! rebuild or configuration change invalidates it wholesale. Ignored when
-//! `--trace` is set (trace artifacts require actually running the cells).
 //!
 //! The `serve` table (open-loop service workload, see `docs/SERVING.md`)
 //! is opt-in like `ext`: request it by name (`tables serve`), it is not
@@ -49,8 +44,7 @@
 //! `BENCH_critpath.json`, and `--trace` additionally writes a
 //! `<stem>.critpath.perfetto.json` track per run. Profiling is pure
 //! observation: every other table, metric and trace stream stays
-//! byte-identical. Like `--trace`, it disables `--cache` (a warm replay
-//! carries no causal log to walk).
+//! byte-identical.
 //!
 //! Anything else — a flag or a table name not listed above — is refused
 //! with the usage text and exit code 2.
@@ -60,13 +54,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use vopp_bench::hostprof::peak_rss_bytes;
-use vopp_bench::sweep::{
-    cells_for, context_hash, dedup_cells, run_sweep_cached, DiskCache, OPT_IN, TABLES,
-};
+use vopp_bench::sweep::{cells_for, dedup_cells, run_sweep, OPT_IN, TABLES};
 use vopp_bench::{MetricsSink, Scale};
 
 const USAGE: &str = "usage: tables [--quick] [--jobs N] [--trace DIR] \
-     [--metrics DIR] [--cache DIR] [--critpath] \
+     [--metrics DIR] [--critpath] \
      (all | table1 .. table9 | ext | serve | scaling | netgen)*";
 
 /// The command line, checked: every flag is one the usage text lists and
@@ -78,7 +70,6 @@ struct Cli {
     jobs: Option<usize>,
     trace_dir: Option<PathBuf>,
     metrics_dir: Option<PathBuf>,
-    cache_dir: Option<PathBuf>,
     wanted: Vec<String>,
 }
 
@@ -103,7 +94,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             "--jobs" => cli.jobs = Some(parse_jobs(operand("a positive integer")?)?),
             "--trace" => cli.trace_dir = Some(PathBuf::from(operand("a directory")?)),
             "--metrics" => cli.metrics_dir = Some(PathBuf::from(operand("a directory")?)),
-            "--cache" => cli.cache_dir = Some(PathBuf::from(operand("a directory")?)),
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
             name if name == "all" || TABLES.iter().any(|(t, _)| *t == name) => {
                 cli.wanted.push(name.to_string());
@@ -132,18 +122,9 @@ fn main() {
         jobs,
         trace_dir,
         metrics_dir,
-        mut cache_dir,
         wanted,
     } = parse_cli(&args).unwrap_or_else(|e| usage_exit(&e));
     let jobs = jobs.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from));
-    if cache_dir.is_some() && trace_dir.is_some() {
-        eprintln!("[cache: disabled — --trace requires simulating every cell]");
-        cache_dir = None;
-    }
-    if cache_dir.is_some() && critpath {
-        eprintln!("[cache: disabled — --critpath requires simulating every cell]");
-        cache_dir = None;
-    }
     let sink = metrics_dir.as_ref().map(|_| Arc::new(MetricsSink::new()));
     let mut scale = Scale {
         quick,
@@ -168,21 +149,17 @@ fn main() {
             .flat_map(|(name, _)| cells_for(name, &scale))
             .collect::<Vec<_>>(),
     );
-    let mut disk = cache_dir
-        .as_ref()
-        .map(|dir| DiskCache::open(dir, context_hash(&scale)));
-    let cache = Arc::new(run_sweep_cached(&scale, &specs, jobs, disk.as_mut()));
+    let cache = Arc::new(run_sweep(&scale, &specs, jobs));
     eprintln!(
         "[sweep: {} cells on {} worker(s) in {:.1?}]",
         cache.len(),
         cache.jobs,
         std::time::Duration::from_nanos(cache.total_wall_ns)
     );
-    if disk.is_some() {
-        eprintln!(
-            "[cache: {} warm, {} simulated]",
-            cache.warm_cells, cache.simulated_cells
-        );
+    for spec in &specs {
+        let key = spec.key();
+        let wall_ns = cache.get(&key).expect("sweep ran every cell").wall_ns;
+        eprintln!("[cell {key}: {wall_ns} ns]");
     }
     scale.cache = Some(cache);
 

@@ -5,8 +5,8 @@
 //! by contrast, must reproduce the *exact* `RunStats` the simulator would
 //! have produced, because table text and `BENCH_<app>.json` artifacts are
 //! byte-gated against the cold run. This module therefore round-trips every
-//! field: raw histogram buckets, the full phase breakdown, per-view
-//! counters, and per-node end times.
+//! field: raw histogram buckets, the full phase breakdown, and per-node end
+//! times.
 //!
 //! It also provides the content-addressing primitives: FNV-1a hashing and a
 //! build fingerprint (hash of the running executable), so a cache produced
@@ -14,7 +14,7 @@
 
 use std::sync::OnceLock;
 
-use vopp_dsm::stats::{NodeStats, RunStats, ViewStats, ViewStatsMap};
+use vopp_dsm::stats::{NodeStats, RunStats};
 use vopp_dsm::NodeMetrics;
 use vopp_metrics::hist::NBUCKETS;
 use vopp_metrics::{Breakdown, Histogram, Phase};
@@ -110,45 +110,6 @@ fn breakdown_from_value(v: &Value) -> Option<Breakdown> {
     Some(b)
 }
 
-/// One view's counters as `[id, acquires, versions, wait_ns, grant_bytes]`.
-fn views_to_value(views: &ViewStatsMap) -> Value {
-    Value::Arr(
-        views
-            .iter()
-            .map(|(&id, v)| {
-                Value::Arr(vec![
-                    num(id as u64),
-                    num(v.acquires),
-                    num(v.versions),
-                    num(v.wait_ns),
-                    num(v.grant_bytes),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn views_from_value(v: &Value) -> Option<ViewStatsMap> {
-    let mut map = ViewStatsMap::new();
-    for row in v.as_arr()? {
-        let row = row.as_arr()?;
-        if row.len() != 5 {
-            return None;
-        }
-        let id = row[0].as_u64()? as u32;
-        map.insert(
-            id,
-            ViewStats {
-                acquires: row[1].as_u64()?,
-                versions: row[2].as_u64()?,
-                wait_ns: row[3].as_u64()?,
-                grant_bytes: row[4].as_u64()?,
-            },
-        );
-    }
-    Some(map)
-}
-
 fn metrics_to_value(m: &NodeMetrics) -> Value {
     obj(vec![
         ("breakdown", breakdown_to_value(&m.breakdown)),
@@ -181,7 +142,6 @@ fn nodes_to_value(n: &NodeStats) -> Value {
         ("twins", num(n.twins)),
         ("diffs_created", num(n.diffs_created)),
         ("diffs_applied", num(n.diffs_applied)),
-        ("views", views_to_value(&n.views)),
         ("metrics", metrics_to_value(&n.metrics)),
     ])
 }
@@ -198,7 +158,6 @@ fn nodes_from_value(v: &Value) -> Option<NodeStats> {
         twins: v.get("twins")?.as_u64()?,
         diffs_created: v.get("diffs_created")?.as_u64()?,
         diffs_applied: v.get("diffs_applied")?.as_u64()?,
-        views: views_from_value(v.get("views")?)?,
         metrics: metrics_from_value(v.get("metrics")?)?,
     })
 }
@@ -282,24 +241,6 @@ mod tests {
             diffs_applied: 20,
             ..NodeStats::default()
         };
-        nodes.views.insert(
-            3,
-            ViewStats {
-                acquires: 1,
-                versions: 2,
-                wait_ns: 3,
-                grant_bytes: 4,
-            },
-        );
-        nodes.views.insert(
-            7,
-            ViewStats {
-                acquires: 5,
-                versions: 6,
-                wait_ns: 7,
-                grant_bytes: 8,
-            },
-        );
         nodes.metrics.breakdown.charge(Phase::Compute, 100);
         nodes.metrics.breakdown.charge(Phase::SendWait, 200);
         nodes.metrics.acquire_rtt.record(1_500);
@@ -341,7 +282,6 @@ mod tests {
         assert_eq!(decoded.time, original.time);
         assert_eq!(decoded.nodes.metrics, original.nodes.metrics);
         assert_eq!(decoded.node_breakdowns, original.node_breakdowns);
-        assert_eq!(decoded.nodes.views, original.nodes.views);
     }
 
     #[test]

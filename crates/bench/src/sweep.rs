@@ -19,9 +19,10 @@
 //! [`DiskCache`] stores each cell's full-fidelity [`RunStats`] (see
 //! [`crate::persist`]) in a single JSON file, content-addressed by a build
 //! fingerprint (FNV-1a of the running executable) plus a [`context_hash`]
-//! of the scale and cost models. `tables --cache DIR` opens the cache and
-//! [`run_sweep_cached`] skips every warm cell — a warm rerun simulates
-//! nothing and replays byte-identical tables and metrics artifacts. Any
+//! of the scale and cost models. [`run_sweep_cached`] skips every warm
+//! cell — a warm rerun simulates nothing and replays byte-identical tables
+//! and metrics artifacts. `tables` does not use it; the host benchmark
+//! times a cold, saved and warm sweep through it. Any
 //! rebuild or configuration change flips the fingerprint/context and
 //! invalidates the file wholesale; writes are atomic (temp file + rename)
 //! so a crashed sweep can never leave a torn cache behind.
@@ -515,11 +516,12 @@ pub fn dedup_cells(specs: &[CellSpec]) -> Vec<CellSpec> {
         .collect()
 }
 
-/// Schema tag of the persistent sweep-cache file. `/3` adds the one-sided
-/// datagram counter to the persisted network statistics.
-pub const CACHE_SCHEMA: &str = "vopp-sweep-cache/3";
+/// Schema tag of the persistent sweep-cache file. `/3` added the one-sided
+/// datagram counter to the persisted network statistics; `/4` drops the
+/// per-view counters from the persisted node statistics.
+pub const CACHE_SCHEMA: &str = "vopp-sweep-cache/4";
 
-/// File name of the persistent sweep cache inside `--cache DIR`.
+/// File name of the persistent sweep cache inside its directory.
 pub const CACHE_FILE: &str = "sweep-cache.json";
 
 /// Hash of everything *besides* the cell key that determines a run's

@@ -29,6 +29,8 @@ fn bad_command_lines_exit_2_with_the_usage_text() {
         &["--quick"],
         // Faults come from a cell's own plan; there is no global one.
         &["table1", "--quick", "--faults", "loss=0.02@7"],
+        // Cells are simulated every run; there is no persistent cache flag.
+        &["table1", "--quick", "--cache", "target/c"],
     ] {
         let out = tables(args);
         let err = String::from_utf8_lossy(&out.stderr);

@@ -9,7 +9,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use vopp_bench::sweep::{
-    cells_for, context_hash, dedup_cells, run_sweep, run_sweep_cached, DiskCache,
+    cells_for, context_hash, dedup_cells, run_sweep, run_sweep_cached, DiskCache, TABLES,
 };
 use vopp_bench::{all_tables, MetricsSink, Scale};
 
@@ -102,9 +102,9 @@ fn baseline(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-/// Render the full quick sweep (metrics only — the persistent cache is
-/// bypassed when tracing) through a [`DiskCache`] in `cache_dir`, mirroring
-/// `tables --cache`. Returns the table text, the metrics artifacts, and the
+/// Render the full quick sweep plus the `serve` table (metrics only — the
+/// persistent cache is bypassed when tracing) through a [`DiskCache`] in
+/// `cache_dir`. Returns the table text, the metrics artifacts, and the
 /// number of cells actually simulated.
 fn cached_sweep_artifacts(
     jobs: usize,
@@ -117,8 +117,9 @@ fn cached_sweep_artifacts(
         metrics: Some(sink.clone()),
         ..Scale::default()
     };
+    let names: Vec<&str> = ALL_TABLES.iter().copied().chain(["serve"]).collect();
     let specs = dedup_cells(
-        &ALL_TABLES
+        &names
             .iter()
             .flat_map(|name| cells_for(name, &scale))
             .collect::<Vec<_>>(),
@@ -128,9 +129,10 @@ fn cached_sweep_artifacts(
     let simulated = cache.simulated_cells;
     assert_eq!(cache.warm_cells + simulated, specs.len());
     scale.cache = Some(Arc::new(cache));
-    let text = all_tables(&scale)
+    let text = TABLES
         .iter()
-        .map(ToString::to_string)
+        .filter(|(name, _)| names.contains(name))
+        .map(|(_, render)| render(&scale).to_string())
         .collect::<Vec<_>>()
         .join("\n");
     sink.write_all(metrics).expect("write metrics artifacts");
@@ -166,6 +168,7 @@ fn warm_disk_cache_replays_byte_identical_artifacts() {
         f_warm.keys().collect::<Vec<_>>()
     );
     assert!(f_cold.keys().any(|k| k.starts_with("BENCH_")));
+    assert!(f_cold.contains_key("BENCH_serve.json"));
     for (name, body) in &f_cold {
         assert_eq!(body, &f_warm[name], "{name} differs between cold and warm");
     }

@@ -44,7 +44,7 @@ pub use world::WorldBuilder;
 pub use vopp_dsm::{
     check_views, run_cluster, Breakdown, ClusterConfig, ClusterOutcome, CostModel, Crash,
     DisciplineRule, DsmCtx, FaultPlan, Layout, Loss, NodeMetrics, NodeStats, Phase, Protocol,
-    RaceChecker, RunStats, Slowdown, Summary, ViewId, ViewStats, Violation,
+    RaceChecker, RunStats, Slowdown, Summary, ViewId, Violation,
 };
 pub use vopp_page::{Addr, PAGE_SIZE};
 pub use vopp_simnet::NetConfig;

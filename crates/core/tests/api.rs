@@ -1,7 +1,11 @@
 //! Tests of the vopp-core public API layer: regions, guards, world builder.
 
+use std::sync::Arc;
+
 use vopp_core::prelude::*;
-use vopp_core::{check_views, PAGE_SIZE};
+use vopp_core::{check_views, ViewId, PAGE_SIZE};
+use vopp_trace::report::hot_views;
+use vopp_trace::Tracer;
 
 #[test]
 fn guards_release_on_drop() {
@@ -130,29 +134,34 @@ fn mixed_protocol_families_reuse_program_shape() {
     assert_eq!(traditional.results[0], 100);
 }
 
+/// The §3.6 per-view numbers of a real run, derived from its trace.
 #[test]
 fn per_view_stats_surface_in_outcome() {
     let mut world = WorldBuilder::new();
     let hot = world.view_u32(1);
     let cold = world.view_u32(1);
-    let out = run_cluster(
-        &ClusterConfig::lossless(3, Protocol::VcSd),
-        world.build(),
-        move |ctx| {
-            for _ in 0..5 {
-                ctx.with_view(&hot, |r| r.update(ctx, 0, |x| x + 1));
-            }
-            if ctx.me() == 0 {
-                ctx.with_view(&cold, |r| r.set(ctx, 0, 1));
-            }
-            ctx.barrier();
-        },
-    );
-    let vs = &out.stats.nodes.views;
-    assert_eq!(vs[&hot.view].acquires, 15);
-    assert_eq!(vs[&hot.view].versions, 15);
-    assert_eq!(vs[&cold.view].acquires, 1);
-    assert!(vs[&hot.view].wait_ns > 0);
+    let tracer = Arc::new(Tracer::default());
+    let mut cfg = ClusterConfig::lossless(3, Protocol::VcSd);
+    cfg.tracer = Some(tracer.clone());
+    run_cluster(&cfg, world.build(), move |ctx| {
+        for _ in 0..5 {
+            ctx.with_view(&hot, |r| r.update(ctx, 0, |x| x + 1));
+        }
+        if ctx.me() == 0 {
+            ctx.with_view(&cold, |r| r.set(ctx, 0, 1));
+        }
+        ctx.barrier();
+    });
+    let views = hot_views(&tracer.take(), usize::MAX);
+    let of = |v: ViewId| {
+        views
+            .iter()
+            .find(|h| h.view == v as u64)
+            .expect("view acquired")
+    };
+    assert_eq!(of(hot.view).acquires, 15);
+    assert_eq!(of(cold.view).acquires, 1);
+    assert!(of(hot.view).wait_ns > 0);
 }
 
 /// Zero-length sub-ranges are legal anywhere in `0..=len`, including at the

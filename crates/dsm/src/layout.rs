@@ -132,11 +132,6 @@ impl Layout {
         self.heap.pages_needed()
     }
 
-    /// Bytes allocated.
-    pub fn bytes_used(&self) -> usize {
-        self.heap.bytes_used()
-    }
-
     /// Freeze into a shareable handle.
     pub fn freeze(self) -> Arc<Layout> {
         Arc::new(self)

@@ -56,6 +56,6 @@ pub use msg::{AccessMode, Req, Resp, ViewRecord};
 pub use node::{interval_log, IntervalLog, NodeState, PendingFetch, StoredDiff};
 pub use protocol::Protocol;
 pub use runtime::{run_cluster, run_nodes, ClusterConfig, ClusterOutcome};
-pub use stats::{NodeMetrics, NodeStats, RunStats, ViewStats, ViewStatsMap};
+pub use stats::{NodeMetrics, NodeStats, RunStats};
 pub use vopp_metrics::{Breakdown, Histogram, Phase, Summary};
 pub use vopp_racecheck::{AccessRec, DisciplineRule, RaceChecker, Violation};

@@ -187,13 +187,10 @@ impl DsmCtx<'_> {
         })
     }
 
-    /// Note that this node reflects `version` of `obj`. Returns whether
-    /// that advanced its knowledge.
-    fn note_version(&self, obj: u32, version: u32) -> bool {
+    /// Note that this node reflects `version` of `obj`.
+    fn note_version(&self, obj: u32, version: u32) {
         let mut have = self.applied_version(obj);
-        let bumped = version > *have;
         *have = (*have).max(version);
-        bumped
     }
 
     /// The acquire half of the view round trip, for a view or a ScC lock's
@@ -249,17 +246,16 @@ impl DsmCtx<'_> {
 
     /// The release half of the view round trip. A write release publishes
     /// the interval `sealed` (if anything was written) as the next release
-    /// of `obj` at its home and notes the version the home assigned,
-    /// returning whether it was new to this node. The diffs travel as this
-    /// protocol's view data does; notices leave them in the releaser's diff
-    /// store.
+    /// of `obj` at its home and notes the version the home assigned. The
+    /// diffs travel as this protocol's view data does; notices leave them in
+    /// the releaser's diff store.
     pub(crate) fn release_to_view_home(
         &self,
         home: ProcId,
         obj: u32,
         mode: AccessMode,
         sealed: Option<(IntervalId, u64, PageDiffs)>,
-    ) -> bool {
+    ) {
         let (interval, lamport, pages, diffs): (_, _, Vec<PageId>, _) = match sealed {
             Some((id, lamport, diffs)) => {
                 let pages = diffs.iter().map(|(p, _)| *p).collect();
@@ -291,7 +287,7 @@ impl DsmCtx<'_> {
         };
         match self.call(home, req, Phase::SendWait, obj as u64) {
             Resp::ReleaseAck { version } => self.note_version(obj, version),
-            Resp::Ack if mode == AccessMode::Read => false,
+            Resp::Ack if mode == AccessMode::Read => {}
             other => panic!("view release got unexpected reply {other:?}"),
         }
     }
@@ -370,12 +366,7 @@ impl DsmCtx<'_> {
         let mut n = self.node();
         n.absorb_view_grant(&g);
         n.stats.acquires += 1;
-        let waited = (self.sim.now() - t0).nanos();
-        n.stats.acquire_wait_ns += waited;
-        let vs = n.stats.views.entry(v).or_default();
-        vs.acquires += 1;
-        vs.wait_ns += waited;
-        vs.grant_bytes += grant_bytes;
+        n.stats.acquire_wait_ns += (self.sim.now() - t0).nanos();
         drop(n);
         // One-sided data arrived by RDMA write into the preposted buffer —
         // nothing for the acquirer's CPU to apply, so no diff-apply charge.
@@ -433,9 +424,7 @@ impl DsmCtx<'_> {
         self.app.borrow_mut().held_write = None;
         let home = self.layout.view_home(v, self.nprocs());
         let sealed = self.close_interval();
-        if self.release_to_view_home(home, v, AccessMode::Write, sealed) {
-            self.node().stats.views.entry(v).or_default().versions += 1;
-        }
+        self.release_to_view_home(home, v, AccessMode::Write, sealed);
         self.trace(EventKind::ReleaseDone {
             view: v as u64,
             write: true,

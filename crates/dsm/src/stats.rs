@@ -4,29 +4,9 @@
 //! `Time`, `Barriers`, `Acquires`, `Data`, `Num. Msg`, `Diff Requests`,
 //! `Barrier Time`, `Acquire Time`, `Rexmit`.
 
-use std::collections::BTreeMap;
-
 use vopp_metrics::{Breakdown, Histogram, Phase, Summary};
 use vopp_sim::SimTime;
 use vopp_simnet::NetStats;
-
-/// Per-view counters, the data behind the paper's §3.6 rule of thumb
-/// ("the more views are acquired, the more messages there are in the
-/// system; and the larger a view is, the more data traffic is caused").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ViewStats {
-    /// Acquire operations (read + write) on this view.
-    pub acquires: u64,
-    /// Write releases that produced a new version.
-    pub versions: u64,
-    /// Total time spent blocked acquiring this view, in nanoseconds.
-    pub wait_ns: u64,
-    /// Consistency payload bytes received in this view's grants.
-    pub grant_bytes: u64,
-}
-
-/// Map of view id to its counters.
-pub type ViewStatsMap = BTreeMap<u32, ViewStats>;
 
 /// Phase-accounting breakdown and latency histograms collected on one node
 /// (or aggregated across nodes).
@@ -80,18 +60,11 @@ pub struct NodeStats {
     pub diffs_created: u64,
     /// Diffs applied to local pages.
     pub diffs_applied: u64,
-    /// Per-view breakdown of acquire traffic.
-    pub views: ViewStatsMap,
     /// Phase breakdown and latency histograms.
     pub metrics: NodeMetrics,
 }
 
 impl NodeStats {
-    /// Mutable access to one view's counters (creating them if absent).
-    pub fn stats_view(&mut self, v: u32) -> &mut ViewStats {
-        self.views.entry(v).or_default()
-    }
-
     /// Merge another node's counters into an aggregate.
     pub fn absorb(&mut self, o: &NodeStats) {
         self.barriers += o.barriers;
@@ -104,13 +77,6 @@ impl NodeStats {
         self.twins += o.twins;
         self.diffs_created += o.diffs_created;
         self.diffs_applied += o.diffs_applied;
-        for (v, vs) in &o.views {
-            let e = self.views.entry(*v).or_default();
-            e.acquires += vs.acquires;
-            e.versions += vs.versions;
-            e.wait_ns += vs.wait_ns;
-            e.grant_bytes += vs.grant_bytes;
-        }
         self.metrics.absorb(&o.metrics);
     }
 }
@@ -253,49 +219,9 @@ mod tests {
             diffs_applied: 10,
             ..Default::default()
         };
-        a.stats_view(3).acquires = 2;
         a.absorb(&a.clone());
         assert_eq!(a.barriers, 2);
         assert_eq!(a.diffs_applied, 20);
-        assert_eq!(a.views[&3].acquires, 4);
-    }
-
-    #[test]
-    fn absorb_merges_disjoint_and_overlapping_views_fieldwise() {
-        let mut a = NodeStats::default();
-        *a.stats_view(1) = ViewStats {
-            acquires: 2,
-            versions: 1,
-            wait_ns: 100,
-            grant_bytes: 4096,
-        };
-        let mut b = NodeStats::default();
-        *b.stats_view(1) = ViewStats {
-            acquires: 3,
-            versions: 2,
-            wait_ns: 50,
-            grant_bytes: 1024,
-        };
-        *b.stats_view(7) = ViewStats {
-            acquires: 1,
-            versions: 0,
-            wait_ns: 9,
-            grant_bytes: 8,
-        };
-        a.absorb(&b);
-        // Overlapping view: every field sums.
-        let v1 = &a.views[&1];
-        assert_eq!(
-            (v1.acquires, v1.versions, v1.wait_ns, v1.grant_bytes),
-            (5, 3, 150, 5120)
-        );
-        // Disjoint view: copied whole.
-        let v7 = &a.views[&7];
-        assert_eq!(
-            (v7.acquires, v7.versions, v7.wait_ns, v7.grant_bytes),
-            (1, 0, 9, 8)
-        );
-        assert_eq!(a.views.len(), 2);
     }
 
     #[test]

@@ -236,16 +236,16 @@ fn view_case(proto: Protocol, lossy: bool) -> (Pinned, u64) {
 /// datagram's retransmission timeout has run past the next arrivals).
 #[rustfmt::skip]
 const PINNED: [(&str, [u64; 5], u64); 10] = [
-    ("lock_acquire LRC_d", [12_094_632, 9_048_770_304_158_926_560, 8_678_337_002_755_608_396, 230, 72], 0),
-    ("lock_acquire HLRC", [22_279_960, 16_382_383_296_229_171_007, 5_791_153_946_128_531_515, 174, 20], 0),
-    ("lock_acquire ScC", [12_229_072, 18_341_764_230_633_175_832, 14_532_443_829_595_505_317, 230, 72], 0),
-    ("barrier LRC_d", [11_910_272, 10_764_438_312_597_323_309, 1_829_713_417_764_475_775, 200, 72], 0),
-    ("crash_recover VC_sd", [11_923_272, 1_441_000_774_930_652_028, 13_778_335_400_346_168_272, 141, 24], 24),
-    ("home read HLRC", [11_720_812, 14_204_215_627_133_972_081, 12_722_664_097_225_348_489, 56, 0], 0),
-    ("views VC_d", [11_498_128, 4_562_122_112_065_018_876, 5_938_976_822_585_803_324, 154, 36], 24),
-    ("views VC_sd", [11_483_852, 14_651_455_676_881_807_835, 14_105_671_802_594_908_194, 112, 12], 24),
-    ("views VC_rdma", [11_483_852, 12_815_671_089_573_781_542, 14_753_624_803_845_259_274, 112, 12], 0),
-    ("views VC_sd lossy", [2_011_483_852, 9_313_267_196_159_789_346, 8_475_277_225_908_456_973, 113, 12], 22),
+    ("lock_acquire LRC_d", [12_094_632, 15_985_894_392_311_384_932, 8_678_337_002_755_608_396, 230, 72], 0),
+    ("lock_acquire HLRC", [22_279_960, 5_037_248_142_512_334_681, 5_791_153_946_128_531_515, 174, 20], 0),
+    ("lock_acquire ScC", [12_229_072, 18_150_188_957_073_362_932, 14_532_443_829_595_505_317, 230, 72], 0),
+    ("barrier LRC_d", [11_910_272, 11_232_495_369_098_089_879, 1_829_713_417_764_475_775, 200, 72], 0),
+    ("crash_recover VC_sd", [11_923_272, 15_428_198_820_472_406_409, 13_778_335_400_346_168_272, 141, 24], 24),
+    ("home read HLRC", [11_720_812, 6_098_332_737_867_204_221, 12_722_664_097_225_348_489, 56, 0], 0),
+    ("views VC_d", [11_498_128, 10_951_314_831_697_039_470, 5_938_976_822_585_803_324, 154, 36], 24),
+    ("views VC_sd", [11_483_852, 9_173_361_321_099_124_096, 14_105_671_802_594_908_194, 112, 12], 24),
+    ("views VC_rdma", [11_483_852, 12_641_233_513_599_860_061, 14_753_624_803_845_259_274, 112, 12], 0),
+    ("views VC_sd lossy", [2_011_483_852, 18_089_005_064_849_159_820, 8_475_277_225_908_456_973, 113, 12], 22),
 ];
 
 /// The only test in this binary: `handoff_totals` is process-wide, and a

@@ -10,7 +10,6 @@ use crate::page::{page_of, Addr, PAGE_SIZE};
 #[derive(Debug, Clone, Default)]
 pub struct SharedHeap {
     next: Addr,
-    allocs: Vec<(Addr, usize)>,
 }
 
 impl SharedHeap {
@@ -25,7 +24,6 @@ impl SharedHeap {
         assert!(len > 0, "zero-length allocation");
         let base = (self.next + align - 1) & !(align - 1);
         self.next = base + len;
-        self.allocs.push((base, len));
         base
     }
 
@@ -46,16 +44,6 @@ impl SharedHeap {
             page_of(self.next - 1) + 1
         }
     }
-
-    /// Bytes allocated (including alignment padding).
-    pub fn bytes_used(&self) -> usize {
-        self.next
-    }
-
-    /// All allocations, in order, as `(base, len)`.
-    pub fn allocations(&self) -> &[(Addr, usize)] {
-        &self.allocs
-    }
 }
 
 #[cfg(test)]
@@ -69,7 +57,10 @@ mod tests {
         let b = h.alloc(8, 8);
         assert_eq!(a, 0);
         assert_eq!(b, 8); // aligned up from 3
-        assert_eq!(h.bytes_used(), 16);
+        assert_eq!(h.pages_needed(), 1);
+        // Unaligned, so it straddles the first page boundary.
+        assert_eq!(h.alloc(PAGE_SIZE, 1), 16);
+        assert_eq!(h.pages_needed(), 2);
     }
 
     #[test]

@@ -7,20 +7,25 @@
 //! A fixed histogram-accumulation workload is run with the histogram split
 //! into 2, 4, 8, 16 and 32 views. Few large views mean fewer messages but
 //! more data per acquisition (and more contention); many small views mean
-//! the opposite. The per-view statistics expose where the waiting happens.
+//! the opposite. The per-view breakdown, derived from a trace of the 8-view
+//! run, exposes where the waiting happens.
 //!
 //! ```text
 //! cargo run --release --example view_tuning
 //! ```
 
+use std::sync::Arc;
+
 use vopp_repro::apps::workload::share;
 use vopp_repro::prelude::*;
+use vopp_trace::report::hot_views;
+use vopp_trace::Tracer;
 
 const BUCKETS: usize = 8192;
 const REPS: usize = 10;
 const NPROCS: usize = 8;
 
-fn run_with_chunks(chunks: usize) -> RunStats {
+fn run_with_chunks(chunks: usize, tracer: Option<Arc<Tracer>>) -> RunStats {
     let mut world = WorldBuilder::new();
     let views: Vec<_> = (0..chunks)
         .map(|c| {
@@ -28,7 +33,8 @@ fn run_with_chunks(chunks: usize) -> RunStats {
             world.view_u32(be - bs)
         })
         .collect();
-    let cfg = ClusterConfig::new(NPROCS, Protocol::VcSd);
+    let mut cfg = ClusterConfig::new(NPROCS, Protocol::VcSd);
+    cfg.tracer = tracer;
     let out = run_cluster(&cfg, world.build(), |ctx| {
         let me = ctx.me();
         for rep in 0..REPS {
@@ -57,7 +63,7 @@ fn main() {
         "views", "acquires", "messages", "data (KB)", "time (ms)", "avg wait (us)"
     );
     for chunks in [2, 4, 8, 16, 32] {
-        let s = run_with_chunks(chunks);
+        let s = run_with_chunks(chunks, None);
         println!(
             "{:>7} {:>10} {:>10} {:>12.0} {:>14.2} {:>16.0}",
             chunks,
@@ -68,20 +74,20 @@ fn main() {
             s.acquire_time_usec(),
         );
     }
-    let s = run_with_chunks(8);
-    println!("\nper-view breakdown at 8 views (paper §3.6 diagnostics):");
+    let tracer = Arc::new(Tracer::default());
+    run_with_chunks(8, Some(tracer.clone()));
+    println!("\nper-view breakdown at 8 views, hottest first (paper §3.6 diagnostics):");
     println!(
-        "{:>6} {:>10} {:>10} {:>14} {:>14}",
-        "view", "acquires", "versions", "wait (ms)", "grants (KB)"
+        "{:>6} {:>10} {:>14} {:>14}",
+        "view", "acquires", "wait (ms)", "grants (KB)"
     );
-    for (v, vs) in &s.nodes.views {
+    for hv in hot_views(&tracer.take(), usize::MAX) {
         println!(
-            "{:>6} {:>10} {:>10} {:>14.2} {:>14.1}",
-            v,
-            vs.acquires,
-            vs.versions,
-            vs.wait_ns as f64 / 1e6,
-            vs.grant_bytes as f64 / 1e3
+            "{:>6} {:>10} {:>14.2} {:>14.1}",
+            hv.view,
+            hv.acquires,
+            hv.wait_ns as f64 / 1e6,
+            hv.grant_bytes as f64 / 1e3
         );
     }
 }
