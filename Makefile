@@ -154,9 +154,11 @@ hostbench-pairs:
 hostbench-test:
 	cd benchmark && cargo test --offline
 
-# The dynamic-checker suite (docs/CORRECTNESS.md): clean applications
-# across all five protocol×style cells must report zero violations, the
-# seeded-racy variants their exact known-answer counts.
+# The dynamic-checker matrix (docs/CORRECTNESS.md): 22 cells, one const
+# table in crates/bench/tests/racecheck.rs. Clean applications and the
+# serving store across all five protocol×style cells must report zero
+# violations, the seeded variants their exact known-answer counts, each
+# with one trace event per violation. Prints one [racecheck] line per cell.
 racecheck:
 	cargo test --release -p vopp-bench --test racecheck -- --nocapture
 

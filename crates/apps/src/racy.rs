@@ -171,29 +171,12 @@ mod tests {
     use vopp_core::{RaceChecker, Violation};
 
     use super::*;
-    use crate::is::{run_is, IsParams, IsVariant};
 
     fn with_checker(np: usize, proto: Protocol) -> (ClusterConfig, Arc<RaceChecker>) {
         let rc = Arc::new(RaceChecker::new());
         let mut cfg = ClusterConfig::lossless(np, proto);
         cfg.racecheck = Some(rc.clone());
         (cfg, rc)
-    }
-
-    #[test]
-    fn is_racy_reports_exact_count_on_every_lrc_protocol() {
-        for proto in [Protocol::LrcD, Protocol::Hlrc, Protocol::ScC] {
-            let (cfg, rc) = with_checker(4, proto);
-            run_is_racy(&cfg, 600, 2);
-            assert_eq!(rc.count(), is_racy_expected(4), "{proto}");
-            assert!(
-                rc.violations()
-                    .iter()
-                    .all(|v| matches!(v, Violation::DataRace { .. })),
-                "{proto}: every violation must be a data race"
-            );
-            assert!(!rc.report().is_empty());
-        }
     }
 
     #[test]
@@ -234,25 +217,6 @@ mod tests {
                 ],
                 "{proto}"
             );
-        }
-    }
-
-    #[test]
-    fn clean_is_is_silent_across_all_five_cells() {
-        let p = IsParams::quick();
-        for proto in [Protocol::LrcD, Protocol::Hlrc, Protocol::ScC] {
-            let (cfg, rc) = with_checker(4, proto);
-            run_is(&cfg, &p, IsVariant::Traditional);
-            assert_eq!(
-                rc.count(),
-                0,
-                "{proto}: clean traditional IS must be silent"
-            );
-        }
-        for proto in [Protocol::VcD, Protocol::VcSd] {
-            let (cfg, rc) = with_checker(4, proto);
-            run_is(&cfg, &p, IsVariant::Vopp);
-            assert_eq!(rc.count(), 0, "{proto}: clean VOPP IS must be silent");
         }
     }
 

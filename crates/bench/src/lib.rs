@@ -14,14 +14,12 @@
 pub mod hostprof;
 pub mod metrics;
 pub mod persist;
-pub mod racecheck;
 pub mod sweep;
 pub mod table;
 pub mod tables;
 
 pub use hostprof::{alloc_totals, peak_rss_bytes, CountingAlloc};
 pub use metrics::{CellRecord, MetricsSink};
-pub use racecheck::{run_racecheck, RacecheckOutcome};
 pub use sweep::{
     cells_for, context_hash, dedup_cells, run_sweep, run_sweep_cached, CellSpec, DiskCache,
     RunCache, ServeCell, ServeFault, ServeLoad, ServePayload,

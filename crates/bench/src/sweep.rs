@@ -333,11 +333,6 @@ fn netgen_cell(
     }
 }
 
-/// The generations the `netgen` family sweeps: the paper's testbed, a
-/// modern Ethernet, and the RDMA-class interconnect. The in-between
-/// presets exist ([`NetGen::ALL`]) but three points tell the story.
-pub const NETGEN_GENS: [NetGen; 3] = [NetGen::Eth100m, NetGen::Eth10g, NetGen::Rdma];
-
 /// The protocol columns of the `netgen` family: the paper's baseline, its
 /// headline protocol, and the RDMA-native variant.
 pub const NETGEN_PROTOS: [(Protocol, CellVariant); 3] = [
@@ -493,7 +488,7 @@ pub fn cells_for(table: &str, scale: &Scale) -> Vec<CellSpec> {
             // bit-for-bit) carries its generation in the key, so the family
             // never aliases the paper tables' cells in the sweep cache.
             for app in [Is, Gauss, Sor, Nn] {
-                for gen in NETGEN_GENS {
+                for gen in NetGen::ALL {
                     for (proto, variant) in NETGEN_PROTOS {
                         cells.push(netgen_cell(app, variant, gen, proto, np));
                     }
@@ -892,11 +887,11 @@ mod tests {
     fn cache_addressing_covers_the_network_dimension() {
         // Same (app, variant, proto, np) under different generations are
         // different cache keys.
-        let keys: std::collections::BTreeSet<String> = NETGEN_GENS
+        let keys: std::collections::BTreeSet<String> = NetGen::ALL
             .iter()
             .map(|&g| netgen_cell(CellApp::Is, CellVariant::Vopp, g, Protocol::VcSd, 4).key())
             .collect();
-        assert_eq!(keys.len(), NETGEN_GENS.len());
+        assert_eq!(keys.len(), NetGen::ALL.len());
     }
 
     #[test]

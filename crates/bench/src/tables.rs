@@ -308,18 +308,18 @@ const SCALING_MIN_PROCS: usize = 64;
 
 /// The conformance-invariant set a protocol's traces must satisfy.
 ///
-/// * `VC_sd` ships integrated diffs on grants, so its runs must emit zero
-///   diff requests (the paper's headline protocol property). `VC_rdma`
-///   ships the same integrated diffs as one-sided writes, so it inherits
-///   the invariant.
-/// * Both VC protocols scope consistency to views, so their barrier
+/// * A protocol whose grants carry integrated diffs
+///   ([`Protocol::integrates_diffs`]: `VC_sd` inline, `VC_rdma` by
+///   one-sided write) must emit zero diff requests (the paper's headline
+///   protocol property).
+/// * The VC protocols scope consistency to views, so their barrier
 ///   releases must carry no write notices (paper §3.2).
 ///
 /// The other invariants (`rexmit-covered` and `non-nested-acquires` among
 /// them) hold for every protocol and always run.
 pub fn check_config_for(proto: Protocol) -> CheckConfig {
     CheckConfig {
-        expect_zero_diff_requests: matches!(proto, Protocol::VcSd | Protocol::VcRdma),
+        expect_zero_diff_requests: proto.integrates_diffs(),
         expect_no_barrier_notices: proto.is_vc(),
     }
 }

@@ -106,6 +106,12 @@ impl Protocol {
         self.family() == Family::Lrc
     }
 
+    /// True when a view grant carries the integrated diffs of its stale
+    /// pages (inline or one-sided), so an acquirer never requests a diff.
+    pub fn integrates_diffs(self) -> bool {
+        self.view_data() != ViewData::Notices
+    }
+
     pub(crate) fn family(self) -> Family {
         match self {
             Protocol::LrcD | Protocol::Hlrc | Protocol::ScC => Family::Lrc,
@@ -175,5 +181,7 @@ mod tests {
         assert_eq!(vc, [VcD, VcSd, VcRdma]);
         assert_eq!(lrc, [LrcD, Hlrc, ScC]);
         assert!(all.iter().all(|p| p.is_vc() != p.is_lrc_family()));
+        let integrated: Vec<_> = all.into_iter().filter(|p| p.integrates_diffs()).collect();
+        assert_eq!(integrated, [VcSd, VcRdma]);
     }
 }

@@ -324,9 +324,7 @@ pub fn run_serve_undisciplined(cfg: &ClusterConfig, p: &ServeParams) -> ServeOut
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
-    use vopp_core::{Protocol, RaceChecker};
+    use vopp_core::Protocol;
     use vopp_sim::SimDuration;
 
     use super::*;
@@ -407,38 +405,6 @@ mod tests {
         let slowed = run_serve(&slow, &p, ServeVariant::Vopp);
         assert_eq!(clean.checksum, slowed.checksum);
         assert!(slowed.latency.mean_ns() >= clean.latency.mean_ns());
-    }
-
-    #[test]
-    fn undisciplined_variant_reports_exact_count() {
-        let p = quick();
-        for proto in [Protocol::VcD, Protocol::VcSd] {
-            let rc = Arc::new(RaceChecker::new());
-            let mut cfg = ClusterConfig::lossless(4, proto);
-            cfg.racecheck = Some(rc.clone());
-            let out = run_serve_undisciplined(&cfg, &p);
-            assert_eq!(rc.count(), undisciplined_expected(), "{proto}");
-            assert_eq!(out.checksum, serve_reference(&p), "{proto}");
-        }
-    }
-
-    #[test]
-    fn clean_store_is_silent_under_the_checker() {
-        let p = quick();
-        for proto in [Protocol::VcD, Protocol::VcSd] {
-            let rc = Arc::new(RaceChecker::new());
-            let mut cfg = ClusterConfig::lossless(4, proto);
-            cfg.racecheck = Some(rc.clone());
-            run_serve(&cfg, &p, ServeVariant::Vopp);
-            assert_eq!(rc.count(), 0, "{proto}");
-        }
-        for proto in [Protocol::LrcD, Protocol::Hlrc, Protocol::ScC] {
-            let rc = Arc::new(RaceChecker::new());
-            let mut cfg = ClusterConfig::lossless(4, proto);
-            cfg.racecheck = Some(rc.clone());
-            run_serve(&cfg, &p, ServeVariant::Traditional);
-            assert_eq!(rc.count(), 0, "{proto}");
-        }
     }
 
     #[test]

@@ -303,6 +303,10 @@ pub(crate) struct Sched {
     pending_bytes: Vec<usize>,
     net: Box<dyn NetModel>,
     pub(crate) procs: Vec<ProcInfo>,
+    /// Service handlers, so whichever process thread pops a `Svc` delivery
+    /// can run it. A handler is taken out of its slot for the duration of
+    /// the call, which runs with the lock released.
+    handlers: Vec<Option<Handler>>,
     running: Option<ProcId>,
     live: usize,
     shutdown: bool,
@@ -543,11 +547,6 @@ pub(crate) struct Shared {
     /// Handed once: by the last process exit or by [`Shared::shutdown_all`].
     done: Baton,
     pub(crate) nprocs: usize,
-    /// Service handlers, shared so whichever process thread pops a `Svc`
-    /// delivery can run it. A handler is taken out of its slot for the
-    /// duration of the call; one thread runs at a time, so the slot is never
-    /// contended.
-    handlers: Mutex<Vec<Option<Handler>>>,
     /// Same tracer as `Sched::tracer`, duplicated outside the mutex so the
     /// disabled path is a pointer test without taking the scheduler lock.
     pub(crate) tracer: Option<Arc<Tracer>>,
@@ -780,7 +779,7 @@ impl Shared {
         if let Some(prof) = &s.profiler {
             prof.record_svc(dst, at.0, pkt.cause);
         }
-        let mut h = self.handlers.lock()[dst]
+        let mut h = s.handlers[dst]
             .take()
             .unwrap_or_else(|| panic!("no Svc handler on proc {dst}"));
         let r = self.sched.unlocked(s, || {
@@ -789,7 +788,7 @@ impl Shared {
         });
         if r.is_ok() {
             // On panic the slot stays empty; the run is shutting down.
-            self.handlers.lock()[dst] = Some(h);
+            s.handlers[dst] = Some(h);
         }
         r
     }
@@ -959,6 +958,7 @@ impl Sim {
             pending_bytes: vec![0; nprocs],
             net: self.net,
             procs: (0..nprocs).map(|_| ProcInfo::new()).collect(),
+            handlers: self.handlers,
             running: None,
             live: nprocs,
             shutdown: false,
@@ -977,7 +977,6 @@ impl Sim {
                 ..Baton::default()
             },
             nprocs,
-            handlers: Mutex::new(self.handlers),
             tracer: self.tracer,
         };
 

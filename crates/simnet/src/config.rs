@@ -73,7 +73,7 @@ impl NetConfig {
 
     /// Transmission time of `bytes` on one link, in integer picoseconds.
     /// This is the resolution the link-occupancy accumulators run at: at
-    /// 100 GbE a minimum datagram serializes in under 5 ns, so whole-ns
+    /// 100 Gbps a minimum datagram serializes in under 5 ns, so whole-ns
     /// rounding would lose most of each packet's occupancy and let N
     /// back-to-back packets serialize in far less than N× the wire time.
     pub fn tx_time_ps(&self, bytes: usize) -> u64 {
@@ -96,12 +96,8 @@ pub enum NetGen {
     /// The paper's testbed: switched 100 Mbps Ethernet, 45 µs one-way,
     /// ~1 s retransmission timeout. The byte-identity baseline.
     Eth100m,
-    /// Gigabit Ethernet, interrupt-driven UDP stack.
-    Eth1g,
     /// 10 GbE with a leaner stack (µs-scale latency).
     Eth10g,
-    /// 100 GbE datacenter Ethernet.
-    Eth100g,
     /// RDMA-class interconnect: ~1 µs one-way for small messages
     /// (800 ns switch+NIC latency plus serialization), sub-µs loopback,
     /// hardware-reliable transport (no loss machinery), credit-based flow
@@ -111,21 +107,13 @@ pub enum NetGen {
 
 impl NetGen {
     /// Every generation, oldest first.
-    pub const ALL: [NetGen; 5] = [
-        NetGen::Eth100m,
-        NetGen::Eth1g,
-        NetGen::Eth10g,
-        NetGen::Eth100g,
-        NetGen::Rdma,
-    ];
+    pub const ALL: [NetGen; 3] = [NetGen::Eth100m, NetGen::Eth10g, NetGen::Rdma];
 
     /// Stable label used in cell keys and artifact names.
     pub fn label(self) -> &'static str {
         match self {
             NetGen::Eth100m => "eth100m",
-            NetGen::Eth1g => "1g",
             NetGen::Eth10g => "10g",
-            NetGen::Eth100g => "100g",
             NetGen::Rdma => "rdma",
         }
     }
@@ -136,15 +124,6 @@ impl NetGen {
     pub fn config(self) -> NetConfig {
         match self {
             NetGen::Eth100m => NetConfig::default(),
-            NetGen::Eth1g => NetConfig {
-                bandwidth_bps: 1e9,
-                latency: SimDuration::from_micros(20),
-                loopback_latency: SimDuration::from_micros(1),
-                base_drop_prob: 1e-6,
-                overflow_threshold_bytes: 256 * 1024,
-                rexmit_timeout: SimDuration::from_millis(250),
-                ..NetConfig::default()
-            },
             NetGen::Eth10g => NetConfig {
                 bandwidth_bps: 10e9,
                 latency: SimDuration::from_micros(5),
@@ -152,15 +131,6 @@ impl NetGen {
                 base_drop_prob: 1e-7,
                 overflow_threshold_bytes: 1024 * 1024,
                 rexmit_timeout: SimDuration::from_millis(25),
-                ..NetConfig::default()
-            },
-            NetGen::Eth100g => NetConfig {
-                bandwidth_bps: 100e9,
-                latency: SimDuration::from_micros(2),
-                loopback_latency: SimDuration::from_nanos(250),
-                base_drop_prob: 1e-8,
-                overflow_threshold_bytes: 4 * 1024 * 1024,
-                rexmit_timeout: SimDuration::from_millis(5),
                 ..NetConfig::default()
             },
             NetGen::Rdma => NetConfig {
@@ -204,21 +174,19 @@ mod tests {
     #[test]
     fn tx_time_ps_is_exact_at_every_generation() {
         // Power-of-ten bandwidths give integer ps-per-byte: 80_000 ps at
-        // 100 Mbps down to 80 ps at 100 GbE.
+        // 100 Mbps down to 80 ps at 100 Gbps.
         for (gen, per_byte_ps) in [
             (NetGen::Eth100m, 80_000),
-            (NetGen::Eth1g, 8_000),
             (NetGen::Eth10g, 800),
-            (NetGen::Eth100g, 80),
             (NetGen::Rdma, 80),
         ] {
             let c = gen.config();
             assert_eq!(c.tx_time_ps(1), per_byte_ps, "{gen}");
             assert_eq!(c.tx_time_ps(1250), 1250 * per_byte_ps, "{gen}");
         }
-        // Sub-ns regime: a minimum datagram at 100 GbE is 4.64 ns — whole-ns
-        // math would halve it.
-        assert_eq!(NetGen::Eth100g.config().tx_time_ps(HEADER_BYTES), 4_640);
+        // Sub-ns regime: a minimum datagram at 100 Gbps is 4.64 ns —
+        // whole-ns math would halve it.
+        assert_eq!(NetGen::Rdma.config().tx_time_ps(HEADER_BYTES), 4_640);
     }
 
     #[test]

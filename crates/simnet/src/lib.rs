@@ -7,8 +7,8 @@
 //!
 //! * [`NetConfig`] — bandwidth/latency/loss parameters (defaults calibrated
 //!   to the paper's Godzilla cluster).
-//! * [`NetGen`] — named generation presets (the testbed plus 1/10/100 GbE
-//!   and an RDMA-class fabric) for the modern-interconnect what-ifs.
+//! * [`NetGen`] — named generation presets (the testbed, 10 GbE and an
+//!   RDMA-class fabric) for the modern-interconnect what-ifs.
 //! * [`EthernetModel`] — per-link serialization (picosecond-resolution link
 //!   occupancy), store-and-forward switch, receiver-overflow losses; plugs
 //!   into the `vopp-sim` kernel.

@@ -9,7 +9,7 @@
 //!
 //! Link occupancy is tracked in **picoseconds** while the simulator's event
 //! clock ticks in nanoseconds. At the paper's 100 Mbps this distinction is
-//! invisible (every byte is 80 ns), but at 100 GbE a minimum datagram
+//! invisible (every byte is 80 ns), but at 100 Gbps a minimum datagram
 //! serializes in 4.64 ns — accumulating whole-ns rounded times would let N
 //! back-to-back packets finish in well under N× the true wire time. The
 //! ps accumulators carry the fractional part exactly; only the final
@@ -286,17 +286,17 @@ mod tests {
     #[test]
     fn sub_ns_serialization_accumulates_at_100g() {
         // The regression the ps accumulators fix: N minimum datagrams
-        // back-to-back at 100 GbE must occupy the uplink for exactly
+        // back-to-back at 100 Gbps must occupy the uplink for exactly
         // N x 4.64 ns of wire time, not N x round(4.64) = N x 5 ns or —
         // with the old truncating accumulator reset each packet —
         // far less. 1000 packets: 4640 ns of wire, not 5000, not ~4000.
-        let cfg = NetGen::Eth100g.config();
-        let tx_ps = cfg.tx_time_ps(HEADER_BYTES);
-        assert_eq!(tx_ps, 4_640); // 4.64 ns — not representable in whole ns
         let lossless = NetConfig {
-            base_drop_prob: 0.0,
-            ..cfg
+            bandwidth_bps: 100e9,
+            latency: SimDuration::from_micros(2),
+            ..NetConfig::lossless()
         };
+        let tx_ps = lossless.tx_time_ps(HEADER_BYTES);
+        assert_eq!(tx_ps, 4_640); // 4.64 ns — not representable in whole ns
         let mut m = EthernetModel::new(2, lossless.clone());
         let n: u64 = 1000;
         let mut last = SimTime::ZERO;

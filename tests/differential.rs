@@ -107,7 +107,7 @@ fn draw(seed: u64, np: Option<usize>) -> Draw {
         app,
         np,
         proto: rng.pick(if vopp { &VOPP } else { &TRADITIONAL }),
-        net: rng.pick(&[NetGen::Eth100m, NetGen::Eth10g, NetGen::Rdma]),
+        net: rng.pick(&NetGen::ALL),
         plan: match rng.range(0, 2) {
             0 => Plan::Clean,
             1 => Plan::Loss(rng.next()),
